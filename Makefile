@@ -4,9 +4,9 @@
 EXCLUDE_VENDOR := --exclude criterion --exclude proptest --exclude rand \
                   --exclude serde --exclude serde_derive
 
-.PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
+.PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke
 
-verify: fmt clippy build bench-check test kernel-smoke serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
+verify: fmt clippy build bench-check test kernel-smoke serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke
 
 fmt:
 	cargo fmt --all --check
@@ -100,3 +100,9 @@ slo-smoke:
 # a deterministic artifact.
 perf-gate:
 	cargo run --release -p unintt-bench --bin harness -- perf-gate
+
+# Repo-benchmark smoke: one checked op per BENCHMARK.json workload (every
+# digest pin and independent check) plus one traced run; exits non-zero
+# if any op is not correct. Builds into target/benchmark.
+bench-smoke:
+	bash benchmark/run.sh --quick

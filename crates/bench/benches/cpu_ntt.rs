@@ -1,23 +1,24 @@
-//! E10 — wall-clock CPU NTT benchmarks (serial vs multithreaded, both
-//! fields), the real-hardware baseline of the reproduction.
+//! E10 — wall-clock CPU NTT benchmarks (cache-resident and pool-forked
+//! sizes, both fields), the real-hardware baseline of the reproduction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::{rngs::StdRng, SeedableRng};
-use unintt_ff::{Bn254Fr, Field, Goldilocks};
-use unintt_ntt::{Ntt, ParallelNtt};
+use unintt_ff::{Bn254Fr, Field, Goldilocks, TwoAdicField};
+use unintt_ntt::Ntt;
 
 fn random_vec<F: Field>(n: usize, seed: u64) -> Vec<F> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| F::random(&mut rng)).collect()
 }
 
-fn bench_serial_goldilocks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cpu_ntt/serial/goldilocks");
+/// One `Ntt::forward` per size in `sizes`, as its own benchmark group.
+fn bench_forward<F: TwoAdicField>(c: &mut Criterion, group: &str, sizes: &[u32]) {
+    let mut group = c.benchmark_group(group);
     group.sample_size(10);
-    for log_n in [12u32, 14, 16, 18] {
+    for &log_n in sizes {
         let n = 1usize << log_n;
-        let ntt = Ntt::<Goldilocks>::new(log_n);
-        let input = random_vec::<Goldilocks>(n, log_n as u64);
+        let ntt = Ntt::<F>::new(log_n);
+        let input = random_vec::<F>(n, log_n as u64);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("2^{log_n}")),
@@ -32,51 +33,20 @@ fn bench_serial_goldilocks(c: &mut Criterion) {
         );
     }
     group.finish();
+}
+
+fn bench_serial_goldilocks(c: &mut Criterion) {
+    bench_forward::<Goldilocks>(c, "cpu_ntt/serial/goldilocks", &[12, 14, 16, 18]);
 }
 
 fn bench_serial_bn254(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cpu_ntt/serial/bn254_fr");
-    group.sample_size(10);
-    for log_n in [12u32, 14, 16] {
-        let n = 1usize << log_n;
-        let ntt = Ntt::<Bn254Fr>::new(log_n);
-        let input = random_vec::<Bn254Fr>(n, log_n as u64);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("2^{log_n}")),
-            &n,
-            |b, _| {
-                b.iter_batched(
-                    || input.clone(),
-                    |mut data| ntt.forward(&mut data),
-                    criterion::BatchSize::LargeInput,
-                )
-            },
-        );
-    }
-    group.finish();
+    bench_forward::<Bn254Fr>(c, "cpu_ntt/serial/bn254_fr", &[12, 14, 16]);
 }
 
 fn bench_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cpu_ntt/parallel/goldilocks_2^18");
-    group.sample_size(10);
-    let log_n = 18u32;
-    let input = random_vec::<Goldilocks>(1 << log_n, 1);
-    for threads in [1usize, 2, 4, 8] {
-        let ntt = ParallelNtt::<Goldilocks>::new(log_n, threads);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{threads}t")),
-            &threads,
-            |b, _| {
-                b.iter_batched(
-                    || input.clone(),
-                    |mut data| ntt.forward(&mut data),
-                    criterion::BatchSize::LargeInput,
-                )
-            },
-        );
-    }
-    group.finish();
+    // Above 2^20 one `Ntt::forward` decomposes six-step and forks every
+    // phase over the global pool (size it with `UNINTT_THREADS`).
+    bench_forward::<Goldilocks>(c, "cpu_ntt/parallel/goldilocks", &[21, 22]);
 }
 
 fn bench_radix4(c: &mut Criterion) {

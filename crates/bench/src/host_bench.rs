@@ -5,7 +5,9 @@
 //! DIT, the scalar Shoup/six-step fast path, and the vectorized
 //! lane-packed path), prints the comparison tables, and writes
 //! machine-readable results to `BENCH_ntt.json` in the current
-//! directory. The JSON also carries a per-stage time breakdown
+//! directory. The JSON header records the host's logical cores and the
+//! `exec` pool size the numbers were taken on; the body also carries a
+//! per-stage time breakdown
 //! (`twiddle_build` / `bitrev` / `passes`) for each size and the E18
 //! acceptance gates: vector-vs-legacy speedup at `2^18`–`2^20` and
 //! `2^22`, 8 threads. See EXPERIMENTS.md (E18) for how to reproduce.
@@ -13,6 +15,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use unintt_exec::Executor;
 use unintt_ff::{BabyBear, Field, Goldilocks, TwoAdicField};
 use unintt_ntt::{
     active_vector_backend, batch_transform_parallel, bit_reverse_permute, set_kernel_mode,
@@ -27,6 +30,9 @@ pub const JSON_PATH: &str = "BENCH_ntt.json";
 /// The size/thread grid: full runs sweep `2^12 .. 2^22`; `--quick` trims to
 /// three sizes. Thread counts are chunking knobs for
 /// [`batch_transform_parallel`] — deterministic regardless of pool size.
+/// They bound the parallelism of a cell only while `rows ≥ threads`; the
+/// `rows = 1` cells at `2^22` are one chunk, and what they measure on the
+/// vector and Shoup columns is the transform's own fork over the pool.
 fn grid(quick: bool) -> (Vec<u32>, Vec<usize>) {
     let sizes = if quick {
         vec![12, 16, 20]
@@ -83,6 +89,11 @@ struct Breakdown {
     passes_ns: f64,
     /// One full forward transform, vector kernels.
     total_ns: f64,
+}
+
+/// Logical cores the OS offers this process (0 if it will not say).
+fn logical_cores() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
 fn pseudo_random_input<F: Field>(len: usize) -> Vec<F> {
@@ -230,6 +241,8 @@ fn render_json(
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"total_elements_log2\": {TOTAL_LOG},");
     let _ = writeln!(out, "  \"vector_backend\": \"{backend_name}\",");
+    let _ = writeln!(out, "  \"logical_cores\": {},", logical_cores());
+    let _ = writeln!(out, "  \"exec_threads\": {},", Executor::global().threads());
     let _ = writeln!(out, "  \"bitrev_2^20_ns\": {:.0},", bitrev_ns);
     out.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -371,6 +384,12 @@ pub fn run(quick: bool) -> Table {
         }
     ));
     table.note(format!(
+        "host: {} logical cores, exec pool of {} threads; `threads` is the batch chunk count \
+         (a rows = 1 cell is one chunk: its vector/shoup time is the six-step's own fork over the pool)",
+        logical_cores(),
+        Executor::global().threads()
+    ));
+    table.note(format!(
         "bit-reversal of 2^20 elements (table-driven): {}",
         fmt_ns(bitrev_ns)
     ));
@@ -457,6 +476,7 @@ mod tests {
         assert!(s.contains("\"speedup\": 2.000"));
         assert!(s.contains("\"vector_speedup\": 4.000"));
         assert!(s.contains("\"breakdown\""));
+        assert!(s.contains("\"logical_cores\": ") && s.contains("\"exec_threads\": "));
         assert!(s.contains("\"passes_ns\": 400000"));
         assert!(s.contains("\"vector_speedup_2^20\": 4.000"));
         assert!(s.contains("\"headline\""));

@@ -17,9 +17,10 @@
 //!   zero workers (single-core machines) degrades to plain serial
 //!   execution instead of deadlocking, and nested scopes are safe.
 //! * **Deterministic chunking** — the pool never decides how work is
-//!   split. Callers chunk their data exactly as before (the `threads`
-//!   parameters of `ParallelNtt`, `batch_transform_parallel`, …) and each
-//!   chunk's result lands in its own disjoint slice, so results are
+//!   split. Callers chunk their data themselves (the `threads` parameter
+//!   of `batch_transform_parallel`, the fixed row bands of a large `Ntt`
+//!   transform, …) and each chunk's result lands in its own disjoint
+//!   slice, so results are
 //!   bit-identical for any pool size, including the simulated-clock
 //!   accounting and fault-injection decisions in `unintt-gpu-sim`.
 //! * **Panic propagation** — a panicking task does not poison the pool;

@@ -23,13 +23,16 @@
 //!   cache-resident rows via the direct path above, and the step-②
 //!   twiddle multiplication is fused right after the inner transforms
 //!   while each row is still hot. The bit-reversal of an 8 MiB array —
-//!   pure random access in the legacy path — never happens.
+//!   pure random access in the legacy path — never happens. Every phase
+//!   (both row passes, the twiddles, every transpose) forks over
+//!   [`unintt_exec::Executor`] in [`BAND_ROWS`]-row bands.
 
 use std::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+use unintt_exec::Executor;
 use unintt_ff::{Goldilocks, ShoupTwiddle, TwoAdicField};
 
 use crate::twiddle::TwiddleTable;
@@ -198,23 +201,59 @@ impl<F: TwoAdicField> DirectPlan<F> {
 /// L1-resident tiles (source and destination).
 const TILE: usize = 32;
 
+/// Rows per forked task in every six-step phase. A constant, not a knob:
+/// the split — and so which task writes which element — is the same for
+/// any pool size, and 64 rows (32 tasks per pass at `2^22`) is both coarse
+/// enough to amortize a spawn and fine enough for work stealing to even
+/// out the triangular in-place transpose. A whole number of tiles, so no
+/// tile straddles two bands.
+const BAND_ROWS: usize = 2 * TILE;
+
 /// Blocked out-of-place transpose: `dst[c·rows + r] = src[r·cols + c]`
-/// (same semantics as [`crate::transpose`], without the allocation).
-fn transpose_blocked<F: Copy>(src: &[F], dst: &mut [F], rows: usize, cols: usize) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
-    for rb in (0..rows).step_by(TILE) {
-        let r_end = (rb + TILE).min(rows);
-        for cb in (0..cols).step_by(TILE) {
-            let c_end = (cb + TILE).min(cols);
-            for r in rb..r_end {
-                for c in cb..c_end {
-                    dst[c * rows + r] = src[r * cols + c];
+/// (same semantics as [`crate::transpose`], without the allocation),
+/// forked over bands of destination rows.
+fn transpose_blocked<F: Copy + Send + Sync>(
+    exec: &Executor,
+    src: &[F],
+    dst: &mut [F],
+    rows: usize,
+    cols: usize,
+) {
+    assert_eq!(src.len(), rows * cols);
+    assert_eq!(dst.len(), rows * cols);
+    exec.parallel_chunks_mut(dst, BAND_ROWS * rows, |band, out| {
+        let c0 = band * BAND_ROWS;
+        let c_max = c0 + out.len() / rows;
+        for rb in (0..rows).step_by(TILE) {
+            let r_end = (rb + TILE).min(rows);
+            for cb in (c0..c_max).step_by(TILE) {
+                let c_end = (cb + TILE).min(c_max);
+                for r in rb..r_end {
+                    for c in cb..c_end {
+                        out[(c - c0) * rows + r] = src[r * cols + c];
+                    }
                 }
             }
         }
+    });
+}
+
+/// A matrix base pointer the in-place transpose's band tasks share.
+struct TilePtr<T>(*mut T);
+
+impl<T> TilePtr<T> {
+    fn get(&self) -> *mut T {
+        self.0
     }
 }
+
+// SAFETY: the pointer is only dereferenced inside
+// `transpose_in_place_square`, whose band tasks access pairwise disjoint
+// elements of a matrix the caller holds `&mut` for the whole scope; the
+// elements themselves are `Send`.
+unsafe impl<T: Send> Send for TilePtr<T> {}
+// SAFETY: as above — sharing the wrapper hands out no overlapping access.
+unsafe impl<T: Send> Sync for TilePtr<T> {}
 
 /// In-place blocked transpose of an `n × n` matrix: swaps each
 /// above-diagonal tile with its mirror and transposes diagonal tiles where
@@ -222,34 +261,70 @@ fn transpose_blocked<F: Copy>(src: &[F], dst: &mut [F], rows: usize, cols: usize
 /// half the memory passes of a transpose-then-copy sequence. 8-byte
 /// fields on AVX2 hardware run 4×4 register micro-tiles instead of
 /// element swaps (pure data movement, so the specialization is exact).
-fn transpose_in_place_square<F: Copy + 'static>(a: &mut [F], n: usize) {
-    debug_assert_eq!(a.len(), n * n);
+///
+/// Forked over row bands. Tile row `rb` owns the tiles `(rb, cb ≥ rb)`
+/// and their mirrors `(cb, rb)`, and two tile rows `rb < rb'` share no
+/// tile: their own tiles differ in tile row, their mirrors in tile column,
+/// and an own tile of one equal to a mirror of the other would need
+/// `cb' = rb < rb' ≤ cb'`. Bands are unions of tile rows, so they touch
+/// pairwise disjoint elements — the contract the `unsafe` band kernels
+/// rely on.
+fn transpose_in_place_square<F: Copy + Send + 'static>(exec: &Executor, a: &mut [F], n: usize) {
+    // Memory safety of the band tasks rests on this length.
+    assert_eq!(a.len(), n * n);
     #[cfg(target_arch = "x86_64")]
-    if TypeId::of::<F>() == TypeId::of::<Goldilocks>()
+    let avx2 = TypeId::of::<F>() == TypeId::of::<Goldilocks>()
         && n.is_multiple_of(4)
         && n >= 4
-        && std::arch::is_x86_feature_detected!("avx2")
-    {
-        // SAFETY: F is Goldilocks (checked above), a transparent u64;
-        // AVX2 presence was just verified.
-        unsafe {
-            let words = core::slice::from_raw_parts_mut(a.as_mut_ptr().cast::<u64>(), a.len());
-            x86::transpose_in_place_square_u64(words, n);
+        && std::arch::is_x86_feature_detected!("avx2");
+    let base = TilePtr(a.as_mut_ptr());
+    exec.scope(|s| {
+        for r0 in (0..n).step_by(BAND_ROWS) {
+            let r1 = (r0 + BAND_ROWS).min(n);
+            let base = &base;
+            s.spawn(move || {
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    // SAFETY: F is Goldilocks (checked above), a
+                    // transparent u64, AVX2 was detected and 4 divides n;
+                    // the pointer covers n·n elements that `a` borrows
+                    // mutably until the scope joins, `r0` is a multiple of
+                    // TILE, `r1 ≤ n`, and no other band touches this
+                    // band's tiles or mirrors.
+                    unsafe { x86::transpose_band_u64(base.get().cast::<u64>(), n, r0, r1) };
+                    return;
+                }
+                // SAFETY: the pointer covers n·n elements that `a` borrows
+                // mutably until the scope joins, `r0` is a multiple of
+                // TILE, `r1 ≤ n`, and no other band touches this band's
+                // tiles or mirrors.
+                unsafe { transpose_band(base.get(), n, r0, r1) };
+            });
         }
-        return;
-    }
-    for rb in (0..n).step_by(TILE) {
-        let r_end = (rb + TILE).min(n);
+    });
+}
+
+/// Rows `[r0, r1)` of the in-place square transpose: every tile
+/// `(rb, cb ≥ rb)` of those rows is swapped with its mirror.
+///
+/// # Safety
+///
+/// `p` must be valid for reads and writes of `n·n` elements, `r0` a
+/// multiple of [`TILE`], `r1 ≤ n`, and nothing else may access those tiles
+/// or their mirrors while this runs.
+unsafe fn transpose_band<F>(p: *mut F, n: usize, r0: usize, r1: usize) {
+    for rb in (r0..r1).step_by(TILE) {
+        let r_end = (rb + TILE).min(r1);
         for r in rb..r_end {
             for c in (r + 1)..r_end {
-                a.swap(r * n + c, c * n + r);
+                core::ptr::swap_nonoverlapping(p.add(r * n + c), p.add(c * n + r), 1);
             }
         }
         for cb in ((rb + TILE)..n).step_by(TILE) {
             let c_end = (cb + TILE).min(n);
             for r in rb..r_end {
                 for c in cb..c_end {
-                    a.swap(r * n + c, c * n + r);
+                    core::ptr::swap_nonoverlapping(p.add(r * n + c), p.add(c * n + r), 1);
                 }
             }
         }
@@ -369,20 +444,20 @@ mod x86 {
         _mm256_storeu_si256(p.add(3 * n).cast(), t[3]);
     }
 
-    /// In-place transpose of an `n × n` row-major `u64` matrix: the same
-    /// macro-tiling as the generic path, with 4×4 register micro-tiles
-    /// (unpack + 128-bit permute) instead of element swaps.
+    /// Rows `[r0, r1)` of the in-place transpose of an `n × n` row-major
+    /// `u64` matrix: the same macro-tiling as [`super::transpose_band`],
+    /// with 4×4 register micro-tiles (unpack + 128-bit permute) instead of
+    /// element swaps.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; `a.len() == n·n` and `n % 4 == 0`.
+    /// Requires AVX2 and `n % 4 == 0`, plus everything
+    /// [`super::transpose_band`] requires.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transpose_in_place_square_u64(a: &mut [u64], n: usize) {
-        debug_assert_eq!(a.len(), n * n);
+    pub(super) unsafe fn transpose_band_u64(p: *mut u64, n: usize, r0: usize, r1: usize) {
         debug_assert!(n.is_multiple_of(4));
-        let p = a.as_mut_ptr();
-        for rb in (0..n).step_by(super::TILE) {
-            let r_end = (rb + super::TILE).min(n);
+        for rb in (r0..r1).step_by(super::TILE) {
+            let r_end = (rb + super::TILE).min(r1);
             for cb in (rb..n).step_by(super::TILE) {
                 let c_end = (cb + super::TILE).min(n);
                 for r in (rb..r_end).step_by(4) {
@@ -449,7 +524,7 @@ pub(crate) fn forward_fast<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values
     if log_n <= DIRECT_MAX_LOG_N {
         cache::shared_plan::<F>(log_n).forward(values);
     } else {
-        six_step(table, values, false, RowPath::Fast);
+        six_step(Executor::global(), table, values, false, RowPath::Fast);
     }
 }
 
@@ -459,7 +534,7 @@ pub(crate) fn inverse_fast<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values
     if log_n <= DIRECT_MAX_LOG_N {
         cache::shared_plan::<F>(log_n).inverse(values);
     } else {
-        six_step(table, values, true, RowPath::Fast);
+        six_step(Executor::global(), table, values, true, RowPath::Fast);
     }
 }
 
@@ -475,52 +550,39 @@ pub(crate) enum RowPath {
     Vector,
 }
 
-/// Row-transform dispatch for six-step sub-problems (recurses back through
-/// the size check, so `log_n > 2·DIRECT_MAX_LOG_N` still works).
-fn rows_with<F: TwoAdicField>(data: &mut [F], row_log: u32, inverse: bool, rows: RowPath) {
-    let row_len = 1usize << row_log;
+/// One row transform of a six-step pass.
+type RowKernel<'a, F> = Box<dyn Fn(&mut [F]) + Send + Sync + 'a>;
+
+/// Resolves the row transform of one six-step pass, once, on the calling
+/// thread: band tasks share the plan and never take a cache lock. Rows
+/// above the direct threshold recurse into [`six_step`] on the same pool,
+/// so `log_n > 2·DIRECT_MAX_LOG_N` still works.
+fn row_kernel<'a, F: TwoAdicField>(
+    exec: &'a Executor,
+    row_log: u32,
+    inverse: bool,
+    rows: RowPath,
+) -> RowKernel<'a, F> {
     match rows {
-        RowPath::Fast => {
-            if row_log <= DIRECT_MAX_LOG_N {
-                let plan = cache::shared_plan::<F>(row_log);
-                for row in data.chunks_exact_mut(row_len) {
-                    if inverse {
-                        plan.inverse(row);
-                    } else {
-                        plan.forward(row);
-                    }
-                }
+        RowPath::Fast if row_log <= DIRECT_MAX_LOG_N => {
+            let plan = cache::shared_plan::<F>(row_log);
+            if inverse {
+                Box::new(move |row| plan.inverse(row))
             } else {
-                let table = cache::shared_table::<F>(row_log);
-                for row in data.chunks_exact_mut(row_len) {
-                    if inverse {
-                        inverse_fast(&table, row);
-                    } else {
-                        forward_fast(&table, row);
-                    }
-                }
+                Box::new(move |row| plan.forward(row))
             }
         }
-        RowPath::Vector => {
-            if row_log <= vector::VECTOR_DIRECT_MAX_LOG_N {
-                let plan = cache::shared_vector_plan::<F>(row_log);
-                for row in data.chunks_exact_mut(row_len) {
-                    if inverse {
-                        plan.inverse(row);
-                    } else {
-                        plan.forward(row);
-                    }
-                }
+        RowPath::Vector if row_log <= vector::VECTOR_DIRECT_MAX_LOG_N => {
+            let plan = cache::shared_vector_plan::<F>(row_log);
+            if inverse {
+                Box::new(move |row| plan.inverse(row))
             } else {
-                let table = cache::shared_table::<F>(row_log);
-                for row in data.chunks_exact_mut(row_len) {
-                    if inverse {
-                        vector::inverse_vector(&table, row);
-                    } else {
-                        vector::forward_vector(&table, row);
-                    }
-                }
+                Box::new(move |row| plan.forward(row))
             }
+        }
+        _ => {
+            let table = cache::shared_table::<F>(row_log);
+            Box::new(move |row| six_step(exec, &table, row, inverse, rows))
         }
     }
 }
@@ -531,7 +593,15 @@ fn rows_with<F: TwoAdicField>(data: &mut [F], row_log: u32, inverse: bool, rows:
 /// twiddles → transpose → N1 outer NTTs (length N2) → transpose. The
 /// inverse retraces the same structure with inverse roots; the `1/N1` and
 /// `1/N2` scales inside the row inverses compose to the full `1/N`.
+///
+/// Every phase forks over `exec` in [`BAND_ROWS`]-row bands. Bands write
+/// disjoint elements and the split never depends on the pool, so the
+/// output is the same bits on any `exec` (a zero-worker pool runs the
+/// bands inline, in order: the serial execution of this same code), and a
+/// call from inside another `exec` task composes through the caller-helps
+/// scope. Band tasks touch no telemetry and no cache.
 pub(crate) fn six_step<F: TwoAdicField>(
+    exec: &Executor,
     table: &Arc<TwiddleTable<F>>,
     values: &mut [F],
     inverse: bool,
@@ -543,57 +613,71 @@ pub(crate) fn six_step<F: TwoAdicField>(
     let n1 = 1usize << l1;
     let n2 = 1usize << l2;
 
+    let inner = row_kernel::<F>(exec, l1, inverse, rows);
+    let outer = row_kernel::<F>(exec, l2, inverse, rows);
+    // N2 inner transforms, each fused with its step-② twiddles while the
+    // row is hot (after the transform going forward, before it coming back).
+    let inner_pass = |data: &mut [F]| {
+        exec.parallel_chunks_mut(data, BAND_ROWS * n1, |band, chunk| {
+            for (r, row) in chunk.chunks_exact_mut(n1).enumerate() {
+                let i2 = band * BAND_ROWS + r;
+                if inverse {
+                    twiddle_row(row, table, i2, true);
+                    inner(row);
+                } else {
+                    inner(row);
+                    twiddle_row(row, table, i2, false);
+                }
+            }
+        });
+    };
+    let outer_pass = |data: &mut [F]| {
+        exec.parallel_chunks_mut(data, BAND_ROWS * n2, |_, chunk| {
+            for row in chunk.chunks_exact_mut(n2) {
+                outer(row);
+            }
+        });
+    };
+
     // Even log_n: the matrix is square, so every transpose runs in place —
     // no scratch buffer, and the transpose-then-copy tail collapses into a
     // single pass.
     if n1 == n2 {
-        if !inverse {
-            transpose_in_place_square(values, n1);
-            for (i2, row) in values.chunks_exact_mut(n1).enumerate() {
-                rows_with::<F>(row, l1, false, rows);
-                twiddle_row(row, table, i2, false);
-            }
-            transpose_in_place_square(values, n1);
-            rows_with::<F>(values, l2, false, rows);
-            transpose_in_place_square(values, n1);
+        transpose_in_place_square(exec, values, n1);
+        if inverse {
+            outer_pass(values);
+            transpose_in_place_square(exec, values, n1);
+            inner_pass(values);
         } else {
-            transpose_in_place_square(values, n1);
-            rows_with::<F>(values, l2, true, rows);
-            transpose_in_place_square(values, n1);
-            for (i2, row) in values.chunks_exact_mut(n1).enumerate() {
-                twiddle_row(row, table, i2, true);
-                rows_with::<F>(row, l1, true, rows);
-            }
-            transpose_in_place_square(values, n1);
+            inner_pass(values);
+            transpose_in_place_square(exec, values, n1);
+            outer_pass(values);
         }
+        transpose_in_place_square(exec, values, n1);
         return;
     }
 
     let mut scratch = vec![F::ZERO; values.len()];
     if !inverse {
         // values[i1·n2 + i2] → scratch[i2·n1 + i1]: columns become rows.
-        transpose_blocked(values, &mut scratch, n1, n2);
-        for (i2, row) in scratch.chunks_exact_mut(n1).enumerate() {
-            rows_with::<F>(row, l1, false, rows);
-            twiddle_row(row, table, i2, false);
-        }
-        transpose_blocked(&scratch, values, n2, n1);
-        rows_with::<F>(values, l2, false, rows);
-        transpose_blocked(values, &mut scratch, n1, n2);
-        values.copy_from_slice(&scratch);
+        transpose_blocked(exec, values, &mut scratch, n1, n2);
+        inner_pass(&mut scratch);
+        transpose_blocked(exec, &scratch, values, n2, n1);
+        outer_pass(values);
+        transpose_blocked(exec, values, &mut scratch, n1, n2);
     } else {
         // Exact mirror: undo the final transpose, outer inverses, undo the
         // middle transpose, un-twiddle + inner inverses, undo the first.
-        transpose_blocked(values, &mut scratch, n2, n1);
-        rows_with::<F>(&mut scratch, l2, true, rows);
-        transpose_blocked(&scratch, values, n1, n2);
-        for (i2, row) in values.chunks_exact_mut(n1).enumerate() {
-            twiddle_row(row, table, i2, true);
-            rows_with::<F>(row, l1, true, rows);
-        }
-        transpose_blocked(values, &mut scratch, n2, n1);
-        values.copy_from_slice(&scratch);
+        transpose_blocked(exec, values, &mut scratch, n2, n1);
+        outer_pass(&mut scratch);
+        transpose_blocked(exec, &scratch, values, n1, n2);
+        inner_pass(values);
+        transpose_blocked(exec, values, &mut scratch, n2, n1);
     }
+    let band_len = BAND_ROWS * n1;
+    exec.parallel_chunks_mut(values, band_len, |band, chunk| {
+        chunk.copy_from_slice(&scratch[band * band_len..][..chunk.len()]);
+    });
 }
 
 #[cfg(test)]
@@ -601,7 +685,7 @@ mod tests {
     use super::*;
     use crate::Ntt;
     use rand::{rngs::StdRng, SeedableRng};
-    use unintt_ff::{BabyBear, Bn254Fr, Field, Goldilocks};
+    use unintt_ff::{BabyBear, Bn254Fr, Field, Goldilocks, PrimeField};
 
     fn random_vec<F: Field>(log_n: u32, seed: u64) -> Vec<F> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -646,7 +730,9 @@ mod tests {
     }
 
     /// Dev profiling aid, not a correctness check: prints the per-phase
-    /// split of one vector-row six-step at 2^22. Run with
+    /// split of one vector-row six-step at 2^22, each phase forked over a
+    /// one-thread pool (the serial execution) and over one as wide as the
+    /// host. Run with
     /// `cargo test -p unintt-ntt --release six_step_phase_profile -- --ignored --nocapture`.
     #[test]
     #[ignore = "profiling aid; wall-clock printout only"]
@@ -657,28 +743,102 @@ mod tests {
         let table = cache::shared_table::<Goldilocks>(log_n);
         let mut values = random_vec::<Goldilocks>(log_n, 7);
 
-        let t = Instant::now();
-        six_step(&table, &mut values, false, RowPath::Vector);
-        println!("full six-step forward: {:?}", t.elapsed());
+        for threads in [1, unintt_exec::default_threads()] {
+            let exec = Executor::new(threads);
+            let bands = n1.div_ceil(BAND_ROWS);
+            println!("-- {threads} thread(s), {bands} band tasks per phase");
 
-        let t = Instant::now();
-        transpose_in_place_square(&mut values, n1);
-        let one_transpose = t.elapsed();
-        println!("one in-place transpose ({n1}x{n1}): {one_transpose:?}");
+            let t = Instant::now();
+            six_step(&exec, &table, &mut values, false, RowPath::Vector);
+            println!("full six-step forward: {:?}", t.elapsed());
 
-        let t = Instant::now();
-        rows_with::<Goldilocks>(&mut values, log_n / 2, false, RowPath::Vector);
-        println!(
-            "one row pass ({n1} rows of 2^{}): {:?}",
-            log_n / 2,
-            t.elapsed()
-        );
+            let t = Instant::now();
+            transpose_in_place_square(&exec, &mut values, n1);
+            println!("one in-place transpose ({n1}x{n1}): {:?}", t.elapsed());
 
-        let t = Instant::now();
-        for (i2, row) in values.chunks_exact_mut(n1).enumerate() {
-            twiddle_row(row, &table, i2, false);
+            let kernel = row_kernel::<Goldilocks>(&exec, log_n / 2, false, RowPath::Vector);
+            let t = Instant::now();
+            exec.parallel_chunks_mut(&mut values, BAND_ROWS * n1, |_, chunk| {
+                for row in chunk.chunks_exact_mut(n1) {
+                    kernel(row);
+                }
+            });
+            println!(
+                "one row pass ({n1} rows of 2^{}): {:?}",
+                log_n / 2,
+                t.elapsed()
+            );
+
+            let t = Instant::now();
+            exec.parallel_chunks_mut(&mut values, BAND_ROWS * n1, |band, chunk| {
+                for (r, row) in chunk.chunks_exact_mut(n1).enumerate() {
+                    twiddle_row(row, &table, band * BAND_ROWS + r, false);
+                }
+            });
+            println!("one twiddle pass: {:?}", t.elapsed());
         }
-        println!("one twiddle pass: {:?}", t.elapsed());
+    }
+
+    /// Forward and inverse six-step at `log_n` on pools of 1, 2 and 8
+    /// threads and both row paths against the radix-2 legacy kernel
+    /// (called directly, so no process-wide mode switch is involved).
+    /// The inverse is checked on the oracle's output: it is exact, so it
+    /// must land back on the input bit for bit.
+    fn six_step_matches_legacy_on_every_pool<F: TwoAdicField>(log_n: u32) {
+        let ntt = Ntt::<F>::new(log_n);
+        let input = random_vec::<F>(log_n, 1000 + log_n as u64);
+        let mut oracle = input.clone();
+        bit_reverse_permute(&mut oracle);
+        ntt.dit_in_place(&mut oracle);
+
+        for threads in [1usize, 2, 8] {
+            let exec = Executor::new(threads);
+            for rows in [RowPath::Vector, RowPath::Fast] {
+                let mut values = input.clone();
+                six_step(&exec, ntt.table(), &mut values, false, rows);
+                assert!(
+                    values == oracle,
+                    "forward log_n={log_n} threads={threads} {rows:?}"
+                );
+                six_step(&exec, ntt.table(), &mut values, true, rows);
+                assert!(
+                    values == input,
+                    "inverse log_n={log_n} threads={threads} {rows:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn six_step_pool_bit_identity_goldilocks() {
+        six_step_matches_legacy_on_every_pool::<Goldilocks>(21); // rectangular
+        six_step_matches_legacy_on_every_pool::<Goldilocks>(22); // square
+    }
+
+    #[test]
+    fn six_step_pool_bit_identity_babybear() {
+        six_step_matches_legacy_on_every_pool::<BabyBear>(21);
+        six_step_matches_legacy_on_every_pool::<BabyBear>(22);
+    }
+
+    /// Two 2^21 rows through `batch_transform_parallel`: each row's
+    /// six-step opens its band scopes from inside a task of the outer
+    /// scope, on the same global pool. Must finish, with the same bits.
+    #[test]
+    fn six_step_nested_in_batch_does_not_deadlock() {
+        let log_n = 21u32;
+        let ntt = Ntt::<Goldilocks>::new(log_n);
+        let input = random_vec::<Goldilocks>(log_n + 1, 77);
+        let mut oracle = input.clone();
+        for row in oracle.chunks_exact_mut(1 << log_n) {
+            bit_reverse_permute(row);
+            ntt.dit_in_place(row);
+        }
+        let mut values = input.clone();
+        crate::batch_transform_parallel(&ntt, &mut values, crate::Direction::Forward, 2);
+        assert!(values == oracle, "nested forward");
+        crate::batch_transform_parallel(&ntt, &mut values, crate::Direction::Inverse, 2);
+        assert!(values == input, "nested inverse");
     }
 
     #[test]
@@ -732,21 +892,36 @@ mod tests {
 
     #[test]
     fn transpose_blocked_matches_reference() {
-        for (rows, cols) in [(1usize, 64usize), (64, 1), (8, 8), (33, 70), (128, 32)] {
+        for (rows, cols) in [
+            (1usize, 64usize),
+            (64, 1),
+            (8, 8),
+            (33, 70),
+            (128, 32),
+            (70, 200),
+        ] {
             let src: Vec<u32> = (0..rows * cols).map(|x| x as u32).collect();
             let mut dst = vec![0u32; rows * cols];
-            transpose_blocked(&src, &mut dst, rows, cols);
+            transpose_blocked(&Executor::new(3), &src, &mut dst, rows, cols);
             assert_eq!(dst, crate::transpose(&src, rows, cols), "{rows}x{cols}");
         }
     }
 
     #[test]
     fn transpose_in_place_square_matches_reference() {
-        for n in [1usize, 8, 32, 33, 64, 100] {
+        for n in [1usize, 8, 32, 33, 64, 100, 200] {
             let src: Vec<u32> = (0..n * n).map(|x| x as u32).collect();
             let mut inplace = src.clone();
-            transpose_in_place_square(&mut inplace, n);
+            transpose_in_place_square(&Executor::new(3), &mut inplace, n);
             assert_eq!(inplace, crate::transpose(&src, n, n), "n={n}");
+        }
+        // Goldilocks takes the register micro-tile kernel where AVX2 is
+        // present; 132 leaves a 4-row last band.
+        for n in [4usize, 64, 132, 256] {
+            let src: Vec<Goldilocks> = (0..n * n).map(|x| Goldilocks::from_u64(x as u64)).collect();
+            let mut inplace = src.clone();
+            transpose_in_place_square(&Executor::new(3), &mut inplace, n);
+            assert_eq!(inplace, crate::transpose(&src, n, n), "goldilocks n={n}");
         }
     }
 

@@ -11,8 +11,9 @@
 //!   as used by ZKP provers;
 //! * [`NegacyclicNtt`] — transforms modulo `xⁿ + 1`;
 //! * [`poly_mul_ntt`] / [`cyclic_convolution`] — convolution helpers;
-//! * [`batch_transform`] / [`ParallelNtt`] — batched and multithreaded
-//!   execution;
+//! * [`batch_transform`] / [`batch_transform_parallel`] — batched
+//!   execution (a single large [`Ntt`] transform forks over the worker
+//!   pool by itself);
 //! * [`naive_dft`] — the O(n²) oracle everything is tested against.
 //!
 //! Every transform here is *bit-exact*: fast paths are validated against
@@ -36,7 +37,6 @@ mod cache;
 mod coset;
 mod fast;
 mod negacyclic;
-mod parallel;
 mod poly;
 mod radix2;
 mod radix4;
@@ -51,7 +51,6 @@ pub use cache::{cache_capacity, set_cache_capacity, shared_table, DEFAULT_CACHE_
 pub use coset::{coset_intt, coset_ntt, low_degree_extension, standard_shift};
 pub use fast::{kernel_mode, set_kernel_mode, KernelMode};
 pub use negacyclic::{negacyclic_mul_naive, NegacyclicNtt};
-pub use parallel::ParallelNtt;
 pub use poly::{cyclic_convolution, poly_mul_naive, poly_mul_ntt};
 pub use radix2::{naive_dft, Direction, Ntt};
 pub use six_step::{transpose, FourStepNtt};

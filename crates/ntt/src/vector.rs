@@ -34,6 +34,7 @@ use std::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
+use unintt_exec::Executor;
 use unintt_ff::{BabyBear, Goldilocks, ShoupTwiddle, TwoAdicField};
 
 use crate::fast::{self, RowPath};
@@ -329,7 +330,7 @@ pub(crate) fn forward_vector<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, valu
     if log_n <= VECTOR_DIRECT_MAX_LOG_N {
         cache::shared_vector_plan::<F>(log_n).forward(values);
     } else {
-        fast::six_step(table, values, false, RowPath::Vector);
+        fast::six_step(Executor::global(), table, values, false, RowPath::Vector);
     }
 }
 
@@ -339,7 +340,7 @@ pub(crate) fn inverse_vector<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, valu
     if log_n <= VECTOR_DIRECT_MAX_LOG_N {
         cache::shared_vector_plan::<F>(log_n).inverse(values);
     } else {
-        fast::six_step(table, values, true, RowPath::Vector);
+        fast::six_step(Executor::global(), table, values, true, RowPath::Vector);
     }
 }
 
