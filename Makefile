@@ -24,8 +24,12 @@ bench-check:
 	cargo bench --no-run
 	RUSTFLAGS="-Ctarget-cpu=native" cargo bench --no-run
 
+# The MSM kernel and the prover above it fork over the exec pool; the
+# second line reruns them on a one-thread pool, where every oracle and
+# cross-backend equality must still hold.
 test:
 	cargo test -q --release --workspace
+	UNINTT_THREADS=1 cargo test -q --release -p unintt-msm -p unintt-zkp
 
 e13:
 	cargo run --release -p unintt-bench --bin harness -- --quick e13

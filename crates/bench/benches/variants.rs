@@ -1,12 +1,12 @@
 //! Algorithm-variant wall-clock benches: the ablation data behind the
-//! design choices DESIGN.md calls out (kernel shape, digit encoding,
+//! design choices DESIGN.md calls out (kernel shape, MSM window width,
 //! hash-based commitment cost).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_ff::{Bn254Fr, Field, Goldilocks};
 use unintt_fri::{commit_trace, hash_elements, FriConfig, LdeBackend};
-use unintt_msm::{msm_signed_with_window, msm_with_window, G1Affine};
+use unintt_msm::{msm_with_window, G1Affine};
 use unintt_ntt::Ntt;
 
 fn random_vec<F: Field>(n: usize, seed: u64) -> Vec<F> {
@@ -44,20 +44,20 @@ fn bench_ntt_variants(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_msm_digits(c: &mut Criterion) {
-    let mut group = c.benchmark_group("variants/msm_digits/2^9");
+fn bench_msm_windows(c: &mut Criterion) {
+    // The one MSM kernel across window widths around the heuristic's pick
+    // (8 bits at 2^9): narrower means more windows, wider more buckets.
+    let mut group = c.benchmark_group("variants/msm_window/2^9");
     group.sample_size(10);
     let n = 1usize << 9;
     let mut rng = StdRng::seed_from_u64(2);
     let scalars = random_vec::<Bn254Fr>(n, 3);
     let points: Vec<G1Affine> = (0..n).map(|_| G1Affine::random(&mut rng)).collect();
-    let window = 8;
-    group.bench_function("unsigned", |b| {
-        b.iter(|| msm_with_window(&scalars, &points, window))
-    });
-    group.bench_function("signed", |b| {
-        b.iter(|| msm_signed_with_window(&scalars, &points, window + 1))
-    });
+    for window in 6u32..=10 {
+        group.bench_with_input(BenchmarkId::from_parameter(window), &window, |b, &w| {
+            b.iter(|| msm_with_window(&scalars, &points, w))
+        });
+    }
     group.finish();
 }
 
@@ -80,7 +80,7 @@ fn bench_hash_and_commit(c: &mut Criterion) {
 criterion_group!(
     variant_benches,
     bench_ntt_variants,
-    bench_msm_digits,
+    bench_msm_windows,
     bench_hash_and_commit
 );
 criterion_main!(variant_benches);

@@ -63,33 +63,52 @@ impl U256 {
     }
 
     /// Addition with carry-out. Returns `(self + rhs mod 2^256, carry)`.
+    ///
+    /// The carry stays a `bool` or-ed from the two partial overflows, the
+    /// shape the compiler lowers to one `add`/`adc` chain.
+    #[inline]
     pub const fn adc(&self, rhs: &Self) -> (Self, bool) {
         let mut out = [0u64; 4];
-        let mut carry = 0u64;
+        let mut carry = false;
         let mut i = 0;
         while i < 4 {
             let (s1, c1) = self.0[i].overflowing_add(rhs.0[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
+            let (s2, c2) = s1.overflowing_add(carry as u64);
             out[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
+            carry = c1 | c2;
             i += 1;
         }
-        (Self(out), carry != 0)
+        (Self(out), carry)
     }
 
     /// Subtraction with borrow-out. Returns `(self - rhs mod 2^256, borrow)`.
+    #[inline]
     pub const fn sbb(&self, rhs: &Self) -> (Self, bool) {
         let mut out = [0u64; 4];
-        let mut borrow = 0u64;
+        let mut borrow = false;
         let mut i = 0;
         while i < 4 {
             let (d1, b1) = self.0[i].overflowing_sub(rhs.0[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
             out[i] = d2;
-            borrow = (b1 as u64) + (b2 as u64);
+            borrow = b1 | b2;
             i += 1;
         }
-        (Self(out), borrow != 0)
+        (Self(out), borrow)
+    }
+
+    /// Limb-wise select without a branch: `a` where `pick_a`, else `b`.
+    /// The modular add/sub below pick on a carry that is a coin flip for
+    /// real field elements, so a branch there mispredicts half the time.
+    #[inline]
+    pub(crate) const fn select(pick_a: bool, a: &Self, b: &Self) -> Self {
+        let mask = 0u64.wrapping_sub(pick_a as u64);
+        Self([
+            (a.0[0] & mask) | (b.0[0] & !mask),
+            (a.0[1] & mask) | (b.0[1] & !mask),
+            (a.0[2] & mask) | (b.0[2] & !mask),
+            (a.0[3] & mask) | (b.0[3] & !mask),
+        ])
     }
 
     /// Full 256×256 → 512-bit multiplication. Returns `(lo, hi)`.
@@ -120,28 +139,22 @@ impl U256 {
     /// Both inputs must already be reduced below `modulus`, and
     /// `modulus` must have its top bit clear enough that `a + b` fits in
     /// 257 bits (true for all field moduli used in this crate).
+    #[inline]
     pub const fn add_mod(&self, rhs: &Self, modulus: &Self) -> Self {
         let (sum, carry) = self.adc(rhs);
         let (reduced, borrow) = sum.sbb(modulus);
-        if carry || !borrow {
-            reduced
-        } else {
-            sum
-        }
+        Self::select(borrow & !carry, &sum, &reduced)
     }
 
     /// Modular subtraction: `(self - rhs) mod modulus`. Inputs must be reduced.
+    #[inline]
     pub const fn sub_mod(&self, rhs: &Self, modulus: &Self) -> Self {
         let (diff, borrow) = self.sbb(rhs);
-        if borrow {
-            let (wrapped, _) = diff.adc(modulus);
-            wrapped
-        } else {
-            diff
-        }
+        diff.adc(&Self::select(borrow, modulus, &Self::ZERO)).0
     }
 
     /// Doubles the value modulo `modulus`. Input must be reduced.
+    #[inline]
     pub const fn double_mod(&self, modulus: &Self) -> Self {
         self.add_mod(self, modulus)
     }
@@ -288,6 +301,58 @@ mod tests {
         let (d, b) = U256::ZERO.sbb(&U256::ONE);
         assert_eq!(d, U256::MAX);
         assert!(b);
+    }
+
+    #[test]
+    fn carry_chains_match_u128_halves() {
+        // Limbs of all-ones, zero and small values next to each other, so
+        // carries and borrows start, ripple through and stop in every limb.
+        const WORDS: [u64; 5] = [0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+        // The `n`-th of the 5^4 ways to fill four limbs from `WORDS`.
+        let limbs = |n: usize| [0, 1, 2, 3].map(|k| WORDS[n / 5usize.pow(k) % 5]);
+        let wide = |l: [u64; 4]| {
+            (
+                l[0] as u128 | (l[1] as u128) << 64,
+                l[2] as u128 | (l[3] as u128) << 64,
+            )
+        };
+        for i in 0..5usize.pow(4) {
+            for j in (0..5usize.pow(4)).step_by(7) {
+                let (a, b) = (U256::from_limbs(limbs(i)), U256::from_limbs(limbs(j)));
+                let ((a_lo, a_hi), (b_lo, b_hi)) = (wide(limbs(i)), wide(limbs(j)));
+
+                let (lo, c_lo) = a_lo.overflowing_add(b_lo);
+                let (hi, c1) = a_hi.overflowing_add(b_hi);
+                let (hi, c2) = hi.overflowing_add(c_lo as u128);
+                let (sum, carry) = a.adc(&b);
+                assert_eq!((wide(sum.limbs()), carry), ((lo, hi), c1 | c2));
+
+                let (lo, b_lo_out) = a_lo.overflowing_sub(b_lo);
+                let (hi, b1) = a_hi.overflowing_sub(b_hi);
+                let (hi, b2) = hi.overflowing_sub(b_lo_out as u128);
+                let (diff, borrow) = a.sbb(&b);
+                assert_eq!((wide(diff.limbs()), borrow), ((lo, hi), b1 | b2));
+            }
+        }
+    }
+
+    #[test]
+    fn add_sub_mod_edges() {
+        let m = U256::from_limbs([0xfffffffefffffc2f, u64::MAX, u64::MAX, u64::MAX >> 2]);
+        let m1 = m.sbb(&U256::ONE).0;
+        // Sum exactly the modulus, just under, and nearly twice it.
+        assert_eq!(m1.add_mod(&U256::ONE, &m), U256::ZERO);
+        assert_eq!(m1.add_mod(&U256::ZERO, &m), m1);
+        assert_eq!(m1.add_mod(&m1, &m), m1.sbb(&U256::ONE).0);
+        // Difference zero, and a borrow that wraps to the top.
+        assert_eq!(m1.sub_mod(&m1, &m), U256::ZERO);
+        assert_eq!(U256::ZERO.sub_mod(&U256::ONE, &m), m1);
+        assert_eq!(U256::ZERO.sub_mod(&m1, &m), U256::ONE);
+        // A modulus with its top bit set: the sum carries out of 256 bits.
+        let big = U256::from_limbs([0xfffffffefffffc2f, u64::MAX, u64::MAX, u64::MAX]);
+        let big1 = big.sbb(&U256::ONE).0;
+        assert_eq!(big1.add_mod(&big1, &big), big1.sbb(&U256::ONE).0);
+        assert_eq!(big1.add_mod(&U256::ONE, &big), U256::ZERO);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!
 //! Multiplication uses the CIOS (coarsely integrated operand scanning)
 //! algorithm. Since every modulus used here is below `2^254`, the CIOS
-//! intermediate fits in four limbs plus one carry and a single conditional
-//! subtraction canonicalizes the result.
+//! intermediate fits in four limbs and a single conditional subtraction
+//! canonicalizes the result. Addition, subtraction and that final
+//! subtraction select their result by mask, not by branch: the carry they
+//! would branch on is data-dependent and close to a coin flip.
 
 use core::iter::{Product, Sum};
 use core::marker::PhantomData;
@@ -101,6 +103,12 @@ impl<P: MontParams> core::fmt::Display for Mont<P> {
 impl<P: MontParams> Mont<P> {
     /// `-p⁻¹ mod 2^64`.
     const NEG_INV: u64 = neg_inv64(P::MODULUS.limbs()[0]);
+    /// The bound [`Self::mont_mul`]'s four-limb carry argument rests on,
+    /// checked when a field's multiplication is first compiled.
+    const MODULUS_BELOW_2_254: () = assert!(
+        P::MODULUS.limbs()[3] >> 62 == 0,
+        "modulus must be below 2^254"
+    );
     /// `R mod p`, i.e. the Montgomery form of 1.
     const R: U256 = pow2_mod(256, &P::MODULUS);
     /// `R² mod p`, used to enter Montgomery form.
@@ -120,48 +128,43 @@ impl<P: MontParams> Mont<P> {
     }
 
     /// CIOS Montgomery multiplication: returns `a · b · R⁻¹ mod p`.
+    ///
+    /// Both operands must be reduced. Each round adds `a·b[i]` and the
+    /// reduction multiple `m·p` in one pass over the limbs; with
+    /// `p < 2^254` the two carry words of a round sum without overflow,
+    /// so the running value never needs a fifth limb and stays below `2p`.
+    #[inline]
     fn mont_mul(a: &U256, b: &U256) -> U256 {
+        let () = Self::MODULUS_BELOW_2_254;
         let p = P::MODULUS.limbs();
         let a = a.limbs();
         let b = b.limbs();
-        let mut t = [0u64; 6];
+        let mut t = [0u64; 4];
 
-        for &ai in a.iter() {
-            // t += ai * b
-            let mut carry = 0u64;
-            for j in 0..4 {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
-                t[j] = s as u64;
-                carry = (s >> 64) as u64;
-            }
-            let s = t[4] as u128 + carry as u128;
-            t[4] = s as u64;
-            t[5] = (s >> 64) as u64; // 0 or 1
-
-            // Reduce one limb: m chosen so t + m*p ≡ 0 (mod 2^64).
-            let m = t[0].wrapping_mul(Self::NEG_INV);
-            let s = t[0] as u128 + m as u128 * p[0] as u128;
-            let mut carry = (s >> 64) as u64;
+        for &bi in b.iter() {
+            let (lo, mut c1) = mac(t[0], a[0], bi, 0);
+            // m chosen so lo + m·p[0] ≡ 0 (mod 2^64): that word drops out.
+            let m = lo.wrapping_mul(Self::NEG_INV);
+            let (_, mut c2) = mac(lo, m, p[0], 0);
             for j in 1..4 {
-                let s = t[j] as u128 + m as u128 * p[j] as u128 + carry as u128;
-                t[j - 1] = s as u64;
-                carry = (s >> 64) as u64;
+                let (lo, hi) = mac(t[j], a[j], bi, c1);
+                c1 = hi;
+                (t[j - 1], c2) = mac(lo, m, p[j], c2);
             }
-            let s = t[4] as u128 + carry as u128;
-            t[3] = s as u64;
-            t[4] = t[5] + ((s >> 64) as u64); // each term ≤ 1, no overflow
-            t[5] = 0;
+            t[3] = c1 + c2;
         }
 
-        debug_assert!(t[4] == 0, "CIOS overflow: modulus must be < 2^254");
-        let r = U256::from_limbs([t[0], t[1], t[2], t[3]]);
+        let r = U256::from_limbs(t);
         let (sub, borrow) = r.sbb(&P::MODULUS);
-        if borrow {
-            r
-        } else {
-            sub
-        }
+        U256::select(borrow, &r, &sub)
     }
+}
+
+/// `a + b·c + carry` as `(low, high)` words; cannot overflow 128 bits.
+#[inline(always)]
+const fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 * c as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
 }
 
 impl<P: MontParams> Add for Mont<P> {

@@ -10,7 +10,7 @@ use core::ops::{Add, AddAssign, Neg};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use unintt_ff::{Bn254Fq, Bn254Fr, Field, PrimeField, U256};
+use unintt_ff::{batch_inverse, Bn254Fq, Bn254Fr, Field, PrimeField, U256};
 
 /// The curve coefficient `b = 3` (`a` is 0).
 pub fn curve_b() -> Bn254Fq {
@@ -210,14 +210,37 @@ impl G1Projective {
 
     /// Converts to affine coordinates (one field inversion).
     pub fn to_affine(&self) -> G1Affine {
-        if self.is_identity() {
-            return G1Affine::identity();
+        match self.z.inverse() {
+            Some(z_inv) => self.scale_to_affine(&z_inv),
+            None => G1Affine::identity(),
         }
-        let z_inv = self.z.inverse().expect("nonzero z");
+    }
+
+    /// Converts many points to affine coordinates with one field inversion
+    /// in total (Montgomery's trick over the `z` coordinates). Each output
+    /// is bit-identical to [`Self::to_affine`] of that point.
+    pub fn batch_to_affine(points: &[Self]) -> Vec<G1Affine> {
+        let mut z_inv: Vec<Bn254Fq> = points.iter().map(|p| p.z).collect();
+        batch_inverse(&mut z_inv); // an identity's zero stays zero
+        points
+            .iter()
+            .zip(&z_inv)
+            .map(|(p, z_inv)| {
+                if p.is_identity() {
+                    G1Affine::identity()
+                } else {
+                    p.scale_to_affine(z_inv)
+                }
+            })
+            .collect()
+    }
+
+    /// `(X/Z², Y/Z³)` given `1/Z` of a non-identity point.
+    fn scale_to_affine(&self, z_inv: &Bn254Fq) -> G1Affine {
         let z_inv2 = z_inv.square();
         G1Affine {
             x: self.x * z_inv2,
-            y: self.y * z_inv2 * z_inv,
+            y: self.y * z_inv2 * *z_inv,
             infinity: false,
         }
     }
@@ -417,6 +440,25 @@ mod tests {
             assert_eq!(p.to_projective().to_affine(), p);
         }
         assert_eq!(G1Projective::identity().to_affine(), G1Affine::identity());
+    }
+
+    #[test]
+    fn batch_to_affine_matches_one_by_one() {
+        let g = G1Projective::generator();
+        // Distinct z coordinates, with identities first, last and between.
+        let mut points = vec![G1Projective::identity()];
+        let mut acc = g;
+        for i in 0..9 {
+            acc = acc.double() + g;
+            points.push(acc);
+            if i % 4 == 1 {
+                points.push(G1Projective::identity());
+            }
+        }
+        points.push(G1Projective::identity());
+        let expected: Vec<G1Affine> = points.iter().map(G1Projective::to_affine).collect();
+        assert_eq!(G1Projective::batch_to_affine(&points), expected);
+        assert_eq!(G1Projective::batch_to_affine(&[]), vec![]);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! * [`G1Affine`] / [`G1Projective`] — BN254 G1 curve arithmetic
 //!   (`y² = x³ + 3` over Fq, group order = Fr modulus);
-//! * [`msm`] / [`msm_with_window`] — Pippenger's bucket method, plus the
-//!   [`msm_naive`] oracle;
+//! * [`msm`] — the one MSM kernel: signed-digit Pippenger, one pool task
+//!   per window ([`msm_with_window`] is the same kernel with the window
+//!   picked by a test), plus the [`msm_naive`] oracle;
 //! * [`multi_gpu_msm`] — embarrassingly parallel MSM on the
 //!   [`unintt_gpu_sim::Machine`] simulator, with cost profiles.
 //!
@@ -32,6 +33,5 @@ mod pippenger;
 pub use curve::{curve_b, G1Affine, G1Projective};
 pub use multi_gpu::{msm_kernel_profile, multi_gpu_msm, simulate_multi_gpu_msm};
 pub use pippenger::{
-    msm, msm_naive, msm_parallel, msm_parallel_with_window, msm_signed, msm_signed_with_window,
-    msm_with_window, optimal_window_bits, pippenger_group_ops, pippenger_signed_group_ops,
+    msm, msm_naive, msm_parallel, msm_with_window, optimal_window_bits, pippenger_group_ops,
 };

@@ -7,9 +7,9 @@
 //! permutation: this is why MSM scaled to multi-GPU years before NTT did.
 
 use unintt_ff::Bn254Fr;
-use unintt_gpu_sim::{FieldSpec, KernelProfile, Machine};
+use unintt_gpu_sim::{KernelProfile, Machine};
 
-use crate::{msm_parallel, optimal_window_bits, pippenger_group_ops, G1Affine, G1Projective};
+use crate::{msm, optimal_window_bits, pippenger_group_ops, G1Affine, G1Projective};
 
 /// Field multiplications per Jacobian group operation (mixed adds and
 /// doublings average out around this; the exact mix barely moves it).
@@ -39,25 +39,21 @@ pub fn multi_gpu_msm(
         "need at least one pair per GPU ({n} pairs, {g} GPUs)"
     );
 
-    // Contiguous chunking (last chunk takes the remainder).
+    // Contiguous chunking: the last chunks take the remainder, which can
+    // be nothing (33 pairs over 8 GPUs is 5 + … + 5 + 3 + 0).
     let chunk = n.div_ceil(g);
-    let mut shards: Vec<(Vec<Bn254Fr>, Vec<G1Affine>, G1Projective)> = (0..g)
+    let mut shards: Vec<(&[Bn254Fr], &[G1Affine], G1Projective)> = (0..g)
         .map(|dev| {
-            let lo = dev * chunk;
-            let hi = ((dev + 1) * chunk).min(n);
-            (
-                scalars[lo..hi].to_vec(),
-                points[lo..hi].to_vec(),
-                G1Projective::identity(),
-            )
+            let (lo, hi) = ((dev * chunk).min(n), ((dev + 1) * chunk).min(n));
+            (&scalars[lo..hi], &points[lo..hi], G1Projective::identity())
         })
         .collect();
 
-    // Window-parallel Pippenger per device: nested scopes on the shared
-    // worker pool (device tasks spawn window tasks) are supported and
-    // bit-identical to the serial kernel.
+    // One kernel call per device: device tasks spawn the kernel's window
+    // tasks on the same pool (nested scopes are supported), and the result
+    // does not depend on the pool size.
     machine.parallel_phase(&mut shards, |ctx, _dev, (ks, ps, out)| {
-        *out = msm_parallel(ks, ps);
+        *out = msm(ks, ps);
         ctx.launch(&msm_kernel_profile(ks.len() as u64));
     });
 
@@ -69,7 +65,6 @@ pub fn multi_gpu_msm(
 pub fn msm_kernel_profile(n: u64) -> KernelProfile {
     let c = optimal_window_bits(n as usize);
     let group_ops = pippenger_group_ops(n, c);
-    let fq = FieldSpec::bn254_fr(); // Fq and Fr cost the same per multiply
     let mut p = KernelProfile::named("pippenger-msm");
     p.blocks = (n / 256).max(1);
     p.field_muls = group_ops * FIELD_MULS_PER_GROUP_OP;
@@ -80,7 +75,6 @@ pub fn msm_kernel_profile(n: u64) -> KernelProfile {
     p.global_bytes_read = n * (32 + G1_BYTES as u64);
     p.global_bytes_written = windows * ((1u64 << c) - 1) * G1_BYTES as u64;
     p.coalescing_efficiency = 0.6; // bucket scatter is irregular by nature
-    let _ = fq;
     p
 }
 
@@ -105,7 +99,7 @@ mod tests {
     use crate::msm_naive;
     use rand::{rngs::StdRng, SeedableRng};
     use unintt_ff::Field;
-    use unintt_gpu_sim::presets;
+    use unintt_gpu_sim::{presets, FieldSpec};
 
     fn random_pairs(n: usize, seed: u64) -> (Vec<Bn254Fr>, Vec<G1Affine>) {
         let mut rng = StdRng::seed_from_u64(seed);

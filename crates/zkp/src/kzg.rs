@@ -11,10 +11,43 @@
 //! what the paper measures, never touches the pairing).
 
 use rand::Rng;
-use unintt_ff::{Bn254Fr, Field};
+use unintt_ff::{Bn254Fr, Field, PrimeField};
 use unintt_msm::{msm, G1Affine, G1Projective};
 
 use crate::Polynomial;
+
+/// 4-bit digits (nibbles) in a 256-bit scalar.
+const NIBBLES: usize = 64;
+/// Nonzero values of a nibble.
+const NIBBLE_MULTIPLES: usize = 15;
+
+/// `d·16ʷ·G` for every nibble position `w` and digit `d` in `1..=15`, at
+/// index `15·w + d − 1`.
+fn generator_table() -> Vec<G1Affine> {
+    let mut table = Vec::with_capacity(NIBBLES * NIBBLE_MULTIPLES);
+    let mut base = G1Projective::generator();
+    for _ in 0..NIBBLES {
+        let mut multiple = base;
+        for _ in 0..NIBBLE_MULTIPLES {
+            table.push(multiple);
+            multiple += base;
+        }
+        base = multiple; // 16·base
+    }
+    G1Projective::batch_to_affine(&table)
+}
+
+/// `k·G` from [`generator_table`]: one mixed addition per nonzero nibble.
+fn mul_generator(table: &[G1Affine], k: &Bn254Fr) -> G1Projective {
+    let bytes = k.to_canonical_u256().to_le_bytes();
+    let nibbles = bytes.iter().flat_map(|b| [b & 15, b >> 4]);
+    nibbles
+        .zip(table.chunks_exact(NIBBLE_MULTIPLES))
+        .filter(|(d, _)| *d != 0)
+        .fold(G1Projective::identity(), |acc, (d, multiples)| {
+            acc.add_affine(&multiples[d as usize - 1])
+        })
+}
 
 /// A KZG structured reference string with retained trapdoor.
 #[derive(Clone, Debug)]
@@ -31,16 +64,22 @@ impl Srs {
     }
 
     /// Deterministic SRS from a given trapdoor (tests, reproducibility).
+    ///
+    /// Every power is a multiple of the one base `G`, so `τⁱ·G` comes from
+    /// a fixed-base table (one mixed addition per scalar nibble, no
+    /// doublings) and all powers share one field inversion on the way to
+    /// affine — the same points as `max_len` double-and-add ladders.
     pub fn from_trapdoor(max_len: usize, tau: Bn254Fr) -> Self {
         assert!(max_len > 0, "SRS must support at least degree 0");
-        let g = G1Projective::generator();
-        let mut powers = Vec::with_capacity(max_len);
-        let mut acc = Bn254Fr::ONE;
-        for _ in 0..max_len {
-            powers.push(g.mul_scalar(&acc).to_affine());
-            acc *= tau;
+        let table = generator_table();
+        let powers: Vec<G1Projective> = unintt_ff::powers(tau, max_len)
+            .iter()
+            .map(|k| mul_generator(&table, k))
+            .collect();
+        Self {
+            powers: G1Projective::batch_to_affine(&powers),
+            tau,
         }
-        Self { powers, tau }
     }
 
     /// Maximum supported polynomial length (degree + 1).
@@ -145,10 +184,27 @@ impl Srs {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use unintt_ff::PrimeField;
 
     fn srs(n: usize) -> Srs {
         Srs::from_trapdoor(n, Bn254Fr::from_u64(123456789))
+    }
+
+    #[test]
+    fn srs_powers_equal_double_and_add_ladders() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let g = G1Projective::generator();
+        for max_len in [1usize, 2, 33] {
+            let tau = Bn254Fr::random(&mut rng);
+            let ladders: Vec<G1Affine> = unintt_ff::powers(tau, max_len)
+                .iter()
+                .map(|k| g.mul_scalar(k).to_affine())
+                .collect();
+            assert_eq!(Srs::from_trapdoor(max_len, tau).powers(), ladders);
+        }
+        // τ = 0: every power past the first is the identity.
+        let zero = Srs::from_trapdoor(3, Bn254Fr::ZERO);
+        assert_eq!(zero.powers()[0], G1Affine::generator());
+        assert_eq!(zero.powers()[1..], [G1Affine::identity(); 2]);
     }
 
     #[test]
