@@ -29,7 +29,7 @@ bench-check:
 # cross-backend equality must still hold.
 test:
 	cargo test -q --release --workspace
-	UNINTT_THREADS=1 cargo test -q --release -p unintt-msm -p unintt-zkp
+	UNINTT_THREADS=1 cargo test -q --release -p unintt-msm -p unintt-zkp -p unintt-fri
 
 e13:
 	cargo run --release -p unintt-bench --bin harness -- --quick e13

@@ -175,9 +175,10 @@ fn committed_quick(bytes: &[u8]) -> bool {
         .unwrap_or(false)
 }
 
-/// Masks every numeric literal so wall-clock artifacts can be compared
-/// structurally: `"p50_ns": 1234.5` and `"p50_ns": 987.0` both become
-/// `"p50_ns": #`.
+/// Masks every numeric and boolean literal so wall-clock artifacts can be
+/// compared structurally: `"p50_ns": 1234.5` and `"p50_ns": 987.0` both
+/// become `"p50_ns": #`, and so do `"pass": true` and `"pass": false` —
+/// a verdict derived from a timing is as noisy as the timing.
 fn mask_numbers(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut chars = text.chars().peekable();
@@ -206,6 +207,18 @@ fn mask_numbers(text: &str) -> String {
                     }
                 }
                 out.push('#');
+            }
+            't' | 'f' if !prev.is_ascii_alphanumeric() => {
+                let rest = if c == 't' { "rue" } else { "alse" };
+                let mut ahead = chars.clone();
+                let is_literal = rest.chars().all(|r| ahead.next() == Some(r))
+                    && !ahead.peek().is_some_and(char::is_ascii_alphanumeric);
+                if is_literal {
+                    chars = ahead;
+                    out.push('#');
+                } else {
+                    out.push(c);
+                }
             }
             _ => out.push(c),
         }
@@ -344,6 +357,16 @@ mod tests {
         let b = mask_numbers("{\"p50_ns\": 9.87, \"rows\": [42, 7]}");
         assert_eq!(a, b);
         assert_eq!(a, "{\"p50_ns\": #, \"rows\": [#, #]}");
+
+        // A pass/fail verdict computed from a timing flips with it.
+        let a = mask_numbers("{\"speedup\": 2.33, \"pass\": true, \"ok\":false}");
+        let b = mask_numbers("{\"speedup\": 1.78, \"pass\": false, \"ok\":true}");
+        assert_eq!(a, b);
+        assert_eq!(a, "{\"speedup\": #, \"pass\": #, \"ok\":#}");
+        // Only whole literals outside strings: keys, string values and
+        // longer words are shape.
+        let s = "{\"true\": \"false\", \"k\": truely, \"t\": xtrue}";
+        assert_eq!(mask_numbers(s), s);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Goldilocks {
     /// `x = lo + 2^64·hi_lo + 2^96·hi_hi` the value reduces to
     /// `lo - hi_hi + hi_lo·(2^32 - 1)`.
     #[inline]
-    fn reduce128(x: u128) -> Self {
+    pub fn reduce128(x: u128) -> Self {
         let lo = x as u64;
         let hi = (x >> 64) as u64;
         let hi_lo = hi & EPSILON;

@@ -240,12 +240,11 @@ pub mod avx2 {
 /// as the [`avx2`] versions at double width: canonical lanes in and out,
 /// bit-identical residues to the scalar ops. The conditional fixups that
 /// AVX2 phrases as compare-and-mask run on AVX-512 mask registers
-/// (`_mm512_mask_*`), and the 64-bit low product comes from AVX-512DQ's
-/// `vpmullq` instead of a recombination chain.
+/// (`_mm512_mask_*`).
 ///
-/// Every function must only be called when `avx512f` **and** `avx512dq`
-/// are available (callers are `#[target_feature]` stage drivers that are
-/// themselves gated on runtime detection).
+/// Every function must only be called when `avx512f` is available
+/// (callers are `#[target_feature]` stage drivers that are themselves
+/// gated on runtime detection of `avx512f` and `avx512dq`).
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
     use core::arch::x86_64::*;
@@ -291,24 +290,29 @@ pub mod avx512 {
     /// Goldilocks lane product `a·b mod p`: canonical in, canonical out,
     /// 8×`u64`.
     ///
-    /// The low 64 product bits come straight from `vpmullq` (AVX-512DQ);
-    /// the high bits still need the `vpmuludq` schoolbook (there is no
-    /// 64-bit `mulhi` instruction), after which the special-form
-    /// reduction `lo − hi_hi + hi_lo·ε` mirrors the scalar `reduce128`
-    /// exactly — lanes land on the same canonical residues.
+    /// Both product halves come from the four `vpmuludq` partials, as in
+    /// [`super::avx2::gl_mul`], after which the special-form reduction
+    /// `lo − hi_hi + hi_lo·ε` mirrors the scalar `reduce128` exactly —
+    /// lanes land on the same canonical residues.
+    ///
+    /// The low half is deliberately *not* `vpmullq`: with the low word
+    /// taken from a separate multiply, LLVM 22 (rustc 1.95) recognises the
+    /// remaining partial-product ladder as a 64-bit multiply-high, for
+    /// which there is no vector instruction, and lowers it to eight
+    /// `vpextrq` / scalar `mul` / re-insert sequences per call. Sharing
+    /// the partials between both halves keeps the product in vector
+    /// registers (and drops a 3-µop instruction).
     ///
     /// # Safety
     ///
-    /// Requires AVX-512F **and** AVX-512DQ in the (inlined-into) calling
-    /// context.
+    /// Requires AVX-512F in the (inlined-into) calling context.
     #[inline(always)]
     pub unsafe fn gl_mul(a: __m512i, b: __m512i) -> __m512i {
         let p = _mm512_set1_epi64(GOLDILOCKS_MODULUS as i64);
         let eps = _mm512_set1_epi64(EPSILON);
         let mask32 = _mm512_set1_epi64(EPSILON);
 
-        let lo = _mm512_mullo_epi64(a, b);
-        // High 64 bits: schoolbook over 32-bit halves.
+        // 64×64→128: schoolbook over 32-bit halves.
         let a_hi = _mm512_srli_epi64::<32>(a);
         let b_hi = _mm512_srli_epi64::<32>(b);
         let ll = _mm512_mul_epu32(a, b);
@@ -319,6 +323,7 @@ pub mod avx512 {
         let t = _mm512_add_epi64(hl, _mm512_srli_epi64::<32>(ll));
         // u = lh + t_lo < 2^64: no wrap.
         let u = _mm512_add_epi64(lh, _mm512_and_si512(t, mask32));
+        let lo = _mm512_or_si512(_mm512_slli_epi64::<32>(u), _mm512_and_si512(ll, mask32));
         let hi = _mm512_add_epi64(
             hh,
             _mm512_add_epi64(_mm512_srli_epi64::<32>(t), _mm512_srli_epi64::<32>(u)),

@@ -19,7 +19,7 @@ use unintt_ntt::Ntt;
 
 use crate::fri::{self, FriConfig, FriProof};
 use crate::hash::{compress, hash_elements, permutations_for, Digest};
-use crate::merkle::{MerklePath, MerkleTree};
+use crate::merkle::{row_major, MerklePath, MerkleTree};
 use crate::pipeline::LdeBackend;
 
 /// A DEEP opening: the trace commitment, the claimed evaluations at `ζ`,
@@ -82,12 +82,10 @@ pub fn open_trace(
     // 1. LDE + Merkle commitment (as in commit_trace).
     let ldes = backend.lde_batch(columns, config.log_blowup);
     let big_n = n << config.log_blowup;
-    let rows: Vec<Vec<Goldilocks>> = (0..big_n)
-        .map(|r| ldes.iter().map(|col| col[r]).collect())
-        .collect();
+    let rows = row_major(&ldes);
     backend.charge_hash(big_n as u64 * permutations_for(columns.len()));
     backend.charge_hash(big_n as u64 - 1);
-    let tree = MerkleTree::commit(&rows);
+    let tree = MerkleTree::commit_matrix(&rows, columns.len());
     let trace_root = tree.root();
 
     // 2. Claimed evaluations: interpolate each column and Horner at ζ.

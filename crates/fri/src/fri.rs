@@ -23,6 +23,7 @@
 //! 64-bit, and interpolation works component-wise by `F_p`-linearity.
 
 use serde::{Deserialize, Serialize};
+use unintt_exec::Executor;
 use unintt_ff::{batch_inverse, Field, Goldilocks, GoldilocksExt2, PrimeField, TwoAdicField};
 use unintt_ntt::{coset_intt, Ntt};
 
@@ -88,9 +89,10 @@ pub fn embed(values: &[Goldilocks]) -> Vec<GoldilocksExt2> {
         .collect()
 }
 
-/// A Merkle row for one extension element: its two base coefficients.
-fn ext_row(v: &GoldilocksExt2) -> Vec<Goldilocks> {
-    vec![v.a, v.b]
+/// An extension codeword as the width-2 row-major matrix its Merkle tree
+/// commits to: one row per element, its two base coefficients.
+fn ext_matrix(codeword: &[GoldilocksExt2]) -> Vec<Goldilocks> {
+    codeword.iter().flat_map(|v| [v.a, v.b]).collect()
 }
 
 fn row_to_ext(row: &[Goldilocks]) -> Option<GoldilocksExt2> {
@@ -133,8 +135,7 @@ impl FriTranscript {
     }
 
     fn absorb_ext_elements(&mut self, v: &[GoldilocksExt2]) {
-        let flat: Vec<Goldilocks> = v.iter().flat_map(|e| [e.a, e.b]).collect();
-        let h = hash_elements(&flat);
+        let h = hash_elements(&ext_matrix(v));
         self.absorb_digest(&h);
     }
 
@@ -216,6 +217,18 @@ pub fn prove_seeded(
     shift: Goldilocks,
     seed: &Digest,
 ) -> FriProof {
+    prove_on(Executor::global(), config, codeword, shift, seed)
+}
+
+/// [`prove_seeded`] with the layer trees built on `exec` (the proof does
+/// not depend on the pool).
+pub(crate) fn prove_on(
+    exec: &Executor,
+    config: &FriConfig,
+    codeword: Vec<GoldilocksExt2>,
+    shift: Goldilocks,
+    seed: &Digest,
+) -> FriProof {
     let n = codeword.len();
     assert!(
         n.is_power_of_two(),
@@ -227,43 +240,37 @@ pub fn prove_seeded(
     );
 
     let mut transcript = FriTranscript::new(seed);
-    let mut layers: Vec<Vec<GoldilocksExt2>> = vec![codeword];
-    let mut trees: Vec<MerkleTree> = Vec::new();
+    // Each committed layer's tree with the matrix it was built from, kept
+    // for the query phase's openings.
+    let mut committed: Vec<(MerkleTree, Vec<Goldilocks>)> = Vec::new();
     let mut layer_roots = Vec::new();
 
     // Commit phase.
-    let mut layer = 0usize;
-    while layers[layer].len() > 1 << config.log_final_len {
-        let rows: Vec<Vec<Goldilocks>> = layers[layer].iter().map(ext_row).collect();
-        let tree = MerkleTree::commit(&rows);
+    let mut current = codeword;
+    while current.len() > 1 << config.log_final_len {
+        let matrix = ext_matrix(&current);
+        let tree = MerkleTree::build(exec, &matrix, 2);
         transcript.absorb_digest(&tree.root());
         layer_roots.push(tree.root());
-        trees.push(tree);
 
         let beta = transcript.challenge_ext();
-        let next = fold(&layers[layer], layer_shift(shift, layer), beta);
-        layers.push(next);
-        layer += 1;
+        current = fold(&current, layer_shift(shift, committed.len()), beta);
+        committed.push((tree, matrix));
     }
-    let final_codeword = layers.last().expect("at least one layer").clone();
+    let final_codeword = current;
     transcript.absorb_ext_elements(&final_codeword);
 
-    // Query phase. Row matrices are materialized once per layer.
-    let rows_per_layer: Vec<Vec<Vec<Goldilocks>>> = layers[..trees.len()]
-        .iter()
-        .map(|layer| layer.iter().map(ext_row).collect())
-        .collect();
-    let outer_len = layers[0].len();
+    // Query phase.
     let mut queries = Vec::with_capacity(config.num_queries);
     for _ in 0..config.num_queries {
-        let mut index = transcript.challenge_index(outer_len);
-        let mut rounds = Vec::with_capacity(trees.len());
-        for (i, tree) in trees.iter().enumerate() {
-            let half = layers[i].len() / 2;
+        let mut index = transcript.challenge_index(n);
+        let mut rounds = Vec::with_capacity(committed.len());
+        for (tree, matrix) in &committed {
+            let half = tree.len() / 2;
             let low_idx = index % half;
             rounds.push(FriQueryRound {
-                low: tree.open(&rows_per_layer[i], low_idx),
-                high: tree.open(&rows_per_layer[i], low_idx + half),
+                low: tree.open(matrix, low_idx),
+                high: tree.open(matrix, low_idx + half),
             });
             index = low_idx;
         }

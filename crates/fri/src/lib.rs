@@ -5,8 +5,10 @@
 //! is dominated by exactly the NTTs UniNTT accelerates:
 //!
 //! * [`hash`] — an algebraic sponge over Goldilocks (Poseidon-shaped,
-//!   performance-grade; see the module docs for the substitution note);
-//! * [`MerkleTree`] / [`MerklePath`] — row-wise matrix commitments;
+//!   performance-grade; see the module docs for the substitution note),
+//!   one permutation body run scalar or eight sponges to a register;
+//! * [`MerkleTree`] / [`MerklePath`] — row-wise commitments to a flat
+//!   row-major matrix, each level hashed in fixed bands on the pool;
 //! * [`fri`] — the FRI low-degree test (commit, fold, query) with
 //!   extension-field challenges;
 //! * [`open_trace`] / [`verify_opening`] — DEEP openings of committed

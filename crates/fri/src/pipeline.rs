@@ -13,12 +13,13 @@
 //! simulated clock, while producing bit-identical commitments.
 
 use unintt_core::{RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
+use unintt_exec::Executor;
 use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
 use unintt_gpu_sim::{FabricError, FieldSpec, KernelProfile, Machine, MachineConfig};
 
 use crate::fri::{self, FriConfig, FriProof};
 use crate::hash::{compress, hash_elements, permutations_for, Digest, ROUNDS, WIDTH};
-use crate::merkle::{MerklePath, MerkleTree};
+use crate::merkle::{row_major, MerklePath, MerkleTree};
 
 /// Field multiplications per sponge permutation (S-box + mixing), for the
 /// simulator's hash-kernel profile.
@@ -132,7 +133,7 @@ impl LdeBackend {
 /// serial loop (each column's extension is self-contained).
 pub(crate) fn cpu_lde_batch(columns: &[Vec<Goldilocks>], log_blowup: u32) -> Vec<Vec<Goldilocks>> {
     let mut out: Vec<Vec<Goldilocks>> = vec![Vec::new(); columns.len()];
-    unintt_exec::Executor::global().scope(|scope| {
+    Executor::global().scope(|scope| {
         for (col, slot) in columns.iter().zip(out.iter_mut()) {
             scope.spawn(move || {
                 *slot = unintt_ntt::low_degree_extension(col, log_blowup, Goldilocks::GENERATOR);
@@ -487,6 +488,26 @@ pub fn commit_trace_with_recovery(
     policy: &RecoveryPolicy,
     checkpoint: &mut CommitCheckpoint,
 ) -> Result<TraceCommitment, FabricError> {
+    commit_on(
+        Executor::global(),
+        columns,
+        config,
+        backend,
+        policy,
+        checkpoint,
+    )
+}
+
+/// [`commit_trace_with_recovery`] with the Merkle trees built on `exec`
+/// (the commitment does not depend on the pool).
+fn commit_on(
+    exec: &Executor,
+    columns: &[Vec<Goldilocks>],
+    config: &FriConfig,
+    backend: &mut LdeBackend,
+    policy: &RecoveryPolicy,
+    checkpoint: &mut CommitCheckpoint,
+) -> Result<TraceCommitment, FabricError> {
     assert!(!columns.is_empty(), "trace must have at least one column");
     let n = columns[0].len();
     assert!(
@@ -501,12 +522,10 @@ pub fn commit_trace_with_recovery(
     let big_n = n << config.log_blowup;
 
     // 2. Row-wise Merkle commitment of the extended matrix.
-    let rows: Vec<Vec<Goldilocks>> = (0..big_n)
-        .map(|r| ldes.iter().map(|col| col[r]).collect())
-        .collect();
+    let rows = row_major(&ldes);
     backend.charge_hash(big_n as u64 * permutations_for(columns.len()));
     backend.charge_hash(big_n as u64 - 1); // interior nodes
-    let tree = MerkleTree::commit(&rows);
+    let tree = MerkleTree::build(exec, &rows, columns.len());
     let trace_root = tree.root();
 
     // 3. Random linear combination of the columns, into the extension
@@ -526,7 +545,13 @@ pub fn commit_trace_with_recovery(
     // 4. FRI low-degree proof of the combination.
     backend.charge_hash(fri::prove_hash_permutations(config, big_n));
     backend.charge_pointwise(2 * big_n, 6); // all (extension) fold layers
-    let fri_proof = fri::prove(config, combined, Goldilocks::GENERATOR);
+    let fri_proof = fri::prove_on(
+        exec,
+        config,
+        combined,
+        Goldilocks::GENERATOR,
+        &Digest::zero(),
+    );
 
     // 5. Bind: open the trace matrix at every FRI query's outer positions.
     let trace_openings: Vec<(MerklePath, MerklePath)> = fri_proof
@@ -643,6 +668,55 @@ mod tests {
         let mut commitment = commit_trace(&trace, &config, &mut LdeBackend::cpu());
         commitment.trace_openings[0].0.row[0] += Goldilocks::ONE;
         assert!(!verify_trace(&commitment, &config));
+    }
+
+    #[test]
+    fn trace_opening_with_a_dropped_sibling_rejected() {
+        // A path one sibling short ends on an interior node; the leftover
+        // index bit (or the digest) must give it away.
+        let config = FriConfig::standard();
+        let trace = random_trace(64, 2, 9);
+        let commitment = commit_trace(&trace, &config, &mut LdeBackend::cpu());
+        for drop_last in [false, true] {
+            let mut bad = commitment.clone();
+            let siblings = &mut bad.trace_openings[0].0.siblings;
+            if drop_last {
+                siblings.pop();
+            } else {
+                siblings.remove(0);
+            }
+            assert!(!verify_trace(&bad, &config), "drop_last={drop_last}");
+        }
+        let mut bad = commitment;
+        bad.fri_proof.queries[0].rounds[0].low.siblings.pop();
+        assert!(!verify_trace(&bad, &config));
+    }
+
+    #[test]
+    fn commitment_does_not_depend_on_the_pool() {
+        // 2^9 × 4 rows extend to 2^11 leaves: eight leaf bands in the
+        // trace tree and in the first FRI layer.
+        let config = FriConfig::standard();
+        let trace = random_trace(512, 4, 10);
+        let on = |threads: usize| {
+            commit_on(
+                &Executor::new(threads),
+                &trace,
+                &config,
+                &mut LdeBackend::cpu(),
+                &RecoveryPolicy::none(),
+                &mut CommitCheckpoint::default(),
+            )
+            .expect("the CPU backend has no fabric to fault")
+        };
+        let serial = on(1);
+        assert!(verify_trace(&serial, &config));
+        for threads in [2, 8] {
+            let pooled = on(threads);
+            assert_eq!(pooled.content_digest(), serial.content_digest());
+            assert_eq!(pooled.fri_proof, serial.fri_proof);
+            assert_eq!(pooled.trace_openings, serial.trace_openings);
+        }
     }
 
     #[test]

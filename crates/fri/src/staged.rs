@@ -33,7 +33,7 @@ use unintt_gpu_sim::FabricError;
 
 use crate::fri::{self, FriConfig};
 use crate::hash::{permutations_for, Digest};
-use crate::merkle::MerkleTree;
+use crate::merkle::{row_major, MerkleTree};
 use crate::pipeline::{combination_challenge, cpu_lde_batch, LdeBackend, TraceCommitment};
 
 /// One node of a proof-stage DAG (same shape as
@@ -106,7 +106,8 @@ pub struct StagedCommit {
 
     coeffs: Option<Vec<Vec<Goldilocks>>>,
     ldes: Option<Vec<Vec<Goldilocks>>>,
-    rows: Option<Vec<Vec<Goldilocks>>>,
+    /// The LDE as the row-major matrix the trace tree commits to.
+    rows: Option<Vec<Goldilocks>>,
     tree: Option<MerkleTree>,
     trace_root: Option<Digest>,
     combined: Option<Vec<GoldilocksExt2>>,
@@ -256,13 +257,11 @@ impl StagedCommit {
             // Row-wise Merkle commitment of the extended matrix.
             2 => {
                 let ldes = self.ldes.as_ref().expect("trace-coset done");
-                let rows: Vec<Vec<Goldilocks>> = (0..big_n)
-                    .map(|r| ldes.iter().map(|col| col[r]).collect())
-                    .collect();
+                let rows = row_major(ldes);
                 self.backend
                     .charge_hash(big_n as u64 * permutations_for(width));
                 self.backend.charge_hash(big_n as u64 - 1); // interior nodes
-                let tree = MerkleTree::commit(&rows);
+                let tree = MerkleTree::commit_matrix(&rows, width);
                 self.trace_root = Some(tree.root());
                 self.rows = Some(rows);
                 self.tree = Some(tree);

@@ -28,7 +28,7 @@ use unintt_ff::{batch_inverse, Field, Goldilocks, GoldilocksExt2, PrimeField, Tw
 
 use crate::fri::{self, FriConfig, FriProof};
 use crate::hash::{compress, hash_elements, permutations_for, Digest};
-use crate::merkle::{MerklePath, MerkleTree};
+use crate::merkle::{row_major, MerklePath, MerkleTree};
 use crate::pipeline::LdeBackend;
 
 /// A boundary assertion: `trace[column][row] == value`.
@@ -221,12 +221,11 @@ pub fn prove_stark(
     let ldes = backend.lde_batch(trace, config.log_blowup);
     let big_n = n << config.log_blowup;
     let blowup = 1usize << config.log_blowup;
-    let rows: Vec<Vec<Goldilocks>> = (0..big_n)
-        .map(|r| ldes.iter().map(|col| col[r]).collect())
-        .collect();
+    let width = air.width();
+    let rows = row_major(&ldes);
     backend.charge_hash(big_n as u64 * permutations_for(air.width()));
     backend.charge_hash(big_n as u64 - 1);
-    let tree = MerkleTree::commit(&rows);
+    let tree = MerkleTree::commit_matrix(&rows, width);
     let trace_root = tree.root();
 
     // 2. Composition codeword.
@@ -265,13 +264,13 @@ pub fn prove_stark(
     let mut composition: Vec<GoldilocksExt2> = Vec::with_capacity(big_n);
     let mut x = shift;
     for k in 0..big_n {
-        let current: Vec<Goldilocks> = ldes.iter().map(|c| c[k]).collect();
-        let next: Vec<Goldilocks> = ldes.iter().map(|c| c[(k + blowup) % big_n]).collect();
+        let current = &rows[k * width..][..width];
+        let next = &rows[(k + blowup) % big_n * width..][..width];
         let denom_invs: Vec<GoldilocksExt2> = boundary_denoms.iter().map(|d| d[k]).collect();
         composition.push(composition_at(
             air,
-            &current,
-            &next,
+            current,
+            next,
             alpha,
             z_t[k],
             &denom_invs,
