@@ -73,14 +73,12 @@ pipeline-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e19
 
 # Stream smoke: the intra-lease overlap suite (bit-identity across queue
-# counts, fault injection and the forced one-queue clock-identity check),
-# then the quick E20 cell twice — streamed, and pinned back to one queue
-# via --serial-streams. E20 itself asserts per-job digest identity
-# against the monolithic reference in every cell.
+# counts and fault injection), then the quick E20 cell, which sweeps one
+# to four queues per lease and asserts per-job digest identity against
+# the monolithic reference in every cell.
 stream-smoke:
 	cargo test --release -p unintt-serve --test stream_overlap
 	cargo run --release -p unintt-bench --bin harness -- --quick e20
-	cargo run --release -p unintt-bench --bin harness -- --quick --serial-streams e20
 
 # Chaos smoke: the fleet example plus the E17 quick sweep. E17 asserts
 # zero accepted-job failures and bit-identical outputs vs the fault-free

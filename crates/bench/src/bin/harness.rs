@@ -7,7 +7,7 @@ use unintt_bench::Table;
 use unintt_bench::{artifacts, perf_gate};
 
 const USAGE: &str = "\
-usage: harness [--quick] [--legacy-kernels] [--scalar-kernels] [--portable-lanes] [--blocking-comm] [--serial-streams] <experiment>...
+usage: harness [--quick] [--legacy-kernels] [--scalar-kernels] [--portable-lanes] [--blocking-comm] <experiment>...
        harness [--quick] [--trace-dir <path>] trace <experiment>...
        harness attribute <workload>
        harness perf-gate [<artifact>...]
@@ -39,10 +39,6 @@ usage: harness [--quick] [--legacy-kernels] [--scalar-kernels] [--portable-lanes
                     exchange schedule instead of the chunked overlapped
                     pipeline (A/B escape hatch; outputs are bit-identical
                     either way)
-  --serial-streams  pin the proving service to one compute queue per
-                    lease — DAG stages serialize exactly as before the
-                    multi-queue scheduler existed (A/B escape hatch;
-                    outputs are bit-identical either way)
 ";
 
 fn main() -> ExitCode {
@@ -67,9 +63,6 @@ fn main() -> ExitCode {
             }
             "--blocking-comm" => {
                 unintt_core::set_comm_mode_override(Some(unintt_core::CommMode::Blocking));
-            }
-            "--serial-streams" => {
-                unintt_core::set_streams_override(Some(1));
             }
             "--trace-dir" => {
                 let Some(value) = args.get(i + 1) else {

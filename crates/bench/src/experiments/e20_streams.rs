@@ -8,7 +8,7 @@
 //!
 //! Every load level runs the *identical* seeded stream (shared with E19
 //! via [`super::e19_pipeline::stream`]) three ways — monolithic, DAG
-//! with one queue (the literal E19 path), and DAG with two queues — and
+//! with one queue (the E19 schedule), and DAG with two queues — and
 //! asserts every job's output digest matches across all three. The
 //! highest load additionally sweeps queue count 1–4 under both bundled
 //! interference models ([`InterferenceModel::default_model`] and the
@@ -16,10 +16,9 @@
 //! digest-checked cell by cell: co-scheduling moves simulated clocks
 //! only, never data.
 //!
-//! The headline claim, asserted on every full (non-`--quick`) run
-//! unless `--serial-streams` pins the service back to one queue: at the
-//! highest offered load, two queues per lease finish the same work in a
-//! horizon at least 15% shorter than the one-queue DAG baseline.
+//! The headline claim, asserted on every full (non-`--quick`) run: at
+//! the highest offered load, two queues per lease finish the same work
+//! in a horizon at least 15% shorter than the one-queue DAG baseline.
 //!
 //! Everything is seeded and charged to the simulated clock, so two runs
 //! produce byte-identical output — including the machine-readable
@@ -293,11 +292,10 @@ pub fn run(quick: bool) -> Table {
     // The headline claim: at the highest load, two queues per lease cut
     // the end-to-end horizon by >= 15% versus the one-queue DAG
     // baseline. Quick mode's trimmed stream is too short to saturate
-    // the queues, and --serial-streams deliberately collapses every
-    // cell to one queue, so the gate applies to full unforced runs.
+    // the queues, so the gate applies to full runs.
     if let Some((dag_ns, streamed_ns)) = headline {
         let reduction = 1.0 - streamed_ns / dag_ns;
-        if !quick && unintt_core::streams_override().is_none() {
+        if !quick {
             assert!(
                 reduction >= HEADLINE_MIN_REDUCTION,
                 "two queues must cut the high-load horizon by >= {:.0}%: \
@@ -360,8 +358,8 @@ mod tests {
                 model: ModelChoice::Default,
             },
         );
-        // k == 1 routes through the identical serial code path, so the
-        // clocks — not just the digests — must match exactly.
+        // Both cells are the one-queue schedule under the default model,
+        // so the clocks — not just the digests — must match exactly.
         assert_eq!(dag.report.outcomes, one.report.outcomes);
         assert_eq!(dag.report.stage_ns, one.report.stage_ns);
     }

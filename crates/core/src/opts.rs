@@ -80,34 +80,10 @@ pub fn kernel_mode_override() -> Option<KernelMode> {
     }
 }
 
-/// Every streams-per-lease value outside this range is clamped into it:
+/// The most compute queues a stage scheduler may attach to one lease:
 /// one queue is strictly serial, and past four the interference model's
 /// pairwise products stop resembling any real SM partitioning.
 pub const MAX_STREAMS_PER_LEASE: u32 = 4;
-
-/// Process-wide streams-per-lease override, encoded as 0 = none, else
-/// the pinned queue count. Set by the harness's `--serial-streams` flag
-/// (mirroring `--blocking-comm`) so every stage scheduler in the process
-/// can be forced back to serialized dispatch without threading a flag
-/// through every constructor.
-static STREAMS_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or with `None` clears) a process-wide streams-per-lease
-/// override consulted by [`UniNttOptions::effective_streams_per_lease`]
-/// and the serving layer. Values are clamped to
-/// `1..=`[`MAX_STREAMS_PER_LEASE`].
-pub fn set_streams_override(streams: Option<u32>) {
-    let v = streams.map_or(0, |s| s.clamp(1, MAX_STREAMS_PER_LEASE));
-    STREAMS_OVERRIDE.store(v as u8, Ordering::Relaxed);
-}
-
-/// The current process-wide streams-per-lease override, if any.
-pub fn streams_override() -> Option<u32> {
-    match STREAMS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        v => Some(u32::from(v)),
-    }
-}
 
 /// Optimization switches for the UniNTT engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -153,14 +129,6 @@ pub struct UniNttOptions {
     /// O-flag: every mode is bit-identical, only throughput changes.
     #[serde(default)]
     pub host_kernels: KernelMode,
-    /// Typed compute queues per device lease for stage schedulers built
-    /// over these options (`0` = auto, which resolves to `1`:
-    /// serialized stage dispatch, the historical behaviour). Like
-    /// `comm_mode`, not an O-flag: outputs are bit-identical at every
-    /// queue count, only the simulated schedule changes. Resolved values
-    /// are clamped to `1..=`[`MAX_STREAMS_PER_LEASE`].
-    #[serde(default)]
-    pub streams_per_lease: u32,
 }
 
 impl UniNttOptions {
@@ -177,7 +145,6 @@ impl UniNttOptions {
             comm_mode: CommMode::Overlapped,
             comm_chunks: 0,
             host_kernels: KernelMode::Vector,
-            streams_per_lease: 0,
         }
     }
 
@@ -207,7 +174,6 @@ impl UniNttOptions {
             comm_mode: CommMode::Blocking,
             comm_chunks: 0,
             host_kernels: KernelMode::Legacy,
-            streams_per_lease: 0,
         }
     }
 
@@ -223,17 +189,6 @@ impl UniNttOptions {
     /// installed, else the per-options [`UniNttOptions::host_kernels`].
     pub fn effective_host_kernels(&self) -> KernelMode {
         kernel_mode_override().unwrap_or(self.host_kernels)
-    }
-
-    /// The streams-per-lease count this options value resolves to: the
-    /// process-wide override (see [`set_streams_override`]) if one is
-    /// installed, else the per-options
-    /// [`UniNttOptions::streams_per_lease`] (`0` = auto = `1`), clamped
-    /// to `1..=`[`MAX_STREAMS_PER_LEASE`].
-    pub fn effective_streams_per_lease(&self) -> u32 {
-        streams_override()
-            .unwrap_or(self.streams_per_lease)
-            .clamp(1, MAX_STREAMS_PER_LEASE)
     }
 
     /// `full()` with exactly one optimization disabled, by index O1..=O5.
@@ -348,33 +303,6 @@ mod tests {
                 UniNttOptions::ablate(which).host_kernels,
                 KernelMode::Vector
             );
-        }
-    }
-
-    #[test]
-    fn streams_default_resolves_to_serial_and_clamps() {
-        // As with the other overrides, only the unset default is
-        // asserted — installing the process-wide override would race
-        // other tests in this binary.
-        assert_eq!(streams_override(), None);
-        assert_eq!(UniNttOptions::full().streams_per_lease, 0, "0 = auto");
-        assert_eq!(
-            UniNttOptions::full().effective_streams_per_lease(),
-            1,
-            "auto resolves to serialized stage dispatch"
-        );
-        let mut o = UniNttOptions::full();
-        o.streams_per_lease = 3;
-        assert_eq!(o.effective_streams_per_lease(), 3);
-        o.streams_per_lease = 99;
-        assert_eq!(
-            o.effective_streams_per_lease(),
-            MAX_STREAMS_PER_LEASE,
-            "out-of-range values clamp"
-        );
-        // Not an O-flag: every ablation keeps the auto queue count.
-        for which in 1..=5u32 {
-            assert_eq!(UniNttOptions::ablate(which).streams_per_lease, 0);
         }
     }
 

@@ -11,6 +11,10 @@
 //! functional reference; the simulated variant routes every LDE through
 //! the [`UniNttEngine`] and charges Merkle hashing and folding to the
 //! simulated clock, while producing bit-identical commitments.
+//!
+//! The phases themselves are implemented once, as the stages of
+//! [`crate::staged`]; [`commit_trace`] drives them in index order. This
+//! module holds the backends, the commitment type and the verifier.
 
 use unintt_core::{RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
 use unintt_exec::Executor;
@@ -18,8 +22,9 @@ use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
 use unintt_gpu_sim::{FabricError, FieldSpec, KernelProfile, Machine, MachineConfig};
 
 use crate::fri::{self, FriConfig, FriProof};
-use crate::hash::{compress, hash_elements, permutations_for, Digest, ROUNDS, WIDTH};
-use crate::merkle::{row_major, MerklePath, MerkleTree};
+use crate::hash::{compress, hash_elements, Digest, ROUNDS, WIDTH};
+use crate::merkle::MerklePath;
+use crate::staged::CommitState;
 
 /// Field multiplications per sponge permutation (S-box + mixing), for the
 /// simulator's hash-kernel profile.
@@ -101,31 +106,6 @@ impl LdeBackend {
             LdeBackend::Simulated(sim) => Some(&mut sim.machine),
         }
     }
-
-    /// Fault-tolerant batched LDE, checkpointed at NTT-batch granularity:
-    /// on `Err` the checkpoint keeps whatever batch completed
-    /// (interpolation and/or evaluation), and a subsequent call resumes
-    /// there instead of redoing the NTT work.
-    pub fn try_lde_batch(
-        &mut self,
-        columns: &[Vec<Goldilocks>],
-        log_blowup: u32,
-        policy: &RecoveryPolicy,
-        checkpoint: &mut CommitCheckpoint,
-    ) -> Result<Vec<Vec<Goldilocks>>, FabricError> {
-        if let Some(ldes) = &checkpoint.ldes {
-            return Ok(ldes.clone());
-        }
-        let ldes = match self {
-            LdeBackend::Cpu => cpu_lde_batch(columns, log_blowup),
-            LdeBackend::Simulated(sim) => {
-                sim.try_lde_batch(columns, log_blowup, policy, checkpoint)?
-            }
-        };
-        checkpoint.coeffs = None; // superseded by the completed LDEs
-        checkpoint.ldes = Some(ldes.clone());
-        Ok(ldes)
-    }
 }
 
 /// Host-side batched LDE: independent columns, one task per column on the
@@ -141,30 +121,6 @@ pub(crate) fn cpu_lde_batch(columns: &[Vec<Goldilocks>], log_blowup: u32) -> Vec
         }
     });
     out
-}
-
-/// Resumable state for [`commit_trace_with_recovery`]: the outputs of the
-/// completed NTT batches of the LDE phase. All later commitment phases
-/// (Merkle, α-combination, FRI, openings) are host-side or charge-only and
-/// cannot fault, so this is exactly the state worth keeping.
-#[derive(Clone, Debug, Default)]
-pub struct CommitCheckpoint {
-    /// Column coefficients after the batched interpolation (phase 1a).
-    coeffs: Option<Vec<Vec<Goldilocks>>>,
-    /// Extended evaluations after the batched coset NTT (phase 1b).
-    ldes: Option<Vec<Vec<Goldilocks>>>,
-}
-
-impl CommitCheckpoint {
-    /// True once the interpolation batch has completed.
-    pub fn has_coefficients(&self) -> bool {
-        self.coeffs.is_some() || self.ldes.is_some()
-    }
-
-    /// True once the full LDE phase has completed.
-    pub fn has_ldes(&self) -> bool {
-        self.ldes.is_some()
-    }
 }
 
 /// The simulated LDE backend.
@@ -240,81 +196,27 @@ impl SimulatedLde {
         big.collect()
     }
 
-    /// Batched LDE through the engine's batch paths.
+    /// Batched LDE through the engine's batch paths: interpolate all
+    /// columns as one batch, then zero-pad and coset-evaluate them as
+    /// one batch.
     fn lde_batch(&mut self, columns: &[Vec<Goldilocks>], log_blowup: u32) -> Vec<Vec<Goldilocks>> {
         let n = columns[0].len();
         assert!(
             columns.iter().all(|c| c.len() == n),
             "all columns must have equal length"
         );
-        let log_n = n.trailing_zeros();
-        let g = self.cfg.num_gpus;
-        let log_g = g.trailing_zeros();
-        if log_n < 2 * log_g {
+        if self.small_path(n.trailing_zeros()) {
             return columns.iter().map(|c| self.lde(c, log_blowup)).collect();
         }
-        let big_log = log_n + log_blowup;
-
-        // Interpolate all columns as one batch.
-        let mut small_batch: Vec<Sharded<Goldilocks>> = columns
-            .iter()
-            .map(|c| Sharded::distribute(c, g, ShardLayout::NaturalBlocks))
-            .collect();
-        self.engine(log_n);
-        let engine_small = self.engines.get(&log_n).expect("just inserted").clone();
-        engine_small.inverse_batch(&mut self.machine, &mut small_batch);
-
-        // Zero-pad and coset-evaluate, again as one batch.
-        self.engine(big_log);
-        let engine_big = self.engines.get(&big_log).expect("just inserted").clone();
-        let mut big_batch: Vec<Sharded<Goldilocks>> = small_batch
-            .iter()
-            .map(|d| {
-                let mut coeffs = d.collect();
-                coeffs.resize(n << log_blowup, Goldilocks::ZERO);
-                Sharded::distribute(&coeffs, g, ShardLayout::Cyclic)
-            })
-            .collect();
-        engine_big.coset_forward_batch(&mut self.machine, &mut big_batch, Goldilocks::GENERATOR);
-        big_batch.iter().map(Sharded::collect).collect()
+        let policy = RecoveryPolicy::none();
+        self.try_interp_batch(columns, &policy)
+            .and_then(|coeffs| self.try_coset_batch(&coeffs, log_blowup, &policy))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fault-tolerant batched LDE with per-batch checkpoints. The
-    /// interpolation result is parked in `checkpoint` as soon as it
-    /// completes, so a fault in the coset-evaluation batch only replays
-    /// that batch.
-    fn try_lde_batch(
-        &mut self,
-        columns: &[Vec<Goldilocks>],
-        log_blowup: u32,
-        policy: &RecoveryPolicy,
-        checkpoint: &mut CommitCheckpoint,
-    ) -> Result<Vec<Vec<Goldilocks>>, FabricError> {
-        let n = columns[0].len();
-        assert!(
-            columns.iter().all(|c| c.len() == n),
-            "all columns must have equal length"
-        );
-        let log_n = n.trailing_zeros();
-        if self.small_path(log_n) {
-            // Single-device path: no collectives, nothing can fault.
-            return Ok(columns.iter().map(|c| self.lde(c, log_blowup)).collect());
-        }
-
-        // Phase 1a: batched interpolation, or resume from the checkpoint.
-        let coeffs: Vec<Vec<Goldilocks>> = match checkpoint.coeffs.take() {
-            Some(c) => c,
-            None => self.try_interp_batch(columns, policy)?,
-        };
-        checkpoint.coeffs = Some(coeffs.clone());
-
-        // Phase 1b: zero-pad and coset-evaluate as one batch.
-        self.try_coset_batch(&coeffs, log_blowup, policy)
-    }
-
-    /// Phase 1a of the batched LDE on its own: interpolate every column
-    /// as one batch. The staged committer runs this as its first DAG
-    /// stage. Requires the multi-device path (`!self.small_path(..)`).
+    /// Phase 1a of the batched LDE: interpolate every column as one
+    /// batch (the committer's first stage). Requires the multi-device
+    /// path (`!self.small_path(..)`).
     pub(crate) fn try_interp_batch(
         &mut self,
         columns: &[Vec<Goldilocks>],
@@ -333,9 +235,9 @@ impl SimulatedLde {
         Ok(small_batch.iter().map(Sharded::collect).collect())
     }
 
-    /// Phase 1b of the batched LDE on its own: zero-pad the coefficient
-    /// columns and coset-evaluate them as one batch on the blown-up
-    /// domain. The staged committer runs this as its second DAG stage.
+    /// Phase 1b of the batched LDE: zero-pad the coefficient columns and
+    /// coset-evaluate them as one batch on the blown-up domain (the
+    /// committer's second stage).
     pub(crate) fn try_coset_batch(
         &mut self,
         coeffs: &[Vec<Goldilocks>],
@@ -447,133 +349,31 @@ pub(crate) fn combination_challenge(root: &Digest) -> GoldilocksExt2 {
     GoldilocksExt2::new(d.0[0], d.0[1])
 }
 
-/// Commits to a trace (all columns the same power-of-two length).
+/// Commits to a trace (all columns the same power-of-two length): the
+/// stages of [`crate::staged`] run in index order on the caller's
+/// backend, over the caller's trace. For committing under a
+/// fault-recovery policy, see [`crate::StagedCommit::resume`].
 ///
 /// # Panics
 ///
 /// Panics if the trace is empty, ragged, or too short for the FRI
-/// configuration.
+/// configuration, or if the backend's fabric faults (no retry policy
+/// here).
 pub fn commit_trace(
     columns: &[Vec<Goldilocks>],
     config: &FriConfig,
     backend: &mut LdeBackend,
 ) -> TraceCommitment {
-    commit_trace_with_recovery(
-        columns,
-        config,
-        backend,
-        &RecoveryPolicy::none(),
-        &mut CommitCheckpoint::default(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-tolerant [`commit_trace`]: transient fabric faults are absorbed
-/// per `policy`, and on a permanent failure the `checkpoint` keeps every
-/// completed NTT batch so a subsequent call (after the operator repairs or
-/// degrades the machine) resumes from the last completed batch instead of
-/// restarting the proof. On success the checkpoint is reset.
-///
-/// # Errors
-///
-/// Returns the [`FabricError`] that outlived the policy's retries.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`commit_trace`].
-pub fn commit_trace_with_recovery(
-    columns: &[Vec<Goldilocks>],
-    config: &FriConfig,
-    backend: &mut LdeBackend,
-    policy: &RecoveryPolicy,
-    checkpoint: &mut CommitCheckpoint,
-) -> Result<TraceCommitment, FabricError> {
-    commit_on(
-        Executor::global(),
-        columns,
-        config,
-        backend,
-        policy,
-        checkpoint,
-    )
-}
-
-/// [`commit_trace_with_recovery`] with the Merkle trees built on `exec`
-/// (the commitment does not depend on the pool).
-fn commit_on(
-    exec: &Executor,
-    columns: &[Vec<Goldilocks>],
-    config: &FriConfig,
-    backend: &mut LdeBackend,
-    policy: &RecoveryPolicy,
-    checkpoint: &mut CommitCheckpoint,
-) -> Result<TraceCommitment, FabricError> {
-    assert!(!columns.is_empty(), "trace must have at least one column");
-    let n = columns[0].len();
-    assert!(
-        columns.iter().all(|c| c.len() == n),
-        "all trace columns must have equal length"
-    );
-
-    // 1. LDE every column as one batch (the NTT-heavy phase — the only
-    // one that touches the fabric, hence the only one checkpointed).
-    let ldes: Vec<Vec<Goldilocks>> =
-        backend.try_lde_batch(columns, config.log_blowup, policy, checkpoint)?;
-    let big_n = n << config.log_blowup;
-
-    // 2. Row-wise Merkle commitment of the extended matrix.
-    let rows = row_major(&ldes);
-    backend.charge_hash(big_n as u64 * permutations_for(columns.len()));
-    backend.charge_hash(big_n as u64 - 1); // interior nodes
-    let tree = MerkleTree::build(exec, &rows, columns.len());
-    let trace_root = tree.root();
-
-    // 3. Random linear combination of the columns, into the extension
-    // field (α has ~128 bits of entropy; see the fri module docs).
-    let alpha = combination_challenge(&trace_root);
-    let mut combined = vec![GoldilocksExt2::ZERO; big_n];
-    let mut coeff = GoldilocksExt2::ONE;
-    for lde in &ldes {
-        for (acc, &v) in combined.iter_mut().zip(lde) {
-            *acc += coeff * v;
-        }
-        coeff *= alpha;
-    }
-    // An ext×base product costs two base multiplies.
-    backend.charge_pointwise(big_n * columns.len(), 2);
-
-    // 4. FRI low-degree proof of the combination.
-    backend.charge_hash(fri::prove_hash_permutations(config, big_n));
-    backend.charge_pointwise(2 * big_n, 6); // all (extension) fold layers
-    let fri_proof = fri::prove_on(
-        exec,
-        config,
-        combined,
-        Goldilocks::GENERATOR,
-        &Digest::zero(),
-    );
-
-    // 5. Bind: open the trace matrix at every FRI query's outer positions.
-    let trace_openings: Vec<(MerklePath, MerklePath)> = fri_proof
-        .queries
-        .iter()
-        .map(|q| {
-            let first = &q.rounds[0];
-            (
-                tree.open(&rows, first.low.index),
-                tree.open(&rows, first.high.index),
-            )
-        })
-        .collect();
-
-    *checkpoint = CommitCheckpoint::default();
-    Ok(TraceCommitment {
-        trace_root,
-        fri_proof,
-        trace_openings,
-        n,
-        width: columns.len(),
-    })
+    let mut state = CommitState::new(columns, *config);
+    state
+        .resume(
+            columns,
+            backend,
+            Executor::global(),
+            &RecoveryPolicy::none(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+    state.into_commitment().expect("every stage ran")
 }
 
 /// Verifies a trace commitment.
@@ -699,15 +499,16 @@ mod tests {
         let config = FriConfig::standard();
         let trace = random_trace(512, 4, 10);
         let on = |threads: usize| {
-            commit_on(
-                &Executor::new(threads),
-                &trace,
-                &config,
-                &mut LdeBackend::cpu(),
-                &RecoveryPolicy::none(),
-                &mut CommitCheckpoint::default(),
-            )
-            .expect("the CPU backend has no fabric to fault")
+            let mut state = CommitState::new(&trace, config);
+            state
+                .resume(
+                    &trace,
+                    &mut LdeBackend::cpu(),
+                    &Executor::new(threads),
+                    &RecoveryPolicy::none(),
+                )
+                .expect("the CPU backend has no fabric to fault");
+            state.into_commitment().expect("every stage ran")
         };
         let serial = on(1);
         assert!(verify_trace(&serial, &config));
@@ -725,76 +526,6 @@ mod tests {
         let trace = random_trace(32, 1, 5);
         let commitment = commit_trace(&trace, &config, &mut LdeBackend::cpu());
         assert!(verify_trace(&commitment, &config));
-    }
-
-    #[test]
-    fn recovery_under_dropped_collectives_matches_cpu() {
-        use unintt_gpu_sim::{FaultPlan, FaultRates};
-        let config = FriConfig::standard();
-        let trace = random_trace(256, 4, 7);
-        let cpu = commit_trace(&trace, &config, &mut LdeBackend::cpu());
-
-        let mut sim = LdeBackend::simulated(presets::a100_nvlink(4));
-        sim.machine_mut()
-            .unwrap()
-            .set_fault_plan(FaultPlan::random(99, FaultRates::transfers_only(0.2)));
-        let mut ckpt = CommitCheckpoint::default();
-        let committed = commit_trace_with_recovery(
-            &trace,
-            &config,
-            &mut sim,
-            &RecoveryPolicy::default(),
-            &mut ckpt,
-        )
-        .expect("retries should absorb 20% drop/corrupt rates");
-        assert_eq!(committed.trace_root, cpu.trace_root);
-        assert_eq!(committed.fri_proof, cpu.fri_proof);
-        assert!(!ckpt.has_coefficients(), "checkpoint resets on success");
-    }
-
-    #[test]
-    fn checkpoint_resumes_after_permanent_failure() {
-        use unintt_gpu_sim::{FaultEvent, FaultKind, FaultPlan};
-        let config = FriConfig::standard();
-        let trace = random_trace(256, 4, 8);
-        let cpu = commit_trace(&trace, &config, &mut LdeBackend::cpu());
-
-        // Probe a clean run to find the total collective count, then drop
-        // the *last* collective (part of the coset-evaluation batch).
-        let mut probe = LdeBackend::simulated(presets::a100_nvlink(4));
-        let _ = commit_trace(&trace, &config, &mut probe);
-        let total = probe.machine_mut().unwrap().collective_seq();
-        assert!(
-            total >= 2,
-            "need at least two collectives to stage the test"
-        );
-
-        let mut sim = LdeBackend::simulated(presets::a100_nvlink(4));
-        sim.machine_mut()
-            .unwrap()
-            .set_fault_plan(FaultPlan::scripted(vec![FaultEvent {
-                seq: total - 1,
-                kind: FaultKind::Drop,
-            }]));
-        let no_retries = RecoveryPolicy {
-            max_retries: 0,
-            ..RecoveryPolicy::default()
-        };
-        let mut ckpt = CommitCheckpoint::default();
-        let err = commit_trace_with_recovery(&trace, &config, &mut sim, &no_retries, &mut ckpt)
-            .unwrap_err();
-        assert!(err.is_transient(), "a drop is transient: {err}");
-        assert!(
-            ckpt.has_coefficients() && !ckpt.has_ldes(),
-            "interpolation batch must have been checkpointed"
-        );
-
-        // Resume: the drop was consumed, the interpolation is skipped.
-        let committed =
-            commit_trace_with_recovery(&trace, &config, &mut sim, &no_retries, &mut ckpt)
-                .expect("resume from checkpoint");
-        assert_eq!(committed.trace_root, cpu.trace_root);
-        assert_eq!(committed.fri_proof, cpu.fri_proof);
     }
 
     #[test]

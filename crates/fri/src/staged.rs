@@ -1,12 +1,18 @@
-//! Stage-decomposed STARK trace commitment for the whole-proof DAG
-//! scheduler.
+//! The STARK trace commitment, as six dependency-ordered stages.
 //!
-//! [`StagedCommit`] splits [`crate::commit_trace`] into an explicit
-//! dependency chain of stages — trace interpolation, the batched coset
-//! NTT, the row-wise Merkle commit, the α-combination, the fused FRI
-//! fold chain, and a final assembly barrier — so a scheduler can
-//! interleave them with stages of *other* proofs on shared hardware and
-//! attribute simulated time per stage.
+//! This module is the only implementation of the commitment's phases —
+//! trace interpolation, the batched coset NTT, the row-wise Merkle
+//! commit, the α-combination, the fused FRI fold chain, and a final
+//! assembly barrier. Every way of producing a commitment is a *schedule*
+//! over these stages:
+//!
+//! * [`crate::commit_trace`] runs them in index order on the caller's
+//!   backend, borrowing the trace (the monolithic entry point);
+//! * [`StagedCommit`] owns its inputs so a DAG scheduler can interleave
+//!   the stages with stages of *other* proofs on shared hardware and
+//!   attribute simulated time per stage;
+//! * [`StagedCommit::resume`] runs whatever is not done yet, in index
+//!   order, under a [`RecoveryPolicy`] — fault-tolerant committing.
 //!
 //! The STARK commitment is a strict pipeline (each phase consumes the
 //! previous one's output), so unlike the PLONK DAG there is no
@@ -14,20 +20,19 @@
 //! granularity and time attribution. The FRI fold rounds are
 //! deliberately *one* stage, not one per round: the rounds halve
 //! geometrically (total work ≈ 2·domain elements), so per-round kernel
-//! launches would be fixed-cost dominated and charge far more than the
-//! monolithic path's two aggregate kernels — and the chain is strictly
-//! sequential, so splitting it buys a scheduler nothing. Commitment
-//! bytes are bit-identical to the monolithic path by construction: the
-//! two NTT batches issue the same engine calls in the same order, the
-//! fused fold stage charges the same aggregate hash + fold kernels the
-//! monolithic path does, and everything after them is deterministic
-//! host math.
+//! launches would be fixed-cost dominated, and the chain is strictly
+//! sequential, so splitting it buys a scheduler nothing. The fold stage
+//! charges two aggregate kernels (all layer commitments as one hash
+//! launch, all folds as one extension kernel); the fold *values* are
+//! deterministic host math in the finalize barrier.
 //!
 //! A stage that fails with a transient [`FabricError`] (only the two NTT
 //! stages touch the fabric) leaves state untouched and may be re-run:
 //! the affected subgraph replays, completed stages keep their results.
+//! The committer object *is* the checkpoint.
 
 use unintt_core::RecoveryPolicy;
+use unintt_exec::Executor;
 use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
 use unintt_gpu_sim::FabricError;
 
@@ -49,60 +54,50 @@ pub struct StageDesc {
     pub deps: Vec<usize>,
 }
 
+/// Number of stages in the STARK commitment chain.
+const STARK_STAGES: usize = 6;
+
+/// The fixed commitment chain as `(name, kind, deps)` rows. Every
+/// dependency has a smaller index, so index order is a topological
+/// order.
+const STARK_DAG: [(&str, &str, &[usize]); STARK_STAGES] = [
+    ("trace-interp", "ntt", &[]),         // 0
+    ("trace-coset", "ntt", &[0]),         // 1
+    ("trace-merkle", "hash", &[1]),       // 2
+    ("alpha-combine", "pointwise", &[2]), // 3
+    ("fri-fold", "fold", &[3]),           // 4
+    ("fri-finalize", "barrier", &[4]),    // 5
+];
+
 /// The stage chain for a trace of `2^log_n` rows under `config`:
 /// interp → coset → merkle → combine → fold → finalize. The fold stage
 /// fuses all `log_n + log_blowup − log_final_len` FRI rounds (its name
 /// records the count); see the module docs for why the rounds are not
 /// individual stages.
 pub fn stark_stage_descs(log_n: u32, config: &FriConfig) -> Vec<StageDesc> {
-    let layers = (log_n + config.log_blowup).saturating_sub(config.log_final_len) as usize;
-    let mut descs = vec![
-        StageDesc {
-            name: "trace-interp".to_string(),
-            kind: "ntt",
-            deps: vec![],
-        },
-        StageDesc {
-            name: "trace-coset".to_string(),
-            kind: "ntt",
-            deps: vec![0],
-        },
-        StageDesc {
-            name: "trace-merkle".to_string(),
-            kind: "hash",
-            deps: vec![1],
-        },
-        StageDesc {
-            name: "alpha-combine".to_string(),
-            kind: "pointwise",
-            deps: vec![2],
-        },
-    ];
-    descs.push(StageDesc {
-        name: format!("fri-fold-x{layers}"),
-        kind: "fold",
-        deps: vec![descs.len() - 1],
-    });
-    descs.push(StageDesc {
-        name: "fri-finalize".to_string(),
-        kind: "barrier",
-        deps: vec![descs.len() - 1],
-    });
-    descs
+    let layers = (log_n + config.log_blowup).saturating_sub(config.log_final_len);
+    STARK_DAG
+        .iter()
+        .enumerate()
+        .map(|(idx, &(name, kind, deps))| StageDesc {
+            name: if idx == 4 {
+                format!("{name}-x{layers}")
+            } else {
+                name.to_string()
+            },
+            kind,
+            deps: deps.to_vec(),
+        })
+        .collect()
 }
 
-/// A STARK trace commitment decomposed into runnable stages.
-///
-/// Construct with [`StagedCommit::new`], run every stage in dependency
-/// order via [`StagedCommit::run_stage`]; the finished
-/// [`TraceCommitment`] is available from [`StagedCommit::commitment`]
-/// and is bit-identical to [`crate::commit_trace`] on the same inputs.
-pub struct StagedCommit {
-    columns: Vec<Vec<Goldilocks>>,
+/// Everything a commitment accumulates between stages. The trace, the
+/// backend and the pool are arguments of every call rather than fields,
+/// so [`crate::commit_trace`] drives the stages over its caller's
+/// borrows while [`StagedCommit`] owns trace and backend.
+pub(crate) struct CommitState {
     config: FriConfig,
-    backend: LdeBackend,
-    descs: Vec<StageDesc>,
-    done: Vec<bool>,
+    done: [bool; STARK_STAGES],
 
     coeffs: Option<Vec<Vec<Goldilocks>>>,
     ldes: Option<Vec<Vec<Goldilocks>>>,
@@ -114,14 +109,14 @@ pub struct StagedCommit {
     commitment: Option<TraceCommitment>,
 }
 
-impl StagedCommit {
-    /// Starts a staged commitment.
+impl CommitState {
+    /// Validates the trace shape against `config`.
     ///
     /// # Panics
     ///
     /// Panics if the trace is empty, ragged, or too short for the FRI
-    /// configuration, exactly like [`crate::commit_trace`].
-    pub fn new(columns: Vec<Vec<Goldilocks>>, config: FriConfig, backend: LdeBackend) -> Self {
+    /// configuration.
+    pub(crate) fn new(columns: &[Vec<Goldilocks>], config: FriConfig) -> Self {
         assert!(!columns.is_empty(), "trace must have at least one column");
         let n = columns[0].len();
         assert!(
@@ -129,19 +124,13 @@ impl StagedCommit {
             "all trace columns must have equal length"
         );
         assert!(n.is_power_of_two(), "trace length must be a power of two");
-        let log_n = n.trailing_zeros();
         assert!(
-            log_n + config.log_blowup > config.log_final_len,
+            n.trailing_zeros() + config.log_blowup > config.log_final_len,
             "trace too short for the FRI configuration"
         );
-        let descs = stark_stage_descs(log_n, &config);
-        let done = vec![false; descs.len()];
         Self {
-            columns,
             config,
-            backend,
-            descs,
-            done,
+            done: [false; STARK_STAGES],
             coeffs: None,
             ldes: None,
             rows: None,
@@ -152,99 +141,86 @@ impl StagedCommit {
         }
     }
 
-    /// The stage chain this committer executes.
-    pub fn stage_descs(&self) -> Vec<StageDesc> {
-        self.descs.clone()
-    }
-
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.descs.len()
-    }
-
-    /// Whether stage `idx` has completed.
-    pub fn stage_done(&self, idx: usize) -> bool {
-        self.done[idx]
-    }
-
-    /// Whether every stage has completed.
-    pub fn is_complete(&self) -> bool {
-        self.done.iter().all(|&d| d)
-    }
-
-    /// Simulated nanoseconds accumulated so far (0 for the CPU backend).
-    pub fn sim_total_ns(&self) -> f64 {
-        self.backend.sim_time_ns()
-    }
-
-    /// The finished commitment, once [`StagedCommit::is_complete`].
-    pub fn commitment(&self) -> Option<&TraceCommitment> {
-        self.commitment.as_ref()
-    }
-
-    /// Mutable backend access (to install fault plans in tests).
-    pub fn backend_mut(&mut self) -> &mut LdeBackend {
-        &mut self.backend
-    }
-
-    /// Runs one stage, returning the simulated nanoseconds it charged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`FabricError`] that outlives `policy`'s retries;
-    /// the stage is left not-done and can simply be re-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range, already done, or has an
-    /// unfinished dependency.
-    pub fn run_stage(&mut self, idx: usize, policy: &RecoveryPolicy) -> Result<f64, FabricError> {
-        assert!(idx < self.descs.len(), "stage index out of range");
+    /// Runs one stage against the given inputs, with the Merkle trees
+    /// built on `exec` (the commitment does not depend on the pool); see
+    /// [`StagedCommit::run_stage`].
+    pub(crate) fn run_stage(
+        &mut self,
+        columns: &[Vec<Goldilocks>],
+        backend: &mut LdeBackend,
+        exec: &Executor,
+        idx: usize,
+        policy: &RecoveryPolicy,
+    ) -> Result<f64, FabricError> {
+        assert!(idx < STARK_STAGES, "stage index out of range");
         assert!(!self.done[idx], "stage {idx} already completed");
-        for d in 0..self.descs[idx].deps.len() {
-            let dep = self.descs[idx].deps[d];
+        for &dep in STARK_DAG[idx].2 {
             assert!(
                 self.done[dep],
                 "stage {idx} depends on unfinished stage {dep}"
             );
         }
-        let before = self.sim_total_ns();
-        self.execute(idx, policy)?;
+        let before = backend.sim_time_ns();
+        self.execute(columns, backend, exec, idx, policy)?;
         self.done[idx] = true;
-        Ok(self.sim_total_ns() - before)
+        Ok(backend.sim_time_ns() - before)
     }
 
-    fn execute(&mut self, idx: usize, policy: &RecoveryPolicy) -> Result<(), FabricError> {
-        let n = self.columns[0].len();
+    /// Runs every stage not yet done, in index order; see
+    /// [`StagedCommit::resume`].
+    pub(crate) fn resume(
+        &mut self,
+        columns: &[Vec<Goldilocks>],
+        backend: &mut LdeBackend,
+        exec: &Executor,
+        policy: &RecoveryPolicy,
+    ) -> Result<(), FabricError> {
+        for idx in 0..STARK_STAGES {
+            if !self.done[idx] {
+                self.run_stage(columns, backend, exec, idx, policy)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The finished commitment, once every stage has run.
+    pub(crate) fn into_commitment(self) -> Option<TraceCommitment> {
+        self.commitment
+    }
+
+    fn execute(
+        &mut self,
+        columns: &[Vec<Goldilocks>],
+        backend: &mut LdeBackend,
+        exec: &Executor,
+        idx: usize,
+        policy: &RecoveryPolicy,
+    ) -> Result<(), FabricError> {
+        let n = columns[0].len();
         let log_n = n.trailing_zeros();
         let log_blowup = self.config.log_blowup;
         let big_n = n << log_blowup;
-        let width = self.columns.len();
-        let fold_base = 4; // stages 0..4 are fixed; folds follow
-        let last = self.descs.len() - 1;
+        let width = columns.len();
 
         match idx {
             // Phase 1a: batched interpolation. On the CPU backend and the
             // simulated single-device path the whole LDE runs in the
-            // coset stage (matching the monolithic code paths exactly),
-            // so this stage is a no-op there.
+            // coset stage, so this stage is a no-op there.
             0 => {
-                if let LdeBackend::Simulated(sim) = &mut self.backend {
+                if let LdeBackend::Simulated(sim) = backend {
                     if !sim.small_path(log_n) {
-                        self.coeffs = Some(sim.try_interp_batch(&self.columns, policy)?);
+                        self.coeffs = Some(sim.try_interp_batch(columns, policy)?);
                     }
                 }
             }
-            // Phase 1b: zero-pad + batched coset evaluation.
+            // Phase 1b: zero-pad + batched coset evaluation (the
+            // NTT-heavy phase — with 1a the only one on the fabric).
             1 => {
-                let ldes = match &mut self.backend {
-                    LdeBackend::Cpu => cpu_lde_batch(&self.columns, log_blowup),
+                let ldes = match backend {
+                    LdeBackend::Cpu => cpu_lde_batch(columns, log_blowup),
                     LdeBackend::Simulated(sim) => {
                         if sim.small_path(log_n) {
-                            self.columns
-                                .iter()
-                                .map(|c| sim.lde(c, log_blowup))
-                                .collect()
+                            columns.iter().map(|c| sim.lde(c, log_blowup)).collect()
                         } else {
                             let coeffs = self.coeffs.as_ref().expect("trace-interp done");
                             sim.try_coset_batch(coeffs, log_blowup, policy)?
@@ -258,15 +234,16 @@ impl StagedCommit {
             2 => {
                 let ldes = self.ldes.as_ref().expect("trace-coset done");
                 let rows = row_major(ldes);
-                self.backend
-                    .charge_hash(big_n as u64 * permutations_for(width));
-                self.backend.charge_hash(big_n as u64 - 1); // interior nodes
-                let tree = MerkleTree::commit_matrix(&rows, width);
+                backend.charge_hash(big_n as u64 * permutations_for(width));
+                backend.charge_hash(big_n as u64 - 1); // interior nodes
+                let tree = MerkleTree::build(exec, &rows, width);
                 self.trace_root = Some(tree.root());
                 self.rows = Some(rows);
                 self.tree = Some(tree);
             }
-            // α-combination of the columns into the extension field.
+            // Random linear combination of the columns, into the
+            // extension field (α has ~128 bits of entropy; see the fri
+            // module docs).
             3 => {
                 let ldes = self.ldes.as_ref().expect("trace-coset done");
                 let alpha = combination_challenge(&self.trace_root.expect("trace-merkle done"));
@@ -278,24 +255,30 @@ impl StagedCommit {
                     }
                     coeff *= alpha;
                 }
-                self.backend.charge_pointwise(big_n * width, 2);
+                // An ext×base product costs two base multiplies.
+                backend.charge_pointwise(big_n * width, 2);
                 self.combined = Some(combined);
             }
-            // The fused FRI fold chain, charged as the same two
-            // aggregate kernels the monolithic path issues — all rounds'
-            // layer commitments as one hash launch, all folds as one
-            // 6-mul/elem extension kernel — so staged and monolithic
-            // runs charge identical simulated time. The actual fold
-            // values are computed host-side in the finalize barrier.
-            i if i >= fold_base && i < last => {
-                self.backend
-                    .charge_hash(fri::prove_hash_permutations(&self.config, big_n));
-                self.backend.charge_pointwise(2 * big_n, 6);
+            // The fused FRI fold chain: all rounds' layer commitments as
+            // one hash launch, all (extension) folds as one 6-mul/elem
+            // kernel. The fold values themselves are computed host-side
+            // in the finalize barrier.
+            4 => {
+                backend.charge_hash(fri::prove_hash_permutations(&self.config, big_n));
+                backend.charge_pointwise(2 * big_n, 6);
             }
-            // Final barrier: the FRI proof and the trace openings.
-            i if i == last => {
+            // Final barrier: the FRI low-degree proof of the combination,
+            // bound to the trace by opening the trace matrix at every FRI
+            // query's outer positions.
+            5 => {
                 let combined = self.combined.take().expect("alpha-combine done");
-                let fri_proof = fri::prove(&self.config, combined, Goldilocks::GENERATOR);
+                let fri_proof = fri::prove_on(
+                    exec,
+                    &self.config,
+                    combined,
+                    Goldilocks::GENERATOR,
+                    &Digest::zero(),
+                );
                 let rows = self.rows.take().expect("trace-merkle done");
                 let tree = self.tree.take().expect("trace-merkle done");
                 let trace_openings = fri_proof
@@ -321,6 +304,110 @@ impl StagedCommit {
             _ => unreachable!("stage index checked above"),
         }
         Ok(())
+    }
+}
+
+/// A STARK trace commitment as runnable stages that owns its inputs
+/// (see module docs).
+///
+/// Construct with [`StagedCommit::new`], run every stage in dependency
+/// order via [`StagedCommit::run_stage`], or all remaining ones via
+/// [`StagedCommit::resume`]; the finished [`TraceCommitment`] is
+/// available from [`StagedCommit::commitment`] and is bit-identical to
+/// [`crate::commit_trace`] on the same inputs.
+pub struct StagedCommit {
+    columns: Vec<Vec<Goldilocks>>,
+    backend: LdeBackend,
+    state: CommitState,
+}
+
+impl StagedCommit {
+    /// Starts a staged commitment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is empty, ragged, or too short for the FRI
+    /// configuration, exactly like [`crate::commit_trace`].
+    pub fn new(columns: Vec<Vec<Goldilocks>>, config: FriConfig, backend: LdeBackend) -> Self {
+        Self {
+            state: CommitState::new(&columns, config),
+            columns,
+            backend,
+        }
+    }
+
+    /// The stage chain this committer executes.
+    pub fn stage_descs(&self) -> Vec<StageDesc> {
+        stark_stage_descs(self.columns[0].len().trailing_zeros(), &self.state.config)
+    }
+
+    /// Number of stages.
+    pub fn num_stages(&self) -> usize {
+        STARK_STAGES
+    }
+
+    /// Whether stage `idx` has completed.
+    pub fn stage_done(&self, idx: usize) -> bool {
+        self.state.done[idx]
+    }
+
+    /// Whether every stage has completed.
+    pub fn is_complete(&self) -> bool {
+        self.state.done.iter().all(|&d| d)
+    }
+
+    /// Simulated nanoseconds accumulated so far (0 for the CPU backend).
+    pub fn sim_total_ns(&self) -> f64 {
+        self.backend.sim_time_ns()
+    }
+
+    /// The finished commitment, once [`StagedCommit::is_complete`].
+    pub fn commitment(&self) -> Option<&TraceCommitment> {
+        self.state.commitment.as_ref()
+    }
+
+    /// Mutable backend access (to install fault plans in tests).
+    pub fn backend_mut(&mut self) -> &mut LdeBackend {
+        &mut self.backend
+    }
+
+    /// Runs one stage, returning the simulated nanoseconds it charged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`FabricError`] that outlives `policy`'s retries;
+    /// the stage is left not-done and can simply be re-run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range, already done, or has an
+    /// unfinished dependency.
+    pub fn run_stage(&mut self, idx: usize, policy: &RecoveryPolicy) -> Result<f64, FabricError> {
+        self.state.run_stage(
+            &self.columns,
+            &mut self.backend,
+            Executor::global(),
+            idx,
+            policy,
+        )
+    }
+
+    /// Runs every stage not yet done, in index order, and returns the
+    /// finished commitment. Transient fabric faults are absorbed per
+    /// `policy`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FabricError`] that outlived the policy's retries.
+    /// Every stage completed before it keeps its result — in particular
+    /// a finished interpolation batch survives a fault in the coset
+    /// batch — so calling `resume` again (after the operator repairs or
+    /// degrades the machine) continues from the failed stage instead of
+    /// restarting the commitment.
+    pub fn resume(&mut self, policy: &RecoveryPolicy) -> Result<&TraceCommitment, FabricError> {
+        self.state
+            .resume(&self.columns, &mut self.backend, Executor::global(), policy)?;
+        Ok(self.state.commitment.as_ref().expect("every stage ran"))
     }
 }
 

@@ -1,9 +1,11 @@
 //! Whole-proof pipelining: typed stage DAGs over the staged provers.
 //!
-//! The monolithic provers (`unintt_zkp::prove_with_recovery`,
-//! `unintt_fri::commit_trace_with_recovery`) run a proof as one opaque
-//! charge against one device lease. This crate decomposes them into
-//! explicit stage graphs and schedules *stages* instead:
+//! The provers are implemented once, as dependency-ordered stages
+//! (`unintt_zkp::StagedProver`, `unintt_fri::StagedCommit`); the
+//! monolithic entry points (`unintt_zkp::prove`,
+//! `unintt_fri::commit_trace`) drive those stages in index order and a
+//! caller charges the whole proof to one device lease. This crate types
+//! the stage graphs and schedules *stages* instead:
 //!
 //! * [`dag`] — [`ProofDag`]: validated stage graphs (acyclic, with
 //!   transcript barriers totally ordered so every schedule produces a

@@ -108,23 +108,16 @@ pub struct ServiceConfig {
     /// modes; only host wall time changes.
     pub kernel_mode: KernelMode,
     /// Compute queues per lease for [`crate::JobClass::ProveDag`] stage
-    /// dispatch, `1..=4`. At `1` (the default) the service takes the
-    /// historical serialized code path; at `2..=4` stages of *different*
-    /// resource classes ([`unintt_gpu_sim::ResourceClass`]) co-reside on
-    /// one lease and both advance under the `interference` slowdown,
-    /// while same-class stages still serialize. Outputs are bit-identical
-    /// at every setting — only simulated clocks move. The process-wide
-    /// [`unintt_core::set_streams_override`] (harness `--serial-streams`)
-    /// takes precedence over this field.
+    /// dispatch, `1..=4`. At `1` (the default) a lease holds one stage
+    /// at a time — the serialized schedule; at `2..=4` stages of
+    /// *different* resource classes ([`unintt_gpu_sim::ResourceClass`])
+    /// co-reside on one lease and both advance under the `interference`
+    /// slowdown, while same-class stages still serialize. Outputs are
+    /// bit-identical at every setting — only simulated clocks move.
     pub streams_per_lease: usize,
     /// Pairwise slowdown factors applied to co-resident stages when
     /// `streams_per_lease > 1`.
     pub interference: InterferenceModel,
-    /// Testing/validation knob: run the multi-queue scheduler loop even
-    /// at `streams_per_lease == 1` (which normally takes the literal
-    /// serial code path). Lets tests assert the streamed event loop
-    /// reproduces the serial clocks exactly at one queue.
-    pub force_stream_loop: bool,
 }
 
 impl Default for ServiceConfig {
@@ -147,7 +140,6 @@ impl Default for ServiceConfig {
             kernel_mode: KernelMode::default(),
             streams_per_lease: 1,
             interference: InterferenceModel::default_model(),
-            force_stream_loop: false,
         }
     }
 }
@@ -169,6 +161,5 @@ mod tests {
         assert_eq!(cfg.kernel_mode, KernelMode::Vector);
         assert_eq!(cfg.streams_per_lease, 1, "serialized dispatch by default");
         assert_eq!(cfg.interference, InterferenceModel::default_model());
-        assert!(!cfg.force_stream_loop);
     }
 }

@@ -8,6 +8,11 @@
 //! bit-identical — including under fault injection, whose plans are
 //! seeded per dispatch.
 //!
+//! There is one event loop. Every lease carries
+//! [`ServiceConfig::streams_per_lease`] typed compute queues for DAG
+//! stages; one queue per lease (the default) *is* the serialized
+//! schedule — the `k = 1` case of the loop, not a second scheduler.
+//!
 //! Transforms are *functionally executed* (not just cost-modelled): with
 //! `verify_outputs` on, every raw-NTT result is checked bit-for-bit
 //! against a CPU reference computed through [`unintt_ntt::batch`]'s
@@ -127,16 +132,15 @@ struct ActiveDag {
     dag: ProofDag,
     /// Simulated completion instant per stage (`None` = not run yet).
     completion: Vec<Option<f64>>,
-    /// Stage has been dispatched (streamed scheduler: it may still be
-    /// in flight on a queue, with `completion` not yet committed). The
-    /// serial path commits completion at dispatch and never reads this.
+    /// Stage has been dispatched: it may still be in flight on a queue,
+    /// with `completion` not yet committed.
     started: Vec<bool>,
     /// When the first stage started executing (for the lifecycle spans).
     first_start_ns: Option<f64>,
 }
 
-/// One in-flight DAG stage in the streamed scheduler: everything needed
-/// to commit its completion when its queue drains.
+/// One in-flight DAG stage: everything needed to commit its completion
+/// when its queue drains.
 struct PendingStage {
     job: JobId,
     si: usize,
@@ -182,162 +186,47 @@ impl Runner {
         }
     }
 
-    /// The queue count this run uses: the process-wide override (the
-    /// harness `--serial-streams` flag) wins, else the configured value.
-    fn effective_streams(&self) -> usize {
-        let k = unintt_core::streams_override()
-            .map(|v| v as usize)
-            .unwrap_or(self.cfg.streams_per_lease);
+    /// The event loop: advance the simulated clock to the next arrival,
+    /// window close, lease release or stage completion; process
+    /// everything due; repeat until the stream is drained.
+    ///
+    /// Every lease carries a [`StreamSet`] of
+    /// [`ServiceConfig::streams_per_lease`] typed compute queues. With
+    /// one queue a lease holds one DAG stage at a time — the serialized
+    /// schedule. With more, a compute-bound MSM stage and a memory-bound
+    /// NTT stage of *different* proofs (or independent stages of one
+    /// proof) co-reside on one lease, both advancing under the
+    /// interference-model slowdown instead of serializing; same-class
+    /// stages still serialize — the set rejects them at admission. Raw
+    /// batches and monolithic proofs keep exclusive occupancy at every
+    /// queue count: they need a lease with no batch in flight *and*
+    /// every queue drained.
+    ///
+    /// Outputs do not depend on the queue count because stage execution
+    /// stays functional-at-dispatch: `run_stage` mutates proof state the
+    /// instant the stage is admitted, in DAG dependency order with
+    /// totally ordered transcript barriers, while the overlap model only
+    /// decides when the *completion* commits on the simulated clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `streams_per_lease` is outside
+    /// `1..=`[`unintt_core::MAX_STREAMS_PER_LEASE`] or the interference
+    /// model is invalid.
+    fn run(mut self, mut backlog: Vec<QueuedJob>) -> ServiceReport {
+        let k = self.cfg.streams_per_lease;
         assert!(
             (1..=unintt_core::MAX_STREAMS_PER_LEASE as usize).contains(&k),
             "streams_per_lease must be 1..={}, got {k}",
             unintt_core::MAX_STREAMS_PER_LEASE
         );
-        k
-    }
-
-    /// Routes the run: one queue per lease takes the *literal*
-    /// historical serial path (so `streams_per_lease = 1` reproduces its
-    /// clocks bit-for-bit by construction); two or more queues — or the
-    /// `force_stream_loop` testing knob — take the multi-queue
-    /// discrete-event loop.
-    fn run(self, backlog: Vec<QueuedJob>) -> ServiceReport {
-        let k = self.effective_streams();
-        if k > 1 || self.cfg.force_stream_loop {
-            self.run_streamed(backlog, k)
-        } else {
-            self.run_serial(backlog)
-        }
-    }
-
-    /// The serial event loop: advance the simulated clock to the next
-    /// window close, lease release, or arrival; process everything due;
-    /// repeat until the stream is drained. One dispatch (batch or DAG
-    /// stage) occupies a lease exclusively for its whole duration.
-    fn run_serial(mut self, mut backlog: Vec<QueuedJob>) -> ServiceReport {
-        backlog.sort_by(|a, b| {
-            a.spec
-                .arrival_ns
-                .partial_cmp(&b.spec.arrival_ns)
-                .expect("arrival times are finite")
-                .then(a.id.cmp(&b.id))
-        });
-        let mut next_arrival = 0usize;
-        let mut now = 0.0f64;
-
-        loop {
-            let t_arrival = backlog.get(next_arrival).map(|j| j.spec.arrival_ns);
-            let t_close = self.coalescer.next_close_ns();
-            let t_lease = if self.ready.is_empty() {
-                None
-            } else {
-                Some(self.pool.next_free_ns())
-            };
-            // The next instant a DAG stage could start: its dependencies
-            // complete AND a lease frees up.
-            let t_stage = self
-                .next_stage_avail()
-                .map(|avail| avail.max(self.pool.next_free_ns()));
-            let Some(t) = [t_arrival, t_close, t_lease, t_stage]
-                .into_iter()
-                .flatten()
-                .fold(None, |acc: Option<f64>, t| {
-                    Some(acc.map_or(t, |a| a.min(t)))
-                })
-            else {
-                break;
-            };
-            now = now.max(t);
-
-            // 1. Close every coalescing window that has expired.
-            let closed = self.coalescer.close_due(now);
-            for batch in &closed {
-                unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                    name: "window-flush".into(),
-                    kind: unintt_telemetry::InstantKind::CoalescerFlush,
-                    track: "coalescer".into(),
-                    t_ns: now,
-                    attrs: vec![("jobs", batch.len().into())],
-                });
-            }
-            self.ready.extend(closed);
-
-            // 2. Admit arrivals due by now (in arrival, then id order).
-            while next_arrival < backlog.len() && backlog[next_arrival].spec.arrival_ns <= now {
-                let job = backlog[next_arrival];
-                next_arrival += 1;
-                self.admit(job, now);
-            }
-
-            // 3. Dispatch ready work — coalesced batches and ready DAG
-            // stages compete for free leases under one policy ordering
-            // (batches win exact ties).
-            while self.pool.any_free(now) {
-                let lease_id = self.pool.earliest().id;
-                let batch = dispatch::next_batch_index(&self.ready, self.cfg.policy);
-                let stage = self.next_ready_stage(now);
-                match (batch, stage) {
-                    (Some((bi, bk)), Some((_, _, sk)))
-                        if bk.cmp_under(&sk, self.cfg.policy) != std::cmp::Ordering::Greater =>
-                    {
-                        let batch = self.ready.swap_remove(bi);
-                        self.dispatch(batch, lease_id, now);
-                    }
-                    (Some(_), Some((di, si, _))) => self.dispatch_stage(di, si, lease_id, now),
-                    (Some((bi, _)), None) => {
-                        let batch = self.ready.swap_remove(bi);
-                        self.dispatch(batch, lease_id, now);
-                    }
-                    (None, Some((di, si, _))) => self.dispatch_stage(di, si, lease_id, now),
-                    (None, None) => break,
-                }
-            }
-        }
-
-        self.outcomes.sort_by_key(|o| o.id);
-        debug_assert!(self.dags.is_empty(), "every DAG ran to completion");
-        debug_assert_eq!(
-            self.outcomes.len(),
-            backlog.len(),
-            "every job is accounted for"
-        );
-        let metrics = ServiceMetrics::build(
-            &self.outcomes,
-            &self.batch_sizes,
-            self.peak_queue,
-            &self.pool,
-        );
-        ServiceReport {
-            outcomes: self.outcomes,
-            metrics,
-            stage_ns: self.stage_ns,
-        }
-    }
-
-    /// The multi-queue event loop: every lease carries a [`StreamSet`]
-    /// of `k` typed compute queues, so a compute-bound MSM stage and a
-    /// memory-bound NTT stage of *different* proofs (or independent
-    /// stages of one proof) co-reside on one lease, both advancing under
-    /// the interference-model slowdown instead of serializing.
-    /// Same-class stages still serialize — the set rejects them at
-    /// admission. Raw batches and monolithic proofs keep exclusive
-    /// occupancy: they need a lease with no batch in flight *and* every
-    /// queue drained.
-    ///
-    /// Outputs are bit-identical to the serial loop because stage
-    /// execution stays functional-at-dispatch: `run_stage` mutates proof
-    /// state the instant the stage is admitted, in DAG dependency order
-    /// with totally ordered transcript barriers, while the overlap model
-    /// only decides when the *completion* commits on the simulated
-    /// clock.
-    fn run_streamed(mut self, mut backlog: Vec<QueuedJob>, k: usize) -> ServiceReport {
         self.cfg.interference.validate();
         let mut streams: Vec<StreamSet> = (0..self.pool.len())
             .map(|_| StreamSet::new(k, self.cfg.interference))
             .collect();
         // Last instant each lease released work (batch end or stage
-        // completion). Ordering accepting leases by this replicates the
-        // serial path's earliest-free lease selection at one queue.
+        // completion). Ordering accepting leases by this is
+        // earliest-free lease selection at one queue.
         let mut release_ns = vec![0.0f64; self.pool.len()];
         let mut pending: BTreeMap<u64, PendingStage> = BTreeMap::new();
 
@@ -384,7 +273,7 @@ impl Runner {
                             .map(|l| (bi, key, l))
                     },
                 );
-                let stage = self.next_ready_stage_streamed(now, &streams, &release_ns);
+                let stage = self.next_ready_stage(now, &streams, &release_ns);
                 match (batch, stage) {
                     (Some((bi, bk, lease)), Some((_, _, _, sk)))
                         if bk.cmp_under(&sk, self.cfg.policy) != std::cmp::Ordering::Greater =>
@@ -485,10 +374,9 @@ impl Runner {
         }
     }
 
-    /// The lease a coalesced batch or monolithic proof would run on in
-    /// streamed mode: no batch in flight *and* every queue drained
-    /// (batches occupy the whole device). Longest-idle first, then
-    /// lowest id — the serial path's ordering.
+    /// The lease a coalesced batch or monolithic proof would run on: no
+    /// batch in flight *and* every queue drained (batches occupy the
+    /// whole device). Longest-idle first, then lowest id.
     fn idle_lease(&self, streams: &[StreamSet], release_ns: &[f64], now: f64) -> Option<usize> {
         let leases = self.pool.leases();
         (0..leases.len())
@@ -500,15 +388,17 @@ impl Runner {
             })
     }
 
-    /// The ready DAG stage the streamed scheduler would start at `now`,
-    /// with the lease it lands on: candidates are ordered by the
-    /// dispatch policy (exactly like [`Self::next_ready_stage`]), and
+    /// The ready DAG stage the scheduler would start at `now`, with the
+    /// lease it lands on: candidates — stages whose dependencies have
+    /// all completed by `now` — are ordered by the dispatch policy, and
     /// the first one some lease can accept wins — a stage whose class
     /// is resident everywhere is skipped this round so complementary
-    /// work behind it keeps flowing. The lease minimizes
-    /// (interference penalty, idle-since, id): spread first, then pair
-    /// complementary classes.
-    fn next_ready_stage_streamed(
+    /// work behind it keeps flowing. Per-stage cost for
+    /// shortest-job-first is the job's estimate split evenly across its
+    /// stages, so one big proof's stages rank like the medium jobs they
+    /// effectively are. The lease minimizes (interference penalty,
+    /// idle-since, id): spread first, then pair complementary classes.
+    fn next_ready_stage(
         &self,
         now: f64,
         streams: &[StreamSet],
@@ -581,7 +471,10 @@ impl Runner {
         self.dispatch_seq += 1;
         let seq = self.dispatch_seq;
         let dag = &mut self.dags[di];
-        // Fault-free like the serial stage path (see dispatch_stage).
+        // DAG stages run fault-free in the service, like the monolithic
+        // proof dispatches (their backends own machines separate from the
+        // lease's raw-NTT cluster); stage replay under injected faults is
+        // covered by the pipeline and prover test suites.
         let elapsed = dag
             .pipe
             .run_stage(si, &self.cfg.recovery)
@@ -719,9 +612,8 @@ impl Runner {
         }
     }
 
-    /// Runs one batch on lease `lease_id` (the caller picks it — the
-    /// earliest-free lease on the serial path, the longest-idle fully
-    /// drained lease on the streamed path), charging simulated time and
+    /// Runs one batch on lease `lease_id` (the caller picks it: the
+    /// longest-idle fully drained lease), charging simulated time and
     /// recording outcomes. Members whose deadline already passed are
     /// cancelled here, at dequeue, before the lease is touched.
     fn dispatch(&mut self, batch: ReadyBatch, lease_id: usize, now: f64) {
@@ -888,117 +780,6 @@ impl Runner {
             avail = avail.max(dag.completion[d]?);
         }
         Some(avail)
-    }
-
-    /// Earliest availability over every dispatchable charged stage of
-    /// every active DAG (barriers cascade for free, so they never gate
-    /// the event clock).
-    fn next_stage_avail(&self) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for dag in &self.dags {
-            for s in 0..dag.dag.len() {
-                if dag.completion[s].is_some() || dag.dag.nodes()[s].kind.is_barrier() {
-                    continue;
-                }
-                if let Some(avail) = Self::stage_avail(dag, s) {
-                    best = Some(best.map_or(avail, |b: f64| b.min(avail)));
-                }
-            }
-        }
-        best
-    }
-
-    /// The charged stage the policy would dispatch at `now`, as
-    /// `(dag index, stage index, key)` — stages whose dependencies have
-    /// all completed by `now`. Per-stage cost for shortest-job-first is
-    /// the job's estimate split evenly across its stages, so one big
-    /// proof's stages rank like the medium jobs they effectively are.
-    fn next_ready_stage(&self, now: f64) -> Option<(usize, usize, DispatchKey)> {
-        let mut best: Option<(usize, usize, DispatchKey)> = None;
-        for (di, dag) in self.dags.iter().enumerate() {
-            let per_stage_cost = dag.job.spec.class.estimated_cost() / dag.dag.len() as f64;
-            for s in 0..dag.dag.len() {
-                if dag.completion[s].is_some() || dag.dag.nodes()[s].kind.is_barrier() {
-                    continue;
-                }
-                let Some(avail) = Self::stage_avail(dag, s) else {
-                    continue;
-                };
-                if avail > now {
-                    continue;
-                }
-                let key = DispatchKey {
-                    ready_ns: avail,
-                    priority: dag.job.spec.priority,
-                    cost: per_stage_cost,
-                    id: dag.job.id,
-                };
-                let better = match &best {
-                    None => true,
-                    Some((_, _, bk)) => {
-                        key.cmp_under(bk, self.cfg.policy) == std::cmp::Ordering::Less
-                    }
-                };
-                if better {
-                    best = Some((di, s, key));
-                }
-            }
-        }
-        best
-    }
-
-    /// Runs one ready DAG stage on lease `lease_id`, charging its
-    /// simulated time plus the per-stage overhead, then cascades any
-    /// barrier stages it unblocked. Completing the final stage commits
-    /// the job's outcome.
-    fn dispatch_stage(&mut self, di: usize, si: usize, lease_id: usize, now: f64) {
-        self.dispatch_seq += 1;
-        let seq = self.dispatch_seq;
-        debug_assert!(
-            self.pool.leases()[lease_id].free_at_ns <= now,
-            "dispatch requires a free lease"
-        );
-        let dag = &mut self.dags[di];
-        // DAG stages run fault-free in the service, like the monolithic
-        // proof dispatches (their backends own machines separate from the
-        // lease's raw-NTT cluster); stage replay under injected faults is
-        // covered by the pipeline and prover test suites.
-        let elapsed = dag
-            .pipe
-            .run_stage(si, &self.cfg.recovery)
-            .expect("DAG stages run fault-free in the service")
-            + self.cfg.stage_overhead_ns;
-        let done = now + elapsed;
-        dag.completion[si] = Some(done);
-        dag.first_start_ns.get_or_insert(now);
-        let node = &dag.dag.nodes()[si];
-        *self.stage_ns.entry(node.kind.name()).or_insert(0.0) += elapsed;
-        unintt_telemetry::record_span(|| unintt_telemetry::Span {
-            id: unintt_telemetry::fresh_id(),
-            parent: None,
-            name: node.name.clone(),
-            level: unintt_telemetry::SpanLevel::Serve,
-            category: "stage",
-            track: format!("lease{lease_id}"),
-            t_start_ns: now,
-            t_end_ns: done,
-            attrs: vec![
-                ("kind", node.kind.name().into()),
-                ("job", dag.job.id.0.into()),
-                ("seq", seq.into()),
-            ],
-        });
-        unintt_telemetry::counter_add("serve_dag_stages", 1);
-        {
-            let lease = self.pool.lease_mut(lease_id);
-            lease.free_at_ns = done;
-            lease.busy_ns += elapsed;
-            lease.dispatches += 1;
-        }
-        self.cascade_barriers(di);
-        if self.dags[di].pipe.is_complete() {
-            self.finish_dag(di);
-        }
     }
 
     /// Runs every barrier stage whose dependencies are complete. Barriers

@@ -1,8 +1,9 @@
 //! Intra-lease stream overlap, verified end to end: overlapped runs are
 //! bit-identical to serialized runs across proof shapes, seeds, queue
-//! counts and fault injection; one queue under the streamed loop
-//! reproduces the serial clocks exactly; and the per-queue telemetry
-//! story reconciles with the scheduler's own stage accounting.
+//! counts and fault injection, and the per-queue telemetry story
+//! reconciles with the scheduler's own stage accounting. (The one-queue
+//! schedule's clocks are pinned in the root suite,
+//! `tests/one_path.rs`.)
 
 use proptest::prelude::*;
 use unintt_gpu_sim::InterferenceModel;
@@ -100,62 +101,6 @@ proptest! {
             let streamed = run_with(faulty(k), &stream);
             prop_assert!(streamed.all_completed());
             prop_assert_eq!(digests(&serial), digests(&streamed), "k={}", k);
-        }
-    }
-}
-
-/// The streamed event loop at one queue is not just output-identical to
-/// the serial path — it reproduces its *clocks* exactly: every outcome
-/// timestamp, the per-kind stage attribution, and every metric down to
-/// per-lease dispatch counts match bit-for-bit. The one exception is
-/// the time-attribution accumulators (per-lease `busy_ns`/`occupancy`
-/// and per-kind `stage_ns`): the streamed path integrates queue
-/// residency piecewise across event advances while the serial path adds
-/// each stage's duration once — same value, different float summation
-/// order, so those get a 1e-9 relative tolerance instead of bit
-/// equality.
-#[test]
-fn one_queue_stream_loop_reproduces_serial_clocks_exactly() {
-    for seed in [3u64, 17, 0xe20] {
-        let stream = dag_stream(seed, 16, 40_000.0);
-        let serial = run_with(ServiceConfig::default(), &stream);
-        let forced = run_with(
-            ServiceConfig {
-                force_stream_loop: true,
-                ..ServiceConfig::default()
-            },
-            &stream,
-        );
-        assert!(serial.all_completed());
-        assert_eq!(serial.outcomes, forced.outcomes, "seed {seed}");
-        let kinds: Vec<_> = serial.stage_ns.keys().collect();
-        assert_eq!(kinds, forced.stage_ns.keys().collect::<Vec<_>>());
-        for (kind, &s_ns) in &serial.stage_ns {
-            let f_ns = forced.stage_ns[kind];
-            assert!(
-                ((s_ns - f_ns) / s_ns).abs() < 1e-9,
-                "seed {seed} {kind}: {s_ns} vs {f_ns}"
-            );
-        }
-
-        let (sm, fm) = (&serial.metrics, &forced.metrics);
-        assert_eq!(sm.horizon_ns, fm.horizon_ns, "seed {seed}");
-        assert_eq!(sm.classes, fm.classes, "seed {seed}");
-        assert_eq!(sm.batch_histogram, fm.batch_histogram, "seed {seed}");
-        assert_eq!(sm.dispatches, fm.dispatches, "seed {seed}");
-        assert_eq!(sm.peak_queue_depth, fm.peak_queue_depth, "seed {seed}");
-        assert_eq!(sm.leases.len(), fm.leases.len());
-        for (sl, fl) in sm.leases.iter().zip(&fm.leases) {
-            assert_eq!(sl.id, fl.id);
-            assert_eq!(sl.dispatches, fl.dispatches, "seed {seed} lease {}", sl.id);
-            assert_eq!(sl.repairs, fl.repairs, "seed {seed} lease {}", sl.id);
-            assert!(
-                ((sl.busy_ns - fl.busy_ns) / sl.busy_ns).abs() < 1e-9,
-                "seed {seed} lease {}: busy {} vs {}",
-                sl.id,
-                sl.busy_ns,
-                fl.busy_ns
-            );
         }
     }
 }
@@ -261,27 +206,4 @@ fn per_queue_spans_reconcile_with_stage_accounting() {
     );
     assert!(registry.gauges.contains_key("sim_stream_occupancy"));
     assert!(registry.gauges.contains_key("sim_stream_occupancy_peak"));
-}
-
-/// The `--serial-streams` override beats the configured queue count (it
-/// exists so one harness flag can force every experiment back to the
-/// serialized schedule). Installed and cleared inside one test so the
-/// process-wide state never leaks into concurrent tests — this is the
-/// only test in this binary touching it.
-#[test]
-fn serial_streams_override_wins_over_config() {
-    let stream = dag_stream(31, 10, 40_000.0);
-    let serial = run_with(ServiceConfig::default(), &stream);
-    unintt_core::set_streams_override(Some(1));
-    let overridden = run_with(
-        ServiceConfig {
-            streams_per_lease: 4,
-            ..ServiceConfig::default()
-        },
-        &stream,
-    );
-    unintt_core::set_streams_override(None);
-    assert_eq!(serial.outcomes, overridden.outcomes);
-    assert_eq!(serial.metrics, overridden.metrics);
-    assert_eq!(serial.stage_ns, overridden.stage_ns);
 }

@@ -44,9 +44,7 @@ pub use domain::EvaluationDomain;
 pub use kzg::Srs;
 pub use permutation::{Cell, Column, WirePermutation};
 pub use poly::Polynomial;
-pub use prover::{
-    prove, prove_with_recovery, setup, verify, Proof, ProverCheckpoint, ProvingKey, VerifyingKey,
-};
+pub use prover::{prove, setup, verify, Proof, ProvingKey, VerifyingKey};
 pub use serialize::{DecodeError, PROOF_BYTES};
 pub use staged::{plonk_stage_descs, StageDesc, StagedProver, PLONK_STAGES};
 pub use transcript::Transcript;

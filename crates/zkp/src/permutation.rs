@@ -144,9 +144,9 @@ impl WirePermutation {
 
     /// Checks that a wire assignment respects the permutation (every cell
     /// equals its σ-image — equivalent to equality on each class).
-    pub fn is_respected(&self, wires: &[Vec<Bn254Fr>; 3]) -> bool {
+    pub fn is_respected<W: AsRef<[Bn254Fr]>>(&self, wires: &[W; 3]) -> bool {
         let n = self.n;
-        let value = |flat: usize| wires[flat / n][flat % n];
+        let value = |flat: usize| wires[flat / n].as_ref()[flat % n];
         (0..3 * n).all(|x| value(x) == value(self.sigma[x]))
     }
 
@@ -177,9 +177,9 @@ impl WirePermutation {
     /// Builds the grand-product column `z(ω⁰)..z(ω^{n−1})` for a wire
     /// assignment and challenges `β, γ`. `z(ω⁰) = 1`; for a valid witness
     /// the product telescopes back to 1 after the last row.
-    pub fn grand_product(
+    pub fn grand_product<W: AsRef<[Bn254Fr]>>(
         &self,
-        wires: &[Vec<Bn254Fr>; 3],
+        wires: &[W; 3],
         omega: Bn254Fr,
         beta: Bn254Fr,
         gamma: Bn254Fr,
@@ -202,7 +202,7 @@ impl WirePermutation {
         for i in 0..n {
             let mut d = Bn254Fr::ONE;
             for (j, wire) in wires.iter().enumerate() {
-                d *= wire[i] + beta * label(self.sigma[j * n + i]) + gamma;
+                d *= wire.as_ref()[i] + beta * label(self.sigma[j * n + i]) + gamma;
             }
             denom.push(d);
         }
@@ -214,7 +214,7 @@ impl WirePermutation {
             z.push(acc);
             let mut numer = Bn254Fr::ONE;
             for (j, shift) in shifts.iter().enumerate() {
-                numer *= wires[j][i] + beta * *shift * omega_pows[i] + gamma;
+                numer *= wires[j].as_ref()[i] + beta * *shift * omega_pows[i] + gamma;
             }
             acc *= numer * denom[i];
         }

@@ -24,13 +24,19 @@
 //!
 //! This NTT/MSM mix at sizes `n` and `4n` is exactly the workload profile
 //! the paper motivates accelerating (experiment E8).
+//!
+//! The rounds themselves are implemented once, as the sixteen stages of
+//! `crate::staged`; [`prove`] drives them in index order. This module
+//! holds the keys, the setup, the helpers the stages share, and the
+//! verifier.
 
 use unintt_core::RecoveryPolicy;
-use unintt_ff::{batch_inverse, Bn254Fr, Field, PrimeField, TwoAdicField};
+use unintt_ff::{batch_inverse, Bn254Fr, Field, PrimeField};
 use unintt_gpu_sim::FabricError;
 use unintt_msm::G1Projective;
 
 use crate::permutation::column_shifts;
+use crate::staged::ProofState;
 use crate::{Backend, Circuit, EvaluationDomain, Polynomial, Srs, Transcript, Witness};
 
 /// Prover-side preprocessed material.
@@ -187,42 +193,6 @@ pub(crate) fn coset_ntt_batch_via(
     Ok(batch)
 }
 
-/// Resumable per-round prover state for [`prove_with_recovery`].
-///
-/// Each protocol round is checkpointed as soon as its NTT batch and
-/// commitment complete; a re-invocation after a fabric failure replays
-/// only the rounds past the last checkpoint. The round-3 coset LDE batch
-/// gets its own sub-checkpoint (it is the prover's largest NTT batch, and
-/// the quotient iNTT after it can still fail independently).
-#[derive(Clone, Debug, Default)]
-pub struct ProverCheckpoint {
-    wires: Option<([Polynomial<Bn254Fr>; 3], [G1Projective; 3])>,
-    z: Option<(Polynomial<Bn254Fr>, G1Projective)>,
-    quotient_ldes: Option<Vec<Vec<Bn254Fr>>>,
-    quotient: Option<(Polynomial<Bn254Fr>, G1Projective)>,
-}
-
-impl ProverCheckpoint {
-    /// Number of fully completed protocol rounds (0–3; round 4 has no
-    /// fabric work and is never checkpointed).
-    pub fn rounds_completed(&self) -> u32 {
-        if self.quotient.is_some() {
-            3
-        } else if self.z.is_some() {
-            2
-        } else if self.wires.is_some() {
-            1
-        } else {
-            0
-        }
-    }
-
-    /// True if nothing has been checkpointed yet.
-    pub fn is_empty(&self) -> bool {
-        self.rounds_completed() == 0 && self.quotient_ldes.is_none()
-    }
-}
-
 /// Evaluations of the Lagrange polynomial `L₀(x) = (xⁿ−1)/(n·(x−1))` on
 /// the size-`n·2^log_blowup` coset.
 pub(crate) fn lagrange0_on_coset(
@@ -245,281 +215,30 @@ pub(crate) fn lagrange0_on_coset(
 }
 
 /// Generates a proof that `witness` satisfies `pk`'s circuit (gates and
-/// copy constraints).
+/// copy constraints): the stages a [`crate::StagedProver`] exposes run in
+/// index order on the caller's backend, over the caller's key and witness.
 ///
 /// All heavy operations route through `backend`; a
 /// [`crate::Backend::simulated`] backend accumulates the simulated
 /// multi-GPU clock while producing a bit-identical proof to the CPU
-/// backend.
+/// backend. For proving under a fault-recovery policy, see
+/// [`crate::StagedProver::resume`].
 ///
 /// # Panics
 ///
-/// Panics if the witness length does not match the circuit.
+/// Panics if the witness length or public-input count does not match the
+/// circuit, or if the backend's fabric faults (no retry policy here).
 pub fn prove(
     pk: &ProvingKey,
     witness: &Witness,
     public_inputs: &[Bn254Fr],
     backend: &mut Backend,
 ) -> Proof {
-    prove_with_recovery(
-        pk,
-        witness,
-        public_inputs,
-        backend,
-        &RecoveryPolicy::none(),
-        &mut ProverCheckpoint::default(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-tolerant [`prove`]: transient fabric faults are absorbed per
-/// `policy`; on a permanent failure the `checkpoint` keeps every completed
-/// round (polynomials and commitments), and a subsequent call resumes
-/// after the last completed NTT batch instead of restarting the proof.
-/// All challenges are transcript-derived, so a resumed proof is
-/// bit-identical to an uninterrupted one. On success the checkpoint is
-/// reset.
-///
-/// # Errors
-///
-/// Returns the [`FabricError`] that outlived the policy's retries.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`prove`].
-pub fn prove_with_recovery(
-    pk: &ProvingKey,
-    witness: &Witness,
-    public_inputs: &[Bn254Fr],
-    backend: &mut Backend,
-    policy: &RecoveryPolicy,
-    checkpoint: &mut ProverCheckpoint,
-) -> Result<Proof, FabricError> {
-    let n = pk.circuit.n();
-    assert_eq!(witness.len(), n, "witness length must equal circuit size");
-    assert_eq!(
-        public_inputs.len(),
-        pk.circuit.num_public_inputs(),
-        "wrong number of public inputs"
-    );
-    let omega = pk.domain.omega();
-    let mut transcript = Transcript::new("unintt-plonk-v2");
-    transcript.absorb_u64(n as u64);
-    for p in public_inputs {
-        transcript.absorb_scalar(*p);
-    }
-
-    // The public-input polynomial: PI interpolates −pubᵢ on the first
-    // rows (zero elsewhere), so gate + PI vanishes on the PI rows exactly
-    // when the a-wire carries the public values.
-    let pi_poly = {
-        let mut evals = vec![Bn254Fr::ZERO; n];
-        for (e, &p) in evals.iter_mut().zip(public_inputs) {
-            *e = -p;
-        }
-        Polynomial::interpolate(&evals)
-    };
-
-    // Round 1: wire polynomials (one batched interpolation) and
-    // commitments. Resumes from the checkpoint if a previous attempt
-    // completed this round.
-    let (wire_polys, wire_commits) = match checkpoint.wires.take() {
-        Some(saved) => saved,
-        None => {
-            let mut wires = [witness.a.clone(), witness.b.clone(), witness.c.clone()];
-            backend.try_ntt_inverse_batch(&mut wires, policy)?;
-            let [a, b, c] = wires;
-            let polys = [Polynomial::new(a), Polynomial::new(b), Polynomial::new(c)];
-            let commits = [
-                commit_via(backend, &pk.srs, &polys[0]),
-                commit_via(backend, &pk.srs, &polys[1]),
-                commit_via(backend, &pk.srs, &polys[2]),
-            ];
-            (polys, commits)
-        }
-    };
-    checkpoint.wires = Some((wire_polys.clone(), wire_commits));
-    let [poly_a, poly_b, poly_c] = &wire_polys;
-    for w in &wire_commits {
-        transcript.absorb_point(w);
-    }
-
-    // Round 2: grand product. The challenges are transcript-derived, so
-    // a resumed round sees the same β, γ it was built with.
-    let beta = transcript.challenge();
-    let gamma = transcript.challenge();
-    let (poly_z, z_commit) = match checkpoint.z.take() {
-        Some(saved) => saved,
-        None => {
-            let permutation = pk.circuit.wire_permutation();
-            let wires = [witness.a.clone(), witness.b.clone(), witness.c.clone()];
-            let mut z_evals = permutation.grand_product(&wires, omega, beta, gamma);
-            backend.charge_pointwise(n, 8); // products + batch-inverted ratios
-            backend.try_ntt_inverse(&mut z_evals, policy)?;
-            let poly_z = Polynomial::new(z_evals);
-            let z_commit = commit_via(backend, &pk.srs, &poly_z);
-            (poly_z, z_commit)
-        }
-    };
-    checkpoint.z = Some((poly_z.clone(), z_commit));
-    transcript.absorb_point(&z_commit);
-
-    // Round 3: quotient on the size-4n coset. The 13-way LDE batch is its
-    // own sub-checkpoint: it is the largest NTT batch in the proof, and
-    // the quotient iNTT after it can fail independently.
-    let alpha = transcript.challenge();
-    let log_blowup = 2u32;
-    let big_n = n << log_blowup;
-    let shift = pk.domain.shift();
-    let blowup = 1usize << log_blowup;
-
-    let (poly_t, quotient_commit) = match checkpoint.quotient.take() {
-        Some(saved) => saved,
-        None => {
-            // All thirteen LDEs go out as one batch (wires, selectors,
-            // σ's, PI, z).
-            let mut ldes = match checkpoint.quotient_ldes.take() {
-                Some(saved) => saved,
-                None => {
-                    let lde_inputs: [&Polynomial<Bn254Fr>; 13] = [
-                        poly_a,
-                        poly_b,
-                        poly_c,
-                        &pk.selector_polys[0],
-                        &pk.selector_polys[1],
-                        &pk.selector_polys[2],
-                        &pk.selector_polys[3],
-                        &pk.selector_polys[4],
-                        &pk.sigma_polys[0],
-                        &pk.sigma_polys[1],
-                        &pk.sigma_polys[2],
-                        &pi_poly,
-                        &poly_z,
-                    ];
-                    coset_ntt_batch_via(backend, &lde_inputs, shift, big_n, policy)?
-                }
-            };
-            checkpoint.quotient_ldes = Some(ldes.clone());
-            let ev_z = ldes.pop().expect("thirteen LDEs");
-            let ev_pi = ldes.pop().expect("PI evaluations");
-            let ev_sig: Vec<Vec<Bn254Fr>> = ldes.split_off(8);
-            let ev_sel: Vec<Vec<Bn254Fr>> = ldes.split_off(3);
-            let ev_c = ldes.pop().expect("wire C");
-            let ev_b = ldes.pop().expect("wire B");
-            let ev_a = ldes.pop().expect("wire A");
-
-            let mut z_h_inv = pk.domain.vanishing_on_coset(log_blowup);
-            batch_inverse(&mut z_h_inv);
-            let l0 = lagrange0_on_coset(&pk.domain, log_blowup);
-
-            // Coset points x_k = shift·ω₄ₙᵏ, generated on the fly.
-            let omega_big = Bn254Fr::two_adic_generator(pk.domain.log_n() + log_blowup);
-            let [k0, k1, k2] = column_shifts();
-
-            let mut t_evals = Vec::with_capacity(big_n);
-            let mut x = shift;
-            for k in 0..big_n {
-                let gate = ev_sel[0][k] * ev_a[k]
-                    + ev_sel[1][k] * ev_b[k]
-                    + ev_sel[2][k] * ev_c[k]
-                    + ev_sel[3][k] * ev_a[k] * ev_b[k]
-                    + ev_sel[4][k]
-                    + ev_pi[k];
-
-                // z(ωx) on the coset table is a rotation by `blowup`
-                // positions.
-                let z_omega = ev_z[(k + blowup) % big_n];
-                let numer = (ev_a[k] + beta * k0 * x + gamma)
-                    * (ev_b[k] + beta * k1 * x + gamma)
-                    * (ev_c[k] + beta * k2 * x + gamma);
-                let denom = (ev_a[k] + beta * ev_sig[0][k] + gamma)
-                    * (ev_b[k] + beta * ev_sig[1][k] + gamma)
-                    * (ev_c[k] + beta * ev_sig[2][k] + gamma);
-                let perm_term = ev_z[k] * numer - z_omega * denom;
-
-                let boundary = (ev_z[k] - Bn254Fr::ONE) * l0[k];
-
-                let f = gate + alpha * (perm_term + alpha * boundary);
-                t_evals.push(f * z_h_inv[k]);
-                x *= omega_big;
-            }
-            backend.charge_pointwise(big_n, 16);
-
-            // Interpolate T from the coset: iNTT then unscale by
-            // shift^{-i}.
-            backend.try_ntt_inverse(&mut t_evals, policy)?;
-            let shift_inv = shift.inverse().expect("generator is nonzero");
-            let mut s = Bn254Fr::ONE;
-            for v in t_evals.iter_mut() {
-                *v *= s;
-                s *= shift_inv;
-            }
-            backend.charge_pointwise(big_n, 1);
-            let poly_t = Polynomial::new(t_evals);
-            debug_assert!(
-                poly_t.degree() <= 3 * n || poly_t.is_zero(),
-                "quotient degree {} out of range for n={n} — unsatisfied circuit?",
-                poly_t.degree()
-            );
-
-            let quotient_commit = commit_via(backend, &pk.srs, &poly_t);
-            (poly_t, quotient_commit)
-        }
-    };
-    checkpoint.quotient_ldes = None; // superseded by the finished round
-    checkpoint.quotient = Some((poly_t.clone(), quotient_commit));
-    transcript.absorb_point(&quotient_commit);
-
-    // Round 4: evaluations and openings (MSM-only; never checkpointed).
-    let zeta = transcript.challenge();
-    let polys: [&Polynomial<Bn254Fr>; 13] = [
-        poly_a,
-        poly_b,
-        poly_c,
-        &poly_t,
-        &pk.selector_polys[0],
-        &pk.selector_polys[1],
-        &pk.selector_polys[2],
-        &pk.selector_polys[3],
-        &pk.selector_polys[4],
-        &pk.sigma_polys[0],
-        &pk.sigma_polys[1],
-        &pk.sigma_polys[2],
-        &poly_z,
-    ];
-    let mut evals = [Bn254Fr::ZERO; 13];
-    for (e, p) in evals.iter_mut().zip(&polys) {
-        *e = p.evaluate(zeta);
-        transcript.absorb_scalar(*e);
-    }
-    let z_omega_eval = poly_z.evaluate(omega * zeta);
-    transcript.absorb_scalar(z_omega_eval);
-    backend.charge_pointwise(n, 14);
-
-    let v = transcript.challenge();
-    let mut combined = Polynomial::zero();
-    let mut vi = Bn254Fr::ONE;
-    for p in &polys {
-        combined = combined.add(&p.scale(vi));
-        vi *= v;
-    }
-    let (open_quotient, _) = combined.divide_by_linear(zeta);
-    backend.charge_pointwise(n, 14);
-    let opening = commit_via(backend, &pk.srs, &open_quotient);
-
-    let (open_z_quotient, _) = poly_z.divide_by_linear(omega * zeta);
-    let opening_omega = commit_via(backend, &pk.srs, &open_z_quotient);
-
-    *checkpoint = ProverCheckpoint::default();
-    Ok(Proof {
-        wire_commits,
-        z_commit,
-        quotient_commit,
-        evals,
-        z_omega_eval,
-        opening,
-        opening_omega,
-    })
+    let mut state = ProofState::new(pk, witness, public_inputs);
+    state
+        .resume(pk, witness, backend, &RecoveryPolicy::none())
+        .unwrap_or_else(|e| panic!("{e}"));
+    state.into_proof().expect("every stage ran")
 }
 
 /// Verifies a proof.
@@ -745,78 +464,6 @@ mod tests {
         assert_eq!(report.ntt_calls, 18);
         // 3 wires + z + quotient + 2 openings.
         assert_eq!(report.msm_calls, 7);
-    }
-
-    #[test]
-    fn recovery_under_random_faults_matches_cpu_proof() {
-        use unintt_gpu_sim::{FaultPlan, FaultRates};
-        let mut rng = StdRng::seed_from_u64(8);
-        let (circuit, witness) = random_circuit(60, &mut rng);
-        let (pk, vk) = setup(&circuit, &mut rng);
-        let cpu_proof = prove(&pk, &witness, &[], &mut Backend::cpu());
-
-        let mut sim = Backend::simulated(presets::a100_nvlink(4), presets::a100_nvlink(4));
-        sim.ntt_machine_mut()
-            .unwrap()
-            .set_fault_plan(FaultPlan::random(7, FaultRates::transfers_only(0.1)));
-        let mut ckpt = ProverCheckpoint::default();
-        let proof = prove_with_recovery(
-            &pk,
-            &witness,
-            &[],
-            &mut sim,
-            &unintt_core::RecoveryPolicy::default(),
-            &mut ckpt,
-        )
-        .expect("default policy should absorb 10% transfer faults");
-        assert_eq!(proof, cpu_proof, "recovered proof must be bit-identical");
-        assert!(verify(&vk, &proof, &[]));
-        assert!(ckpt.is_empty(), "checkpoint resets on success");
-    }
-
-    #[test]
-    fn checkpoint_resumes_rounds_after_failure() {
-        use unintt_gpu_sim::{FaultEvent, FaultKind, FaultPlan};
-        let mut rng = StdRng::seed_from_u64(9);
-        let (circuit, witness) = random_circuit(60, &mut rng);
-        let (pk, vk) = setup(&circuit, &mut rng);
-        let cpu_proof = prove(&pk, &witness, &[], &mut Backend::cpu());
-
-        // Probe a clean simulated run for the total collective count, then
-        // drop a late collective so early rounds complete first.
-        let mut probe = Backend::simulated(presets::a100_nvlink(4), presets::a100_nvlink(4));
-        let _ = prove(&pk, &witness, &[], &mut probe);
-        let total = probe.ntt_machine_mut().unwrap().collective_seq();
-        assert!(total >= 2);
-
-        let mut sim = Backend::simulated(presets::a100_nvlink(4), presets::a100_nvlink(4));
-        sim.ntt_machine_mut()
-            .unwrap()
-            .set_fault_plan(FaultPlan::scripted(vec![FaultEvent {
-                seq: total - 1,
-                kind: FaultKind::Drop,
-            }]));
-        let no_retries = unintt_core::RecoveryPolicy {
-            max_retries: 0,
-            ..Default::default()
-        };
-        let mut ckpt = ProverCheckpoint::default();
-        let err =
-            prove_with_recovery(&pk, &witness, &[], &mut sim, &no_retries, &mut ckpt).unwrap_err();
-        assert!(
-            err.is_transient(),
-            "a dropped collective is transient: {err}"
-        );
-        assert!(
-            ckpt.rounds_completed() >= 1,
-            "early rounds must have been checkpointed"
-        );
-
-        // Resume: the scripted drop was consumed; only the tail replays.
-        let proof = prove_with_recovery(&pk, &witness, &[], &mut sim, &no_retries, &mut ckpt)
-            .expect("resume from checkpoint");
-        assert_eq!(proof, cpu_proof);
-        assert!(verify(&vk, &proof, &[]));
     }
 
     #[test]

@@ -1,0 +1,440 @@
+//! One path from `submit` to proof bytes, pinned against the paths it
+//! replaced.
+//!
+//! `ProofService` used to route one-queue runs through a separate serial
+//! event loop, and `prove` / `commit_trace` used to be second
+//! implementations of the rounds beside the staged provers. Those halves
+//! are gone; what they computed survives here as data captured from the
+//! last commit that had them:
+//!
+//! * the one-queue schedule's clocks — outcomes, horizon, per-lease
+//!   counters from the serial loop; the time-attribution accumulators
+//!   (`stage_ns`, per-lease `busy_ns`) from the multi-queue loop forced
+//!   to one queue, whose float summation order is the one that survives
+//!   (on these streams the two loops agreed bit for bit on everything
+//!   else);
+//! * `prove` and `commit_trace` digests and simulated clocks from the
+//!   monolithic bodies;
+//! * the checkpointed-recovery tests, ported onto `resume`.
+
+use rand::{rngs::StdRng, SeedableRng};
+use unintt_core::RecoveryPolicy;
+use unintt_ff::{Bn254Fr, Field, Goldilocks, PrimeField};
+use unintt_fri::{commit_trace, verify_trace, FriConfig, LdeBackend, StagedCommit};
+use unintt_gpu_sim::{presets, FaultEvent, FaultKind, FaultPlan, FaultRates};
+use unintt_serve::{
+    JobSpec, JobStatus, ProofService, ServiceConfig, ServiceReport, WorkloadMix, WorkloadSpec,
+};
+use unintt_zkp::{
+    cubic_circuit, prove, random_circuit, setup, verify, Backend, ProvingKey, StagedProver,
+    VerifyingKey, Witness,
+};
+
+// ---------------------------------------------------------------------
+// (a) The one-queue schedule.
+// ---------------------------------------------------------------------
+
+/// 24 jobs at 40k jobs/s, half raw NTTs, a quarter PLONK, a quarter
+/// STARK; every even-indexed job is submitted `.pipelined()`, so each
+/// stream holds raw batches, monolithic proofs and stage DAGs of both
+/// proof systems.
+fn mixed_stream(seed: u64) -> Vec<JobSpec> {
+    let spec = WorkloadSpec {
+        mix: WorkloadMix {
+            raw: 0.5,
+            plonk: 0.25,
+            stark: 0.25,
+        },
+        ..WorkloadSpec::raw_only(seed, 24, 40_000.0)
+    };
+    spec.generate()
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| JobSpec {
+            class: if i % 2 == 0 {
+                s.class.pipelined()
+            } else {
+                s.class
+            },
+            ..s
+        })
+        .collect()
+}
+
+fn serve(cfg: ServiceConfig, stream: &[JobSpec]) -> ServiceReport {
+    let mut service = ProofService::new(cfg);
+    service.submit_all(stream.iter().copied());
+    service.run()
+}
+
+/// FNV-1a over `(id, status, completed_ns bits, output_digest)` of every
+/// outcome, in id order.
+fn outcomes_fnv(report: &ServiceReport) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for o in &report.outcomes {
+        mix(o.id.0);
+        match o.status {
+            JobStatus::Completed => mix(0),
+            JobStatus::Rejected(_) => mix(1),
+            JobStatus::DeadlineExceeded { deadline_ns } => {
+                mix(2);
+                mix(deadline_ns.to_bits());
+            }
+        }
+        mix(o.completed_ns.to_bits());
+        mix(o.output_digest);
+    }
+    h
+}
+
+/// One captured run at `streams_per_lease = 1`.
+struct SchedulePin {
+    seed: u64,
+    /// Raw batches run under seeded drop / device-loss injection.
+    faults: bool,
+    outcomes_fnv: u64,
+    horizon_bits: u64,
+    peak_queue_depth: usize,
+    /// Per lease: `(dispatches, repairs, busy_ns bits)`.
+    leases: [(u64, u32, u64); 2],
+    /// Per stage kind: `stage_ns` bits.
+    stage_ns: [(&'static str, u64); 5],
+}
+
+const SCHEDULE_PINS: [SchedulePin; 4] = [
+    SchedulePin {
+        seed: 14,
+        faults: false,
+        outcomes_fnv: 0x36bf_3ad5_3ecd_d321,
+        horizon_bits: 0x414e_6d6f_1795_64d6,
+        peak_queue_depth: 20,
+        leases: [
+            (35, 0, 0x414e_0f43_b9a2_81dc),
+            (37, 0, 0x414e_1dc8_a593_ba08),
+        ],
+        stage_ns: [
+            ("fold", 0x40c5_31e2_9ef2_d100),
+            ("hash", 0x40c5_240c_0d8f_4100),
+            ("msm", 0x4140_28ac_3f96_3232),
+            ("ntt", 0x412b_f680_9ae1_1374),
+            ("pointwise", 0x40df_4282_d32d_9300),
+        ],
+    },
+    SchedulePin {
+        seed: 17,
+        faults: false,
+        outcomes_fnv: 0xc129_45db_7f91_cc99,
+        horizon_bits: 0x4141_c857_f1d2_4d6e,
+        peak_queue_depth: 18,
+        leases: [
+            (22, 0, 0x4141_8b6b_b3e4_a63a),
+            (31, 0, 0x4141_5e5c_9b59_9df7),
+        ],
+        stage_ns: [
+            ("fold", 0x40d5_31e2_9ef2_d100),
+            ("hash", 0x40d5_240c_0d8f_4100),
+            ("msm", 0x4130_28ac_3f96_322c),
+            ("ntt", 0x4122_6ee7_8b2e_822f),
+            ("pointwise", 0x40d9_0444_cd67_1480),
+        ],
+    },
+    SchedulePin {
+        seed: 21,
+        faults: false,
+        outcomes_fnv: 0x347b_b940_d55c_eaa7,
+        horizon_bits: 0x414e_4616_510f_20ef,
+        peak_queue_depth: 19,
+        leases: [
+            (39, 0, 0x414e_282f_06e1_3fc5),
+            (37, 0, 0x414d_c24f_ee88_14d3),
+        ],
+        stage_ns: [
+            ("fold", 0x40d5_31e2_9ef2_d100),
+            ("hash", 0x40d5_240c_0d8f_4110),
+            ("msm", 0x4140_28ac_3f96_3232),
+            ("ntt", 0x412e_ee45_6eb5_0e63),
+            ("pointwise", 0x40e2_c242_8adc_37a0),
+        ],
+    },
+    // Lease 1 dies mid-batch and is repaired; everything after runs on
+    // lease 0.
+    SchedulePin {
+        seed: 15,
+        faults: true,
+        outcomes_fnv: 0xf932_6b4a_15c2_342c,
+        horizon_bits: 0x4150_b269_eadc_36c4,
+        peak_queue_depth: 19,
+        leases: [
+            (54, 0, 0x4150_7e2f_c7fb_529e),
+            (6, 1, 0x4131_7ec0_b758_a2db),
+        ],
+        stage_ns: [
+            ("fold", 0x40ef_cad3_ee6c_39c0),
+            ("hash", 0x40ef_b612_1456_e180),
+            ("msm", 0x4120_28ac_3f96_3239),
+            ("ntt", 0x4128_0e4b_e8bb_27e4),
+            ("pointwise", 0x40e5_e616_d9b4_eb00),
+        ],
+    },
+];
+
+#[test]
+fn one_queue_schedule_matches_the_serial_loop_capture() {
+    for pin in &SCHEDULE_PINS {
+        let seed = pin.seed;
+        let cfg = ServiceConfig {
+            fault_rates: pin.faults.then_some(FaultRates {
+                drop_p: 0.02,
+                device_loss_p: 0.02,
+                ..Default::default()
+            }),
+            ..ServiceConfig::default()
+        };
+        assert_eq!(cfg.streams_per_lease, 1);
+        let report = serve(cfg, &mixed_stream(seed));
+        assert!(report.all_completed(), "seed {seed}");
+        assert_eq!(outcomes_fnv(&report), pin.outcomes_fnv, "seed {seed}");
+
+        let m = &report.metrics;
+        assert_eq!(m.horizon_ns.to_bits(), pin.horizon_bits, "seed {seed}");
+        assert_eq!(m.peak_queue_depth, pin.peak_queue_depth, "seed {seed}");
+        let leases: Vec<(u64, u32, u64)> = m
+            .leases
+            .iter()
+            .map(|l| (l.dispatches, l.repairs, l.busy_ns.to_bits()))
+            .collect();
+        assert_eq!(leases, pin.leases, "seed {seed}");
+        let stage_ns: Vec<(&str, u64)> = report
+            .stage_ns
+            .iter()
+            .map(|(k, v)| (*k, v.to_bits()))
+            .collect();
+        assert_eq!(stage_ns, pin.stage_ns, "seed {seed}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// (b) The monolithic entry points.
+// ---------------------------------------------------------------------
+
+fn random_plonk(gates: usize, seed: u64) -> (ProvingKey, VerifyingKey, Witness) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (circuit, witness) = random_circuit(gates, &mut rng);
+    let (pk, vk) = setup(&circuit, &mut rng);
+    (pk, vk, witness)
+}
+
+fn sim_backend(gpus: usize) -> Backend {
+    Backend::simulated(presets::a100_nvlink(gpus), presets::a100_nvlink(gpus))
+}
+
+#[test]
+fn prove_matches_the_monolithic_capture() {
+    // (gates, seed, CPU content digest, total_ns bits on a100_nvlink(4)).
+    for (gates, seed, digest, total_bits) in [
+        (60, 6, 0x722c_684b_f479_e6ecu64, 0x4125_dedc_327a_bdbdu64),
+        (500, 12, 0x5f95_f744_d607_f758, 0x4139_7a32_2962_2462),
+    ] {
+        let (pk, vk, witness) = random_plonk(gates, seed);
+        let cpu = prove(&pk, &witness, &[], &mut Backend::cpu());
+        assert!(verify(&vk, &cpu, &[]));
+        assert_eq!(cpu.content_digest(), digest, "{gates} gates");
+
+        let mut sim = sim_backend(4);
+        assert_eq!(prove(&pk, &witness, &[], &mut sim), cpu);
+        let report = sim.report();
+        assert_eq!(report.total_ns().to_bits(), total_bits, "{gates} gates");
+        // 3 wire iNTT + 1 z iNTT + 13 coset NTT + 1 quotient iNTT;
+        // 3 wires + z + quotient + 2 openings.
+        assert_eq!((report.ntt_calls, report.msm_calls), (18, 7));
+    }
+
+    // A public input reaches the transcript and the PI polynomial.
+    let mut rng = StdRng::seed_from_u64(1);
+    let (circuit, witness, y) = cubic_circuit(Bn254Fr::from_u64(3));
+    let (pk, vk) = setup(&circuit, &mut rng);
+    let mut sim = sim_backend(2);
+    let proof = prove(&pk, &witness, &[y], &mut sim);
+    assert!(verify(&vk, &proof, &[y]));
+    assert_eq!(proof.content_digest(), 0x3ea7_137c_ce55_abd6);
+    assert_eq!(sim.report().total_ns().to_bits(), 0x411e_e67a_ffb8_8f4f);
+}
+
+fn random_trace(n: usize, width: usize, seed: u64) -> Vec<Vec<Goldilocks>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..width)
+        .map(|_| (0..n).map(|_| Goldilocks::random(&mut rng)).collect())
+        .collect()
+}
+
+#[test]
+fn commit_trace_matches_the_monolithic_capture() {
+    let config = FriConfig::standard();
+    // 256 rows shard across 4 GPUs; 8 rows take the single-device path.
+    for (n, width, seed, digest, sim_bits) in [
+        (
+            256,
+            4,
+            2,
+            0xa205_3115_951b_0f70u64,
+            0x40fc_2865_04d2_d107u64,
+        ),
+        (8, 3, 33, 0x58af_16d8_c7b4_c688, 0x40e1_30bd_b56c_199c),
+    ] {
+        let trace = random_trace(n, width, seed);
+        let cpu = commit_trace(&trace, &config, &mut LdeBackend::cpu());
+        assert!(verify_trace(&cpu, &config));
+        assert_eq!(cpu.content_digest(), digest, "{n}x{width}");
+
+        let mut sim = LdeBackend::simulated(presets::a100_nvlink(4));
+        let simulated = commit_trace(&trace, &config, &mut sim);
+        assert_eq!(simulated.content_digest(), digest, "{n}x{width}");
+        assert_eq!(sim.sim_time_ns().to_bits(), sim_bits, "{n}x{width}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// (c) Recovery: the staged object is the checkpoint.
+// ---------------------------------------------------------------------
+
+fn no_retries() -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_retries: 0,
+        ..RecoveryPolicy::default()
+    }
+}
+
+#[test]
+fn plonk_resume_under_random_faults_matches_cpu_proof() {
+    let (pk, vk, witness) = random_plonk(60, 8);
+    let cpu = prove(&pk, &witness, &[], &mut Backend::cpu());
+
+    let mut staged = StagedProver::new(&pk, &witness, &[], sim_backend(4));
+    staged
+        .backend_mut()
+        .ntt_machine_mut()
+        .unwrap()
+        .set_fault_plan(FaultPlan::random(7, FaultRates::transfers_only(0.1)));
+    let proof = staged
+        .resume(&RecoveryPolicy::default())
+        .expect("default policy should absorb 10% transfer faults");
+    assert_eq!(proof, &cpu, "recovered proof must be bit-identical");
+    assert!(verify(&vk, proof, &[]));
+    assert!(staged.is_complete());
+}
+
+#[test]
+fn plonk_resume_continues_after_a_failed_stage() {
+    let (pk, vk, witness) = random_plonk(60, 9);
+    let cpu = prove(&pk, &witness, &[], &mut Backend::cpu());
+
+    // Probe a clean simulated run for the total collective count, then
+    // drop the last collective (the quotient iNTT's) so every earlier
+    // stage completes first.
+    let mut probe = sim_backend(4);
+    let _ = prove(&pk, &witness, &[], &mut probe);
+    let total = probe.ntt_machine_mut().unwrap().collective_seq();
+    assert!(total >= 2);
+
+    let mut staged = StagedProver::new(&pk, &witness, &[], sim_backend(4));
+    staged
+        .backend_mut()
+        .ntt_machine_mut()
+        .unwrap()
+        .set_fault_plan(FaultPlan::scripted(vec![FaultEvent {
+            seq: total - 1,
+            kind: FaultKind::Drop,
+        }]));
+    let err = staged.resume(&no_retries()).unwrap_err();
+    assert!(
+        err.is_transient(),
+        "a dropped collective is transient: {err}"
+    );
+    let done: Vec<usize> = (0..staged.num_stages())
+        .filter(|&s| staged.stage_done(s))
+        .collect();
+    assert_eq!(
+        done,
+        (0..9).collect::<Vec<_>>(),
+        "stages before the quotient iNTT are kept"
+    );
+    assert!(staged.proof().is_none());
+
+    // Resume: the scripted drop was consumed; only the tail replays.
+    let proof = staged
+        .resume(&no_retries())
+        .expect("resume from the failed stage");
+    assert_eq!(proof, &cpu);
+    assert!(verify(&vk, proof, &[]));
+}
+
+#[test]
+fn stark_resume_under_dropped_collectives_matches_cpu() {
+    let config = FriConfig::standard();
+    let trace = random_trace(256, 4, 7);
+    let cpu = commit_trace(&trace, &config, &mut LdeBackend::cpu());
+
+    let mut staged = StagedCommit::new(
+        trace,
+        config,
+        LdeBackend::simulated(presets::a100_nvlink(4)),
+    );
+    staged
+        .backend_mut()
+        .machine_mut()
+        .unwrap()
+        .set_fault_plan(FaultPlan::random(99, FaultRates::transfers_only(0.2)));
+    let committed = staged
+        .resume(&RecoveryPolicy::default())
+        .expect("retries should absorb 20% drop/corrupt rates");
+    assert_eq!(committed.trace_root, cpu.trace_root);
+    assert_eq!(committed.fri_proof, cpu.fri_proof);
+    assert_eq!(committed.content_digest(), cpu.content_digest());
+}
+
+#[test]
+fn stark_resume_continues_after_a_failed_stage() {
+    let config = FriConfig::standard();
+    let trace = random_trace(256, 4, 8);
+    let cpu = commit_trace(&trace, &config, &mut LdeBackend::cpu());
+
+    // Probe a clean run to find the total collective count, then drop
+    // the *last* collective (part of the coset-evaluation batch).
+    let mut probe = LdeBackend::simulated(presets::a100_nvlink(4));
+    let _ = commit_trace(&trace, &config, &mut probe);
+    let total = probe.machine_mut().unwrap().collective_seq();
+    assert!(total >= 2, "need two collectives to stage the test");
+
+    let mut staged = StagedCommit::new(
+        trace,
+        config,
+        LdeBackend::simulated(presets::a100_nvlink(4)),
+    );
+    staged
+        .backend_mut()
+        .machine_mut()
+        .unwrap()
+        .set_fault_plan(FaultPlan::scripted(vec![FaultEvent {
+            seq: total - 1,
+            kind: FaultKind::Drop,
+        }]));
+    let err = staged.resume(&no_retries()).unwrap_err();
+    assert!(err.is_transient(), "a drop is transient: {err}");
+    assert!(
+        staged.stage_done(0) && !staged.stage_done(1),
+        "the interpolation batch is kept, the coset batch is not done"
+    );
+
+    // Resume: the drop was consumed, the interpolation is skipped.
+    let committed = staged
+        .resume(&no_retries())
+        .expect("resume from the failed stage");
+    assert_eq!(committed.trace_root, cpu.trace_root);
+    assert_eq!(committed.fri_proof, cpu.fri_proof);
+    assert_eq!(committed.content_digest(), cpu.content_digest());
+    assert!(verify_trace(committed, &config));
+}
