@@ -24,12 +24,14 @@ bench-check:
 	cargo bench --no-run
 	RUSTFLAGS="-Ctarget-cpu=native" cargo bench --no-run
 
-# The MSM kernel and the prover above it fork over the exec pool; the
-# second line reruns them on a one-thread pool, where every oracle and
-# cross-backend equality must still hold.
+# Every crate that forks over the exec pool, rerun on a one-thread
+# pool and on an oversubscribed eight-thread one (which is what
+# exercises steal, linger and park): every oracle, pinned digest and
+# cross-backend equality must hold on both.
 test:
 	cargo test -q --release --workspace
-	UNINTT_THREADS=1 cargo test -q --release -p unintt-msm -p unintt-zkp -p unintt-fri
+	UNINTT_THREADS=1 cargo test -q --release -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm -p unintt-zkp -p unintt-fri -p unintt-serve
+	UNINTT_THREADS=8 cargo test -q --release -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm -p unintt-zkp -p unintt-fri -p unintt-serve
 
 e13:
 	cargo run --release -p unintt-bench --bin harness -- --quick e13

@@ -97,10 +97,13 @@ impl Machine {
     /// `shards` must hold exactly one element per device. Each closure owns
     /// its shard exclusively for the duration of the phase — exactly the
     /// isolation a real GPU has between kernels on different devices.
-    /// Device closures run as tasks on the process-wide persistent worker
-    /// pool ([`unintt_exec::Executor::global`]); simulated-clock accounting
-    /// is unaffected because each device charges its own [`DeviceState`]
-    /// regardless of which OS thread executes it.
+    /// Device closures are forked over the process-wide persistent pool
+    /// ([`unintt_exec::Executor::global`]), which runs them wherever the
+    /// evidence says: a phase of microsecond kernels or pure cost charges
+    /// stays on the calling thread in device order, and only a phase that
+    /// outlasts a wake-up round trip is shared with the workers.
+    /// Simulated-clock accounting is unaffected because each device charges
+    /// its own [`DeviceState`] regardless of which OS thread executes it.
     ///
     /// # Panics
     ///

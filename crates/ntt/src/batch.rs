@@ -35,12 +35,13 @@ pub fn batch_transform<F: TwoAdicField>(ntt: &Ntt<F>, data: &mut [F], direction:
 }
 
 /// Multithreaded version of [`batch_transform`]: rows are split into
-/// `threads` contiguous chunks, executed as tasks on the process-wide
-/// persistent worker pool ([`unintt_exec::Executor::global`]).
+/// `threads` contiguous chunks, forked over the process-wide persistent
+/// worker pool ([`unintt_exec::Executor::global`]). A single chunk runs on
+/// the caller without touching the pool.
 ///
 /// `threads` controls the *chunking* (and therefore the work decomposition
 /// is deterministic regardless of pool size); the pool decides which
-/// worker runs which chunk.
+/// thread runs which chunk.
 ///
 /// # Panics
 ///
@@ -65,18 +66,8 @@ pub fn batch_transform_parallel<F: TwoAdicField>(
         return;
     }
     let rows_per_thread = rows.div_ceil(threads);
-
-    Executor::global().scope(|scope| {
-        for chunk in data.chunks_mut(rows_per_thread * n) {
-            scope.spawn(move || {
-                for row in chunk.chunks_mut(n) {
-                    match direction {
-                        Direction::Forward => ntt.forward(row),
-                        Direction::Inverse => ntt.inverse(row),
-                    }
-                }
-            });
-        }
+    Executor::global().parallel_chunks_mut(data, rows_per_thread * n, |_, chunk| {
+        batch_transform(ntt, chunk, direction)
     });
 }
 
