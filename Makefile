@@ -27,11 +27,15 @@ bench-check:
 # Every crate that forks over the exec pool, rerun on a one-thread
 # pool and on an oversubscribed eight-thread one (which is what
 # exercises steal, linger and park): every oracle, pinned digest and
-# cross-backend equality must hold on both.
+# cross-backend equality must hold on both. The root suite's
+# transform_call.rs rides along: the engines' pinned digests and
+# simulated clocks must not depend on the pool either.
 test:
 	cargo test -q --release --workspace
 	UNINTT_THREADS=1 cargo test -q --release -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm -p unintt-zkp -p unintt-fri -p unintt-serve
+	UNINTT_THREADS=1 cargo test -q --release --test transform_call
 	UNINTT_THREADS=8 cargo test -q --release -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm -p unintt-zkp -p unintt-fri -p unintt-serve
+	UNINTT_THREADS=8 cargo test -q --release --test transform_call
 
 e13:
 	cargo run --release -p unintt-bench --bin harness -- --quick e13

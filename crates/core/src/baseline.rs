@@ -104,13 +104,12 @@ impl<F: TwoAdicField> FourStepMultiGpuEngine<F> {
         let g = data.num_gpus();
         if g > 1 {
             let m = data.shard_len();
-            let bucket = m / g;
             machine.parallel_phase(data.shards_mut(), |ctx, _dev, shard| {
-                let mut packed = vec![F::ZERO; m];
-                for (j, &v) in shard.iter().enumerate() {
-                    packed[(j % g) * bucket + j / g] = v;
+                let mut packed = Vec::with_capacity(m);
+                for d in 0..g {
+                    packed.extend(shard.iter().skip(d).step_by(g));
                 }
-                shard.copy_from_slice(&packed);
+                *shard = packed;
                 ctx.launch(&profiles::pack_kernel_profile(
                     self.inner.plan(),
                     self.field_spec,
@@ -131,11 +130,11 @@ impl<F: TwoAdicField> FourStepMultiGpuEngine<F> {
             let bucket = m / g;
             machine.all_to_all_unchecked(data.shards_mut(), self.field_spec.elem_bytes);
             machine.parallel_phase(data.shards_mut(), |ctx, _dev, shard| {
-                let mut unpacked = vec![F::ZERO; m];
-                for (j, slot) in unpacked.iter_mut().enumerate() {
-                    *slot = shard[(j % g) * bucket + j / g];
+                let mut unpacked = Vec::with_capacity(m);
+                for i in 0..bucket {
+                    unpacked.extend(shard.iter().skip(i).step_by(bucket));
                 }
-                shard.copy_from_slice(&unpacked);
+                *shard = unpacked;
                 ctx.launch(&profiles::pack_kernel_profile(
                     self.inner.plan(),
                     self.field_spec,

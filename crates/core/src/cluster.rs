@@ -23,7 +23,7 @@ use unintt_ff::TwoAdicField;
 use unintt_gpu_sim::{
     alpha_beta_all_to_all_ns, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig,
 };
-use unintt_ntt::Ntt;
+use unintt_ntt::{scale_by_powers, Ntt};
 
 use crate::{CommMode, RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
 
@@ -425,12 +425,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
             *shard = data.collect();
 
             // Boundary twiddle, charged as one fused-scale kernel.
-            let step = omega.pow(node_idx as u64);
-            let mut cur = F::ONE;
-            for v in shard.iter_mut() {
-                *v *= cur;
-                cur *= step;
-            }
+            scale_by_powers(shard, F::ONE, omega.pow(node_idx as u64));
             let profile = self.node_twiddle_profile();
             let mut unused = ();
             machine.on_device(0, &mut unused, |ctx, _| {
@@ -483,16 +478,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
         // Phase 3: size-T NTTs down the received columns, on each node.
         let t0 = cluster.total_time_ns();
         for (machine, shard) in cluster.nodes.iter_mut().zip(node_shards.iter_mut()) {
-            let mut col = vec![F::ZERO; t];
-            for j in 0..chunk {
-                for (src, slot) in col.iter_mut().enumerate() {
-                    *slot = shard[src * chunk + j];
-                }
-                self.outer.forward(&mut col);
-                for (k1, &v) in col.iter().enumerate() {
-                    shard[k1 * chunk + j] = v;
-                }
-            }
+            self.outer.forward_columns(shard);
             let profile = self.cluster_outer_profile();
             let mut unused = ();
             machine.on_device(0, &mut unused, |ctx, _| {
@@ -659,12 +645,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
             }
             *shard = data.collect();
 
-            let step = omega.pow(slot as u64);
-            let mut cur = F::ONE;
-            for v in shard.iter_mut() {
-                *v *= cur;
-                cur *= step;
-            }
+            scale_by_powers(shard, F::ONE, omega.pow(slot as u64));
             let profile = self.node_twiddle_profile();
             let mut unused = ();
             machine.on_device(0, &mut unused, |ctx, _| {
@@ -720,16 +701,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
         let t0 = cluster.total_time_ns();
         for (&node, shard) in active.iter().zip(shards.iter_mut()) {
             let machine = &mut cluster.nodes[node];
-            let mut col = vec![F::ZERO; t];
-            for j in 0..chunk {
-                for (src, slot) in col.iter_mut().enumerate() {
-                    *slot = shard[src * chunk + j];
-                }
-                self.outer.forward(&mut col);
-                for (k1, &v) in col.iter().enumerate() {
-                    shard[k1 * chunk + j] = v;
-                }
-            }
+            self.outer.forward_columns(shard);
             let profile = self.cluster_outer_profile();
             let mut unused = ();
             machine.on_device(0, &mut unused, |ctx, _| {
@@ -757,9 +729,8 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
         let mut out = vec![F::ZERO; self.n()];
         // Node `c` position k1·chunk + j holds X[k1·R + c·chunk + j].
         for (c, shard) in node_shards.iter().enumerate() {
-            for (pos, &v) in shard.iter().enumerate() {
-                let (k1, j) = (pos / chunk, pos % chunk);
-                out[k1 * r + c * chunk + j] = v;
+            for (k1, piece) in shard.chunks_exact(chunk).enumerate() {
+                out[k1 * r + c * chunk..][..chunk].copy_from_slice(piece);
             }
         }
         out
@@ -770,8 +741,10 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
         let t = self.num_nodes();
         assert_eq!(input.len(), self.n(), "input length mismatch");
         let mut shards = vec![Vec::with_capacity(input.len() / t); t];
-        for (i, &v) in input.iter().enumerate() {
-            shards[i % t].push(v);
+        for round in input.chunks_exact(t) {
+            for (shard, &v) in shards.iter_mut().zip(round) {
+                shard.push(v);
+            }
         }
         shards
     }

@@ -50,7 +50,7 @@ use unintt_ff::TwoAdicField;
 use unintt_gpu_sim::{
     FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, OverlapCompute,
 };
-use unintt_ntt::{Direction, Ntt};
+use unintt_ntt::{scale_by_powers, Direction, Ntt};
 
 use crate::profiles;
 use crate::{CommMode, DecompositionPlan, RecoveryPolicy, ShardLayout, Sharded, UniNttOptions};
@@ -130,6 +130,18 @@ fn exchange_attrs(
             (post.comm_hidden_ns - pre.comm_hidden_ns).into(),
         ),
     ]
+}
+
+/// One list of mutable shard references per device, across the batch:
+/// the shape [`Machine::parallel_phase`] hands to its per-device tasks.
+fn per_device_shards<F: TwoAdicField>(batch: &mut [Sharded<F>]) -> Vec<Vec<&mut Vec<F>>> {
+    let mut per_device: Vec<_> = (0..batch[0].num_gpus()).map(|_| Vec::new()).collect();
+    for item in batch.iter_mut() {
+        for (dev, shard) in item.shards_mut().iter_mut().enumerate() {
+            per_device[dev].push(shard);
+        }
+    }
+    per_device
 }
 
 /// The UniNTT multi-GPU NTT engine.
@@ -280,28 +292,12 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// Panics if the input layout or size does not match, or if
     /// `machine.num_devices()` differs from the plan.
     pub fn forward(&self, machine: &mut Machine, data: &mut Sharded<F>) {
-        let mut batch = [std::mem::replace(
-            data,
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::Cyclic),
-        )];
-        self.forward_batch(machine, &mut batch);
-        *data = std::mem::replace(
-            &mut batch[0],
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::Cyclic),
-        );
+        self.forward_batch(machine, std::slice::from_mut(data));
     }
 
     /// Inverse NTT of a single vector (exact inverse of [`Self::forward`]).
     pub fn inverse(&self, machine: &mut Machine, data: &mut Sharded<F>) {
-        let mut batch = [std::mem::replace(
-            data,
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::BlockCyclic),
-        )];
-        self.inverse_batch(machine, &mut batch);
-        *data = std::mem::replace(
-            &mut batch[0],
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::BlockCyclic),
-        );
+        self.inverse_batch(machine, std::slice::from_mut(data));
     }
 
     /// Forward NTT of a batch of equally-sized vectors.
@@ -477,16 +473,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         data: &mut Sharded<F>,
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
-        let mut batch = [std::mem::replace(
-            data,
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::Cyclic),
-        )];
-        let res = self.try_forward_batch(machine, &mut batch, policy);
-        *data = std::mem::replace(
-            &mut batch[0],
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::Cyclic),
-        );
-        res
+        self.try_forward_batch(machine, std::slice::from_mut(data), policy)
     }
 
     /// Fault-tolerant [`Self::inverse`] for a single vector.
@@ -500,16 +487,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         data: &mut Sharded<F>,
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
-        let mut batch = [std::mem::replace(
-            data,
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::BlockCyclic),
-        )];
-        let res = self.try_inverse_batch(machine, &mut batch, policy);
-        *data = std::mem::replace(
-            &mut batch[0],
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::BlockCyclic),
-        );
-        res
+        self.try_inverse_batch(machine, std::slice::from_mut(data), policy)
     }
 
     fn check_batch(&self, machine: &Machine, batch: &[Sharded<F>], layout: ShardLayout) {
@@ -541,13 +519,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         // the exchange pipeline, not here.
         let skip_exchange_adjacent = self.overlapped();
 
-        // Regroup: one Vec of per-device mutable shard refs per phase call.
-        let mut per_device: Vec<Vec<&mut Vec<F>>> = (0..g).map(|_| Vec::new()).collect();
-        for item in batch.iter_mut() {
-            for (dev, shard) in item.shards_mut().iter_mut().enumerate() {
-                per_device[dev].push(shard);
-            }
-        }
+        let mut per_device = per_device_shards(batch);
 
         machine.parallel_phase(&mut per_device, |ctx, dev, shards| {
             // Functional work.
@@ -557,21 +529,13 @@ impl<F: TwoAdicField> UniNttEngine<F> {
                         local.forward(shard);
                         if g > 1 {
                             let step = engine.boundary_step(dev, Direction::Forward);
-                            let mut cur = F::ONE;
-                            for v in shard.iter_mut() {
-                                *v *= cur;
-                                cur *= step;
-                            }
+                            scale_by_powers(shard, F::ONE, step);
                         }
                     }
                     Direction::Inverse => {
                         if g > 1 {
                             let step = engine.boundary_step(dev, Direction::Inverse);
-                            let mut cur = F::ONE;
-                            for v in shard.iter_mut() {
-                                *v *= cur;
-                                cur *= step;
-                            }
+                            scale_by_powers(shard, F::ONE, step);
                         }
                         local.inverse(shard);
                     }
@@ -688,7 +652,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// `shift` is zero.
     pub fn coset_forward(&self, machine: &mut Machine, data: &mut Sharded<F>, shift: F) {
         assert!(!shift.is_zero(), "coset shift must be nonzero");
-        self.scale_phase(machine, data, shift);
+        self.scale_phase_batch(machine, std::slice::from_mut(data), shift);
         self.forward(machine, data);
     }
 
@@ -702,7 +666,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     pub fn coset_inverse(&self, machine: &mut Machine, data: &mut Sharded<F>, shift: F) {
         let shift_inv = shift.inverse().expect("coset shift must be nonzero");
         self.inverse(machine, data);
-        self.scale_phase(machine, data, shift_inv);
+        self.scale_phase_batch(machine, std::slice::from_mut(data), shift_inv);
     }
 
     /// Coset forward NTT of a batch: one fused scale phase plus one
@@ -735,40 +699,19 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         self.try_forward_batch(machine, batch, policy)
     }
 
-    /// Scales element `i` of the cyclic-distributed vector by `shift^i`:
+    /// Scales element `i` of each cyclic-distributed vector by `shift^i`:
     /// device `dev` holds elements `j·G + dev`, so its factors form the
     /// geometric sequence `shift^dev · (shift^G)^j` — generated on the fly.
-    fn scale_phase(&self, machine: &mut Machine, data: &mut Sharded<F>, shift: F) {
-        let mut batch = [std::mem::replace(
-            data,
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::Cyclic),
-        )];
-        self.scale_phase_batch(machine, &mut batch, shift);
-        *data = std::mem::replace(
-            &mut batch[0],
-            Sharded::from_shards(vec![vec![F::ZERO]], ShardLayout::Cyclic),
-        );
-    }
-
     fn scale_phase_batch(&self, machine: &mut Machine, batch: &mut [Sharded<F>], shift: F) {
         let g = self.plan.num_gpus();
         let b = batch.len() as u64;
         let engine = self;
 
-        let mut per_device: Vec<Vec<&mut Vec<F>>> = (0..g).map(|_| Vec::new()).collect();
-        for item in batch.iter_mut() {
-            for (dev, shard) in item.shards_mut().iter_mut().enumerate() {
-                per_device[dev].push(shard);
-            }
-        }
+        let mut per_device = per_device_shards(batch);
         machine.parallel_phase(&mut per_device, |ctx, dev, shards| {
             let step = shift.pow(g as u64);
             for shard in shards.iter_mut() {
-                let mut cur = shift.pow(dev as u64);
-                for v in shard.iter_mut() {
-                    *v *= cur;
-                    cur *= step;
-                }
+                scale_by_powers(shard, shift.pow(dev as u64), step);
             }
             engine.charge_scale_batch(ctx, b);
         });
@@ -916,34 +859,20 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         let g = self.plan.num_gpus();
         debug_assert!(g > 1);
         let b = batch.len() as u64;
-        let c_len = self.plan.shard_len() / g;
         let outer = self.outer();
         let engine = self;
 
-        let mut per_device: Vec<Vec<&mut Vec<F>>> = (0..g).map(|_| Vec::new()).collect();
-        for item in batch.iter_mut() {
-            for (dev, shard) in item.shards_mut().iter_mut().enumerate() {
-                per_device[dev].push(shard);
-            }
-        }
+        let mut per_device = per_device_shards(batch);
 
         // Under overlap the outer kernels are charged inside the exchange
         // pipeline; this phase then runs functionally for free.
         let charge = !self.overlapped();
         machine.parallel_phase(&mut per_device, |ctx, _dev, shards| {
-            let mut col = vec![F::ZERO; g];
+            // A shard is the row-major `G × C` matrix of received chunks.
             for shard in shards.iter_mut() {
-                for t in 0..c_len {
-                    for (src, slot) in col.iter_mut().enumerate() {
-                        *slot = shard[src * c_len + t];
-                    }
-                    match direction {
-                        Direction::Forward => outer.forward(&mut col),
-                        Direction::Inverse => outer.inverse(&mut col),
-                    }
-                    for (k1, &v) in col.iter().enumerate() {
-                        shard[k1 * c_len + t] = v;
-                    }
+                match direction {
+                    Direction::Forward => outer.forward_columns(shard),
+                    Direction::Inverse => outer.inverse_columns(shard),
                 }
             }
 

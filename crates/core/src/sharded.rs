@@ -72,8 +72,10 @@ impl<F: Field> Sharded<F> {
         let mut shards = vec![Vec::with_capacity(m); num_gpus];
         match layout {
             ShardLayout::Cyclic => {
-                for (i, &v) in input.iter().enumerate() {
-                    shards[i % num_gpus].push(v);
+                for round in input.chunks_exact(num_gpus) {
+                    for (shard, &v) in shards.iter_mut().zip(round) {
+                        shard.push(v);
+                    }
                 }
             }
             ShardLayout::NaturalBlocks => {
@@ -87,9 +89,10 @@ impl<F: Field> Sharded<F> {
                 for shard in &mut shards {
                     shard.resize(m, F::ZERO);
                 }
-                for (k, &v) in input.iter().enumerate() {
-                    let (k1, k2) = (k / m, k % m);
-                    shards[k2 / c][k1 * c + (k2 % c)] = v;
+                for (k1, block) in input.chunks_exact(m).enumerate() {
+                    for (shard, piece) in shards.iter_mut().zip(block.chunks_exact(c)) {
+                        shard[k1 * c..][..c].copy_from_slice(piece);
+                    }
                 }
             }
         }
@@ -104,9 +107,9 @@ impl<F: Field> Sharded<F> {
         let mut out = vec![F::ZERO; n];
         match self.layout {
             ShardLayout::Cyclic => {
-                for (dev, shard) in self.shards.iter().enumerate() {
-                    for (j, &v) in shard.iter().enumerate() {
-                        out[j * g + dev] = v;
+                for (j, round) in out.chunks_exact_mut(g).enumerate() {
+                    for (slot, shard) in round.iter_mut().zip(&self.shards) {
+                        *slot = shard[j];
                     }
                 }
             }
@@ -118,10 +121,8 @@ impl<F: Field> Sharded<F> {
             ShardLayout::BlockCyclic => {
                 let c = m / g;
                 for (dev, shard) in self.shards.iter().enumerate() {
-                    for (p, &v) in shard.iter().enumerate() {
-                        let (k1, t) = (p / c, p % c);
-                        let k2 = dev * c + t;
-                        out[k1 * m + k2] = v;
+                    for (k1, piece) in shard.chunks_exact(c).enumerate() {
+                        out[k1 * m + dev * c..][..c].copy_from_slice(piece);
                     }
                 }
             }

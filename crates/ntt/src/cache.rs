@@ -19,6 +19,16 @@
 //! cache) is far above any workload in this repository, so eviction is a
 //! safety valve, not a steady-state behaviour.
 //!
+//! **Who holds what, and when the lock is taken.** A [`crate::Ntt`] takes
+//! its table from here when it is constructed and each kernel plan on the
+//! first transform that runs on it, and holds both `Arc`s for its own
+//! lifetime. So a context costs one lookup at construction and one at
+//! first use; a transform after that touches no mutex, no map and no
+//! reference count here, however many threads share the context (the
+//! simulator calls one context tens of thousands of times per transform,
+//! from several pool workers at once). Six-step transforms resolve their
+//! two row plans once per call, on the calling thread, before forking.
+//!
 //! The bit-reversal pair tables (see [`crate::bit_reverse_permute`]) are
 //! cached here too, keyed by `log_n` alone — the permutation is
 //! element-type agnostic and its entry count is already bounded by
@@ -162,6 +172,22 @@ pub fn cache_capacity() -> usize {
     table_cache().lock().unwrap().capacity()
 }
 
+/// The entry of `cache` for `(T's field, log_n)`, built on a miss.
+fn shared<T: Any + Send + Sync>(
+    cache: &TypedCache,
+    key: (TypeId, u32),
+    build: impl FnOnce() -> T,
+) -> Arc<T> {
+    if let Some(hit) = cache.lock().unwrap().get(&key) {
+        return hit.downcast().expect("cache type invariant");
+    }
+    // Build outside the lock: large tables take real time and other sizes
+    // shouldn't stall behind them. A racing builder just loses its copy.
+    let built = Arc::new(build());
+    let resident = cache.lock().unwrap().insert(key, built as AnyArc);
+    resident.downcast().expect("cache type invariant")
+}
+
 /// The shared twiddle table for `(F, log_n)`, built on first request.
 ///
 /// # Panics
@@ -169,53 +195,37 @@ pub fn cache_capacity() -> usize {
 /// Panics if `log_n` exceeds the field's two-adicity (as
 /// [`TwiddleTable::new`] does).
 pub fn shared_table<F: TwoAdicField>(log_n: u32) -> Arc<TwiddleTable<F>> {
-    let key = (TypeId::of::<F>(), log_n);
-    if let Some(hit) = table_cache().lock().unwrap().get(&key) {
-        return hit.downcast().expect("cache type invariant");
-    }
-    // Build outside the lock: large tables take real time and other sizes
-    // shouldn't stall behind them. A racing builder just loses its copy.
-    let built = Arc::new(TwiddleTable::<F>::new(log_n));
-    table_cache()
-        .lock()
-        .unwrap()
-        .insert(key, built as AnyArc)
-        .downcast()
-        .expect("cache type invariant")
+    shared(table_cache(), (TypeId::of::<F>(), log_n), || {
+        TwiddleTable::<F>::new(log_n)
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Plan-cache lookups made by this thread.
+    pub(crate) static PLAN_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The shared direct-kernel plan (per-stage Shoup tables) for `(F, log_n)`.
 pub(crate) fn shared_plan<F: TwoAdicField>(log_n: u32) -> Arc<DirectPlan<F>> {
-    let key = (TypeId::of::<F>(), log_n);
-    if let Some(hit) = plan_cache().lock().unwrap().get(&key) {
-        return hit.downcast().expect("cache type invariant");
-    }
-    let built = Arc::new(DirectPlan::new(&shared_table::<F>(log_n)));
-    plan_cache()
-        .lock()
-        .unwrap()
-        .insert(key, built as AnyArc)
-        .downcast()
-        .expect("cache type invariant")
+    #[cfg(test)]
+    PLAN_LOOKUPS.with(|c| c.set(c.get() + 1));
+    shared(plan_cache(), (TypeId::of::<F>(), log_n), || {
+        DirectPlan::new(&shared_table::<F>(log_n))
+    })
 }
 
 /// The shared vectorized-kernel plan (lane-packed per-stage tables plus
 /// the pre-interleaved native-lane banks) for `(F, log_n)`. One memoized,
 /// monomorphized instance per `(field, log_n)` pair; both directions live
-/// in the entry, so dispatch from [`crate::Ntt`] is a single cache probe
-/// followed by an indirect call into the specialized kernel.
+/// in the entry. A [`crate::Ntt`] asks once, on its first vector-mode
+/// transform, and keeps the `Arc`.
 pub(crate) fn shared_vector_plan<F: TwoAdicField>(log_n: u32) -> Arc<VectorPlan<F>> {
-    let key = (TypeId::of::<F>(), log_n);
-    if let Some(hit) = vector_plan_cache().lock().unwrap().get(&key) {
-        return hit.downcast().expect("cache type invariant");
-    }
-    let built = Arc::new(VectorPlan::new(&shared_table::<F>(log_n)));
-    vector_plan_cache()
-        .lock()
-        .unwrap()
-        .insert(key, built as AnyArc)
-        .downcast()
-        .expect("cache type invariant")
+    #[cfg(test)]
+    PLAN_LOOKUPS.with(|c| c.set(c.get() + 1));
+    shared(vector_plan_cache(), (TypeId::of::<F>(), log_n), || {
+        VectorPlan::new(&shared_table::<F>(log_n))
+    })
 }
 
 /// Largest `log_n` whose bit-reversal swap pairs are cached (a pair table
@@ -381,10 +391,41 @@ mod tests {
         // And the plan still transforms correctly end-to-end.
         let input: Vec<Goldilocks> = (0..512u64).map(Goldilocks::from_u64).collect();
         let mut via_held = input.clone();
-        held.forward(&mut via_held);
+        held.transform(&mut via_held, false);
         let mut via_fresh = input;
-        shared_vector_plan::<Goldilocks>(9).forward(&mut via_fresh);
+        shared_vector_plan::<Goldilocks>(9).transform(&mut via_fresh, false);
         assert_eq!(via_held, via_fresh);
+    }
+
+    #[test]
+    fn a_context_looks_its_plan_up_at_most_once() {
+        use crate::fast::{set_kernel_mode, KernelMode};
+        let input: Vec<Goldilocks> = (0..256u64).map(Goldilocks::from_u64).collect();
+        for mode in [KernelMode::Vector, KernelMode::Fast] {
+            let ntt = crate::Ntt::<Goldilocks>::new(8);
+            let before = PLAN_LOOKUPS.with(|c| c.get());
+            let mut values = input.clone();
+            // The mode is process-wide and other tests flip it while this
+            // runs; whichever family a call lands on, this context asks the
+            // cache for that family's plan once.
+            set_kernel_mode(mode);
+            for _ in 0..500 {
+                ntt.forward(&mut values);
+                ntt.inverse(&mut values);
+            }
+            set_kernel_mode(KernelMode::default());
+            assert_eq!(values, input);
+            let lookups = PLAN_LOOKUPS.with(|c| c.get()) - before;
+            assert!(lookups <= 2, "{lookups} plan-cache lookups in 1000 calls");
+        }
+        // With the mode left alone it is exactly one family, one lookup.
+        let ntt = crate::Ntt::<BabyBear>::new(6);
+        let before = PLAN_LOOKUPS.with(|c| c.get());
+        let mut values = vec![BabyBear::from_u64(3); 64];
+        for _ in 0..1000 {
+            ntt.transform_on(crate::fast::RowPath::Vector, &mut values, false);
+        }
+        assert_eq!(PLAN_LOOKUPS.with(|c| c.get()) - before, 1);
     }
 
     #[test]

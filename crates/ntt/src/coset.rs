@@ -9,7 +9,7 @@
 
 use unintt_ff::{PrimeField, TwoAdicField};
 
-use crate::Ntt;
+use crate::{scale_by_powers, Ntt};
 
 /// Evaluates, in place, the polynomial with coefficients `coeffs` on the
 /// coset `shift·H` where `H` is the size-`n` subgroup:
@@ -21,11 +21,7 @@ use crate::Ntt;
 pub fn coset_ntt<F: TwoAdicField>(ntt: &Ntt<F>, coeffs: &mut [F], shift: F) {
     assert_eq!(coeffs.len(), ntt.n(), "input length mismatch");
     // p(shift·x) has coefficients c_i · shiftⁱ.
-    let mut s = F::ONE;
-    for c in coeffs.iter_mut() {
-        *c *= s;
-        s *= shift;
-    }
+    scale_by_powers(coeffs, F::ONE, shift);
     ntt.forward(coeffs);
 }
 
@@ -40,11 +36,7 @@ pub fn coset_intt<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F], shift: F) {
     assert_eq!(values.len(), ntt.n(), "input length mismatch");
     ntt.inverse(values);
     let shift_inv = shift.inverse().expect("coset shift must be nonzero");
-    let mut s = F::ONE;
-    for c in values.iter_mut() {
-        *c *= s;
-        s *= shift_inv;
-    }
+    scale_by_powers(values, F::ONE, shift_inv);
 }
 
 /// Low-degree extension: given evaluations of a degree-`< n` polynomial on

@@ -81,6 +81,15 @@ impl KernelMode {
             KernelMode::Legacy => "legacy",
         }
     }
+
+    /// The counter a public transform call bumps once under this mode.
+    pub(crate) fn dispatch_counter(self) -> &'static str {
+        match self {
+            KernelMode::Vector => "ntt_dispatch_vector",
+            KernelMode::Fast => "ntt_dispatch_fast",
+            KernelMode::Legacy => "ntt_dispatch_legacy",
+        }
+    }
 }
 
 static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
@@ -106,6 +115,7 @@ pub(crate) const DIRECT_MAX_LOG_N: u32 = 16;
 /// A direct-kernel plan: per-stage packed Shoup twiddles for both
 /// directions plus the prepared inverse-scale constant. Cached
 /// process-wide by `(field, log_n)` — see [`crate::cache`].
+#[derive(Debug)]
 pub(crate) struct DirectPlan<F: TwoAdicField> {
     log_n: u32,
     /// `fwd_stages[s-1][j]` is the stage-`s` DIF twiddle `ω^{j·2^(log_n−s)}`,
@@ -180,19 +190,18 @@ impl<F: TwoAdicField> DirectPlan<F> {
         }
     }
 
-    /// Forward transform, natural order in and out, canonical output.
-    pub(crate) fn forward(&self, values: &mut [F]) {
-        self.dif_lazy(values, &self.fwd_stages, true);
-        bit_reverse_permute(values);
-    }
-
-    /// Inverse transform including the `1/n` scale; the scale pass doubles
-    /// as the lane canonicalization.
-    pub(crate) fn inverse(&self, values: &mut [F]) {
-        self.dif_lazy(values, &self.inv_stages, false);
-        bit_reverse_permute(values);
-        for v in values.iter_mut() {
-            *v = F::reduce_lane(F::shoup_mul(*v, &self.n_inv));
+    /// One transform, natural order in and out, canonical output. The
+    /// inverse's `1/n` scale pass doubles as its lane canonicalization.
+    pub(crate) fn transform(&self, values: &mut [F], inverse: bool) {
+        if inverse {
+            self.dif_lazy(values, &self.inv_stages, false);
+            bit_reverse_permute(values);
+            for v in values.iter_mut() {
+                *v = F::reduce_lane(F::shoup_mul(*v, &self.n_inv));
+            }
+        } else {
+            self.dif_lazy(values, &self.fwd_stages, true);
+            bit_reverse_permute(values);
         }
     }
 }
@@ -331,71 +340,78 @@ unsafe fn transpose_band<F>(p: *mut F, n: usize, r0: usize, r1: usize) {
     }
 }
 
-/// Multiplies `row[k]` by `ω^{±i2·k}` (step ② of six-step). Uses a pair of
-/// interleaved running products restarted every `CHUNK` elements: no
-/// strided table gathers, no per-element `pow`, and the two chains hide
-/// multiplication latency. The chain update multiplies by the *fixed*
-/// `step²`, so it runs as a Shoup product off one prepared constant.
-fn twiddle_row<F: TwoAdicField>(row: &mut [F], table: &TwiddleTable<F>, i2: usize, inverse: bool) {
-    if i2 == 0 {
+/// Multiplies `values[i]` by `start·step^i` — the one running-product
+/// kernel behind every geometric scaling in the workspace (six-step's
+/// step-② twiddles, coset shifts, the engines' boundary twiddles).
+///
+/// A single `cur *= step` chain serializes on the multiply latency, so the
+/// product runs as independent lanes instead. Goldilocks with AVX-512: 32
+/// lanes (four 8-lane vectors) seeded with `start·step^0..31`, each
+/// advanced by `step^32`. Everything else: two interleaved chains advanced
+/// by the *fixed* `step²`, a Shoup product off one prepared constant.
+/// Every lane value is the exact canonical power the serial chain holds
+/// and the element product is the same exact field multiplication, so all
+/// forms are bit-identical.
+pub fn scale_by_powers<F: TwoAdicField>(values: &mut [F], start: F, step: F) {
+    if start == F::ONE && step == F::ONE {
         return;
     }
-    const CHUNK: usize = 256;
-    let root = |e: usize| {
-        if inverse {
-            table.root_pow_inv(e)
-        } else {
-            table.root_pow(e)
-        }
-    };
-    let step = root(i2);
-
-    // Goldilocks + AVX-512: 32 running-product lanes (four 8-lane
-    // vectors) instead of two. The powers `step^0..step^31` are built
-    // once per row and every vector advances by `step^32`, so the
-    // serial multiply chain is a quarter as deep and no mid-row
-    // `root_pow` table lookups remain. Every lane value is the exact
-    // canonical power `base·step^j` the scalar chains produce, and the
-    // element product is the same exact field multiplication, so
-    // outputs stay bit-identical.
+    let (mut values, mut start) = (values, start);
     #[cfg(target_arch = "x86_64")]
     if TypeId::of::<F>() == TypeId::of::<Goldilocks>()
-        && row.len() >= 32
-        && row.len().is_multiple_of(32)
+        && values.len() >= 32
+        && !vector::portable_forced()
         && std::arch::is_x86_feature_detected!("avx512f")
         && std::arch::is_x86_feature_detected!("avx512dq")
     {
+        let (head, tail) = values.split_at_mut(values.len() & !31);
+        let gl = |x: F| -> u64 {
+            // SAFETY: same-type read, F is Goldilocks by the TypeId check.
+            unintt_ff::packed::gl_word(unsafe { *(&x as *const F).cast::<Goldilocks>() })
+        };
+        let mut lanes = [0u64; 32];
+        let mut power = F::ONE;
+        for l in lanes.iter_mut() {
+            *l = gl(start * power);
+            power *= step;
+        }
         // SAFETY: F is Goldilocks (checked above), transparent over u64.
         let words =
-            unsafe { core::slice::from_raw_parts_mut(row.as_mut_ptr().cast::<u64>(), row.len()) };
-        let gl = |x: F| -> Goldilocks {
-            // SAFETY: same-type transmute, size checked by TypeId above.
-            unsafe { *(&x as *const F).cast::<Goldilocks>() }
-        };
-        let step = gl(step);
-        let mut cur = gl(root(0));
-        let mut lanes = [0u64; 32];
-        for l in lanes.iter_mut() {
-            *l = unintt_ff::packed::gl_word(cur);
-            cur *= step;
+            unsafe { core::slice::from_raw_parts_mut(head.as_mut_ptr().cast::<u64>(), head.len()) };
+        // SAFETY: AVX-512F/DQ detected above; `head` is a whole number of
+        // 32-element groups; `power` has advanced 32 times, so it is
+        // `step^32`; every word is canonical.
+        unsafe { x86::gl_scale_by_powers(words, &lanes, gl(power)) };
+        if tail.is_empty() {
+            return;
         }
-        // `cur` has advanced 32 times: it is now `step^32`.
-        // SAFETY: AVX-512F/DQ presence verified above; row length is a
-        // multiple of 32.
-        unsafe { x86::gl_twiddle_row(words, &lanes, unintt_ff::packed::gl_word(cur)) };
-        return;
+        start *= step.pow(head.len() as u64);
+        values = tail;
     }
 
     let step2 = F::shoup_prepare(step * step);
-    for (ci, chunk) in row.chunks_mut(CHUNK).enumerate() {
-        let mut cur0 = root(i2 * ci * CHUNK);
-        let mut cur1 = cur0 * step;
-        for pair in chunk.chunks_exact_mut(2) {
-            pair[0] *= cur0;
-            pair[1] *= cur1;
-            cur0 = F::reduce_lane(F::shoup_mul(cur0, &step2));
-            cur1 = F::reduce_lane(F::shoup_mul(cur1, &step2));
-        }
+    let (mut cur0, mut cur1) = (start, start * step);
+    let mut pairs = values.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        pair[0] *= cur0;
+        pair[1] *= cur1;
+        cur0 = F::reduce_lane(F::shoup_mul(cur0, &step2));
+        cur1 = F::reduce_lane(F::shoup_mul(cur1, &step2));
+    }
+    if let [last] = pairs.into_remainder() {
+        *last *= cur0;
+    }
+}
+
+/// One butterfly between two rows of a column transform: `(u, v) ←
+/// (u + v, (u − v)·w)` lane by lane, with the product elided for the unit
+/// twiddle. Plain field operations, so every lane leaves canonical.
+pub(crate) fn row_butterfly<F: TwoAdicField>(u: &mut [F], v: &mut [F], w: F) {
+    let unit = w == F::ONE;
+    for (a, b) in u.iter_mut().zip(v.iter_mut()) {
+        let (x, y) = (*a, *b);
+        *a = x + y;
+        *b = if unit { x - y } else { (x - y) * w };
     }
 }
 
@@ -478,10 +494,10 @@ mod x86 {
         }
     }
 
-    /// One full step-② twiddle row over Goldilocks words: `row[j] *=
+    /// [`super::scale_by_powers`] over Goldilocks words: `row[j] *=
     /// lanes[j mod 32]·step32^⌊j/32⌋` lane-wise, i.e. 32 running
     /// product chains — four 8-lane vectors seeded with
-    /// `base·step^0..31` and each advanced by `step^32` — so four
+    /// `start·step^0..31` and each advanced by `step^32` — so four
     /// independent chains hide the multiply latency a single chain
     /// would serialize on.
     ///
@@ -490,7 +506,7 @@ mod x86 {
     /// Requires AVX-512F and AVX-512DQ; `row.len() % 32 == 0`; all
     /// inputs canonical.
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn gl_twiddle_row(row: &mut [u64], lanes: &[u64; 32], step32: u64) {
+    pub(super) unsafe fn gl_scale_by_powers(row: &mut [u64], lanes: &[u64; 32], step32: u64) {
         debug_assert_eq!(row.len() % 32, 0);
         let lp = lanes.as_ptr();
         let mut cur0 = _mm512_loadu_si512(lp.cast());
@@ -515,26 +531,6 @@ mod x86 {
             cur3 = w8::gl_mul(cur3, s32);
             j += 32;
         }
-    }
-}
-
-/// Fast forward NTT for any supported size (natural order in/out).
-pub(crate) fn forward_fast<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values: &mut [F]) {
-    let log_n = table.log_n();
-    if log_n <= DIRECT_MAX_LOG_N {
-        cache::shared_plan::<F>(log_n).forward(values);
-    } else {
-        six_step(Executor::global(), table, values, false, RowPath::Fast);
-    }
-}
-
-/// Fast inverse NTT (includes the `1/n` scale).
-pub(crate) fn inverse_fast<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values: &mut [F]) {
-    let log_n = table.log_n();
-    if log_n <= DIRECT_MAX_LOG_N {
-        cache::shared_plan::<F>(log_n).inverse(values);
-    } else {
-        six_step(Executor::global(), table, values, true, RowPath::Fast);
     }
 }
 
@@ -566,19 +562,11 @@ fn row_kernel<'a, F: TwoAdicField>(
     match rows {
         RowPath::Fast if row_log <= DIRECT_MAX_LOG_N => {
             let plan = cache::shared_plan::<F>(row_log);
-            if inverse {
-                Box::new(move |row| plan.inverse(row))
-            } else {
-                Box::new(move |row| plan.forward(row))
-            }
+            Box::new(move |row| plan.transform(row, inverse))
         }
         RowPath::Vector if row_log <= vector::VECTOR_DIRECT_MAX_LOG_N => {
             let plan = cache::shared_vector_plan::<F>(row_log);
-            if inverse {
-                Box::new(move |row| plan.inverse(row))
-            } else {
-                Box::new(move |row| plan.forward(row))
-            }
+            Box::new(move |row| plan.transform(row, inverse))
         }
         _ => {
             let table = cache::shared_table::<F>(row_log);
@@ -622,11 +610,11 @@ pub(crate) fn six_step<F: TwoAdicField>(
             for (r, row) in chunk.chunks_exact_mut(n1).enumerate() {
                 let i2 = band * BAND_ROWS + r;
                 if inverse {
-                    twiddle_row(row, table, i2, true);
+                    scale_by_powers(row, F::ONE, table.root_pow_inv(i2));
                     inner(row);
                 } else {
                     inner(row);
-                    twiddle_row(row, table, i2, false);
+                    scale_by_powers(row, F::ONE, table.root_pow(i2));
                 }
             }
         });
@@ -772,7 +760,7 @@ mod tests {
             let t = Instant::now();
             exec.parallel_chunks_mut(&mut values, BAND_ROWS * n1, |band, chunk| {
                 for (r, row) in chunk.chunks_exact_mut(n1).enumerate() {
-                    twiddle_row(row, &table, band * BAND_ROWS + r, false);
+                    scale_by_powers(row, Goldilocks::ONE, table.root_pow(band * BAND_ROWS + r));
                 }
             });
             println!("one twiddle pass: {:?}", t.elapsed());

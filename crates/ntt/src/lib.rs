@@ -49,7 +49,7 @@ pub use batch::{batch_transform, batch_transform_parallel};
 pub use bitrev::{bit_reverse_permute, bit_reversed, reverse_bits};
 pub use cache::{cache_capacity, set_cache_capacity, shared_table, DEFAULT_CACHE_CAPACITY};
 pub use coset::{coset_intt, coset_ntt, low_degree_extension, standard_shift};
-pub use fast::{kernel_mode, set_kernel_mode, KernelMode};
+pub use fast::{kernel_mode, scale_by_powers, set_kernel_mode, KernelMode};
 pub use negacyclic::{negacyclic_mul_naive, NegacyclicNtt};
 pub use poly::{cyclic_convolution, poly_mul_naive, poly_mul_ntt};
 pub use radix2::{naive_dft, Direction, Ntt};

@@ -3,17 +3,21 @@
 //! The context owns (shared) twiddle tables and exposes:
 //!
 //! * [`Ntt::forward`] / [`Ntt::inverse`] — natural-order in/out transforms;
+//! * [`Ntt::forward_columns`] / [`Ntt::inverse_columns`] — the same
+//!   transform down every column of a row-major matrix, as row stages;
 //! * [`Ntt::dit_in_place`] / [`Ntt::dif_in_place`] — the raw
 //!   decimation-in-time (bit-reversed input) and decimation-in-frequency
 //!   (bit-reversed output) kernels, which the hierarchical engines compose;
 //! * [`naive_dft`] — the O(n²) reference every fast path is tested against.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use unintt_exec::Executor;
 use unintt_ff::{Field, TwoAdicField};
 
-use crate::fast::{self, kernel_mode, KernelMode};
-use crate::{bit_reverse_permute, cache, vector, TwiddleTable};
+use crate::fast::{self, kernel_mode, DirectPlan, KernelMode, RowPath, DIRECT_MAX_LOG_N};
+use crate::vector::{VectorPlan, VECTOR_DIRECT_MAX_LOG_N};
+use crate::{bit_reverse_permute, cache, reverse_bits, TwiddleTable};
 
 /// Direction of a transform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -40,6 +44,13 @@ pub enum Direction {
 #[derive(Clone, Debug)]
 pub struct Ntt<F: TwoAdicField> {
     table: Arc<TwiddleTable<F>>,
+    // The direct-size kernel plans, each taken from the process-wide cache
+    // by the first transform that runs on it and held from then on: a
+    // transform call takes no lock and clones no `Arc`, construction and
+    // cost-only users never pay for a plan, and a plan the cache evicts
+    // lives on through the contexts that use it.
+    vector: OnceLock<Arc<VectorPlan<F>>>,
+    direct: OnceLock<Arc<DirectPlan<F>>>,
 }
 
 impl<F: TwoAdicField> Ntt<F> {
@@ -51,14 +62,16 @@ impl<F: TwoAdicField> Ntt<F> {
     ///
     /// Panics if `log_n` exceeds the field's two-adicity.
     pub fn new(log_n: u32) -> Self {
-        Self {
-            table: cache::shared_table(log_n),
-        }
+        Self::from_table(cache::shared_table(log_n))
     }
 
     /// Creates a context sharing an existing twiddle table.
     pub fn from_table(table: Arc<TwiddleTable<F>>) -> Self {
-        Self { table }
+        Self {
+            table,
+            vector: OnceLock::new(),
+            direct: OnceLock::new(),
+        }
     }
 
     /// The shared twiddle table.
@@ -97,22 +110,7 @@ impl<F: TwoAdicField> Ntt<F> {
     ///
     /// Panics if `values.len() != self.n()`.
     pub fn forward(&self, values: &mut [F]) {
-        self.check_len(values.len());
-        match kernel_mode() {
-            KernelMode::Vector => {
-                unintt_telemetry::counter_add("ntt_dispatch_vector", 1);
-                vector::forward_vector(&self.table, values);
-            }
-            KernelMode::Fast => {
-                unintt_telemetry::counter_add("ntt_dispatch_fast", 1);
-                fast::forward_fast(&self.table, values);
-            }
-            KernelMode::Legacy => {
-                unintt_telemetry::counter_add("ntt_dispatch_legacy", 1);
-                bit_reverse_permute(values);
-                self.dit_in_place(values);
-            }
-        }
+        self.transform(values, false);
     }
 
     /// Inverse NTT, natural order in and out (includes the `1/n` scale).
@@ -121,25 +119,113 @@ impl<F: TwoAdicField> Ntt<F> {
     ///
     /// Panics if `values.len() != self.n()`.
     pub fn inverse(&self, values: &mut [F]) {
+        self.transform(values, true);
+    }
+
+    /// One public transform call: one `ntt_dispatch_*` bump, then the
+    /// kernel family the mode names. The mode (and, inside the vector
+    /// plan, the backend override) is read on every call.
+    fn transform(&self, values: &mut [F], inverse: bool) {
         self.check_len(values.len());
-        match kernel_mode() {
-            KernelMode::Vector => {
-                unintt_telemetry::counter_add("ntt_dispatch_vector", 1);
-                vector::inverse_vector(&self.table, values);
-            }
-            KernelMode::Fast => {
-                unintt_telemetry::counter_add("ntt_dispatch_fast", 1);
-                fast::inverse_fast(&self.table, values);
-            }
+        let mode = kernel_mode();
+        unintt_telemetry::counter_add(mode.dispatch_counter(), 1);
+        match mode {
+            KernelMode::Vector => self.transform_on(RowPath::Vector, values, inverse),
+            KernelMode::Fast => self.transform_on(RowPath::Fast, values, inverse),
             KernelMode::Legacy => {
-                unintt_telemetry::counter_add("ntt_dispatch_legacy", 1);
                 bit_reverse_permute(values);
-                self.dit_in_place_with(values, self.table.inverse());
-                let n_inv = self.table.n_inv();
-                for v in values.iter_mut() {
-                    *v *= n_inv;
+                if inverse {
+                    self.dit_in_place_with(values, self.table.inverse());
+                    self.scale_by_n_inv(values);
+                } else {
+                    self.dit_in_place(values);
                 }
             }
+        }
+    }
+
+    /// The vector or scalar fast kernels at any supported size: this
+    /// context's plan up to that family's direct threshold, six-step with
+    /// rows of that family above it.
+    pub(crate) fn transform_on(&self, rows: RowPath, values: &mut [F], inverse: bool) {
+        let log_n = self.log_n();
+        match rows {
+            RowPath::Vector if log_n <= VECTOR_DIRECT_MAX_LOG_N => self
+                .vector
+                .get_or_init(|| cache::shared_vector_plan(log_n))
+                .transform(values, inverse),
+            RowPath::Fast if log_n <= DIRECT_MAX_LOG_N => self
+                .direct
+                .get_or_init(|| cache::shared_plan(log_n))
+                .transform(values, inverse),
+            _ => fast::six_step(Executor::global(), &self.table, values, inverse, rows),
+        }
+    }
+
+    /// Forward NTT down every column of the row-major `n × cols` matrix
+    /// `values` (`cols = values.len() / n`): each column ends up holding
+    /// exactly what [`Self::forward`] makes of it. The transform runs as
+    /// `log n` radix-2 stages over whole rows — one twiddle per row pair,
+    /// contiguous lanes along the row — so many tiny transforms cost one
+    /// pass per stage instead of a gather, a call and a scatter each. One
+    /// public call, one `ntt_dispatch_*` bump.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len()` is not a multiple of `self.n()`.
+    pub fn forward_columns(&self, values: &mut [F]) {
+        self.transform_columns(values, false);
+    }
+
+    /// Inverse NTT down every column (see [`Self::forward_columns`];
+    /// includes the `1/n` scale).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len()` is not a multiple of `self.n()`.
+    pub fn inverse_columns(&self, values: &mut [F]) {
+        self.transform_columns(values, true);
+    }
+
+    fn transform_columns(&self, values: &mut [F], inverse: bool) {
+        let (n, log_n) = (self.n(), self.log_n());
+        assert_eq!(
+            values.len() % n,
+            0,
+            "{} elements do not form columns of {n}",
+            values.len()
+        );
+        unintt_telemetry::counter_add(kernel_mode().dispatch_counter(), 1);
+        let cols = values.len() / n;
+        if cols == 0 {
+            return;
+        }
+        let twiddles = if inverse {
+            self.table.inverse()
+        } else {
+            self.table.forward()
+        };
+        // DIF over rows: stage `s` pairs row `j` with row `j + 2^(s−1)` of
+        // each `2^s`-row block; rows leave in bit-reversed order.
+        for s in (1..=log_n).rev() {
+            let half = 1usize << (s - 1);
+            for block in values.chunks_exact_mut(2 * half * cols) {
+                let (lo, hi) = block.split_at_mut(half * cols);
+                let pairs = lo.chunks_exact_mut(cols).zip(hi.chunks_exact_mut(cols));
+                for (j, (u, v)) in pairs.enumerate() {
+                    fast::row_butterfly(u, v, twiddles[j << (log_n - s)]);
+                }
+            }
+        }
+        for i in 0..n {
+            let j = reverse_bits(i, log_n);
+            if i < j {
+                let (head, tail) = values.split_at_mut(j * cols);
+                head[i * cols..][..cols].swap_with_slice(&mut tail[..cols]);
+            }
+        }
+        if inverse {
+            self.scale_by_n_inv(values);
         }
     }
 
@@ -257,6 +343,56 @@ mod tests {
             let mut actual = input.clone();
             ntt.forward(&mut actual);
             assert_eq!(actual, expected, "log_n={log_n}");
+        }
+    }
+
+    /// Dev profiling aid, not a correctness check: what one `Ntt::forward`
+    /// costs at the sizes the simulator and the service call it at, alone
+    /// and with a second thread calling the same context, and the
+    /// engine's outer phase at 2^18 on 8 devices. Run with
+    /// `cargo test -p unintt-ntt --release transform_call_profile -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "profiling aid; wall-clock printout only"]
+    fn transform_call_profile() {
+        use std::time::Instant;
+        fn per_call(ntt: &Ntt<Goldilocks>, threads: usize, calls: usize) -> f64 {
+            let t = Instant::now();
+            std::thread::scope(|s| {
+                for i in 0..threads {
+                    s.spawn(move || {
+                        let mut v = random_vec::<Goldilocks>(ntt.log_n(), i as u64);
+                        for _ in 0..calls {
+                            ntt.forward(std::hint::black_box(&mut v));
+                        }
+                    });
+                }
+            });
+            t.elapsed().as_nanos() as f64 / calls as f64
+        }
+        for (log_n, calls) in [(3u32, 400_000usize), (8, 40_000), (10, 10_000)] {
+            let ntt = Ntt::<Goldilocks>::new(log_n);
+            per_call(&ntt, 1, calls / 10);
+            println!(
+                "Ntt::forward 2^{log_n}: {:.0} ns/call on one thread, {:.0} ns/call on two",
+                per_call(&ntt, 1, calls),
+                per_call(&ntt, 2, calls)
+            );
+        }
+        // Per shard, 4096 columns of 8.
+        let outer = Ntt::<Goldilocks>::new(3);
+        let mut shards: Vec<Vec<Goldilocks>> = (0..8).map(|d| random_vec(15, d)).collect();
+        for threads in [1usize, 2] {
+            let mut best = f64::MAX;
+            for _ in 0..20 {
+                let t = Instant::now();
+                std::thread::scope(|s| {
+                    for part in shards.chunks_mut(8 / threads) {
+                        s.spawn(|| part.iter_mut().for_each(|m| outer.forward_columns(m)));
+                    }
+                });
+                best = best.min(t.elapsed().as_secs_f64() * 1e3);
+            }
+            println!("outer phase 8 x 2^15: {best:.2} ms on {threads} thread(s)");
         }
     }
 

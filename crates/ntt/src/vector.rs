@@ -34,10 +34,9 @@ use std::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use unintt_exec::Executor;
 use unintt_ff::{BabyBear, Goldilocks, ShoupTwiddle, TwoAdicField};
 
-use crate::fast::{self, RowPath};
+use crate::fast;
 use crate::twiddle::TwiddleTable;
 use crate::{bit_reverse_permute, cache};
 
@@ -77,7 +76,7 @@ pub fn set_vector_backend_override(backend: Option<VectorBackend>) {
     BACKEND_OVERRIDE.store(enc, Ordering::Relaxed);
 }
 
-fn portable_forced() -> bool {
+pub(crate) fn portable_forced() -> bool {
     BACKEND_OVERRIDE.load(Ordering::Relaxed) == 1
 }
 
@@ -149,6 +148,7 @@ pub fn active_backend_label<F: TwoAdicField>() -> &'static str {
 
 /// Twiddle banks re-laid-out for the native kernels' load width, built
 /// next to the generic per-stage tables at plan-build time.
+#[derive(Debug)]
 enum NativeBank {
     /// Portable-only plan: the generic tables are the only layout.
     None,
@@ -165,6 +165,7 @@ enum NativeBank {
 /// One direction's worth of kernel state: generic packed stage tables
 /// (`stages[s-1][j]`, exactly the scalar fast path's layout) plus the
 /// optional native re-layout.
+#[derive(Debug)]
 struct DirPlan<F: TwoAdicField> {
     stages: Vec<Vec<ShoupTwiddle<F>>>,
     bank: NativeBank,
@@ -199,7 +200,9 @@ fn build_bank<F: TwoAdicField>(
 /// both directions' twiddle banks, the prepared `1/n` constant, the
 /// backend selection, and the bit-reversal pair table (held by `Arc` so
 /// the plan keeps working even if every process-wide cache evicts it).
-/// Cached in [`crate::cache::shared_vector_plan`].
+/// Cached in [`crate::cache::shared_vector_plan`]; an [`crate::Ntt`]
+/// holds the one it transforms with.
+#[derive(Debug)]
 pub(crate) struct VectorPlan<F: TwoAdicField> {
     log_n: u32,
     fwd: DirPlan<F>,
@@ -299,18 +302,15 @@ impl<F: TwoAdicField> VectorPlan<F> {
         }
     }
 
-    /// Forward transform, natural order in and out, canonical output.
-    pub(crate) fn forward(&self, values: &mut [F]) {
-        self.run_stages(values, &self.fwd);
+    /// One transform, natural order in and out, canonical output (the
+    /// inverse includes the `1/n` scale).
+    pub(crate) fn transform(&self, values: &mut [F], inverse: bool) {
+        self.run_stages(values, if inverse { &self.inv } else { &self.fwd });
         self.apply_bitrev(values);
-    }
-
-    /// Inverse transform including the `1/n` scale.
-    pub(crate) fn inverse(&self, values: &mut [F]) {
-        self.run_stages(values, &self.inv);
-        self.apply_bitrev(values);
-        for v in values.iter_mut() {
-            *v = F::reduce_lane(F::shoup_mul(*v, &self.n_inv));
+        if inverse {
+            for v in values.iter_mut() {
+                *v = F::reduce_lane(F::shoup_mul(*v, &self.n_inv));
+            }
         }
     }
 }
@@ -322,26 +322,6 @@ fn cast_slice_mut<F: 'static, C: 'static>(values: &mut [F]) -> &mut [C] {
     // SAFETY: F and C are the same type (checked above / by the caller's
     // kernel selection), so layout and validity are identical.
     unsafe { &mut *(values as *mut [F] as *mut [C]) }
-}
-
-/// Vector-mode forward NTT for any supported size (natural order in/out).
-pub(crate) fn forward_vector<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values: &mut [F]) {
-    let log_n = table.log_n();
-    if log_n <= VECTOR_DIRECT_MAX_LOG_N {
-        cache::shared_vector_plan::<F>(log_n).forward(values);
-    } else {
-        fast::six_step(Executor::global(), table, values, false, RowPath::Vector);
-    }
-}
-
-/// Vector-mode inverse NTT (includes the `1/n` scale).
-pub(crate) fn inverse_vector<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values: &mut [F]) {
-    let log_n = table.log_n();
-    if log_n <= VECTOR_DIRECT_MAX_LOG_N {
-        cache::shared_vector_plan::<F>(log_n).inverse(values);
-    } else {
-        fast::six_step(Executor::global(), table, values, true, RowPath::Vector);
-    }
 }
 
 /// Monomorphizes the portable kernel on the field's preferred lane
@@ -1015,6 +995,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::RowPath;
     use crate::Ntt;
     use rand::{rngs::StdRng, SeedableRng};
     use unintt_ff::{Bn254Fr, Field};
@@ -1032,18 +1013,17 @@ mod tests {
 
     fn vector_matches_legacy<F: TwoAdicField>(max_log: u32, seed: u64) {
         for log_n in 0..=max_log {
-            let table = cache::shared_table::<F>(log_n);
-            let ntt = Ntt::<F>::from_table(Arc::clone(&table));
+            let ntt = Ntt::<F>::new(log_n);
             let input = random_vec::<F>(log_n, seed + u64::from(log_n));
 
             let mut expect = input.clone();
             legacy_forward(&ntt, &mut expect);
             let mut got = input.clone();
-            forward_vector(&table, &mut got);
+            ntt.transform_on(RowPath::Vector, &mut got, false);
             assert_eq!(got, expect, "forward log_n={log_n}");
 
             let mut round = got;
-            inverse_vector(&table, &mut round);
+            ntt.transform_on(RowPath::Vector, &mut round, true);
             assert_eq!(round, input, "roundtrip log_n={log_n}");
         }
     }
@@ -1067,16 +1047,16 @@ mod tests {
     fn vector_six_step_matches_fast_path() {
         // Straddle the vector direct/six-step threshold.
         for log_n in [VECTOR_DIRECT_MAX_LOG_N, VECTOR_DIRECT_MAX_LOG_N + 1] {
-            let table = cache::shared_table::<Goldilocks>(log_n);
+            let ntt = Ntt::<Goldilocks>::new(log_n);
             let input = random_vec::<Goldilocks>(log_n, 50 + u64::from(log_n));
 
             let mut expect = input.clone();
-            fast::forward_fast(&table, &mut expect);
+            ntt.transform_on(RowPath::Fast, &mut expect, false);
             let mut got = input.clone();
-            forward_vector(&table, &mut got);
+            ntt.transform_on(RowPath::Vector, &mut got, false);
             assert_eq!(got, expect, "forward log_n={log_n}");
 
-            inverse_vector(&table, &mut got);
+            ntt.transform_on(RowPath::Vector, &mut got, true);
             assert_eq!(got, input, "roundtrip log_n={log_n}");
         }
     }
@@ -1090,11 +1070,11 @@ mod tests {
 
             set_vector_backend_override(Some(VectorBackend::Portable));
             let mut portable = input.clone();
-            plan.forward(&mut portable);
+            plan.transform(&mut portable, false);
             set_vector_backend_override(None);
 
             let mut auto = input.clone();
-            plan.forward(&mut auto);
+            plan.transform(&mut auto, false);
             assert_eq!(auto, portable, "log_n={log_n}");
         }
     }

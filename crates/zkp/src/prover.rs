@@ -180,11 +180,7 @@ pub(crate) fn coset_ntt_batch_via(
             let mut values = p.coeffs().to_vec();
             assert!(values.len() <= size, "polynomial does not fit the domain");
             values.resize(size, Bn254Fr::ZERO);
-            let mut s = Bn254Fr::ONE;
-            for v in values.iter_mut() {
-                *v *= s;
-                s *= shift;
-            }
+            unintt_ntt::scale_by_powers(&mut values, Bn254Fr::ONE, shift);
             values
         })
         .collect();

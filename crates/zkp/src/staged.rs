@@ -360,11 +360,7 @@ impl ProofState {
                 // shift^{-i}.
                 backend.try_ntt_inverse(&mut t_evals, policy)?;
                 let shift_inv = shift.inverse().expect("generator is nonzero");
-                let mut s = Bn254Fr::ONE;
-                for v in t_evals.iter_mut() {
-                    *v *= s;
-                    s *= shift_inv;
-                }
+                unintt_ntt::scale_by_powers(&mut t_evals, Bn254Fr::ONE, shift_inv);
                 backend.charge_pointwise(big_n, 1);
                 let poly_t = Polynomial::new(t_evals);
                 debug_assert!(
