@@ -27,15 +27,23 @@ bench-check:
 # Every crate that forks over the exec pool, rerun on a one-thread
 # pool and on an oversubscribed eight-thread one (which is what
 # exercises steal, linger and park): every oracle, pinned digest and
-# cross-backend equality must hold on both. The root suite's
-# transform_call.rs rides along: the engines' pinned digests and
-# simulated clocks must not depend on the pool either.
+# cross-backend equality must hold on both. Telemetry and the E16 suite
+# ride along — what a session records must not depend on the pool: forked
+# work records as its opener would (unintt_telemetry::adopt) — as do the
+# root suite's transform_call.rs (the engines' pinned digests, simulated
+# clocks and cost-only walks) and telemetry_obs.rs. E16's determinism test
+# also runs at two threads, where a record dropped on a worker shows first.
+FORKING := -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm \
+           -p unintt-zkp -p unintt-fri -p unintt-serve -p unintt-telemetry
 test:
 	cargo test -q --release --workspace
-	UNINTT_THREADS=1 cargo test -q --release -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm -p unintt-zkp -p unintt-fri -p unintt-serve
-	UNINTT_THREADS=1 cargo test -q --release --test transform_call
-	UNINTT_THREADS=8 cargo test -q --release -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm -p unintt-zkp -p unintt-fri -p unintt-serve
-	UNINTT_THREADS=8 cargo test -q --release --test transform_call
+	UNINTT_THREADS=1 cargo test -q --release $(FORKING)
+	UNINTT_THREADS=1 cargo test -q --release -p unintt-bench --lib e16_observability
+	UNINTT_THREADS=1 cargo test -q --release --test transform_call --test telemetry_obs
+	UNINTT_THREADS=2 cargo test -q --release -p unintt-bench --lib e16_observability::tests::output_is_deterministic_run_to_run
+	UNINTT_THREADS=8 cargo test -q --release $(FORKING)
+	UNINTT_THREADS=8 cargo test -q --release -p unintt-bench --lib e16_observability
+	UNINTT_THREADS=8 cargo test -q --release --test transform_call --test telemetry_obs
 
 e13:
 	cargo run --release -p unintt-bench --bin harness -- --quick e13

@@ -5,7 +5,10 @@
 //!   conversion in, chunk transpose in the middle, layout conversion out),
 //!   standalone pack/transpose/twiddle kernels, table-based twiddles and
 //!   unpadded layouts. This is what one gets by gluing a single-GPU NTT
-//!   library to NCCL without the paper's fused decomposition.
+//!   library to NCCL without the paper's fused decomposition. In code it
+//!   is the same schedule as [`UniNttEngine`] with every fusion off and a
+//!   pack kernel plus a blocking all-to-all in front (behind, for the
+//!   inverse) — two more phases on the list, no engine of its own.
 //! * [`single_gpu`] helpers — the strong single-GPU configuration (all
 //!   optimizations on, one device), the baseline for the headline speedup.
 //!
@@ -14,18 +17,23 @@
 
 use unintt_ff::TwoAdicField;
 use unintt_gpu_sim::{FieldSpec, Machine, MachineConfig};
+use unintt_ntt::Direction;
 
-use crate::profiles;
-use crate::{ShardLayout, Sharded, UniNttEngine, UniNttOptions};
+use crate::schedule::{Phase, Plane};
+use crate::{Sharded, UniNttEngine, UniNttOptions};
 
 /// The conventional multi-GPU four-step NTT baseline.
 #[derive(Clone, Debug)]
 pub struct FourStepMultiGpuEngine<F: TwoAdicField> {
     inner: UniNttEngine<F>,
-    field_spec: FieldSpec,
 }
 
 impl<F: TwoAdicField> FourStepMultiGpuEngine<F> {
+    /// Layout conversion, natural blocks → cyclic: a local bucket pack and
+    /// one blocking all-to-all ahead of the transform (behind it, reversed,
+    /// for the inverse).
+    const CONVERT: [Phase; 2] = [Phase::Pack, Phase::Convert];
+
     /// Plans the baseline for size `2^log_n` on `machine_cfg`.
     ///
     /// # Panics
@@ -37,7 +45,6 @@ impl<F: TwoAdicField> FourStepMultiGpuEngine<F> {
         opts.natural_output = true;
         Self {
             inner: UniNttEngine::new(log_n, machine_cfg, opts, field_spec),
-            field_spec,
         }
     }
 
@@ -57,92 +64,24 @@ impl<F: TwoAdicField> FourStepMultiGpuEngine<F> {
     ///
     /// Panics on layout/size mismatch, as [`UniNttEngine::forward`].
     pub fn forward(&self, machine: &mut Machine, data: &mut Sharded<F>) {
-        assert_eq!(
-            data.layout(),
-            ShardLayout::NaturalBlocks,
-            "four-step baseline consumes natural-block input"
-        );
-        self.natural_to_cyclic(machine, data);
-        self.inner.forward(machine, data);
+        let plane = Plane::unguarded(std::slice::from_mut(data));
+        self.inner
+            .drive(machine, Direction::Forward, &Self::CONVERT, F::ONE, plane);
     }
 
     /// Inverse NTT: natural-block input, natural-block output.
     pub fn inverse(&self, machine: &mut Machine, data: &mut Sharded<F>) {
-        self.inner.inverse(machine, data);
-        self.cyclic_to_natural(machine, data);
+        let plane = Plane::unguarded(std::slice::from_mut(data));
+        self.inner
+            .drive(machine, Direction::Inverse, &Self::CONVERT, F::ONE, plane);
     }
 
-    /// Cost-only forward transform: charges exactly what [`Self::forward`]
-    /// would (layout-conversion pack + all-to-all, then the unfused inner
-    /// engine) without touching data.
+    /// Cost-only forward transform of `batch` vectors: [`Self::forward`]'s
+    /// walk with nothing to move.
     pub fn simulate_forward(&self, machine: &mut Machine, batch: u64) {
-        assert!(batch > 0, "batch must be positive");
-        let g = self.inner.plan().num_gpus();
-        if g > 1 {
-            let plan = self.inner.plan();
-            let shard_bytes = (plan.shard_len() * self.field_spec.elem_bytes) as u64;
-            let mut dummy: Vec<()> = vec![(); g];
-            machine.parallel_phase(&mut dummy, |ctx, _, _| {
-                for _ in 0..batch {
-                    ctx.launch(&profiles::pack_kernel_profile(plan, self.field_spec, 1));
-                }
-            });
-            for _ in 0..batch {
-                machine.charge_all_to_all(shard_bytes);
-            }
-        }
-        for _ in 0..batch {
-            self.inner.simulate_forward(machine, 1);
-        }
-    }
-
-    /// Layout conversion: natural blocks → cyclic, via a local bucket pack
-    /// and one all-to-all. On GPU `g`, destination bucket `d` collects the
-    /// local elements with `j ≡ d (mod G)` in order; the chunk transpose
-    /// then delivers exactly the cyclic shard.
-    fn natural_to_cyclic(&self, machine: &mut Machine, data: &mut Sharded<F>) {
-        let g = data.num_gpus();
-        if g > 1 {
-            let m = data.shard_len();
-            machine.parallel_phase(data.shards_mut(), |ctx, _dev, shard| {
-                let mut packed = Vec::with_capacity(m);
-                for d in 0..g {
-                    packed.extend(shard.iter().skip(d).step_by(g));
-                }
-                *shard = packed;
-                ctx.launch(&profiles::pack_kernel_profile(
-                    self.inner.plan(),
-                    self.field_spec,
-                    1,
-                ));
-            });
-            machine.all_to_all_unchecked(data.shards_mut(), self.field_spec.elem_bytes);
-        }
-        data.set_layout(ShardLayout::Cyclic);
-    }
-
-    /// Layout conversion: cyclic → natural blocks (inverse of
-    /// [`Self::natural_to_cyclic`]).
-    fn cyclic_to_natural(&self, machine: &mut Machine, data: &mut Sharded<F>) {
-        let g = data.num_gpus();
-        if g > 1 {
-            let m = data.shard_len();
-            let bucket = m / g;
-            machine.all_to_all_unchecked(data.shards_mut(), self.field_spec.elem_bytes);
-            machine.parallel_phase(data.shards_mut(), |ctx, _dev, shard| {
-                let mut unpacked = Vec::with_capacity(m);
-                for i in 0..bucket {
-                    unpacked.extend(shard.iter().skip(i).step_by(bucket));
-                }
-                *shard = unpacked;
-                ctx.launch(&profiles::pack_kernel_profile(
-                    self.inner.plan(),
-                    self.field_spec,
-                    1,
-                ));
-            });
-        }
-        data.set_layout(ShardLayout::NaturalBlocks);
+        let plane = Plane::Unit(batch);
+        self.inner
+            .drive(machine, Direction::Forward, &Self::CONVERT, F::ONE, plane);
     }
 }
 
@@ -181,6 +120,7 @@ pub mod single_gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardLayout;
     use rand::{rngs::StdRng, SeedableRng};
     use unintt_ff::{Field, Goldilocks};
     use unintt_gpu_sim::presets;
@@ -272,31 +212,6 @@ mod tests {
             mb.max_clock_ns() > mu.max_clock_ns(),
             "baseline should be slower"
         );
-    }
-
-    #[test]
-    fn baseline_simulate_matches_run() {
-        let log_n = 14u32;
-        let gpus = 8usize;
-        let input = random_vec(1 << log_n, 9);
-        let cfg = presets::a100_nvlink(gpus);
-        let fs = FieldSpec::goldilocks();
-        let engine = FourStepMultiGpuEngine::<Goldilocks>::new(log_n, &cfg, fs);
-
-        let mut real = Machine::new(cfg.clone(), fs);
-        let mut data = Sharded::distribute(&input, gpus, ShardLayout::NaturalBlocks);
-        engine.forward(&mut real, &mut data);
-
-        let mut sim = Machine::new(cfg, fs);
-        engine.simulate_forward(&mut sim, 1);
-
-        let (rt, st) = (real.max_clock_ns(), sim.max_clock_ns());
-        assert!((rt - st).abs() < 1e-6 * rt, "real={rt} sim={st}");
-        assert_eq!(
-            real.stats().interconnect_bytes_sent,
-            sim.stats().interconnect_bytes_sent
-        );
-        assert_eq!(real.stats().kernels_launched, sim.stats().kernels_launched);
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! outer phase: N/T² tiny size-T NTTs per node
 //! ```
 //!
+//! In code that is literal: the cluster is a second [`Level`] for the
+//! walker of [`crate::schedule`], whose local phase is the node engine's
+//! own walk. One attempt body serves [`ClusterNttEngine::forward`] (all
+//! nodes, the caller's shards), [`ClusterNttEngine::forward_with_recovery`]
+//! (a survivor subset, re-planned on node loss) and
+//! [`ClusterNttEngine::simulate_forward`] (nothing to move).
+//!
 //! Every node's machine simulates independently (node phases overlap);
 //! the cluster clock advances to the slowest node plus the network time.
 //! As in the single-node engine, the functional result is bit-checked
@@ -23,8 +30,10 @@ use unintt_ff::TwoAdicField;
 use unintt_gpu_sim::{
     alpha_beta_all_to_all_ns, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig,
 };
-use unintt_ntt::{scale_by_powers, Ntt};
+use unintt_ntt::{scale_by_powers, Direction, Ntt};
+use unintt_telemetry::SpanLevel;
 
+use crate::schedule::{walk, Level, Phase, Plane, Schedule};
 use crate::{CommMode, RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
 
 /// Datacenter network datasheet (node-to-node fabric).
@@ -166,26 +175,13 @@ impl Cluster {
     }
 
     /// Charges a cross-node all-to-all among `nodes` participants (the
-    /// degraded path exchanges among survivors only).
-    fn charge_network_all_to_all_among(&mut self, nodes: usize, bytes_per_node: u64) {
-        if nodes <= 1 {
-            return;
-        }
-        self.network_ns += self.network.all_to_all_ns(nodes, bytes_per_node);
-        self.network_bytes += Self::all_to_all_volume(nodes, bytes_per_node);
-    }
-
-    /// Charges a cross-node all-to-all whose wire time is pipelined
-    /// against up to `hide_ns` of per-node compute: only the exposed
-    /// remainder (latency plus un-hidden wire time) advances the cluster
-    /// clock. The latency term is never hidable — the first chunk must
-    /// arrive before any dependent compute can start.
-    fn charge_network_all_to_all_overlapped(
-        &mut self,
-        nodes: usize,
-        bytes_per_node: u64,
-        hide_ns: f64,
-    ) {
+    /// degraded path exchanges among survivors only) whose wire time is
+    /// pipelined against up to `hide_ns` of per-node compute: only the
+    /// exposed remainder (latency plus un-hidden wire time) advances the
+    /// cluster clock. The latency term is never hidable — the first chunk
+    /// must arrive before any dependent compute can start. A blocking
+    /// exchange hides nothing (`hide_ns = 0`).
+    fn charge_network_all_to_all(&mut self, nodes: usize, bytes_per_node: u64, hide_ns: f64) {
         if nodes <= 1 {
             return;
         }
@@ -194,11 +190,7 @@ impl Cluster {
         let hidden = wire.min(hide_ns.max(0.0));
         self.network_ns += total - hidden;
         self.network_hidden_ns += hidden;
-        self.network_bytes += Self::all_to_all_volume(nodes, bytes_per_node);
-    }
-
-    fn all_to_all_volume(nodes: usize, bytes_per_node: u64) -> u64 {
-        (bytes_per_node * (nodes as u64 - 1) / nodes as u64) * nodes as u64
+        self.network_bytes += (bytes_per_node * (nodes as u64 - 1) / nodes as u64) * nodes as u64;
     }
 }
 
@@ -243,35 +235,23 @@ impl<F> ClusterRunReport<F> {
     }
 }
 
-/// Records one cluster-level span on the shared `"cluster"` track. The
-/// cluster clock is [`Cluster::total_time_ns`] (slowest node plus
-/// network time); `root` is `None` exactly when telemetry is disabled.
-fn obs_cluster_span(
-    root: Option<u64>,
-    cluster: &Cluster,
-    name: &'static str,
-    category: &'static str,
-    parent_is_self: bool,
-    t_start_ns: f64,
-    attrs: impl FnOnce() -> Vec<(&'static str, unintt_telemetry::AttrValue)>,
-) {
-    if let Some(id) = root {
-        unintt_telemetry::record_span(|| unintt_telemetry::Span {
-            id: if parent_is_self {
-                id
-            } else {
-                unintt_telemetry::fresh_id()
-            },
-            parent: if parent_is_self { None } else { Some(id) },
-            name: name.to_string(),
-            level: unintt_telemetry::SpanLevel::Cluster,
-            category,
-            track: String::from("cluster"),
-            t_start_ns,
-            t_end_ns: cluster.total_time_ns(),
-            attrs: attrs(),
-        });
-    }
+/// Why an attempt stopped: the node to evict when the loss is permanent
+/// (recoverable by re-planning), `None` for any other fabric error.
+type AttemptError = (Option<usize>, FabricError);
+
+/// The cluster level: spans on the shared `"cluster"` track, against the
+/// cluster clock (slowest node plus network time).
+const CLUSTER: Level<Cluster> = Level {
+    span_level: SpanLevel::Cluster,
+    clock_ns: Cluster::total_time_ns,
+    track: |_| String::from("cluster"),
+};
+
+/// Charges one cluster-level kernel to a node (on its device 0).
+fn launch_on_node(machine: &mut Machine, profile: &KernelProfile) {
+    machine.on_device(0, &mut (), |ctx, _| {
+        ctx.launch(profile);
+    });
 }
 
 /// The cluster-scale UniNTT engine.
@@ -367,21 +347,18 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
 
     /// Charges the cross-node all-to-all. Under [`CommMode::Overlapped`]
     /// the chunked transfer is pipelined against the outer column NTTs,
-    /// so only the un-hidden remainder lands on the cluster clock; both
-    /// the functional and cost-only paths route through here so they
-    /// charge identically.
+    /// so only the un-hidden remainder lands on the cluster clock.
     fn charge_cluster_exchange(&self, cluster: &mut Cluster) {
         let t = self.num_nodes();
         let bytes = ((self.n() / t) * self.field_spec.elem_bytes) as u64;
-        if self.opts.effective_comm_mode() == CommMode::Overlapped {
-            let hide = cluster.nodes[0]
-                .model()
-                .kernel_cost(&self.cluster_outer_profile())
-                .total_ns;
-            cluster.charge_network_all_to_all_overlapped(t, bytes, hide);
-        } else {
-            cluster.charge_network_all_to_all_among(t, bytes);
-        }
+        let hide_ns = match self.opts.effective_comm_mode() {
+            CommMode::Overlapped => {
+                let model = cluster.nodes[0].model();
+                model.kernel_cost(&self.cluster_outer_profile()).total_ns
+            }
+            CommMode::Blocking => 0.0,
+        };
+        cluster.charge_network_all_to_all(t, bytes, hide_ns);
     }
 
     /// Forward NTT across the cluster.
@@ -396,106 +373,9 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     ///
     /// Panics on shape mismatches.
     pub fn forward(&self, cluster: &mut Cluster, node_shards: &mut [Vec<F>]) {
-        let t = self.num_nodes();
-        assert_eq!(cluster.num_nodes(), t, "cluster does not match the plan");
-        assert_eq!(node_shards.len(), t, "need one shard per node");
-        let r = self.n() / t; // per-node transform size
-        assert!(
-            node_shards.iter().all(|s| s.len() == r),
-            "every node shard must hold 2^{} elements",
-            self.log_n - self.log_t
-        );
-
-        let root = unintt_telemetry::reserve_span_id();
-        let t_begin = cluster.total_time_ns();
-
-        // Phase 1 (parallel across nodes): each node runs the full
-        // single-node UniNTT on its sub-sequence, then applies the fused
-        // node-boundary twiddle ω_N^{t·k2}.
-        let omega = F::two_adic_generator(self.log_n);
-        let gpus = self.node_engine.plan().num_gpus();
-        for (node_idx, (machine, shard)) in cluster
-            .nodes
-            .iter_mut()
-            .zip(node_shards.iter_mut())
-            .enumerate()
-        {
-            let mut data = Sharded::distribute(shard, gpus, ShardLayout::Cyclic);
-            self.node_engine.forward(machine, &mut data);
-            *shard = data.collect();
-
-            // Boundary twiddle, charged as one fused-scale kernel.
-            scale_by_powers(shard, F::ONE, omega.pow(node_idx as u64));
-            let profile = self.node_twiddle_profile();
-            let mut unused = ();
-            machine.on_device(0, &mut unused, |ctx, _| {
-                ctx.launch(&profile);
-            });
-        }
-
-        obs_cluster_span(
-            root,
-            cluster,
-            "node-phase",
-            "phase",
-            false,
-            t_begin,
-            Vec::new,
-        );
-
-        // Phase 2: one cross-node all-to-all (chunk transpose).
-        let chunk = r / t;
-        let old: Vec<Vec<F>> = node_shards.to_vec();
-        for (dst, shard) in node_shards.iter_mut().enumerate() {
-            for (src, old_shard) in old.iter().enumerate() {
-                shard[src * chunk..(src + 1) * chunk]
-                    .copy_from_slice(&old_shard[dst * chunk..(dst + 1) * chunk]);
-            }
-        }
-        let t0 = cluster.total_time_ns();
-        let pre = root.map(|_| (cluster.network_bytes, cluster.network_hidden_ns));
-        self.charge_cluster_exchange(cluster);
-        if let Some((pre_bytes, pre_hidden)) = pre {
-            obs_cluster_span(
-                root,
-                cluster,
-                "cluster-exchange",
-                "interconnect",
-                false,
-                t0,
-                || {
-                    vec![
-                        ("bytes", (cluster.network_bytes - pre_bytes).into()),
-                        (
-                            "hidden_comm_ns",
-                            (cluster.network_hidden_ns - pre_hidden).into(),
-                        ),
-                    ]
-                },
-            );
-        }
-
-        // Phase 3: size-T NTTs down the received columns, on each node.
-        let t0 = cluster.total_time_ns();
-        for (machine, shard) in cluster.nodes.iter_mut().zip(node_shards.iter_mut()) {
-            self.outer.forward_columns(shard);
-            let profile = self.cluster_outer_profile();
-            let mut unused = ();
-            machine.on_device(0, &mut unused, |ctx, _| {
-                ctx.launch(&profile);
-            });
-        }
-        obs_cluster_span(root, cluster, "outer-phase", "phase", false, t0, Vec::new);
-        let nodes = t;
-        obs_cluster_span(
-            root,
-            cluster,
-            "cluster-forward",
-            "transform",
-            true,
-            t_begin,
-            || vec![("nodes", nodes.into())],
-        );
+        let plane = Plane::unguarded(node_shards);
+        self.attempt(cluster, None, plane, "cluster-forward")
+            .unwrap_or_else(|(_, e)| panic!("{e}"));
     }
 
     /// Fault-tolerant forward NTT with degraded re-planning.
@@ -539,43 +419,31 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
             "cluster does not match the plan"
         );
         let mut survivors = cluster.healthy_nodes();
-        let mut replans = 0u32;
         let mut lost_nodes = Vec::new();
         let mut retries_per_attempt = Vec::new();
         let mut last_err = None;
         loop {
-            let mut t = 0usize;
-            if !survivors.is_empty() {
-                t = 1;
-                while t * 2 <= survivors.len() {
-                    t *= 2;
-                }
-            }
-            if t == 0 {
+            // The largest power-of-two subset of the survivors.
+            let Some(log_t) = survivors.len().checked_ilog2() else {
                 return Err(last_err.unwrap_or(FabricError::DeviceLost {
                     device: 0,
                     seq: cluster.nodes.first().map_or(0, Machine::collective_seq),
                 }));
-            }
+            };
+            let t = 1usize << log_t;
             // Checkpoint level 0: the input vector. Every replan re-derives
             // the plan over the survivor prefix and replays from here.
-            let plan = if t == self.num_nodes() {
-                None
-            } else {
-                Some(Self::new(
-                    self.log_n,
-                    t,
-                    &self.node_cfg,
-                    self.opts,
-                    self.field_spec,
-                ))
-            };
-            let plan = plan.as_ref().unwrap_or(self);
+            let replanned = (t != self.num_nodes())
+                .then(|| Self::new(self.log_n, t, &self.node_cfg, self.opts, self.field_spec));
+            let plan = replanned.as_ref().unwrap_or(self);
             let retries_before = Self::cluster_retries(cluster);
-            let attempt = plan.try_forward_active(cluster, &survivors[..t], input, policy);
+            let mut shards = plan.distribute(input);
+            let plane = Plane::Elements(&mut shards, policy);
+            let attempt = plan.attempt(cluster, Some(&survivors[..t]), plane, "cluster-attempt");
             retries_per_attempt.push(Self::cluster_retries(cluster) - retries_before);
             match attempt {
-                Ok(output) => {
+                Ok(()) => {
+                    let output = plan.collect(&shards);
                     let mut collectives = 0u64;
                     let mut comm_bytes = cluster.network_bytes;
                     let mut comm_hidden_ns = cluster.network_hidden_ns;
@@ -587,7 +455,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                     }
                     return Ok(ClusterRunReport {
                         output,
-                        replans,
+                        replans: lost_nodes.len() as u32,
                         lost_nodes,
                         nodes_used: t,
                         retries_per_attempt,
@@ -599,7 +467,6 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                 Err((Some(node), e)) => {
                     lost_nodes.push(node);
                     survivors.retain(|&i| i != node);
-                    replans += 1;
                     last_err = Some(e);
                 }
                 Err((None, e)) => return Err(e),
@@ -612,198 +479,147 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
         cluster.nodes.iter().map(|m| m.stats().retries).sum()
     }
 
-    /// One attempt of the three cluster phases over the `active` node
-    /// subset (which must have exactly `self.num_nodes()` entries).
-    /// Returns `Err((Some(node), e))` when `node` suffered a permanent
-    /// device loss (recoverable by eviction), `Err((None, e))` for
-    /// non-recoverable fabric errors.
-    fn try_forward_active(
+    /// One node's share of the local phase: the whole single-node UniNTT
+    /// on its sub-sequence — the node engine's own walk, the recursion one
+    /// level down — then the fused node-boundary twiddle `ω_N^{slot·k2}`.
+    /// Node phases overlap in simulated time (each machine has its clock).
+    fn node_phase(
         &self,
-        cluster: &mut Cluster,
-        active: &[usize],
-        input: &[F],
-        policy: &RecoveryPolicy,
-    ) -> Result<Vec<F>, (Option<usize>, FabricError)> {
-        let t = self.num_nodes();
-        debug_assert_eq!(active.len(), t);
-        let r = self.n() / t;
-        let mut shards = self.distribute(input);
-        let root = unintt_telemetry::reserve_span_id();
-        let t_begin = cluster.total_time_ns();
-
-        // Level 0 → 1: per-node UniNTT + fused boundary twiddle.
-        let omega = F::two_adic_generator(self.log_n);
-        let gpus = self.node_engine.plan().num_gpus();
-        for (slot, (&node, shard)) in active.iter().zip(shards.iter_mut()).enumerate() {
-            let machine = &mut cluster.nodes[node];
-            let mut data = Sharded::distribute(shard, gpus, ShardLayout::Cyclic);
-            if let Err(e) = self.node_engine.try_forward(machine, &mut data, policy) {
-                return match e {
-                    FabricError::DeviceLost { .. } => Err((Some(node), e)),
-                    other => Err((None, other)),
-                };
+        machine: &mut Machine,
+        slot: usize,
+        plane: &mut Plane<'_, Vec<F>>,
+    ) -> Result<(), FabricError> {
+        let engine = &self.node_engine;
+        let forward = |machine: &mut Machine, inner: &mut Plane<'_, Sharded<F>>| {
+            engine.run(machine, Direction::Forward, &[], F::ONE, inner)
+        };
+        match plane {
+            Plane::Elements(data, policy) => {
+                let gpus = engine.plan().num_gpus();
+                let mut sharded = Sharded::distribute(&data[slot], gpus, ShardLayout::Cyclic);
+                let batch = std::slice::from_mut(&mut sharded);
+                forward(machine, &mut Plane::Elements(batch, policy))?;
+                data[slot] = sharded.collect();
+                let omega = F::two_adic_generator(self.log_n);
+                scale_by_powers(&mut data[slot], F::ONE, omega.pow(slot as u64));
             }
-            *shard = data.collect();
-
-            scale_by_powers(shard, F::ONE, omega.pow(slot as u64));
-            let profile = self.node_twiddle_profile();
-            let mut unused = ();
-            machine.on_device(0, &mut unused, |ctx, _| {
-                ctx.launch(&profile);
-            });
+            Plane::Unit(_) => forward(machine, &mut Plane::Unit(1))?,
         }
-
-        obs_cluster_span(
-            root,
-            cluster,
-            "node-phase",
-            "phase",
-            false,
-            t_begin,
-            Vec::new,
-        );
-
-        // Level 1 → 2: cross-node all-to-all among the survivors only
-        // (`self` is the survivor-subset plan here, so the exchange helper
-        // charges among exactly `t` participants).
-        let chunk = r / t;
-        let old: Vec<Vec<F>> = shards.to_vec();
-        for (dst, shard) in shards.iter_mut().enumerate() {
-            for (src, old_shard) in old.iter().enumerate() {
-                shard[src * chunk..(src + 1) * chunk]
-                    .copy_from_slice(&old_shard[dst * chunk..(dst + 1) * chunk]);
-            }
-        }
-        let t0 = cluster.total_time_ns();
-        let pre = root.map(|_| (cluster.network_bytes, cluster.network_hidden_ns));
-        self.charge_cluster_exchange(cluster);
-        if let Some((pre_bytes, pre_hidden)) = pre {
-            obs_cluster_span(
-                root,
-                cluster,
-                "cluster-exchange",
-                "interconnect",
-                false,
-                t0,
-                || {
-                    vec![
-                        ("bytes", (cluster.network_bytes - pre_bytes).into()),
-                        (
-                            "hidden_comm_ns",
-                            (cluster.network_hidden_ns - pre_hidden).into(),
-                        ),
-                    ]
-                },
-            );
-        }
-
-        // Level 2 → 3: size-T outer NTTs on each surviving node.
-        let t0 = cluster.total_time_ns();
-        for (&node, shard) in active.iter().zip(shards.iter_mut()) {
-            let machine = &mut cluster.nodes[node];
-            self.outer.forward_columns(shard);
-            let profile = self.cluster_outer_profile();
-            let mut unused = ();
-            machine.on_device(0, &mut unused, |ctx, _| {
-                ctx.launch(&profile);
-            });
-        }
-        obs_cluster_span(root, cluster, "outer-phase", "phase", false, t0, Vec::new);
-        obs_cluster_span(
-            root,
-            cluster,
-            "cluster-attempt",
-            "transform",
-            true,
-            t_begin,
-            || vec![("nodes", active.len().into())],
-        );
-        Ok(self.collect(&shards))
+        launch_on_node(machine, &self.node_twiddle_profile());
+        Ok(())
     }
 
-    /// Reassembles the cluster output into the natural-order host vector.
-    pub fn collect(&self, node_shards: &[Vec<F>]) -> Vec<F> {
+    /// One attempt of the cluster schedule — the same three steps one
+    /// level up — over `active`, the cluster nodes standing in for the
+    /// plan's `T` slots in slot order (`None`: the whole cluster). Shape
+    /// checks run once, first, for both planes.
+    ///
+    /// # Errors
+    ///
+    /// `(Some(node), e)` when `node` suffered a permanent device loss
+    /// (recoverable by eviction), `(None, e)` for any other fabric error.
+    fn attempt(
+        &self,
+        cluster: &mut Cluster,
+        active: Option<&[usize]>,
+        mut plane: Plane<'_, Vec<F>>,
+        root_name: &'static str,
+    ) -> Result<(), AttemptError> {
         let t = self.num_nodes();
-        let r = self.n() / t;
-        let chunk = r / t;
-        let mut out = vec![F::ZERO; self.n()];
-        // Node `c` position k1·chunk + j holds X[k1·R + c·chunk + j].
-        for (c, shard) in node_shards.iter().enumerate() {
-            for (k1, piece) in shard.chunks_exact(chunk).enumerate() {
-                out[k1 * r + c * chunk..][..chunk].copy_from_slice(piece);
-            }
+        assert_eq!(
+            active.map_or(cluster.num_nodes(), <[usize]>::len),
+            t,
+            "cluster does not match the plan"
+        );
+        if let Plane::Elements(shards, _) = &plane {
+            assert_eq!(shards.len(), t, "need one shard per node");
+            assert!(
+                shards.iter().all(|s| s.len() == self.n() / t),
+                "every node shard must hold 2^{} elements",
+                self.log_n - self.log_t
+            );
         }
-        out
+        let node = |slot: usize| active.map_or(slot, |active| active[slot]);
+        walk(
+            &CLUSTER,
+            cluster,
+            &Schedule::derive(&[], true, false),
+            Direction::Forward,
+            || (root_name, vec![("nodes", t.into())]),
+            |cluster, phase, observed| match phase {
+                Phase::Local => {
+                    for slot in 0..t {
+                        let at = node(slot);
+                        self.node_phase(&mut cluster.nodes[at], slot, &mut plane)
+                            .map_err(|e| match e {
+                                FabricError::DeviceLost { .. } => (Some(at), e),
+                                other => (None, other),
+                            })?;
+                    }
+                    Ok(Vec::new())
+                }
+                // One cross-node all-to-all (chunk transpose), charged
+                // analytically among exactly the plan's `t` participants.
+                Phase::Exchange => {
+                    if let Plane::Elements(shards, _) = &mut plane {
+                        let chunk = shards[0].len() / t;
+                        let old: Vec<Vec<F>> = shards.to_vec();
+                        for (dst, shard) in shards.iter_mut().enumerate() {
+                            for (src, old_shard) in old.iter().enumerate() {
+                                shard[src * chunk..(src + 1) * chunk]
+                                    .copy_from_slice(&old_shard[dst * chunk..(dst + 1) * chunk]);
+                            }
+                        }
+                    }
+                    let (bytes, hidden) = (cluster.network_bytes, cluster.network_hidden_ns);
+                    self.charge_cluster_exchange(cluster);
+                    let bytes = cluster.network_bytes - bytes;
+                    let hidden = cluster.network_hidden_ns - hidden;
+                    Ok(if observed {
+                        vec![("bytes", bytes.into()), ("hidden_comm_ns", hidden.into())]
+                    } else {
+                        Vec::new()
+                    })
+                }
+                // Size-T NTTs down the received columns, on each node.
+                Phase::Outer => {
+                    let profile = self.cluster_outer_profile();
+                    for slot in 0..t {
+                        if let Plane::Elements(shards, _) = &mut plane {
+                            self.outer.forward_columns(&mut shards[slot]);
+                        }
+                        launch_on_node(&mut cluster.nodes[node(slot)], &profile);
+                    }
+                    Ok(Vec::new())
+                }
+                lead => unreachable!("{lead:?} is not on the cluster schedule"),
+            },
+        )
+    }
+
+    /// Reassembles the cluster output into the natural-order host vector:
+    /// the node-level block-cyclic order is [`ShardLayout::BlockCyclic`]
+    /// with nodes for GPUs.
+    pub fn collect(&self, node_shards: &[Vec<F>]) -> Vec<F> {
+        Sharded::from_shards(node_shards.to_vec(), ShardLayout::BlockCyclic).collect()
     }
 
     /// Distributes a host vector into the node-cyclic input layout.
     pub fn distribute(&self, input: &[F]) -> Vec<Vec<F>> {
-        let t = self.num_nodes();
         assert_eq!(input.len(), self.n(), "input length mismatch");
-        let mut shards = vec![Vec::with_capacity(input.len() / t); t];
-        for round in input.chunks_exact(t) {
-            for (shard, &v) in shards.iter_mut().zip(round) {
-                shard.push(v);
-            }
-        }
-        shards
+        let mut sharded = Sharded::distribute(input, self.num_nodes(), ShardLayout::Cyclic);
+        std::mem::take(sharded.shards_mut())
     }
 
-    /// Cost-only forward transform for large-size sweeps.
+    /// Cost-only forward transform for large-size sweeps:
+    /// [`Self::forward`]'s attempt with nothing to move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster does not match the plan.
     pub fn simulate_forward(&self, cluster: &mut Cluster) {
-        let root = unintt_telemetry::reserve_span_id();
-        let t_begin = cluster.total_time_ns();
-        let twiddle = self.node_twiddle_profile();
-        let outer = self.cluster_outer_profile();
-        for machine in cluster.nodes.iter_mut() {
-            self.node_engine.simulate_forward(machine, 1);
-            let mut unused = ();
-            machine.on_device(0, &mut unused, |ctx, _| {
-                ctx.launch(&twiddle);
-                ctx.launch(&outer);
-            });
-        }
-        obs_cluster_span(
-            root,
-            cluster,
-            "node-phase",
-            "phase",
-            false,
-            t_begin,
-            Vec::new,
-        );
-        let t0 = cluster.total_time_ns();
-        let pre = root.map(|_| (cluster.network_bytes, cluster.network_hidden_ns));
-        self.charge_cluster_exchange(cluster);
-        if let Some((pre_bytes, pre_hidden)) = pre {
-            obs_cluster_span(
-                root,
-                cluster,
-                "cluster-exchange",
-                "interconnect",
-                false,
-                t0,
-                || {
-                    vec![
-                        ("bytes", (cluster.network_bytes - pre_bytes).into()),
-                        (
-                            "hidden_comm_ns",
-                            (cluster.network_hidden_ns - pre_hidden).into(),
-                        ),
-                    ]
-                },
-            );
-        }
-        let nodes = cluster.num_nodes();
-        obs_cluster_span(
-            root,
-            cluster,
-            "cluster-forward",
-            "transform",
-            true,
-            t_begin,
-            || vec![("nodes", nodes.into())],
-        );
+        self.attempt(cluster, None, Plane::Unit(1), "cluster-forward")
+            .unwrap_or_else(|(_, e)| panic!("{e}"));
     }
 }
 
@@ -878,38 +694,6 @@ mod tests {
         // Each node sends (T-1)/T of its R-element shard once.
         let r_bytes = (1u64 << (log_n - 2)) * 8;
         assert_eq!(cluster.network_bytes(), r_bytes * 3 / 4 * nodes as u64);
-    }
-
-    #[test]
-    fn simulate_matches_functional_clock() {
-        let fs = FieldSpec::goldilocks();
-        let nodes = 4usize;
-        let log_n = 14u32;
-        let node_cfg = presets::a100_nvlink(4);
-        let engine = ClusterNttEngine::<Goldilocks>::new(
-            log_n,
-            nodes,
-            &node_cfg,
-            UniNttOptions::tuned_for(&fs),
-            fs,
-        );
-
-        let mut real = Cluster::new(
-            nodes,
-            node_cfg.clone(),
-            NetworkConfig::infiniband_400g(),
-            fs,
-        );
-        let input = random_vec(1 << log_n, 2);
-        let mut shards = engine.distribute(&input);
-        engine.forward(&mut real, &mut shards);
-
-        let mut sim = Cluster::new(nodes, node_cfg, NetworkConfig::infiniband_400g(), fs);
-        engine.simulate_forward(&mut sim);
-
-        let (rt, st) = (real.total_time_ns(), sim.total_time_ns());
-        assert!((rt - st).abs() < 1e-6 * rt, "real={rt} sim={st}");
-        assert_eq!(real.network_bytes(), sim.network_bytes());
     }
 
     #[test]
@@ -1140,6 +924,22 @@ mod tests {
             err,
             unintt_gpu_sim::FabricError::DeviceLost { .. }
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster does not match the plan")]
+    fn cost_only_run_rejects_a_mismatched_cluster() {
+        let fs = FieldSpec::goldilocks();
+        let node_cfg = presets::a100_nvlink(2);
+        let engine = ClusterNttEngine::<Goldilocks>::new(
+            12,
+            2,
+            &node_cfg,
+            UniNttOptions::tuned_for(&fs),
+            fs,
+        );
+        let mut cluster = Cluster::new(4, node_cfg, NetworkConfig::infiniband_400g(), fs);
+        engine.simulate_forward(&mut cluster);
     }
 
     #[test]

@@ -5,17 +5,20 @@
 //! different scale** — local sub-NTTs, a fused twiddle multiplication, and
 //! one exchange through that level's communication medium:
 //!
-//! | level     | local transform size    | exchange medium     |
-//! |-----------|-------------------------|---------------------|
-//! | multi-GPU | `2^(L - log G)` per GPU | NCCL all-to-all     |
-//! | device    | block tiles             | global memory pass  |
-//! | block     | warp tiles              | shared memory       |
-//! | warp      | registers (radix 2/4)   | `shfl_xor`          |
+//! | level     | local transform size    | exchange medium     | realised by                                   |
+//! |-----------|-------------------------|---------------------|-----------------------------------------------|
+//! | cluster   | `2^(L - log T)` per node| network all-to-all  | `Local → Exchange → Outer`, cluster walk      |
+//! | multi-GPU | `2^(L - log G)` per GPU | NCCL all-to-all     | `Local → Exchange → Outer`, fabric walk       |
+//! | device    | block tiles             | global memory pass  | `device_passes`, charged inside `Local`       |
+//! | block     | warp tiles              | shared memory       | `log_block_tile`, inside a pass's profile     |
+//! | warp      | registers (radix 2/4)   | `shfl_xor`          | `log_warp_tile`, inside a pass's profile      |
 //!
 //! The plan is "overhead-free" because no level materializes a standalone
 //! transpose: each exchange *is* the addressing of the adjacent level's
 //! loads/stores. [`DecompositionPlan`] records the radix assigned to each
-//! level; the engine and the cost profiles both read it.
+//! level. The top two rows are walked phase by phase (`schedule.rs`: the
+//! cluster's `Local` step is a whole fabric walk); the bottom three are one
+//! kernel profile per pass, read from the plan by `profiles.rs`.
 
 use serde::{Deserialize, Serialize};
 use unintt_gpu_sim::MachineConfig;

@@ -10,7 +10,7 @@
 //! Inner(i1, k2) = Σ_{i2} x[i2·G + i1] · ω_M^{i2·k2}
 //! ```
 //!
-//! which the engine executes as three phases:
+//! which the engine executes as the three steps of the recursion:
 //!
 //! 1. **Local phase** (every GPU, no communication): a size-`M` NTT over
 //!    the local shard — itself executed as the planned hierarchy of fused
@@ -25,8 +25,17 @@
 //! The forward output is left in the documented
 //! [`ShardLayout::BlockCyclic`] order (evaluation-domain consumers are
 //! order-oblivious); [`UniNttOptions::natural_output`] adds the extra
-//! all-to-all that restores natural blocks. The inverse transform retraces
-//! the same three phases backwards, so `inverse(forward(x)) == x` exactly.
+//! all-to-all that restores natural blocks.
+//!
+//! ## One schedule, two planes
+//!
+//! Those steps are a [`Schedule`] derived per transform and walked by
+//! [`crate::schedule::walk`] — front to back for a forward transform, back
+//! to front for an inverse one, so `inverse(forward(x)) == x` by
+//! construction; a coset transform is a scale phase on the list. This
+//! file holds the body of each phase, once, written against a [`Plane`]:
+//! `simulate_*` is the functional transform's walk on the plane that
+//! holds no elements.
 //!
 //! ## Communication–compute overlap
 //!
@@ -48,87 +57,34 @@ use std::sync::OnceLock;
 
 use unintt_ff::TwoAdicField;
 use unintt_gpu_sim::{
-    FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, OverlapCompute,
+    DeviceCtx, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, OverlapCompute, Stats,
 };
 use unintt_ntt::{scale_by_powers, Direction, Ntt};
+use unintt_telemetry::SpanLevel;
 
 use crate::profiles;
+use crate::schedule::{walk, Attrs, Level, Phase, Plane, Schedule};
 use crate::{CommMode, DecompositionPlan, RecoveryPolicy, ShardLayout, Sharded, UniNttOptions};
 
-/// Records one engine phase span on the machine's track, parented to the
-/// reserved transform root. `root` is `None` exactly when telemetry is
-/// disabled, so the disabled path never evaluates `attrs`.
-fn obs_phase(
-    root: Option<u64>,
-    machine: &Machine,
-    name: &'static str,
-    category: &'static str,
-    t_start_ns: f64,
-    attrs: impl FnOnce() -> Vec<(&'static str, unintt_telemetry::AttrValue)>,
-) {
-    if let Some(parent) = root {
-        unintt_telemetry::record_span(|| unintt_telemetry::Span {
-            id: unintt_telemetry::fresh_id(),
-            parent: Some(parent),
-            name: name.to_string(),
-            level: unintt_telemetry::SpanLevel::Fabric,
-            category,
-            track: machine.label().to_string(),
-            t_start_ns,
-            t_end_ns: machine.max_clock_ns(),
-            attrs: attrs(),
-        });
-    }
-}
-
-/// Records the transform's root span (recorded last, after its phases,
-/// under the id reserved up front).
-fn obs_root(
-    root: Option<u64>,
-    machine: &Machine,
-    name: &'static str,
-    t_start_ns: f64,
-    attrs: impl FnOnce() -> Vec<(&'static str, unintt_telemetry::AttrValue)>,
-) {
-    if let Some(id) = root {
-        unintt_telemetry::record_span(|| unintt_telemetry::Span {
-            id,
-            parent: None,
-            name: name.to_string(),
-            level: unintt_telemetry::SpanLevel::Fabric,
-            category: "transform",
-            track: machine.label().to_string(),
-            t_start_ns,
-            t_end_ns: machine.max_clock_ns(),
-            attrs: attrs(),
-        });
-    }
-}
+/// The fabric level: spans on the machine's track, against its makespan.
+const FABRIC: Level<Machine> = Level {
+    span_level: SpanLevel::Fabric,
+    clock_ns: Machine::max_clock_ns,
+    track: |machine| machine.label().to_string(),
+};
 
 /// Raw-vs-exposed-vs-hidden interconnect annotations for an exchange
 /// span, from the stats delta across the exchange.
-fn exchange_attrs(
-    pre: &unintt_gpu_sim::Stats,
-    post: &unintt_gpu_sim::Stats,
-    overlapped: bool,
-) -> Vec<(&'static str, unintt_telemetry::AttrValue)> {
+fn exchange_attrs(pre: &Stats, post: &Stats, overlapped: bool) -> Attrs {
+    let mode = if overlapped { "overlapped" } else { "blocking" };
+    let raw = post.raw_time_ns.interconnect - pre.raw_time_ns.interconnect;
+    let exposed = post.time_ns.interconnect - pre.time_ns.interconnect;
+    let hidden = post.comm_hidden_ns - pre.comm_hidden_ns;
     vec![
-        (
-            "mode",
-            if overlapped { "overlapped" } else { "blocking" }.into(),
-        ),
-        (
-            "raw_comm_ns",
-            (post.raw_time_ns.interconnect - pre.raw_time_ns.interconnect).into(),
-        ),
-        (
-            "exposed_comm_ns",
-            (post.time_ns.interconnect - pre.time_ns.interconnect).into(),
-        ),
-        (
-            "hidden_comm_ns",
-            (post.comm_hidden_ns - pre.comm_hidden_ns).into(),
-        ),
+        ("mode", mode.into()),
+        ("raw_comm_ns", raw.into()),
+        ("exposed_comm_ns", exposed.into()),
+        ("hidden_comm_ns", hidden.into()),
     ]
 }
 
@@ -142,6 +98,19 @@ fn per_device_shards<F: TwoAdicField>(batch: &mut [Sharded<F>]) -> Vec<Vec<&mut 
         }
     }
     per_device
+}
+
+/// Regroups a shard by residue: the elements at `first, first + stride, …`
+/// for `first = 0, 1, …` in turn. With `stride = G` this is the four-step
+/// bucket pack (bucket `d` collects `j ≡ d (mod G)`, so the chunk
+/// transpose that follows delivers the cyclic shard); with
+/// `stride = M / G` it is the unpack that undoes it.
+fn regroup<F: Copy>(shard: &mut Vec<F>, stride: usize) {
+    let mut moved = Vec::with_capacity(shard.len());
+    for first in 0..stride {
+        moved.extend(shard.iter().skip(first).step_by(stride));
+    }
+    *shard = moved;
 }
 
 /// The UniNTT multi-GPU NTT engine.
@@ -211,53 +180,20 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// Pipeline depth for the overlapped exchange: the explicit
     /// [`UniNttOptions::comm_chunks`] if set, else the planner's choice.
     fn comm_chunks(&self) -> u32 {
-        if self.opts.comm_chunks > 0 {
-            self.opts.comm_chunks
-        } else {
-            self.plan.default_comm_chunks()
+        match self.opts.comm_chunks {
+            0 => self.plan.default_comm_chunks(),
+            chunks => chunks,
         }
     }
 
-    /// The kernels the overlapped exchange interleaves with. The local
-    /// side is the exchange-adjacent tail of the local phase (final
-    /// twiddle-fused pass, plus the standalone twiddle/pack kernels when
-    /// O1/O4 are off); the outer side is the whole outer phase. Forward
-    /// streams local → fabric → outer; inverse streams outer → fabric →
-    /// local. [`Self::charge_local`] skips exactly this local-side set
-    /// when overlap is on, so the totals never double-charge.
-    fn exchange_compute_profiles(
-        &self,
-        direction: Direction,
-        per_launch: u64,
-    ) -> (Vec<KernelProfile>, Vec<KernelProfile>) {
-        let (plan, opts, fs) = (&self.plan, &self.opts, self.field_spec);
-        debug_assert!(plan.num_gpus() > 1);
-        let radix = *plan
-            .device_passes
-            .last()
-            .expect("plans always have at least one device pass");
-        let mut local_side = vec![profiles::local_pass_profile(
-            plan,
-            opts,
-            fs,
-            radix,
-            per_launch,
-            opts.fuse_twiddle,
-        )];
-        if !opts.fuse_twiddle {
-            local_side.push(profiles::twiddle_kernel_profile(plan, opts, fs, per_launch));
-        }
-        if !opts.fuse_exchange {
-            local_side.push(profiles::pack_kernel_profile(plan, fs, per_launch));
-        }
-        let mut outer_side = Vec::new();
-        if !opts.fuse_exchange {
-            outer_side.push(profiles::pack_kernel_profile(plan, fs, per_launch));
-        }
-        outer_side.push(profiles::outer_stage_profile(plan, opts, fs, per_launch));
-        match direction {
-            Direction::Forward => (local_side, outer_side),
-            Direction::Inverse => (outer_side, local_side),
+    /// `(launches, vectors per launch)` for a batch of `b`: with
+    /// [`UniNttOptions::batching`] the batch shares each kernel and
+    /// collective, without it every vector pays its own.
+    fn launches(&self, b: u64) -> (u64, u64) {
+        if self.opts.batching {
+            (1, b)
+        } else {
+            (b, 1)
         }
     }
 
@@ -271,16 +207,16 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         self.outer.get_or_init(|| Ntt::new(self.plan.log_g))
     }
 
-    /// The per-device boundary-twiddle step `ω_N^{±dev}`: on device `dev`
-    /// the fused twiddle for output `k2` is `step^k2`, applied by a running
-    /// product (the on-the-fly generation the O2 optimization models).
-    fn boundary_step(&self, dev: usize, direction: Direction) -> F {
+    /// Applies device `dev`'s boundary twiddle `ω_N^{±dev·k2}` to its
+    /// shard, by a running product of the step `ω_N^{±dev}` (the
+    /// on-the-fly generation the O2 optimization models).
+    fn boundary_twiddle(&self, dev: usize, shard: &mut [F], direction: Direction) {
         let omega = F::two_adic_generator(self.plan.log_n);
         let root = match direction {
             Direction::Forward => omega,
             Direction::Inverse => omega.inverse().expect("roots of unity are nonzero"),
         };
-        root.pow(dev as u64)
+        scale_by_powers(shard, F::ONE, root.pow(dev as u64));
     }
 
     /// Forward NTT of a single vector. See the module docs for layout
@@ -306,8 +242,8 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// single (larger) all-to-all; without it every vector pays its own
     /// kernels and collectives.
     pub fn forward_batch(&self, machine: &mut Machine, batch: &mut [Sharded<F>]) {
-        self.try_forward_batch(machine, batch, &RecoveryPolicy::none())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let plane = Plane::unguarded(batch);
+        self.drive(machine, Direction::Forward, &[], F::ONE, plane);
     }
 
     /// Fault-tolerant [`Self::forward_batch`]: dropped collectives are
@@ -321,152 +257,39 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// # Errors
     ///
     /// [`FabricError::CollectiveDropped`] once retries are exhausted;
-    /// [`FabricError::DeviceLost`] on device loss.
+    /// [`FabricError::DeviceLost`] on device loss. On error the vectors'
+    /// contents are unspecified (mid-transform); re-run from the caller's
+    /// checkpoint.
     pub fn try_forward_batch(
         &self,
         machine: &mut Machine,
         batch: &mut [Sharded<F>],
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
-        self.check_batch(machine, batch, ShardLayout::Cyclic);
-        let g = self.plan.num_gpus();
-        let root = unintt_telemetry::reserve_span_id();
-        let t_begin = machine.max_clock_ns();
-
-        // Phase 1: local hierarchical NTT + fused boundary twiddle.
-        self.local_phase(machine, batch, Direction::Forward);
-        obs_phase(root, machine, "local-phase", "phase", t_begin, Vec::new);
-
-        if g > 1 {
-            // Phase 2: the single all-to-all (pipelined against the
-            // adjacent passes when overlap is on).
-            let overlap = self.overlapped().then_some(Direction::Forward);
-            let t0 = machine.max_clock_ns();
-            let pre = root.map(|_| machine.stats());
-            self.exchange(machine, batch, policy, overlap)?;
-            if let Some(pre) = pre {
-                let post = machine.stats();
-                obs_phase(root, machine, "exchange", "interconnect", t0, || {
-                    exchange_attrs(&pre, &post, overlap.is_some())
-                });
-            }
-            // Phase 3: outer size-G NTTs.
-            let t0 = machine.max_clock_ns();
-            self.outer_phase(machine, batch, Direction::Forward);
-            obs_phase(root, machine, "outer-phase", "phase", t0, Vec::new);
-        }
-        for item in batch.iter_mut() {
-            item.set_layout(ShardLayout::BlockCyclic);
-        }
-
-        if self.opts.natural_output {
-            if g > 1 {
-                let t0 = machine.max_clock_ns();
-                let pre = root.map(|_| machine.stats());
-                self.exchange(machine, batch, policy, None)?;
-                if let Some(pre) = pre {
-                    let post = machine.stats();
-                    obs_phase(root, machine, "natural-reorder", "interconnect", t0, || {
-                        exchange_attrs(&pre, &post, false)
-                    });
-                }
-            }
-            // For g == 1 the block-cyclic and natural layouts coincide, so
-            // only the stamp changes.
-            for item in batch.iter_mut() {
-                item.set_layout(ShardLayout::NaturalBlocks);
-            }
-        }
-        let b = batch.len();
-        obs_root(root, machine, "unintt-forward", t_begin, || {
-            vec![("batch", b.into()), ("path", "functional".into())]
-        });
-        Ok(())
+        let plane = &mut Plane::Elements(batch, policy);
+        self.run(machine, Direction::Forward, &[], F::ONE, plane)
     }
 
     /// Inverse NTT of a batch (exact inverse of [`Self::forward_batch`]).
     pub fn inverse_batch(&self, machine: &mut Machine, batch: &mut [Sharded<F>]) {
-        self.try_inverse_batch(machine, batch, &RecoveryPolicy::none())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let plane = Plane::unguarded(batch);
+        self.drive(machine, Direction::Inverse, &[], F::ONE, plane);
     }
 
-    /// Fault-tolerant [`Self::inverse_batch`]; see
-    /// [`Self::try_forward_batch`] for the recovery semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::try_forward_batch`].
+    /// Fault-tolerant [`Self::inverse_batch`]; errors as
+    /// [`Self::try_forward_batch`].
     pub fn try_inverse_batch(
         &self,
         machine: &mut Machine,
         batch: &mut [Sharded<F>],
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
-        let g = self.plan.num_gpus();
-        let expected = if self.opts.natural_output {
-            ShardLayout::NaturalBlocks
-        } else {
-            ShardLayout::BlockCyclic
-        };
-        self.check_batch(machine, batch, expected);
-        let root = unintt_telemetry::reserve_span_id();
-        let t_begin = machine.max_clock_ns();
-
-        if self.opts.natural_output {
-            // The chunk transpose is an involution: natural → block-cyclic.
-            if g > 1 {
-                let t0 = machine.max_clock_ns();
-                let pre = root.map(|_| machine.stats());
-                self.exchange(machine, batch, policy, None)?;
-                if let Some(pre) = pre {
-                    let post = machine.stats();
-                    obs_phase(root, machine, "natural-reorder", "interconnect", t0, || {
-                        exchange_attrs(&pre, &post, false)
-                    });
-                }
-            }
-            for item in batch.iter_mut() {
-                item.set_layout(ShardLayout::BlockCyclic);
-            }
-        }
-
-        if g > 1 {
-            // Undo phase 3, then undo the exchange (pipelined against the
-            // outer producers and local consumers when overlap is on).
-            let t0 = machine.max_clock_ns();
-            self.outer_phase(machine, batch, Direction::Inverse);
-            obs_phase(root, machine, "outer-phase", "phase", t0, Vec::new);
-            let overlap = self.overlapped().then_some(Direction::Inverse);
-            let t0 = machine.max_clock_ns();
-            let pre = root.map(|_| machine.stats());
-            self.exchange(machine, batch, policy, overlap)?;
-            if let Some(pre) = pre {
-                let post = machine.stats();
-                obs_phase(root, machine, "exchange", "interconnect", t0, || {
-                    exchange_attrs(&pre, &post, overlap.is_some())
-                });
-            }
-        }
-        // Undo phase 1 (boundary twiddle then local inverse NTT).
-        let t0 = machine.max_clock_ns();
-        self.local_phase(machine, batch, Direction::Inverse);
-        obs_phase(root, machine, "local-phase", "phase", t0, Vec::new);
-        for item in batch.iter_mut() {
-            item.set_layout(ShardLayout::Cyclic);
-        }
-        let b = batch.len();
-        obs_root(root, machine, "unintt-inverse", t_begin, || {
-            vec![("batch", b.into()), ("path", "functional".into())]
-        });
-        Ok(())
+        let plane = &mut Plane::Elements(batch, policy);
+        self.run(machine, Direction::Inverse, &[], F::ONE, plane)
     }
 
-    /// Fault-tolerant [`Self::forward`] for a single vector.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::try_forward_batch`]. On error the vector's contents are
-    /// unspecified (mid-transform); re-run from the caller's checkpoint.
+    /// Fault-tolerant [`Self::forward`] for a single vector; errors as
+    /// [`Self::try_forward_batch`].
     pub fn try_forward(
         &self,
         machine: &mut Machine,
@@ -476,11 +299,8 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         self.try_forward_batch(machine, std::slice::from_mut(data), policy)
     }
 
-    /// Fault-tolerant [`Self::inverse`] for a single vector.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::try_forward`].
+    /// Fault-tolerant [`Self::inverse`] for a single vector; errors as
+    /// [`Self::try_forward_batch`].
     pub fn try_inverse(
         &self,
         machine: &mut Machine,
@@ -488,156 +308,6 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
         self.try_inverse_batch(machine, std::slice::from_mut(data), policy)
-    }
-
-    fn check_batch(&self, machine: &Machine, batch: &[Sharded<F>], layout: ShardLayout) {
-        assert!(!batch.is_empty(), "batch must not be empty");
-        assert_eq!(
-            machine.num_devices(),
-            self.plan.num_gpus(),
-            "machine does not match the engine's plan"
-        );
-        for item in batch {
-            assert_eq!(item.len(), self.n(), "vector size does not match engine");
-            assert_eq!(
-                item.num_gpus(),
-                self.plan.num_gpus(),
-                "vector sharded over wrong GPU count"
-            );
-            assert_eq!(item.layout(), layout, "unexpected input layout");
-        }
-    }
-
-    /// Phase 1 (forward) / its inverse: the local size-M transform with the
-    /// boundary twiddle, plus all cost charges.
-    fn local_phase(&self, machine: &mut Machine, batch: &mut [Sharded<F>], direction: Direction) {
-        let g = self.plan.num_gpus();
-        let b = batch.len() as u64;
-        let local = self.local();
-        let engine = self;
-        // Under overlap the exchange-adjacent kernels are charged inside
-        // the exchange pipeline, not here.
-        let skip_exchange_adjacent = self.overlapped();
-
-        let mut per_device = per_device_shards(batch);
-
-        machine.parallel_phase(&mut per_device, |ctx, dev, shards| {
-            // Functional work.
-            for shard in shards.iter_mut() {
-                match direction {
-                    Direction::Forward => {
-                        local.forward(shard);
-                        if g > 1 {
-                            let step = engine.boundary_step(dev, Direction::Forward);
-                            scale_by_powers(shard, F::ONE, step);
-                        }
-                    }
-                    Direction::Inverse => {
-                        if g > 1 {
-                            let step = engine.boundary_step(dev, Direction::Inverse);
-                            scale_by_powers(shard, F::ONE, step);
-                        }
-                        local.inverse(shard);
-                    }
-                }
-            }
-
-            // Cost charges.
-            engine.charge_local(ctx, b, direction, skip_exchange_adjacent);
-        });
-    }
-
-    /// Charges the cost of one local phase for a batch of `b` vectors.
-    ///
-    /// With `skip_exchange_adjacent` the exchange-adjacent kernels (final
-    /// twiddle-fused pass, standalone twiddle, pack) are left out: the
-    /// overlapped exchange charges them inside its pipeline instead, via
-    /// [`Self::exchange_compute_profiles`].
-    fn charge_local(
-        &self,
-        ctx: &mut unintt_gpu_sim::DeviceCtx<'_>,
-        b: u64,
-        direction: Direction,
-        skip_exchange_adjacent: bool,
-    ) {
-        let g = self.plan.num_gpus();
-        let (plan, opts, fs) = (&self.plan, &self.opts, self.field_spec);
-        let launches = if opts.batching { 1 } else { b };
-        let per_launch = if opts.batching { b } else { 1 };
-        for _ in 0..launches {
-            let passes = plan.num_device_passes();
-            for (i, &radix) in plan.device_passes.iter().enumerate() {
-                let last = i + 1 == passes;
-                if skip_exchange_adjacent && last {
-                    continue;
-                }
-                let fuse_here = opts.fuse_twiddle && g > 1 && last;
-                let p = profiles::local_pass_profile(plan, opts, fs, radix, per_launch, fuse_here);
-                ctx.launch(&p);
-            }
-            if !opts.fuse_twiddle && g > 1 && !skip_exchange_adjacent {
-                ctx.launch(&profiles::twiddle_kernel_profile(
-                    plan, opts, fs, per_launch,
-                ));
-            }
-            if !opts.fuse_exchange && g > 1 && !skip_exchange_adjacent {
-                // Standalone pack (forward) / unpack (inverse) pass.
-                ctx.launch(&profiles::pack_kernel_profile(plan, fs, per_launch));
-            }
-            if direction == Direction::Inverse && !opts.fuse_twiddle {
-                // 1/N scale: fused into the last pass when twiddles are
-                // fused, otherwise a standalone kernel.
-                ctx.launch(&profiles::scale_kernel_profile(plan, fs, per_launch));
-            }
-        }
-    }
-
-    /// Charges the cost of one outer phase for a batch of `b` vectors.
-    fn charge_outer(&self, ctx: &mut unintt_gpu_sim::DeviceCtx<'_>, b: u64) {
-        let (plan, opts, fs) = (&self.plan, &self.opts, self.field_spec);
-        let launches = if opts.batching { 1 } else { b };
-        let per_launch = if opts.batching { b } else { 1 };
-        for _ in 0..launches {
-            if !opts.fuse_exchange {
-                ctx.launch(&profiles::pack_kernel_profile(plan, fs, per_launch));
-            }
-            ctx.launch(&profiles::outer_stage_profile(plan, opts, fs, per_launch));
-        }
-    }
-
-    /// Charges the cost of the multi-GPU exchange(s) for a batch of `b`
-    /// vectors without moving data (blocking schedule).
-    fn charge_exchange(&self, machine: &mut Machine, b: u64) {
-        let shard_bytes = (self.plan.shard_len() * self.field_spec.elem_bytes) as u64;
-        if self.opts.batching {
-            machine.charge_all_to_all(b * shard_bytes);
-        } else {
-            for _ in 0..b {
-                machine.charge_all_to_all(shard_bytes);
-            }
-        }
-    }
-
-    /// Charges the overlapped exchange(s) for a batch of `b` vectors
-    /// without moving data: the cost-only twin of the pipelined exchange,
-    /// including the interleaved producer/consumer kernels whose charges
-    /// moved out of [`Self::charge_local`] / [`Self::charge_outer`].
-    fn charge_exchange_overlapped(&self, machine: &mut Machine, b: u64, direction: Direction) {
-        let shard_bytes = (self.plan.shard_len() * self.field_spec.elem_bytes) as u64;
-        let per_launch = if self.opts.batching { b } else { 1 };
-        let (producers, consumers) = self.exchange_compute_profiles(direction, per_launch);
-        let compute = OverlapCompute {
-            producers: &producers,
-            consumers: &consumers,
-            chunks: self.comm_chunks(),
-        };
-        if self.opts.batching {
-            machine.charge_all_to_all_overlapped(b * shard_bytes, &compute);
-        } else {
-            for _ in 0..b {
-                machine.charge_all_to_all_overlapped(shard_bytes, &compute);
-            }
-        }
     }
 
     /// Coset forward NTT: evaluates the coefficient vector on `shift·H`
@@ -651,9 +321,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// Panics under the same conditions as [`Self::forward`], or if
     /// `shift` is zero.
     pub fn coset_forward(&self, machine: &mut Machine, data: &mut Sharded<F>, shift: F) {
-        assert!(!shift.is_zero(), "coset shift must be nonzero");
-        self.scale_phase_batch(machine, std::slice::from_mut(data), shift);
-        self.forward(machine, data);
+        self.coset_forward_batch(machine, std::slice::from_mut(data), shift);
     }
 
     /// Inverse of [`Self::coset_forward`]: recovers coefficients from
@@ -665,28 +333,26 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// `shift` is zero.
     pub fn coset_inverse(&self, machine: &mut Machine, data: &mut Sharded<F>, shift: F) {
         let shift_inv = shift.inverse().expect("coset shift must be nonzero");
-        self.inverse(machine, data);
-        self.scale_phase_batch(machine, std::slice::from_mut(data), shift_inv);
+        let plane = Plane::unguarded(std::slice::from_mut(data));
+        self.drive(
+            machine,
+            Direction::Inverse,
+            &[Phase::Scale],
+            shift_inv,
+            plane,
+        );
     }
 
     /// Coset forward NTT of a batch: one fused scale phase plus one
     /// batched transform (shared passes and collectives under O5).
     pub fn coset_forward_batch(&self, machine: &mut Machine, batch: &mut [Sharded<F>], shift: F) {
-        assert!(!shift.is_zero(), "coset shift must be nonzero");
-        self.scale_phase_batch(machine, batch, shift);
-        self.forward_batch(machine, batch);
+        let plane = Plane::unguarded(batch);
+        self.drive(machine, Direction::Forward, &[Phase::Scale], shift, plane);
     }
 
-    /// Fault-tolerant twin of [`Self::coset_forward_batch`]: the scale
-    /// phase is collective-free, the transform runs under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`FabricError`] that outlived the policy's retries.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Self::coset_forward_batch`].
+    /// Fault-tolerant [`Self::coset_forward_batch`]: the scale phase is
+    /// collective-free, the transform runs under `policy`. Errors as
+    /// [`Self::try_forward_batch`], panics as [`Self::coset_forward`].
     pub fn try_coset_forward_batch(
         &self,
         machine: &mut Machine,
@@ -694,192 +360,254 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         shift: F,
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
-        assert!(!shift.is_zero(), "coset shift must be nonzero");
-        self.scale_phase_batch(machine, batch, shift);
-        self.try_forward_batch(machine, batch, policy)
+        let plane = &mut Plane::Elements(batch, policy);
+        self.run(machine, Direction::Forward, &[Phase::Scale], shift, plane)
     }
 
-    /// Scales element `i` of each cyclic-distributed vector by `shift^i`:
-    /// device `dev` holds elements `j·G + dev`, so its factors form the
-    /// geometric sequence `shift^dev · (shift^G)^j` — generated on the fly.
-    fn scale_phase_batch(&self, machine: &mut Machine, batch: &mut [Sharded<F>], shift: F) {
-        let g = self.plan.num_gpus();
-        let b = batch.len() as u64;
-        let engine = self;
-
-        let mut per_device = per_device_shards(batch);
-        machine.parallel_phase(&mut per_device, |ctx, dev, shards| {
-            let step = shift.pow(g as u64);
-            for shard in shards.iter_mut() {
-                scale_by_powers(shard, shift.pow(dev as u64), step);
-            }
-            engine.charge_scale_batch(ctx, b);
-        });
-    }
-
-    /// Charges coset-scale kernels for a batch of `b` vectors, honoring
-    /// the batching flag (one fused launch vs `b` separate ones).
-    fn charge_scale_batch(&self, ctx: &mut unintt_gpu_sim::DeviceCtx<'_>, b: u64) {
-        let launches = if self.opts.batching { 1 } else { b };
-        let per_launch = if self.opts.batching { b } else { 1 };
-        for _ in 0..launches {
-            self.charge_scale(ctx, per_launch);
-        }
-    }
-
-    /// Charges the coset-scale cost for a batch of `b` vectors.
-    fn charge_scale(&self, ctx: &mut unintt_gpu_sim::DeviceCtx<'_>, b: u64) {
-        let (plan, fs) = (&self.plan, self.field_spec);
-        if self.opts.fuse_twiddle {
-            ctx.launch(&profiles::fused_scale_profile(plan, fs, b));
-        } else {
-            ctx.launch(&profiles::scale_kernel_profile(plan, fs, b));
-        }
-    }
-
-    /// Cost-only twin of [`Self::coset_forward`] /
-    /// [`Self::coset_forward_batch`].
+    /// Cost-only [`Self::coset_forward_batch`]: the same walk with nothing
+    /// to move.
     pub fn simulate_coset_forward(&self, machine: &mut Machine, batch: u64) {
-        let mut dummy: Vec<()> = vec![(); self.plan.num_gpus()];
-        machine.parallel_phase(&mut dummy, |ctx, _, _| {
-            self.charge_scale_batch(ctx, batch);
-        });
-        self.simulate_forward(machine, batch);
+        let plane = Plane::Unit(batch);
+        self.drive(machine, Direction::Forward, &[Phase::Scale], F::ONE, plane);
     }
 
-    /// Cost-only forward transform: charges exactly the kernels and
-    /// collectives [`Self::forward_batch`] would, without touching data.
-    ///
-    /// Used by the benchmark harness for transform sizes whose functional
-    /// execution would not fit in host memory or time budgets. The
-    /// equivalence of the two paths is enforced by tests.
+    /// Cost-only forward transform: [`Self::forward_batch`]'s walk with
+    /// nothing to move, so it charges the same kernels and collectives and
+    /// records the same spans without touching data. For transform sizes
+    /// whose functional execution would not fit in host memory or time.
     pub fn simulate_forward(&self, machine: &mut Machine, batch: u64) {
-        assert!(batch > 0, "batch must be positive");
-        let g = self.plan.num_gpus();
-        let overlapped = self.overlapped();
-        let root = unintt_telemetry::reserve_span_id();
-        let t_begin = machine.max_clock_ns();
-        let mut dummy: Vec<()> = vec![(); g];
-        machine.parallel_phase(&mut dummy, |ctx, _, _| {
-            self.charge_local(ctx, batch, Direction::Forward, overlapped);
-        });
-        obs_phase(root, machine, "local-phase", "phase", t_begin, Vec::new);
-        if g > 1 {
-            let t0 = machine.max_clock_ns();
-            let pre = root.map(|_| machine.stats());
-            if overlapped {
-                self.charge_exchange_overlapped(machine, batch, Direction::Forward);
-            } else {
-                self.charge_exchange(machine, batch);
-            }
-            if let Some(pre) = pre {
-                let post = machine.stats();
-                obs_phase(root, machine, "exchange", "interconnect", t0, || {
-                    exchange_attrs(&pre, &post, overlapped)
-                });
-            }
-            let t0 = machine.max_clock_ns();
-            machine.parallel_phase(&mut dummy, |ctx, _, _| {
-                if !overlapped {
-                    self.charge_outer(ctx, batch);
-                }
-            });
-            obs_phase(root, machine, "outer-phase", "phase", t0, Vec::new);
-            if self.opts.natural_output {
-                let t0 = machine.max_clock_ns();
-                let pre = root.map(|_| machine.stats());
-                self.charge_exchange(machine, batch);
-                if let Some(pre) = pre {
-                    let post = machine.stats();
-                    obs_phase(root, machine, "natural-reorder", "interconnect", t0, || {
-                        exchange_attrs(&pre, &post, false)
-                    });
-                }
-            }
-        }
-        obs_root(root, machine, "unintt-forward", t_begin, || {
-            vec![("batch", batch.into()), ("path", "simulate".into())]
-        });
+        self.drive(machine, Direction::Forward, &[], F::ONE, Plane::Unit(batch));
     }
 
-    /// Cost-only inverse transform, mirroring [`Self::inverse_batch`].
+    /// Cost-only inverse transform: [`Self::inverse_batch`]'s walk with
+    /// nothing to move.
     pub fn simulate_inverse(&self, machine: &mut Machine, batch: u64) {
-        assert!(batch > 0, "batch must be positive");
-        let g = self.plan.num_gpus();
-        let overlapped = self.overlapped();
-        let root = unintt_telemetry::reserve_span_id();
-        let t_begin = machine.max_clock_ns();
-        let mut dummy: Vec<()> = vec![(); g];
-        if g > 1 {
-            if self.opts.natural_output {
-                let t0 = machine.max_clock_ns();
-                let pre = root.map(|_| machine.stats());
-                self.charge_exchange(machine, batch);
-                if let Some(pre) = pre {
-                    let post = machine.stats();
-                    obs_phase(root, machine, "natural-reorder", "interconnect", t0, || {
-                        exchange_attrs(&pre, &post, false)
-                    });
-                }
-            }
-            let t0 = machine.max_clock_ns();
-            machine.parallel_phase(&mut dummy, |ctx, _, _| {
-                if !overlapped {
-                    self.charge_outer(ctx, batch);
-                }
-            });
-            obs_phase(root, machine, "outer-phase", "phase", t0, Vec::new);
-            let t0 = machine.max_clock_ns();
-            let pre = root.map(|_| machine.stats());
-            if overlapped {
-                self.charge_exchange_overlapped(machine, batch, Direction::Inverse);
-            } else {
-                self.charge_exchange(machine, batch);
-            }
-            if let Some(pre) = pre {
-                let post = machine.stats();
-                obs_phase(root, machine, "exchange", "interconnect", t0, || {
-                    exchange_attrs(&pre, &post, overlapped)
-                });
-            }
-        }
-        let t0 = machine.max_clock_ns();
-        machine.parallel_phase(&mut dummy, |ctx, _, _| {
-            self.charge_local(ctx, batch, Direction::Inverse, overlapped);
-        });
-        obs_phase(root, machine, "local-phase", "phase", t0, Vec::new);
-        obs_root(root, machine, "unintt-inverse", t_begin, || {
-            vec![("batch", batch.into()), ("path", "simulate".into())]
-        });
+        self.drive(machine, Direction::Inverse, &[], F::ONE, Plane::Unit(batch));
     }
 
-    /// Phase 3 (forward) / its inverse: size-G NTTs down the received
-    /// columns, plus cost charges.
-    fn outer_phase(&self, machine: &mut Machine, batch: &mut [Sharded<F>], direction: Direction) {
+    /// [`Self::run`] for the entry points that treat a fabric error as a
+    /// bug (no recovery policy, or nothing that can fail).
+    pub(crate) fn drive(
+        &self,
+        machine: &mut Machine,
+        direction: Direction,
+        lead: &[Phase],
+        shift: F,
+        mut plane: Plane<'_, Sharded<F>>,
+    ) {
+        self.run(machine, direction, lead, shift, &mut plane)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The one path every transform takes: checks the plane against the
+    /// plan (once, first, on both planes), derives the schedule from the
+    /// plan, the options and the resolved communication mode, walks it,
+    /// and stamps the output layout. `lead` is what precedes the transform
+    /// in the forward direction and follows it in the inverse one: a
+    /// [`Phase::Scale`] by the powers of `shift` for a coset transform,
+    /// the four-step baseline's pack and [`Phase::Convert`].
+    ///
+    /// # Errors
+    ///
+    /// The [`FabricError`] of a collective that outlived the element
+    /// plane's recovery policy; the unit plane cannot fail.
+    pub(crate) fn run(
+        &self,
+        machine: &mut Machine,
+        direction: Direction,
+        lead: &[Phase],
+        shift: F,
+        plane: &mut Plane<'_, Sharded<F>>,
+    ) -> Result<(), FabricError> {
         let g = self.plan.num_gpus();
-        debug_assert!(g > 1);
-        let b = batch.len() as u64;
-        let outer = self.outer();
-        let engine = self;
+        let natural_if = |natural: bool, otherwise| match natural {
+            true => ShardLayout::NaturalBlocks,
+            false => otherwise,
+        };
+        let front = natural_if(lead.contains(&Phase::Convert), ShardLayout::Cyclic);
+        let back = natural_if(self.opts.natural_output, ShardLayout::BlockCyclic);
+        let (expected, produced, name) = match direction {
+            Direction::Forward => (front, back, "unintt-forward"),
+            Direction::Inverse => (back, front, "unintt-inverse"),
+        };
+        let b = plane.len();
+        let path = match plane {
+            Plane::Elements(..) => "functional",
+            Plane::Unit(_) => "simulate",
+        };
+        assert!(!shift.is_zero(), "coset shift must be nonzero");
+        assert!(b > 0, "batch must not be empty");
+        assert_eq!(
+            machine.num_devices(),
+            g,
+            "machine does not match the engine's plan"
+        );
+        if let Plane::Elements(batch, _) = plane {
+            for item in batch.iter() {
+                assert_eq!(item.len(), self.n(), "vector size does not match engine");
+                assert_eq!(item.num_gpus(), g, "vector sharded over wrong GPU count");
+                assert_eq!(item.layout(), expected, "unexpected input layout");
+            }
+        }
 
-        let mut per_device = per_device_shards(batch);
+        let pipelined = self.overlapped();
+        let schedule = Schedule::derive(lead, g > 1, self.opts.natural_output);
+        walk(
+            &FABRIC,
+            machine,
+            &schedule,
+            direction,
+            || (name, vec![("batch", b.into()), ("path", path.into())]),
+            |machine, phase, observed| {
+                let overlap = match phase {
+                    Phase::Exchange => pipelined.then_some(direction),
+                    Phase::Convert | Phase::NaturalReorder => None,
+                    compute => {
+                        self.compute(machine, plane, compute, direction, pipelined, shift);
+                        return Ok(Vec::new());
+                    }
+                };
+                let pre = observed.then(|| machine.stats());
+                self.exchange(machine, plane, overlap)?;
+                Ok(pre.map_or_else(Vec::new, |pre| {
+                    exchange_attrs(&pre, &machine.stats(), overlap.is_some())
+                }))
+            },
+        )?;
+        if let Plane::Elements(batch, _) = plane {
+            for item in batch.iter_mut() {
+                item.set_layout(produced);
+            }
+        }
+        Ok(())
+    }
 
-        // Under overlap the outer kernels are charged inside the exchange
-        // pipeline; this phase then runs functionally for free.
-        let charge = !self.overlapped();
-        machine.parallel_phase(&mut per_device, |ctx, _dev, shards| {
-            // A shard is the row-major `G × C` matrix of received chunks.
-            for shard in shards.iter_mut() {
-                match direction {
-                    Direction::Forward => outer.forward_columns(shard),
-                    Direction::Inverse => outer.inverse_columns(shard),
+    /// Hands `launch` the kernels of one local-phase launch, in launch
+    /// order: the inner passes (`adjacent = false`), or the
+    /// *exchange-adjacent* tail (`adjacent = true`) — the final
+    /// (twiddle-fused) pass, plus the standalone twiddle and pack kernels
+    /// when O1/O4 are off. A pipelined exchange interleaves exactly the
+    /// tail with its chunk transfers, and the local phase then leaves it
+    /// out, so the totals never double-charge.
+    fn local_kernels(
+        &self,
+        per_launch: u64,
+        adjacent: bool,
+        mut launch: impl FnMut(&KernelProfile),
+    ) {
+        let (plan, opts, fs) = (&self.plan, &self.opts, self.field_spec);
+        let multi = plan.num_gpus() > 1;
+        for (i, &radix) in plan.device_passes.iter().enumerate() {
+            let last = i + 1 == plan.num_device_passes();
+            if last == adjacent {
+                let fused = last && multi && opts.fuse_twiddle;
+                let pass = profiles::local_pass_profile(plan, opts, fs, radix, per_launch, fused);
+                launch(&pass);
+            }
+        }
+        if adjacent && multi && !opts.fuse_twiddle {
+            launch(&profiles::twiddle_kernel_profile(
+                plan, opts, fs, per_launch,
+            ));
+        }
+        if adjacent && multi && !opts.fuse_exchange {
+            // Standalone pack (forward) / unpack (inverse) pass.
+            launch(&profiles::pack_kernel_profile(plan, fs, per_launch));
+        }
+    }
+
+    /// Hands `launch` the kernels of one outer-phase launch — all of them
+    /// exchange-adjacent, on the far side of the exchange from
+    /// [`Self::local_kernels`]' tail.
+    fn outer_kernels(&self, per_launch: u64, mut launch: impl FnMut(&KernelProfile)) {
+        let (plan, opts, fs) = (&self.plan, &self.opts, self.field_spec);
+        if !opts.fuse_exchange {
+            launch(&profiles::pack_kernel_profile(plan, fs, per_launch));
+        }
+        launch(&profiles::outer_stage_profile(plan, opts, fs, per_launch));
+    }
+
+    /// One compute phase on every device: the host arithmetic on each
+    /// shard the plane holds (none on the unit plane), then the phase's
+    /// kernel launches, once per device.
+    fn compute(
+        &self,
+        machine: &mut Machine,
+        plane: &mut Plane<'_, Sharded<F>>,
+        phase: Phase,
+        direction: Direction,
+        pipelined: bool,
+        shift: F,
+    ) {
+        let (plan, opts, fs) = (&self.plan, &self.opts, self.field_spec);
+        let g = plan.num_gpus();
+        let (launches, per_launch) = self.launches(plane.len());
+        let work = |dev: usize, shard: &mut Vec<F>| match (phase, direction) {
+            // Device `dev` holds the elements `j·G + dev`, so its factors
+            // `shift^i` are the geometric sequence `shift^dev·(shift^G)^j`.
+            (Phase::Scale, _) => {
+                scale_by_powers(shard, shift.pow(dev as u64), shift.pow(g as u64));
+            }
+            (Phase::Pack, Direction::Forward) => regroup(shard, g),
+            (Phase::Pack, Direction::Inverse) => regroup(shard, plan.shard_len() / g),
+            // The size-M transform, then the boundary twiddle; backwards,
+            // the twiddle undone first.
+            (Phase::Local, Direction::Forward) => {
+                self.local().forward(shard);
+                if g > 1 {
+                    self.boundary_twiddle(dev, shard, direction);
                 }
             }
-
-            if charge {
-                engine.charge_outer(ctx, b);
+            (Phase::Local, Direction::Inverse) => {
+                if g > 1 {
+                    self.boundary_twiddle(dev, shard, direction);
+                }
+                self.local().inverse(shard);
             }
-        });
+            // A shard is the row-major `G × C` matrix of received chunks.
+            (Phase::Outer, Direction::Forward) => self.outer().forward_columns(shard),
+            (Phase::Outer, Direction::Inverse) => self.outer().inverse_columns(shard),
+            _ => unreachable!("{phase:?} is an exchange"),
+        };
+        let charge = |ctx: &mut DeviceCtx<'_>| {
+            let mut launch = |kernel: &KernelProfile| {
+                ctx.launch(kernel);
+            };
+            for _ in 0..launches {
+                match phase {
+                    // Pure ALU inside the first pass when O1 is on.
+                    Phase::Scale if opts.fuse_twiddle => {
+                        launch(&profiles::fused_scale_profile(plan, fs, per_launch));
+                    }
+                    Phase::Scale => launch(&profiles::scale_kernel_profile(plan, fs, per_launch)),
+                    Phase::Pack => launch(&profiles::pack_kernel_profile(plan, fs, per_launch)),
+                    Phase::Local => {
+                        self.local_kernels(per_launch, false, &mut launch);
+                        if !pipelined {
+                            self.local_kernels(per_launch, true, &mut launch);
+                        }
+                        // 1/N: fused into the last pass with O1, otherwise
+                        // a standalone kernel.
+                        if direction == Direction::Inverse && !opts.fuse_twiddle {
+                            launch(&profiles::scale_kernel_profile(plan, fs, per_launch));
+                        }
+                    }
+                    // A pipelined exchange charged these, and the local tail.
+                    Phase::Outer if pipelined => {}
+                    Phase::Outer => self.outer_kernels(per_launch, &mut launch),
+                    _ => unreachable!("{phase:?} is an exchange"),
+                }
+            }
+        };
+        match plane {
+            Plane::Elements(batch, _) => {
+                machine.parallel_phase(&mut per_device_shards(batch), |ctx, dev, shards| {
+                    shards.iter_mut().for_each(|shard| work(dev, shard));
+                    charge(ctx);
+                });
+            }
+            Plane::Unit(_) => machine.parallel_phase(&mut vec![(); g], |ctx, _, _| charge(ctx)),
+        }
     }
 
     /// One all-to-all under the recovery policy: transient drops are
@@ -889,7 +617,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// so retrying the same buffers is always safe; under overlap a retry
     /// re-runs the whole pipeline (the blocking attempt only charged the
     /// detection timeout).
-    fn exchange_step(
+    fn transfer(
         &self,
         machine: &mut Machine,
         shards: &mut [Vec<F>],
@@ -901,13 +629,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         loop {
             let res = match compute {
                 Some(c) => machine
-                    .all_to_all_overlapped(
-                        shards,
-                        elem_bytes,
-                        c,
-                        policy.verify_checksums,
-                        |_, _, _| {},
-                    )
+                    .all_to_all_overlapped(shards, elem_bytes, c, policy.verify_checksums)
                     .map(|_| ()),
                 None if policy.verify_checksums => {
                     machine.all_to_all_checked(shards, elem_bytes).map(|_| ())
@@ -926,66 +648,83 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         }
     }
 
-    /// The multi-GPU exchange: one all-to-all carrying the whole batch
-    /// (batching on) or one per vector (batching off). With
-    /// `overlap = Some(direction)` the exchange is charged as a software
-    /// pipeline interleaved with the exchange-adjacent kernels of that
-    /// direction; with `None` it blocks (used by the `natural_output`
-    /// reordering, which has no compute to hide behind).
+    /// One exchange among the GPUs: one all-to-all carrying the whole
+    /// batch (batching on) or one per vector (batching off). With
+    /// `overlap = Some(direction)` it is charged as a software pipeline
+    /// interleaved with the exchange-adjacent kernels — forward streams
+    /// local → fabric → outer, inverse streams outer → fabric → local;
+    /// with `None` it blocks (the reordering and layout-conversion
+    /// exchanges have no compute to hide behind).
     fn exchange(
         &self,
         machine: &mut Machine,
-        batch: &mut [Sharded<F>],
-        policy: &RecoveryPolicy,
+        plane: &mut Plane<'_, Sharded<F>>,
         overlap: Option<Direction>,
     ) -> Result<(), FabricError> {
         let g = self.plan.num_gpus();
         let m = self.plan.shard_len();
-        let per_launch = if self.opts.batching {
-            batch.len() as u64
-        } else {
-            1
-        };
-        let profile_lists =
-            overlap.map(|direction| self.exchange_compute_profiles(direction, per_launch));
-        let compute = profile_lists.as_ref().map(|(prod, cons)| OverlapCompute {
-            producers: prod,
-            consumers: cons,
+        let (transfers, per_launch) = self.launches(plane.len());
+        let lists = overlap.map(|direction| {
+            let (mut local, mut outer) = (Vec::new(), Vec::new());
+            self.local_kernels(per_launch, true, |kernel| local.push(*kernel));
+            self.outer_kernels(per_launch, |kernel| outer.push(*kernel));
+            match direction {
+                Direction::Forward => (local, outer),
+                Direction::Inverse => (outer, local),
+            }
+        });
+        let compute = lists.as_ref().map(|(producers, consumers)| OverlapCompute {
+            producers,
+            consumers,
             chunks: self.comm_chunks(),
         });
         let compute = compute.as_ref();
 
-        if self.opts.batching && batch.len() > 1 {
-            // Pack chunk-major so one all-to-all carries every vector:
-            // combined chunk c = [item0 chunk c | item1 chunk c | …].
-            let b = batch.len();
-            let chunk = m / g;
-            let mut combined: Vec<Vec<F>> = (0..g)
-                .map(|dev| {
-                    let mut buf = Vec::with_capacity(b * m);
-                    for c in 0..g {
-                        for item in batch.iter() {
-                            buf.extend_from_slice(&item.shards()[dev][c * chunk..(c + 1) * chunk]);
+        match plane {
+            Plane::Elements(batch, policy) if per_launch > 1 => {
+                // Pack chunk-major so one all-to-all carries every vector:
+                // combined chunk c = [item0 chunk c | item1 chunk c | …].
+                let chunk = m / g;
+                let mut combined: Vec<Vec<F>> = (0..g)
+                    .map(|dev| {
+                        let mut buf = Vec::with_capacity(batch.len() * m);
+                        for c in 0..g {
+                            for item in batch.iter() {
+                                buf.extend_from_slice(
+                                    &item.shards()[dev][c * chunk..(c + 1) * chunk],
+                                );
+                            }
                         }
-                    }
-                    buf
-                })
-                .collect();
-            self.exchange_step(machine, &mut combined, policy, compute)?;
-            for (dev, buf) in combined.into_iter().enumerate() {
-                // Received layout: for src in 0..g, for item, chunk data.
-                let mut offset = 0;
-                for src in 0..g {
-                    for item in batch.iter_mut() {
-                        item.shards_mut()[dev][src * chunk..(src + 1) * chunk]
-                            .copy_from_slice(&buf[offset..offset + chunk]);
-                        offset += chunk;
+                        buf
+                    })
+                    .collect();
+                self.transfer(machine, &mut combined, policy, compute)?;
+                for (dev, buf) in combined.into_iter().enumerate() {
+                    // Received layout: for src in 0..g, for item, chunk data.
+                    let mut received = buf.chunks_exact(chunk);
+                    for src in 0..g {
+                        for item in batch.iter_mut() {
+                            item.shards_mut()[dev][src * chunk..(src + 1) * chunk]
+                                .copy_from_slice(received.next().expect("g·b chunks"));
+                        }
                     }
                 }
             }
-        } else {
-            for item in batch.iter_mut() {
-                self.exchange_step(machine, item.shards_mut(), policy, compute)?;
+            Plane::Elements(batch, policy) => {
+                for item in batch.iter_mut() {
+                    self.transfer(machine, item.shards_mut(), policy, compute)?;
+                }
+            }
+            Plane::Unit(_) => {
+                let bytes = per_launch * (m * self.field_spec.elem_bytes) as u64;
+                for _ in 0..transfers {
+                    match compute {
+                        Some(c) => {
+                            machine.charge_all_to_all_overlapped(bytes, c);
+                        }
+                        None => machine.charge_all_to_all(bytes),
+                    }
+                }
             }
         }
         Ok(())
@@ -1208,55 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_charges_exactly_what_run_charges() {
-        for gpus in [1usize, 8] {
-            for natural in [false, true] {
-                for batch_len in [1usize, 3] {
-                    let log_n = 14u32;
-                    let cfg = presets::a100_nvlink(gpus);
-                    let fs = FieldSpec::goldilocks();
-                    let mut opts = UniNttOptions::full();
-                    opts.natural_output = natural;
-                    let engine = UniNttEngine::<Goldilocks>::new(log_n, &cfg, opts, fs);
-
-                    let mut real = Machine::new(cfg.clone(), fs);
-                    let mut batch: Vec<Sharded<Goldilocks>> = (0..batch_len)
-                        .map(|i| {
-                            Sharded::distribute(
-                                &random_vec::<Goldilocks>(1 << log_n, i as u64),
-                                gpus,
-                                ShardLayout::Cyclic,
-                            )
-                        })
-                        .collect();
-                    engine.forward_batch(&mut real, &mut batch);
-                    engine.inverse_batch(&mut real, &mut batch);
-
-                    let mut sim = Machine::new(cfg, fs);
-                    engine.simulate_forward(&mut sim, batch_len as u64);
-                    engine.simulate_inverse(&mut sim, batch_len as u64);
-
-                    let (rt, st) = (real.max_clock_ns(), sim.max_clock_ns());
-                    assert!(
-                        (rt - st).abs() < 1e-6 * rt.max(1.0),
-                        "clock mismatch gpus={gpus} natural={natural} b={batch_len}: real={rt} sim={st}"
-                    );
-                    assert_eq!(
-                        real.stats().kernels_launched,
-                        sim.stats().kernels_launched,
-                        "kernel count mismatch gpus={gpus} natural={natural} b={batch_len}"
-                    );
-                    assert_eq!(
-                        real.stats().interconnect_bytes_sent,
-                        sim.stats().interconnect_bytes_sent,
-                        "bytes mismatch gpus={gpus} natural={natural} b={batch_len}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn overlapped_and_blocking_outputs_bit_identical() {
         let log_n = 12u32;
         let gpus = 8usize;
@@ -1470,29 +1160,7 @@ mod coset_tests {
     }
 
     #[test]
-    fn simulate_coset_matches_functional() {
-        let log_n = 12u32;
-        let gpus = 8usize;
-        let fs = FieldSpec::goldilocks();
-        let cfg = presets::a100_nvlink(gpus);
-        let engine =
-            UniNttEngine::<Goldilocks>::new(log_n, &cfg, UniNttOptions::tuned_for(&fs), fs);
-
-        let mut real = Machine::new(cfg.clone(), fs);
-        let input = random_vec(1 << log_n, 3);
-        let mut data = Sharded::distribute(&input, gpus, ShardLayout::Cyclic);
-        engine.coset_forward(&mut real, &mut data, Goldilocks::GENERATOR);
-
-        let mut sim = Machine::new(cfg, fs);
-        engine.simulate_coset_forward(&mut sim, 1);
-
-        let (rt, st) = (real.max_clock_ns(), sim.max_clock_ns());
-        assert!((rt - st).abs() < 1e-6 * rt, "real={rt} sim={st}");
-        assert_eq!(real.stats().kernels_launched, sim.stats().kernels_launched);
-    }
-
-    #[test]
-    fn coset_batch_matches_individual_and_simulate() {
+    fn coset_batch_matches_individual() {
         let log_n = 10u32;
         let gpus = 4usize;
         let fs = FieldSpec::goldilocks();
@@ -1512,7 +1180,7 @@ mod coset_tests {
         }
 
         // Batched.
-        let mut real = Machine::new(cfg.clone(), fs);
+        let mut real = Machine::new(cfg, fs);
         let mut batch: Vec<Sharded<Goldilocks>> = inputs
             .iter()
             .map(|x| Sharded::distribute(x, gpus, ShardLayout::Cyclic))
@@ -1521,13 +1189,29 @@ mod coset_tests {
         for (out, exp) in batch.iter().zip(&expected) {
             assert_eq!(&out.collect(), exp);
         }
+    }
 
-        // Cost-only twin.
-        let mut sim = Machine::new(cfg, fs);
-        engine.simulate_coset_forward(&mut sim, 5);
-        let (rt, st) = (real.max_clock_ns(), sim.max_clock_ns());
-        assert!((rt - st).abs() < 1e-6 * rt, "real={rt} sim={st}");
-        assert_eq!(real.stats().kernels_launched, sim.stats().kernels_launched);
+    #[test]
+    fn empty_cost_only_batch_is_rejected_before_anything_is_charged() {
+        let fs = FieldSpec::goldilocks();
+        let cfg = presets::a100_nvlink(2);
+        let engine = UniNttEngine::<Goldilocks>::new(6, &cfg, UniNttOptions::tuned_for(&fs), fs);
+        let mut machine = Machine::new(cfg, fs);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.simulate_coset_forward(&mut machine, 0);
+        }));
+        assert!(caught.is_err(), "an empty batch must be rejected");
+        assert_eq!(machine.stats().kernels_launched, 0);
+        assert_eq!(machine.max_clock_ns(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must not be empty")]
+    fn empty_cost_only_batch_rejected() {
+        let fs = FieldSpec::goldilocks();
+        let cfg = presets::a100_nvlink(2);
+        let engine = UniNttEngine::<Goldilocks>::new(6, &cfg, UniNttOptions::tuned_for(&fs), fs);
+        engine.simulate_coset_forward(&mut Machine::new(cfg, fs), 0);
     }
 
     #[test]

@@ -45,6 +45,7 @@ mod engine;
 mod opts;
 pub mod profiles;
 mod recovery;
+mod schedule;
 mod sharded;
 
 pub use baseline::{single_gpu, FourStepMultiGpuEngine};

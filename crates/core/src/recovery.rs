@@ -29,7 +29,7 @@ impl RecoveryPolicy {
     /// No recovery: first drop fails the run, no checksums. The result
     /// charges exactly what the fault-free path charges, so legacy
     /// callers keep their simulated-time totals bit-identical.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         Self {
             max_retries: 0,
             backoff_base_ns: 0.0,

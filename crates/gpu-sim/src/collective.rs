@@ -212,8 +212,8 @@ impl Machine {
         shards: &mut [Vec<T>],
         elem_bytes: usize,
     ) -> Result<CollectiveReport, FabricError> {
-        let (report, _snapshot) = self.all_to_all_core(shards, elem_bytes, false)?;
-        Ok(report)
+        self.exchange_all_to_all(shards, elem_bytes, None, None)
+            .map(|r| r.collective)
     }
 
     /// [`Machine::all_to_all`] plus per-chunk checksum verification: every
@@ -230,47 +230,52 @@ impl Machine {
         shards: &mut [Vec<T>],
         elem_bytes: usize,
     ) -> Result<CollectiveReport, FabricError> {
-        let (mut report, snapshot) = self.all_to_all_core(shards, elem_bytes, true)?;
-        let Some(old) = snapshot else {
-            return Ok(report); // single device: nothing moved
-        };
-        let d = self.num_devices();
-        let chunk = shards[0].len() / d;
-        let chunk_bytes = (chunk * elem_bytes) as u64;
-        for dst in 0..d {
-            for src in 0..d {
-                let received = &shards[dst][src * chunk..(src + 1) * chunk];
-                let sent = &old[src][dst * chunk..(dst + 1) * chunk];
-                if chunk_checksum(received) != chunk_checksum(sent) {
-                    // Re-request the damaged chunk from its sender.
-                    shards[dst][src * chunk..(src + 1) * chunk].copy_from_slice(sent);
-                    let ns = self.model().p2p_ns(chunk_bytes);
-                    self.charge_fault_ns("chunk-retransmit", ns);
-                    self.record_retransmission(src, chunk_bytes);
-                    self.devices_mut()[src]
-                        .stats
-                        .interconnect_bytes_retransmitted += chunk_bytes;
-                    report.retransmitted_chunks += 1;
-                    report.retransmitted_bytes += chunk_bytes;
-                }
-            }
-        }
-        Ok(report)
+        self.exchange_all_to_all(shards, elem_bytes, Some(chunk_checksum::<T>), None)
+            .map(|r| r.collective)
     }
 
-    /// Shared body of the checked/unchecked all-to-all. Returns the
-    /// pre-exchange snapshot when `keep_snapshot` (for checksum repair).
-    #[allow(clippy::type_complexity)]
-    fn all_to_all_core<T: Copy + Send>(
+    /// All-to-all with communication–compute overlap: the same chunk
+    /// transpose, deterministic corruption position and (with
+    /// `verify_checksums`) checksum repair as [`Machine::all_to_all_checked`],
+    /// but charged as a software pipeline that interleaves chunk transfers
+    /// with the caller's producer/consumer kernels.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::all_to_all`]. Drops are atomic: no data moves and no
+    /// pipeline time is charged beyond the detection timeout, so retrying
+    /// is always safe.
+    pub fn all_to_all_overlapped<T: Copy + Send + Hash>(
         &mut self,
         shards: &mut [Vec<T>],
         elem_bytes: usize,
-        keep_snapshot: bool,
-    ) -> Result<(CollectiveReport, Option<Vec<Vec<T>>>), FabricError> {
+        compute: &OverlapCompute<'_>,
+        verify_checksums: bool,
+    ) -> Result<OverlapReport, FabricError> {
+        let checksum = verify_checksums.then_some(chunk_checksum::<T> as fn(&[T]) -> u64);
+        self.exchange_all_to_all(shards, elem_bytes, checksum, Some(compute))
+    }
+
+    /// The one all-to-all body. `checksum` turns on per-chunk verification
+    /// and repair; `pipeline` selects how time is charged — `None` blocks,
+    /// `Some` runs the software pipeline. Overlap changes *when* things
+    /// happen, never *what* data lands where: the exchange, the fault
+    /// decision and the repair are the same code on both schedules.
+    fn exchange_all_to_all<T: Copy + Send>(
+        &mut self,
+        shards: &mut [Vec<T>],
+        elem_bytes: usize,
+        checksum: Option<fn(&[T]) -> u64>,
+        pipeline: Option<&OverlapCompute<'_>>,
+    ) -> Result<OverlapReport, FabricError> {
         let d = self.num_devices();
         let len = self.validate_equal_shards(shards)?;
         if d <= 1 {
-            return Ok((CollectiveReport::default(), None));
+            // Nothing moves; the interleaved kernels still run.
+            if let Some(compute) = pipeline {
+                self.charge_overlap_compute_flat(compute);
+            }
+            return Ok(OverlapReport::default());
         }
         if len % d != 0 {
             return Err(FabricError::IndivisibleShard { len, devices: d });
@@ -303,15 +308,46 @@ impl Machine {
         }
 
         // Timing.
-        self.charge_all_to_all(bytes_per_device);
-        self.apply_delay_fault(fault, base_ns);
-
-        let report = CollectiveReport {
-            seq,
-            injected: fault,
-            ..CollectiveReport::default()
+        let mut report = OverlapReport {
+            collective: CollectiveReport {
+                seq,
+                injected: fault,
+                ..CollectiveReport::default()
+            },
+            ..OverlapReport::default()
         };
-        Ok((report, keep_snapshot.then_some(old)))
+        match pipeline {
+            None => self.charge_all_to_all(bytes_per_device),
+            Some(compute) => {
+                (report.elapsed_ns, report.comm_ns, report.hidden_comm_ns) =
+                    self.run_overlap_pipeline("all-to-all-overlapped", bytes_per_device, compute);
+            }
+        }
+
+        // Checksum verification: re-request each damaged chunk from its
+        // sender, before anything downstream touches the data.
+        if let Some(checksum) = checksum {
+            let chunk_bytes = (chunk * elem_bytes) as u64;
+            for dst in 0..d {
+                for src in 0..d {
+                    let received = &shards[dst][src * chunk..(src + 1) * chunk];
+                    let sent = &old[src][dst * chunk..(dst + 1) * chunk];
+                    if checksum(received) != checksum(sent) {
+                        shards[dst][src * chunk..(src + 1) * chunk].copy_from_slice(sent);
+                        let ns = self.model().p2p_ns(chunk_bytes);
+                        self.charge_fault_ns("chunk-retransmit", ns);
+                        self.record_retransmission(src, chunk_bytes);
+                        self.devices_mut()[src]
+                            .stats
+                            .interconnect_bytes_retransmitted += chunk_bytes;
+                        report.collective.retransmitted_chunks += 1;
+                        report.collective.retransmitted_bytes += chunk_bytes;
+                    }
+                }
+            }
+        }
+        self.apply_delay_fault(fault, base_ns);
+        Ok(report)
     }
 
     /// Legacy panicking shim over [`Machine::all_to_all`].
@@ -545,120 +581,6 @@ impl Machine {
             comm_ns: comm,
             hidden_comm_ns: hidden,
         }
-    }
-
-    /// All-to-all with communication–compute overlap: functionally
-    /// identical to [`Machine::all_to_all_checked`] (same chunk
-    /// transpose, same deterministic corruption position, same
-    /// checksum-repair semantics when `verify_checksums` is set), but
-    /// charged as a software pipeline that interleaves chunk transfers
-    /// with the caller's producer/consumer kernels. After the exchange
-    /// completes — and any repairs have landed — `consume_chunk(device,
-    /// k, shard)` runs for every pipeline chunk `k` on every device, so
-    /// the caller can apply the consumer transformation whose cost the
-    /// pipeline already charged.
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::all_to_all`]. Drops are atomic: no data moves, no
-    /// pipeline time is charged beyond the detection timeout, and no
-    /// consumer closure runs, so retrying is always safe.
-    pub fn all_to_all_overlapped<T, C>(
-        &mut self,
-        shards: &mut [Vec<T>],
-        elem_bytes: usize,
-        compute: &OverlapCompute<'_>,
-        verify_checksums: bool,
-        mut consume_chunk: C,
-    ) -> Result<OverlapReport, FabricError>
-    where
-        T: Copy + Send + Hash,
-        C: FnMut(usize, usize, &mut Vec<T>),
-    {
-        let d = self.num_devices();
-        let len = self.validate_equal_shards(shards)?;
-        let pipeline_chunks = compute.chunks.max(1) as usize;
-        if d <= 1 {
-            self.charge_overlap_compute_flat(compute);
-            for (dev, shard) in shards.iter_mut().enumerate() {
-                for k in 0..pipeline_chunks {
-                    consume_chunk(dev, k, shard);
-                }
-            }
-            return Ok(OverlapReport::default());
-        }
-        if len % d != 0 {
-            return Err(FabricError::IndivisibleShard { len, devices: d });
-        }
-        self.ensure_all_alive()?;
-        let chunk = len / d;
-        let bytes_per_device = (len * elem_bytes) as u64;
-        let base_ns = self.model().all_to_all_ns(bytes_per_device);
-
-        let (seq, fault) = self.take_fault_decision();
-        let fault = self.apply_pre_fault(seq, fault, base_ns)?;
-
-        // Functional exchange + in-flight corruption, byte-identical to
-        // the blocking path: overlap changes *when* things happen, never
-        // *what* data lands where.
-        let old: Vec<Vec<T>> = shards.to_vec();
-        for (dst_dev, shard) in shards.iter_mut().enumerate() {
-            for src_dev in 0..d {
-                shard[src_dev * chunk..(src_dev + 1) * chunk]
-                    .copy_from_slice(&old[src_dev][dst_dev * chunk..(dst_dev + 1) * chunk]);
-            }
-        }
-        if let Some(FaultKind::Corrupt { src, dst }) = fault {
-            let off = (crate::fault::splitmix64(seq ^ 0xc0ff_ee00) % chunk as u64) as usize;
-            let pos = src * chunk + off;
-            let other = (pos + chunk) % len;
-            shards[dst][pos] = shards[dst][other];
-        }
-
-        // Timing: the pipelined schedule instead of a blocking charge.
-        let (elapsed, comm, hidden) =
-            self.run_overlap_pipeline("all-to-all-overlapped", bytes_per_device, compute);
-        let mut report = CollectiveReport {
-            seq,
-            injected: fault,
-            ..CollectiveReport::default()
-        };
-
-        // Checksum verification + repair run before any consumer slice
-        // touches the data, exactly as in the blocking checked variant.
-        if verify_checksums {
-            let chunk_bytes = (chunk * elem_bytes) as u64;
-            for dst in 0..d {
-                for src in 0..d {
-                    let received = &shards[dst][src * chunk..(src + 1) * chunk];
-                    let sent = &old[src][dst * chunk..(dst + 1) * chunk];
-                    if chunk_checksum(received) != chunk_checksum(sent) {
-                        shards[dst][src * chunk..(src + 1) * chunk].copy_from_slice(sent);
-                        let ns = self.model().p2p_ns(chunk_bytes);
-                        self.charge_fault_ns("chunk-retransmit", ns);
-                        self.record_retransmission(src, chunk_bytes);
-                        self.devices_mut()[src]
-                            .stats
-                            .interconnect_bytes_retransmitted += chunk_bytes;
-                        report.retransmitted_chunks += 1;
-                        report.retransmitted_bytes += chunk_bytes;
-                    }
-                }
-            }
-        }
-        self.apply_delay_fault(fault, base_ns);
-
-        for (dev, shard) in shards.iter_mut().enumerate() {
-            for k in 0..pipeline_chunks {
-                consume_chunk(dev, k, shard);
-            }
-        }
-        Ok(OverlapReport {
-            collective: report,
-            elapsed_ns: elapsed,
-            comm_ns: comm,
-            hidden_comm_ns: hidden,
-        })
     }
 
     /// All-gather: every device ends with the concatenation of all shards
@@ -1331,14 +1253,9 @@ mod tests {
         };
         let mut m = machine(d);
         let mut shards = make();
-        let mut calls = Vec::new();
-        m.all_to_all_overlapped(&mut shards, 8, &compute, true, |dev, k, _| {
-            calls.push((dev, k));
-        })
-        .unwrap();
+        m.all_to_all_overlapped(&mut shards, 8, &compute, true)
+            .unwrap();
         assert_eq!(shards, blocking);
-        assert_eq!(calls.len(), d * 4);
-        assert_eq!(calls[0], (0, 0));
     }
 
     #[test]
@@ -1361,7 +1278,7 @@ mod tests {
         scripted(&mut m, 0, FaultKind::Corrupt { src: 2, dst: 1 });
         let mut shards = make();
         let rep = m
-            .all_to_all_overlapped(&mut shards, 8, &compute, true, |_, _, _| {})
+            .all_to_all_overlapped(&mut shards, 8, &compute, true)
             .unwrap();
         assert_eq!(shards, clean, "checksum repair must restore the data");
         assert_eq!(rep.collective.retransmitted_chunks, 1);
@@ -1371,15 +1288,13 @@ mod tests {
         scripted(&mut m, 0, FaultKind::Drop);
         let mut shards = make();
         let before = shards.clone();
-        let mut calls = 0;
         let err = m
-            .all_to_all_overlapped(&mut shards, 8, &compute, true, |_, _, _| calls += 1)
+            .all_to_all_overlapped(&mut shards, 8, &compute, true)
             .unwrap_err();
         assert_eq!(err, FabricError::CollectiveDropped { seq: 0 });
         assert_eq!(shards, before, "drop must be atomic");
-        assert_eq!(calls, 0, "no consumer closure may run on a drop");
         // The retry (seq 1) is clean and completes.
-        m.all_to_all_overlapped(&mut shards, 8, &compute, true, |_, _, _| {})
+        m.all_to_all_overlapped(&mut shards, 8, &compute, true)
             .unwrap();
         assert_eq!(shards, clean);
     }

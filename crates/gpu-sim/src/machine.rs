@@ -103,7 +103,9 @@ impl Machine {
     /// stays on the calling thread in device order, and only a phase that
     /// outlasts a wake-up round trip is shared with the workers.
     /// Simulated-clock accounting is unaffected because each device charges
-    /// its own [`DeviceState`] regardless of which OS thread executes it.
+    /// its own [`DeviceState`] regardless of which OS thread executes it,
+    /// and telemetry is unaffected because every closure runs as a member
+    /// of the caller's session ([`unintt_telemetry::adopt`]).
     ///
     /// # Panics
     ///
@@ -119,6 +121,9 @@ impl Machine {
             "need exactly one shard per device"
         );
         let model = &self.model;
+        // A device closure records as the thread driving the machine
+        // would, whichever pool thread runs it.
+        let member = unintt_telemetry::recording();
         unintt_exec::Executor::global().scope(|scope| {
             for (id, (state, shard)) in self.devices.iter_mut().zip(shards.iter_mut()).enumerate() {
                 if !state.alive {
@@ -127,7 +132,7 @@ impl Machine {
                 let f = &f;
                 scope.spawn(move || {
                     let mut ctx = DeviceCtx::new(id, model, state);
-                    f(&mut ctx, id, shard);
+                    unintt_telemetry::adopt(member, || f(&mut ctx, id, shard));
                 });
             }
         });

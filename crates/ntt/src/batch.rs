@@ -66,8 +66,11 @@ pub fn batch_transform_parallel<F: TwoAdicField>(
         return;
     }
     let rows_per_thread = rows.div_ceil(threads);
+    // Each row is a public transform call and counts as one wherever it
+    // runs: the chunks record as this thread would.
+    let member = unintt_telemetry::recording();
     Executor::global().parallel_chunks_mut(data, rows_per_thread * n, |_, chunk| {
-        batch_transform(ntt, chunk, direction)
+        unintt_telemetry::adopt(member, || batch_transform(ntt, chunk, direction))
     });
 }
 

@@ -25,6 +25,15 @@
 //! enables recording and returns a [`SessionGuard`]; dropping the guard
 //! disables recording again. Drain with [`take_session`] while holding
 //! the guard.
+//!
+//! A session has *members*: the thread that opened it, and any thread
+//! while it runs work the opener forked ([`adopt`]). Only members record,
+//! which shuts out unrelated work running concurrently in the same
+//! process (other tests exercising instrumented engines) without any
+//! lock on the record path. Code that forks instrumented work over a
+//! pool carries the membership across: read [`recording`] where the
+//! tasks are spawned and run each task under `adopt(that, ..)`. Counter
+//! adds commute, so what a run counts does not depend on the pool size.
 
 #![warn(missing_docs)]
 
@@ -46,21 +55,22 @@ pub use slo::{Alert, BurnWindows, Objective, SloEngine, SloEvent, SloSpec};
 pub use span::{AttrValue, Instant, InstantKind, Session, Span, SpanLevel};
 pub use tree::SpanTree;
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::thread::ThreadId;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static SINK: Mutex<Session> = Mutex::new(Session::empty());
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry::empty());
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
-/// The thread that owns the active session, if any. While set, records
-/// from *other* threads are dropped: every instrumentation site records
-/// from the thread driving the simulated machine, so this cleanly shuts
-/// out unrelated work running concurrently in the same process (e.g.
-/// other tests exercising instrumented engines).
-static OWNER: Mutex<Option<ThreadId>> = Mutex::new(None);
+
+thread_local! {
+    /// Whether this thread is a member of the active session: set on the
+    /// thread that opened it for the session's lifetime, and on any other
+    /// thread for the duration of an [`adopt`]ed task.
+    static MEMBER: Cell<bool> = const { Cell::new(false) };
+}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -80,18 +90,34 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Whether *this thread* may record right now: telemetry is enabled and
-/// either no session owner is set or the caller is the owning thread.
-/// Starts with the same single relaxed load as [`enabled`], so disabled
-/// call sites stay free.
+/// the thread is a member of the session (it opened it, or is running an
+/// [`adopt`]ed task). Starts with the same single relaxed load as
+/// [`enabled`], so disabled call sites stay free.
 #[inline]
 pub fn recording() -> bool {
+    enabled() && MEMBER.with(Cell::get)
+}
+
+/// Runs `f` with this thread's session membership set to `member`, and
+/// restores what it was afterwards (also if `f` unwinds). How forked work
+/// records as its opener would: capture [`recording`] on the thread that
+/// spawns the tasks and run each under `adopt(captured, ..)`; a task
+/// forked from inside an adopted one inherits the same way, and a task of
+/// an unrelated scope that a member thread happens to run does not
+/// record. One relaxed load and nothing else while telemetry is off.
+#[inline]
+pub fn adopt<R>(member: bool, f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            MEMBER.with(|m| m.set(self.0));
+        }
+    }
     if !enabled() {
-        return false;
+        return f();
     }
-    match *lock(&OWNER) {
-        None => true,
-        Some(tid) => tid == std::thread::current().id(),
-    }
+    let _restore = Restore(MEMBER.with(|m| m.replace(member)));
+    f()
 }
 
 /// Allocates a session-unique span id.
@@ -234,7 +260,7 @@ pub struct SessionGuard {
 impl Drop for SessionGuard {
     fn drop(&mut self) {
         set_enabled(false);
-        *lock(&OWNER) = None;
+        MEMBER.with(|m| m.set(false));
         clear_session();
         lock(&REGISTRY).clear();
     }
@@ -242,15 +268,15 @@ impl Drop for SessionGuard {
 
 /// Begins an exclusive telemetry session: waits for any other session to
 /// finish, clears the sink, the registry and the id counter (so traces
-/// are deterministic run-to-run), pins recording to the calling thread
-/// (see [`recording`]) and enables it. Recording stops when the returned
-/// guard drops.
+/// are deterministic run-to-run), makes the calling thread the session's
+/// first member (see [`recording`]) and enables it. Recording stops when
+/// the returned guard drops (on this same thread: the guard is `!Send`).
 pub fn start_session() -> SessionGuard {
     let guard = lock(&SESSION_LOCK);
     clear_session();
     lock(&REGISTRY).clear();
     NEXT_ID.store(1, Ordering::Relaxed);
-    *lock(&OWNER) = Some(std::thread::current().id());
+    MEMBER.with(|m| m.set(true));
     set_enabled(true);
     SessionGuard { _lock: guard }
 }

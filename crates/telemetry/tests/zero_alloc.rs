@@ -40,6 +40,8 @@ fn disabled_sink_allocates_nothing() {
         unintt_telemetry::gauge_max("hot_gauge_max", i as f64);
         unintt_telemetry::histogram_observe("hot_hist", i as f64);
         assert!(unintt_telemetry::reserve_span_id().is_none());
+        // Carrying membership to forked work costs the same one load.
+        assert!(!unintt_telemetry::adopt(true, unintt_telemetry::recording));
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 

@@ -141,3 +141,97 @@ fn traced_and_untraced_runs_charge_identical_time() {
     let untraced = run_once();
     assert_eq!(traced, untraced, "telemetry must never move the clock");
 }
+
+// ---------------------------------------------------------------------
+// Session membership: forked work records as its opener would.
+// ---------------------------------------------------------------------
+
+#[test]
+fn forked_work_records_as_a_member_of_its_openers_session() {
+    let pool = unintt_exec::Executor::new(8);
+    let _guard = telemetry::start_session();
+    let first = telemetry::fresh_id();
+
+    // 100 tasks × (50 adds + a nested scope of 5 tasks × 10 adds): every
+    // task carries the membership of the thread that spawned it.
+    let member = telemetry::recording();
+    assert!(member);
+    pool.scope(|s| {
+        for _ in 0..100 {
+            let pool = &pool;
+            s.spawn(move || {
+                telemetry::adopt(member, || {
+                    for _ in 0..50 {
+                        telemetry::counter_add("forked_adds", 1);
+                    }
+                    let inherited = telemetry::recording();
+                    pool.scope(|nested| {
+                        for _ in 0..5 {
+                            nested.spawn(move || {
+                                telemetry::adopt(inherited, || {
+                                    for _ in 0..10 {
+                                        telemetry::counter_add("forked_adds", 1);
+                                    }
+                                })
+                            });
+                        }
+                    });
+                })
+            });
+        }
+    });
+    assert_eq!(
+        telemetry::registry_snapshot().counters["forked_adds"],
+        10_000,
+        "no add may be dropped, whichever thread made it"
+    );
+    // Workers take no ids: the opener's spans keep theirs, in order.
+    assert_eq!(telemetry::fresh_id(), first + 1);
+}
+
+#[test]
+fn threads_outside_the_session_still_record_nothing() {
+    let pool = unintt_exec::Executor::new(4);
+    let _guard = telemetry::start_session();
+    // A task nobody adopted (an unrelated scope the pool happens to run,
+    // here even on the opener's own pool) and a plain thread.
+    pool.scope(|s| {
+        for _ in 0..64 {
+            s.spawn(|| telemetry::adopt(false, || telemetry::counter_add("stray_adds", 1)));
+        }
+    });
+    std::thread::spawn(|| {
+        assert!(!telemetry::recording());
+        telemetry::counter_add("stray_adds", 1);
+    })
+    .join()
+    .unwrap();
+    assert!(!telemetry::registry_snapshot()
+        .counters
+        .contains_key("stray_adds"));
+    // The opener itself is unaffected by the tasks it ran while joining.
+    assert!(telemetry::recording());
+}
+
+#[test]
+fn transform_dispatch_counts_do_not_depend_on_who_ran_the_phase() {
+    // 2^20 over 8 GPUs: each device's local NTT is long enough that the
+    // global pool shares the phase with its workers whenever it has any.
+    let fs = FieldSpec::goldilocks();
+    let cfg = presets::a100_nvlink(8);
+    let engine = UniNttEngine::<Goldilocks>::new(20, &cfg, UniNttOptions::tuned_for(&fs), fs);
+    let mut machine = Machine::new(cfg, fs);
+    let input = vec![Goldilocks::ONE; 1 << 20];
+    let mut data = Sharded::distribute(&input, 8, ShardLayout::Cyclic);
+    let _guard = telemetry::start_session();
+    engine.forward(&mut machine, &mut data);
+    let dispatched: u64 = telemetry::registry_snapshot()
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("ntt_dispatch_"))
+        .map(|(_, count)| count)
+        .sum();
+    // One public transform call per device in the local phase and one
+    // column transform per device in the outer phase.
+    assert_eq!(dispatched, 16);
+}
