@@ -31,19 +31,20 @@ bench-check:
 # ride along — what a session records must not depend on the pool: forked
 # work records as its opener would (unintt_telemetry::adopt) — as do the
 # root suite's transform_call.rs (the engines' pinned digests, simulated
-# clocks and cost-only walks) and telemetry_obs.rs. E16's determinism test
-# also runs at two threads, where a record dropped on a worker shows first.
+# clocks and cost-only walks), telemetry_obs.rs and fabric_verify.rs (the
+# checked collectives' pinned decisions). E16's determinism test also runs
+# at two threads, where a record dropped on a worker shows first.
 FORKING := -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm \
            -p unintt-zkp -p unintt-fri -p unintt-serve -p unintt-telemetry
 test:
 	cargo test -q --release --workspace
 	UNINTT_THREADS=1 cargo test -q --release $(FORKING)
 	UNINTT_THREADS=1 cargo test -q --release -p unintt-bench --lib e16_observability
-	UNINTT_THREADS=1 cargo test -q --release --test transform_call --test telemetry_obs
+	UNINTT_THREADS=1 cargo test -q --release --test transform_call --test telemetry_obs --test fabric_verify
 	UNINTT_THREADS=2 cargo test -q --release -p unintt-bench --lib e16_observability::tests::output_is_deterministic_run_to_run
 	UNINTT_THREADS=8 cargo test -q --release $(FORKING)
 	UNINTT_THREADS=8 cargo test -q --release -p unintt-bench --lib e16_observability
-	UNINTT_THREADS=8 cargo test -q --release --test transform_call --test telemetry_obs
+	UNINTT_THREADS=8 cargo test -q --release --test transform_call --test telemetry_obs --test fabric_verify
 
 e13:
 	cargo run --release -p unintt-bench --bin harness -- --quick e13

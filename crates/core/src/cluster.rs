@@ -260,6 +260,8 @@ pub struct ClusterNttEngine<F: TwoAdicField> {
     log_t: u32,
     node_engine: UniNttEngine<F>,
     outer: Ntt<F>,
+    /// `ω_N`, the root the node-boundary twiddles are powers of.
+    omega: F,
     field_spec: FieldSpec,
     /// Kept so the decomposition can be re-derived over survivors after a
     /// permanent node loss.
@@ -301,6 +303,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
             log_t,
             node_engine: UniNttEngine::new(log_n - log_t, node_cfg, node_opts, field_spec),
             outer: Ntt::new(log_t),
+            omega: F::two_adic_generator(log_n),
             field_spec,
             node_cfg: node_cfg.clone(),
             opts,
@@ -390,7 +393,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     /// cross-node exchange is charged analytically — so a replan resumes
     /// from the level-0 checkpoint, i.e. the input itself; transient drops
     /// and corrupted transfers are absorbed *within* a plan by the node
-    /// engines' retry/checksum machinery and never reach this level.
+    /// engines' retry/verification machinery and never reach this level.
     ///
     /// Simulated time accumulates across replans on every surviving
     /// machine, so the recovery overhead of a policy is directly visible
@@ -499,9 +502,8 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                 let mut sharded = Sharded::distribute(&data[slot], gpus, ShardLayout::Cyclic);
                 let batch = std::slice::from_mut(&mut sharded);
                 forward(machine, &mut Plane::Elements(batch, policy))?;
-                data[slot] = sharded.collect();
-                let omega = F::two_adic_generator(self.log_n);
-                scale_by_powers(&mut data[slot], F::ONE, omega.pow(slot as u64));
+                sharded.layout().assemble(sharded.shards(), &mut data[slot]);
+                scale_by_powers(&mut data[slot], F::ONE, self.omega.pow(slot as u64));
             }
             Plane::Unit(_) => forward(machine, &mut Plane::Unit(1))?,
         }
@@ -601,7 +603,9 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     /// the node-level block-cyclic order is [`ShardLayout::BlockCyclic`]
     /// with nodes for GPUs.
     pub fn collect(&self, node_shards: &[Vec<F>]) -> Vec<F> {
-        Sharded::from_shards(node_shards.to_vec(), ShardLayout::BlockCyclic).collect()
+        let mut out = vec![F::ZERO; self.n()];
+        ShardLayout::BlockCyclic.assemble(node_shards, &mut out);
+        out
     }
 
     /// Distributes a host vector into the node-cyclic input layout.
@@ -940,6 +944,86 @@ mod tests {
         );
         let mut cluster = Cluster::new(4, node_cfg, NetworkConfig::infiniband_400g(), fs);
         engine.simulate_forward(&mut cluster);
+    }
+
+    /// Dev profiling aid, not a correctness check: what one served raw
+    /// job's cluster forward is made of on this host, piece by piece, on
+    /// the default lease shape (2 nodes × 2 A100). Run with
+    /// `cargo test -p unintt-core --release raw_job_profile -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "profiling aid; wall-clock printout only"]
+    fn raw_job_profile() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        /// µs per call: the best of five batches of `calls`.
+        fn us(calls: u32, mut f: impl FnMut()) -> f64 {
+            (0..5)
+                .map(|_| {
+                    let t = Instant::now();
+                    (0..calls).for_each(|_| f());
+                    t.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+                })
+                .fold(f64::MAX, f64::min)
+        }
+        let fs = FieldSpec::goldilocks();
+        let node_cfg = presets::a100_nvlink(2);
+        let cluster = || Cluster::new(2, node_cfg.clone(), NetworkConfig::infiniband_400g(), fs);
+        let opts = UniNttOptions::tuned_for(&fs);
+        let t = us(2000, || drop(black_box(cluster())));
+        println!("Cluster::new(2x2)                       {t:7.2} µs");
+        for log_n in [8u32, 10] {
+            let engine = ClusterNttEngine::<Goldilocks>::new(log_n, 2, &node_cfg, opts, fs);
+            let input = random_vec(1 << log_n, 1);
+            for (name, policy) in [
+                ("default()", RecoveryPolicy::default()),
+                ("retry_only()", RecoveryPolicy::retry_only()),
+            ] {
+                let mut cl = cluster();
+                let t = us(500, || {
+                    black_box(engine.forward_with_recovery(&mut cl, &input, &policy)).unwrap();
+                });
+                println!("forward_with_recovery 2^{log_n:<2} {name:<12}   {t:7.2} µs");
+            }
+        }
+        let engine = ClusterNttEngine::<Goldilocks>::new(10, 2, &node_cfg, opts, fs);
+        let mut cl = cluster();
+        let t = us(500, || engine.simulate_forward(&mut cl));
+        println!("simulate_forward 2^10 (unit plane)      {t:7.2} µs");
+
+        let mut node_opts = opts;
+        node_opts.natural_output = true;
+        let node = UniNttEngine::<Goldilocks>::new(9, &node_cfg, node_opts, fs);
+        let mut machine = Machine::new(node_cfg.clone(), fs);
+        let input = random_vec(1 << 9, 2);
+        let mut data = Sharded::distribute(&input, 2, ShardLayout::Cyclic);
+        let policy = RecoveryPolicy::default();
+        let t = us(1000, || {
+            data.set_layout(ShardLayout::Cyclic);
+            node.try_forward(&mut machine, &mut data, &policy).unwrap();
+        });
+        println!("UniNttEngine::try_forward 2^9 on 2 GPUs {t:7.2} µs");
+        let t = us(5000, || {
+            black_box(Sharded::distribute(&input, 2, ShardLayout::Cyclic).collect());
+        });
+        println!("Sharded::distribute+collect 2^9 over 2  {t:7.2} µs");
+        let host = Ntt::<Goldilocks>::new(8);
+        let mut shard = random_vec(1 << 8, 3);
+        let t = us(5000, || host.forward(black_box(&mut shard)));
+        println!("host Ntt::forward 2^8 (one shard)       {t:7.2} µs");
+
+        let mut machine = Machine::new(node_cfg.clone(), fs);
+        let mut shards = vec![random_vec(128, 4), random_vec(128, 5)];
+        let t = us(5000, || {
+            machine.all_to_all(&mut shards, 8).map(drop).unwrap()
+        });
+        println!("all_to_all 2 x 128                      {t:7.2} µs");
+        let t = us(5000, || {
+            machine
+                .all_to_all_checked(&mut shards, 8)
+                .map(drop)
+                .unwrap()
+        });
+        println!("all_to_all_checked 2 x 128              {t:7.2} µs");
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! the outer stage on the other — are sliced across
 //! [`UniNttOptions::comm_chunks`] pipeline chunks and interleaved with the
 //! chunked all-to-all, so wire time hides behind butterfly work. The data
-//! movement, fault injection points, and checksum-repair semantics are
+//! movement, fault injection points, and verify-and-repair semantics are
 //! bit-identical to [`CommMode::Blocking`]; only the charged schedule
 //! changes. The `natural_output` reordering exchange stays blocking in
 //! both modes (it has no adjacent compute to hide behind).
@@ -124,6 +124,8 @@ pub struct UniNttEngine<F: TwoAdicField> {
     // cheap to construct.
     local: OnceLock<Ntt<F>>,
     outer: OnceLock<Ntt<F>>,
+    /// `[ω_N, ω_N⁻¹]`, the boundary twiddles' roots.
+    roots: OnceLock<[F; 2]>,
 }
 
 impl<F: TwoAdicField> UniNttEngine<F> {
@@ -150,6 +152,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         Self {
             local: OnceLock::new(),
             outer: OnceLock::new(),
+            roots: OnceLock::new(),
             plan,
             opts,
             field_spec,
@@ -211,10 +214,13 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// shard, by a running product of the step `ω_N^{±dev}` (the
     /// on-the-fly generation the O2 optimization models).
     fn boundary_twiddle(&self, dev: usize, shard: &mut [F], direction: Direction) {
-        let omega = F::two_adic_generator(self.plan.log_n);
+        let [forward, inverse] = *self.roots.get_or_init(|| {
+            let omega = F::two_adic_generator(self.plan.log_n);
+            [omega, omega.inverse().expect("roots of unity are nonzero")]
+        });
         let root = match direction {
-            Direction::Forward => omega,
-            Direction::Inverse => omega.inverse().expect("roots of unity are nonzero"),
+            Direction::Forward => forward,
+            Direction::Inverse => inverse,
         };
         scale_by_powers(shard, F::ONE, root.pow(dev as u64));
     }
@@ -612,7 +618,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
 
     /// One all-to-all under the recovery policy: transient drops are
     /// retried with exponential backoff (charged as simulated fault
-    /// time); with checksums on, corrupted chunks are repaired inside the
+    /// time); with verification on, corrupted chunks are repaired inside the
     /// collective. Drops are atomic — no data moves on a failed attempt —
     /// so retrying the same buffers is always safe; under overlap a retry
     /// re-runs the whole pipeline (the blocking attempt only charged the

@@ -23,6 +23,41 @@ pub enum ShardLayout {
     BlockCyclic,
 }
 
+impl ShardLayout {
+    /// Writes `shards`, laid out as `self`, into `out` in logical order:
+    /// one pass, every element moved once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly the shards' elements.
+    pub(crate) fn assemble<F: Copy>(self, shards: &[Vec<F>], out: &mut [F]) {
+        let (g, m) = (shards.len(), shards[0].len());
+        assert_eq!(out.len(), g * m, "output does not match the shards");
+        match self {
+            ShardLayout::Cyclic => {
+                for (j, round) in out.chunks_exact_mut(g).enumerate() {
+                    for (slot, shard) in round.iter_mut().zip(shards) {
+                        *slot = shard[j];
+                    }
+                }
+            }
+            ShardLayout::NaturalBlocks => {
+                for (block, shard) in out.chunks_exact_mut(m).zip(shards) {
+                    block.copy_from_slice(shard);
+                }
+            }
+            ShardLayout::BlockCyclic => {
+                let c = m / g;
+                for (dev, shard) in shards.iter().enumerate() {
+                    for (k1, piece) in shard.chunks_exact(c).enumerate() {
+                        out[k1 * m + dev * c..][..c].copy_from_slice(piece);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A vector of field elements distributed over `G` simulated GPUs.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Sharded<F> {
@@ -69,64 +104,38 @@ impl<F: Field> Sharded<F> {
         let m = n / num_gpus;
         assert!(m.is_power_of_two(), "shard length must be a power of two");
 
-        let mut shards = vec![Vec::with_capacity(m); num_gpus];
-        match layout {
+        // One pass over the input: every element moves once.
+        let zeroed = || vec![vec![F::ZERO; m]; num_gpus];
+        let shards = match layout {
             ShardLayout::Cyclic => {
-                for round in input.chunks_exact(num_gpus) {
+                let mut shards = zeroed();
+                for (j, round) in input.chunks_exact(num_gpus).enumerate() {
                     for (shard, &v) in shards.iter_mut().zip(round) {
-                        shard.push(v);
+                        shard[j] = v;
                     }
                 }
+                shards
             }
-            ShardLayout::NaturalBlocks => {
-                for (g, shard) in shards.iter_mut().enumerate() {
-                    shard.extend_from_slice(&input[g * m..(g + 1) * m]);
-                }
-            }
+            ShardLayout::NaturalBlocks => input.chunks_exact(m).map(<[F]>::to_vec).collect(),
             ShardLayout::BlockCyclic => {
                 assert!(m >= num_gpus, "shard too small for block-cyclic layout");
                 let c = m / num_gpus;
-                for shard in &mut shards {
-                    shard.resize(m, F::ZERO);
-                }
+                let mut shards = zeroed();
                 for (k1, block) in input.chunks_exact(m).enumerate() {
                     for (shard, piece) in shards.iter_mut().zip(block.chunks_exact(c)) {
                         shard[k1 * c..][..c].copy_from_slice(piece);
                     }
                 }
+                shards
             }
-        }
+        };
         Self { shards, layout }
     }
 
     /// Collects the shards back into one host vector in logical order.
     pub fn collect(&self) -> Vec<F> {
-        let g = self.num_gpus();
-        let m = self.shard_len();
-        let n = g * m;
-        let mut out = vec![F::ZERO; n];
-        match self.layout {
-            ShardLayout::Cyclic => {
-                for (j, round) in out.chunks_exact_mut(g).enumerate() {
-                    for (slot, shard) in round.iter_mut().zip(&self.shards) {
-                        *slot = shard[j];
-                    }
-                }
-            }
-            ShardLayout::NaturalBlocks => {
-                for (dev, shard) in self.shards.iter().enumerate() {
-                    out[dev * m..(dev + 1) * m].copy_from_slice(shard);
-                }
-            }
-            ShardLayout::BlockCyclic => {
-                let c = m / g;
-                for (dev, shard) in self.shards.iter().enumerate() {
-                    for (k1, piece) in shard.chunks_exact(c).enumerate() {
-                        out[k1 * m + dev * c..][..c].copy_from_slice(piece);
-                    }
-                }
-            }
-        }
+        let mut out = vec![F::ZERO; self.len()];
+        self.layout.assemble(&self.shards, &mut out);
         out
     }
 

@@ -16,9 +16,10 @@
 //!   collective duration) is charged as fault time, and
 //!   [`FabricError::CollectiveDropped`] is returned. Retrying is safe.
 //! * **Corrupt** — the collective *succeeds* with one damaged chunk.
-//!   [`Machine::all_to_all_checked`] detects this by per-chunk checksum
-//!   and re-requests only the bad chunks (charged as fault time +
-//!   retransmitted bytes); the plain variant delivers it silently.
+//!   [`Machine::all_to_all_checked`] detects this by comparing every
+//!   received chunk with the sender's copy and re-requests only the bad
+//!   chunks (charged as fault time + retransmitted bytes); the plain
+//!   variant delivers it silently.
 //! * **Delay / Straggler** — the collective succeeds; extra time is
 //!   charged (once, or persistently on the slow device).
 //! * **DeviceLoss** — the device dies; this and every later collective
@@ -29,23 +30,14 @@
 //!
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
-use std::hash::{Hash, Hasher};
-
 use crate::device::KernelProfile;
 use crate::fault::{CollectiveReport, FabricError, FaultKind};
 use crate::machine::Machine;
 use crate::timeline::TraceEvent;
 use crate::trace::{Category, CollectiveEvent};
 
-/// Order-sensitive checksum of one chunk (std SipHash with fixed keys:
-/// deterministic across runs and platforms for `Hash`-stable types).
-fn chunk_checksum<T: Hash>(chunk: &[T]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for x in chunk {
-        x.hash(&mut h);
-    }
-    h.finish()
-}
+/// Whether a received chunk differs from the one its sender dispatched.
+type Differs<T> = fn(&[T], &[T]) -> bool;
 
 /// Caller-supplied compute to interleave with an overlapped collective.
 ///
@@ -172,6 +164,17 @@ impl Machine {
         }
     }
 
+    /// The report of completed collective `seq`, with the fault the log
+    /// shows it was injected with.
+    fn logged_report(&self, seq: u64) -> CollectiveReport {
+        let injected = self.fault_log().iter().rev().find(|e| e.seq == seq);
+        CollectiveReport {
+            seq,
+            injected: injected.map(|e| e.kind),
+            ..CollectiveReport::default()
+        }
+    }
+
     fn validate_equal_shards<T>(&self, shards: &[Vec<T>]) -> Result<usize, FabricError> {
         let d = self.num_devices();
         if shards.len() != d {
@@ -216,28 +219,28 @@ impl Machine {
             .map(|r| r.collective)
     }
 
-    /// [`Machine::all_to_all`] plus per-chunk checksum verification: every
-    /// received chunk is checked against a checksum of what the sender
-    /// dispatched, and mismatching chunks are re-requested point-to-point
-    /// (charged as fault time and counted as retransmitted bytes). The
-    /// returned report says how much was repaired.
+    /// [`Machine::all_to_all`] plus per-chunk verification: every received
+    /// chunk is compared with the chunk its sender dispatched, and
+    /// mismatching chunks are re-requested point-to-point (charged as
+    /// fault time and counted as retransmitted bytes). The returned report
+    /// says how much was repaired.
     ///
     /// # Errors
     ///
     /// As [`Machine::all_to_all`].
-    pub fn all_to_all_checked<T: Copy + Send + Hash>(
+    pub fn all_to_all_checked<T: Copy + Send + PartialEq>(
         &mut self,
         shards: &mut [Vec<T>],
         elem_bytes: usize,
     ) -> Result<CollectiveReport, FabricError> {
-        self.exchange_all_to_all(shards, elem_bytes, Some(chunk_checksum::<T>), None)
+        self.exchange_all_to_all(shards, elem_bytes, Some(<[T]>::ne), None)
             .map(|r| r.collective)
     }
 
     /// All-to-all with communication–compute overlap: the same chunk
     /// transpose, deterministic corruption position and (with
-    /// `verify_checksums`) checksum repair as [`Machine::all_to_all_checked`],
-    /// but charged as a software pipeline that interleaves chunk transfers
+    /// `verify_checksums`) repair as [`Machine::all_to_all_checked`], but
+    /// charged as a software pipeline that interleaves chunk transfers
     /// with the caller's producer/consumer kernels.
     ///
     /// # Errors
@@ -245,27 +248,28 @@ impl Machine {
     /// As [`Machine::all_to_all`]. Drops are atomic: no data moves and no
     /// pipeline time is charged beyond the detection timeout, so retrying
     /// is always safe.
-    pub fn all_to_all_overlapped<T: Copy + Send + Hash>(
+    pub fn all_to_all_overlapped<T: Copy + Send + PartialEq>(
         &mut self,
         shards: &mut [Vec<T>],
         elem_bytes: usize,
         compute: &OverlapCompute<'_>,
         verify_checksums: bool,
     ) -> Result<OverlapReport, FabricError> {
-        let checksum = verify_checksums.then_some(chunk_checksum::<T> as fn(&[T]) -> u64);
-        self.exchange_all_to_all(shards, elem_bytes, checksum, Some(compute))
+        let differs = verify_checksums.then_some(<[T]>::ne as Differs<T>);
+        self.exchange_all_to_all(shards, elem_bytes, differs, Some(compute))
     }
 
-    /// The one all-to-all body. `checksum` turns on per-chunk verification
-    /// and repair; `pipeline` selects how time is charged — `None` blocks,
-    /// `Some` runs the software pipeline. Overlap changes *when* things
-    /// happen, never *what* data lands where: the exchange, the fault
-    /// decision and the repair are the same code on both schedules.
+    /// The one all-to-all body. `differs(received, sent)` turns on
+    /// per-chunk verification and repair; `pipeline` selects how time is
+    /// charged — `None` blocks, `Some` runs the software pipeline. Overlap
+    /// changes *when* things happen, never *what* data lands where: the
+    /// exchange, the fault decision and the repair are the same code on
+    /// both schedules.
     fn exchange_all_to_all<T: Copy + Send>(
         &mut self,
         shards: &mut [Vec<T>],
         elem_bytes: usize,
-        checksum: Option<fn(&[T]) -> u64>,
+        differs: Option<Differs<T>>,
         pipeline: Option<&OverlapCompute<'_>>,
     ) -> Result<OverlapReport, FabricError> {
         let d = self.num_devices();
@@ -299,8 +303,9 @@ impl Machine {
 
         // In-flight corruption: one element of the (src → dst) chunk is
         // overwritten by a neighbouring element from another chunk. The
-        // position is a pure function of the sequence number.
-        if let Some(FaultKind::Corrupt { src, dst }) = fault {
+        // position is a pure function of the sequence number; an empty
+        // chunk has nothing to damage.
+        if let Some(FaultKind::Corrupt { src, dst }) = fault.filter(|_| chunk > 0) {
             let off = (crate::fault::splitmix64(seq ^ 0xc0ff_ee00) % chunk as u64) as usize;
             let pos = src * chunk + off;
             let other = (pos + chunk) % len;
@@ -324,24 +329,18 @@ impl Machine {
             }
         }
 
-        // Checksum verification: re-request each damaged chunk from its
-        // sender, before anything downstream touches the data.
-        if let Some(checksum) = checksum {
+        // Verification: compare each received chunk with the sender's
+        // copy and re-request the damaged ones, before anything downstream
+        // touches the data.
+        if let Some(differs) = differs {
             let chunk_bytes = (chunk * elem_bytes) as u64;
             for dst in 0..d {
                 for src in 0..d {
                     let received = &shards[dst][src * chunk..(src + 1) * chunk];
                     let sent = &old[src][dst * chunk..(dst + 1) * chunk];
-                    if checksum(received) != checksum(sent) {
+                    if differs(received, sent) {
                         shards[dst][src * chunk..(src + 1) * chunk].copy_from_slice(sent);
-                        let ns = self.model().p2p_ns(chunk_bytes);
-                        self.charge_fault_ns("chunk-retransmit", ns);
-                        self.record_retransmission(src, chunk_bytes);
-                        self.devices_mut()[src]
-                            .stats
-                            .interconnect_bytes_retransmitted += chunk_bytes;
-                        report.collective.retransmitted_chunks += 1;
-                        report.collective.retransmitted_bytes += chunk_bytes;
+                        self.retransmit(src, chunk_bytes, &mut report.collective);
                     }
                 }
             }
@@ -591,7 +590,8 @@ impl Machine {
     /// [`FabricError::ShardCountMismatch`] / [`UnequalShardLengths`] on
     /// argument bugs; [`CollectiveDropped`] / [`DeviceLost`] on injected
     /// faults. Injected corruption damages one element of one device's
-    /// gathered copy (silently — gathers carry no checksums here).
+    /// gathered copy (silently — use [`Machine::all_gather_checked`] to
+    /// detect and repair it).
     ///
     /// [`UnequalShardLengths`]: FabricError::UnequalShardLengths
     /// [`CollectiveDropped`]: FabricError::CollectiveDropped
@@ -631,50 +631,34 @@ impl Machine {
         Ok(out)
     }
 
-    /// [`Machine::all_gather`] plus per-source checksum verification:
-    /// every gathered segment is checked against the shard its source
-    /// dispatched, and damaged segments are re-requested point-to-point
-    /// (charged as fault time and counted as retransmitted bytes). The
-    /// returned report says what was injected and how much was repaired.
+    /// [`Machine::all_gather`] plus per-source verification: every
+    /// gathered segment is compared with the shard its source dispatched,
+    /// and damaged segments are re-requested point-to-point (charged as
+    /// fault time and counted as retransmitted bytes). The returned report
+    /// says what was injected and how much was repaired.
     ///
     /// # Errors
     ///
     /// As [`Machine::all_gather`].
-    pub fn all_gather_checked<T: Copy + Send + Hash>(
+    pub fn all_gather_checked<T: Copy + Send + PartialEq>(
         &mut self,
         shards: &[Vec<T>],
         elem_bytes: usize,
     ) -> Result<(Vec<Vec<T>>, CollectiveReport), FabricError> {
         let seq = self.collective_seq();
         let mut out = self.all_gather(shards, elem_bytes)?;
-        let d = self.num_devices();
-        let mut report = CollectiveReport::default();
-        if d <= 1 {
-            return Ok((out, report));
+        if self.num_devices() <= 1 {
+            return Ok((out, CollectiveReport::default()));
         }
-        report.seq = seq;
-        report.injected = self
-            .fault_log()
-            .iter()
-            .rev()
-            .find(|e| e.seq == seq)
-            .map(|e| e.kind);
+        let mut report = self.logged_report(seq);
         let len = shards[0].len();
         let seg_bytes = (len * elem_bytes) as u64;
-        let sums: Vec<u64> = shards.iter().map(|s| chunk_checksum(s)).collect();
         for row in out.iter_mut() {
-            for src in 0..d {
-                let seg = &row[src * len..(src + 1) * len];
-                if chunk_checksum(seg) != sums[src] {
-                    row[src * len..(src + 1) * len].copy_from_slice(&shards[src]);
-                    let ns = self.model().p2p_ns(seg_bytes);
-                    self.charge_fault_ns("chunk-retransmit", ns);
-                    self.record_retransmission(src, seg_bytes);
-                    self.devices_mut()[src]
-                        .stats
-                        .interconnect_bytes_retransmitted += seg_bytes;
-                    report.retransmitted_chunks += 1;
-                    report.retransmitted_bytes += seg_bytes;
+            for (src, sent) in shards.iter().enumerate() {
+                let seg = &mut row[src * len..(src + 1) * len];
+                if *seg != sent[..] {
+                    seg.copy_from_slice(sent);
+                    self.retransmit(src, seg_bytes, &mut report);
                 }
             }
         }
@@ -740,11 +724,12 @@ impl Machine {
         Ok(acc)
     }
 
-    /// [`Machine::reduce_to_root`] with checksummed contributions: a
-    /// corrupted transfer is detected at the combining end by checksum
-    /// and the damaged contribution is re-requested (charged as fault
-    /// time plus retransmitted bytes), so the reduced value is always
-    /// computed from pristine inputs.
+    /// [`Machine::reduce_to_root`] with repaired contributions. The
+    /// reduction never damages data (it combines the caller's values), so
+    /// there is nothing to compare: when the machine's fault log shows a
+    /// corruption injected into this collective, the contribution of its
+    /// `src` device is re-requested once (charged as fault time plus
+    /// retransmitted bytes) and the reduced value is the pristine one.
     ///
     /// # Errors
     ///
@@ -757,27 +742,12 @@ impl Machine {
     ) -> Result<(T, CollectiveReport), FabricError> {
         let seq = self.collective_seq();
         let acc = self.reduce_to_root(values, elem_bytes, combine)?;
-        let mut report = CollectiveReport::default();
         if self.num_devices() <= 1 {
-            return Ok((acc, report));
+            return Ok((acc, CollectiveReport::default()));
         }
-        report.seq = seq;
-        report.injected = self
-            .fault_log()
-            .iter()
-            .rev()
-            .find(|e| e.seq == seq)
-            .map(|e| e.kind);
+        let mut report = self.logged_report(seq);
         if let Some(FaultKind::Corrupt { src, .. }) = report.injected {
-            let bytes = elem_bytes as u64;
-            let ns = self.model().p2p_ns(bytes);
-            self.charge_fault_ns("chunk-retransmit", ns);
-            self.record_retransmission(src, bytes);
-            self.devices_mut()[src]
-                .stats
-                .interconnect_bytes_retransmitted += bytes;
-            report.retransmitted_chunks += 1;
-            report.retransmitted_bytes += bytes;
+            self.retransmit(src, elem_bytes as u64, &mut report);
         }
         Ok((acc, report))
     }
@@ -1039,7 +1009,7 @@ mod tests {
         scripted(&mut m, 0, kind);
         let mut shards = make_shards();
         let report = m.all_to_all_checked(&mut shards, 8).unwrap();
-        assert_eq!(shards, clean, "checksum repair must restore the data");
+        assert_eq!(shards, clean, "repair must restore the data");
         assert_eq!(report.retransmitted_chunks, 1);
         assert!(report.retransmitted_bytes > 0);
         assert!(m.stats().interconnect_bytes_retransmitted > 0);
@@ -1280,7 +1250,7 @@ mod tests {
         let rep = m
             .all_to_all_overlapped(&mut shards, 8, &compute, true)
             .unwrap();
-        assert_eq!(shards, clean, "checksum repair must restore the data");
+        assert_eq!(shards, clean, "repair must restore the data");
         assert_eq!(rep.collective.retransmitted_chunks, 1);
         assert!(m.stats().interconnect_bytes_retransmitted > 0);
 
@@ -1297,6 +1267,64 @@ mod tests {
         m.all_to_all_overlapped(&mut shards, 8, &compute, true)
             .unwrap();
         assert_eq!(shards, clean);
+    }
+
+    #[test]
+    fn empty_shards_give_typed_results_under_every_fault() {
+        let (prod, cons) = overlap_profiles();
+        let compute = OverlapCompute {
+            producers: &[prod],
+            consumers: &[cons],
+            chunks: 2,
+        };
+        for d in [2usize, 4] {
+            let kinds = [
+                FaultKind::Drop,
+                FaultKind::Corrupt { src: d - 1, dst: 0 },
+                FaultKind::Delay { factor: 3.0 },
+                FaultKind::Straggler {
+                    device: 1,
+                    factor: 2.0,
+                },
+                FaultKind::DeviceLoss { device: 1 },
+                FaultKind::ClusterLoss,
+            ];
+            for (kind, op) in kinds
+                .into_iter()
+                .flat_map(|k| (0..3).map(move |op| (k, op)))
+            {
+                let mut m = machine(d);
+                scripted(&mut m, 0, kind);
+                let mut shards: Vec<Vec<u64>> = vec![Vec::new(); d];
+                let result = match op {
+                    0 => m.all_to_all(&mut shards, 8),
+                    1 => m.all_to_all_checked(&mut shards, 8),
+                    _ => m
+                        .all_to_all_overlapped(&mut shards, 8, &compute, true)
+                        .map(|r| r.collective),
+                };
+                let case = format!("d{d} {kind:?} op{op}");
+                match kind {
+                    FaultKind::Drop => {
+                        assert_eq!(result, Err(FabricError::CollectiveDropped { seq: 0 }));
+                    }
+                    FaultKind::DeviceLoss { .. } | FaultKind::ClusterLoss => {
+                        assert!(
+                            matches!(result, Err(FabricError::DeviceLost { .. })),
+                            "{case}"
+                        );
+                    }
+                    // A straggler is applied before the exchange, not reported.
+                    FaultKind::Straggler { .. } => assert_eq!(result.unwrap().injected, None),
+                    _ => {
+                        let report = result.unwrap();
+                        assert_eq!(report.injected, Some(kind), "{case}");
+                        assert_eq!(report.retransmitted_chunks, 0, "{case}");
+                    }
+                }
+                assert!(shards.iter().all(Vec::is_empty), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum FaultKind {
     Drop,
     /// The chunk travelling from device `src` to device `dst` is
     /// corrupted in flight (one element is overwritten). Silent unless
-    /// the checksummed collective variant is used.
+    /// the verified (`*_checked`) collective variant is used.
     Corrupt {
         /// Source device of the damaged chunk.
         src: usize,
@@ -332,9 +332,9 @@ pub struct CollectiveReport {
     /// The fault injected into this collective, if any survived to
     /// completion (drops and losses return errors instead).
     pub injected: Option<FaultKind>,
-    /// Chunks re-requested after checksum mismatch.
+    /// Chunks re-requested because verification found them damaged.
     pub retransmitted_chunks: u64,
-    /// Bytes re-requested after checksum mismatch.
+    /// Bytes re-requested because verification found them damaged.
     pub retransmitted_bytes: u64,
 }
 

@@ -18,7 +18,7 @@ use crate::config::{FieldSpec, MachineConfig};
 use crate::cost::CostModel;
 use crate::device::{DeviceCtx, DeviceState};
 use crate::fabric::FabricGraph;
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fault::{CollectiveReport, FaultEvent, FaultPlan};
 use crate::timeline::TraceEvent;
 use crate::trace::{Category, CollectiveEvent, Stats};
 
@@ -318,10 +318,12 @@ impl Machine {
         (seq, kind)
     }
 
-    /// Marks one checksum-failed chunk retransmission for telemetry. The
-    /// time and byte charges stay where they are (the collective charges
-    /// them); this only emits the instant marker and counter.
-    pub(crate) fn record_retransmission(&mut self, src: usize, bytes: u64) {
+    /// Re-requests one damaged chunk of `bytes` from device `src`: charges
+    /// the point-to-point transfer as fault time, emits the telemetry
+    /// marker and counter, and counts the bytes on the sender and in
+    /// `report`.
+    pub(crate) fn retransmit(&mut self, src: usize, bytes: u64, report: &mut CollectiveReport) {
+        self.charge_fault_ns("chunk-retransmit", self.model.p2p_ns(bytes));
         unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
             name: String::from("chunk-retransmit"),
             kind: unintt_telemetry::InstantKind::Retransmission,
@@ -330,6 +332,9 @@ impl Machine {
             attrs: vec![("bytes", bytes.into())],
         });
         unintt_telemetry::counter_add("sim_chunk_retransmissions", 1);
+        self.devices[src].stats.interconnect_bytes_retransmitted += bytes;
+        report.retransmitted_chunks += 1;
+        report.retransmitted_bytes += bytes;
     }
 
     /// Exports every retained per-device timeline event as a

@@ -131,7 +131,7 @@ pub struct Stats {
     pub global_bytes_written: u64,
     /// Bytes this device injected into the inter-GPU fabric.
     pub interconnect_bytes_sent: u64,
-    /// Bytes re-sent after checksum-detected corruption.
+    /// Bytes re-sent after verification detected corruption.
     pub interconnect_bytes_retransmitted: u64,
     /// Interconnect nanoseconds hidden behind compute by overlapped
     /// collectives (already *excluded* from `time_ns.interconnect`; the

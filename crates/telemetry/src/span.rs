@@ -123,7 +123,7 @@ impl Span {
 pub enum InstantKind {
     /// A fault-plan decision fired (drop, corrupt, delay, ...).
     Fault,
-    /// A checksum-failed chunk was re-sent over the fabric.
+    /// A chunk that failed verification was re-sent over the fabric.
     Retransmission,
     /// A lease went through post-dispatch repair.
     LeaseRepair,
