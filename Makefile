@@ -1,8 +1,7 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 
 # Whole workspace except the vendored offline stubs under vendor/.
-EXCLUDE_VENDOR := --exclude criterion --exclude proptest --exclude rand \
-                  --exclude serde --exclude serde_derive
+EXCLUDE_VENDOR := --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 
 .PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke
 
@@ -18,33 +17,25 @@ clippy:
 build:
 	cargo build --release --workspace
 
-# Also compile the benches with the host's full ISA so the explicit
-# AVX2/AVX-512 kernel paths stay buildable under -Ctarget-cpu=native.
+# The explicit AVX2/AVX-512 kernel paths must stay buildable when the
+# compiler is handed the host's full ISA (own target dir, so the default
+# build is not invalidated).
 bench-check:
-	cargo bench --no-run
-	RUSTFLAGS="-Ctarget-cpu=native" cargo bench --no-run
+	RUSTFLAGS="-Ctarget-cpu=native" CARGO_TARGET_DIR=target/native cargo build --release -p unintt-ntt -p unintt-fri
 
-# Every crate that forks over the exec pool, rerun on a one-thread
-# pool and on an oversubscribed eight-thread one (which is what
-# exercises steal, linger and park): every oracle, pinned digest and
-# cross-backend equality must hold on both. Telemetry and the E16 suite
-# ride along — what a session records must not depend on the pool: forked
-# work records as its opener would (unintt_telemetry::adopt) — as do the
-# root suite's transform_call.rs (the engines' pinned digests, simulated
-# clocks and cost-only walks), telemetry_obs.rs and fabric_verify.rs (the
-# checked collectives' pinned decisions). E16's determinism test also runs
-# at two threads, where a record dropped on a worker shows first.
-FORKING := -p unintt-exec -p unintt-ntt -p unintt-gpu-sim -p unintt-core -p unintt-msm \
-           -p unintt-zkp -p unintt-fri -p unintt-serve -p unintt-telemetry
+# The whole workspace, then the root's default members (every crate, no
+# vendored stub) again on a one-thread pool and on an oversubscribed
+# eight-thread one (which is what exercises steal, linger and park): every
+# oracle, pinned digest, cross-backend equality and telemetry capture must
+# hold on both — what a session records must not depend on the pool:
+# forked work records as its opener would (unintt_telemetry::adopt).
+# E16's determinism test also runs at two threads, where a record dropped
+# on a worker shows first.
 test:
 	cargo test -q --release --workspace
-	UNINTT_THREADS=1 cargo test -q --release $(FORKING)
-	UNINTT_THREADS=1 cargo test -q --release -p unintt-bench --lib e16_observability
-	UNINTT_THREADS=1 cargo test -q --release --test transform_call --test telemetry_obs --test fabric_verify
+	UNINTT_THREADS=1 cargo test -q --release
 	UNINTT_THREADS=2 cargo test -q --release -p unintt-bench --lib e16_observability::tests::output_is_deterministic_run_to_run
-	UNINTT_THREADS=8 cargo test -q --release $(FORKING)
-	UNINTT_THREADS=8 cargo test -q --release -p unintt-bench --lib e16_observability
-	UNINTT_THREADS=8 cargo test -q --release --test transform_call --test telemetry_obs --test fabric_verify
+	UNINTT_THREADS=8 cargo test -q --release
 
 e13:
 	cargo run --release -p unintt-bench --bin harness -- --quick e13
@@ -70,14 +61,18 @@ trace-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e16
 	cargo run --release -p unintt-bench --bin harness -- --quick trace e12
 
-# Kernel smoke: the bit-identity property suite (vector vs scalar vs
-# legacy, portable vs native, both fields, both directions), then the
-# quick vector-kernel sweep on the detected backend and again pinned to
-# portable lanes. Fails if any kernel family's output moves by one bit.
+# Kernel smoke: the bit-identity property suite (vector vs the radix-2
+# oracle, portable lanes vs native, both fields, both directions), then a
+# disassembly check that the AVX-512 Goldilocks stage driver, the
+# geometric-scaling kernel and the AVX-512 sponge kernels contain no
+# widening scalar multiply — LLVM has scalarised `gl_mul` once before.
+NO_SCALAR_MUL := unintt_ntt::vector::x86::gl_stages_avx512 \
+                 unintt_ntt::six_step::x86::gl_scale_by_powers \
+                 unintt_fri::hash::x86::hash_rows unintt_fri::hash::x86::compress_pairs
 kernel-smoke:
 	cargo test --release -p unintt-ntt --test shoup_properties
-	cargo run --release -p unintt-bench --bin harness -- --quick e18
-	cargo run --release -p unintt-bench --bin harness -- --quick --portable-lanes e18
+	cargo build --release -p unintt-ntt -p unintt-fri
+	bash scripts/no-scalar-mul.sh $(NO_SCALAR_MUL)
 
 # Pipeline smoke: the DAG bit-identity proptests (DAG-scheduled proofs
 # vs monolithic across seeds, sizes and injected stage faults), then the
@@ -112,9 +107,7 @@ slo-smoke:
 	cargo run --release -p unintt-bench --bin harness -- attribute all
 
 # Perf-regression gate: rerun the experiment behind every committed
-# BENCH_*.json in its committed mode and byte-compare (the wall-clock
-# BENCH_ntt.json is shape-checked and warn-only). Fails on any diff in
-# a deterministic artifact.
+# BENCH_*.json in its committed mode and byte-compare. Fails on any diff.
 perf-gate:
 	cargo run --release -p unintt-bench --bin harness -- perf-gate
 

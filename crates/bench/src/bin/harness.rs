@@ -7,12 +7,12 @@ use unintt_bench::Table;
 use unintt_bench::{artifacts, perf_gate};
 
 const USAGE: &str = "\
-usage: harness [--quick] [--legacy-kernels] [--scalar-kernels] [--portable-lanes] [--blocking-comm] <experiment>...
+usage: harness [--quick] [--blocking-comm] <experiment>...
        harness [--quick] [--trace-dir <path>] trace <experiment>...
        harness attribute <workload>
        harness perf-gate [<artifact>...]
   <experiment>      one or more of: e1 e2 e3 e4 e5 e6 e7 e8 e9 e11 e12 e13
-                    e14 e15 e16 e17 e18 e19 e20 e21 bench-host all
+                    e14 e15 e16 e17 e19 e20 e21 all
   trace             run the named experiments with telemetry enabled and
                     write a Chrome/Perfetto trace_<experiment>.json into
                     the trace directory (e16 manages its own session and
@@ -26,15 +26,6 @@ usage: harness [--quick] [--legacy-kernels] [--scalar-kernels] [--portable-lanes
                     the committed baseline; exits non-zero on regression
   --trace-dir       where trace artifacts land (default: target/traces)
   --quick           trimmed sweeps (seconds instead of minutes)
-  --legacy-kernels  run all host NTTs on the original radix-2 DIT path
-                    instead of the vectorized default (A/B escape hatch;
-                    outputs are bit-identical either way)
-  --scalar-kernels  run all host NTTs on the scalar Shoup/six-step fast
-                    path instead of the vectorized default (A/B escape
-                    hatch; outputs are bit-identical either way)
-  --portable-lanes  keep the vectorized kernels but pin them to the
-                    portable lane path — no AVX2/AVX-512 intrinsics even
-                    where detected (outputs are bit-identical either way)
   --blocking-comm   pin every simulated engine to the legacy blocking
                     exchange schedule instead of the chunked overlapped
                     pipeline (A/B escape hatch; outputs are bit-identical
@@ -50,17 +41,6 @@ fn main() -> ExitCode {
         let a = args[i].as_str();
         match a {
             "--quick" => quick = true,
-            "--legacy-kernels" => {
-                unintt_ntt::set_kernel_mode(unintt_ntt::KernelMode::Legacy);
-                unintt_core::set_kernel_mode_override(Some(unintt_ntt::KernelMode::Legacy));
-            }
-            "--scalar-kernels" => {
-                unintt_ntt::set_kernel_mode(unintt_ntt::KernelMode::Fast);
-                unintt_core::set_kernel_mode_override(Some(unintt_ntt::KernelMode::Fast));
-            }
-            "--portable-lanes" => {
-                unintt_ntt::set_vector_backend_override(Some(unintt_ntt::VectorBackend::Portable));
-            }
             "--blocking-comm" => {
                 unintt_core::set_comm_mode_override(Some(unintt_core::CommMode::Blocking));
             }
@@ -130,7 +110,6 @@ fn main() -> ExitCode {
 
     let run_one = |name: &str| -> Option<Table> {
         let table = match name {
-            "bench-host" => unintt_bench::host_bench::run(quick),
             "e1" => experiments::e1_headline::run(quick),
             "e2" => experiments::e2_scaling::run(quick),
             "e3" => experiments::e3_vs_baseline::run(quick),
@@ -147,7 +126,6 @@ fn main() -> ExitCode {
             "e15" => experiments::e15_comm_overlap::run(quick),
             "e16" => experiments::e16_observability::run(quick),
             "e17" => experiments::e17_resilience::run(quick),
-            "e18" => experiments::e18_vector_kernels::run(quick),
             "e19" => experiments::e19_pipeline::run(quick),
             "e20" => experiments::e20_streams::run(quick),
             "e21" => experiments::e21_slo::run(quick),

@@ -14,7 +14,6 @@ pub mod e14_serving;
 pub mod e15_comm_overlap;
 pub mod e16_observability;
 pub mod e17_resilience;
-pub mod e18_vector_kernels;
 pub mod e19_pipeline;
 pub mod e1_headline;
 pub mod e20_streams;

@@ -1,9 +1,8 @@
 //! # unintt-bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the reconstructed UniNTT
-//! evaluation (experiments E1–E9; the Criterion benches under `benches/`
-//! cover the wall-clock experiment E10 and the real-implementation
-//! microbenchmarks).
+//! evaluation (experiments E1–E9, E11–E17, E19–E21). Host wall-clock
+//! time is measured by the repository benchmark (`benchmark/`).
 //!
 //! Run the full suite:
 //!
@@ -17,7 +16,6 @@
 
 pub mod artifacts;
 pub mod experiments;
-pub mod host_bench;
 pub mod perf_gate;
 pub mod report;
 

@@ -2,14 +2,11 @@
 //! `BENCH_*.json` and diff the fresh bytes against the committed
 //! baseline.
 //!
-//! The simulation experiments (E14–E17, E19–E21) run on a deterministic
-//! simulated clock, so their artifacts must match **byte-for-byte** —
-//! any diff is a regression (or an intentional change that needs a new
-//! committed baseline) and fails the gate. The host-kernel benchmark
-//! (E18 → `BENCH_ntt.json`) measures wall-clock time and is inherently
-//! noisy; for it the gate masks every numeric literal and compares only
-//! the JSON *shape* (keys, rows, nesting), warning — never failing — on
-//! value drift.
+//! Every gated experiment (E14–E17, E19–E21) runs on a deterministic
+//! simulated clock, so its artifact must match **byte-for-byte** — any
+//! diff is a regression (or an intentional change that needs a new
+//! committed baseline) and fails the gate. Host wall-clock time is
+//! measured by the repository benchmark (`benchmark/`), not here.
 //!
 //! The committed baseline is read from `git show HEAD:<file>` so a dirty
 //! working tree cannot fool the gate; files not yet committed fall back
@@ -28,16 +25,12 @@ use std::process::Command;
 use crate::experiments;
 use crate::report::Table;
 
-/// One gated artifact: which experiment regenerates it and whether its
-/// bytes are deterministic.
+/// One gated artifact: which experiment regenerates it.
 pub struct GateSpec {
     /// Artifact name as committed at the repo root.
     pub file: &'static str,
     /// Harness experiment id that regenerates it.
     pub experiment: &'static str,
-    /// Deterministic artifacts hard-fail on any byte diff; wall-clock
-    /// ones only warn, and only when the masked shape diverges.
-    pub deterministic: bool,
     runner: fn(bool) -> Table,
 }
 
@@ -47,49 +40,36 @@ pub fn gate_specs() -> Vec<GateSpec> {
         GateSpec {
             file: "BENCH_serve.json",
             experiment: "e14",
-            deterministic: true,
             runner: experiments::e14_serving::run,
         },
         GateSpec {
             file: "BENCH_comm.json",
             experiment: "e15",
-            deterministic: true,
             runner: experiments::e15_comm_overlap::run,
         },
         GateSpec {
             file: "BENCH_obs.json",
             experiment: "e16",
-            deterministic: true,
             runner: experiments::e16_observability::run,
         },
         GateSpec {
             file: "BENCH_resilience.json",
             experiment: "e17",
-            deterministic: true,
             runner: experiments::e17_resilience::run,
-        },
-        GateSpec {
-            file: "BENCH_ntt.json",
-            experiment: "e18",
-            deterministic: false,
-            runner: experiments::e18_vector_kernels::run,
         },
         GateSpec {
             file: "BENCH_pipeline.json",
             experiment: "e19",
-            deterministic: true,
             runner: experiments::e19_pipeline::run,
         },
         GateSpec {
             file: "BENCH_streams.json",
             experiment: "e20",
-            deterministic: true,
             runner: experiments::e20_streams::run,
         },
         GateSpec {
             file: "BENCH_slo.json",
             experiment: "e21",
-            deterministic: true,
             runner: experiments::e21_slo::run,
         },
     ]
@@ -98,12 +78,9 @@ pub fn gate_specs() -> Vec<GateSpec> {
 /// What the gate concluded about one artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// Fresh bytes match the committed baseline (byte-exact for
-    /// deterministic artifacts, shape-exact for wall-clock ones).
+    /// Fresh bytes match the committed baseline byte for byte.
     Pass,
-    /// Wall-clock values drifted but the shape held — informational.
-    Warn(String),
-    /// A deterministic artifact diverged (or a noisy one changed shape).
+    /// The fresh bytes diverged from the committed baseline.
     Fail(String),
     /// No committed baseline exists yet; nothing to compare against.
     Skip(String),
@@ -113,7 +90,6 @@ impl Outcome {
     fn label(&self) -> &'static str {
         match self {
             Outcome::Pass => "pass",
-            Outcome::Warn(_) => "warn",
             Outcome::Fail(_) => "FAIL",
             Outcome::Skip(_) => "skip",
         }
@@ -122,7 +98,7 @@ impl Outcome {
     fn detail(&self) -> String {
         match self {
             Outcome::Pass => "bytes match committed baseline".into(),
-            Outcome::Warn(d) | Outcome::Fail(d) | Outcome::Skip(d) => d.clone(),
+            Outcome::Fail(d) | Outcome::Skip(d) => d.clone(),
         }
     }
 }
@@ -173,58 +149,6 @@ fn committed_quick(bytes: &[u8]) -> bool {
     text.find("\"quick\":")
         .map(|i| text[i + 8..].trim_start().starts_with("true"))
         .unwrap_or(false)
-}
-
-/// Masks every numeric and boolean literal so wall-clock artifacts can be
-/// compared structurally: `"p50_ns": 1234.5` and `"p50_ns": 987.0` both
-/// become `"p50_ns": #`, and so do `"pass": true` and `"pass": false` —
-/// a verdict derived from a timing is as noisy as the timing.
-fn mask_numbers(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars().peekable();
-    let mut in_string = false;
-    let mut prev = ' ';
-    while let Some(c) = chars.next() {
-        if in_string {
-            out.push(c);
-            if c == '"' && prev != '\\' {
-                in_string = false;
-            }
-            prev = c;
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                out.push(c);
-            }
-            '0'..='9' | '-' if !prev.is_ascii_alphanumeric() => {
-                while let Some(&n) = chars.peek() {
-                    if n.is_ascii_digit() || n == '.' || n == 'e' || n == '-' || n == '+' {
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push('#');
-            }
-            't' | 'f' if !prev.is_ascii_alphanumeric() => {
-                let rest = if c == 't' { "rue" } else { "alse" };
-                let mut ahead = chars.clone();
-                let is_literal = rest.chars().all(|r| ahead.next() == Some(r))
-                    && !ahead.peek().is_some_and(char::is_ascii_alphanumeric);
-                if is_literal {
-                    chars = ahead;
-                    out.push('#');
-                } else {
-                    out.push(c);
-                }
-            }
-            _ => out.push(c),
-        }
-        prev = c;
-    }
-    out
 }
 
 /// 1-based line of the first byte where the two renderings diverge.
@@ -284,21 +208,13 @@ pub fn run_one(spec: &GateSpec) -> GateRow {
     let outcome = if fresh == committed {
         Outcome::Pass
     } else {
-        let committed_text = String::from_utf8_lossy(&committed).into_owned();
-        let fresh_text = String::from_utf8_lossy(&fresh).into_owned();
-        if spec.deterministic {
-            Outcome::Fail(format!(
-                "bytes diverged at line {} (deterministic artifact)",
-                first_diff_line(&committed_text, &fresh_text)
-            ))
-        } else if mask_numbers(&committed_text) == mask_numbers(&fresh_text) {
-            Outcome::Warn("wall-clock values drifted; shape matches (noise-tolerated)".into())
-        } else {
-            Outcome::Fail(format!(
-                "shape diverged at line {} (even with numeric values masked)",
-                first_diff_line(&mask_numbers(&committed_text), &mask_numbers(&fresh_text))
-            ))
-        }
+        Outcome::Fail(format!(
+            "bytes diverged at line {}",
+            first_diff_line(
+                &String::from_utf8_lossy(&committed),
+                &String::from_utf8_lossy(&fresh)
+            )
+        ))
     };
     GateRow {
         file: spec.file,
@@ -342,7 +258,7 @@ pub fn run_gate(files: &[&str]) -> (Table, bool) {
         table.note("no artifact matched the requested names");
         ok = false;
     }
-    table.note("deterministic artifacts must match byte-for-byte; BENCH_ntt.json is wall-clock and only shape-checked");
+    table.note("every artifact must match byte-for-byte");
     table.note(if ok { "gate: PASS" } else { "gate: FAIL" });
     (table, ok)
 }
@@ -350,33 +266,6 @@ pub fn run_gate(files: &[&str]) -> (Table, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mask_numbers_hides_values_but_keeps_shape() {
-        let a = mask_numbers("{\"p50_ns\": 1234.5, \"rows\": [1, -2e9]}");
-        let b = mask_numbers("{\"p50_ns\": 9.87, \"rows\": [42, 7]}");
-        assert_eq!(a, b);
-        assert_eq!(a, "{\"p50_ns\": #, \"rows\": [#, #]}");
-
-        // A pass/fail verdict computed from a timing flips with it.
-        let a = mask_numbers("{\"speedup\": 2.33, \"pass\": true, \"ok\":false}");
-        let b = mask_numbers("{\"speedup\": 1.78, \"pass\": false, \"ok\":true}");
-        assert_eq!(a, b);
-        assert_eq!(a, "{\"speedup\": #, \"pass\": #, \"ok\":#}");
-        // Only whole literals outside strings: keys, string values and
-        // longer words are shape.
-        let s = "{\"true\": \"false\", \"k\": truely, \"t\": xtrue}";
-        assert_eq!(mask_numbers(s), s);
-    }
-
-    #[test]
-    fn mask_numbers_leaves_strings_and_keys_alone() {
-        let s = "{\"e21 v2\": \"x-9\", \"k3\": 5}";
-        assert_eq!(
-            mask_numbers(s),
-            "{\"e21 v2\": \"x-9\", \"k3\": 5}".replace(": 5", ": #")
-        );
-    }
 
     #[test]
     fn committed_quick_parses_both_modes() {

@@ -53,8 +53,7 @@ pub use cluster::{Cluster, ClusterNttEngine, ClusterRunReport, NetworkConfig};
 pub use decompose::{DecompositionPlan, LOG_WARP_TILE, MAX_LOG_BLOCK_TILE};
 pub use engine::UniNttEngine;
 pub use opts::{
-    comm_mode_override, kernel_mode_override, set_comm_mode_override, set_kernel_mode_override,
-    CommMode, UniNttOptions, MAX_STREAMS_PER_LEASE,
+    comm_mode_override, set_comm_mode_override, CommMode, UniNttOptions, MAX_STREAMS_PER_LEASE,
 };
 pub use recovery::RecoveryPolicy;
 pub use sharded::{ShardLayout, Sharded};

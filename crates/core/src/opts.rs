@@ -9,7 +9,6 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use serde::{Deserialize, Serialize};
-use unintt_ntt::KernelMode;
 
 /// How the engine schedules the multi-GPU exchange relative to compute.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,9 +26,8 @@ pub enum CommMode {
 
 /// Process-wide [`CommMode`] override, encoded as
 /// 0 = none, 1 = Blocking, 2 = Overlapped. Set by the bench harness's
-/// `--blocking-comm` flag (mirroring `--legacy-kernels`) so every engine
-/// in the process can be pinned without threading a flag through every
-/// constructor.
+/// `--blocking-comm` flag so every engine in the process can be pinned
+/// without threading a flag through every constructor.
 static COMM_MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Installs (or with `None` clears) a process-wide [`CommMode`] override
@@ -48,34 +46,6 @@ pub fn comm_mode_override() -> Option<CommMode> {
     match COMM_MODE_OVERRIDE.load(Ordering::Relaxed) {
         1 => Some(CommMode::Blocking),
         2 => Some(CommMode::Overlapped),
-        _ => None,
-    }
-}
-
-/// Process-wide host [`KernelMode`] override, encoded as 0 = none,
-/// 1 = Vector, 2 = Fast, 3 = Legacy. Set by the harness's
-/// `--scalar-kernels` / `--legacy-kernels` flags so every options value
-/// in the process resolves to the pinned mode.
-static KERNEL_MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or with `None` clears) a process-wide host [`KernelMode`]
-/// override consulted by [`UniNttOptions::effective_host_kernels`].
-pub fn set_kernel_mode_override(mode: Option<KernelMode>) {
-    let v = match mode {
-        None => 0,
-        Some(KernelMode::Vector) => 1,
-        Some(KernelMode::Fast) => 2,
-        Some(KernelMode::Legacy) => 3,
-    };
-    KERNEL_MODE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide host [`KernelMode`] override, if any.
-pub fn kernel_mode_override() -> Option<KernelMode> {
-    match KERNEL_MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(KernelMode::Vector),
-        2 => Some(KernelMode::Fast),
-        3 => Some(KernelMode::Legacy),
         _ => None,
     }
 }
@@ -124,11 +94,6 @@ pub struct UniNttOptions {
     /// the plan via `DecompositionPlan::default_comm_chunks`.
     #[serde(default)]
     pub comm_chunks: u32,
-    /// Which host-side NTT kernel family backs the real (non-simulated)
-    /// transforms driven under these options. Like `comm_mode`, not an
-    /// O-flag: every mode is bit-identical, only throughput changes.
-    #[serde(default)]
-    pub host_kernels: KernelMode,
 }
 
 impl UniNttOptions {
@@ -144,7 +109,6 @@ impl UniNttOptions {
             natural_output: false,
             comm_mode: CommMode::Overlapped,
             comm_chunks: 0,
-            host_kernels: KernelMode::Vector,
         }
     }
 
@@ -173,7 +137,6 @@ impl UniNttOptions {
             natural_output: false,
             comm_mode: CommMode::Blocking,
             comm_chunks: 0,
-            host_kernels: KernelMode::Legacy,
         }
     }
 
@@ -182,13 +145,6 @@ impl UniNttOptions {
     /// installed, else the per-options [`UniNttOptions::comm_mode`].
     pub fn effective_comm_mode(&self) -> CommMode {
         comm_mode_override().unwrap_or(self.comm_mode)
-    }
-
-    /// The host kernel family this options value resolves to: the
-    /// process-wide override (see [`set_kernel_mode_override`]) if one is
-    /// installed, else the per-options [`UniNttOptions::host_kernels`].
-    pub fn effective_host_kernels(&self) -> KernelMode {
-        kernel_mode_override().unwrap_or(self.host_kernels)
     }
 
     /// `full()` with exactly one optimization disabled, by index O1..=O5.
@@ -283,26 +239,6 @@ mod tests {
         // The comm schedule is not an O-flag: every ablation keeps overlap.
         for which in 1..=5u32 {
             assert_eq!(UniNttOptions::ablate(which).comm_mode, CommMode::Overlapped);
-        }
-    }
-
-    #[test]
-    fn host_kernel_defaults() {
-        // As with the comm override, only the unset default is asserted —
-        // installing the process-wide override would race other tests.
-        assert_eq!(kernel_mode_override(), None);
-        assert_eq!(UniNttOptions::full().host_kernels, KernelMode::Vector);
-        assert_eq!(UniNttOptions::none().host_kernels, KernelMode::Legacy);
-        assert_eq!(
-            UniNttOptions::full().effective_host_kernels(),
-            KernelMode::Vector
-        );
-        // Not an O-flag: every ablation keeps the vector kernels.
-        for which in 1..=5u32 {
-            assert_eq!(
-                UniNttOptions::ablate(which).host_kernels,
-                KernelMode::Vector
-            );
         }
     }
 

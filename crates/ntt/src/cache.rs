@@ -20,7 +20,7 @@
 //! safety valve, not a steady-state behaviour.
 //!
 //! **Who holds what, and when the lock is taken.** A [`crate::Ntt`] takes
-//! its table from here when it is constructed and each kernel plan on the
+//! its table from here when it is constructed and its kernel plan on the
 //! first transform that runs on it, and holds both `Arc`s for its own
 //! lifetime. So a context costs one lookup at construction and one at
 //! first use; a transform after that touches no mutex, no map and no
@@ -41,7 +41,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use unintt_ff::TwoAdicField;
 
-use crate::fast::DirectPlan;
 use crate::twiddle::TwiddleTable;
 use crate::vector::VectorPlan;
 
@@ -147,11 +146,6 @@ fn table_cache() -> &'static TypedCache {
     CACHE.get_or_init(|| Mutex::new(BoundedCache::new(DEFAULT_CACHE_CAPACITY)))
 }
 
-fn plan_cache() -> &'static TypedCache {
-    static CACHE: OnceLock<TypedCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BoundedCache::new(DEFAULT_CACHE_CAPACITY)))
-}
-
 fn vector_plan_cache() -> &'static TypedCache {
     static CACHE: OnceLock<TypedCache> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(BoundedCache::new(DEFAULT_CACHE_CAPACITY)))
@@ -163,7 +157,6 @@ fn vector_plan_cache() -> &'static TypedCache {
 /// clamped to ≥ 1. Long-lived services call this once at startup.
 pub fn set_cache_capacity(capacity: usize) {
     table_cache().lock().unwrap().set_capacity(capacity);
-    plan_cache().lock().unwrap().set_capacity(capacity);
     vector_plan_cache().lock().unwrap().set_capacity(capacity);
 }
 
@@ -206,19 +199,10 @@ thread_local! {
     pub(crate) static PLAN_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The shared direct-kernel plan (per-stage Shoup tables) for `(F, log_n)`.
-pub(crate) fn shared_plan<F: TwoAdicField>(log_n: u32) -> Arc<DirectPlan<F>> {
-    #[cfg(test)]
-    PLAN_LOOKUPS.with(|c| c.set(c.get() + 1));
-    shared(plan_cache(), (TypeId::of::<F>(), log_n), || {
-        DirectPlan::new(&shared_table::<F>(log_n))
-    })
-}
-
 /// The shared vectorized-kernel plan (lane-packed per-stage tables plus
 /// the pre-interleaved native-lane banks) for `(F, log_n)`. One memoized,
 /// monomorphized instance per `(field, log_n)` pair; both directions live
-/// in the entry. A [`crate::Ntt`] asks once, on its first vector-mode
+/// in the entry. A [`crate::Ntt`] asks once, on its first direct-size
 /// transform, and keeps the `Arc`.
 pub(crate) fn shared_vector_plan<F: TwoAdicField>(log_n: u32) -> Arc<VectorPlan<F>> {
     #[cfg(test)]
@@ -230,7 +214,7 @@ pub(crate) fn shared_vector_plan<F: TwoAdicField>(log_n: u32) -> Arc<VectorPlan<
 
 /// Largest `log_n` whose bit-reversal swap pairs are cached (a pair table
 /// at `2^20` is 4 MiB; larger permutations fall back to on-the-fly index
-/// computation — the fast NTT path never bit-reverses at those sizes
+/// computation — a transform never bit-reverses at those sizes
 /// anyway, it decomposes six-step instead).
 pub(crate) const MAX_CACHED_BITREV_BITS: u32 = 20;
 
@@ -283,13 +267,6 @@ mod tests {
         assert_eq!(shared.forward(), fresh.forward());
         assert_eq!(shared.inverse(), fresh.inverse());
         assert_eq!(shared.n_inv(), fresh.n_inv());
-    }
-
-    #[test]
-    fn plans_are_shared() {
-        let a = shared_plan::<Goldilocks>(5);
-        let b = shared_plan::<Goldilocks>(5);
-        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
@@ -399,31 +376,22 @@ mod tests {
 
     #[test]
     fn a_context_looks_its_plan_up_at_most_once() {
-        use crate::fast::{set_kernel_mode, KernelMode};
         let input: Vec<Goldilocks> = (0..256u64).map(Goldilocks::from_u64).collect();
-        for mode in [KernelMode::Vector, KernelMode::Fast] {
-            let ntt = crate::Ntt::<Goldilocks>::new(8);
-            let before = PLAN_LOOKUPS.with(|c| c.get());
-            let mut values = input.clone();
-            // The mode is process-wide and other tests flip it while this
-            // runs; whichever family a call lands on, this context asks the
-            // cache for that family's plan once.
-            set_kernel_mode(mode);
-            for _ in 0..500 {
-                ntt.forward(&mut values);
-                ntt.inverse(&mut values);
-            }
-            set_kernel_mode(KernelMode::default());
-            assert_eq!(values, input);
-            let lookups = PLAN_LOOKUPS.with(|c| c.get()) - before;
-            assert!(lookups <= 2, "{lookups} plan-cache lookups in 1000 calls");
+        let ntt = crate::Ntt::<Goldilocks>::new(8);
+        let before = PLAN_LOOKUPS.with(|c| c.get());
+        let mut values = input.clone();
+        for _ in 0..500 {
+            ntt.forward(&mut values);
+            ntt.inverse(&mut values);
         }
-        // With the mode left alone it is exactly one family, one lookup.
+        assert_eq!(values, input);
+        assert_eq!(PLAN_LOOKUPS.with(|c| c.get()) - before, 1);
+
         let ntt = crate::Ntt::<BabyBear>::new(6);
         let before = PLAN_LOOKUPS.with(|c| c.get());
         let mut values = vec![BabyBear::from_u64(3); 64];
         for _ in 0..1000 {
-            ntt.transform_on(crate::fast::RowPath::Vector, &mut values, false);
+            ntt.forward(&mut values);
         }
         assert_eq!(PLAN_LOOKUPS.with(|c| c.get()) - before, 1);
     }

@@ -1,15 +1,17 @@
 //! # unintt-ntt — CPU Number Theoretic Transform library
 //!
-//! The reference NTT implementations for the UniNTT reproduction:
+//! The host NTT implementations for the UniNTT reproduction:
 //!
-//! * [`Ntt`] — radix-2 DIT/DIF kernels with shared twiddle tables
-//!   (plus a stage-fused radix-4 kernel);
-//! * [`FourStepNtt`] — the Bailey `N = N1·N2` decomposition with explicit
-//!   transposes: the algebra the multi-GPU engines build on, and the
-//!   "overhead-ful" formulation UniNTT improves;
+//! * [`Ntt`] — the transform context. [`Ntt::forward`] / [`Ntt::inverse`]
+//!   (and the `*_columns` forms) run one kernel family: lane-packed,
+//!   stage-fused vector kernels up to [`VECTOR_DIRECT_MAX_LOG_N`], six-step
+//!   over vector rows above it. The radix-2 DIT/DIF kernels
+//!   ([`Ntt::dit_in_place`], [`Ntt::dif_in_place`]) are the oracle the
+//!   vector kernels are tested against;
+//! * [`scale_by_powers`] — the geometric-scaling kernel behind six-step's
+//!   twiddles, coset shifts and the engines' boundary twiddles;
 //! * [`coset_ntt`] / [`low_degree_extension`] — coset evaluation and LDE
 //!   as used by ZKP provers;
-//! * [`NegacyclicNtt`] — transforms modulo `xⁿ + 1`;
 //! * [`poly_mul_ntt`] / [`cyclic_convolution`] — convolution helpers;
 //! * [`batch_transform`] / [`batch_transform_parallel`] — batched
 //!   execution (a single large [`Ntt`] transform forks over the worker
@@ -17,7 +19,7 @@
 //! * [`naive_dft`] — the O(n²) oracle everything is tested against.
 //!
 //! Every transform here is *bit-exact*: fast paths are validated against
-//! [`naive_dft`] in the test suites of each module.
+//! [`naive_dft`] and the radix-2 kernels in the test suites of each module.
 //!
 //! ```
 //! use unintt_ff::{Goldilocks, PrimeField};
@@ -35,13 +37,9 @@ mod batch;
 mod bitrev;
 mod cache;
 mod coset;
-mod fast;
-mod negacyclic;
 mod poly;
 mod radix2;
-mod radix4;
 mod six_step;
-mod stockham;
 mod twiddle;
 mod vector;
 
@@ -49,11 +47,9 @@ pub use batch::{batch_transform, batch_transform_parallel};
 pub use bitrev::{bit_reverse_permute, bit_reversed, reverse_bits};
 pub use cache::{cache_capacity, set_cache_capacity, shared_table, DEFAULT_CACHE_CAPACITY};
 pub use coset::{coset_intt, coset_ntt, low_degree_extension, standard_shift};
-pub use fast::{kernel_mode, scale_by_powers, set_kernel_mode, KernelMode};
-pub use negacyclic::{negacyclic_mul_naive, NegacyclicNtt};
 pub use poly::{cyclic_convolution, poly_mul_naive, poly_mul_ntt};
 pub use radix2::{naive_dft, Direction, Ntt};
-pub use six_step::{transpose, FourStepNtt};
+pub use six_step::{scale_by_powers, transpose};
 pub use twiddle::TwiddleTable;
 pub use vector::{
     active_backend_label, active_vector_backend, set_vector_backend_override, VectorBackend,

@@ -5,9 +5,10 @@
 //! * [`Ntt::forward`] / [`Ntt::inverse`] — natural-order in/out transforms;
 //! * [`Ntt::forward_columns`] / [`Ntt::inverse_columns`] — the same
 //!   transform down every column of a row-major matrix, as row stages;
-//! * [`Ntt::dit_in_place`] / [`Ntt::dif_in_place`] — the raw
+//! * [`Ntt::dit_in_place`] / [`Ntt::dif_in_place`] — the raw radix-2
 //!   decimation-in-time (bit-reversed input) and decimation-in-frequency
-//!   (bit-reversed output) kernels, which the hierarchical engines compose;
+//!   (bit-reversed output) kernels, the oracle the vector kernels are
+//!   tested against;
 //! * [`naive_dft`] — the O(n²) reference every fast path is tested against.
 
 use std::sync::{Arc, OnceLock};
@@ -15,9 +16,12 @@ use std::sync::{Arc, OnceLock};
 use unintt_exec::Executor;
 use unintt_ff::{Field, TwoAdicField};
 
-use crate::fast::{self, kernel_mode, DirectPlan, KernelMode, RowPath, DIRECT_MAX_LOG_N};
+use crate::six_step::{row_butterfly, six_step};
 use crate::vector::{VectorPlan, VECTOR_DIRECT_MAX_LOG_N};
-use crate::{bit_reverse_permute, cache, reverse_bits, TwiddleTable};
+use crate::{cache, reverse_bits, TwiddleTable};
+
+/// The counter every public transform call bumps once.
+const DISPATCH_COUNTER: &str = "ntt_dispatch_vector";
 
 /// Direction of a transform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -44,13 +48,12 @@ pub enum Direction {
 #[derive(Clone, Debug)]
 pub struct Ntt<F: TwoAdicField> {
     table: Arc<TwiddleTable<F>>,
-    // The direct-size kernel plans, each taken from the process-wide cache
-    // by the first transform that runs on it and held from then on: a
-    // transform call takes no lock and clones no `Arc`, construction and
-    // cost-only users never pay for a plan, and a plan the cache evicts
-    // lives on through the contexts that use it.
-    vector: OnceLock<Arc<VectorPlan<F>>>,
-    direct: OnceLock<Arc<DirectPlan<F>>>,
+    // The direct-size kernel plan, taken from the process-wide cache by the
+    // first transform that runs on it and held from then on: a transform
+    // call takes no lock and clones no `Arc`, construction and cost-only
+    // users never pay for a plan, and a plan the cache evicts lives on
+    // through the contexts that use it.
+    plan: OnceLock<Arc<VectorPlan<F>>>,
 }
 
 impl<F: TwoAdicField> Ntt<F> {
@@ -69,8 +72,7 @@ impl<F: TwoAdicField> Ntt<F> {
     pub fn from_table(table: Arc<TwiddleTable<F>>) -> Self {
         Self {
             table,
-            vector: OnceLock::new(),
-            direct: OnceLock::new(),
+            plan: OnceLock::new(),
         }
     }
 
@@ -100,11 +102,11 @@ impl<F: TwoAdicField> Ntt<F> {
 
     /// Forward NTT, natural order in and out.
     ///
-    /// Dispatches on the process-wide [`crate::kernel_mode`]: the default
-    /// vectorized path (lane-packed fused butterflies, see
-    /// [`crate::vector`]), the scalar fast path (Shoup/lazy butterflies,
-    /// six-step blocking at large sizes) and the legacy bit-reverse + DIT
-    /// path produce bit-identical output.
+    /// Up to [`crate::VECTOR_DIRECT_MAX_LOG_N`] this is one pass of the
+    /// vector kernels (lane-packed fused butterflies); above it, six-step
+    /// over rows of the same kernels, forked over the global [`Executor`].
+    /// The output is bit-identical to the radix-2 oracle
+    /// ([`Self::dit_in_place`] on bit-reversed input).
     ///
     /// # Panics
     ///
@@ -122,43 +124,19 @@ impl<F: TwoAdicField> Ntt<F> {
         self.transform(values, true);
     }
 
-    /// One public transform call: one `ntt_dispatch_*` bump, then the
-    /// kernel family the mode names. The mode (and, inside the vector
-    /// plan, the backend override) is read on every call.
+    /// One public transform call: one `ntt_dispatch_vector` bump, then this
+    /// context's plan up to the direct threshold, six-step above it. The
+    /// backend override is read inside the plan on every call.
     fn transform(&self, values: &mut [F], inverse: bool) {
         self.check_len(values.len());
-        let mode = kernel_mode();
-        unintt_telemetry::counter_add(mode.dispatch_counter(), 1);
-        match mode {
-            KernelMode::Vector => self.transform_on(RowPath::Vector, values, inverse),
-            KernelMode::Fast => self.transform_on(RowPath::Fast, values, inverse),
-            KernelMode::Legacy => {
-                bit_reverse_permute(values);
-                if inverse {
-                    self.dit_in_place_with(values, self.table.inverse());
-                    self.scale_by_n_inv(values);
-                } else {
-                    self.dit_in_place(values);
-                }
-            }
-        }
-    }
-
-    /// The vector or scalar fast kernels at any supported size: this
-    /// context's plan up to that family's direct threshold, six-step with
-    /// rows of that family above it.
-    pub(crate) fn transform_on(&self, rows: RowPath, values: &mut [F], inverse: bool) {
+        unintt_telemetry::counter_add(DISPATCH_COUNTER, 1);
         let log_n = self.log_n();
-        match rows {
-            RowPath::Vector if log_n <= VECTOR_DIRECT_MAX_LOG_N => self
-                .vector
+        if log_n <= VECTOR_DIRECT_MAX_LOG_N {
+            self.plan
                 .get_or_init(|| cache::shared_vector_plan(log_n))
-                .transform(values, inverse),
-            RowPath::Fast if log_n <= DIRECT_MAX_LOG_N => self
-                .direct
-                .get_or_init(|| cache::shared_plan(log_n))
-                .transform(values, inverse),
-            _ => fast::six_step(Executor::global(), &self.table, values, inverse, rows),
+                .transform(values, inverse);
+        } else {
+            six_step(Executor::global(), &self.table, values, inverse);
         }
     }
 
@@ -168,7 +146,7 @@ impl<F: TwoAdicField> Ntt<F> {
     /// `log n` radix-2 stages over whole rows — one twiddle per row pair,
     /// contiguous lanes along the row — so many tiny transforms cost one
     /// pass per stage instead of a gather, a call and a scatter each. One
-    /// public call, one `ntt_dispatch_*` bump.
+    /// public call, one `ntt_dispatch_vector` bump.
     ///
     /// # Panics
     ///
@@ -195,7 +173,7 @@ impl<F: TwoAdicField> Ntt<F> {
             "{} elements do not form columns of {n}",
             values.len()
         );
-        unintt_telemetry::counter_add(kernel_mode().dispatch_counter(), 1);
+        unintt_telemetry::counter_add(DISPATCH_COUNTER, 1);
         let cols = values.len() / n;
         if cols == 0 {
             return;
@@ -213,7 +191,7 @@ impl<F: TwoAdicField> Ntt<F> {
                 let (lo, hi) = block.split_at_mut(half * cols);
                 let pairs = lo.chunks_exact_mut(cols).zip(hi.chunks_exact_mut(cols));
                 for (j, (u, v)) in pairs.enumerate() {
-                    fast::row_butterfly(u, v, twiddles[j << (log_n - s)]);
+                    row_butterfly(u, v, twiddles[j << (log_n - s)]);
                 }
             }
         }
@@ -327,6 +305,7 @@ pub fn naive_dft<F: Field>(input: &[F], omega: F) -> Vec<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bit_reverse_permute;
     use rand::{rngs::StdRng, SeedableRng};
     use unintt_ff::{BabyBear, Bn254Fr, Goldilocks, PrimeField};
 

@@ -18,7 +18,7 @@ pub struct TwiddleTable<F: TwoAdicField> {
     forward: Vec<F>,
     /// `omega^{-j}` for `j` in `0..n/2`.
     inverse: Vec<F>,
-    /// Shoup companions of `forward`, built lazily on first fast-kernel use.
+    /// Shoup companions of `forward`, built lazily on first plan build.
     forward_shoup: OnceLock<Vec<ShoupTwiddle<F>>>,
     /// Shoup companions of `inverse`.
     inverse_shoup: OnceLock<Vec<ShoupTwiddle<F>>>,

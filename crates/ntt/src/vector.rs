@@ -1,26 +1,26 @@
-//! Vectorized, runtime-specialized NTT kernels
-//! ([`crate::KernelMode::Vector`], the default).
+//! The host NTT kernels: every [`crate::Ntt`] transform up to
+//! [`VECTOR_DIRECT_MAX_LOG_N`] runs one [`VectorPlan`], and every row of a
+//! larger transform's six-step decomposition does too.
 //!
-//! This module is the third kernel family next to `fast` (scalar Shoup)
-//! and the legacy radix-2 DIT path. Three ideas compose:
+//! Three ideas compose:
 //!
 //! * **Lane-packed butterflies** — the transform body works on
 //!   `[F; LANES]` register blocks through the const-generic layer on
-//!   [`unintt_ff::ShoupField`] (portable), or through explicit AVX2
-//!   `std::arch` kernels on x86_64 when the CPU reports the feature at
-//!   runtime (`is_x86_feature_detected!`). Both backends compute exact
-//!   canonical residues, so they are bit-identical to each other and to
-//!   the scalar paths.
-//! * **Radix-4/8 stage fusion** — two (AVX2) or three (portable) DIF
-//!   butterfly layers run per memory pass with intermediates held in
-//!   registers, halving-to-thirding pass count and twiddle traffic
-//!   relative to the stage-at-a-time scalar loop.
+//!   [`unintt_ff::ShoupField`] (portable), or through explicit AVX2 /
+//!   AVX-512 `std::arch` kernels on x86_64 when the CPU reports the
+//!   feature at runtime (`is_x86_feature_detected!`). Both backends
+//!   compute exact canonical residues, so they are bit-identical to each
+//!   other and to the radix-2 DIT oracle ([`crate::Ntt::dit_in_place`]).
+//! * **Radix-4/8 stage fusion** — two (AVX2) or three (portable,
+//!   AVX-512) DIF butterfly layers run per memory pass with intermediates
+//!   held in registers, halving-to-thirding pass count and twiddle
+//!   traffic relative to a stage-at-a-time loop.
 //! * **A specialized-plan cache** — [`VectorPlan`] instances are built
-//!   once per `(field, log_n)` (covering both directions and every
-//!   [`KernelMode`] toggle) and memoized in [`crate::cache`]; a plan
-//!   pins its backend choice, pre-extracted native twiddle banks, and
-//!   the bit-reversal pair table, so per-transform dispatch is one enum
-//!   match with no per-stage branching.
+//!   once per `(field, log_n)` (covering both directions) and memoized in
+//!   [`crate::cache`]; a plan pins its backend choice, pre-extracted
+//!   native twiddle banks, and the bit-reversal pair table, so
+//!   per-transform dispatch is one enum match with no per-stage
+//!   branching.
 //!
 //! AVX2 kernels fuse radix-4 (radix-8 would need >16 ymm live values and
 //! spill); the portable path fuses radix-8 since its "registers" are
@@ -28,7 +28,7 @@
 //! 64×64 product + ε-reduction rather than Shoup (a Shoup product needs
 //! seven `vpmuludq`-class ops against four, and its `[0, 2p)` result
 //! overflows the 64-bit lane), so its twiddle bank stores only the plain
-//! `w` words — half the scalar plan's footprint.
+//! `w` words.
 
 use std::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -36,15 +36,13 @@ use std::sync::Arc;
 
 use unintt_ff::{BabyBear, Goldilocks, ShoupTwiddle, TwoAdicField};
 
-use crate::fast;
 use crate::twiddle::TwiddleTable;
 use crate::{bit_reverse_permute, cache};
 
 /// Largest `log_n` the direct (single-buffer) vector kernel handles;
-/// larger sizes decompose six-step with vector row transforms. Higher
-/// than the scalar path's threshold because the fused passes are
-/// streaming (sequential loads/stores, no strided gathers), so the
-/// working set can exceed L2 without the pass count paying for it.
+/// larger sizes decompose six-step with vector row transforms. The fused
+/// passes are streaming (sequential loads/stores, no strided gathers), so
+/// the working set can exceed L2 without the pass count paying for it.
 pub const VECTOR_DIRECT_MAX_LOG_N: u32 = 20;
 
 /// Which lane backend the vector kernels execute on.
@@ -60,7 +58,7 @@ pub enum VectorBackend {
 /// 0 = auto-detect, 1 = force portable, 2 = prefer native.
 static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
-/// Overrides backend selection for [`KernelMode::Vector`] transforms.
+/// Overrides backend selection for the vector kernels.
 ///
 /// `Some(VectorBackend::Portable)` forces the portable lane path even
 /// where AVX2 is available (A/B testing and the bit-identity proptests);
@@ -80,7 +78,7 @@ pub(crate) fn portable_forced() -> bool {
     BACKEND_OVERRIDE.load(Ordering::Relaxed) == 1
 }
 
-/// The backend [`KernelMode::Vector`] transforms over `F` would use for
+/// The backend transforms over `F` would use for
 /// a size in the direct range (reporting hook for benches and docs).
 pub fn active_vector_backend<F: TwoAdicField>() -> VectorBackend {
     if !portable_forced() && native_kernel::<F>(VECTOR_DIRECT_MAX_LOG_N) != NativeKernel::None {
@@ -163,12 +161,25 @@ enum NativeBank {
 }
 
 /// One direction's worth of kernel state: generic packed stage tables
-/// (`stages[s-1][j]`, exactly the scalar fast path's layout) plus the
-/// optional native re-layout.
+/// (`stages[s-1][j]`, see [`pack_stages`]) plus the optional native
+/// re-layout.
 #[derive(Debug)]
 struct DirPlan<F: TwoAdicField> {
     stages: Vec<Vec<ShoupTwiddle<F>>>,
     bank: NativeBank,
+}
+
+/// Per-stage packed twiddles: `stages[s-1][j]` is the stage-`s` DIF
+/// twiddle `ω^{j·2^(log_n−s)}`, prepared, stored contiguously so stage
+/// loops read sequentially instead of gathering `lane[j << stride]`.
+fn pack_stages<F: TwoAdicField>(lane: &[ShoupTwiddle<F>], log_n: u32) -> Vec<Vec<ShoupTwiddle<F>>> {
+    (1..=log_n)
+        .map(|s| {
+            let half = 1usize << (s - 1);
+            let stride = log_n - s;
+            (0..half).map(|j| lane[j << stride]).collect()
+        })
+        .collect()
 }
 
 fn build_bank<F: TwoAdicField>(
@@ -216,8 +227,8 @@ impl<F: TwoAdicField> VectorPlan<F> {
     pub(crate) fn new(table: &TwiddleTable<F>) -> Self {
         let log_n = table.log_n();
         let native = native_kernel::<F>(log_n);
-        let fwd_stages = fast::pack_stages(table.forward_shoup(), log_n);
-        let inv_stages = fast::pack_stages(table.inverse_shoup(), log_n);
+        let fwd_stages = pack_stages(table.forward_shoup(), log_n);
+        let inv_stages = pack_stages(table.inverse_shoup(), log_n);
         Self {
             log_n,
             fwd: DirPlan {
@@ -340,10 +351,10 @@ fn portable_stages_dispatch<F: TwoAdicField>(
 }
 
 /// Portable all-stages DIF kernel: greedy radix-8 fusion, then a radix-4
-/// or radix-2 remainder, then the canonicalizing final stage. Same lazy
-/// lane semantics as the scalar fast path — each fused group performs
-/// the identical butterflies in the identical order, just with one
-/// memory pass instead of two or three.
+/// or radix-2 remainder, then the canonicalizing final stage. Lanes stay
+/// lazy (`[0, 2p)`) between stages — each fused group performs the
+/// butterflies of a stage-at-a-time DIF in the identical order, just with
+/// one memory pass instead of two or three.
 fn portable_stages<F: TwoAdicField, const L: usize>(
     values: &mut [F],
     stages: &[Vec<ShoupTwiddle<F>>],
@@ -995,7 +1006,6 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast::RowPath;
     use crate::Ntt;
     use rand::{rngs::StdRng, SeedableRng};
     use unintt_ff::{Bn254Fr, Field};
@@ -1005,7 +1015,7 @@ mod tests {
         (0..1usize << log_n).map(|_| F::random(&mut rng)).collect()
     }
 
-    /// Legacy-path oracle, independent of the process-wide kernel mode.
+    /// The radix-2 oracle: bit-reversal, then the DIT kernel.
     fn legacy_forward<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F]) {
         bit_reverse_permute(values);
         ntt.dit_in_place(values);
@@ -1019,11 +1029,11 @@ mod tests {
             let mut expect = input.clone();
             legacy_forward(&ntt, &mut expect);
             let mut got = input.clone();
-            ntt.transform_on(RowPath::Vector, &mut got, false);
+            ntt.forward(&mut got);
             assert_eq!(got, expect, "forward log_n={log_n}");
 
             let mut round = got;
-            ntt.transform_on(RowPath::Vector, &mut round, true);
+            ntt.inverse(&mut round);
             assert_eq!(round, input, "roundtrip log_n={log_n}");
         }
     }
@@ -1043,21 +1053,30 @@ mod tests {
         vector_matches_legacy::<Bn254Fr>(9, 3000);
     }
 
+    /// Either side of the direct / six-step threshold, against the radix-2
+    /// oracle in both directions.
     #[test]
     fn vector_six_step_matches_fast_path() {
-        // Straddle the vector direct/six-step threshold.
         for log_n in [VECTOR_DIRECT_MAX_LOG_N, VECTOR_DIRECT_MAX_LOG_N + 1] {
             let ntt = Ntt::<Goldilocks>::new(log_n);
             let input = random_vec::<Goldilocks>(log_n, 50 + u64::from(log_n));
 
             let mut expect = input.clone();
-            ntt.transform_on(RowPath::Fast, &mut expect, false);
+            legacy_forward(&ntt, &mut expect);
             let mut got = input.clone();
-            ntt.transform_on(RowPath::Vector, &mut got, false);
-            assert_eq!(got, expect, "forward log_n={log_n}");
+            ntt.forward(&mut got);
+            assert!(got == expect, "forward log_n={log_n}");
 
-            ntt.transform_on(RowPath::Vector, &mut got, true);
-            assert_eq!(got, input, "roundtrip log_n={log_n}");
+            let mut expect_inv = input.clone();
+            bit_reverse_permute(&mut expect_inv);
+            ntt.inverse_dit_in_place(&mut expect_inv);
+            ntt.scale_by_n_inv(&mut expect_inv);
+            let mut got_inv = input.clone();
+            ntt.inverse(&mut got_inv);
+            assert!(got_inv == expect_inv, "inverse log_n={log_n}");
+
+            ntt.inverse(&mut got);
+            assert!(got == input, "roundtrip log_n={log_n}");
         }
     }
 

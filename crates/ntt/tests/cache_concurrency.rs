@@ -1,4 +1,4 @@
-//! Concurrency properties of the process-wide caches and the fast
+//! Concurrency properties of the process-wide caches and the vector
 //! kernels: many executor-pool workers constructing [`Ntt`] contexts and
 //! transforming simultaneously must neither deadlock nor diverge from the
 //! single-threaded results.

@@ -1,23 +1,18 @@
-//! Property tests: the vectorized and scalar Shoup fast paths are
-//! **bit-identical** to the legacy radix-2 reference path, and the
-//! vector kernels' AVX2 and portable backends are bit-identical to each
-//! other.
+//! Property tests: `Ntt::forward` / `inverse` (the vector kernels) are
+//! **bit-identical** to the radix-2 reference path, and the vector
+//! kernels' native (AVX2 / AVX-512) and portable backends are
+//! bit-identical to each other.
 //!
-//! The legacy reference is composed here from the public raw kernels
+//! The radix-2 reference is composed here from the public raw kernels
 //! (`bit_reverse_permute` + `dit_in_place`, plus the `1/n` scale for the
-//! inverse) rather than by flipping the process-wide kernel mode, so these
-//! tests compare the code paths directly. Tests that *do* pin the
-//! process-wide kernel mode or vector backend always restore the default
-//! afterwards; every mode and backend produces identical outputs, so a
-//! concurrent test observing the temporary switch still passes.
+//! inverse). Tests that pin the process-wide vector backend always restore
+//! auto-detection afterwards; every backend produces identical outputs, so
+//! a concurrent test observing the temporary switch still passes.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_ff::{BabyBear, Field, Goldilocks, TwoAdicField};
-use unintt_ntt::{
-    bit_reverse_permute, set_kernel_mode, set_vector_backend_override, KernelMode, Ntt,
-    VectorBackend,
-};
+use unintt_ntt::{bit_reverse_permute, set_vector_backend_override, Ntt, VectorBackend};
 
 fn random_vec<F: Field>(log_n: u32, seed: u64) -> Vec<F> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -38,52 +33,28 @@ fn legacy_inverse<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F]) {
     ntt.scale_by_n_inv(values);
 }
 
-/// Runs `f` with the process-wide kernel mode pinned, restoring the
-/// default after. Outputs are mode-independent, so concurrent tests
-/// observing the temporary switch still pass.
-fn with_mode<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
-    set_kernel_mode(mode);
-    let r = f();
-    set_kernel_mode(KernelMode::default());
-    r
-}
-
-/// One bit-identity check of a kernel mode against the legacy reference
-/// at a given size/seed, both directions.
-fn check_bitwise_match_mode<F: TwoAdicField>(
-    mode: KernelMode,
-    log_n: u32,
-    seed: u64,
-) -> Result<(), String> {
+/// One bit-identity check against the radix-2 reference at a given
+/// size/seed, both directions.
+fn check_bitwise_match<F: TwoAdicField>(log_n: u32, seed: u64) -> Result<(), String> {
     let ntt = Ntt::<F>::new(log_n);
     let input = random_vec::<F>(log_n, seed);
 
     let mut got = input.clone();
-    with_mode(mode, || ntt.forward(&mut got));
+    ntt.forward(&mut got);
     let mut legacy = input.clone();
     legacy_forward(&ntt, &mut legacy);
     if got != legacy {
-        return Err(format!(
-            "forward {mode:?} mismatch at log_n={log_n} seed={seed}"
-        ));
+        return Err(format!("forward mismatch at log_n={log_n} seed={seed}"));
     }
 
     let mut got = input.clone();
-    with_mode(mode, || ntt.inverse(&mut got));
+    ntt.inverse(&mut got);
     let mut legacy = input;
     legacy_inverse(&ntt, &mut legacy);
     if got != legacy {
-        return Err(format!(
-            "inverse {mode:?} mismatch at log_n={log_n} seed={seed}"
-        ));
+        return Err(format!("inverse mismatch at log_n={log_n} seed={seed}"));
     }
     Ok(())
-}
-
-/// One bit-identity check at a given size/seed, both directions, under
-/// the default (vector) kernels.
-fn check_bitwise_match<F: TwoAdicField>(log_n: u32, seed: u64) -> Result<(), String> {
-    check_bitwise_match_mode::<F>(KernelMode::Vector, log_n, seed)
 }
 
 /// AVX2-vs-portable equality of the vector backend, both directions.
@@ -96,13 +67,11 @@ fn check_backend_match<F: TwoAdicField>(log_n: u32, seed: u64) -> Result<(), Str
     let run = |backend: Option<VectorBackend>, inverse: bool| {
         set_vector_backend_override(backend);
         let mut buf = input.clone();
-        with_mode(KernelMode::Vector, || {
-            if inverse {
-                ntt.inverse(&mut buf)
-            } else {
-                ntt.forward(&mut buf)
-            }
-        });
+        if inverse {
+            ntt.inverse(&mut buf)
+        } else {
+            ntt.forward(&mut buf)
+        }
         set_vector_backend_override(None);
         buf
     };
@@ -132,22 +101,6 @@ proptest! {
     }
 
     #[test]
-    fn goldilocks_scalar_fast_matches_legacy(log_n in 1u32..=16, seed in any::<u64>()) {
-        prop_assert_eq!(
-            check_bitwise_match_mode::<Goldilocks>(KernelMode::Fast, log_n, seed),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn babybear_scalar_fast_matches_legacy(log_n in 1u32..=16, seed in any::<u64>()) {
-        prop_assert_eq!(
-            check_bitwise_match_mode::<BabyBear>(KernelMode::Fast, log_n, seed),
-            Ok(())
-        );
-    }
-
-    #[test]
     fn goldilocks_backends_match(log_n in 1u32..=14, seed in any::<u64>()) {
         prop_assert_eq!(check_backend_match::<Goldilocks>(log_n, seed), Ok(()));
     }
@@ -159,8 +112,8 @@ proptest! {
 
     #[test]
     fn goldilocks_roundtrip_fast_then_legacy_inverse(log_n in 1u32..=12, seed in any::<u64>()) {
-        // Mixed-path round-trip: forward on the fast path, inverse on the
-        // legacy path. Only works because outputs are bit-identical.
+        // Mixed-path round-trip: forward on the vector kernels, inverse on
+        // the radix-2 path. Only works because outputs are bit-identical.
         let ntt = Ntt::<Goldilocks>::new(log_n);
         let input = random_vec::<Goldilocks>(log_n, seed);
         let mut data = input.clone();
@@ -180,16 +133,6 @@ fn every_size_1_to_16_matches_bitwise() {
             check_bitwise_match::<Goldilocks>(log_n, seed).unwrap();
             check_bitwise_match::<BabyBear>(log_n, seed).unwrap();
         }
-    }
-}
-
-/// Deterministic sweep of every size for the scalar fast kernels too.
-#[test]
-fn every_size_1_to_16_scalar_fast_matches_bitwise() {
-    for log_n in 1..=16u32 {
-        let seed = 0xfa57 + u64::from(log_n);
-        check_bitwise_match_mode::<Goldilocks>(KernelMode::Fast, log_n, seed).unwrap();
-        check_bitwise_match_mode::<BabyBear>(KernelMode::Fast, log_n, seed).unwrap();
     }
 }
 

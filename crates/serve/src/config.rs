@@ -3,7 +3,6 @@
 
 use unintt_core::{CommMode, RecoveryPolicy};
 use unintt_gpu_sim::{FaultRates, InterferenceModel};
-use unintt_ntt::KernelMode;
 
 /// How the dispatcher orders ready batches when a lease frees up.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,10 +102,6 @@ pub struct ServiceConfig {
     /// against compute; [`CommMode::Blocking`] is the legacy schedule.
     /// Outputs are bit-identical either way; only simulated time moves.
     pub comm_mode: CommMode,
-    /// Host-side NTT kernel family for the real transforms behind each
-    /// dispatch ([`KernelMode::Vector`] by default). Bit-identical across
-    /// modes; only host wall time changes.
-    pub kernel_mode: KernelMode,
     /// Compute queues per lease for [`crate::JobClass::ProveDag`] stage
     /// dispatch, `1..=4`. At `1` (the default) a lease holds one stage
     /// at a time — the serialized schedule; at `2..=4` stages of
@@ -137,7 +132,6 @@ impl Default for ServiceConfig {
             fault_rates: None,
             verify_outputs: true,
             comm_mode: CommMode::Overlapped,
-            kernel_mode: KernelMode::default(),
             streams_per_lease: 1,
             interference: InterferenceModel::default_model(),
         }
@@ -158,7 +152,6 @@ mod tests {
         assert!(cfg.dispatch_overhead_ns > 0.0);
         assert_eq!(cfg.policy, SchedulerPolicy::Fifo);
         assert_eq!(cfg.comm_mode, CommMode::Overlapped);
-        assert_eq!(cfg.kernel_mode, KernelMode::Vector);
         assert_eq!(cfg.streams_per_lease, 1, "serialized dispatch by default");
         assert_eq!(cfg.interference, InterferenceModel::default_model());
     }

@@ -16,7 +16,7 @@ use unintt_core::{Cluster, ClusterNttEngine, UniNttOptions};
 use unintt_ff::{BabyBear, Field, Goldilocks, PrimeField, TwoAdicField};
 use unintt_fri::{commit_trace, verify_trace, FriConfig, LdeBackend};
 use unintt_gpu_sim::{presets, FaultPlan, FieldSpec, KernelProfile};
-use unintt_ntt::{batch_transform_parallel, Direction, KernelMode, Ntt};
+use unintt_ntt::{batch_transform_parallel, Direction, Ntt};
 use unintt_zkp::{
     prove, random_circuit, setup, verify, Backend, ProvingKey, VerifyingKey, Witness,
 };
@@ -26,36 +26,6 @@ use unintt_pipeline::ProofPipeline;
 use crate::coalesce::{BatchKey, QueuedJob, ReadyBatch};
 use crate::config::{SchedulerPolicy, ServiceConfig};
 use crate::job::{DagKind, JobId, JobOutcome, JobStatus, ServiceField};
-
-/// Pins the process-wide host kernel mode for the duration of a batch,
-/// restoring the previous mode on drop (so PLONK/STARK dispatches and
-/// host code outside the service keep their own mode). Publishes the
-/// active mode as the `sim_kernel_mode` gauge (0 = vector, 1 = fast,
-/// 2 = legacy) when telemetry records.
-struct KernelModeGuard {
-    prev: KernelMode,
-}
-
-impl KernelModeGuard {
-    fn pin(cfg: &ServiceConfig) -> Self {
-        let prev = unintt_ntt::kernel_mode();
-        let mode = unintt_core::kernel_mode_override().unwrap_or(cfg.kernel_mode);
-        unintt_ntt::set_kernel_mode(mode);
-        let encoded = match mode {
-            KernelMode::Vector => 0.0,
-            KernelMode::Fast => 1.0,
-            KernelMode::Legacy => 2.0,
-        };
-        unintt_telemetry::gauge_set("sim_kernel_mode", encoded);
-        Self { prev }
-    }
-}
-
-impl Drop for KernelModeGuard {
-    fn drop(&mut self) {
-        unintt_ntt::set_kernel_mode(self.prev);
-    }
-}
 
 /// Seed domain for per-job synthetic payloads.
 const PAYLOAD_SEED: u64 = 0x0b5e_55ed_0d15_ea5e;
@@ -258,12 +228,10 @@ fn run_raw_batch_in<F: TwoAdicField>(
     dispatch_seq: u64,
     start_ns: f64,
 ) -> RawDispatch {
-    let _kernels = KernelModeGuard::pin(cfg);
     let engine = engines.entry(key.log_n).or_insert_with(|| {
         let node_cfg = presets::a100_nvlink(cfg.lease.gpus_per_node);
         let mut opts = UniNttOptions::tuned_for(&field_spec);
         opts.comm_mode = cfg.comm_mode;
-        opts.host_kernels = cfg.kernel_mode;
         ClusterNttEngine::new(key.log_n, cfg.lease.nodes, &node_cfg, opts, field_spec)
     });
     if let Some(rates) = cfg.fault_rates {

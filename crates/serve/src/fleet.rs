@@ -219,7 +219,7 @@ impl FleetReport {
     /// True when every *accepted* job reached a terminal success state:
     /// completed, or cancelled for a deadline nobody could meet. Shed
     /// and rejected jobs are excluded — they were never accepted. This
-    /// is the chaos harness's "zero failures" criterion.
+    /// is the chaos harness's "zero failures" condition.
     pub fn zero_accepted_failures(&self) -> bool {
         self.outcomes
             .iter()

@@ -919,43 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_mode_never_moves_the_simulated_clock() {
-        use unintt_ntt::KernelMode;
-        // Host kernel selection is a physical-host concern only: the
-        // simulated clock, every outcome, and every digest must be
-        // identical across all three modes (verify_outputs bit-checks
-        // each job against the CPU reference on the selected kernels),
-        // and identical again when a telemetry session records the run.
-        let stream: Vec<JobSpec> = (0..4)
-            .map(|i| raw_spec(12, Direction::Forward, i as f64 * 2_000.0))
-            .collect();
-        let run_with = |mode: KernelMode| {
-            run_stream(
-                ServiceConfig {
-                    kernel_mode: mode,
-                    ..ServiceConfig::default()
-                },
-                &stream,
-            )
-        };
-        let vector = run_with(KernelMode::Vector);
-        for mode in [KernelMode::Fast, KernelMode::Legacy] {
-            let other = run_with(mode);
-            assert_eq!(vector.outcomes, other.outcomes, "{mode:?}");
-            assert_eq!(vector.metrics, other.metrics, "{mode:?}");
-        }
-        // Telemetry on: same clock, and the dispatch guard published the
-        // pinned mode as the `sim_kernel_mode` gauge (0 = vector).
-        let guard = unintt_telemetry::start_session();
-        let traced = run_with(KernelMode::Vector);
-        let registry = unintt_telemetry::registry_snapshot();
-        drop(guard);
-        assert_eq!(vector.outcomes, traced.outcomes);
-        assert_eq!(vector.metrics, traced.metrics);
-        assert_eq!(registry.gauges.get("sim_kernel_mode"), Some(&0.0));
-    }
-
-    #[test]
     fn coalescing_amortizes_dispatch_overhead() {
         // A burst of identical-shape jobs at high offered load: with a
         // window they share dispatches (and the fixed overhead); with

@@ -1,6 +1,5 @@
-//! Polynomial arithmetic with the NTT library: large products, coset
-//! low-degree extension (the STARK/FRI workhorse), and negacyclic
-//! multiplication (the lattice-crypto workhorse) — the workloads whose
+//! Polynomial arithmetic with the NTT library: large products and coset
+//! low-degree extension (the STARK/FRI workhorse) — the workloads whose
 //! inner loop the paper accelerates.
 //!
 //! ```bash
@@ -9,10 +8,7 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_ff::{horner_eval, Field, Goldilocks};
-use unintt_ntt::{
-    low_degree_extension, negacyclic_mul_naive, poly_mul_naive, poly_mul_ntt, standard_shift,
-    NegacyclicNtt, Ntt,
-};
+use unintt_ntt::{low_degree_extension, poly_mul_naive, poly_mul_ntt, standard_shift, Ntt};
 
 fn random_vec(n: usize, seed: u64) -> Vec<Goldilocks> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -56,15 +52,6 @@ fn main() {
         e
     };
     let _ = evals;
-
-    // 3. Negacyclic multiplication in F[x]/(x^n + 1).
-    let n = 1 << 8;
-    let nc = NegacyclicNtt::<Goldilocks>::new(8);
-    let p = random_vec(n, 4);
-    let q = random_vec(n, 5);
-    let prod = nc.negacyclic_mul(&p, &q);
-    assert_eq!(prod, negacyclic_mul_naive(&p, &q));
-    println!("negacyclic product   : x^{n} ≡ -1 wraparound verified against schoolbook");
 
     println!("\nall fast paths matched their quadratic reference implementations ✓");
 }

@@ -9,6 +9,11 @@
 //!
 //! The tests take turns (one lock): each is about which thread runs what,
 //! and on a two-core host a neighbour's busy loop would decide that.
+//!
+//! Nothing here asserts an elapsed time: how much of the tiny traffic stays
+//! on the caller and how fast a shared scope finishes depend on the host's
+//! noise, so those bounds live in the `#[ignore]`d `*_profile` tests. Run
+//! them with `cargo test --release --test pool_grain -- --ignored`.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,16 +56,42 @@ fn logged_scope(exec: &Executor, tasks: usize, work: impl Fn() + Sync) -> Vec<(u
     log.into_inner().unwrap()
 }
 
-/// (a) A scope under the grain runs as a one-thread pool would run it.
-///
-/// The evidence is wall time, so a scope the host stalls mid-way (a timer
-/// tick, a neighbour's time slice) is, correctly, offered to the workers,
-/// and a woken worker takes tasks for a moment before it parks again.
-/// Such a scope is recognisable from outside — it took several times what
-/// a tiny scope takes — so it and the millisecond after it are left out of
-/// the count; the thousand scopes that are counted had no such excuse.
+/// (a) A scope under the grain runs as a one-thread pool would run it:
+/// every task once, and a scope that ran wholly on the caller ran in spawn
+/// order.
 #[test]
 fn tiny_scopes_run_on_the_caller_in_spawn_order() {
+    let _turn = turn();
+    let exec = Executor::new(4);
+    let caller = thread::current().id();
+    for round in 0..2_000u64 {
+        // Empty tasks and ≈ 1/2 µs tasks, alternating.
+        let work = Duration::from_nanos(round % 2 * 500);
+        let mut log = logged_scope(&exec, 8, || spin_for(work));
+        if log.iter().all(|(_, t)| *t == caller) {
+            assert!(
+                log.iter().map(|(i, _)| *i).eq(0..8),
+                "round {round} ran out of spawn order: {log:?}"
+            );
+        }
+        log.sort_unstable_by_key(|(i, _)| *i);
+        assert!(
+            log.iter().map(|(i, _)| *i).eq(0..8),
+            "round {round}: {log:?}"
+        );
+    }
+}
+
+/// How much tiny traffic stays on the caller. The evidence is wall time,
+/// so a scope the host stalls mid-way (a timer tick, a neighbour's time
+/// slice) is, correctly, offered to the workers, and a woken worker takes
+/// tasks for a moment before it parks again. Such a scope is recognisable
+/// from outside — it took several times what a tiny scope takes — so it
+/// and the millisecond after it are left out of the count; the thousand
+/// scopes that are counted had no such excuse.
+#[test]
+#[ignore = "wall-clock bound; depends on host noise"]
+fn tiny_scopes_stay_on_the_caller_profile() {
     /// Many tiny scopes, and still under any wake-up round trip.
     const STALLED: Duration = Duration::from_micros(15);
     let _turn = turn();
@@ -71,19 +102,11 @@ fn tiny_scopes_run_on_the_caller_in_spawn_order() {
     let (mut scopes, mut on_caller) = (0, 0);
     let mut counting_from = Instant::now();
     for round in 0..50_000 {
-        // Empty tasks and ≈ 1/2 µs tasks, alternating.
         let work = Duration::from_nanos(round % 2 * 500);
         let began = Instant::now();
         let log = logged_scope(&exec, 8, || spin_for(work));
         let wall = began.elapsed();
-        assert_eq!(log.len(), 8);
         let here = log.iter().filter(|(_, t)| *t == caller).count();
-        if here == 8 {
-            assert!(
-                log.iter().map(|(i, _)| *i).eq(0..8),
-                "round {round} ran out of spawn order: {log:?}"
-            );
-        }
         if wall >= STALLED {
             counting_from = Instant::now() + Duration::from_millis(1);
         } else if began >= counting_from {
@@ -110,13 +133,22 @@ fn a_long_scope_is_shared_with_the_workers() {
     let _turn = turn();
     let exec = Executor::new(4);
     thread::sleep(Duration::from_millis(50));
-    let t = Instant::now();
     let log = logged_scope(&exec, 8, || thread::sleep(Duration::from_millis(2)));
-    let wall = t.elapsed();
     let threads: HashSet<_> = log.iter().map(|(_, t)| *t).collect();
     assert!(threads.len() >= 2, "ran on {} thread(s)", threads.len());
-    // Serial is 8 × 2 ms; the caller's first task plus seven over four
-    // threads is 6 ms.
+}
+
+/// How long the shared scope of (b) takes: serial is 8 × 2 ms; the
+/// caller's first task plus seven over four threads is 6 ms.
+#[test]
+#[ignore = "wall-clock bound; depends on host noise"]
+fn a_long_scope_is_shared_with_the_workers_profile() {
+    let _turn = turn();
+    let exec = Executor::new(4);
+    thread::sleep(Duration::from_millis(50));
+    let t = Instant::now();
+    logged_scope(&exec, 8, || thread::sleep(Duration::from_millis(2)));
+    let wall = t.elapsed();
     assert!(wall < Duration::from_millis(13), "took {wall:?}");
 }
 
