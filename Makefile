@@ -62,15 +62,20 @@ trace-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick trace e12
 
 # Kernel smoke: the bit-identity property suite (vector vs the radix-2
-# oracle, portable lanes vs native, both fields, both directions), then a
-# disassembly check that the AVX-512 Goldilocks stage driver, the
-# geometric-scaling kernel and the AVX-512 sponge kernels contain no
-# widening scalar multiply — LLVM has scalarised `gl_mul` once before.
+# oracle, portable lanes vs native, both fields, both directions); the
+# tests that call each native NTT driver and bit-reversal register kernel
+# directly, with their output shown, since they skip what the CPU lacks
+# and print which ran; then a disassembly check that the AVX-512
+# Goldilocks stage driver, the geometric-scaling kernel and the AVX-512
+# sponge kernels contain no widening scalar multiply — LLVM has
+# scalarised `gl_mul` once before.
 NO_SCALAR_MUL := unintt_ntt::vector::x86::gl_stages_avx512 \
                  unintt_ntt::six_step::x86::gl_scale_by_powers \
                  unintt_fri::hash::x86::hash_rows unintt_fri::hash::x86::compress_pairs
 kernel-smoke:
 	cargo test --release -p unintt-ntt --test shoup_properties
+	cargo test --release -p unintt-ntt --lib -- --nocapture \
+		goldilocks_native_tiers_match_oracle register_kernels_match_bit_reversed
 	cargo build --release -p unintt-ntt -p unintt-fri
 	bash scripts/no-scalar-mul.sh $(NO_SCALAR_MUL)
 

@@ -28,11 +28,6 @@
 //! simulator calls one context tens of thousands of times per transform,
 //! from several pool workers at once). Six-step transforms resolve their
 //! two row plans once per call, on the calling thread, before forking.
-//!
-//! The bit-reversal pair tables (see [`crate::bit_reverse_permute`]) are
-//! cached here too, keyed by `log_n` alone — the permutation is
-//! element-type agnostic and its entry count is already bounded by
-//! [`MAX_CACHED_BITREV_BITS`].
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -212,37 +207,6 @@ pub(crate) fn shared_vector_plan<F: TwoAdicField>(log_n: u32) -> Arc<VectorPlan<
     })
 }
 
-/// Largest `log_n` whose bit-reversal swap pairs are cached (a pair table
-/// at `2^20` is 4 MiB; larger permutations fall back to on-the-fly index
-/// computation — a transform never bit-reverses at those sizes
-/// anyway, it decomposes six-step instead).
-pub(crate) const MAX_CACHED_BITREV_BITS: u32 = 20;
-
-/// A cached table of bit-reversal swap pairs.
-type BitrevPairs = Arc<Vec<(u32, u32)>>;
-
-/// The swap pairs `(i, j)` with `i < j = reverse_bits(i)` for a size-`2^bits`
-/// bit-reversal permutation, shared process-wide.
-pub(crate) fn bitrev_pairs(bits: u32) -> BitrevPairs {
-    assert!(bits <= MAX_CACHED_BITREV_BITS);
-    static CACHE: OnceLock<Mutex<HashMap<u32, BitrevPairs>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().unwrap().get(&bits) {
-        return Arc::clone(hit);
-    }
-    let n = 1usize << bits;
-    let mut pairs = Vec::new();
-    for i in 0..n {
-        let j = crate::bitrev::reverse_bits(i, bits);
-        if i < j {
-            pairs.push((i as u32, j as u32));
-        }
-    }
-    let built = Arc::new(pairs);
-    let mut guard = cache.lock().unwrap();
-    Arc::clone(guard.entry(bits).or_insert(built))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,27 +231,6 @@ mod tests {
         assert_eq!(shared.forward(), fresh.forward());
         assert_eq!(shared.inverse(), fresh.inverse());
         assert_eq!(shared.n_inv(), fresh.n_inv());
-    }
-
-    #[test]
-    fn bitrev_pairs_are_shared_and_correct() {
-        let p = bitrev_pairs(4);
-        assert!(Arc::ptr_eq(&p, &bitrev_pairs(4)));
-        // Applying the pairs must equal the naive permutation.
-        let mut via_pairs: Vec<u32> = (0..16).collect();
-        for &(i, j) in p.iter() {
-            via_pairs.swap(i as usize, j as usize);
-        }
-        let mut naive: Vec<u32> = (0..16).collect();
-        let n = naive.len();
-        let bits = n.trailing_zeros();
-        for i in 0..n {
-            let j = crate::bitrev::reverse_bits(i, bits);
-            if i < j {
-                naive.swap(i, j);
-            }
-        }
-        assert_eq!(via_pairs, naive);
     }
 
     #[test]
@@ -349,10 +292,8 @@ mod tests {
     #[test]
     fn evicted_vector_plan_keeps_working() {
         // Eviction safety: a plan Arc held by a live Ntt context must keep
-        // its pinned bit-reversal pair table (and twiddle banks) usable
-        // after the cache drops its own reference.
+        // its twiddle banks usable after the cache drops its own reference.
         let held = shared_vector_plan::<Goldilocks>(9);
-        let pairs_before = held.bitrev_pairs().expect("log_n=9 pairs are cached");
         {
             let mut guard = vector_plan_cache().lock().unwrap();
             let snapshot = guard.capacity();
@@ -363,9 +304,7 @@ mod tests {
         for log_n in 0..4 {
             let _ = shared_vector_plan::<BabyBear>(log_n);
         }
-        let pairs_after = held.bitrev_pairs().expect("pinned pairs survive eviction");
-        assert!(Arc::ptr_eq(pairs_before, pairs_after));
-        // And the plan still transforms correctly end-to-end.
+        // The plan still transforms correctly end-to-end.
         let input: Vec<Goldilocks> = (0..512u64).map(Goldilocks::from_u64).collect();
         let mut via_held = input.clone();
         held.transform(&mut via_held, false);

@@ -34,8 +34,9 @@ pub fn coset_ntt<F: TwoAdicField>(ntt: &Ntt<F>, coeffs: &mut [F], shift: F) {
 /// is zero.
 pub fn coset_intt<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F], shift: F) {
     assert_eq!(values.len(), ntt.n(), "input length mismatch");
-    ntt.inverse(values);
+    // Reject a zero shift before the buffer is touched.
     let shift_inv = shift.inverse().expect("coset shift must be nonzero");
+    ntt.inverse(values);
     scale_by_powers(values, F::ONE, shift_inv);
 }
 
@@ -107,6 +108,18 @@ mod tests {
         coset_ntt(&ntt, &mut data, shift);
         coset_intt(&ntt, &mut data, shift);
         assert_eq!(data, coeffs);
+    }
+
+    #[test]
+    fn coset_intt_rejects_zero_shift_before_touching_the_buffer() {
+        let ntt = Ntt::<Goldilocks>::new(4);
+        let input = random_vec(16, 6);
+        let mut data = input.clone();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            coset_intt(&ntt, &mut data, Goldilocks::ZERO)
+        }));
+        assert!(result.is_err(), "a zero shift must panic");
+        assert_eq!(data, input);
     }
 
     #[test]

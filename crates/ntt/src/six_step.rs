@@ -545,9 +545,10 @@ mod tests {
         }
     }
 
-    /// The radix-2 oracle: bit-reversal, then the DIT kernel.
+    /// The radix-2 oracle: the index-form bit-reversal, then the DIT
+    /// kernel.
     fn oracle_forward<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F]) {
-        crate::bit_reverse_permute(values);
+        values.copy_from_slice(&crate::bit_reversed(values));
         ntt.dit_in_place(values);
     }
 

@@ -4,15 +4,16 @@
 //! bit-identical to each other.
 //!
 //! The radix-2 reference is composed here from the public raw kernels
-//! (`bit_reverse_permute` + `dit_in_place`, plus the `1/n` scale for the
-//! inverse). Tests that pin the process-wide vector backend always restore
+//! (the index-form `bit_reversed` + `dit_in_place`, plus the `1/n` scale
+//! for the inverse), so it shares no code with the tiled in-place
+//! permutation the transforms run. Tests that pin the process-wide vector backend always restore
 //! auto-detection afterwards; every backend produces identical outputs, so
 //! a concurrent test observing the temporary switch still passes.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_ff::{BabyBear, Field, Goldilocks, TwoAdicField};
-use unintt_ntt::{bit_reverse_permute, set_vector_backend_override, Ntt, VectorBackend};
+use unintt_ntt::{bit_reversed, set_vector_backend_override, Ntt, VectorBackend};
 
 fn random_vec<F: Field>(log_n: u32, seed: u64) -> Vec<F> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -21,14 +22,14 @@ fn random_vec<F: Field>(log_n: u32, seed: u64) -> Vec<F> {
 
 /// Forward transform through the legacy radix-2 DIT kernels only.
 fn legacy_forward<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F]) {
-    bit_reverse_permute(values);
+    values.copy_from_slice(&bit_reversed(values));
     ntt.dit_in_place(values);
 }
 
 /// Inverse transform (including the `1/n` scale) through the legacy
 /// kernels only.
 fn legacy_inverse<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F]) {
-    bit_reverse_permute(values);
+    values.copy_from_slice(&bit_reversed(values));
     ntt.inverse_dit_in_place(values);
     ntt.scale_by_n_inv(values);
 }
