@@ -3,7 +3,7 @@
 # Whole workspace except the vendored offline stubs under vendor/.
 EXCLUDE_VENDOR := --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 
-.PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke
+.PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke serve-profile
 
 verify: fmt clippy build bench-check test kernel-smoke serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke
 
@@ -110,6 +110,14 @@ chaos-smoke:
 slo-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e21
 	cargo run --release -p unintt-bench --bin harness -- attribute all
+
+# Serving-path profile (wall clock, not part of verify): one serve-raw
+# op split into cluster forwards, batch selection, reference transforms,
+# payloads and per-dispatch cluster setup, then one raw job's cluster
+# forward split into its pieces.
+serve-profile:
+	cargo test --release -p unintt-serve --lib raw_op_profile -- --ignored --nocapture
+	cargo test --release -p unintt-core --lib raw_job_profile -- --ignored --nocapture
 
 # Perf-regression gate: rerun the experiment behind every committed
 # BENCH_*.json in its committed mode and byte-compare. Fails on any diff.
