@@ -135,7 +135,8 @@ impl ServiceMetrics {
 
         let mut classes: BTreeMap<&'static str, ClassMetrics> = BTreeMap::new();
         let mut latencies: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
-        for o in outcomes {
+        let invalid = JobStatus::Rejected(AdmissionError::InvalidArrival);
+        for o in outcomes.iter().filter(|o| o.status != invalid) {
             let c = classes.entry(o.class_name).or_default();
             c.submitted += 1;
             match o.status {
@@ -153,6 +154,7 @@ impl ServiceMetrics {
                         .push(o.latency_ns());
                 }
                 JobStatus::Rejected(AdmissionError::QueueFull { .. }) => c.rejected += 1,
+                JobStatus::Rejected(AdmissionError::InvalidArrival) => unreachable!("skipped"),
                 JobStatus::Rejected(AdmissionError::Overloaded { .. }) => c.shed += 1,
                 JobStatus::DeadlineExceeded { .. } => c.deadline_exceeded += 1,
             }
