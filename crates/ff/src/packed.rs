@@ -344,6 +344,383 @@ pub mod avx512 {
     }
 }
 
+/// Eight BN254 base-field elements in AVX-512 IFMA lanes ([`ifma::Fq8`]).
+///
+/// An element is five 52-bit limbs, one `__m512i` per limb, lane `l` of
+/// every limb register belonging to element `l`. Values are Montgomery
+/// residues with `R = 2^260` (five limbs), where [`crate::Bn254Fq`] uses
+/// `R = 2^256`: entering the lanes multiplies by `16 mod p`, leaving them
+/// by `16⁻¹`. Multiplication is CIOS over `vpmadd52luq` / `vpmadd52huq`,
+/// whose 64-bit accumulators absorb the column sums without a carry until
+/// the end.
+///
+/// Every operation returns **canonical** lanes (value `< p`, every limb
+/// `< 2^52`), so a representation is unique: equality is limb equality,
+/// and an element that enters and leaves the lanes is the same
+/// `Bn254Fq` bit for bit, whatever arithmetic ran in between.
+///
+/// Every `unsafe fn` requires `avx512f` and `avx512ifma` in the
+/// (inlined-into) calling context.
+#[cfg(target_arch = "x86_64")]
+pub mod ifma {
+    use core::arch::x86_64::*;
+
+    use crate::{Bn254Fq, Bn254FqParams, Field, MontParams, U256};
+
+    /// Limbs per element: `5 × 52 = 260` bits.
+    pub const LIMBS: usize = 5;
+    /// Lanes per register.
+    pub const LANES: usize = 8;
+
+    const MASK: u64 = (1 << 52) - 1;
+
+    /// `v` in radix `2^52`.
+    const fn split(v: &U256) -> [u64; LIMBS] {
+        let w = v.limbs();
+        [
+            w[0] & MASK,
+            (w[0] >> 52 | w[1] << 12) & MASK,
+            (w[1] >> 40 | w[2] << 24) & MASK,
+            (w[2] >> 28 | w[3] << 36) & MASK,
+            w[3] >> 16,
+        ]
+    }
+
+    /// The 256-bit integer with radix-`2^52` limbs `l` (`l[4] < 2^48`).
+    const fn join(l: &[u64; LIMBS]) -> U256 {
+        U256::from_limbs([
+            l[0] | l[1] << 52,
+            l[1] >> 12 | l[2] << 40,
+            l[2] >> 24 | l[3] << 28,
+            l[3] >> 36 | l[4] << 16,
+        ])
+    }
+
+    /// The modulus in radix `2^52`.
+    const P: [u64; LIMBS] = split(&Bn254FqParams::MODULUS);
+
+    /// `−p⁻¹ mod 2^52`, by Newton iteration.
+    const P_INV: u64 = {
+        let p0 = Bn254FqParams::MODULUS.limbs()[0];
+        let mut inv = 1u64;
+        let mut i = 0;
+        while i < 6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(inv)));
+            i += 1;
+        }
+        inv.wrapping_neg() & MASK
+    };
+
+    /// `16·v mod p` for a canonical `v`.
+    const fn times_16(v: &U256) -> U256 {
+        let p = &Bn254FqParams::MODULUS;
+        v.double_mod(p).double_mod(p).double_mod(p).double_mod(p)
+    }
+
+    /// The lane form of one: `2^260 mod p`.
+    pub const ONE: [u64; LIMBS] = split(&times_16(&Bn254Fq::ONE.repr()));
+
+    /// `x` in lane form: its Montgomery residue `x·2^256` times 16, in
+    /// radix `2^52`.
+    pub fn fq_to_limbs(x: &Bn254Fq) -> [u64; LIMBS] {
+        split(&times_16(&x.repr()))
+    }
+
+    /// The element whose lane form is `l` (canonical limbs): the residue
+    /// times `16⁻¹`, which is one Montgomery product with `2^252`.
+    pub fn fq_from_limbs(l: &[u64; LIMBS]) -> Bn254Fq {
+        Bn254Fq::from_repr(join(l)) * Bn254Fq::from_repr(U256::from_limbs([0, 0, 0, 1 << 60]))
+    }
+
+    /// Eight canonical BN254 base-field elements, limb-major (module
+    /// docs). Only this module's `unsafe` constructors make one, so a
+    /// value exists only where the CPU has the features.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Fq8([__m512i; LIMBS]);
+
+    impl Fq8 {
+        /// `l` in every lane.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn splat(l: &[u64; LIMBS]) -> Self {
+            Self([
+                _mm512_set1_epi64(l[0] as i64),
+                _mm512_set1_epi64(l[1] as i64),
+                _mm512_set1_epi64(l[2] as i64),
+                _mm512_set1_epi64(l[3] as i64),
+                _mm512_set1_epi64(l[4] as i64),
+            ])
+        }
+
+        /// Lane `l` takes `x[l]`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn from_fq(x: &[Bn254Fq; LANES]) -> Self {
+            let mut words = [[0u64; LANES]; LIMBS];
+            for (l, x) in x.iter().enumerate() {
+                for (row, limb) in words.iter_mut().zip(fq_to_limbs(x)) {
+                    row[l] = limb;
+                }
+            }
+            Self::load(words.as_ptr().cast(), LANES)
+        }
+
+        /// Lane `l` as a `Bn254Fq`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn to_fq(self) -> [Bn254Fq; LANES] {
+            let mut words = [[0u64; LANES]; LIMBS];
+            self.store(words.as_mut_ptr().cast(), LANES);
+            core::array::from_fn(|l| {
+                fq_from_limbs(&[
+                    words[0][l],
+                    words[1][l],
+                    words[2][l],
+                    words[3][l],
+                    words[4][l],
+                ])
+            })
+        }
+
+        /// Loads limb `j` from the eight words at `src + j·stride`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs); the five rows
+        /// must be readable, and hold canonical lane-form limbs.
+        #[inline(always)]
+        pub unsafe fn load(src: *const u64, stride: usize) -> Self {
+            Self([
+                _mm512_loadu_si512(src.cast()),
+                _mm512_loadu_si512(src.add(stride).cast()),
+                _mm512_loadu_si512(src.add(2 * stride).cast()),
+                _mm512_loadu_si512(src.add(3 * stride).cast()),
+                _mm512_loadu_si512(src.add(4 * stride).cast()),
+            ])
+        }
+
+        /// Stores limb `j` to the eight words at `dst + j·stride`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs); the five rows
+        /// must be writable.
+        #[inline(always)]
+        pub unsafe fn store(self, dst: *mut u64, stride: usize) {
+            for (j, limb) in self.0.into_iter().enumerate() {
+                _mm512_storeu_si512(dst.add(j * stride).cast(), limb);
+            }
+        }
+
+        /// Lane `l` of limb `j` from word `src[j·stride + idx[l]]`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs); every indexed
+        /// word must be readable and hold a canonical lane-form limb.
+        #[inline(always)]
+        pub unsafe fn gather(src: *const u64, stride: usize, idx: __m512i) -> Self {
+            let row = |j: usize| src.add(j * stride).cast::<i64>();
+            Self([
+                _mm512_i64gather_epi64::<8>(idx, row(0)),
+                _mm512_i64gather_epi64::<8>(idx, row(1)),
+                _mm512_i64gather_epi64::<8>(idx, row(2)),
+                _mm512_i64gather_epi64::<8>(idx, row(3)),
+                _mm512_i64gather_epi64::<8>(idx, row(4)),
+            ])
+        }
+
+        /// Writes lane `l` of limb `j` to `dst[j·stride + idx[l]]` for
+        /// the lanes set in `mask`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs); every indexed
+        /// word of a masked-in lane must be writable. Two masked-in lanes
+        /// must not share an index.
+        #[inline(always)]
+        pub unsafe fn scatter(self, dst: *mut u64, stride: usize, idx: __m512i, mask: __mmask8) {
+            for (j, limb) in self.0.into_iter().enumerate() {
+                _mm512_mask_i64scatter_epi64::<8>(dst.add(j * stride).cast(), mask, idx, limb);
+            }
+        }
+
+        /// Lane-wise `a` where `mask` is clear, `b` where it is set.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn blend(mask: __mmask8, a: Self, b: Self) -> Self {
+            Self([
+                _mm512_mask_blend_epi64(mask, a.0[0], b.0[0]),
+                _mm512_mask_blend_epi64(mask, a.0[1], b.0[1]),
+                _mm512_mask_blend_epi64(mask, a.0[2], b.0[2]),
+                _mm512_mask_blend_epi64(mask, a.0[3], b.0[3]),
+                _mm512_mask_blend_epi64(mask, a.0[4], b.0[4]),
+            ])
+        }
+
+        /// The lanes that hold zero.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn zero_mask(self) -> __mmask8 {
+            let l = self.0;
+            let any = _mm512_or_si512(
+                _mm512_or_si512(l[0], l[1]),
+                _mm512_or_si512(_mm512_or_si512(l[2], l[3]), l[4]),
+            );
+            _mm512_cmpeq_epi64_mask(any, _mm512_setzero_si512())
+        }
+
+        /// The lanes where `self` and `rhs` hold the same element.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn eq_mask(self, rhs: Self) -> __mmask8 {
+            let (a, b) = (self.0, rhs.0);
+            _mm512_cmpeq_epi64_mask(a[0], b[0])
+                & _mm512_cmpeq_epi64_mask(a[1], b[1])
+                & _mm512_cmpeq_epi64_mask(a[2], b[2])
+                & _mm512_cmpeq_epi64_mask(a[3], b[3])
+                & _mm512_cmpeq_epi64_mask(a[4], b[4])
+        }
+
+        /// Lane-wise `a + b mod p`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn add(self, rhs: Self) -> Self {
+            let mut s = self.0;
+            for (s, b) in s.iter_mut().zip(rhs.0) {
+                *s = _mm512_add_epi64(*s, b);
+            }
+            // `s` and `s − p` in parallel; the sign of the second picks.
+            let mut d = s;
+            for (d, p) in d.iter_mut().zip(P) {
+                *d = _mm512_sub_epi64(*d, _mm512_set1_epi64(p as i64));
+            }
+            select_canonical(carry(s), carry(d))
+        }
+
+        /// Lane-wise `a − b mod p`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn sub(self, rhs: Self) -> Self {
+            // `a − b` and `a − b + p` in parallel; the sign of the first
+            // picks.
+            let mut d = self.0;
+            for (d, b) in d.iter_mut().zip(rhs.0) {
+                *d = _mm512_sub_epi64(*d, b);
+            }
+            let mut e = d;
+            for (e, p) in e.iter_mut().zip(P) {
+                *e = _mm512_add_epi64(*e, _mm512_set1_epi64(p as i64));
+            }
+            select_canonical(carry(e), carry(d))
+        }
+
+        /// Lane-wise `2a mod p`.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn double(self) -> Self {
+            self.add(self)
+        }
+
+        /// Lane-wise Montgomery product `a·b·2^−260 mod p`, so the lane
+        /// form of `x·y` from those of `x` and `y`.
+        ///
+        /// CIOS: each of five rounds adds `a·b[i]` and `m·p` (with `m`
+        /// chosen so the low limb vanishes) into six 64-bit column
+        /// accumulators, then drops that limb. A column gains at most four
+        /// sub-`2^52` terms a round, so nothing overflows before the
+        /// final carry pass; the result is below `2p` and one conditional
+        /// subtraction makes it canonical.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn mul(self, rhs: Self) -> Self {
+            let (a, b) = (self.0, rhs.0);
+            let zero = _mm512_setzero_si512();
+            let p = [
+                _mm512_set1_epi64(P[0] as i64),
+                _mm512_set1_epi64(P[1] as i64),
+                _mm512_set1_epi64(P[2] as i64),
+                _mm512_set1_epi64(P[3] as i64),
+                _mm512_set1_epi64(P[4] as i64),
+            ];
+            let p_inv = _mm512_set1_epi64(P_INV as i64);
+            let mut t = [zero; LIMBS + 1];
+            for bi in b {
+                for j in 0..LIMBS {
+                    t[j] = _mm512_madd52lo_epu64(t[j], a[j], bi);
+                }
+                let m = _mm512_madd52lo_epu64(zero, t[0], p_inv);
+                for j in 0..LIMBS {
+                    t[j] = _mm512_madd52lo_epu64(t[j], m, p[j]);
+                }
+                for j in 0..LIMBS {
+                    t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], a[j], bi);
+                    t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], m, p[j]);
+                }
+                // The low limb is now 0 mod 2^52: carry its top and shift.
+                let top = _mm512_srli_epi64::<52>(t[0]);
+                t = [_mm512_add_epi64(t[1], top), t[2], t[3], t[4], t[5], zero];
+            }
+            let t = carry([t[0], t[1], t[2], t[3], t[4]]);
+            let mut d = t;
+            for (d, p) in d.iter_mut().zip(p) {
+                *d = _mm512_sub_epi64(*d, p);
+            }
+            select_canonical(t, carry(d))
+        }
+    }
+
+    /// Propagates carries (or, on negative limbs, borrows) so limbs 0–3
+    /// are below `2^52`; limb 4 keeps the sign of the whole value.
+    #[inline(always)]
+    unsafe fn carry(mut x: [__m512i; LIMBS]) -> [__m512i; LIMBS] {
+        let mask = _mm512_set1_epi64(MASK as i64);
+        for j in 0..LIMBS - 1 {
+            x[j + 1] = _mm512_add_epi64(x[j + 1], _mm512_srai_epi64::<52>(x[j]));
+            x[j] = _mm512_and_si512(x[j], mask);
+        }
+        x
+    }
+
+    /// Per lane, `lo` where `hi` (its value minus `p`, carried) is
+    /// negative, `hi` otherwise: the one of the two in `[0, p)`.
+    #[inline(always)]
+    unsafe fn select_canonical(lo: [__m512i; LIMBS], hi: [__m512i; LIMBS]) -> Fq8 {
+        let below = _mm512_cmplt_epi64_mask(hi[LIMBS - 1], _mm512_setzero_si512());
+        Fq8::blend(below, Fq8(hi), Fq8(lo))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,6 +926,72 @@ mod tests {
                     assert_eq!(mul[i], (ga * gb).value(), "mul round={round} i={i}");
                 }
             }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    mod ifma_vs_scalar {
+        use super::super::ifma::{self, Fq8, LANES};
+        use crate::{Bn254Fq, Field, PrimeField, U256};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        /// One round over eight lanes: (round trip, add, sub, double, mul,
+        /// `a·a`), each back in `Bn254Fq`.
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        unsafe fn round(a: &[Bn254Fq; LANES], b: &[Bn254Fq; LANES]) -> [[Bn254Fq; LANES]; 6] {
+            let (va, vb) = (Fq8::from_fq(a), Fq8::from_fq(b));
+            [
+                va.to_fq(),
+                va.add(vb).to_fq(),
+                va.sub(vb).to_fq(),
+                va.double().to_fq(),
+                va.mul(vb).to_fq(),
+                va.mul(va).to_fq(),
+            ]
+        }
+
+        #[test]
+        fn bn254_lanes_match_scalar() {
+            if !is_x86_feature_detected!("avx512f") || !is_x86_feature_detected!("avx512ifma") {
+                println!("ifma lanes: skipped, the CPU lacks avx512ifma");
+                return;
+            }
+            let p_minus = |v: U256| Bn254Fq::MODULUS.sbb(&v).0;
+            // R = 2^256 mod p, the scalar field's Montgomery radix.
+            let r = Bn254Fq::ONE.repr();
+            let edges =
+                [U256::ZERO, U256::ONE, p_minus(U256::ONE), r, p_minus(r)].map(Bn254Fq::from_u256);
+            let mut rng = StdRng::seed_from_u64(34);
+            for round_no in 0..400 {
+                let pick = |rng: &mut StdRng| -> Bn254Fq {
+                    if round_no < 25 || rng.gen_range(0..4) == 0 {
+                        edges[rng.gen_range(0..edges.len() as u64) as usize]
+                    } else {
+                        Bn254Fq::random(rng)
+                    }
+                };
+                let a: [Bn254Fq; LANES] = core::array::from_fn(|_| pick(&mut rng));
+                let b: [Bn254Fq; LANES] = core::array::from_fn(|_| pick(&mut rng));
+                // SAFETY: avx512f and avx512ifma were detected above.
+                let [back, add, sub, dbl, mul, sqr] = unsafe { round(&a, &b) };
+                for l in 0..LANES {
+                    let ctx = format!("round={round_no} lane={l} a={} b={}", a[l], b[l]);
+                    assert_eq!(back[l].repr(), a[l].repr(), "round trip {ctx}");
+                    assert_eq!(add[l].repr(), (a[l] + b[l]).repr(), "add {ctx}");
+                    assert_eq!(sub[l].repr(), (a[l] - b[l]).repr(), "sub {ctx}");
+                    assert_eq!(dbl[l].repr(), a[l].double().repr(), "double {ctx}");
+                    assert_eq!(mul[l].repr(), (a[l] * b[l]).repr(), "mul {ctx}");
+                    assert_eq!(sqr[l].repr(), a[l].square().repr(), "square {ctx}");
+                }
+            }
+            println!("ifma lanes: Fq8 ran, every lane equal to Bn254Fq");
+        }
+
+        #[test]
+        fn lane_form_of_one_is_two_to_the_260() {
+            assert_eq!(ifma::fq_to_limbs(&Bn254Fq::ONE), ifma::ONE);
+            assert_eq!(ifma::fq_from_limbs(&ifma::ONE), Bn254Fq::ONE);
+            assert_eq!(ifma::fq_to_limbs(&Bn254Fq::ZERO), [0; ifma::LIMBS]);
         }
     }
 }
