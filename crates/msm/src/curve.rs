@@ -163,31 +163,16 @@ impl G1Projective {
         if self.is_identity() {
             return rhs.to_projective();
         }
-        // Z2 = 1 specialization of the general addition below.
-        let z1z1 = self.z.square();
-        let u2 = rhs.x * z1z1;
-        let s2 = rhs.y * z1z1 * self.z;
-        if u2 == self.x {
-            return if s2 == self.y {
+        let p = self.jacobian();
+        let head = mixed_add_head(&p, rhs.x, rhs.y);
+        if head.u2 == self.x {
+            return if head.s2 == self.y {
                 self.double()
             } else {
                 Self::identity()
             };
         }
-        let h = u2 - self.x;
-        let hh = h.square();
-        let i = hh.double().double();
-        let j = h * i;
-        let r = (s2 - self.y).double();
-        let v = self.x * i;
-        let x3 = r.square() - j - v.double();
-        let y3 = r * (v - x3) - (self.y * j).double();
-        let z3 = (self.z + h).square() - z1z1 - hh;
-        Self {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        mixed_add_tail(&p, &head).into()
     }
 
     /// Scalar multiplication by a [`Bn254Fr`] scalar (double-and-add).
@@ -233,6 +218,15 @@ impl G1Projective {
                 }
             })
             .collect()
+    }
+
+    /// The coordinates as the formulas' triple.
+    pub(crate) fn jacobian(&self) -> Jacobian<Bn254Fq> {
+        Jacobian {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+        }
     }
 
     /// `(X/Z², Y/Z³)` given `1/Z` of a non-identity point.
@@ -281,32 +275,16 @@ impl Add for G1Projective {
         if rhs.is_identity() {
             return self;
         }
-        let z1z1 = self.z.square();
-        let z2z2 = rhs.z.square();
-        let u1 = self.x * z2z2;
-        let u2 = rhs.x * z1z1;
-        let s1 = self.y * z2z2 * rhs.z;
-        let s2 = rhs.y * z1z1 * self.z;
-        if u1 == u2 {
-            return if s1 == s2 {
+        let (p, q) = (self.jacobian(), rhs.jacobian());
+        let head = add_head(&p, &q);
+        if head.u1 == head.u2 {
+            return if head.s1 == head.s2 {
                 self.double()
             } else {
                 Self::identity()
             };
         }
-        let h = u2 - u1;
-        let i = h.double().square();
-        let j = h * i;
-        let r = (s2 - s1).double();
-        let v = u1 * i;
-        let x3 = r.square() - j - v.double();
-        let y3 = r * (v - x3) - (s1 * j).double();
-        let z3 = ((self.z + rhs.z).square() - z1z1 - z2z2) * h;
-        Self {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        add_tail(&p, &q, &head).into()
     }
 }
 
@@ -334,9 +312,148 @@ impl core::ops::Mul<Bn254Fr> for G1Projective {
     }
 }
 
+impl From<Jacobian<Bn254Fq>> for G1Projective {
+    fn from(p: Jacobian<Bn254Fq>) -> Self {
+        Self {
+            x: p.x,
+            y: p.y,
+            z: p.z,
+        }
+    }
+}
+
 impl From<G1Affine> for G1Projective {
     fn from(p: G1Affine) -> Self {
         p.to_projective()
+    }
+}
+
+/// The field operations the addition formulas need: one `Bn254Fq`, or
+/// eight of them in vector lanes (`pippenger`'s IFMA lanes). Every
+/// implementation computes exact canonical residues, so the formulas give
+/// every instantiation the same triple.
+pub(crate) trait Coord: Copy {
+    fn add(self, rhs: Self) -> Self;
+    fn sub(self, rhs: Self) -> Self;
+    fn mul(self, rhs: Self) -> Self;
+    #[inline(always)]
+    fn double(self) -> Self {
+        self.add(self)
+    }
+    #[inline(always)]
+    fn square(self) -> Self {
+        self.mul(self)
+    }
+}
+
+impl Coord for Bn254Fq {
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        self - rhs
+    }
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        self * rhs
+    }
+}
+
+/// A Jacobian triple over any [`Coord`].
+#[derive(Clone, Copy)]
+pub(crate) struct Jacobian<F> {
+    pub(crate) x: F,
+    pub(crate) y: F,
+    pub(crate) z: F,
+}
+
+/// What mixed addition computes before it can tell the general case from
+/// a doubling or cancellation: `Z1²`, `U2 = x2·Z1²`, `S2 = y2·Z1³`.
+/// `P1 = ±P2` exactly when `U2 = X1`, and then `P1 = P2` when `S2 = Y1`.
+pub(crate) struct MixedHead<F> {
+    pub(crate) z1z1: F,
+    pub(crate) u2: F,
+    pub(crate) s2: F,
+}
+
+#[inline(always)]
+pub(crate) fn mixed_add_head<F: Coord>(p: &Jacobian<F>, x2: F, y2: F) -> MixedHead<F> {
+    // Z2 = 1 specialization of `add_head`.
+    let z1z1 = p.z.square();
+    MixedHead {
+        z1z1,
+        u2: x2.mul(z1z1),
+        s2: y2.mul(z1z1).mul(p.z),
+    }
+}
+
+/// `P1 + (x2, y2)` in the general case: neither is the identity and
+/// `U2 ≠ X1`.
+#[inline(always)]
+pub(crate) fn mixed_add_tail<F: Coord>(p: &Jacobian<F>, head: &MixedHead<F>) -> Jacobian<F> {
+    let h = head.u2.sub(p.x);
+    let hh = h.square();
+    let i = hh.double().double();
+    let j = h.mul(i);
+    let r = head.s2.sub(p.y).double();
+    let v = p.x.mul(i);
+    let x3 = r.square().sub(j).sub(v.double());
+    let y3 = r.mul(v.sub(x3)).sub(p.y.mul(j).double());
+    let z3 = p.z.add(h).square().sub(head.z1z1).sub(hh);
+    Jacobian {
+        x: x3,
+        y: y3,
+        z: z3,
+    }
+}
+
+/// What general addition computes before it can tell the general case
+/// from a doubling or cancellation (`U1 = U2`; a doubling when also
+/// `S1 = S2`).
+pub(crate) struct AddHead<F> {
+    pub(crate) z1z1: F,
+    pub(crate) z2z2: F,
+    pub(crate) u1: F,
+    pub(crate) u2: F,
+    pub(crate) s1: F,
+    pub(crate) s2: F,
+}
+
+#[inline(always)]
+pub(crate) fn add_head<F: Coord>(p: &Jacobian<F>, q: &Jacobian<F>) -> AddHead<F> {
+    let z1z1 = p.z.square();
+    let z2z2 = q.z.square();
+    AddHead {
+        z1z1,
+        z2z2,
+        u1: p.x.mul(z2z2),
+        u2: q.x.mul(z1z1),
+        s1: p.y.mul(z2z2).mul(q.z),
+        s2: q.y.mul(z1z1).mul(p.z),
+    }
+}
+
+/// `P1 + P2` in the general case: neither is the identity and `U1 ≠ U2`.
+#[inline(always)]
+pub(crate) fn add_tail<F: Coord>(
+    p: &Jacobian<F>,
+    q: &Jacobian<F>,
+    head: &AddHead<F>,
+) -> Jacobian<F> {
+    let h = head.u2.sub(head.u1);
+    let i = h.double().square();
+    let j = h.mul(i);
+    let r = head.s2.sub(head.s1).double();
+    let v = head.u1.mul(i);
+    let x3 = r.square().sub(j).sub(v.double());
+    let y3 = r.mul(v.sub(x3)).sub(head.s1.mul(j).double());
+    let z3 = p.z.add(q.z).square().sub(head.z1z1).sub(head.z2z2).mul(h);
+    Jacobian {
+        x: x3,
+        y: y3,
+        z: z3,
     }
 }
 
