@@ -6,8 +6,9 @@
 //! * [`G1Affine`] / [`G1Projective`] — BN254 G1 curve arithmetic
 //!   (`y² = x³ + 3` over Fq, group order = Fr modulus);
 //! * [`msm`] — the one MSM kernel: signed-digit Pippenger, one pool task
-//!   per window ([`msm_with_window`] is the same kernel with the window
-//!   picked by a test), plus the [`msm_naive`] oracle;
+//!   per window, or per eight windows in AVX-512 IFMA lanes where the CPU
+//!   has `avx512ifma` ([`msm_with_window`] is the same kernel with the
+//!   window picked by a test), plus the [`msm_naive`] oracle;
 //! * [`multi_gpu_msm`] — embarrassingly parallel MSM on the
 //!   [`unintt_gpu_sim::Machine`] simulator, with cost profiles.
 //!
@@ -33,5 +34,6 @@ mod pippenger;
 pub use curve::{curve_b, G1Affine, G1Projective};
 pub use multi_gpu::{msm_kernel_profile, multi_gpu_msm, simulate_multi_gpu_msm};
 pub use pippenger::{
-    msm, msm_naive, msm_parallel, msm_with_window, optimal_window_bits, pippenger_group_ops,
+    msm, msm_naive, msm_parallel, msm_runs_lanes, msm_with_window, msm_with_window_scalar,
+    optimal_window_bits, pippenger_group_ops,
 };

@@ -1,14 +1,18 @@
 //! The one MSM kernel against the double-and-add oracle: edge-case
 //! scalars and points at every window width, the multi-GPU split, and a
-//! whole proof under two pool sizes.
+//! whole proof under two pool sizes. Where the CPU has `avx512ifma`,
+//! `msm` runs its windows in IFMA lanes, and the tests that compare it
+//! with the per-window scalar path demand the same Jacobian triple bit
+//! for bit — coordinates, not group equality. They print which tier ran.
 
 use std::process::Command;
 
 use rand::{rngs::StdRng, SeedableRng};
-use unintt_ff::{Bn254Fr, Field};
+use unintt_ff::{Bn254Fr, Field, PrimeField, U256};
 use unintt_gpu_sim::{presets, FieldSpec, Machine};
 use unintt_msm::{
-    msm, msm_naive, msm_with_window, multi_gpu_msm, optimal_window_bits, G1Affine, G1Projective,
+    msm, msm_naive, msm_runs_lanes, msm_with_window, msm_with_window_scalar, multi_gpu_msm,
+    optimal_window_bits, G1Affine, G1Projective,
 };
 use unintt_zkp::{prove, random_circuit, setup, verify, Backend};
 
@@ -48,6 +52,97 @@ fn edge_pairs(n: usize, c: u32, seed: u64) -> (Vec<Bn254Fr>, Vec<G1Affine>) {
         }
     }
     (scalars, points)
+}
+
+/// Says which kernels a lanes-vs-scalar comparison compares here.
+fn print_tier() {
+    if msm_runs_lanes() {
+        println!("msm tier: avx512ifma lanes against the scalar path");
+    } else {
+        println!("msm tier: scalar only (the CPU lacks avx512ifma): lanes not exercised");
+    }
+}
+
+/// `msm_with_window` (the lanes, where the CPU has them) and the scalar
+/// path give the same coordinates; returns the kernel's result.
+fn assert_tiers_agree(
+    scalars: &[Bn254Fr],
+    points: &[G1Affine],
+    c: u32,
+    what: &str,
+) -> G1Projective {
+    let kernel = msm_with_window(scalars, points, c);
+    let scalar = msm_with_window_scalar(scalars, points, c);
+    assert_eq!(
+        (kernel.x, kernel.y, kernel.z),
+        (scalar.x, scalar.y, scalar.z),
+        "{what} c={c}"
+    );
+    kernel
+}
+
+#[test]
+fn lanes_equal_scalar_at_every_size_and_width() {
+    // Every c gives ⌈255/c⌉ windows, so the last group of eight holds
+    // 1, 2, 3, 4, 5 or 6 windows (or is full) somewhere in 2..=16.
+    print_tier();
+    for c in 2u32..=16 {
+        for n in [0usize, 1, 2, 7, 8, 9, 33, 200, 515] {
+            let (scalars, points) = edge_pairs(n, c, 1000 * u64::from(c) + n as u64);
+            let _ = assert_tiers_agree(&scalars, &points, c, &format!("n={n}"));
+        }
+    }
+}
+
+/// `k` with bit `bit` flipped: every window wholly below `bit` keeps its
+/// signed digit (a digit reads only the bits up to its window's top),
+/// the window holding it changes.
+fn flip(k: Bn254Fr, bit: u32) -> Bn254Fr {
+    let mut limbs = k.to_canonical_u256().limbs();
+    limbs[(bit / 64) as usize] ^= 1 << (bit % 64);
+    Bn254Fr::from_u256(U256::from_limbs(limbs))
+}
+
+#[test]
+fn doublings_and_cancellations_in_some_lanes_only() {
+    // Two pairs `(k, P)` and `(k', ±P)`, with `k'` differing from `k`
+    // first in window `f`: in the windows below `f` both meet in one
+    // bucket (a doubling, or a cancellation for `−P`), from `f` up they
+    // mostly do not. Moving `f` through the first group puts the
+    // boundary between every pair of neighbouring lanes.
+    print_tier();
+    let mut rng = StdRng::seed_from_u64(41);
+    let p = G1Affine::random(&mut rng);
+    for c in 2u32..=10 {
+        let k = Bn254Fr::random(&mut rng);
+        for f in 1..8u32 {
+            let (scalars, points) = ([k, flip(k, f * c)], [p, -p]);
+            let sum = assert_tiers_agree(&scalars, &[p, p], c, &format!("f={f} P, P"));
+            assert_eq!(sum, msm_naive(&scalars, &[p, p]), "c={c} f={f} P, P");
+            let sum = assert_tiers_agree(&scalars, &points, c, &format!("f={f} P, -P"));
+            assert_eq!(sum, msm_naive(&scalars, &points), "c={c} f={f} P, -P");
+        }
+    }
+}
+
+#[test]
+fn bucket_equal_to_the_running_sum() {
+    // Every low window's signed digit is 2 for `2k` and 1 for `k`, so
+    // bucket 2 and bucket 1 both hold `P`: the running sum is `P` when it
+    // meets bucket 1, and that addition is a doubling in every lane.
+    print_tier();
+    let mut rng = StdRng::seed_from_u64(43);
+    let p = G1Affine::random(&mut rng);
+    for c in 3u32..=16 {
+        let ones = (0..250 / c).fold(Bn254Fr::ZERO, |acc, w| {
+            acc + Bn254Fr::TWO.pow(u64::from(w * c))
+        });
+        let three = p.to_projective().mul_scalar(&(ones + ones.double()));
+        let sum = assert_tiers_agree(&[ones.double(), ones], &[p, p], c, "2k·P + k·P");
+        assert_eq!(sum, three, "c={c}");
+        let sum = assert_tiers_agree(&[ones.double(), -ones], &[p, -p], c, "2k·P + (−k)·(−P)");
+        assert_eq!(sum, three, "c={c}");
+    }
 }
 
 #[test]
