@@ -5,7 +5,8 @@
 //! integers, curve points as 65-byte uncompressed affine
 //! (`x ‖ y ‖ infinity-flag`), laid out in the order the [`Proof`] struct
 //! declares. Decoding validates range (non-canonical field encodings are
-//! rejected) and curve membership.
+//! rejected) and curve membership, and accepts the identity only with
+//! zero coordinates, so every point has exactly one encoding.
 
 use unintt_ff::{Bn254Fq, Bn254Fr, Field, PrimeField, U256};
 use unintt_msm::{G1Affine, G1Projective};
@@ -35,6 +36,8 @@ pub enum DecodeError {
     NotOnCurve,
     /// The infinity flag byte was neither 0 nor 1.
     BadInfinityFlag,
+    /// The infinity flag was set over nonzero coordinate bytes.
+    NonZeroIdentity,
 }
 
 impl core::fmt::Display for DecodeError {
@@ -46,6 +49,7 @@ impl core::fmt::Display for DecodeError {
             DecodeError::NonCanonicalField => f.write_str("field element out of range"),
             DecodeError::NotOnCurve => f.write_str("point not on the curve"),
             DecodeError::BadInfinityFlag => f.write_str("invalid infinity flag"),
+            DecodeError::NonZeroIdentity => f.write_str("identity point with nonzero coordinates"),
         }
     }
 }
@@ -92,7 +96,10 @@ fn get_point(bytes: &[u8]) -> Result<G1Projective, DecodeError> {
             y,
             infinity: false,
         },
-        1 => G1Affine::identity(),
+        // `put_point` writes the identity as zeros; anything else under
+        // the flag would be a second encoding of the same proof.
+        1 if x.is_zero() && y.is_zero() => G1Affine::identity(),
+        1 => return Err(DecodeError::NonZeroIdentity),
         _ => return Err(DecodeError::BadInfinityFlag),
     };
     if !affine.is_on_curve() {
@@ -255,6 +262,30 @@ mod tests {
         let mut bytes = proof.to_bytes();
         bytes[64] = 7;
         assert_eq!(Proof::from_bytes(&bytes), Err(DecodeError::BadInfinityFlag));
+    }
+
+    #[test]
+    fn identity_has_one_encoding() {
+        let (proof, _) = sample_proof();
+        let mut bytes = proof.to_bytes();
+        // The second wire commitment's slot, rewritten as the identity.
+        let slot = POINT_BYTES..2 * POINT_BYTES;
+        let mut identity = Vec::new();
+        put_point(&mut identity, &G1Projective::identity());
+        bytes[slot.clone()].copy_from_slice(&identity);
+        let decoded = Proof::from_bytes(&bytes).expect("the identity's own encoding");
+        assert!(decoded.wire_commits[1].is_identity());
+        assert_eq!(decoded.to_bytes(), bytes);
+        // Bits of x and of y that leave both below the modulus.
+        for bit in [0, 7, 100, 253, 256, 256 + 200] {
+            let mut flipped = bytes.clone();
+            flipped[slot.start + bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                Proof::from_bytes(&flipped),
+                Err(DecodeError::NonZeroIdentity),
+                "bit {bit}"
+            );
+        }
     }
 
     #[test]
