@@ -7,7 +7,7 @@ use unintt_bench::Table;
 use unintt_bench::{artifacts, perf_gate};
 
 const USAGE: &str = "\
-usage: harness [--quick] [--blocking-comm] <experiment>...
+usage: harness [--quick] <experiment>...
        harness [--quick] [--trace-dir <path>] trace <experiment>...
        harness attribute <workload>
        harness perf-gate [<artifact>...]
@@ -26,10 +26,6 @@ usage: harness [--quick] [--blocking-comm] <experiment>...
                     the committed baseline; exits non-zero on regression
   --trace-dir       where trace artifacts land (default: target/traces)
   --quick           trimmed sweeps (seconds instead of minutes)
-  --blocking-comm   pin every simulated engine to the legacy blocking
-                    exchange schedule instead of the chunked overlapped
-                    pipeline (A/B escape hatch; outputs are bit-identical
-                    either way)
 ";
 
 fn main() -> ExitCode {
@@ -41,9 +37,6 @@ fn main() -> ExitCode {
         let a = args[i].as_str();
         match a {
             "--quick" => quick = true,
-            "--blocking-comm" => {
-                unintt_core::set_comm_mode_override(Some(unintt_core::CommMode::Blocking));
-            }
             "--trace-dir" => {
                 let Some(value) = args.get(i + 1) else {
                     eprintln!("--trace-dir needs a path\n{USAGE}");

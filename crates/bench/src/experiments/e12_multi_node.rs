@@ -6,9 +6,9 @@
 //!
 //! Under the default overlapped schedule the staged cross-node exchange
 //! pipelines against the outer column NTTs, so only the un-hidden wire
-//! remainder lands on the cluster makespan (compare with
-//! `--blocking-comm`); the network cost itself comes from the same α–β
-//! formula the intra-node fabric charges with.
+//! remainder lands on the cluster makespan (a cluster whose options set
+//! `CommMode::Blocking` pays the whole wire time); the network cost itself
+//! comes from the same α–β formula the intra-node fabric charges with.
 
 use unintt_core::{Cluster, ClusterNttEngine, NetworkConfig, UniNttOptions};
 use unintt_ff::Bn254Fr;

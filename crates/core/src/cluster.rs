@@ -370,7 +370,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     fn charge_cluster_exchange(&self, cluster: &mut Cluster) {
         let t = self.num_nodes();
         let bytes = ((self.n() / t) * self.field_spec.elem_bytes) as u64;
-        let hide_ns = match self.opts.effective_comm_mode() {
+        let hide_ns = match self.opts.comm_mode {
             CommMode::Overlapped => {
                 let model = cluster.nodes[0].model();
                 model.kernel_cost(&self.cluster_outer_profile()).total_ns

@@ -6,8 +6,6 @@
 //! building kernel profiles, so an ablation run (experiment E6) is just a
 //! different `UniNttOptions` value — the functional result never changes.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use serde::{Deserialize, Serialize};
 
 /// How the engine schedules the multi-GPU exchange relative to compute.
@@ -22,32 +20,6 @@ pub enum CommMode {
     /// compute. Bit-identical outputs; only the timing changes.
     #[default]
     Overlapped,
-}
-
-/// Process-wide [`CommMode`] override, encoded as
-/// 0 = none, 1 = Blocking, 2 = Overlapped. Set by the bench harness's
-/// `--blocking-comm` flag so every engine in the process can be pinned
-/// without threading a flag through every constructor.
-static COMM_MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or with `None` clears) a process-wide [`CommMode`] override
-/// consulted by [`UniNttOptions::effective_comm_mode`].
-pub fn set_comm_mode_override(mode: Option<CommMode>) {
-    let v = match mode {
-        None => 0,
-        Some(CommMode::Blocking) => 1,
-        Some(CommMode::Overlapped) => 2,
-    };
-    COMM_MODE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide [`CommMode`] override, if any.
-pub fn comm_mode_override() -> Option<CommMode> {
-    match COMM_MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(CommMode::Blocking),
-        2 => Some(CommMode::Overlapped),
-        _ => None,
-    }
 }
 
 /// The most compute queues a stage scheduler may attach to one lease:
@@ -140,13 +112,6 @@ impl UniNttOptions {
         }
     }
 
-    /// The communication mode this options value resolves to: the
-    /// process-wide override (see [`set_comm_mode_override`]) if one is
-    /// installed, else the per-options [`UniNttOptions::comm_mode`].
-    pub fn effective_comm_mode(&self) -> CommMode {
-        comm_mode_override().unwrap_or(self.comm_mode)
-    }
-
     /// `full()` with exactly one optimization disabled, by index O1..=O5.
     ///
     /// # Panics
@@ -226,15 +191,8 @@ mod tests {
 
     #[test]
     fn comm_mode_defaults() {
-        // No test may *install* the process-wide override (tests in this
-        // binary run concurrently); only the unset default is asserted.
-        assert_eq!(comm_mode_override(), None);
         assert_eq!(UniNttOptions::full().comm_mode, CommMode::Overlapped);
         assert_eq!(UniNttOptions::none().comm_mode, CommMode::Blocking);
-        assert_eq!(
-            UniNttOptions::full().effective_comm_mode(),
-            CommMode::Overlapped
-        );
         assert_eq!(UniNttOptions::full().comm_chunks, 0, "0 = planner auto");
         // The comm schedule is not an O-flag: every ablation keeps overlap.
         for which in 1..=5u32 {

@@ -1,7 +1,7 @@
 //! Service configuration: queue bounds, coalescing window, lease shape,
 //! scheduling policy and fault-injection knobs.
 
-use unintt_core::{CommMode, RecoveryPolicy};
+use unintt_core::RecoveryPolicy;
 use unintt_gpu_sim::{FaultRates, InterferenceModel};
 
 /// How the dispatcher orders ready batches when a lease frees up.
@@ -97,11 +97,6 @@ pub struct ServiceConfig {
     /// (and verify proofs/commitments). Costs host time, not simulated
     /// time.
     pub verify_outputs: bool,
-    /// Exchange scheduling for the cluster engines this service builds:
-    /// [`CommMode::Overlapped`] (default) pipelines chunk transfers
-    /// against compute; [`CommMode::Blocking`] is the legacy schedule.
-    /// Outputs are bit-identical either way; only simulated time moves.
-    pub comm_mode: CommMode,
     /// Compute queues per lease for [`crate::JobClass::ProveDag`] stage
     /// dispatch, `1..=4`. At `1` (the default) a lease holds one stage
     /// at a time — the serialized schedule; at `2..=4` stages of
@@ -131,7 +126,6 @@ impl Default for ServiceConfig {
             fault_seed: 0x5eed_5e17e,
             fault_rates: None,
             verify_outputs: true,
-            comm_mode: CommMode::Overlapped,
             streams_per_lease: 1,
             interference: InterferenceModel::default_model(),
         }
@@ -151,7 +145,6 @@ mod tests {
         assert!(cfg.lease.nodes.is_power_of_two());
         assert!(cfg.dispatch_overhead_ns > 0.0);
         assert_eq!(cfg.policy, SchedulerPolicy::Fifo);
-        assert_eq!(cfg.comm_mode, CommMode::Overlapped);
         assert_eq!(cfg.streams_per_lease, 1, "serialized dispatch by default");
         assert_eq!(cfg.interference, InterferenceModel::default_model());
     }

@@ -298,8 +298,7 @@ fn run_raw_batch_in<F: TwoAdicField>(
 ) -> RawDispatch {
     let engine = engines.entry(key.log_n).or_insert_with(|| {
         let node_cfg = presets::a100_nvlink(cfg.lease.gpus_per_node);
-        let mut opts = UniNttOptions::tuned_for(&field_spec);
-        opts.comm_mode = cfg.comm_mode;
+        let opts = UniNttOptions::tuned_for(&field_spec);
         ClusterNttEngine::new(key.log_n, cfg.lease.nodes, &node_cfg, opts, field_spec)
     });
     if let Some(rates) = cfg.fault_rates {

@@ -858,28 +858,73 @@ mod tests {
 
     #[test]
     fn overlapped_comm_is_reachable_from_dispatch_and_faster() {
-        use unintt_core::CommMode;
-        // The same raw-NTT stream under both exchange schedules: every
-        // job still completes (verify_outputs bit-checks each against the
-        // CPU reference), and the overlapped default finishes the horizon
-        // sooner because exchange wire time hides behind compute.
-        let stream: Vec<JobSpec> = (0..6)
-            .map(|i| raw_spec(14, Direction::Forward, i as f64 * 1_000.0))
+        use unintt_core::{ClusterNttEngine, CommMode, UniNttOptions};
+        use unintt_gpu_sim::{presets, FieldSpec};
+
+        use crate::coalesce::BatchKey;
+        use crate::dispatch::{payload, run_raw_batch};
+
+        // The dispatcher builds its engines from `UniNttOptions::tuned_for`,
+        // whose exchange schedule is the overlapped default: a served raw
+        // batch leaves wire time hidden behind compute on the lease's
+        // cluster, across nodes and inside every node, and the same jobs
+        // under the blocking schedule take longer on that cluster.
+        let cfg = ServiceConfig::default();
+        let (field, log_n) = (ServiceField::Goldilocks, 14);
+        let jobs: Vec<QueuedJob> = (0..6)
+            .map(|i| QueuedJob {
+                id: JobId(i),
+                spec: raw_spec(log_n, Direction::Forward, 0.0),
+            })
             .collect();
-        let overlapped = run_stream(ServiceConfig::default(), &stream);
-        let blocking = run_stream(
-            ServiceConfig {
-                comm_mode: CommMode::Blocking,
-                ..ServiceConfig::default()
-            },
-            &stream,
-        );
-        assert!(overlapped.all_completed() && blocking.all_completed());
+        let key = BatchKey {
+            field,
+            log_n,
+            forward: true,
+        };
+        let mut pool = LeasePool::new(1, cfg.lease);
+        let mut caches = EngineCaches::new();
+        let (served_ns, network_hidden_ns, node_hidden_ns) =
+            pool.lease_mut(0).with_cluster(field, |cluster| {
+                let served = run_raw_batch(&mut caches, &cfg, key, &jobs, cluster, 0, 0.0);
+                assert_eq!(served.completions.len(), jobs.len());
+                let node_hidden: Vec<f64> = (0..cluster.num_nodes())
+                    .map(|node| cluster.node(node).stats().comm_hidden_ns)
+                    .collect();
+                (
+                    cluster.total_time_ns(),
+                    cluster.network_hidden_ns(),
+                    node_hidden,
+                )
+            });
+        assert!(network_hidden_ns > 0.0, "no cross-node wire time hidden");
         assert!(
-            overlapped.metrics.horizon_ns < blocking.metrics.horizon_ns,
-            "overlap must shorten the service horizon: {} vs {}",
-            overlapped.metrics.horizon_ns,
-            blocking.metrics.horizon_ns
+            node_hidden_ns.iter().all(|&ns| ns > 0.0),
+            "no intra-node wire time hidden: {node_hidden_ns:?}"
+        );
+
+        let fs = FieldSpec::goldilocks();
+        let mut blocking = UniNttOptions::tuned_for(&fs);
+        blocking.comm_mode = CommMode::Blocking;
+        let node_cfg = presets::a100_nvlink(cfg.lease.gpus_per_node);
+        let engine = ClusterNttEngine::<unintt_ff::Goldilocks>::new(
+            log_n,
+            cfg.lease.nodes,
+            &node_cfg,
+            blocking,
+            fs,
+        );
+        let blocking_ns = pool.lease_mut(0).with_cluster(field, |cluster| {
+            for job in &jobs {
+                engine
+                    .forward_with_recovery(cluster, &payload(job.id, log_n), &cfg.recovery)
+                    .expect("fault-free");
+            }
+            cluster.total_time_ns()
+        });
+        assert!(
+            served_ns < blocking_ns,
+            "overlap must shorten the batch: {served_ns} vs {blocking_ns}"
         );
     }
 
@@ -1335,8 +1380,7 @@ mod tests {
         });
         let fs = field.spec();
         let node_cfg = unintt_gpu_sim::presets::a100_nvlink(cfg.lease.gpus_per_node);
-        let mut opts = UniNttOptions::tuned_for(&fs);
-        opts.comm_mode = cfg.comm_mode;
+        let opts = UniNttOptions::tuned_for(&fs);
         let engines: BTreeMap<u32, ClusterNttEngine<F>> = (8..=10)
             .map(|log_n| {
                 let engine = ClusterNttEngine::new(log_n, cfg.lease.nodes, &node_cfg, opts, fs);
