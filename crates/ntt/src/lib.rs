@@ -51,7 +51,4 @@ pub use poly::{cyclic_convolution, poly_mul_naive, poly_mul_ntt};
 pub use radix2::{naive_dft, Direction, Ntt};
 pub use six_step::{scale_by_powers, transpose};
 pub use twiddle::TwiddleTable;
-pub use vector::{
-    active_backend_label, active_vector_backend, set_vector_backend_override, VectorBackend,
-    VECTOR_DIRECT_MAX_LOG_N,
-};
+pub use vector::{active_backend_label, VECTOR_DIRECT_MAX_LOG_N};

@@ -200,7 +200,6 @@ pub fn scale_by_powers<F: TwoAdicField>(values: &mut [F], start: F, step: F) {
     #[cfg(target_arch = "x86_64")]
     if TypeId::of::<F>() == TypeId::of::<Goldilocks>()
         && values.len() >= 32
-        && !vector::portable_forced()
         && std::arch::is_x86_feature_detected!("avx512f")
         && std::arch::is_x86_feature_detected!("avx512dq")
     {
@@ -229,6 +228,12 @@ pub fn scale_by_powers<F: TwoAdicField>(values: &mut [F], start: F, step: F) {
         values = tail;
     }
 
+    scale_by_powers_scalar(values, start, step);
+}
+
+/// The scalar form of [`scale_by_powers`]: two interleaved chains
+/// advanced by the prepared `step²`.
+fn scale_by_powers_scalar<F: TwoAdicField>(values: &mut [F], start: F, step: F) {
     let step2 = F::shoup_prepare(step * step);
     let (mut cur0, mut cur1) = (start, start * step);
     let mut pairs = values.chunks_exact_mut(2);
@@ -617,6 +622,22 @@ mod tests {
         assert!(values == oracle);
         ntt.inverse(&mut values);
         assert!(values == input);
+    }
+
+    /// The CPU-selected geometric scaling (32 AVX-512 lanes for
+    /// Goldilocks where the CPU has them) against the scalar chain,
+    /// across the lane-group boundary and with a tail.
+    #[test]
+    fn scale_by_powers_matches_scalar_chain() {
+        for len in [0usize, 1, 31, 32, 33, 64, 95, 4096 + 7] {
+            let input = random_vec::<Goldilocks>(13, len as u64);
+            let (start, step) = (input[0], input[1]);
+            let mut got = input[..len].to_vec();
+            scale_by_powers(&mut got, start, step);
+            let mut want = input[..len].to_vec();
+            scale_by_powers_scalar(&mut want, start, step);
+            assert!(got == want, "len={len}");
+        }
     }
 
     #[test]
