@@ -25,9 +25,6 @@
 //! * **DeviceLoss** — the device dies; this and every later collective
 //!   return [`FabricError::DeviceLost`] until the caller re-plans.
 //!
-//! Legacy `*_unchecked` shims keep the old panicking signatures for
-//! callers that neither install fault plans nor want `Result`s.
-//!
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
 use crate::device::KernelProfile;
@@ -349,22 +346,6 @@ impl Machine {
         Ok(report)
     }
 
-    /// Legacy panicking shim over [`Machine::all_to_all`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`FabricError`], including injected faults — only
-    /// use on machines without a fault plan.
-    pub fn all_to_all_unchecked<T: Copy + Send>(
-        &mut self,
-        shards: &mut [Vec<T>],
-        elem_bytes: usize,
-    ) {
-        if let Err(e) = self.all_to_all(shards, elem_bytes) {
-            panic!("{e}");
-        }
-    }
-
     /// Charges the time and bytes of an all-to-all of `bytes_per_device`
     /// without moving any data. Cost-only simulations (large-size sweeps)
     /// use this to stay in lock-step with the functional path; it is
@@ -665,22 +646,6 @@ impl Machine {
         Ok((out, report))
     }
 
-    /// Legacy panicking shim over [`Machine::all_gather`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`FabricError`], including injected faults.
-    pub fn all_gather_unchecked<T: Copy + Send>(
-        &mut self,
-        shards: &[Vec<T>],
-        elem_bytes: usize,
-    ) -> Vec<Vec<T>> {
-        match self.all_gather(shards, elem_bytes) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Tree reduction to device 0 using a caller-supplied combiner
     /// (e.g. field addition, curve-point addition). Returns the reduced
     /// value; time is `ceil(log2 D)` point-to-point rounds of the full
@@ -752,23 +717,6 @@ impl Machine {
         Ok((acc, report))
     }
 
-    /// Legacy panicking shim over [`Machine::reduce_to_root`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`FabricError`], including injected faults.
-    pub fn reduce_to_root_unchecked<T: Clone + Send>(
-        &mut self,
-        values: &[T],
-        elem_bytes: usize,
-        combine: impl Fn(&T, &T) -> T,
-    ) -> T {
-        match self.reduce_to_root(values, elem_bytes, combine) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Broadcast from device 0: returns one copy per device; time is a
     /// `ceil(log2 D)`-round binomial tree.
     ///
@@ -795,18 +743,6 @@ impl Machine {
             self.apply_delay_fault(fault, base_ns);
         }
         Ok(vec![value.clone(); d])
-    }
-
-    /// Legacy panicking shim over [`Machine::broadcast`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`FabricError`], including injected faults.
-    pub fn broadcast_unchecked<T: Clone + Send>(&mut self, value: &T, elem_bytes: usize) -> Vec<T> {
-        match self.broadcast(value, elem_bytes) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Host → device transfer (PCIe staging of inputs). Charges only the
@@ -924,14 +860,6 @@ mod tests {
             m.all_to_all(&mut shards, 8),
             Err(FabricError::IndivisibleShard { len: 6, devices: 4 })
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn all_to_all_unchecked_indivisible_panics() {
-        let mut m = machine(4);
-        let mut shards: Vec<Vec<u64>> = (0..4).map(|_| vec![0; 6]).collect();
-        m.all_to_all_unchecked(&mut shards, 8);
     }
 
     #[test]

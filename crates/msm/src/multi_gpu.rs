@@ -25,7 +25,8 @@ const G1_BYTES: usize = 64;
 ///
 /// # Panics
 ///
-/// Panics if lengths mismatch or there are fewer pairs than GPUs.
+/// Panics if lengths mismatch, there are fewer pairs than GPUs, or the
+/// machine carries a fault plan that fails the reduction.
 pub fn multi_gpu_msm(
     machine: &mut Machine,
     scalars: &[Bn254Fr],
@@ -58,7 +59,9 @@ pub fn multi_gpu_msm(
     });
 
     let partials: Vec<G1Projective> = shards.iter().map(|(_, _, p)| *p).collect();
-    machine.reduce_to_root_unchecked(&partials, G1_BYTES, |a, b| *a + *b)
+    machine
+        .reduce_to_root(&partials, G1_BYTES, |a, b| *a + *b)
+        .expect("the MSM machine carries no fault plan")
 }
 
 /// Cost profile of one GPU's Pippenger kernel over `n` pairs.
@@ -89,7 +92,9 @@ pub fn simulate_multi_gpu_msm(machine: &mut Machine, n: u64) {
     });
     if g > 1 {
         let dummies: Vec<G1Projective> = vec![G1Projective::identity(); g as usize];
-        machine.reduce_to_root_unchecked(&dummies, G1_BYTES, |a, _| *a);
+        machine
+            .reduce_to_root(&dummies, G1_BYTES, |a, _| *a)
+            .expect("the MSM machine carries no fault plan");
     }
 }
 
