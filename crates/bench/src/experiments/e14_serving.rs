@@ -208,10 +208,7 @@ pub fn run(quick: bool) -> Table {
     table.note("same seeded stream per load across windows/policies; simulated clock only");
     table.note("flt(r+p): transient retries + degraded replans absorbed; all jobs completed");
     let json = render_json(&cells, quick);
-    match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => table.note(format!("machine-readable results written to {JSON_PATH}")),
-        Err(e) => table.note(format!("could not write {JSON_PATH}: {e}")),
-    }
+    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
     table
 }
 

@@ -202,10 +202,7 @@ pub fn run(quick: bool) -> Table {
     table.note("same bytes cross the fabric in every row; only the schedule changes");
     table.note("chunks=auto lets the planner size the pipeline from the exchange volume");
     let json = render_json(&cells, quick);
-    match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => table.note(format!("machine-readable results written to {JSON_PATH}")),
-        Err(e) => table.note(format!("could not write {JSON_PATH}: {e}")),
-    }
+    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
     table
 }
 

@@ -273,10 +273,7 @@ pub fn run(quick: bool) -> Table {
     table.note("bits: completed-job digests identical to the fault-free baseline");
     table.note("zero accepted-job failures asserted in every cell");
     let json = render_json(&cells, quick);
-    match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => table.note(format!("machine-readable results written to {JSON_PATH}")),
-        Err(e) => table.note(format!("could not write {JSON_PATH}: {e}")),
-    }
+    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
     table
 }
 

@@ -320,10 +320,7 @@ pub fn run(quick: bool) -> Table {
     table.note("every cell's output digests match the monolithic reference (asserted)");
     let json_cells: Vec<Cell> = cells.into_iter().map(|(c, _)| c).collect();
     let json = render_json(&json_cells, quick);
-    match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => table.note(format!("machine-readable results written to {JSON_PATH}")),
-        Err(e) => table.note(format!("could not write {JSON_PATH}: {e}")),
-    }
+    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
     table
 }
 

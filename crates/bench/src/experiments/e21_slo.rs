@@ -668,10 +668,7 @@ pub fn run(quick: bool) -> Table {
     );
     table.note("zero false positives on the clean baseline is asserted, not sampled");
     let json = render_json(&cells, threshold_ns, &recon, &attr, alerts_recorded, quick);
-    match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => table.note(format!("machine-readable results written to {JSON_PATH}")),
-        Err(e) => table.note(format!("could not write {JSON_PATH}: {e}")),
-    }
+    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
     table
 }
 

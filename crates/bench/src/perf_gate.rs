@@ -167,10 +167,10 @@ fn first_diff_line(a: &str, b: &str) -> usize {
 
 /// Reruns one gated artifact and compares it against its baseline.
 ///
-/// The experiment writes its JSON into the current directory; the gate
-/// snapshots whatever was there before and restores it afterwards, so a
-/// gate run never perturbs the working tree (a fresh artifact only
-/// survives on disk when there was nothing to clobber).
+/// The experiment writes its JSON where [`crate::artifacts::bench_path`]
+/// puts it; the gate snapshots whatever was there before and restores it
+/// afterwards, so a gate run never perturbs the working tree (a fresh
+/// artifact only survives on disk when there was nothing to clobber).
 pub fn run_one(spec: &GateSpec) -> GateRow {
     let Some(committed) = committed_bytes(spec.file) else {
         return GateRow {
@@ -181,18 +181,19 @@ pub fn run_one(spec: &GateSpec) -> GateRow {
         };
     };
     let quick = committed_quick(&committed);
-    let preexisting = std::fs::read(spec.file).ok();
+    let path = crate::artifacts::bench_path(spec.file, quick);
+    let preexisting = std::fs::read(&path).ok();
 
     let _ = (spec.runner)(quick);
-    let fresh = std::fs::read(spec.file).ok();
+    let fresh = std::fs::read(&path).ok();
 
     // Put the working directory back exactly as we found it.
     match &preexisting {
         Some(bytes) => {
-            let _ = std::fs::write(spec.file, bytes);
+            let _ = std::fs::write(&path, bytes);
         }
         None => {
-            let _ = std::fs::remove_file(spec.file);
+            let _ = std::fs::remove_file(&path);
         }
     }
 
