@@ -43,11 +43,10 @@ e13:
 e14:
 	cargo run --release -p unintt-bench --bin harness -- --quick e14
 
-# Communication-overlap smoke: the chunked pipeline and its blocking
-# escape hatch must both run end to end.
+# Communication-overlap smoke: E15 runs the chunked pipeline and the
+# blocking schedule side by side, end to end.
 e15:
 	cargo run --release -p unintt-bench --bin harness -- --quick e15
-	cargo run --release -p unintt-bench --bin harness -- --quick --blocking-comm e15
 
 # Proving-service smoke: run the example and the E14 quick sweep.
 serve-smoke:
@@ -62,14 +61,14 @@ trace-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick trace e12
 
 # Kernel smoke: the bit-identity property suite (vector vs the radix-2
-# oracle, portable lanes vs native, both fields, both directions); the
-# tests that call each native NTT driver and bit-reversal register kernel
-# directly, and the MSM's IFMA lanes against its scalar path, with their
-# output shown, since they skip what the CPU lacks and print which ran;
-# then a disassembly check that the AVX-512 Goldilocks stage driver, the
-# geometric-scaling kernel, the AVX-512 sponge kernels and the MSM's lane
-# bucket pass and running sum contain no widening scalar multiply — LLVM
-# has scalarised `gl_mul` once before.
+# oracle, both fields, both directions); the portable-lanes-vs-native
+# proptest, the tests that call each native NTT driver and bit-reversal
+# register kernel directly, and the MSM's IFMA lanes against its scalar
+# path, with their output shown, since they print which tiers ran and
+# which the CPU lacked; then a disassembly check that the AVX-512
+# Goldilocks stage driver, the geometric-scaling kernel, the AVX-512
+# sponge kernels and the MSM's lane bucket pass and running sum contain
+# no widening scalar multiply — LLVM has scalarised `gl_mul` once before.
 NO_SCALAR_MUL := unintt_ntt::vector::x86::gl_stages_avx512 \
                  unintt_ntt::six_step::x86::gl_scale_by_powers \
                  unintt_fri::hash::x86::hash_rows unintt_fri::hash::x86::compress_pairs \
@@ -77,7 +76,7 @@ NO_SCALAR_MUL := unintt_ntt::vector::x86::gl_stages_avx512 \
                  unintt_msm::pippenger::lanes::running_sum
 kernel-smoke:
 	cargo test --release -p unintt-ntt --test shoup_properties
-	cargo test --release -p unintt-ntt --lib -- --nocapture \
+	cargo test --release -p unintt-ntt --lib -- --nocapture portable_backend_matches_native \
 		goldilocks_native_tiers_match_oracle register_kernels_match_bit_reversed
 	cargo test --release -p unintt-ff --lib -- --nocapture ifma_vs_scalar
 	cargo test --release -p unintt-msm --lib -- --nocapture lane_groups_of_every_width
