@@ -125,8 +125,7 @@ impl<F: TwoAdicField> Ntt<F> {
     }
 
     /// One public transform call: one `ntt_dispatch_vector` bump, then this
-    /// context's plan up to the direct threshold, six-step above it. The
-    /// backend override is read inside the plan on every call.
+    /// context's plan up to the direct threshold, six-step above it.
     fn transform(&self, values: &mut [F], inverse: bool) {
         self.check_len(values.len());
         unintt_telemetry::counter_add(DISPATCH_COUNTER, 1);
