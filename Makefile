@@ -66,18 +66,22 @@ trace-smoke:
 # register kernel directly, and the MSM's IFMA lanes against its scalar
 # path, with their output shown, since they print which tiers ran and
 # which the CPU lacked; then a disassembly check that the AVX-512
-# Goldilocks stage driver, the geometric-scaling kernel, the AVX-512
-# sponge kernels and the MSM's lane bucket pass and running sum contain
-# no widening scalar multiply — LLVM has scalarised `gl_mul` once before.
+# Goldilocks and IFMA `Bn254Fr` stage drivers, both lane geometric-scaling
+# kernels, the AVX-512 sponge kernels and the MSM's lane bucket pass and
+# running sum contain no widening scalar multiply — LLVM has scalarised
+# `gl_mul` once before.
 NO_SCALAR_MUL := unintt_ntt::vector::x86::gl_stages_avx512 \
+                 unintt_ntt::vector::x86::fr_stages_ifma \
                  unintt_ntt::six_step::x86::gl_scale_by_powers \
+                 unintt_ntt::six_step::x86::fr_scale_by_powers \
                  unintt_fri::hash::x86::hash_rows unintt_fri::hash::x86::compress_pairs \
                  unintt_msm::pippenger::lanes::bucket_pass \
                  unintt_msm::pippenger::lanes::running_sum
 kernel-smoke:
 	cargo test --release -p unintt-ntt --test shoup_properties
 	cargo test --release -p unintt-ntt --lib -- --nocapture portable_backend_matches_native \
-		goldilocks_native_tiers_match_oracle register_kernels_match_bit_reversed
+		goldilocks_native_tiers_match_oracle bn254_ifma_tier_matches_oracle \
+		register_kernels_match_bit_reversed
 	cargo test --release -p unintt-ff --lib -- --nocapture ifma_vs_scalar
 	cargo test --release -p unintt-msm --lib -- --nocapture lane_groups_of_every_width
 	cargo test --release --test msm_kernel -- --nocapture

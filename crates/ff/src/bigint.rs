@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 #[derive(
     Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
+#[repr(transparent)]
 pub struct U256(pub [u64; 4]);
 
 impl U256 {

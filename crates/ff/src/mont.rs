@@ -58,8 +58,13 @@ const fn pow2_mod(k: u32, modulus: &U256) -> U256 {
 }
 
 /// An element of the field described by `P`, stored in Montgomery form.
+///
+/// `repr(transparent)` over its [`U256`] word, itself four little-endian
+/// `u64`s, so vector kernels may view a slice of elements as words
+/// ([`crate::packed::mont_words_mut`]).
 #[derive(Serialize, Deserialize)]
 #[serde(transparent)]
+#[repr(transparent)]
 pub struct Mont<P: MontParams> {
     repr: U256,
     #[serde(skip)]
@@ -226,8 +231,11 @@ impl<P: MontParams> Product for Mont<P> {
 }
 
 /// Generic Montgomery fields use the canonical [`crate::ShoupField`]
-/// fallback: 256-bit operands do not fit the word-level Shoup scheme, and
-/// the NTT kernels remain exact (just unaccelerated) through the defaults.
+/// defaults: 256-bit operands do not fit the word-level Shoup scheme, so
+/// the portable NTT lanes run one scalar CIOS product per butterfly. The
+/// `Bn254Fr` NTT has its own native tier instead, AVX-512 IFMA lanes
+/// ([`crate::packed::ifma::Fr8`]) selected where the CPU has them; it
+/// computes the same canonical words.
 impl<P: MontParams> crate::ShoupField for Mont<P> {}
 
 impl<P: MontParams> Field for Mont<P> {

@@ -1,14 +1,15 @@
 //! Lane-packed field kernels: word views over element slices and the
-//! explicit AVX2 (`std::arch`) butterfly primitives.
+//! explicit AVX2 / AVX-512 / AVX-512 IFMA (`std::arch`) primitives.
 //!
 //! The portable packed layer lives on [`crate::ShoupField`] as
 //! const-generic `[F; LANES]` operations; this module supplies what that
 //! layer cannot express generically:
 //!
 //! * **word views** — `#[repr(transparent)]` lets a `&mut [Goldilocks]`
-//!   be reinterpreted as `&mut [u64]` (and `&mut [BabyBear]` as
-//!   `&mut [u32]`) so vector kernels can load whole registers straight
-//!   from the transform buffer;
+//!   be reinterpreted as `&mut [u64]` (`&mut [BabyBear]` as `&mut [u32]`,
+//!   `&mut [Mont<M>]` as four `u64` Montgomery words per element) so
+//!   vector kernels can load whole registers straight from the transform
+//!   buffer;
 //! * **AVX2 primitives** (x86_64 only) — 4×`u64` Goldilocks and 8×`u32`
 //!   BabyBear modular add/sub/mul on `__m256i`, written as
 //!   `#[inline(always)]` helpers that specialize correctly when inlined
@@ -20,7 +21,7 @@
 //! lanes, so outputs agree bit-for-bit with the scalar kernels once those
 //! canonicalize (canonical representations are unique).
 
-use crate::{BabyBear, Goldilocks};
+use crate::{BabyBear, Goldilocks, Mont, MontParams};
 
 /// Reinterprets a Goldilocks slice as its raw canonical `u64` words.
 ///
@@ -55,6 +56,18 @@ pub fn bb_words_mut(values: &mut [BabyBear]) -> &mut [u32] {
 pub fn bb_words(values: &[BabyBear]) -> &[u32] {
     // SAFETY: BabyBear is repr(transparent) over u32.
     unsafe { core::slice::from_raw_parts(values.as_ptr().cast::<u32>(), values.len()) }
+}
+
+/// Reinterprets a slice of 256-bit Montgomery elements as their
+/// Montgomery words: four little-endian `u64` per element.
+///
+/// Sound because `Mont` is `#[repr(transparent)]` over `U256`, which is
+/// `#[repr(transparent)]` over `[u64; 4]`. Writing a word that is not a
+/// canonical residue is a logic error, as for [`gl_words_mut`].
+#[inline]
+pub fn mont_words_mut<M: MontParams>(values: &mut [Mont<M>]) -> &mut [u64] {
+    // SAFETY: Mont<M> is repr(transparent) over U256, over [u64; 4].
+    unsafe { core::slice::from_raw_parts_mut(values.as_mut_ptr().cast::<u64>(), 4 * values.len()) }
 }
 
 /// The raw word of one Goldilocks element (canonical).
@@ -344,28 +357,38 @@ pub mod avx512 {
     }
 }
 
-/// Eight BN254 base-field elements in AVX-512 IFMA lanes ([`ifma::Fq8`]).
+/// Eight 254-bit Montgomery-field elements in AVX-512 IFMA lanes
+/// ([`ifma::Mont8`]): [`ifma::Fq8`] for the MSM's BN254 base field,
+/// [`ifma::Fr8`] for the NTT's BN254 scalar field.
 ///
 /// An element is five 52-bit limbs, one `__m512i` per limb, lane `l` of
 /// every limb register belonging to element `l`. Values are Montgomery
-/// residues with `R = 2^260` (five limbs), where [`crate::Bn254Fq`] uses
-/// `R = 2^256`: entering the lanes multiplies by `16 mod p`, leaving them
-/// by `16⁻¹`. Multiplication is CIOS over `vpmadd52luq` / `vpmadd52huq`,
-/// whose 64-bit accumulators absorb the column sums without a carry until
-/// the end.
+/// residues with `R = 2^260` (five limbs), where [`crate::Mont`] uses
+/// `R = 2^256`: the *lane form* of `x` is `x·2^260 mod p`, so entering the
+/// lanes multiplies a `Mont` word by `16 mod p` and leaving them by `16⁻¹`.
+/// Multiplication is CIOS over `vpmadd52luq` / `vpmadd52huq`, whose 64-bit
+/// accumulators absorb the column sums without a carry until the end.
+///
+/// A `Mont` word split into limbs as it is, with no `×16`, is the lane
+/// form of `x/16` ([`ifma::Mont8::load_words`]). Sums and differences keep
+/// that scale, and a product with a lane-form constant `w` gives the lane
+/// form of `x·w/16`, whose limbs join back into the `Mont` word of `x·w`:
+/// a transform whose only products are by prepared constants runs on the
+/// `Mont` words with a bit split on entry and a join on exit.
 ///
 /// Every operation returns **canonical** lanes (value `< p`, every limb
 /// `< 2^52`), so a representation is unique: equality is limb equality,
-/// and an element that enters and leaves the lanes is the same
-/// `Bn254Fq` bit for bit, whatever arithmetic ran in between.
+/// and an element that enters and leaves the lanes is the same `Mont`
+/// element bit for bit, whatever arithmetic ran in between.
 ///
 /// Every `unsafe fn` requires `avx512f` and `avx512ifma` in the
 /// (inlined-into) calling context.
 #[cfg(target_arch = "x86_64")]
 pub mod ifma {
     use core::arch::x86_64::*;
+    use core::marker::PhantomData;
 
-    use crate::{Bn254Fq, Bn254FqParams, Field, MontParams, U256};
+    use crate::{Bn254FqParams, Bn254FrParams, Field, Mont, MontParams, U256};
 
     /// Limbs per element: `5 × 52 = 260` bits.
     pub const LIMBS: usize = 5;
@@ -396,49 +419,55 @@ pub mod ifma {
         ])
     }
 
-    /// The modulus in radix `2^52`.
-    const P: [u64; LIMBS] = split(&Bn254FqParams::MODULUS);
-
-    /// `−p⁻¹ mod 2^52`, by Newton iteration.
-    const P_INV: u64 = {
-        let p0 = Bn254FqParams::MODULUS.limbs()[0];
-        let mut inv = 1u64;
-        let mut i = 0;
-        while i < 6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(inv)));
-            i += 1;
-        }
-        inv.wrapping_neg() & MASK
-    };
-
     /// `16·v mod p` for a canonical `v`.
-    const fn times_16(v: &U256) -> U256 {
-        let p = &Bn254FqParams::MODULUS;
+    const fn times_16<M: MontParams>(v: &U256) -> U256 {
+        let p = &M::MODULUS;
         v.double_mod(p).double_mod(p).double_mod(p).double_mod(p)
     }
 
-    /// The lane form of one: `2^260 mod p`.
-    pub const ONE: [u64; LIMBS] = split(&times_16(&Bn254Fq::ONE.repr()));
-
-    /// `x` in lane form: its Montgomery residue `x·2^256` times 16, in
-    /// radix `2^52`.
-    pub fn fq_to_limbs(x: &Bn254Fq) -> [u64; LIMBS] {
-        split(&times_16(&x.repr()))
-    }
-
-    /// The element whose lane form is `l` (canonical limbs): the residue
-    /// times `16⁻¹`, which is one Montgomery product with `2^252`.
-    pub fn fq_from_limbs(l: &[u64; LIMBS]) -> Bn254Fq {
-        Bn254Fq::from_repr(join(l)) * Bn254Fq::from_repr(U256::from_limbs([0, 0, 0, 1 << 60]))
-    }
-
-    /// Eight canonical BN254 base-field elements, limb-major (module
-    /// docs). Only this module's `unsafe` constructors make one, so a
-    /// value exists only where the CPU has the features.
+    /// Eight canonical elements of `Mont<M>`, limb-major (module docs).
+    /// Only this module's `unsafe` constructors make one, so a value
+    /// exists only where the CPU has the features.
     #[derive(Clone, Copy, Debug)]
-    pub struct Fq8([__m512i; LIMBS]);
+    pub struct Mont8<M: MontParams>([__m512i; LIMBS], PhantomData<M>);
 
-    impl Fq8 {
+    /// Eight BN254 base-field elements: the MSM's coordinates.
+    pub type Fq8 = Mont8<Bn254FqParams>;
+    /// Eight BN254 scalar-field elements: the NTT's data.
+    pub type Fr8 = Mont8<Bn254FrParams>;
+
+    impl<M: MontParams> Mont8<M> {
+        /// The modulus in radix `2^52`.
+        const P: [u64; LIMBS] = split(&M::MODULUS);
+
+        /// `−p⁻¹ mod 2^52`, by Newton iteration.
+        const P_INV: u64 = {
+            let p0 = M::MODULUS.limbs()[0];
+            let mut inv = 1u64;
+            let mut i = 0;
+            while i < 6 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(inv)));
+                i += 1;
+            }
+            inv.wrapping_neg() & MASK
+        };
+
+        /// The lane form of one: `2^260 mod p`.
+        pub const ONE: [u64; LIMBS] = split(&times_16::<M>(&Mont::<M>::ONE.repr()));
+
+        /// `x` in lane form: its Montgomery word `x·2^256` times 16, in
+        /// radix `2^52`.
+        pub fn to_limbs(x: &Mont<M>) -> [u64; LIMBS] {
+            split(&times_16::<M>(&x.repr()))
+        }
+
+        /// The element whose lane form is `l` (canonical limbs): the
+        /// residue times `16⁻¹`, which is one Montgomery product with
+        /// `2^252`.
+        pub fn from_limbs(l: &[u64; LIMBS]) -> Mont<M> {
+            Mont::from_repr(join(l)) * Mont::from_repr(U256::from_limbs([0, 0, 0, 1 << 60]))
+        }
+
         /// `l` in every lane.
         ///
         /// # Safety
@@ -446,13 +475,16 @@ pub mod ifma {
         /// Requires `avx512f` + `avx512ifma` (module docs).
         #[inline(always)]
         pub unsafe fn splat(l: &[u64; LIMBS]) -> Self {
-            Self([
-                _mm512_set1_epi64(l[0] as i64),
-                _mm512_set1_epi64(l[1] as i64),
-                _mm512_set1_epi64(l[2] as i64),
-                _mm512_set1_epi64(l[3] as i64),
-                _mm512_set1_epi64(l[4] as i64),
-            ])
+            Self(
+                [
+                    _mm512_set1_epi64(l[0] as i64),
+                    _mm512_set1_epi64(l[1] as i64),
+                    _mm512_set1_epi64(l[2] as i64),
+                    _mm512_set1_epi64(l[3] as i64),
+                    _mm512_set1_epi64(l[4] as i64),
+                ],
+                PhantomData,
+            )
         }
 
         /// Lane `l` takes `x[l]`.
@@ -461,27 +493,27 @@ pub mod ifma {
         ///
         /// Requires `avx512f` + `avx512ifma` (module docs).
         #[inline(always)]
-        pub unsafe fn from_fq(x: &[Bn254Fq; LANES]) -> Self {
+        pub unsafe fn from_elems(x: &[Mont<M>; LANES]) -> Self {
             let mut words = [[0u64; LANES]; LIMBS];
             for (l, x) in x.iter().enumerate() {
-                for (row, limb) in words.iter_mut().zip(fq_to_limbs(x)) {
+                for (row, limb) in words.iter_mut().zip(Self::to_limbs(x)) {
                     row[l] = limb;
                 }
             }
             Self::load(words.as_ptr().cast(), LANES)
         }
 
-        /// Lane `l` as a `Bn254Fq`.
+        /// Lane `l` as a `Mont<M>`.
         ///
         /// # Safety
         ///
         /// Requires `avx512f` + `avx512ifma` (module docs).
         #[inline(always)]
-        pub unsafe fn to_fq(self) -> [Bn254Fq; LANES] {
+        pub unsafe fn to_elems(self) -> [Mont<M>; LANES] {
             let mut words = [[0u64; LANES]; LIMBS];
             self.store(words.as_mut_ptr().cast(), LANES);
             core::array::from_fn(|l| {
-                fq_from_limbs(&[
+                Self::from_limbs(&[
                     words[0][l],
                     words[1][l],
                     words[2][l],
@@ -499,13 +531,16 @@ pub mod ifma {
         /// must be readable, and hold canonical lane-form limbs.
         #[inline(always)]
         pub unsafe fn load(src: *const u64, stride: usize) -> Self {
-            Self([
-                _mm512_loadu_si512(src.cast()),
-                _mm512_loadu_si512(src.add(stride).cast()),
-                _mm512_loadu_si512(src.add(2 * stride).cast()),
-                _mm512_loadu_si512(src.add(3 * stride).cast()),
-                _mm512_loadu_si512(src.add(4 * stride).cast()),
-            ])
+            Self(
+                [
+                    _mm512_loadu_si512(src.cast()),
+                    _mm512_loadu_si512(src.add(stride).cast()),
+                    _mm512_loadu_si512(src.add(2 * stride).cast()),
+                    _mm512_loadu_si512(src.add(3 * stride).cast()),
+                    _mm512_loadu_si512(src.add(4 * stride).cast()),
+                ],
+                PhantomData,
+            )
         }
 
         /// Stores limb `j` to the eight words at `dst + j·stride`.
@@ -530,13 +565,16 @@ pub mod ifma {
         #[inline(always)]
         pub unsafe fn gather(src: *const u64, stride: usize, idx: __m512i) -> Self {
             let row = |j: usize| src.add(j * stride).cast::<i64>();
-            Self([
-                _mm512_i64gather_epi64::<8>(idx, row(0)),
-                _mm512_i64gather_epi64::<8>(idx, row(1)),
-                _mm512_i64gather_epi64::<8>(idx, row(2)),
-                _mm512_i64gather_epi64::<8>(idx, row(3)),
-                _mm512_i64gather_epi64::<8>(idx, row(4)),
-            ])
+            Self(
+                [
+                    _mm512_i64gather_epi64::<8>(idx, row(0)),
+                    _mm512_i64gather_epi64::<8>(idx, row(1)),
+                    _mm512_i64gather_epi64::<8>(idx, row(2)),
+                    _mm512_i64gather_epi64::<8>(idx, row(3)),
+                    _mm512_i64gather_epi64::<8>(idx, row(4)),
+                ],
+                PhantomData,
+            )
         }
 
         /// Writes lane `l` of limb `j` to `dst[j·stride + idx[l]]` for
@@ -554,6 +592,131 @@ pub mod ifma {
             }
         }
 
+        /// The eight consecutive `Mont` words at `src` (four `u64` each),
+        /// split into limbs as they are: lane `l` is the lane form of
+        /// `x_l/16` (module docs).
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs); `src` must be
+        /// readable for 32 words holding canonical `Mont` words.
+        #[inline(always)]
+        pub unsafe fn load_words(src: *const u64) -> Self {
+            // Four registers of two elements each, transposed to one
+            // register per word: first words 0/1 and 2/3 of each half …
+            let z0 = _mm512_loadu_si512(src.cast());
+            let z1 = _mm512_loadu_si512(src.add(8).cast());
+            let z2 = _mm512_loadu_si512(src.add(16).cast());
+            let z3 = _mm512_loadu_si512(src.add(24).cast());
+            let lo = _mm512_setr_epi64(0, 4, 8, 12, 1, 5, 9, 13);
+            let hi = _mm512_setr_epi64(2, 6, 10, 14, 3, 7, 11, 15);
+            let a01 = _mm512_permutex2var_epi64(z0, lo, z1);
+            let a23 = _mm512_permutex2var_epi64(z0, hi, z1);
+            let b01 = _mm512_permutex2var_epi64(z2, lo, z3);
+            let b23 = _mm512_permutex2var_epi64(z2, hi, z3);
+            // … then the two halves side by side.
+            let w = [
+                _mm512_shuffle_i64x2::<0x44>(a01, b01),
+                _mm512_shuffle_i64x2::<0xee>(a01, b01),
+                _mm512_shuffle_i64x2::<0x44>(a23, b23),
+                _mm512_shuffle_i64x2::<0xee>(a23, b23),
+            ];
+            Self::from_word_rows(w)
+        }
+
+        /// Joins the limbs back into eight `Mont` words and stores them
+        /// at `dst` (four `u64` each, lane order): the inverse of
+        /// [`Self::load_words`].
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs); `dst` must be
+        /// writable for 32 words.
+        #[inline(always)]
+        pub unsafe fn store_words(self, dst: *mut u64) {
+            let [w0, w1, w2, w3] = self.word_rows();
+            let lo = _mm512_setr_epi64(0, 4, 8, 12, 1, 5, 9, 13);
+            let hi = _mm512_setr_epi64(2, 6, 10, 14, 3, 7, 11, 15);
+            // Words 0 and 1 of lanes 0–3 | 4–7, then words 2 and 3.
+            let a = _mm512_shuffle_i64x2::<0x44>(w0, w1);
+            let b = _mm512_shuffle_i64x2::<0xee>(w0, w1);
+            let c = _mm512_shuffle_i64x2::<0x44>(w2, w3);
+            let d = _mm512_shuffle_i64x2::<0xee>(w2, w3);
+            _mm512_storeu_si512(dst.cast(), _mm512_permutex2var_epi64(a, lo, c));
+            _mm512_storeu_si512(dst.add(8).cast(), _mm512_permutex2var_epi64(a, hi, c));
+            _mm512_storeu_si512(dst.add(16).cast(), _mm512_permutex2var_epi64(b, lo, d));
+            _mm512_storeu_si512(dst.add(24).cast(), _mm512_permutex2var_epi64(b, hi, d));
+        }
+
+        /// Joins the limbs back into `Mont` words and writes lane `l`'s
+        /// four words to `dst[4·idx[l] ..][..4]`: a store to arbitrary
+        /// element positions, such as bit-reversed ones.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs); every indexed
+        /// element must be writable, and no two lanes may share an index.
+        #[inline(always)]
+        pub unsafe fn scatter_words(self, dst: *mut u64, idx: __m512i) {
+            let idx = _mm512_slli_epi64::<2>(idx);
+            for (k, w) in self.word_rows().into_iter().enumerate() {
+                _mm512_i64scatter_epi64::<8>(dst.add(k).cast(), idx, w);
+            }
+        }
+
+        /// Limbs from word rows: `w[k]` lane `l` is word `k` of element `l`.
+        #[inline(always)]
+        unsafe fn from_word_rows(w: [__m512i; 4]) -> Self {
+            let mask = _mm512_set1_epi64(MASK as i64);
+            let l1 = _mm512_or_si512(_mm512_srli_epi64::<52>(w[0]), _mm512_slli_epi64::<12>(w[1]));
+            let l2 = _mm512_or_si512(_mm512_srli_epi64::<40>(w[1]), _mm512_slli_epi64::<24>(w[2]));
+            let l3 = _mm512_or_si512(_mm512_srli_epi64::<28>(w[2]), _mm512_slli_epi64::<36>(w[3]));
+            Self(
+                [
+                    _mm512_and_si512(w[0], mask),
+                    _mm512_and_si512(l1, mask),
+                    _mm512_and_si512(l2, mask),
+                    _mm512_and_si512(l3, mask),
+                    _mm512_srli_epi64::<16>(w[3]),
+                ],
+                PhantomData,
+            )
+        }
+
+        /// Word rows from limbs: the inverse of [`Self::from_word_rows`].
+        #[inline(always)]
+        unsafe fn word_rows(self) -> [__m512i; 4] {
+            let l = self.0;
+            [
+                _mm512_or_si512(l[0], _mm512_slli_epi64::<52>(l[1])),
+                _mm512_or_si512(_mm512_srli_epi64::<12>(l[1]), _mm512_slli_epi64::<40>(l[2])),
+                _mm512_or_si512(_mm512_srli_epi64::<24>(l[2]), _mm512_slli_epi64::<28>(l[3])),
+                _mm512_or_si512(_mm512_srli_epi64::<36>(l[3]), _mm512_slli_epi64::<16>(l[4])),
+            ]
+        }
+
+        /// Lane `l` takes lane `idx[l] mod 8` of `self` where bit 3 of
+        /// `idx[l]` is clear, of `rhs` where it is set (`vpermt2q` on every
+        /// limb).
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` + `avx512ifma` (module docs).
+        #[inline(always)]
+        pub unsafe fn permute2(self, idx: __m512i, rhs: Self) -> Self {
+            let (a, b) = (self.0, rhs.0);
+            Self(
+                [
+                    _mm512_permutex2var_epi64(a[0], idx, b[0]),
+                    _mm512_permutex2var_epi64(a[1], idx, b[1]),
+                    _mm512_permutex2var_epi64(a[2], idx, b[2]),
+                    _mm512_permutex2var_epi64(a[3], idx, b[3]),
+                    _mm512_permutex2var_epi64(a[4], idx, b[4]),
+                ],
+                PhantomData,
+            )
+        }
+
         /// Lane-wise `a` where `mask` is clear, `b` where it is set.
         ///
         /// # Safety
@@ -561,13 +724,17 @@ pub mod ifma {
         /// Requires `avx512f` + `avx512ifma` (module docs).
         #[inline(always)]
         pub unsafe fn blend(mask: __mmask8, a: Self, b: Self) -> Self {
-            Self([
-                _mm512_mask_blend_epi64(mask, a.0[0], b.0[0]),
-                _mm512_mask_blend_epi64(mask, a.0[1], b.0[1]),
-                _mm512_mask_blend_epi64(mask, a.0[2], b.0[2]),
-                _mm512_mask_blend_epi64(mask, a.0[3], b.0[3]),
-                _mm512_mask_blend_epi64(mask, a.0[4], b.0[4]),
-            ])
+            let (a, b) = (a.0, b.0);
+            Self(
+                [
+                    _mm512_mask_blend_epi64(mask, a[0], b[0]),
+                    _mm512_mask_blend_epi64(mask, a[1], b[1]),
+                    _mm512_mask_blend_epi64(mask, a[2], b[2]),
+                    _mm512_mask_blend_epi64(mask, a[3], b[3]),
+                    _mm512_mask_blend_epi64(mask, a[4], b[4]),
+                ],
+                PhantomData,
+            )
         }
 
         /// The lanes that hold zero.
@@ -613,10 +780,10 @@ pub mod ifma {
             }
             // `s` and `s − p` in parallel; the sign of the second picks.
             let mut d = s;
-            for (d, p) in d.iter_mut().zip(P) {
+            for (d, p) in d.iter_mut().zip(Self::P) {
                 *d = _mm512_sub_epi64(*d, _mm512_set1_epi64(p as i64));
             }
-            select_canonical(carry(s), carry(d))
+            Self::select_canonical(carry(s), carry(d))
         }
 
         /// Lane-wise `a − b mod p`.
@@ -633,10 +800,10 @@ pub mod ifma {
                 *d = _mm512_sub_epi64(*d, b);
             }
             let mut e = d;
-            for (e, p) in e.iter_mut().zip(P) {
+            for (e, p) in e.iter_mut().zip(Self::P) {
                 *e = _mm512_add_epi64(*e, _mm512_set1_epi64(p as i64));
             }
-            select_canonical(carry(e), carry(d))
+            Self::select_canonical(carry(e), carry(d))
         }
 
         /// Lane-wise `2a mod p`.
@@ -667,13 +834,13 @@ pub mod ifma {
             let (a, b) = (self.0, rhs.0);
             let zero = _mm512_setzero_si512();
             let p = [
-                _mm512_set1_epi64(P[0] as i64),
-                _mm512_set1_epi64(P[1] as i64),
-                _mm512_set1_epi64(P[2] as i64),
-                _mm512_set1_epi64(P[3] as i64),
-                _mm512_set1_epi64(P[4] as i64),
+                _mm512_set1_epi64(Self::P[0] as i64),
+                _mm512_set1_epi64(Self::P[1] as i64),
+                _mm512_set1_epi64(Self::P[2] as i64),
+                _mm512_set1_epi64(Self::P[3] as i64),
+                _mm512_set1_epi64(Self::P[4] as i64),
             ];
-            let p_inv = _mm512_set1_epi64(P_INV as i64);
+            let p_inv = _mm512_set1_epi64(Self::P_INV as i64);
             let mut t = [zero; LIMBS + 1];
             for bi in b {
                 for j in 0..LIMBS {
@@ -696,7 +863,15 @@ pub mod ifma {
             for (d, p) in d.iter_mut().zip(p) {
                 *d = _mm512_sub_epi64(*d, p);
             }
-            select_canonical(t, carry(d))
+            Self::select_canonical(t, carry(d))
+        }
+
+        /// Per lane, `lo` where `hi` (its value minus `p`, carried) is
+        /// negative, `hi` otherwise: the one of the two in `[0, p)`.
+        #[inline(always)]
+        unsafe fn select_canonical(lo: [__m512i; LIMBS], hi: [__m512i; LIMBS]) -> Self {
+            let below = _mm512_cmplt_epi64_mask(hi[LIMBS - 1], _mm512_setzero_si512());
+            Self::blend(below, Self(hi, PhantomData), Self(lo, PhantomData))
         }
     }
 
@@ -710,14 +885,6 @@ pub mod ifma {
             x[j] = _mm512_and_si512(x[j], mask);
         }
         x
-    }
-
-    /// Per lane, `lo` where `hi` (its value minus `p`, carried) is
-    /// negative, `hi` otherwise: the one of the two in `[0, p)`.
-    #[inline(always)]
-    unsafe fn select_canonical(lo: [__m512i; LIMBS], hi: [__m512i; LIMBS]) -> Fq8 {
-        let below = _mm512_cmplt_epi64_mask(hi[LIMBS - 1], _mm512_setzero_si512());
-        Fq8::blend(below, Fq8(hi), Fq8(lo))
     }
 }
 
@@ -931,23 +1098,89 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     mod ifma_vs_scalar {
-        use super::super::ifma::{self, Fq8, LANES};
-        use crate::{Bn254Fq, Field, PrimeField, U256};
+        use super::super::ifma::{Fq8, Fr8, Mont8, LANES, LIMBS};
+        use crate::{Bn254Fq, Bn254Fr, Field, Mont, MontParams, PrimeField, U256};
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
         /// One round over eight lanes: (round trip, add, sub, double, mul,
-        /// `a·a`), each back in `Bn254Fq`.
+        /// `a·a`, the `Mont` words through `load_words` / `store_words`),
+        /// each back in `Mont<M>`.
         #[target_feature(enable = "avx512f,avx512ifma")]
-        unsafe fn round(a: &[Bn254Fq; LANES], b: &[Bn254Fq; LANES]) -> [[Bn254Fq; LANES]; 6] {
-            let (va, vb) = (Fq8::from_fq(a), Fq8::from_fq(b));
+        unsafe fn round<M: MontParams>(
+            a: &[Mont<M>; LANES],
+            b: &[Mont<M>; LANES],
+        ) -> [[Mont<M>; LANES]; 7] {
+            let (va, vb) = (Mont8::from_elems(a), Mont8::from_elems(b));
+            let mut words = *a;
+            Mont8::<M>::load_words(words.as_ptr().cast()).store_words(words.as_mut_ptr().cast());
             [
-                va.to_fq(),
-                va.add(vb).to_fq(),
-                va.sub(vb).to_fq(),
-                va.double().to_fq(),
-                va.mul(vb).to_fq(),
-                va.mul(va).to_fq(),
+                va.to_elems(),
+                va.add(vb).to_elems(),
+                va.sub(vb).to_elems(),
+                va.double().to_elems(),
+                va.mul(vb).to_elems(),
+                va.mul(va).to_elems(),
+                words,
             ]
+        }
+
+        /// `a·b` with `a`'s `Mont` word split as it is and `b` in lane
+        /// form, joined back by a scatter to reversed lane positions: the
+        /// R-form path the NTT runs (the product is `a·b`'s `Mont` word).
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        unsafe fn word_product<M: MontParams>(
+            a: &[Mont<M>; LANES],
+            b: &[Mont<M>; LANES],
+        ) -> [Mont<M>; LANES] {
+            use core::arch::x86_64::_mm512_setr_epi64;
+            let va = Mont8::<M>::load_words(a.as_ptr().cast());
+            let mut out = [Mont::<M>::ZERO; LANES];
+            let rev = _mm512_setr_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+            va.mul(Mont8::from_elems(b))
+                .scatter_words(out.as_mut_ptr().cast(), rev);
+            out.reverse();
+            out
+        }
+
+        /// Every lane operation against `Mont<M>`, at the edges `{0, 1,
+        /// p−1, R mod p, p−R}` (`R = 2^256`) and at random values.
+        fn lanes_match_scalar<M: MontParams>(seed: u64) {
+            let p_minus = |v: U256| M::MODULUS.sbb(&v).0;
+            let r = Mont::<M>::ONE.repr();
+            let edges = [U256::ZERO, U256::ONE, p_minus(U256::ONE), r, p_minus(r)]
+                .map(Mont::<M>::from_u256);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for round_no in 0..400 {
+                let pick = |rng: &mut StdRng| -> Mont<M> {
+                    if round_no < 25 || rng.gen_range(0..4) == 0 {
+                        edges[rng.gen_range(0..edges.len() as u64) as usize]
+                    } else {
+                        Mont::random(rng)
+                    }
+                };
+                let a: [Mont<M>; LANES] = core::array::from_fn(|_| pick(&mut rng));
+                let b: [Mont<M>; LANES] = core::array::from_fn(|_| pick(&mut rng));
+                // SAFETY: the callers detected avx512f and avx512ifma.
+                let [back, add, sub, dbl, mul, sqr, words] = unsafe { round(&a, &b) };
+                // SAFETY: as above.
+                let prod = unsafe { word_product(&a, &b) };
+                for l in 0..LANES {
+                    let ctx = format!(
+                        "{} round={round_no} lane={l} a={} b={}",
+                        M::NAME,
+                        a[l],
+                        b[l]
+                    );
+                    assert_eq!(back[l].repr(), a[l].repr(), "round trip {ctx}");
+                    assert_eq!(words[l].repr(), a[l].repr(), "word round trip {ctx}");
+                    assert_eq!(add[l].repr(), (a[l] + b[l]).repr(), "add {ctx}");
+                    assert_eq!(sub[l].repr(), (a[l] - b[l]).repr(), "sub {ctx}");
+                    assert_eq!(dbl[l].repr(), a[l].double().repr(), "double {ctx}");
+                    assert_eq!(mul[l].repr(), (a[l] * b[l]).repr(), "mul {ctx}");
+                    assert_eq!(sqr[l].repr(), a[l].square().repr(), "square {ctx}");
+                    assert_eq!(prod[l].repr(), (a[l] * b[l]).repr(), "word product {ctx}");
+                }
+            }
         }
 
         #[test]
@@ -956,42 +1189,20 @@ mod tests {
                 println!("ifma lanes: skipped, the CPU lacks avx512ifma");
                 return;
             }
-            let p_minus = |v: U256| Bn254Fq::MODULUS.sbb(&v).0;
-            // R = 2^256 mod p, the scalar field's Montgomery radix.
-            let r = Bn254Fq::ONE.repr();
-            let edges =
-                [U256::ZERO, U256::ONE, p_minus(U256::ONE), r, p_minus(r)].map(Bn254Fq::from_u256);
-            let mut rng = StdRng::seed_from_u64(34);
-            for round_no in 0..400 {
-                let pick = |rng: &mut StdRng| -> Bn254Fq {
-                    if round_no < 25 || rng.gen_range(0..4) == 0 {
-                        edges[rng.gen_range(0..edges.len() as u64) as usize]
-                    } else {
-                        Bn254Fq::random(rng)
-                    }
-                };
-                let a: [Bn254Fq; LANES] = core::array::from_fn(|_| pick(&mut rng));
-                let b: [Bn254Fq; LANES] = core::array::from_fn(|_| pick(&mut rng));
-                // SAFETY: avx512f and avx512ifma were detected above.
-                let [back, add, sub, dbl, mul, sqr] = unsafe { round(&a, &b) };
-                for l in 0..LANES {
-                    let ctx = format!("round={round_no} lane={l} a={} b={}", a[l], b[l]);
-                    assert_eq!(back[l].repr(), a[l].repr(), "round trip {ctx}");
-                    assert_eq!(add[l].repr(), (a[l] + b[l]).repr(), "add {ctx}");
-                    assert_eq!(sub[l].repr(), (a[l] - b[l]).repr(), "sub {ctx}");
-                    assert_eq!(dbl[l].repr(), a[l].double().repr(), "double {ctx}");
-                    assert_eq!(mul[l].repr(), (a[l] * b[l]).repr(), "mul {ctx}");
-                    assert_eq!(sqr[l].repr(), a[l].square().repr(), "square {ctx}");
-                }
-            }
+            lanes_match_scalar::<crate::Bn254FqParams>(34);
             println!("ifma lanes: Fq8 ran, every lane equal to Bn254Fq");
+            lanes_match_scalar::<crate::Bn254FrParams>(35);
+            println!("ifma lanes: Fr8 ran, every lane equal to Bn254Fr");
         }
 
         #[test]
         fn lane_form_of_one_is_two_to_the_260() {
-            assert_eq!(ifma::fq_to_limbs(&Bn254Fq::ONE), ifma::ONE);
-            assert_eq!(ifma::fq_from_limbs(&ifma::ONE), Bn254Fq::ONE);
-            assert_eq!(ifma::fq_to_limbs(&Bn254Fq::ZERO), [0; ifma::LIMBS]);
+            assert_eq!(Fq8::to_limbs(&Bn254Fq::ONE), Fq8::ONE);
+            assert_eq!(Fq8::from_limbs(&Fq8::ONE), Bn254Fq::ONE);
+            assert_eq!(Fq8::to_limbs(&Bn254Fq::ZERO), [0; LIMBS]);
+            assert_eq!(Fr8::to_limbs(&Bn254Fr::ONE), Fr8::ONE);
+            assert_eq!(Fr8::from_limbs(&Fr8::ONE), Bn254Fr::ONE);
+            assert_ne!(Fr8::ONE, Fq8::ONE);
         }
     }
 }

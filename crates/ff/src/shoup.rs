@@ -13,7 +13,9 @@
 //! [`ShoupField`] exposes these kernels behind defaults that fall back to
 //! plain canonical arithmetic, so generic NTT code runs unchanged over
 //! fields without a specialized implementation (e.g. the 254-bit
-//! [`crate::Bn254Fr`]); Goldilocks and BabyBear override the defaults in
+//! [`crate::Bn254Fr`], whose portable NTT path runs on the defaults and
+//! whose native tier is AVX-512 IFMA lanes, [`crate::packed::ifma`], not
+//! a Shoup kernel); Goldilocks and BabyBear override the defaults in
 //! their own modules. **Every method contract is stated in terms of
 //! "lanes"**: a lane is a bit-pattern of `Self` that represents a residue
 //! but may be outside the canonical range; [`ShoupField::reduce_lane`]

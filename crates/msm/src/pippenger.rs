@@ -193,7 +193,7 @@ mod lanes {
     use core::arch::x86_64::*;
 
     pub(super) use unintt_ff::packed::ifma::LANES;
-    use unintt_ff::packed::ifma::{self, Fq8, LIMBS};
+    use unintt_ff::packed::ifma::{Fq8, LIMBS};
     use unintt_ff::U256;
 
     use super::{digit, num_windows};
@@ -243,8 +243,8 @@ mod lanes {
         points
             .iter()
             .map(|p| LanePoint {
-                x: ifma::fq_to_limbs(&p.x),
-                y: ifma::fq_to_limbs(&p.y),
+                x: Fq8::to_limbs(&p.x),
+                y: Fq8::to_limbs(&p.y),
                 infinity: p.infinity,
             })
             .collect()
@@ -264,7 +264,7 @@ mod lanes {
             let mut words = vec![0u64; 3 * LIMBS * count * LANES];
             for (row, limb) in words
                 .chunks_exact_mut(count * LANES)
-                .zip(ifma::ONE.iter().chain(&ifma::ONE))
+                .zip(Fq8::ONE.iter().chain(&Fq8::ONE))
             {
                 row.fill(*limb);
             }
@@ -280,7 +280,7 @@ mod lanes {
     /// The identity in every lane.
     #[inline(always)]
     unsafe fn identity() -> Jacobian<Fq8> {
-        let one = Fq8::splat(&ifma::ONE);
+        let one = Fq8::splat(&Fq8::ONE);
         Jacobian {
             x: one,
             y: one,
@@ -305,7 +305,7 @@ mod lanes {
     /// The CPU must support avx512f and avx512ifma ([`detected`]).
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) unsafe fn to_projective(p: &Jacobian<Fq8>) -> [G1Projective; LANES] {
-        let (x, y, z) = (p.x.to_fq(), p.y.to_fq(), p.z.to_fq());
+        let (x, y, z) = (p.x.to_elems(), p.y.to_elems(), p.z.to_elems());
         core::array::from_fn(|l| G1Projective {
             x: x[l],
             y: y[l],
@@ -329,7 +329,7 @@ mod lanes {
         special: __mmask8,
     ) {
         let p1 = to_projective(p1);
-        let (a, b) = (a.to_fq(), b.to_fq());
+        let (a, b) = (a.to_elems(), b.to_elems());
         let mut out = to_projective(sum);
         for l in (0..LANES).filter(|l| special >> l & 1 == 1) {
             out[l] = if a[l] == b[l] {
@@ -339,9 +339,9 @@ mod lanes {
             };
         }
         *sum = Jacobian {
-            x: Fq8::from_fq(&out.map(|p| p.x)),
-            y: Fq8::from_fq(&out.map(|p| p.y)),
-            z: Fq8::from_fq(&out.map(|p| p.z)),
+            x: Fq8::from_elems(&out.map(|p| p.x)),
+            y: Fq8::from_elems(&out.map(|p| p.y)),
+            z: Fq8::from_elems(&out.map(|p| p.z)),
         };
     }
 
@@ -388,7 +388,7 @@ mod lanes {
         let x_row = buckets.words.as_mut_ptr();
         let (y_row, z_row) = (x_row.add(LIMBS * stride), x_row.add(2 * LIMBS * stride));
         let lane_ids = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-        let (zero, one) = (Fq8::splat(&[0; LIMBS]), Fq8::splat(&ifma::ONE));
+        let (zero, one) = (Fq8::splat(&[0; LIMBS]), Fq8::splat(&Fq8::ONE));
         for (k, p) in ks.iter().zip(points) {
             if p.infinity {
                 continue;

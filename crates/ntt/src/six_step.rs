@@ -25,6 +25,8 @@ use std::any::TypeId;
 use std::sync::Arc;
 
 use unintt_exec::Executor;
+#[cfg(target_arch = "x86_64")]
+use unintt_ff::Bn254Fr;
 use unintt_ff::{Goldilocks, TwoAdicField};
 
 use crate::twiddle::TwiddleTable;
@@ -187,8 +189,10 @@ unsafe fn transpose_band<F>(p: *mut F, n: usize, r0: usize, r1: usize) {
 /// A single `cur *= step` chain serializes on the multiply latency, so the
 /// product runs as independent lanes instead. Goldilocks with AVX-512: 32
 /// lanes (four 8-lane vectors) seeded with `start·step^0..31`, each
-/// advanced by `step^32`. Everything else: two interleaved chains advanced
-/// by the *fixed* `step²`, a Shoup product off one prepared constant.
+/// advanced by `step^32`. `Bn254Fr` with AVX-512 IFMA: 8 lanes
+/// (`ff::packed::ifma::Fr8`) seeded with `start·step^0..7`, each advanced
+/// by `step^8`. Everything else: two interleaved chains advanced by the
+/// *fixed* `step²`, a Shoup product off one prepared constant.
 /// Every lane value is the exact canonical power the serial chain holds
 /// and the element product is the same exact field multiplication, so all
 /// forms are bit-identical.
@@ -221,6 +225,37 @@ pub fn scale_by_powers<F: TwoAdicField>(values: &mut [F], start: F, step: F) {
         // 32-element groups; `power` has advanced 32 times, so it is
         // `step^32`; every word is canonical.
         unsafe { x86::gl_scale_by_powers(words, &lanes, gl(power)) };
+        if tail.is_empty() {
+            return;
+        }
+        start *= step.pow(head.len() as u64);
+        values = tail;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if TypeId::of::<F>() == TypeId::of::<Bn254Fr>()
+        && values.len() >= 8
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512ifma")
+    {
+        let (head, tail) = values.split_at_mut(values.len() & !7);
+        let fr = |x: F| -> Bn254Fr {
+            // SAFETY: same-type read, F is Bn254Fr by the TypeId check.
+            unsafe { *(&x as *const F).cast::<Bn254Fr>() }
+        };
+        let mut lanes = [Bn254Fr::default(); 8];
+        let mut power = F::ONE;
+        for l in lanes.iter_mut() {
+            *l = fr(start * power);
+            power *= step;
+        }
+        // SAFETY: F is Bn254Fr (checked above).
+        let head = unsafe { &mut *(head as *mut [F] as *mut [Bn254Fr]) };
+        // SAFETY: AVX-512F/IFMA detected above; `head` is a whole number
+        // of 8-element groups; `power` has advanced 8 times, so it is
+        // `step^8`.
+        unsafe {
+            x86::fr_scale_by_powers(unintt_ff::packed::mont_words_mut(head), &lanes, &fr(power))
+        };
         if tail.is_empty() {
             return;
         }
@@ -268,6 +303,8 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use unintt_ff::packed::avx512 as w8;
+    use unintt_ff::packed::ifma::Fr8;
+    use unintt_ff::Bn254Fr;
 
     /// Loads a 4×4 `u64` tile at `p` (row stride `n`), transposed.
     ///
@@ -375,6 +412,32 @@ mod x86 {
             cur2 = w8::gl_mul(cur2, s32);
             cur3 = w8::gl_mul(cur3, s32);
             j += 32;
+        }
+    }
+
+    /// [`super::scale_by_powers`] over `Bn254Fr` Montgomery words: element
+    /// `j` times `lanes[j mod 8]·step8^⌊j/8⌋`, eight running product
+    /// chains in IFMA lanes. The data is split into limbs as it is and the
+    /// chains are in lane form, so each product is the element's
+    /// Montgomery word of `x·power` (see `unintt_ff::packed::ifma`).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F and AVX-512 IFMA; `words.len() % 32 == 0` (whole
+    /// 8-element groups); all words canonical.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn fr_scale_by_powers(
+        words: &mut [u64],
+        lanes: &[Bn254Fr; 8],
+        step8: &Bn254Fr,
+    ) {
+        debug_assert_eq!(words.len() % 32, 0);
+        let mut cur = Fr8::from_elems(lanes);
+        let step8 = Fr8::splat(&Fr8::to_limbs(step8));
+        for group in words.chunks_exact_mut(32) {
+            let p = group.as_mut_ptr();
+            Fr8::load_words(p).mul(cur).store_words(p);
+            cur = cur.mul(step8);
         }
     }
 }
@@ -493,7 +556,7 @@ mod tests {
     use super::*;
     use crate::Ntt;
     use rand::{rngs::StdRng, SeedableRng};
-    use unintt_ff::{BabyBear, Field, Goldilocks, PrimeField};
+    use unintt_ff::{BabyBear, Bn254Fr, Field, Goldilocks, PrimeField};
 
     fn random_vec<F: Field>(log_n: u32, seed: u64) -> Vec<F> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -625,19 +688,26 @@ mod tests {
     }
 
     /// The CPU-selected geometric scaling (32 AVX-512 lanes for
-    /// Goldilocks where the CPU has them) against the scalar chain,
-    /// across the lane-group boundary and with a tail.
+    /// Goldilocks, 8 IFMA lanes for `Bn254Fr`, where the CPU has them)
+    /// against the scalar chain, across the lane-group boundary and with a
+    /// tail.
     #[test]
     fn scale_by_powers_matches_scalar_chain() {
-        for len in [0usize, 1, 31, 32, 33, 64, 95, 4096 + 7] {
-            let input = random_vec::<Goldilocks>(13, len as u64);
-            let (start, step) = (input[0], input[1]);
-            let mut got = input[..len].to_vec();
-            scale_by_powers(&mut got, start, step);
-            let mut want = input[..len].to_vec();
-            scale_by_powers_scalar(&mut want, start, step);
-            assert!(got == want, "len={len}");
+        fn check<F: TwoAdicField>(lens: &[usize]) {
+            for &len in lens {
+                let input = random_vec::<F>(13, len as u64);
+                let (start, step) = (input[0], input[1]);
+                for (start, step) in [(start, step), (F::ONE, step), (start, F::ONE)] {
+                    let mut got = input[..len].to_vec();
+                    scale_by_powers(&mut got, start, step);
+                    let mut want = input[..len].to_vec();
+                    scale_by_powers_scalar(&mut want, start, step);
+                    assert!(got == want, "{} len={len}", F::NAME);
+                }
+            }
         }
+        check::<Goldilocks>(&[0, 1, 31, 32, 33, 64, 95, 4096 + 7]);
+        check::<Bn254Fr>(&[0, 1, 7, 8, 9, 16, 63, 2048 + 5]);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * **Lane-packed butterflies** — the transform body works on
 //!   `[F; LANES]` register blocks through the const-generic layer on
 //!   [`unintt_ff::ShoupField`] (portable), or through explicit AVX2 /
-//!   AVX-512 `std::arch` kernels on x86_64 when the CPU reports the
-//!   feature at runtime (`is_x86_feature_detected!`). Both backends
+//!   AVX-512 / AVX-512 IFMA (`Bn254Fr`) `std::arch` kernels on x86_64
+//!   when the CPU reports the feature at runtime
+//!   (`is_x86_feature_detected!`). Both backends
 //!   compute exact canonical residues, so they are bit-identical to each
 //!   other and to the radix-2 DIT oracle ([`crate::Ntt::dit_in_place`]).
 //! * **Radix-4/8 stage fusion** — two (AVX2) or three (portable,
@@ -17,13 +18,16 @@
 //!   traffic relative to a stage-at-a-time loop. The strides below a
 //!   vector run in one register-resident shuffle pass per row: AVX-512
 //!   Goldilocks keeps its last three to five stages there at full width
-//!   and folds the inverse's `1/n` into them.
+//!   and folds the inverse's `1/n` into them, as the `Bn254Fr` IFMA tier
+//!   does with its last three (its products, not its memory passes, set
+//!   its cost, so it runs the earlier stages one at a time).
 //! * **A specialized-plan cache** — [`VectorPlan`] instances are built
 //!   once per `(field, log_n)` (covering both directions) and memoized in
 //!   [`crate::cache`]; a plan pins its backend choice and pre-extracted
 //!   native twiddle banks, so per-transform dispatch is one enum match
 //!   with no per-stage branching. The natural-order output comes from
-//!   [`crate::bit_reverse_permute`] after the stages.
+//!   [`crate::bit_reverse_permute`] after the stages, except on the
+//!   `Bn254Fr` IFMA tier, whose last pass writes bit-reversed positions.
 //!
 //! AVX2 kernels fuse radix-4 (radix-8 would need >16 ymm live values and
 //! spill); the portable path fuses radix-8 since its "registers" are
@@ -35,6 +39,8 @@
 
 use std::any::TypeId;
 
+#[cfg(target_arch = "x86_64")]
+use unintt_ff::Bn254Fr;
 use unintt_ff::{BabyBear, Goldilocks, ShoupTwiddle, TwoAdicField};
 
 use crate::bit_reverse_permute;
@@ -59,6 +65,12 @@ enum NativeKernel {
     GoldilocksAvx512,
     /// 8×u32 AVX2 BabyBear kernel.
     BabyBearAvx2,
+    /// 8-lane AVX-512 IFMA `Bn254Fr` kernel (`ff::packed::ifma::Fr8`):
+    /// every stage at 8 lanes on five 52-bit limb rows, the last three in
+    /// registers, the inverse's `1/n` and the bit-reversal folded into
+    /// the write-back.
+    #[cfg(target_arch = "x86_64")]
+    Bn254FrIfma,
 }
 
 /// The native kernel available for `(F, log_n)` on this CPU. The native
@@ -68,9 +80,18 @@ enum NativeKernel {
 /// every size. Goldilocks upgrades to the 8-lane AVX-512 stage driver
 /// where `avx512f`+`avx512dq` are present (the twiddle bank layout is
 /// shared with the AVX2 kernel, so the upgrade is pure dispatch).
+/// `Bn254Fr` has one tier, IFMA lanes, where `avx512f`+`avx512ifma` are
+/// present and `log_n ≥ 4`.
 fn native_kernel<F: TwoAdicField>(log_n: u32) -> NativeKernel {
     #[cfg(target_arch = "x86_64")]
     {
+        if TypeId::of::<F>() == TypeId::of::<Bn254Fr>()
+            && log_n >= 4
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma")
+        {
+            return NativeKernel::Bn254FrIfma;
+        }
         if std::arch::is_x86_feature_detected!("avx2") {
             if TypeId::of::<F>() == TypeId::of::<Goldilocks>() && log_n >= 3 {
                 if log_n >= 4
@@ -91,8 +112,8 @@ fn native_kernel<F: TwoAdicField>(log_n: u32) -> NativeKernel {
 }
 
 /// Short human label for the backend the vector path would use for `F`
-/// (reporting hook for benches and docs): `"avx512"`, `"avx2"`, or
-/// `"portable"`.
+/// (reporting hook for benches and docs): `"avx512"`, `"avx512ifma"`,
+/// `"avx2"`, or `"portable"`.
 pub fn active_backend_label<F: TwoAdicField>() -> &'static str {
     native_kernel::<F>(VECTOR_DIRECT_MAX_LOG_N).label()
 }
@@ -102,17 +123,20 @@ impl NativeKernel {
         match self {
             NativeKernel::GoldilocksAvx512 => "avx512",
             NativeKernel::GoldilocksAvx2 | NativeKernel::BabyBearAvx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            NativeKernel::Bn254FrIfma => "avx512ifma",
             NativeKernel::None => "portable",
         }
     }
 }
 
-/// Twiddle banks re-laid-out for the native kernels' load width, built
-/// next to the generic per-stage tables at plan-build time.
+/// One direction's twiddles, in the one layout the plan's tier reads:
+/// the generic per-stage tables for the portable lanes, or their
+/// re-layout for a native kernel's load width.
 #[derive(Debug)]
-enum NativeBank {
-    /// Portable-only plan: the generic tables are the only layout.
-    None,
+enum Bank<F> {
+    /// Portable lanes: `stages[s-1][j]`, see [`pack_stages`].
+    Portable(Vec<Vec<ShoupTwiddle<F>>>),
     /// Goldilocks AVX2: plain `w` words per stage (`bank[s-1][j]`).
     U64(Vec<Vec<u64>>),
     /// BabyBear AVX2: split plain/quotient `u32` arrays per stage, so
@@ -121,15 +145,11 @@ enum NativeBank {
         plain: Vec<Vec<u32>>,
         quot: Vec<Vec<u32>>,
     },
-}
-
-/// One direction's worth of kernel state: generic packed stage tables
-/// (`stages[s-1][j]`, see [`pack_stages`]) plus the optional native
-/// re-layout.
-#[derive(Debug)]
-struct DirPlan<F: TwoAdicField> {
-    stages: Vec<Vec<ShoupTwiddle<F>>>,
-    bank: NativeBank,
+    /// `Bn254Fr` IFMA: per stage, the twiddles in lane form (`w·2^260 mod
+    /// p`) as five limb rows of `max(half, 8)` words (`bank[s-1][k·width +
+    /// j]`); a stage with fewer than eight twiddles repeats them across
+    /// the row, the lane pattern the register-resident stages read.
+    Limbs(Vec<Vec<u64>>),
 }
 
 /// Per-stage packed twiddles: `stages[s-1][j]` is the stage-`s` DIF
@@ -145,19 +165,34 @@ fn pack_stages<F: TwoAdicField>(lane: &[ShoupTwiddle<F>], log_n: u32) -> Vec<Vec
         .collect()
 }
 
-fn build_bank<F: TwoAdicField>(
-    stages: &[Vec<ShoupTwiddle<F>>],
-    native: NativeKernel,
-) -> NativeBank {
+fn build_bank<F: TwoAdicField>(stages: Vec<Vec<ShoupTwiddle<F>>>, native: NativeKernel) -> Bank<F> {
     match native {
-        NativeKernel::None => NativeBank::None,
-        NativeKernel::GoldilocksAvx2 | NativeKernel::GoldilocksAvx512 => NativeBank::U64(
+        NativeKernel::None => Bank::Portable(stages),
+        NativeKernel::GoldilocksAvx2 | NativeKernel::GoldilocksAvx512 => Bank::U64(
             stages
                 .iter()
                 .map(|st| st.iter().map(|t| t.w.to_canonical_u64()).collect())
                 .collect(),
         ),
-        NativeKernel::BabyBearAvx2 => NativeBank::U32Pair {
+        #[cfg(target_arch = "x86_64")]
+        NativeKernel::Bn254FrIfma => Bank::Limbs(
+            stages
+                .iter()
+                .map(|st| {
+                    use unintt_ff::packed::ifma::{Fr8, LIMBS};
+                    let width = st.len().max(8);
+                    let mut rows = vec![0u64; LIMBS * width];
+                    for j in 0..width {
+                        let w = cast_ref::<F, Bn254Fr>(&st[j % st.len()].w);
+                        for (k, limb) in Fr8::to_limbs(w).into_iter().enumerate() {
+                            rows[k * width + j] = limb;
+                        }
+                    }
+                    rows
+                })
+                .collect(),
+        ),
+        NativeKernel::BabyBearAvx2 => Bank::U32Pair {
             plain: stages
                 .iter()
                 .map(|st| st.iter().map(|t| (t.aux & 0xffff_ffff) as u32).collect())
@@ -177,8 +212,8 @@ fn build_bank<F: TwoAdicField>(
 #[derive(Debug)]
 pub(crate) struct VectorPlan<F: TwoAdicField> {
     log_n: u32,
-    fwd: DirPlan<F>,
-    inv: DirPlan<F>,
+    fwd: Bank<F>,
+    inv: Bank<F>,
     n_inv: ShoupTwiddle<F>,
     native: NativeKernel,
 }
@@ -192,18 +227,10 @@ impl<F: TwoAdicField> VectorPlan<F> {
 
     fn with_kernel(table: &TwiddleTable<F>, native: NativeKernel) -> Self {
         let log_n = table.log_n();
-        let fwd_stages = pack_stages(table.forward_shoup(), log_n);
-        let inv_stages = pack_stages(table.inverse_shoup(), log_n);
         Self {
             log_n,
-            fwd: DirPlan {
-                bank: build_bank(&fwd_stages, native),
-                stages: fwd_stages,
-            },
-            inv: DirPlan {
-                bank: build_bank(&inv_stages, native),
-                stages: inv_stages,
-            },
+            fwd: build_bank(pack_stages(table.forward_shoup(), log_n), native),
+            inv: build_bank(pack_stages(table.inverse_shoup(), log_n), native),
             n_inv: F::shoup_prepare(table.n_inv()),
             native,
         }
@@ -215,15 +242,16 @@ impl<F: TwoAdicField> VectorPlan<F> {
         self.log_n
     }
 
-    /// One direction's DIF stages (no permutation), canonical output.
-    /// Returns whether the kernel also applied the inverse's `1/n`: the
-    /// AVX-512 Goldilocks tier folds it into its last stages.
-    fn run_stages(&self, values: &mut [F], inverse: bool) -> bool {
-        let dir = if inverse { &self.inv } else { &self.fwd };
+    /// One direction's DIF stages, canonical output. Returns what the
+    /// kernel also did of the rest of the transform: the AVX-512
+    /// Goldilocks tier folds the inverse's `1/n` into its last stages, and
+    /// the `Bn254Fr` IFMA tier that and the bit-reversal too.
+    fn run_stages(&self, values: &mut [F], inverse: bool) -> Applied {
+        let bank = if inverse { &self.inv } else { &self.fwd };
         match self.native {
             #[cfg(target_arch = "x86_64")]
             NativeKernel::GoldilocksAvx2 => {
-                let NativeBank::U64(bank) = &dir.bank else {
+                let Bank::U64(bank) = bank else {
                     unreachable!("bank layout pinned at build")
                 };
                 let words =
@@ -233,7 +261,7 @@ impl<F: TwoAdicField> VectorPlan<F> {
             }
             #[cfg(target_arch = "x86_64")]
             NativeKernel::GoldilocksAvx512 => {
-                let NativeBank::U64(bank) = &dir.bank else {
+                let Bank::U64(bank) = bank else {
                     unreachable!("bank layout pinned at build")
                 };
                 let words =
@@ -242,33 +270,81 @@ impl<F: TwoAdicField> VectorPlan<F> {
                 // SAFETY: AVX-512F/DQ presence and `log_n ≥ 4` were
                 // verified at plan build.
                 unsafe { x86::gl_stages_avx512(words, bank, self.log_n, n_inv) };
-                return inverse;
+                return Applied {
+                    scaled: inverse,
+                    permuted: false,
+                };
             }
             #[cfg(target_arch = "x86_64")]
             NativeKernel::BabyBearAvx2 => {
-                let NativeBank::U32Pair { plain, quot } = &dir.bank else {
+                let Bank::U32Pair { plain, quot } = bank else {
                     unreachable!("bank layout pinned at build")
                 };
                 let words = unintt_ff::packed::bb_words_mut(cast_slice_mut::<F, BabyBear>(values));
                 // SAFETY: AVX2 presence was verified at plan build.
                 unsafe { x86::bb_stages(words, plain, quot, self.log_n) }
             }
-            _ => portable_stages_dispatch(values, &dir.stages, self.log_n),
+            #[cfg(target_arch = "x86_64")]
+            NativeKernel::Bn254FrIfma => {
+                let Bank::Limbs(bank) = bank else {
+                    unreachable!("bank layout pinned at build")
+                };
+                let words = unintt_ff::packed::mont_words_mut(cast_slice_mut::<F, Bn254Fr>(values));
+                let n_inv = inverse
+                    .then(|| unintt_ff::packed::ifma::Fr8::to_limbs(cast_ref(&self.n_inv.w)));
+                // SAFETY: AVX-512F/IFMA presence and `log_n ≥ 4` were
+                // verified at plan build.
+                unsafe { x86::fr_stages_ifma(words, bank, self.log_n, n_inv.as_ref()) };
+                return Applied {
+                    scaled: inverse,
+                    permuted: true,
+                };
+            }
+            _ => {
+                let Bank::Portable(stages) = bank else {
+                    unreachable!("bank layout pinned at build")
+                };
+                portable_stages_dispatch(values, stages, self.log_n)
+            }
         }
-        false
+        Applied {
+            scaled: false,
+            permuted: false,
+        }
     }
 
     /// One transform, natural order in and out, canonical output (the
     /// inverse includes the `1/n` scale).
     pub(crate) fn transform(&self, values: &mut [F], inverse: bool) {
-        let scaled = self.run_stages(values, inverse);
-        bit_reverse_permute(values);
-        if inverse && !scaled {
+        let applied = self.run_stages(values, inverse);
+        if !applied.permuted {
+            bit_reverse_permute(values);
+        }
+        if inverse && !applied.scaled {
             for v in values.iter_mut() {
                 *v = F::reduce_lane(F::shoup_mul(*v, &self.n_inv));
             }
         }
     }
+}
+
+/// The parts of a transform after the DIF stages that a tier's stage
+/// driver already did ([`VectorPlan::run_stages`]).
+struct Applied {
+    /// The inverse's `1/n` scale.
+    scaled: bool,
+    /// The bit-reversal to natural order.
+    permuted: bool,
+}
+
+/// Reinterprets `&F` as the concrete field type `C`. Caller must have
+/// established `TypeId::of::<F>() == TypeId::of::<C>()`.
+#[cfg(target_arch = "x86_64")]
+fn cast_ref<F: 'static, C: 'static>(value: &F) -> &C {
+    debug_assert_eq!(TypeId::of::<F>(), TypeId::of::<C>());
+    // SAFETY: F and C are the same type (checked by the caller's kernel
+    // selection), so layout and validity are identical.
+    unsafe { &*(value as *const F).cast::<C>() }
 }
 
 /// Reinterprets `&mut [F]` as the concrete field type `C`. Caller must
@@ -495,6 +571,9 @@ mod x86 {
 
     use unintt_ff::packed::avx2::{bb_add, bb_shoup_mul, bb_sub, gl_add, gl_mul, gl_sub};
     use unintt_ff::packed::avx512 as w8;
+    use unintt_ff::packed::ifma::{Fr8, LIMBS};
+
+    use crate::reverse_bits;
 
     /// All Goldilocks DIF stages, canonical in/out. Schedule: an odd
     /// parity-fixing radix-2 pass, fused radix-4 pairs down to stage 3,
@@ -818,6 +897,149 @@ mod x86 {
         }
     }
 
+    /// A whole `Bn254Fr` transform's butterflies in IFMA lanes, natural
+    /// order in, bit-reversed write-back to natural order out, canonical
+    /// words throughout. `words` holds the elements' Montgomery words
+    /// (four per element). They are split once into five 52-bit limb rows
+    /// (a scratch of `5n` words) as they are: the lane form of `x/16`,
+    /// which butterflies with lane-form twiddles keep (see
+    /// `unintt_ff::packed::ifma`), so no element is converted. Stages
+    /// `log_n … 4` run at full width ([`fr_stage`]), stages 3, 2 and 1 on
+    /// pairs of vectors in registers ([`fr_tail`]), which also joins the
+    /// limbs into each element's bit-reversed position. With `n_inv` (the
+    /// inverse's `1/n`, lane form) every output is multiplied by it.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F and AVX-512 IFMA; `words.len() == 4 << log_n`,
+    /// canonical; `log_n ≥ 4`; `bank` holding the per-stage lane-form
+    /// twiddle rows of `Bank::Limbs`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn fr_stages_ifma(
+        words: &mut [u64],
+        bank: &[Vec<u64>],
+        log_n: u32,
+        n_inv: Option<&[u64; LIMBS]>,
+    ) {
+        debug_assert!(log_n >= 4);
+        let n = 1usize << log_n;
+        debug_assert_eq!(words.len(), 4 * n);
+        let mut scratch = Vec::<u64>::with_capacity(LIMBS * n);
+        // Every word of the scratch is written by the split before any is
+        // read, so its uninitialised capacity is only ever seen through
+        // raw pointers.
+        let rows = scratch.as_mut_ptr();
+        let src = words.as_ptr();
+        for i in (0..n).step_by(8) {
+            Fr8::load_words(src.add(4 * i)).store(rows.add(i), n);
+        }
+        for s in (4..=log_n).rev() {
+            fr_stage(rows, n, s, &bank[s as usize - 1]);
+        }
+        fr_tail(rows, n, words.as_mut_ptr(), bank, log_n, n_inv);
+    }
+
+    /// DIF stage `s` (`half = 2^(s−1) ≥ 8`) on the limb rows: `(u + v,
+    /// (u − v)·w)` at eight lanes.
+    #[inline(always)]
+    unsafe fn fr_stage(rows: *mut u64, n: usize, s: u32, tw: &[u64]) {
+        let half = 1usize << (s - 1);
+        debug_assert!(half >= 8 && tw.len() == LIMBS * half);
+        let tw = tw.as_ptr();
+        for base in (0..n).step_by(2 * half) {
+            let mut j = 0;
+            while j < half {
+                let pu = rows.add(base + j);
+                let pv = pu.add(half);
+                let (u, v) = (Fr8::load(pu, n), Fr8::load(pv, n));
+                let w = Fr8::load(tw.add(j), half);
+                u.add(v).store(pu, n);
+                u.sub(v).mul(w).store(pv, n);
+                j += 8;
+            }
+        }
+    }
+
+    /// Stages 3, 2 and 1 on each 16-element group of the limb rows, as
+    /// the AVX-512 Goldilocks `gl_tail3` pairs them (`permute2` on every
+    /// limb), then the join into `out` at bit-reversed element positions.
+    /// Stage 1's twiddle is 1, so its product is elided. With `n_inv`, it
+    /// is folded into the stage-2 twiddles and multiplies the stage-2
+    /// sums, so every output is scaled.
+    #[inline(always)]
+    unsafe fn fr_tail(
+        rows: *const u64,
+        n: usize,
+        out: *mut u64,
+        bank: &[Vec<u64>],
+        log_n: u32,
+        n_inv: Option<&[u64; LIMBS]>,
+    ) {
+        let w3 = Fr8::load(bank[2].as_ptr(), 8);
+        let mut w2 = Fr8::load(bank[1].as_ptr(), 8);
+        let mut scale = None;
+        if let Some(c) = n_inv {
+            let c = Fr8::splat(c);
+            w2 = w2.mul(c);
+            scale = Some(c);
+        }
+        // Stage 3: halves of each 8-element block, per 256-bit lane.
+        let halves = (
+            _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
+            _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
+        );
+        // Stage 2: 128-bit lanes 0/2 and 1/3 of both vectors.
+        let quarters = (
+            _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13),
+            _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15),
+        );
+        // Stage 1: even and odd lanes, interleaved from both vectors.
+        let pairs = (
+            _mm512_setr_epi64(0, 8, 2, 10, 4, 12, 6, 14),
+            _mm512_setr_epi64(1, 9, 3, 11, 5, 13, 7, 15),
+        );
+        // After stage 1 the sums hold group elements 0 2 8 10 4 6 12 14
+        // and the differences 1 3 9 11 5 7 13 15; element `g + r` goes to
+        // `rev(g) + rev4(r)·2^(log_n−4)`.
+        let shift = log_n - 4;
+        let rev4 = |r: i64| i64::from((r as u8).reverse_bits() >> 4) << shift;
+        let at_s = _mm512_setr_epi64(
+            rev4(0),
+            rev4(2),
+            rev4(8),
+            rev4(10),
+            rev4(4),
+            rev4(6),
+            rev4(12),
+            rev4(14),
+        );
+        let at_d = _mm512_setr_epi64(
+            rev4(1),
+            rev4(3),
+            rev4(9),
+            rev4(11),
+            rev4(5),
+            rev4(7),
+            rev4(13),
+            rev4(15),
+        );
+        for g in (0..n).step_by(16) {
+            let a = Fr8::load(rows.add(g), n);
+            let b = Fr8::load(rows.add(g + 8), n);
+            let (u, v) = (a.permute2(halves.0, b), a.permute2(halves.1, b));
+            let (s, d) = (u.add(v), u.sub(v).mul(w3));
+            let (u, v) = (s.permute2(quarters.0, d), s.permute2(quarters.1, d));
+            let (mut s, d) = (u.add(v), u.sub(v).mul(w2));
+            if let Some(c) = scale {
+                s = s.mul(c);
+            }
+            let (u, v) = (s.permute2(pairs.0, d), s.permute2(pairs.1, d));
+            let base = _mm512_set1_epi64(reverse_bits(g, log_n) as i64);
+            u.add(v).scatter_words(out, _mm512_add_epi64(base, at_s));
+            u.sub(v).scatter_words(out, _mm512_add_epi64(base, at_d));
+        }
+    }
+
     /// All BabyBear DIF stages, canonical in/out. Schedule mirrors
     /// [`gl_stages`] with 8-lane vectors: parity radix-2, fused radix-4
     /// pairs down to stage 5, a full-width radix-2 at stage 4, then the
@@ -1085,23 +1307,23 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         fn backend_match_cases(
-            babybear in any::<bool>(),
+            field in 0u8..3,
             log_n in 1u32..=16,
             seed in any::<u64>(),
         ) {
-            let tiers = if babybear {
-                check_backend_match::<BabyBear>(log_n, seed)
-            } else {
-                check_backend_match::<Goldilocks>(log_n, seed)
+            let tiers = match field {
+                0 => check_backend_match::<Goldilocks>(log_n, seed),
+                1 => check_backend_match::<BabyBear>(log_n, seed),
+                _ => check_backend_match::<Bn254Fr>(log_n, seed),
             };
             prop_assert!(tiers.is_ok(), "{:?}", tiers);
         }
     }
 
-    /// Native vs portable lanes, Goldilocks and BabyBear: every `log_n` in
-    /// 1..=16 once, then 96 random (field, size, seed) cases. Prints which
-    /// tier each side ran at each size, so a log shows when a CPU without
-    /// a native kernel compared portable with portable.
+    /// Native vs portable lanes, Goldilocks, BabyBear and `Bn254Fr`: every
+    /// `log_n` in 1..=16 once, then 96 random (field, size, seed) cases.
+    /// Prints which tier each side ran at each size, so a log shows when a
+    /// CPU without a native kernel compared portable with portable.
     #[test]
     fn portable_backend_matches_native() {
         fn sweep<F: TwoAdicField>(field: &str) {
@@ -1117,6 +1339,7 @@ mod tests {
         }
         sweep::<Goldilocks>("goldilocks");
         sweep::<BabyBear>("babybear");
+        sweep::<Bn254Fr>("bn254fr");
         backend_match_cases();
     }
 
@@ -1124,8 +1347,8 @@ mod tests {
     /// tiers read them (`bank[s-1][j]`).
     #[cfg(target_arch = "x86_64")]
     fn gl_bank(lane: &[ShoupTwiddle<Goldilocks>], log_n: u32) -> Vec<Vec<u64>> {
-        match build_bank(&pack_stages(lane, log_n), NativeKernel::GoldilocksAvx512) {
-            NativeBank::U64(bank) => bank,
+        match build_bank(pack_stages(lane, log_n), NativeKernel::GoldilocksAvx512) {
+            Bank::U64(bank) => bank,
             _ => unreachable!("Goldilocks banks are u64 words"),
         }
     }
@@ -1196,6 +1419,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The `Bn254Fr` IFMA tier, its driver called directly (so the
+    /// check holds whatever tier a plan picks), for every `log_n` in
+    /// 4..=14 in both directions, against the radix-2 oracle: a random row
+    /// and the edge rows all `0`, all `1`, all `p − 1`, and `p − 1`
+    /// alternating with `0`. The driver does the bit-reversal and, for the
+    /// inverse, the `1/n` itself. Prints whether the tier ran or was
+    /// skipped on this CPU.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn bn254_ifma_tier_matches_oracle() {
+        use unintt_ff::packed::ifma::Fr8;
+        let ifma = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma");
+        if !ifma {
+            println!("bn254 ifma tier: fr_stages_ifma SKIPPED (the CPU lacks avx512ifma)");
+            return;
+        }
+        let limb_bank = |lane: &[ShoupTwiddle<Bn254Fr>], log_n: u32| match build_bank(
+            pack_stages(lane, log_n),
+            NativeKernel::Bn254FrIfma,
+        ) {
+            Bank::Limbs(bank) => bank,
+            _ => unreachable!("Bn254Fr banks are limb rows"),
+        };
+        let top = -Bn254Fr::ONE;
+        for log_n in 4..=14u32 {
+            let n = 1usize << log_n;
+            let ntt = Ntt::<Bn254Fr>::new(log_n);
+            let fwd = limb_bank(ntt.table().forward_shoup(), log_n);
+            let inv = limb_bank(ntt.table().inverse_shoup(), log_n);
+            let n_inv = Fr8::to_limbs(&ntt.table().n_inv());
+            let rows = [
+                random_vec::<Bn254Fr>(log_n, 900 + u64::from(log_n)),
+                vec![Bn254Fr::ZERO; n],
+                vec![Bn254Fr::ONE; n],
+                vec![top; n],
+                (0..n).map(|i| [top, Bn254Fr::ZERO][i % 2]).collect(),
+            ];
+            for (row, input) in rows.iter().enumerate() {
+                let mut expect_fwd = input.clone();
+                legacy_forward(&ntt, &mut expect_fwd);
+                let mut expect_inv = bit_reversed(input);
+                ntt.inverse_dit_in_place(&mut expect_inv);
+                ntt.scale_by_n_inv(&mut expect_inv);
+                let run = |bank: &[Vec<u64>], scale: Option<&[u64; 5]>| {
+                    let mut got = input.clone();
+                    let words = unintt_ff::packed::mont_words_mut(&mut got);
+                    // SAFETY: avx512f and avx512ifma were detected above,
+                    // `log_n ≥ 4`, the row holds 2^log_n canonical elements
+                    // and the bank is built for log_n.
+                    unsafe { x86::fr_stages_ifma(words, bank, log_n, scale) };
+                    got
+                };
+                let at = format!("log_n={log_n} row={row}");
+                assert!(run(&fwd, None) == expect_fwd, "ifma forward {at}");
+                assert!(run(&inv, Some(&n_inv)) == expect_inv, "ifma inverse {at}");
+            }
+        }
+        println!("bn254 ifma tier: fr_stages_ifma ran, log_n 4..=14, both directions");
     }
 
     /// Dev profiling aid, not a correctness check: prints what each stage
@@ -1320,6 +1603,6 @@ mod tests {
         let bb = cache::shared_vector_plan::<BabyBear>(8);
         assert_eq!(bb.native.label(), active_backend_label::<BabyBear>());
         let bn = cache::shared_vector_plan::<Bn254Fr>(8);
-        assert_eq!(bn.native, NativeKernel::None);
+        assert_eq!(bn.native.label(), active_backend_label::<Bn254Fr>());
     }
 }

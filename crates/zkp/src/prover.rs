@@ -199,8 +199,15 @@ pub(crate) fn lagrange0_on_coset(
     let vanishing = domain.vanishing_on_coset(log_blowup);
     let big = EvaluationDomain::<Bn254Fr>::new(domain.log_n() + log_blowup);
     let n_inv = Bn254Fr::from_u64(n as u64).inverse().expect("n nonzero");
+    // Coset points x_k = shift·ω₄ₙᵏ as a running product, as the quotient
+    // loop generates them.
+    let mut x = big.shift();
     let mut denoms: Vec<Bn254Fr> = (0..big.n())
-        .map(|k| big.coset_element(k) - Bn254Fr::ONE)
+        .map(|_| {
+            let d = x - Bn254Fr::ONE;
+            x *= big.omega();
+            d
+        })
         .collect();
     batch_inverse(&mut denoms);
     vanishing
@@ -346,6 +353,24 @@ mod tests {
     use crate::{cubic_circuit, random_circuit};
     use rand::{rngs::StdRng, SeedableRng};
     use unintt_gpu_sim::presets;
+
+    /// The running-product coset points give the values of `L₀(x) =
+    /// (xⁿ−1)/(n·(x−1))` at each `g·ω₄ₙᵏ` formed by a power.
+    #[test]
+    fn lagrange0_on_coset_matches_pointwise() {
+        for log_n in [1u32, 3, 6] {
+            let domain = EvaluationDomain::<Bn254Fr>::new(log_n);
+            let big = EvaluationDomain::<Bn254Fr>::new(log_n + 2);
+            let n = Bn254Fr::from_u64(domain.n() as u64);
+            let got = lagrange0_on_coset(&domain, 2);
+            assert_eq!(got.len(), big.n());
+            for (k, l0) in got.iter().enumerate() {
+                let x = big.coset_element(k);
+                let want = domain.vanishing_at(x) * (n * (x - Bn254Fr::ONE)).inverse().unwrap();
+                assert_eq!(*l0, want, "log_n={log_n} k={k}");
+            }
+        }
+    }
 
     #[test]
     fn cubic_proof_roundtrip_cpu() {

@@ -323,8 +323,12 @@ impl ProofState {
                 let (ev_sel, ev_sig) = (&ldes[3..8], &ldes[8..11]);
                 let (ev_pi, ev_z) = (&ldes[11], &ldes[12]);
 
+                // Z_H on the coset repeats with period `blowup`: invert
+                // one cycle and tile it.
                 let mut z_h_inv = pk.domain().vanishing_on_coset(log_blowup);
+                z_h_inv.truncate(blowup);
                 batch_inverse(&mut z_h_inv);
+                let z_h_inv = z_h_inv.repeat(big_n / blowup);
                 let l0 = lagrange0_on_coset(pk.domain(), log_blowup);
                 // Coset points x_k = shift·ω₄ₙᵏ, generated on the fly.
                 let omega_big = Bn254Fr::two_adic_generator(pk.domain().log_n() + log_blowup);
