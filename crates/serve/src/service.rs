@@ -1537,4 +1537,185 @@ mod tests {
         );
         println!("  {:<40} {op:6.2} ms", "whole op (generate + submit + run)");
     }
+
+    /// Dev profiling aid, not a correctness check: what one `serve-proofs`
+    /// op is made of on this host. The stream is the repo benchmark's (16
+    /// jobs at 80 k jobs/s: 8 raw NTTs, 4 PLONK proofs of 2^6 gates and 4
+    /// STARK commits of 2^8 × 4, every class pipelined, two streams per
+    /// lease). Each piece is timed on its own, best of 20, and scaled to
+    /// the op's four proofs of each kind: the PLONK fixture (built once per
+    /// service lifetime; its SRS alone on the next line), the PLONK stages
+    /// by kind on the simulated backend and on the CPU backend for
+    /// comparison, PLONK verify, STARK commit and verify, and the raw jobs
+    /// served alone; the event loop is the rest. Run with `cargo test -p
+    /// unintt-serve --release proofs_op_profile -- --ignored --nocapture`
+    /// (or `make serve-profile`).
+    #[test]
+    #[ignore = "profiling aid; wall-clock printout only"]
+    fn proofs_op_profile() {
+        use std::hint::black_box;
+
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use unintt_ff::{Bn254Fr, Field};
+        use unintt_zkp::{Backend, Srs};
+
+        const REPS: usize = 20;
+        const LOG_GATES: u32 = 6;
+        let (plonk, stark) = (
+            DagKind::Plonk {
+                log_gates: LOG_GATES,
+            },
+            DagKind::Stark {
+                log_trace: 8,
+                columns: 4,
+            },
+        );
+        let best_ms = |f: &mut dyn FnMut()| {
+            (0..REPS)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    f();
+                    t.elapsed().as_secs_f64() * 1e3
+                })
+                .fold(f64::MAX, f64::min)
+        };
+        let cfg = ServiceConfig {
+            streams_per_lease: 2,
+            ..ServiceConfig::default()
+        };
+        // The benchmark's stream: classes dealt in fixed counts, seeded order.
+        let stream = || {
+            let seed = 12;
+            let mut jobs = WorkloadSpec::raw_only(seed, 16, 80_000.0).generate();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut order: Vec<usize> = (0..jobs.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..i as u64 + 1) as usize);
+            }
+            for (dealt, &job) in order.iter().enumerate() {
+                jobs[job].class = match dealt % 4 {
+                    0 => JobClass::ProveDag { kind: plonk },
+                    1 => JobClass::ProveDag { kind: stark },
+                    _ => continue,
+                };
+            }
+            jobs
+        };
+        let jobs = stream();
+        let count = |kind| {
+            jobs.iter()
+                .filter(|j| j.class == JobClass::ProveDag { kind })
+                .count() as f64
+        };
+        let (plonks, starks) = (count(plonk), count(stark));
+        let serve = |jobs: Vec<JobSpec>| {
+            let mut service = ProofService::new(cfg.clone());
+            service.submit_all(jobs);
+            let report = service.run();
+            assert!(report.all_completed());
+            report
+        };
+
+        // PLONK fixture setup, and the SRS it generates (4n powers).
+        let fixture = best_ms(&mut || {
+            let mut caches = EngineCaches::new();
+            dispatch::plonk_fixture(&mut caches, LOG_GATES);
+            black_box(caches);
+        });
+        let tau = Bn254Fr::random(&mut StdRng::seed_from_u64(1));
+        let srs = best_ms(&mut || {
+            black_box(Srs::from_trapdoor(4 << LOG_GATES, tau));
+        });
+
+        // One PLONK proof's stages summed by kind, best of REPS per kind.
+        let mut caches = EngineCaches::new();
+        let stages = |caches: &mut EngineCaches, simulated: bool| {
+            let mut best: BTreeMap<&'static str, f64> = BTreeMap::new();
+            for _ in 0..REPS {
+                let mut pipe = if simulated {
+                    dispatch::build_dag(caches, &cfg, plonk)
+                } else {
+                    let f = dispatch::plonk_fixture(caches, LOG_GATES);
+                    ProofPipeline::plonk(&f.pk, &f.witness, &[], Backend::cpu())
+                };
+                let dag = pipe.dag();
+                let mut rep: BTreeMap<&'static str, f64> = BTreeMap::new();
+                for s in dag.topo_order() {
+                    let t = std::time::Instant::now();
+                    pipe.run_stage(s, &cfg.recovery).expect("fault-free");
+                    *rep.entry(dag.nodes()[s].kind.name()).or_default() +=
+                        t.elapsed().as_secs_f64() * 1e3;
+                }
+                for (kind, ms) in rep {
+                    let b = best.entry(kind).or_insert(f64::MAX);
+                    *b = b.min(ms);
+                }
+            }
+            best
+        };
+        let (sim_stages, cpu_stages) = (stages(&mut caches, true), stages(&mut caches, false));
+        let mut pipe = dispatch::build_dag(&mut caches, &cfg, plonk);
+        for s in pipe.dag().topo_order() {
+            pipe.run_stage(s, &cfg.recovery).expect("fault-free");
+        }
+        let plonk_verify = best_ms(&mut || dispatch::verify_dag_output(&mut caches, plonk, &pipe));
+
+        let mut stark_pipe = None;
+        let stark_commit = best_ms(&mut || {
+            let mut pipe = dispatch::build_dag(&mut caches, &cfg, stark);
+            for s in pipe.dag().topo_order() {
+                pipe.run_stage(s, &cfg.recovery).expect("fault-free");
+            }
+            stark_pipe = Some(pipe);
+        });
+        let stark_pipe = stark_pipe.expect("committed");
+        let stark_verify =
+            best_ms(&mut || dispatch::verify_dag_output(&mut caches, stark, &stark_pipe));
+
+        let raw_jobs: Vec<JobSpec> = jobs
+            .iter()
+            .filter(|j| matches!(j.class, JobClass::RawNtt { .. }))
+            .cloned()
+            .collect();
+        let raw = best_ms(&mut || {
+            black_box(serve(raw_jobs.clone()));
+        });
+        let op = best_ms(&mut || {
+            black_box(serve(stream()));
+        });
+
+        let sim_total: f64 = sim_stages.values().sum();
+        let pieces = [
+            ("PLONK fixture setup (once per lifetime)", fixture),
+            ("PLONK stages, simulated backend", plonks * sim_total),
+            ("PLONK verify", plonks * plonk_verify),
+            ("STARK commit (build + stages)", starks * stark_commit),
+            ("STARK verify", starks * stark_verify),
+            ("raw jobs served alone", raw),
+        ];
+        let rest = op - pieces.iter().map(|(_, ms)| ms).sum::<f64>();
+        println!(
+            "serve-proofs op: {} jobs, seed 12, {plonks} PLONK 2^{LOG_GATES}, {starks} STARK, \
+             {} GPUs per lease, best of {REPS}",
+            jobs.len(),
+            cfg.lease.total_gpus()
+        );
+        for (name, ms) in pieces {
+            println!("  {name:<44} {ms:7.2} ms");
+        }
+        println!(
+            "  {:<44} {rest:7.2} ms",
+            "event loop and the rest (by difference)"
+        );
+        println!("  {:<44} {op:7.2} ms", "whole op (generate + submit + run)");
+        println!(
+            "  {:<44} {srs:7.2} ms",
+            "(of the fixture: Srs::from_trapdoor, 4n)"
+        );
+        println!("one PLONK proof's stages by kind, ms: kind  simulated  cpu  ratio");
+        for (kind, sim) in &sim_stages {
+            let cpu = cpu_stages.get(kind).copied().unwrap_or(0.0);
+            println!("  {kind:<10} {sim:7.3} {cpu:7.3} {:5.2}x", sim / cpu);
+        }
+    }
 }
