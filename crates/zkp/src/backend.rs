@@ -429,10 +429,6 @@ impl SimulatedBackend {
 
     fn msm(&mut self, scalars: &[Bn254Fr], points: &[G1Affine]) -> G1Projective {
         self.msm_calls += 1;
-        if scalars.len() < self.msm_machine.num_devices() {
-            // Trivially small MSM: host-side.
-            return unintt_msm::msm(scalars, points);
-        }
         multi_gpu_msm(&mut self.msm_machine, scalars, points)
     }
 

@@ -212,6 +212,40 @@ fn multi_gpu_split_equals_the_kernel() {
     }
 }
 
+/// What one `multi_gpu_msm` charges, as a pin row: the simulated clock's
+/// bits and the machine's `Stats`.
+fn charge_row(n: usize, gpus: usize) -> String {
+    let (scalars, points) = edge_pairs(n, optimal_window_bits(n), 500 + n as u64);
+    let mut machine = Machine::new(presets::a100_nvlink(gpus), FieldSpec::bn254_fr());
+    assert_eq!(
+        multi_gpu_msm(&mut machine, &scalars, &points),
+        msm(&scalars, &points),
+        "n={n} gpus={gpus}"
+    );
+    format!(
+        "n{n} g{gpus} clock={:016x} stats={:?}",
+        machine.max_clock_ns().to_bits(),
+        machine.stats()
+    )
+}
+
+/// Captured at `4b1e464`, whose `multi_gpu_msm` ran one host Pippenger
+/// per device and reduced the partial sums.
+const CHARGE_PINS: &str = include_str!("data/msm_charge_pins.txt");
+
+#[test]
+fn multi_gpu_charge_matches_pins() {
+    let rows: Vec<String> = [8usize, 33, 50, 64, 256, 1000]
+        .into_iter()
+        .flat_map(|n| [1usize, 2, 4, 8].map(|gpus| charge_row(n, gpus)))
+        .collect();
+    let pins: Vec<&str> = CHARGE_PINS.lines().collect();
+    assert_eq!(rows.len(), pins.len());
+    for (row, pin) in rows.iter().zip(pins) {
+        assert_eq!(row, pin);
+    }
+}
+
 /// Marks the child runs of [`proof_is_pool_size_independent`].
 const CHILD_ENV: &str = "UNINTT_MSM_KERNEL_CHILD";
 
