@@ -9,8 +9,12 @@
 //!   per window, or per eight windows in AVX-512 IFMA lanes where the CPU
 //!   has `avx512ifma` ([`msm_with_window`] is the same kernel with the
 //!   window picked by a test), plus the [`msm_naive`] oracle;
+//! * [`generator_multiples`] — fixed-base `kᵢ·G` from a nibble table (a
+//!   KZG SRS's powers), eight scalars per IFMA register where the CPU has
+//!   `avx512ifma`;
 //! * [`multi_gpu_msm`] — embarrassingly parallel MSM on the
-//!   [`unintt_gpu_sim::Machine`] simulator, with cost profiles.
+//!   [`unintt_gpu_sim::Machine`] simulator: computed once on the host,
+//!   charged per simulated device.
 //!
 //! ```
 //! use unintt_ff::{Bn254Fr, Field, PrimeField};
@@ -28,10 +32,12 @@
 #![warn(missing_docs)]
 
 mod curve;
+mod fixed_base;
 mod multi_gpu;
 mod pippenger;
 
 pub use curve::{curve_b, G1Affine, G1Projective};
+pub use fixed_base::{generator_multiples, generator_multiples_with};
 pub use multi_gpu::{msm_kernel_profile, multi_gpu_msm, simulate_multi_gpu_msm};
 pub use pippenger::{
     msm, msm_naive, msm_parallel, msm_runs_lanes, msm_with_window, msm_with_window_scalar,

@@ -189,10 +189,10 @@ fn window_sums(ks: &[U256], points: &[G1Affine], c: u32) -> Vec<G1Projective> {
 /// Every lane value is canonical and the formulas are the scalar path's,
 /// so each window sum is the scalar path's Jacobian triple bit for bit.
 #[cfg(target_arch = "x86_64")]
-mod lanes {
+pub(crate) mod lanes {
     use core::arch::x86_64::*;
 
-    pub(super) use unintt_ff::packed::ifma::LANES;
+    pub(crate) use unintt_ff::packed::ifma::LANES;
     use unintt_ff::packed::ifma::{Fq8, LIMBS};
     use unintt_ff::U256;
 
@@ -201,7 +201,7 @@ mod lanes {
     use crate::{G1Affine, G1Projective};
 
     /// True when the CPU has what [`Fq8`] needs.
-    pub(super) fn detected() -> bool {
+    pub(crate) fn detected() -> bool {
         is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
     }
 
@@ -279,7 +279,7 @@ mod lanes {
 
     /// The identity in every lane.
     #[inline(always)]
-    unsafe fn identity() -> Jacobian<Fq8> {
+    pub(crate) unsafe fn identity() -> Jacobian<Fq8> {
         let one = Fq8::splat(&Fq8::ONE);
         Jacobian {
             x: one,
@@ -290,7 +290,11 @@ mod lanes {
 
     /// Lane-wise `a` where `mask` is clear, `b` where it is set.
     #[inline(always)]
-    unsafe fn blend(mask: __mmask8, a: Jacobian<Fq8>, b: Jacobian<Fq8>) -> Jacobian<Fq8> {
+    pub(crate) unsafe fn blend(
+        mask: __mmask8,
+        a: Jacobian<Fq8>,
+        b: Jacobian<Fq8>,
+    ) -> Jacobian<Fq8> {
         Jacobian {
             x: Fq8::blend(mask, a.x, b.x),
             y: Fq8::blend(mask, a.y, b.y),
@@ -304,7 +308,7 @@ mod lanes {
     ///
     /// The CPU must support avx512f and avx512ifma ([`detected`]).
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) unsafe fn to_projective(p: &Jacobian<Fq8>) -> [G1Projective; LANES] {
+    pub(crate) unsafe fn to_projective(p: &Jacobian<Fq8>) -> [G1Projective; LANES] {
         let (x, y, z) = (p.x.to_elems(), p.y.to_elems(), p.z.to_elems());
         core::array::from_fn(|l| G1Projective {
             x: x[l],
@@ -321,7 +325,7 @@ mod lanes {
     #[cold]
     #[inline(never)]
     #[target_feature(enable = "avx512f,avx512ifma")]
-    unsafe fn resolve_special(
+    pub(crate) unsafe fn resolve_special(
         sum: &mut Jacobian<Fq8>,
         p1: &Jacobian<Fq8>,
         a: Fq8,

@@ -5,49 +5,18 @@
 //! division). The *final pairing check* is replaced by an algebraically
 //! identical trapdoor check: the [`Srs`] retains `τ`, and
 //! `e(C − y·G, H) = e(W, (τ−z)·H)` is verified as
-//! `C − y·G == (τ − z)·W` directly in G1. This keeps every prover-side
-//! byte and cycle identical to a production KZG while avoiding a from-
-//! scratch pairing tower (documented substitution — the prover, which is
-//! what the paper measures, never touches the pairing).
+//! `C − y·G − (τ − z)·W = O` directly in G1, one MSM per opening point.
+//! This keeps every prover-side byte and cycle identical to a production
+//! KZG while avoiding a from-scratch pairing tower (documented
+//! substitution — the prover, which is what the paper measures, never
+//! touches the pairing). The SRS powers come from
+//! [`unintt_msm::generator_multiples`], a fixed-base table.
 
 use rand::Rng;
-use unintt_ff::{Bn254Fr, Field, PrimeField};
-use unintt_msm::{msm, G1Affine, G1Projective};
+use unintt_ff::{Bn254Fr, Field};
+use unintt_msm::{generator_multiples, msm, G1Affine, G1Projective};
 
 use crate::Polynomial;
-
-/// 4-bit digits (nibbles) in a 256-bit scalar.
-const NIBBLES: usize = 64;
-/// Nonzero values of a nibble.
-const NIBBLE_MULTIPLES: usize = 15;
-
-/// `d·16ʷ·G` for every nibble position `w` and digit `d` in `1..=15`, at
-/// index `15·w + d − 1`.
-fn generator_table() -> Vec<G1Affine> {
-    let mut table = Vec::with_capacity(NIBBLES * NIBBLE_MULTIPLES);
-    let mut base = G1Projective::generator();
-    for _ in 0..NIBBLES {
-        let mut multiple = base;
-        for _ in 0..NIBBLE_MULTIPLES {
-            table.push(multiple);
-            multiple += base;
-        }
-        base = multiple; // 16·base
-    }
-    G1Projective::batch_to_affine(&table)
-}
-
-/// `k·G` from [`generator_table`]: one mixed addition per nonzero nibble.
-fn mul_generator(table: &[G1Affine], k: &Bn254Fr) -> G1Projective {
-    let bytes = k.to_canonical_u256().to_le_bytes();
-    let nibbles = bytes.iter().flat_map(|b| [b & 15, b >> 4]);
-    nibbles
-        .zip(table.chunks_exact(NIBBLE_MULTIPLES))
-        .filter(|(d, _)| *d != 0)
-        .fold(G1Projective::identity(), |acc, (d, multiples)| {
-            acc.add_affine(&multiples[d as usize - 1])
-        })
-}
 
 /// A KZG structured reference string with retained trapdoor.
 #[derive(Clone, Debug)]
@@ -65,19 +34,11 @@ impl Srs {
 
     /// Deterministic SRS from a given trapdoor (tests, reproducibility).
     ///
-    /// Every power is a multiple of the one base `G`, so `τⁱ·G` comes from
-    /// a fixed-base table (one mixed addition per scalar nibble, no
-    /// doublings) and all powers share one field inversion on the way to
-    /// affine — the same points as `max_len` double-and-add ladders.
+    /// The powers are the same points as `max_len` double-and-add ladders.
     pub fn from_trapdoor(max_len: usize, tau: Bn254Fr) -> Self {
         assert!(max_len > 0, "SRS must support at least degree 0");
-        let table = generator_table();
-        let powers: Vec<G1Projective> = unintt_ff::powers(tau, max_len)
-            .iter()
-            .map(|k| mul_generator(&table, k))
-            .collect();
         Self {
-            powers: G1Projective::batch_to_affine(&powers),
+            powers: generator_multiples(&unintt_ff::powers(tau, max_len)),
             tau,
         }
     }
@@ -121,7 +82,7 @@ impl Srs {
     }
 
     /// Verifies an opening via the trapdoor identity
-    /// `C − y·G == (τ − z)·W`.
+    /// `C − y·G == (τ − z)·W`, as one 3-point MSM.
     pub fn verify(
         &self,
         commitment: &G1Projective,
@@ -129,10 +90,25 @@ impl Srs {
         y: Bn254Fr,
         witness: &G1Projective,
     ) -> bool {
-        let g = G1Projective::generator();
-        let lhs = *commitment + (-g.mul_scalar(&y));
-        let rhs = witness.mul_scalar(&(self.tau - z));
-        lhs == rhs
+        self.opening_holds(&[*commitment], &[Bn254Fr::ONE], z, y, witness)
+    }
+
+    /// Whether `Σ kᵢ·Cᵢ − y·G − (τ − z)·W` is the identity: the opening of
+    /// `C = Σ kᵢ·Cᵢ` at `z` to `y` with witness `W`, as one MSM over the
+    /// points in batch-affine form.
+    fn opening_holds(
+        &self,
+        commitments: &[G1Projective],
+        weights: &[Bn254Fr],
+        z: Bn254Fr,
+        y: Bn254Fr,
+        witness: &G1Projective,
+    ) -> bool {
+        let mut points = commitments.to_vec();
+        points.extend([G1Projective::generator(), *witness]);
+        let mut scalars = weights.to_vec();
+        scalars.extend([-y, z - self.tau]);
+        msm(&scalars, &G1Projective::batch_to_affine(&points)).is_identity()
     }
 
     /// Batched opening of several polynomials at one point: with a
@@ -156,8 +132,44 @@ impl Srs {
     }
 
     /// Verifies a batched opening against the individual commitments and
-    /// claimed evaluations.
+    /// claimed evaluations: `Σ vⁱ·Cᵢ − (Σ vⁱ·yᵢ)·G − (τ − z)·W = O`, one
+    /// MSM over the commitments, `G` and the witness.
     pub fn batch_verify(
+        &self,
+        commitments: &[G1Projective],
+        z: Bn254Fr,
+        evals: &[Bn254Fr],
+        v: Bn254Fr,
+        witness: &G1Projective,
+    ) -> bool {
+        if commitments.len() != evals.len() {
+            return false;
+        }
+        let weights = unintt_ff::powers(v, evals.len());
+        let y = evals.iter().zip(&weights).map(|(&y, &vi)| y * vi).sum();
+        self.opening_holds(commitments, &weights, z, y, witness)
+    }
+}
+
+/// The ladder forms of the checks: what [`Srs::verify`] and
+/// [`Srs::batch_verify`] computed before they became MSMs, kept as their
+/// oracle.
+#[cfg(test)]
+impl Srs {
+    pub(crate) fn verify_ladder(
+        &self,
+        commitment: &G1Projective,
+        z: Bn254Fr,
+        y: Bn254Fr,
+        witness: &G1Projective,
+    ) -> bool {
+        let g = G1Projective::generator();
+        let lhs = *commitment + (-g.mul_scalar(&y));
+        let rhs = witness.mul_scalar(&(self.tau - z));
+        lhs == rhs
+    }
+
+    pub(crate) fn batch_verify_ladder(
         &self,
         commitments: &[G1Projective],
         z: Bn254Fr,
@@ -176,7 +188,7 @@ impl Srs {
             combined_y += y * vi;
             vi *= v;
         }
-        self.verify(&combined_c, z, combined_y, witness)
+        self.verify_ladder(&combined_c, z, combined_y, witness)
     }
 }
 
@@ -184,6 +196,7 @@ impl Srs {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use unintt_ff::PrimeField;
 
     fn srs(n: usize) -> Srs {
         Srs::from_trapdoor(n, Bn254Fr::from_u64(123456789))
@@ -191,15 +204,41 @@ mod tests {
 
     #[test]
     fn srs_powers_equal_double_and_add_ladders() {
-        let mut rng = StdRng::seed_from_u64(7);
+        use unintt_exec::Executor;
+        use unintt_msm::{generator_multiples_with, msm_runs_lanes};
+
+        println!(
+            "srs tier: {}",
+            if msm_runs_lanes() {
+                "IFMA lanes and scalar"
+            } else {
+                "scalar only (the CPU lacks avx512ifma): lanes not exercised"
+            }
+        );
+        let pools = [1, 2, 8].map(Executor::new);
         let g = G1Projective::generator();
-        for max_len in [1usize, 2, 33] {
-            let tau = Bn254Fr::random(&mut rng);
-            let ladders: Vec<G1Affine> = unintt_ff::powers(tau, max_len)
-                .iter()
-                .map(|k| g.mul_scalar(k).to_affine())
-                .collect();
-            assert_eq!(Srs::from_trapdoor(max_len, tau).powers(), ladders);
+        let random = Bn254Fr::random(&mut StdRng::seed_from_u64(7));
+        for tau in [Bn254Fr::ZERO, Bn254Fr::ONE, -Bn254Fr::ONE, random] {
+            // Ladders of the longest SRS; every shorter one is a prefix.
+            let powers = unintt_ff::powers(tau, 257);
+            let ladders: Vec<G1Affine> =
+                powers.iter().map(|k| g.mul_scalar(k).to_affine()).collect();
+            for max_len in [1usize, 7, 8, 9, 33, 257] {
+                let want = &ladders[..max_len];
+                assert_eq!(
+                    Srs::from_trapdoor(max_len, tau).powers(),
+                    want,
+                    "{max_len} {tau}"
+                );
+                for (pool, lanes) in pools.iter().flat_map(|p| [(p, false), (p, true)]) {
+                    assert_eq!(
+                        generator_multiples_with(pool, &powers[..max_len], lanes),
+                        want,
+                        "max_len={max_len} tau={tau} threads={} lanes={lanes}",
+                        pool.threads()
+                    );
+                }
+            }
         }
         // τ = 0: every power past the first is the identity.
         let zero = Srs::from_trapdoor(3, Bn254Fr::ZERO);
@@ -277,6 +316,34 @@ mod tests {
         let mut bad = evals.clone();
         bad[2] += Bn254Fr::ONE;
         assert!(!s.batch_verify(&commitments, z, &bad, v, &witness));
+    }
+
+    #[test]
+    fn identity_commitments_verify() {
+        // A zero polynomial commits to the identity, and so does the
+        // witness of a constant one: both forms of both checks accept.
+        let mut rng = StdRng::seed_from_u64(8);
+        let s = srs(16);
+        let zero = Polynomial::<Bn254Fr>::zero();
+        let constant = Polynomial::constant(Bn254Fr::from_u64(9));
+        let p = Polynomial::<Bn254Fr>::random(12, &mut rng);
+        let (z, v) = (Bn254Fr::random(&mut rng), Bn254Fr::random(&mut rng));
+        assert!(s.commit(&zero).is_identity());
+        for q in [&zero, &constant] {
+            let (y, w) = s.open(q, z);
+            assert!(s.verify(&s.commit(q), z, y, &w));
+            assert!(s.verify_ladder(&s.commit(q), z, y, &w));
+        }
+        let polys = [&p, &zero, &constant];
+        let commitments: Vec<G1Projective> = polys.iter().map(|q| s.commit(q)).collect();
+        let (evals, witness) = s.batch_open(&polys, z, v);
+        assert!(s.batch_verify(&commitments, z, &evals, v, &witness));
+        assert!(s.batch_verify_ladder(&commitments, z, &evals, v, &witness));
+        let (evals, witness) = s.batch_open(&[&zero, &zero], z, v);
+        let identities = [G1Projective::identity(); 2];
+        assert!(witness.is_identity());
+        assert!(s.batch_verify(&identities, z, &evals, v, &witness));
+        assert!(s.batch_verify_ladder(&identities, z, &evals, v, &witness));
     }
 
     #[test]

@@ -244,15 +244,10 @@ pub fn prove(
     state.into_proof().expect("every stage ran")
 }
 
-/// Verifies a proof.
-pub fn verify(vk: &VerifyingKey, proof: &Proof, public_inputs: &[Bn254Fr]) -> bool {
-    if public_inputs.len() != vk.num_public_inputs {
-        return false;
-    }
-    let n = vk.domain.n();
-    let omega = vk.domain.omega();
+/// The verifier's Fiat–Shamir challenges `[β, γ, α, ζ, v]` for a proof.
+fn challenges(vk: &VerifyingKey, proof: &Proof, public_inputs: &[Bn254Fr]) -> [Bn254Fr; 5] {
     let mut transcript = Transcript::new("unintt-plonk-v2");
-    transcript.absorb_u64(n as u64);
+    transcript.absorb_u64(vk.domain.n() as u64);
     for p in public_inputs {
         transcript.absorb_scalar(*p);
     }
@@ -270,6 +265,36 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof, public_inputs: &[Bn254Fr]) -> bo
     }
     transcript.absorb_scalar(proof.z_omega_eval);
     let v = transcript.challenge();
+    [beta, gamma, alpha, zeta, v]
+}
+
+/// The 13 commitments the batched opening at ζ covers, in `evals` order.
+fn opened_at_zeta(vk: &VerifyingKey, proof: &Proof) -> [G1Projective; 13] {
+    [
+        proof.wire_commits[0],
+        proof.wire_commits[1],
+        proof.wire_commits[2],
+        proof.quotient_commit,
+        vk.selector_commits[0],
+        vk.selector_commits[1],
+        vk.selector_commits[2],
+        vk.selector_commits[3],
+        vk.selector_commits[4],
+        vk.sigma_commits[0],
+        vk.sigma_commits[1],
+        vk.sigma_commits[2],
+        proof.z_commit,
+    ]
+}
+
+/// Verifies a proof.
+pub fn verify(vk: &VerifyingKey, proof: &Proof, public_inputs: &[Bn254Fr]) -> bool {
+    if public_inputs.len() != vk.num_public_inputs {
+        return false;
+    }
+    let n = vk.domain.n();
+    let omega = vk.domain.omega();
+    let [beta, gamma, alpha, zeta, v] = challenges(vk, proof, public_inputs);
 
     // The combined identity at ζ.
     let [a, b, c, t, q_l, q_r, q_o, q_m, q_c, s0, s1, s2, z] = proof.evals;
@@ -315,21 +340,7 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof, public_inputs: &[Bn254Fr]) -> bo
     }
 
     // Batched KZG check at ζ over all 13 commitments.
-    let commitments = [
-        proof.wire_commits[0],
-        proof.wire_commits[1],
-        proof.wire_commits[2],
-        proof.quotient_commit,
-        vk.selector_commits[0],
-        vk.selector_commits[1],
-        vk.selector_commits[2],
-        vk.selector_commits[3],
-        vk.selector_commits[4],
-        vk.sigma_commits[0],
-        vk.sigma_commits[1],
-        vk.sigma_commits[2],
-        proof.z_commit,
-    ];
+    let commitments = opened_at_zeta(vk, proof);
     if !vk
         .srs
         .batch_verify(&commitments, zeta, &proof.evals, v, &proof.opening)
@@ -394,6 +405,57 @@ mod tests {
         let mut backend = Backend::cpu();
         let proof = prove(&pk, &witness, &[], &mut backend);
         assert!(verify(&vk, &proof, &[]));
+    }
+
+    /// The MSM forms of the two KZG checks give the ladder forms' verdict
+    /// on honest proofs and on every single-element tamper of their
+    /// inputs: each evaluation ±1, each commitment or witness plus `G`.
+    #[test]
+    fn kzg_checks_agree_with_the_ladder_oracle() {
+        let g = G1Projective::generator();
+        for log_n in 3..=7u32 {
+            let mut rng = StdRng::seed_from_u64(40 + u64::from(log_n));
+            let (circuit, witness) = random_circuit(1 << log_n, &mut rng);
+            let (pk, vk) = setup(&circuit, &mut rng);
+            let proof = prove(&pk, &witness, &[], &mut Backend::cpu());
+            let [_, _, _, zeta, v] = challenges(&vk, &proof, &[]);
+            let omega_zeta = vk.domain.omega() * zeta;
+            let srs = &vk.srs;
+            let batch = |c: &[G1Projective; 13], e: &[Bn254Fr; 13], w: &G1Projective| {
+                let verdict = srs.batch_verify(c, zeta, e, v, w);
+                assert_eq!(
+                    verdict,
+                    srs.batch_verify_ladder(c, zeta, e, v, w),
+                    "2^{log_n}"
+                );
+                verdict
+            };
+            let single = |c: &G1Projective, y: Bn254Fr, w: &G1Projective| {
+                let verdict = srs.verify(c, omega_zeta, y, w);
+                assert_eq!(verdict, srs.verify_ladder(c, omega_zeta, y, w), "2^{log_n}");
+                verdict
+            };
+            let (c, e, w) = (opened_at_zeta(&vk, &proof), proof.evals, proof.opening);
+            assert!(batch(&c, &e, &w));
+            for i in 0..13 {
+                for delta in [Bn254Fr::ONE, -Bn254Fr::ONE] {
+                    let mut e = e;
+                    e[i] += delta;
+                    assert!(!batch(&c, &e, &w), "eval {i}");
+                }
+                let mut c = c;
+                c[i] += g;
+                assert!(!batch(&c, &e, &w), "commitment {i}");
+            }
+            assert!(!batch(&c, &e, &(w + g)));
+
+            let (c, y, w) = (proof.z_commit, proof.z_omega_eval, proof.opening_omega);
+            assert!(single(&c, y, &w));
+            assert!(!single(&c, y + Bn254Fr::ONE, &w));
+            assert!(!single(&c, y - Bn254Fr::ONE, &w));
+            assert!(!single(&(c + g), y, &w));
+            assert!(!single(&c, y, &(w + g)));
+        }
     }
 
     #[test]
