@@ -263,23 +263,13 @@ impl ProofDag {
         self.nodes.is_empty()
     }
 
-    /// Indices of stages whose dependencies are all done and that are
-    /// not themselves done, in index order.
-    pub fn ready(&self, done: &[bool]) -> Vec<usize> {
-        assert_eq!(done.len(), self.nodes.len(), "done-mask length mismatch");
-        (0..self.nodes.len())
-            .filter(|&i| !done[i] && self.nodes[i].deps.iter().all(|&d| done[d]))
-            .collect()
-    }
-
     /// A deterministic topological order (lowest ready index first).
     pub fn topo_order(&self) -> Vec<usize> {
         let mut done = vec![false; self.nodes.len()];
         let mut order = Vec::with_capacity(self.nodes.len());
         while order.len() < self.nodes.len() {
-            let next = *self
-                .ready(&done)
-                .first()
+            let next = (0..self.nodes.len())
+                .find(|&i| !done[i] && self.nodes[i].deps.iter().all(|&d| done[d]))
                 .expect("validated DAGs always have a ready stage");
             done[next] = true;
             order.push(next);
@@ -309,7 +299,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(dag.topo_order(), vec![0, 1, 2]);
-        assert_eq!(dag.ready(&[true, false, false]), vec![1]);
     }
 
     #[test]

@@ -1,25 +1,31 @@
 //! A deterministic DAG executor over a fixed set of device lanes.
 //!
 //! [`DagExecutor`] schedules ready stages from multiple concurrent
-//! proofs onto `lanes` simulated leases. In [`ExecMode::Interleaved`]
-//! it dispatches the ready stage with the earliest availability
-//! (ties broken by proof index, then stage index) to the
-//! earliest-free lane — so the MSM stage of one proof overlaps the NTT
+//! proofs onto `lanes` simulated leases, each a
+//! [`StreamSet`] of `streams_per_lane` typed compute queues. It is one
+//! event loop: admit every placeable ready stage (earliest availability,
+//! then proof index, then stage index), advance to the next completion,
+//! commit it, repeat. So the MSM stage of one proof overlaps the NTT
 //! stage of another, and independent stages *within* one proof (the
 //! three wire commits; z-commit against the quotient LDE) run on
-//! different lanes at the same simulated time. In
-//! [`ExecMode::Monolithic`] each proof holds one lane for its entire
-//! serialized stage chain — the pre-DAG behavior, kept as the baseline.
+//! different lanes at the same simulated time. At one queue per lane a
+//! lane holds one stage at a time; with more, stages of different
+//! resource classes co-reside under the interference model.
+//!
+//! Per-proof progress — readiness, barriers, completion — is a
+//! [`DagRun`], the same type the serving layer's event loop keeps; only
+//! the placement rule is the executor's own: the accepting lane with the
+//! lowest interference penalty, lowest lane index on ties.
 //!
 //! Everything is driven by the proofs' own simulated-clock deltas; the
 //! executor is pure bookkeeping and fully deterministic, so two runs
 //! over the same inputs produce identical reports.
 //!
-//! Stage faults: a transient [`FabricError`] is retried in place up to
-//! `max_retries` times per attempt batch; the wasted attempt time stays
-//! charged to the lane (the hardware really ran), which is exactly the
-//! "replay only the affected subgraph" failover story — completed
-//! stages never re-run.
+//! Stage faults: a transient [`unintt_gpu_sim::FabricError`] is retried
+//! in place up to four times per stage (`MAX_RETRIES`); the wasted attempt
+//! time stays charged to the lane (the hardware really ran), which is
+//! exactly the "replay only the affected subgraph" failover story —
+//! completed stages never re-run.
 
 use std::collections::BTreeMap;
 
@@ -28,15 +34,10 @@ use unintt_gpu_sim::{InterferenceModel, StreamSet};
 
 use crate::dag::StageKind;
 use crate::proof::ProofPipeline;
+use crate::run::DagRun;
 
-/// How the executor maps proofs onto lanes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Stage-level scheduling with cross-proof interleaving.
-    Interleaved,
-    /// One lane per proof for its whole serialized stage chain.
-    Monolithic,
-}
+/// Transient-fault retries per stage before the executor gives up.
+const MAX_RETRIES: u32 = 4;
 
 /// The record of one executed proof.
 #[derive(Clone, Debug)]
@@ -64,8 +65,6 @@ pub struct ExecReport {
     pub lanes: usize,
     /// Compute queues per lane (1 = serialized stage dispatch).
     pub streams_per_lane: usize,
-    /// Scheduling mode.
-    pub mode: ExecMode,
 }
 
 impl ExecReport {
@@ -79,14 +78,6 @@ impl ExecReport {
         }
         self.busy_ns / (self.makespan_ns * self.lanes as f64)
     }
-
-    /// Proofs per simulated second.
-    pub fn proofs_per_s(&self) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            return 0.0;
-        }
-        self.runs.len() as f64 / (self.makespan_ns * 1e-9)
-    }
 }
 
 /// Deterministic multi-proof stage scheduler (see module docs).
@@ -94,47 +85,28 @@ impl ExecReport {
 pub struct DagExecutor {
     /// Number of device lanes (leases).
     pub lanes: usize,
-    /// Scheduling mode.
-    pub mode: ExecMode,
-    /// Transient-fault retries per stage before giving up.
-    pub max_retries: u32,
-    /// Compute queues per lane. `1` (the default) reproduces the
-    /// historical serialized dispatch exactly; `2..=4` lets stages of
-    /// *different* [`unintt_gpu_sim::ResourceClass`]es co-reside on one
-    /// lane with the interference-model slowdown. Outputs are
-    /// bit-identical at every queue count — only the clocks move.
+    /// Compute queues per lane. `1` (the default) serializes stages on a
+    /// lane; `2..=4` lets stages of *different*
+    /// [`unintt_gpu_sim::ResourceClass`]es co-reside on one lane with the
+    /// interference-model slowdown. Outputs are bit-identical at every
+    /// queue count — only the clocks move.
     pub streams_per_lane: usize,
     /// Pairwise slowdown factors applied to co-resident stages.
     pub interference: InterferenceModel,
 }
 
 impl DagExecutor {
-    /// An interleaving executor over `lanes` lanes.
+    /// An interleaving executor over `lanes` lanes, one queue each.
     pub fn interleaved(lanes: usize) -> Self {
         Self {
             lanes,
-            mode: ExecMode::Interleaved,
-            max_retries: 4,
-            streams_per_lane: 1,
-            interference: InterferenceModel::default_model(),
-        }
-    }
-
-    /// A monolithic (whole-proof-per-lane) baseline executor.
-    pub fn monolithic(lanes: usize) -> Self {
-        Self {
-            lanes,
-            mode: ExecMode::Monolithic,
-            max_retries: 4,
             streams_per_lane: 1,
             interference: InterferenceModel::default_model(),
         }
     }
 
     /// Returns `self` with `streams` compute queues per lane under the
-    /// given interference model. Only meaningful in
-    /// [`ExecMode::Interleaved`]; the monolithic baseline always holds
-    /// a whole lane per proof.
+    /// given interference model.
     pub fn with_streams(mut self, streams: usize, model: InterferenceModel) -> Self {
         self.streams_per_lane = streams;
         self.interference = model;
@@ -143,13 +115,20 @@ impl DagExecutor {
 
     /// Runs every pipeline to completion.
     ///
+    /// Bit-identity holds at every queue count because stage *execution*
+    /// is functional and happens at dispatch: a stage mutates its proof
+    /// the instant it is admitted, in DAG dependency order, and
+    /// transcript barriers are totally ordered — the queues only decide
+    /// when completions commit on the simulated clock.
+    ///
     /// # Panics
     ///
-    /// Panics if `lanes == 0`, or if a stage fails permanently (a
-    /// non-transient fabric error, or a transient one that outlives
-    /// `max_retries` — executor callers model repair at a higher
-    /// level).
-    pub fn run(&self, mut pipelines: Vec<ProofPipeline>) -> ExecReport {
+    /// Panics if `lanes == 0`, if `streams_per_lane` is outside
+    /// `1..=`[`unintt_core::MAX_STREAMS_PER_LEASE`], or if a stage fails
+    /// permanently (a non-transient fabric error, or a transient one that
+    /// outlives `MAX_RETRIES` — executor callers model repair at a
+    /// higher level).
+    pub fn run(&self, pipelines: Vec<ProofPipeline>) -> ExecReport {
         assert!(self.lanes > 0, "need at least one lane");
         assert!(
             (1..=unintt_core::MAX_STREAMS_PER_LEASE as usize).contains(&self.streams_per_lane),
@@ -157,153 +136,18 @@ impl DagExecutor {
             unintt_core::MAX_STREAMS_PER_LEASE,
             self.streams_per_lane
         );
-        match self.mode {
-            ExecMode::Interleaved if self.streams_per_lane > 1 => {
-                self.run_interleaved_streams(&mut pipelines)
-            }
-            ExecMode::Interleaved => self.run_interleaved(&mut pipelines),
-            ExecMode::Monolithic => self.run_monolithic(&mut pipelines),
-        }
-    }
-
-    /// The earliest-free lane under serialized dispatch.
-    ///
-    /// Tie-breaking is load-bearing for determinism and is fixed as:
-    /// earliest `lane_free` time first, then the **lowest lane index**.
-    /// `Iterator::min_by` returns the first minimum and lanes are
-    /// scanned in index order, so two lanes free at the same instant
-    /// always resolve to the lower index. Combined with stage selection
-    /// (earliest availability, then proof index, then stage index) the
-    /// whole dispatch order is a pure function of the input set.
-    fn earliest_free_lane(lane_free: &[f64]) -> usize {
-        (0..lane_free.len())
-            .min_by(|&a, &b| lane_free[a].total_cmp(&lane_free[b]))
-            .expect("lanes > 0")
-    }
-
-    /// Runs one stage with in-place transient retries, returning the
-    /// total simulated time consumed (successful attempt plus any
-    /// wasted faulted attempts) and the retry count.
-    fn run_stage_with_retries(
-        &self,
-        pipe: &mut ProofPipeline,
-        stage: usize,
-        policy: &RecoveryPolicy,
-    ) -> (f64, u32) {
-        let mut elapsed = 0.0;
-        let mut retries = 0u32;
-        loop {
-            let before = pipe.sim_total_ns();
-            match pipe.run_stage(stage, policy) {
-                Ok(ns) => return (elapsed + ns, retries),
-                Err(e) => {
-                    elapsed += pipe.sim_total_ns() - before;
-                    assert!(
-                        e.is_transient() && retries < self.max_retries,
-                        "permanent stage failure: {e}"
-                    );
-                    retries += 1;
-                }
-            }
-        }
-    }
-
-    fn run_interleaved(&self, pipelines: &mut [ProofPipeline]) -> ExecReport {
         let policy = RecoveryPolicy::none();
-        let dags: Vec<_> = pipelines.iter().map(ProofPipeline::dag).collect();
-        let mut completion: Vec<Vec<Option<f64>>> =
-            dags.iter().map(|d| vec![None; d.len()]).collect();
-        let mut stage_ns: Vec<BTreeMap<StageKind, f64>> = vec![BTreeMap::new(); pipelines.len()];
-        let mut retries = vec![0u32; pipelines.len()];
-        let mut lane_free = vec![0.0f64; self.lanes];
-        let mut busy = 0.0f64;
-
-        loop {
-            // Cascade barriers: they complete inline at their
-            // dependencies' completion time, occupying no lane.
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                for (p, dag) in dags.iter().enumerate() {
-                    for (s, node) in dag.nodes().iter().enumerate() {
-                        if completion[p][s].is_some() || !node.kind.is_barrier() {
-                            continue;
-                        }
-                        if node.deps.iter().any(|&d| completion[p][d].is_none()) {
-                            continue;
-                        }
-                        let avail = node
-                            .deps
-                            .iter()
-                            .map(|&d| completion[p][d].expect("dep done"))
-                            .fold(0.0f64, f64::max);
-                        let (ns, _) = self.run_stage_with_retries(&mut pipelines[p], s, &policy);
-                        debug_assert_eq!(ns, 0.0, "barriers are charge-free");
-                        completion[p][s] = Some(avail);
-                        progressed = true;
-                    }
-                }
-            }
-
-            // The ready charged stage with the earliest availability.
-            let mut best: Option<(f64, usize, usize)> = None;
-            for (p, dag) in dags.iter().enumerate() {
-                for (s, node) in dag.nodes().iter().enumerate() {
-                    if completion[p][s].is_some() || node.kind.is_barrier() {
-                        continue;
-                    }
-                    if node.deps.iter().any(|&d| completion[p][d].is_none()) {
-                        continue;
-                    }
-                    let avail = node
-                        .deps
-                        .iter()
-                        .map(|&d| completion[p][d].expect("dep done"))
-                        .fold(0.0f64, f64::max);
-                    let cand = (avail, p, s);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            let Some((avail, p, s)) = best else {
-                break; // every stage of every proof is done
-            };
-
-            // Earliest-free lane, lowest index on ties.
-            let lane = Self::earliest_free_lane(&lane_free);
-            let start = avail.max(lane_free[lane]);
-            let (elapsed, r) = self.run_stage_with_retries(&mut pipelines[p], s, &policy);
-            retries[p] += r;
-            lane_free[lane] = start + elapsed;
-            busy += elapsed;
-            completion[p][s] = Some(start + elapsed);
-            *stage_ns[p].entry(dags[p].nodes()[s].kind).or_insert(0.0) += elapsed;
-        }
-
-        self.report(pipelines, &completion, stage_ns, retries, busy)
-    }
-
-    /// The multi-queue variant of [`Self::run_interleaved`]: each lane
-    /// holds a [`StreamSet`] of `streams_per_lane` typed queues, so a
-    /// compute-bound MSM and a memory-bound NTT co-reside on one lane
-    /// and both advance at the interference-model rate instead of
-    /// serializing. Same-class stages still serialize (the set rejects
-    /// them at admission).
-    ///
-    /// Bit-identity is preserved because stage *execution* is
-    /// functional and happens at dispatch: `run_stage_with_retries`
-    /// mutates the proof state the instant a stage is admitted, in DAG
-    /// dependency order, and transcript barriers are totally ordered —
-    /// the overlap model only stretches the simulated clocks.
-    fn run_interleaved_streams(&self, pipelines: &mut [ProofPipeline]) -> ExecReport {
-        let policy = RecoveryPolicy::none();
-        let dags: Vec<_> = pipelines.iter().map(ProofPipeline::dag).collect();
-        let mut completion: Vec<Vec<Option<f64>>> =
-            dags.iter().map(|d| vec![None; d.len()]).collect();
-        let mut dispatched: Vec<Vec<bool>> = dags.iter().map(|d| vec![false; d.len()]).collect();
-        let mut stage_ns: Vec<BTreeMap<StageKind, f64>> = vec![BTreeMap::new(); pipelines.len()];
-        let mut retries = vec![0u32; pipelines.len()];
+        let mut runs: Vec<DagRun> = pipelines.into_iter().map(|p| DagRun::new(p, 0.0)).collect();
+        // Filled in as stages run; digest and completion at the drain.
+        let mut records: Vec<ProofRun> = runs
+            .iter()
+            .map(|_| ProofRun {
+                digest: 0,
+                completed_ns: 0.0,
+                retries: 0,
+                stage_ns: BTreeMap::new(),
+            })
+            .collect();
         let mut lanes: Vec<StreamSet> = (0..self.lanes)
             .map(|_| StreamSet::new(self.streams_per_lane, self.interference))
             .collect();
@@ -313,62 +157,21 @@ impl DagExecutor {
         let mut next_key = 0u64;
         let mut busy = 0.0f64;
         let mut now = 0.0f64;
+        let mut ready: Vec<(f64, usize, usize)> = Vec::new();
 
         loop {
-            // Cascade barriers exactly as the serial path does: inline
-            // at their dependencies' completion time, occupying no
-            // queue. (Committed completions are all <= now, so a
-            // barrier never completes in the future.)
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                for (p, dag) in dags.iter().enumerate() {
-                    for (s, node) in dag.nodes().iter().enumerate() {
-                        if completion[p][s].is_some() || !node.kind.is_barrier() {
-                            continue;
-                        }
-                        if node.deps.iter().any(|&d| completion[p][d].is_none()) {
-                            continue;
-                        }
-                        let avail = node
-                            .deps
-                            .iter()
-                            .map(|&d| completion[p][d].expect("dep done"))
-                            .fold(0.0f64, f64::max);
-                        let (ns, _) = self.run_stage_with_retries(&mut pipelines[p], s, &policy);
-                        debug_assert_eq!(ns, 0.0, "barriers are charge-free");
-                        completion[p][s] = Some(avail);
-                        progressed = true;
-                    }
-                }
-            }
-
             // Admit every placeable ready stage at `now`, best-first by
-            // (availability, proof index, stage index) — the serial
-            // path's stage order. A stage whose class no lane can
-            // accept is skipped this round; a complementary-class stage
-            // behind it may still be placed (work conservation).
-            let mut ready: Vec<(f64, usize, usize)> = Vec::new();
-            for (p, dag) in dags.iter().enumerate() {
-                for (s, node) in dag.nodes().iter().enumerate() {
-                    if dispatched[p][s] || completion[p][s].is_some() || node.kind.is_barrier() {
-                        continue;
-                    }
-                    if node.deps.iter().any(|&d| completion[p][d].is_none()) {
-                        continue;
-                    }
-                    let avail = node
-                        .deps
-                        .iter()
-                        .map(|&d| completion[p][d].expect("dep done"))
-                        .fold(0.0f64, f64::max);
-                    ready.push((avail, p, s));
-                }
+            // (availability, proof index, stage index). A stage whose
+            // class no lane can accept is skipped this round; a
+            // complementary-class stage behind it may still be placed
+            // (work conservation).
+            ready.clear();
+            for (p, run) in runs.iter().enumerate() {
+                ready.extend(run.ready().map(|(s, avail)| (avail, p, s)));
             }
             ready.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-            let had_ready = !ready.is_empty();
-            for (_, p, s) in ready {
-                let class = dags[p].nodes()[s].kind.resource_class();
+            for &(_, p, s) in &ready {
+                let class = runs[p].dag().nodes()[s].kind.resource_class();
                 // Accepting lane with the lowest interference on its
                 // current residents; lowest lane index on ties.
                 let lane = (0..lanes.len())
@@ -379,11 +182,10 @@ impl DagExecutor {
                             .total_cmp(&lanes[b].join_penalty(class))
                     });
                 let Some(lane) = lane else { continue };
-                let (elapsed, r) = self.run_stage_with_retries(&mut pipelines[p], s, &policy);
-                retries[p] += r;
+                let (elapsed, r) = start_with_retries(&mut runs[p], s, &policy);
+                records[p].retries += r;
                 lanes[lane].admit(next_key, class, elapsed);
                 inflight.insert(next_key, (p, s, now));
-                dispatched[p][s] = true;
                 next_key += 1;
             }
 
@@ -394,7 +196,10 @@ impl DagExecutor {
                 .filter_map(StreamSet::earliest_completion_ns)
                 .min_by(f64::total_cmp);
             let Some(t) = t else {
-                assert!(!had_ready, "ready stages but idle lanes could not accept");
+                assert!(
+                    ready.is_empty(),
+                    "ready stages but idle lanes could not accept"
+                );
                 break; // nothing in flight and nothing ready: done
             };
             now = t;
@@ -403,75 +208,54 @@ impl DagExecutor {
                 for fin in lane.take_finished() {
                     let (p, s, start) = inflight.remove(&fin.key).expect("known in-flight key");
                     let stretched = now - start;
-                    completion[p][s] = Some(now);
+                    runs[p].complete(s, now);
                     busy += stretched;
-                    *stage_ns[p].entry(dags[p].nodes()[s].kind).or_insert(0.0) += stretched;
+                    let kind = runs[p].dag().nodes()[s].kind;
+                    *records[p].stage_ns.entry(kind).or_insert(0.0) += stretched;
                 }
             }
         }
 
         assert!(inflight.is_empty(), "stages left in flight at drain");
-        self.report(pipelines, &completion, stage_ns, retries, busy)
-    }
-
-    fn run_monolithic(&self, pipelines: &mut [ProofPipeline]) -> ExecReport {
-        let policy = RecoveryPolicy::none();
-        let dags: Vec<_> = pipelines.iter().map(ProofPipeline::dag).collect();
-        let mut completion: Vec<Vec<Option<f64>>> =
-            dags.iter().map(|d| vec![None; d.len()]).collect();
-        let mut stage_ns: Vec<BTreeMap<StageKind, f64>> = vec![BTreeMap::new(); pipelines.len()];
-        let mut retries = vec![0u32; pipelines.len()];
-        let mut lane_free = vec![0.0f64; self.lanes];
-        let mut busy = 0.0f64;
-
-        for (p, pipe) in pipelines.iter_mut().enumerate() {
-            let lane = Self::earliest_free_lane(&lane_free);
-            let mut t = lane_free[lane];
-            for s in dags[p].topo_order() {
-                let (elapsed, r) = self.run_stage_with_retries(pipe, s, &policy);
-                retries[p] += r;
-                t += elapsed;
-                busy += elapsed;
-                completion[p][s] = Some(t);
-                *stage_ns[p].entry(dags[p].nodes()[s].kind).or_insert(0.0) += elapsed;
-            }
-            lane_free[lane] = t;
+        for (run, record) in runs.iter().zip(&mut records) {
+            record.completed_ns = run.done_ns().expect("every proof ran to completion");
+            record.digest = run
+                .pipe()
+                .output_digest()
+                .expect("complete proof has a digest");
         }
-
-        self.report(pipelines, &completion, stage_ns, retries, busy)
-    }
-
-    fn report(
-        &self,
-        pipelines: &[ProofPipeline],
-        completion: &[Vec<Option<f64>>],
-        stage_ns: Vec<BTreeMap<StageKind, f64>>,
-        retries: Vec<u32>,
-        busy: f64,
-    ) -> ExecReport {
-        let mut runs = Vec::with_capacity(pipelines.len());
-        let mut makespan = 0.0f64;
-        for (p, pipe) in pipelines.iter().enumerate() {
-            assert!(pipe.is_complete(), "executor left proof {p} unfinished");
-            let completed_ns = completion[p]
-                .iter()
-                .map(|c| c.expect("all stages done"))
-                .fold(0.0f64, f64::max);
-            makespan = makespan.max(completed_ns);
-            runs.push(ProofRun {
-                digest: pipe.output_digest().expect("complete proof has a digest"),
-                completed_ns,
-                retries: retries[p],
-                stage_ns: stage_ns[p].clone(),
-            });
-        }
+        let makespan = records
+            .iter()
+            .map(|r| r.completed_ns)
+            .fold(0.0f64, f64::max);
         ExecReport {
-            runs,
+            runs: records,
             makespan_ns: makespan,
             busy_ns: busy,
             lanes: self.lanes,
             streams_per_lane: self.streams_per_lane,
-            mode: self.mode,
+        }
+    }
+}
+
+/// Starts one stage with in-place transient retries, returning the total
+/// simulated time consumed (successful attempt plus any wasted faulted
+/// attempts) and the retry count.
+fn start_with_retries(run: &mut DagRun, stage: usize, policy: &RecoveryPolicy) -> (f64, u32) {
+    let mut elapsed = 0.0;
+    let mut retries = 0u32;
+    loop {
+        let before = run.pipe().sim_total_ns();
+        match run.start(stage, policy) {
+            Ok(ns) => return (elapsed + ns, retries),
+            Err(e) => {
+                elapsed += run.pipe().sim_total_ns() - before;
+                assert!(
+                    e.is_transient() && retries < MAX_RETRIES,
+                    "permanent stage failure: {e}"
+                );
+                retries += 1;
+            }
         }
     }
 }
@@ -479,19 +263,6 @@ impl DagExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn earliest_free_lane_breaks_ties_by_lowest_index() {
-        // Distinct minimum wins regardless of position.
-        assert_eq!(DagExecutor::earliest_free_lane(&[5.0, 2.0, 3.0]), 1);
-        // Exact tie: first (lowest-index) minimum wins — this is the
-        // documented contract, backed by Iterator::min_by returning
-        // the first minimal element.
-        assert_eq!(DagExecutor::earliest_free_lane(&[4.0, 1.0, 1.0, 1.0]), 1);
-        assert_eq!(DagExecutor::earliest_free_lane(&[0.0, 0.0]), 0);
-        // -0.0 and 0.0 are distinct under total_cmp: -0.0 sorts first.
-        assert_eq!(DagExecutor::earliest_free_lane(&[0.0, -0.0]), 1);
-    }
 
     #[test]
     #[should_panic(expected = "streams_per_lane must be")]

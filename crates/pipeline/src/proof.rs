@@ -82,22 +82,6 @@ impl ProofPipeline {
         }
     }
 
-    /// Whether stage `idx` has completed.
-    pub fn stage_done(&self, idx: usize) -> bool {
-        match self {
-            ProofPipeline::Plonk(p) => p.stage_done(idx),
-            ProofPipeline::Stark(s) => s.stage_done(idx),
-        }
-    }
-
-    /// Whether every stage has completed.
-    pub fn is_complete(&self) -> bool {
-        match self {
-            ProofPipeline::Plonk(p) => p.is_complete(),
-            ProofPipeline::Stark(s) => s.is_complete(),
-        }
-    }
-
     /// Runs one stage, returning the simulated nanoseconds it charged.
     ///
     /// # Errors

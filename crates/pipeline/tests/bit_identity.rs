@@ -1,6 +1,7 @@
 //! The DAG scheduler's core promise, fuzzed: stage-scheduled proofs are
 //! bit-identical to the monolithic provers across seeds, circuit sizes,
-//! scheduling modes, stream counts, and injected stage faults.
+//! lane and queue counts, interference models, and injected stage
+//! faults.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -82,15 +83,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// DAG-scheduled PLONK proofs equal the CPU monolithic prover
-    /// byte-for-byte, in both executor modes, across seeds and sizes.
+    /// byte-for-byte across seeds and sizes.
     #[test]
     fn plonk_dag_bit_identical(seed in any::<u64>(), gates in 8usize..64) {
         let (pk, witness, mono_digest) = plonk_fixture(seed, gates);
-        for exec in [DagExecutor::interleaved(2), DagExecutor::monolithic(2)] {
-            let report = exec.run(vec![plonk_pipe(&pk, &witness)]);
-            prop_assert_eq!(report.runs[0].digest, mono_digest);
-            prop_assert_eq!(report.runs[0].retries, 0);
-        }
+        let report = DagExecutor::interleaved(2).run(vec![plonk_pipe(&pk, &witness)]);
+        prop_assert_eq!(report.runs[0].digest, mono_digest);
+        prop_assert_eq!(report.runs[0].retries, 0);
     }
 
     /// A scripted collective drop at an arbitrary point fails exactly one
@@ -118,10 +117,8 @@ proptest! {
         let trace = random_trace(1usize << log_n, width, seed);
         let config = FriConfig::standard();
         let mono = commit_trace(&trace, &config, &mut LdeBackend::cpu()).content_digest();
-        for exec in [DagExecutor::interleaved(2), DagExecutor::monolithic(2)] {
-            let report = exec.run(vec![stark_pipe(&trace, &config)]);
-            prop_assert_eq!(report.runs[0].digest, mono);
-        }
+        let report = DagExecutor::interleaved(2).run(vec![stark_pipe(&trace, &config)]);
+        prop_assert_eq!(report.runs[0].digest, mono);
     }
 
     /// Same fault-replay property for STARK commits (sizes above the
