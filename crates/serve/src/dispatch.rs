@@ -25,7 +25,7 @@ use unintt_pipeline::ProofPipeline;
 
 use crate::coalesce::{BatchKey, QueuedJob, ReadyBatch};
 use crate::config::{SchedulerPolicy, ServiceConfig};
-use crate::job::{AdmissionError, DagKind, JobId, JobOutcome, JobStatus, ServiceField};
+use crate::job::{AdmissionError, DagKind, JobClass, JobId, JobOutcome, JobStatus, ServiceField};
 
 /// Seed domain for per-job synthetic payloads.
 const PAYLOAD_SEED: u64 = 0x0b5e_55ed_0d15_ea5e;
@@ -410,51 +410,48 @@ fn stark_fixture(
         })
 }
 
-/// A PLONK proof over the canned circuit of the requested size, run
-/// through the simulated backend. Returns the simulated duration
-/// (excluding the fixed dispatch overhead; the caller charges that) and
-/// the proof's content digest.
-pub(crate) fn run_plonk(
+/// One proof job as a single dispatch (a [`JobClass::ProveDag`] job runs
+/// as its [`JobClass::monolithic`] form): a PLONK proof over the canned
+/// circuit of its size, or a STARK trace commitment over the canned
+/// trace of its shape, through the simulated backends. Returns the
+/// simulated duration (excluding the fixed dispatch overhead; the caller
+/// charges that) and the output's content digest.
+pub(crate) fn run_proof(
     caches: &mut EngineCaches,
     cfg: &ServiceConfig,
-    log_gates: u32,
+    class: JobClass,
 ) -> (f64, u64) {
     let gpus = cfg.lease.total_gpus();
-    let verify_outputs = cfg.verify_outputs;
-    let fixture = plonk_fixture(caches, log_gates);
-    let mut backend = Backend::simulated(presets::a100_nvlink(gpus), presets::a100_nvlink(gpus));
-    let proof = prove(&fixture.pk, &fixture.witness, &[], &mut backend);
-    if verify_outputs {
-        assert!(
-            verify(&fixture.vk, &proof, &[]),
-            "service-produced proof must verify"
-        );
+    match class.monolithic() {
+        JobClass::PlonkProve { log_gates } => {
+            let fixture = plonk_fixture(caches, log_gates);
+            let mut backend =
+                Backend::simulated(presets::a100_nvlink(gpus), presets::a100_nvlink(gpus));
+            let proof = prove(&fixture.pk, &fixture.witness, &[], &mut backend);
+            if cfg.verify_outputs {
+                assert!(
+                    verify(&fixture.vk, &proof, &[]),
+                    "service-produced proof must verify"
+                );
+            }
+            (backend.report().total_ns(), proof.content_digest())
+        }
+        JobClass::StarkCommit { log_trace, columns } => {
+            let trace = stark_fixture(caches, log_trace, columns);
+            let mut backend = LdeBackend::simulated(presets::a100_nvlink(gpus));
+            let config = FriConfig::standard();
+            let commitment = commit_trace(trace, &config, &mut backend);
+            if cfg.verify_outputs {
+                assert!(
+                    verify_trace(&commitment, &config),
+                    "service-produced commitment must verify"
+                );
+            }
+            (backend.sim_time_ns(), commitment.content_digest())
+        }
+        JobClass::RawNtt { .. } => unreachable!("raw jobs always carry a batch key"),
+        JobClass::ProveDag { .. } => unreachable!("monolithic() unwraps DAG classes"),
     }
-    (backend.report().total_ns(), proof.content_digest())
-}
-
-/// A STARK trace commitment over a canned trace, run through the
-/// simulated LDE backend. Returns the simulated duration and the
-/// commitment's content digest.
-pub(crate) fn run_stark(
-    caches: &mut EngineCaches,
-    cfg: &ServiceConfig,
-    log_trace: u32,
-    columns: usize,
-) -> (f64, u64) {
-    let gpus = cfg.lease.total_gpus();
-    let verify_outputs = cfg.verify_outputs;
-    let trace = stark_fixture(caches, log_trace, columns);
-    let mut backend = LdeBackend::simulated(presets::a100_nvlink(gpus));
-    let config = FriConfig::standard();
-    let commitment = commit_trace(trace, &config, &mut backend);
-    if verify_outputs {
-        assert!(
-            verify_trace(&commitment, &config),
-            "service-produced commitment must verify"
-        );
-    }
-    (backend.sim_time_ns(), commitment.content_digest())
 }
 
 /// Builds the staged pipeline for a [`DagKind`] job over the *same*

@@ -35,7 +35,7 @@ use crate::coalesce::{BatchKey, Coalescer, QueuedJob, ReadyBatch};
 use crate::config::ServiceConfig;
 use crate::dispatch::{self, Completion, EngineCaches, ReadyQueue};
 use crate::health::{HealthConfig, HealthMachine, HealthState};
-use crate::job::{AdmissionError, JobClass, JobId, JobOutcome, JobSpec, JobStatus, Priority};
+use crate::job::{AdmissionError, JobId, JobOutcome, JobSpec, JobStatus, Priority};
 use crate::lease::LeasePool;
 use crate::metrics::{LeaseMetrics, ServiceMetrics};
 use crate::router::ShardRouter;
@@ -1114,17 +1114,9 @@ impl FleetRunner {
         let seq = self.dispatch_seq;
         // The fleet runs DAG jobs monolithically (stage interleaving is a
         // single-cluster scheduler feature; the output bytes are the same
-        // either way), so match on the monolithic form of the class.
-        let (sim_ns, output_digest) = match job.spec.class.monolithic() {
-            JobClass::PlonkProve { log_gates } => {
-                dispatch::run_plonk(&mut self.caches, &self.cfg.base, log_gates)
-            }
-            JobClass::StarkCommit { log_trace, columns } => {
-                dispatch::run_stark(&mut self.caches, &self.cfg.base, log_trace, columns)
-            }
-            JobClass::RawNtt { .. } => unreachable!("raw jobs always carry a batch key"),
-            JobClass::ProveDag { .. } => unreachable!("monolithic() unwraps DAG classes"),
-        };
+        // either way).
+        let (sim_ns, output_digest) =
+            dispatch::run_proof(&mut self.caches, &self.cfg.base, job.spec.class);
         let elapsed = sim_ns + self.cfg.base.dispatch_overhead_ns;
         let done = now + elapsed;
         let lease_id = {

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 
 use unintt_gpu_sim::StreamSet;
-use unintt_pipeline::{ProofDag, ProofPipeline};
+use unintt_pipeline::DagRun;
 
 use crate::coalesce::{Coalescer, QueuedJob, ReadyBatch};
 use crate::config::ServiceConfig;
@@ -131,19 +131,12 @@ enum ReadyOp {
     Pop,
 }
 
-/// One [`JobClass::ProveDag`] job being executed stage-by-stage: the
-/// staged pipeline, its validated DAG, and per-stage completion times on
-/// the simulated clock.
+/// One [`JobClass::ProveDag`] job being executed stage-by-stage: its
+/// progress through the stage DAG, released at the job's arrival.
 struct ActiveDag {
     job: QueuedJob,
     kind: DagKind,
-    pipe: ProofPipeline,
-    dag: ProofDag,
-    /// Simulated completion instant per stage (`None` = not run yet).
-    completion: Vec<Option<f64>>,
-    /// Stage has been dispatched: it may still be in flight on a queue,
-    /// with `completion` not yet committed.
-    started: Vec<bool>,
+    run: DagRun,
     /// When the first stage started executing (for the lifecycle spans).
     first_start_ns: Option<f64>,
 }
@@ -391,8 +384,8 @@ impl Runner {
     }
 
     /// The ready DAG stage the scheduler would start at `now`, with the
-    /// lease it lands on: candidates — stages whose dependencies have
-    /// all completed by `now` — are ordered by the dispatch policy, and
+    /// lease it lands on: candidates — every [`DagRun::ready`] stage, all
+    /// available by `now` — are ordered by the dispatch policy, and
     /// the first one some lease can accept wins — a stage whose class
     /// is resident everywhere is skipped this round so complementary
     /// work behind it keeps flowing. Per-stage cost for
@@ -408,20 +401,12 @@ impl Runner {
     ) -> Option<(usize, usize, usize, DispatchKey)> {
         let mut cands: Vec<(usize, usize, DispatchKey)> = Vec::new();
         for (di, dag) in self.dags.iter().enumerate() {
-            let per_stage_cost = dag.job.spec.class.estimated_cost() / dag.dag.len() as f64;
-            for s in 0..dag.dag.len() {
-                if dag.started[s]
-                    || dag.completion[s].is_some()
-                    || dag.dag.nodes()[s].kind.is_barrier()
-                {
-                    continue;
-                }
-                let Some(avail) = Self::stage_avail(dag, s) else {
-                    continue;
-                };
-                if avail > now {
-                    continue;
-                }
+            let per_stage_cost = dag.job.spec.class.estimated_cost() / dag.run.dag().len() as f64;
+            for (s, avail) in dag.run.ready() {
+                // Completions commit at the instant the loop reaches and
+                // jobs are admitted once they arrived, so nothing ready
+                // is available later than `now`.
+                debug_assert!(avail <= now, "ready stage available in the future");
                 cands.push((
                     di,
                     s,
@@ -437,7 +422,7 @@ impl Runner {
         cands.sort_by(|a, b| a.2.cmp_under(&b.2, self.cfg.policy));
         let leases = self.pool.leases();
         for (di, s, key) in cands {
-            let class = self.dags[di].dag.nodes()[s].kind.resource_class();
+            let class = self.dags[di].run.dag().nodes()[s].kind.resource_class();
             let lease = (0..leases.len())
                 .filter(|&l| leases[l].free_at_ns <= now && streams[l].can_accept(class))
                 .min_by(|&a, &b| {
@@ -478,13 +463,12 @@ impl Runner {
         // lease's raw-NTT cluster); stage replay under injected faults is
         // covered by the pipeline and prover test suites.
         let elapsed = dag
-            .pipe
-            .run_stage(si, &self.cfg.recovery)
+            .run
+            .start(si, &self.cfg.recovery)
             .expect("DAG stages run fault-free in the service")
             + self.cfg.stage_overhead_ns;
-        dag.started[si] = true;
         dag.first_start_ns.get_or_insert(now);
-        let node = &dag.dag.nodes()[si];
+        let node = &dag.run.dag().nodes()[si];
         let class = node.kind.resource_class();
         let joining = !streams[lease_id].is_idle();
         let queue = streams[lease_id].admit(seq, class, elapsed);
@@ -515,16 +499,16 @@ impl Runner {
     }
 
     /// Commits one stage completion at `now` — its stretched end under
-    /// the interference model — emitting the per-queue span, cascading
-    /// unblocked barriers, and retiring the DAG when this was its last
-    /// stage.
+    /// the interference model — emitting the per-queue span, and retires
+    /// the DAG when this completed its last stage (the barriers it
+    /// unblocks complete inside [`DagRun::complete`]).
     fn complete_stage(&mut self, p: PendingStage, now: f64) {
         let di = self
             .dags
             .iter()
             .position(|d| d.job.id == p.job)
             .expect("completing stage belongs to an active DAG");
-        self.dags[di].completion[p.si] = Some(now);
+        self.dags[di].run.complete(p.si, now);
         *self.stage_ns.entry(p.kind_name).or_insert(0.0) += now - p.start_ns;
         unintt_telemetry::record_span(|| unintt_telemetry::Span {
             id: unintt_telemetry::fresh_id(),
@@ -542,9 +526,8 @@ impl Runner {
                 ("queue", (p.queue as u64).into()),
             ],
         });
-        self.cascade_barriers(di);
-        if self.dags[di].pipe.is_complete() {
-            self.finish_dag(di);
+        if let Some(done) = self.dags[di].run.done_ns() {
+            self.finish_dag(di, done);
         }
     }
 
@@ -569,16 +552,10 @@ impl Runner {
             // admission (over the same fixtures the monolithic runners
             // use) and its ready stages then compete for leases directly.
             let pipe = dispatch::build_dag(&mut self.caches, &self.cfg, kind);
-            let dag = pipe.dag();
-            let completion = vec![None; dag.len()];
-            let started = vec![false; dag.len()];
             self.dags.push(ActiveDag {
                 job,
                 kind,
-                pipe,
-                dag,
-                completion,
-                started,
+                run: DagRun::new(pipe, job.spec.arrival_ns),
                 first_start_ns: None,
             });
         } else if let Some(batch) = self.coalescer.offer(job, now) {
@@ -703,18 +680,8 @@ impl Runner {
             }
             None => {
                 let job = jobs[0];
-                let (sim_ns, output_digest) = match job.spec.class {
-                    JobClass::PlonkProve { log_gates } => {
-                        dispatch::run_plonk(&mut self.caches, &self.cfg, log_gates)
-                    }
-                    JobClass::StarkCommit { log_trace, columns } => {
-                        dispatch::run_stark(&mut self.caches, &self.cfg, log_trace, columns)
-                    }
-                    JobClass::RawNtt { .. } => unreachable!("raw jobs always carry a batch key"),
-                    JobClass::ProveDag { .. } => {
-                        unreachable!("DAG jobs are admitted to the stage scheduler")
-                    }
-                };
+                let (sim_ns, output_digest) =
+                    dispatch::run_proof(&mut self.caches, &self.cfg, job.spec.class);
                 let elapsed = sim_ns + self.cfg.dispatch_overhead_ns;
                 let done = now + elapsed;
                 dispatch::record_job_spans(
@@ -753,60 +720,17 @@ impl Runner {
         }
     }
 
-    /// The availability instant of one not-yet-run stage: its latest
-    /// dependency completion (the job's arrival for root stages), or
-    /// `None` while any dependency is still outstanding.
-    fn stage_avail(dag: &ActiveDag, s: usize) -> Option<f64> {
-        let node = &dag.dag.nodes()[s];
-        let mut avail = dag.job.spec.arrival_ns;
-        for &d in &node.deps {
-            avail = avail.max(dag.completion[d]?);
-        }
-        Some(avail)
-    }
-
-    /// Runs every barrier stage whose dependencies are complete. Barriers
-    /// are transcript/assembly points: host-only, charge-free, never
-    /// occupying a lease — they complete at their latest dependency's
-    /// completion instant.
-    fn cascade_barriers(&mut self, di: usize) {
-        let dag = &mut self.dags[di];
-        loop {
-            let mut progressed = false;
-            for s in 0..dag.dag.len() {
-                if dag.completion[s].is_some() || !dag.dag.nodes()[s].kind.is_barrier() {
-                    continue;
-                }
-                let Some(avail) = Self::stage_avail(dag, s) else {
-                    continue;
-                };
-                dag.pipe
-                    .run_stage(s, &self.cfg.recovery)
-                    .expect("barrier stages are host-only and cannot fault");
-                dag.completion[s] = Some(avail);
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    /// Commits a completed DAG job: verifies the output (when
+    /// Commits a DAG job completed at `done`: verifies the output (when
     /// configured), records its lifecycle spans and outcome, and retires
     /// the DAG.
-    fn finish_dag(&mut self, di: usize) {
+    fn finish_dag(&mut self, di: usize, done: f64) {
         let dag = self.dags.remove(di);
-        let done = dag
-            .completion
-            .iter()
-            .map(|c| c.expect("complete DAG has every stage timed"))
-            .fold(0.0f64, f64::max);
         if self.cfg.verify_outputs {
-            dispatch::verify_dag_output(&mut self.caches, dag.kind, &dag.pipe);
+            dispatch::verify_dag_output(&mut self.caches, dag.kind, dag.run.pipe());
         }
         let digest = dag
-            .pipe
+            .run
+            .pipe()
             .output_digest()
             .expect("complete pipeline has a digest");
         let exec_start = dag.first_start_ns.unwrap_or(dag.job.spec.arrival_ns);
@@ -1636,7 +1560,7 @@ mod tests {
                     dispatch::build_dag(caches, &cfg, plonk)
                 } else {
                     let f = dispatch::plonk_fixture(caches, LOG_GATES);
-                    ProofPipeline::plonk(&f.pk, &f.witness, &[], Backend::cpu())
+                    unintt_pipeline::ProofPipeline::plonk(&f.pk, &f.witness, &[], Backend::cpu())
                 };
                 let dag = pipe.dag();
                 let mut rep: BTreeMap<&'static str, f64> = BTreeMap::new();
