@@ -1,11 +1,12 @@
-# Convenience targets mirroring .github/workflows/ci.yml.
+# The one list of checks: every step of .github/workflows/ci.yml runs one
+# of these targets, and `make verify` runs them all.
 
 # Whole workspace except the vendored offline stubs under vendor/.
 EXCLUDE_VENDOR := --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 
-.PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke serve-profile msm-profile
+.PHONY: verify fmt clippy build bench-check test test-workspace test-one-thread test-e16-two-threads test-eight-threads e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke serve-profile msm-profile
 
-verify: fmt clippy build bench-check test kernel-smoke serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke
+verify: fmt clippy build bench-check test kernel-smoke e13 serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke
 
 fmt:
 	cargo fmt --all --check
@@ -31,12 +32,21 @@ bench-check:
 # forked work records as its opener would (unintt_telemetry::adopt).
 # E16's determinism test also runs at two threads, where a record dropped
 # on a worker shows first.
-test:
+test: test-workspace test-one-thread test-e16-two-threads test-eight-threads
+
+test-workspace:
 	cargo test -q --release --workspace
+
+test-one-thread:
 	UNINTT_THREADS=1 cargo test -q --release
+
+test-e16-two-threads:
 	UNINTT_THREADS=2 cargo test -q --release -p unintt-bench --lib e16_observability::tests::output_is_deterministic_run_to_run
+
+test-eight-threads:
 	UNINTT_THREADS=8 cargo test -q --release
 
+# Fault-tolerance smoke: the quick E13 sweep.
 e13:
 	cargo run --release -p unintt-bench --bin harness -- --quick e13
 
@@ -55,10 +65,15 @@ serve-smoke:
 
 # Telemetry smoke: E16 writes trace.json/trace.folded/BENCH_obs.json and
 # validates the Chrome/Perfetto JSON before writing; the trace subcommand
-# exercises the generic per-experiment capture path.
+# exercises the generic per-experiment capture path. Trace artifacts land
+# in target/traces/ and a quick run's BENCH_*.json in target/quick/, so
+# the committed full-mode captures at the root stay untouched.
 trace-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e16
+	test -s target/traces/trace.json && test -s target/traces/trace.folded
+	test -s target/quick/BENCH_obs.json
 	cargo run --release -p unintt-bench --bin harness -- --quick trace e12
+	test -s target/traces/trace_e12.json
 
 # Kernel smoke: the bit-identity property suite (vector vs the radix-2
 # oracle, both fields, both directions); the portable-lanes-vs-native
@@ -98,14 +113,22 @@ kernel-smoke:
 pipeline-smoke:
 	cargo test --release -p unintt-pipeline
 	cargo run --release -p unintt-bench --bin harness -- --quick e19
+	test -s target/quick/BENCH_pipeline.json
 
 # Stream smoke: the intra-lease overlap suite (bit-identity across queue
 # counts and fault injection), then the quick E20 cell, which sweeps one
 # to four queues per lease and asserts per-job digest identity against
-# the monolithic reference in every cell.
+# the monolithic reference in every cell. Rerunning E19 around it and
+# diffing proves the multi-queue runs left the one-queue experiment
+# byte-identical.
 stream-smoke:
 	cargo test --release -p unintt-serve --test stream_overlap
+	cargo run --release -p unintt-bench --bin harness -- --quick e19
+	cp target/quick/BENCH_pipeline.json target/quick/BENCH_pipeline.before.json
 	cargo run --release -p unintt-bench --bin harness -- --quick e20
+	test -s target/quick/BENCH_streams.json
+	cargo run --release -p unintt-bench --bin harness -- --quick e19
+	cmp target/quick/BENCH_pipeline.json target/quick/BENCH_pipeline.before.json
 
 # Chaos smoke: the fleet example plus the E17 quick sweep. E17 asserts
 # zero accepted-job failures and bit-identical outputs vs the fault-free
@@ -113,6 +136,7 @@ stream-smoke:
 chaos-smoke:
 	cargo run --release --example fleet_chaos
 	cargo run --release -p unintt-bench --bin harness -- --quick e17
+	test -s target/quick/BENCH_resilience.json
 
 # SLO smoke: the quick E21 cell — burn-rate alerts must fire inside
 # every injected degradation window and never on the clean baseline
@@ -121,6 +145,7 @@ chaos-smoke:
 # workload classes. Also prints the attribution report.
 slo-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e21
+	test -s target/quick/BENCH_slo.json
 	cargo run --release -p unintt-bench --bin harness -- attribute all
 
 # Serving-path profile (wall clock, not part of verify): one serve-raw
