@@ -130,10 +130,13 @@ stream-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e19
 	cmp target/quick/BENCH_pipeline.json target/quick/BENCH_pipeline.before.json
 
-# Chaos smoke: the fleet example plus the E17 quick sweep. E17 asserts
-# zero accepted-job failures and bit-identical outputs vs the fault-free
-# baseline in every cell, so this target fails if resilience regresses.
+# Chaos smoke: the fleet failover suite (kills under every policy, stage
+# DAGs over two queues per lease, lost devices), the fleet example, then
+# the E17 quick sweep. E17 asserts zero accepted-job failures and
+# bit-identical outputs vs the fault-free baseline in every cell, so this
+# target fails if resilience regresses.
 chaos-smoke:
+	cargo test --release -p unintt-serve --test fleet_failover
 	cargo run --release --example fleet_chaos
 	cargo run --release -p unintt-bench --bin harness -- --quick e17
 	test -s target/quick/BENCH_resilience.json

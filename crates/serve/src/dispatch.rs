@@ -1,7 +1,6 @@
 //! Shared dispatch machinery: the functional execution of one batch on
-//! a leased cluster slice, used by both the single-cluster
-//! [`crate::ProofService`] runner and the multi-cluster
-//! [`crate::FleetService`] runner.
+//! a leased cluster slice, used by the per-cluster scheduler behind both
+//! [`crate::ProofService`] and [`crate::FleetService`].
 //!
 //! Execution here is *eager* but commit is the caller's job: running a
 //! raw batch returns per-job [`Completion`]s (outcome + execution
@@ -51,12 +50,6 @@ pub(crate) struct EngineCaches {
     stark_fixtures: BTreeMap<(u32, usize), Vec<Vec<Goldilocks>>>,
 }
 
-impl EngineCaches {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// One job's finished execution, not yet committed to a report.
 #[derive(Clone, Debug)]
 pub(crate) struct Completion {
@@ -94,10 +87,10 @@ pub(crate) fn next_batch_index(
         .min_by(|(_, a), (_, b)| a.cmp_under(b, policy))
 }
 
-/// Ready batches in the order one policy dispatches them, shared by the
-/// single-cluster runner and every fleet cluster. Each batch's
-/// [`DispatchKey`] is computed once, on push, and the batch is inserted
-/// by binary search under [`DispatchKey::cmp_under`]. Keys never tie (the
+/// Ready batches in the order one policy dispatches them, one list per
+/// cluster scheduler. Each batch's [`DispatchKey`] is computed once, on
+/// push, and the batch is inserted by binary search under
+/// [`DispatchKey::cmp_under`]. Keys never tie (the
 /// first member's id breaks every tie), so the head is exactly the batch
 /// a scan would pick. Under FIFO a push lands at or near the back.
 pub(crate) struct ReadyQueue {

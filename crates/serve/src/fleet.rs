@@ -1,17 +1,21 @@
 //! The fleet: several independent simulated clusters behind a shard
 //! router, surviving injected chaos.
 //!
-//! Where [`crate::ProofService`] schedules one cluster, [`FleetService`]
-//! runs `clusters` of them, each with its own [`LeasePool`], coalescer
-//! and [`HealthMachine`]. A rendezvous [`ShardRouter`] places jobs by
-//! `(tenant, shape)` so same-shaped work from one tenant lands on one
-//! warm cluster and coalesces. Resilience machinery on top:
+//! Where [`crate::ProofService`] drives one cluster scheduler,
+//! [`FleetService`] drives `clusters` of the same one — lease pool,
+//! stream queues, coalescer, ready list and stage DAGs each — plus a
+//! [`HealthMachine`] per cluster. A one-cluster fleet with no chaos and
+//! no hedging plays a stream exactly as the service does. A rendezvous
+//! [`ShardRouter`] places jobs by `(tenant, shape)` so same-shaped work
+//! from one tenant lands on one warm cluster and coalesces. Resilience
+//! machinery on top:
 //!
 //! * **Circuit breakers** — consecutive dispatch failures (or a chaos
 //!   kill) trip a cluster into Quarantined; half-open probes with
 //!   exponential backoff + seeded jitter re-admit it through Repairing.
-//! * **Failover** — when a cluster dies mid-burst, its in-flight and
-//!   queued jobs re-shard to survivors. Commit is idempotent, keyed by
+//! * **Failover** — when a cluster dies mid-burst, its in-flight,
+//!   queued and in-progress DAG jobs re-shard to survivors (a DAG proof
+//!   restarts from admission). Commit is idempotent, keyed by
 //!   [`JobId`]: a job's result lands exactly once no matter how many
 //!   times chaos forces a re-dispatch.
 //! * **Hedged dispatch** — a batch whose projected completion overruns
@@ -31,15 +35,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use unintt_telemetry::StreamHist;
 
-use crate::coalesce::{BatchKey, Coalescer, QueuedJob, ReadyBatch};
+use crate::coalesce::{BatchKey, QueuedJob};
 use crate::config::ServiceConfig;
-use crate::dispatch::{self, Completion, EngineCaches, ReadyQueue};
+use crate::dispatch::{self, Completion};
 use crate::health::{HealthConfig, HealthMachine, HealthState};
 use crate::job::{AdmissionError, JobId, JobOutcome, JobSpec, JobStatus, Priority};
-use crate::lease::LeasePool;
 use crate::metrics::{LeaseMetrics, ServiceMetrics};
 use crate::router::ShardRouter;
-use crate::service::ServiceReport;
+use crate::scheduler::{BatchRun, Scheduler, Shared};
 
 /// What chaos does to a cluster at one instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,7 +144,10 @@ impl Default for HedgeConfig {
 pub struct FleetConfig {
     /// Number of independent clusters.
     pub clusters: usize,
-    /// Per-cluster configuration (leases, coalescing, policy, faults).
+    /// Per-cluster configuration (leases, coalescing, policy, stream
+    /// queues, faults). Admission control is fleet-wide: the fleet sheds
+    /// at `soft_capacity` / `hard_capacity` and ignores
+    /// `base.queue_capacity`.
     pub base: ServiceConfig,
     /// Circuit-breaker and recovery tuning.
     pub health: HealthConfig,
@@ -223,23 +229,14 @@ impl FleetReport {
             .all(|o| !o.accepted() || o.completed() || o.deadline_exceeded())
     }
 
-    /// `JobId → output digest` for every completed raw-NTT job, for
-    /// bit-identity comparison against a fault-free run.
+    /// `JobId → output digest` for every completed job, for bit-identity
+    /// comparison against a fault-free run.
     pub fn digests(&self) -> BTreeMap<JobId, u64> {
         self.outcomes
             .iter()
             .filter(|o| o.completed() && o.output_digest != 0)
             .map(|o| (o.id, o.output_digest))
             .collect()
-    }
-
-    /// Downgrades to a [`ServiceReport`] (drops the fleet counters).
-    pub fn into_service_report(self) -> ServiceReport {
-        ServiceReport {
-            outcomes: self.outcomes,
-            metrics: self.metrics,
-            stage_ns: BTreeMap::new(),
-        }
     }
 }
 
@@ -253,12 +250,30 @@ pub struct FleetService {
 
 impl FleetService {
     /// A fleet with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty fleet, a soft capacity above the hard cap, or a
+    /// chaos event with a non-finite time or a cluster outside the fleet.
     pub fn new(cfg: FleetConfig) -> Self {
         assert!(cfg.clusters >= 1, "a fleet needs at least one cluster");
         assert!(
             cfg.soft_capacity <= cfg.hard_capacity,
             "soft capacity cannot exceed the hard cap"
         );
+        for e in &cfg.chaos.events {
+            assert!(
+                e.t_ns.is_finite(),
+                "chaos event times must be finite, got {}",
+                e.t_ns
+            );
+            assert!(
+                e.cluster < cfg.clusters,
+                "chaos event targets cluster {} of a {}-cluster fleet",
+                e.cluster,
+                cfg.clusters
+            );
+        }
         Self {
             cfg,
             backlog: Vec::new(),
@@ -301,11 +316,10 @@ impl FleetService {
     }
 }
 
-/// One cluster's scheduler state inside the fleet.
+/// One cluster inside the fleet: its scheduler plus the fleet's view of
+/// its health.
 struct ClusterState {
-    pool: LeasePool,
-    coalescer: Coalescer,
-    ready: ReadyQueue,
+    sched: Scheduler,
     health: HealthMachine,
     /// Chaos switch: `false` between a Kill and its Revive. Distinct
     /// from health — a revived cluster stays quarantined until a probe
@@ -315,11 +329,16 @@ struct ClusterState {
     /// and routable time banked so far.
     routable_since: Option<f64>,
     routable_total_ns: f64,
+    /// The scheduler's next event, the next arrival counted as one: the
+    /// instants the service would wake it at. Its queues advance only
+    /// then, so they round exactly as the service's do.
+    due_ns: Option<f64>,
 }
 
 impl ClusterState {
-    fn queued(&self) -> usize {
-        self.coalescer.queued() + self.ready.jobs()
+    /// True when the fleet may dispatch here.
+    fn dispatchable(&self) -> bool {
+        self.alive && self.health.routable()
     }
 
     /// Close the current routable stretch (breaker tripping or drain).
@@ -340,6 +359,12 @@ struct InFlight {
     /// have been offered for commit.
     completions: Vec<Completion>,
     cursor: usize,
+    /// When the lease frees: `start + elapsed`, the service's instant.
+    free_ns: f64,
+    /// When the in-flight retires. The last per-job completion is the
+    /// same instant as `free_ns` computed with different float
+    /// association; this is the later of the two, so no completion lands
+    /// (one ULP) after it and goes uncommitted.
     done_ns: f64,
     is_hedge: bool,
     /// The paired dispatch (primary ↔ hedge), by seq.
@@ -351,7 +376,7 @@ struct FleetRunner {
     cfg: FleetConfig,
     clusters: Vec<ClusterState>,
     router: ShardRouter,
-    caches: EngineCaches,
+    shared: Shared,
     in_flight: Vec<InFlight>,
     /// Hedges scheduled but not yet launched: `(fire_ns, primary_seq)`.
     pending_hedges: Vec<(f64, u64)>,
@@ -363,9 +388,7 @@ struct FleetRunner {
     /// drops to zero uncommitted must be re-sharded.
     coverage: BTreeMap<JobId, u32>,
     outcomes: Vec<JobOutcome>,
-    batch_sizes: Vec<usize>,
     peak_queue: usize,
-    dispatch_seq: u64,
     /// Streaming batch wall-time distribution, the hedge deadline's p99
     /// source. A log-bucketed histogram rather than a full sample vec:
     /// memory stays O(buckets) over arbitrarily long runs, and the
@@ -381,37 +404,29 @@ impl FleetRunner {
     fn new(cfg: FleetConfig) -> Self {
         let clusters = (0..cfg.clusters)
             .map(|c| ClusterState {
-                pool: LeasePool::new(cfg.base.num_leases, cfg.base.lease),
-                coalescer: Coalescer::new(cfg.base.batch_window_ns, cfg.base.max_batch),
-                ready: ReadyQueue::new(cfg.base.policy),
+                sched: Scheduler::new(cfg.base.clone(), format!("cluster{c}-")),
                 health: HealthMachine::new(cfg.health, c),
                 alive: true,
                 routable_since: Some(0.0),
                 routable_total_ns: 0.0,
+                due_ns: None,
             })
             .collect();
         let mut chaos = cfg.chaos.events.clone();
-        chaos.sort_by(|a, b| {
-            a.t_ns
-                .partial_cmp(&b.t_ns)
-                .expect("chaos times are finite")
-                .then(a.cluster.cmp(&b.cluster))
-        });
+        chaos.sort_by(|a, b| a.t_ns.total_cmp(&b.t_ns).then(a.cluster.cmp(&b.cluster)));
         let router = ShardRouter::new(cfg.router_seed);
         Self {
             cfg,
             clusters,
             router,
-            caches: EngineCaches::new(),
+            shared: Shared::default(),
             in_flight: Vec::new(),
             pending_hedges: Vec::new(),
             parked: Vec::new(),
             committed: BTreeSet::new(),
             coverage: BTreeMap::new(),
             outcomes: Vec::new(),
-            batch_sizes: Vec::new(),
             peak_queue: 0,
-            dispatch_seq: 0,
             samples: StreamHist::new(),
             chaos,
             chaos_idx: 0,
@@ -440,12 +455,19 @@ impl FleetRunner {
                 self.in_flight.len(),
                 self.parked.len(),
             );
-            let work_remaining = next_arrival < backlog.len()
+            let t_arrival = backlog.get(next_arrival).map(|j| j.spec.arrival_ns);
+            for c in &mut self.clusters {
+                c.due_ns = [t_arrival, c.sched.next_event_ns(now)]
+                    .into_iter()
+                    .flatten()
+                    .reduce(f64::min);
+            }
+            let work_remaining = t_arrival.is_some()
                 || !self.parked.is_empty()
                 || !self.in_flight.is_empty()
                 || !self.pending_hedges.is_empty()
-                || self.clusters.iter().any(|c| c.queued() > 0);
-            let Some(t) = self.next_event_ns(&backlog, next_arrival, work_remaining) else {
+                || self.clusters.iter().any(|c| c.sched.queued() > 0);
+            let Some(t) = self.next_event_ns(t_arrival, work_remaining) else {
                 break;
             };
             now = now.max(t);
@@ -454,15 +476,20 @@ impl FleetRunner {
             // completed by `now` commit before chaos can destroy them;
             // health transitions precede routing; dispatch goes last so
             // it sees every batch that became ready at this instant.
+            for c in 0..self.clusters.len() {
+                if self.clusters[c].due_ns.is_some_and(|d| d <= now) {
+                    for done in self.clusters[c].sched.advance(now, &mut self.shared) {
+                        self.commit(&done);
+                    }
+                }
+            }
             self.commit_due(now);
             self.retire_due(now);
             self.fire_chaos(now);
             self.step_health(now);
             self.launch_due_hedges(now);
             for cluster in self.clusters.iter_mut().filter(|c| c.alive) {
-                for batch in cluster.coalescer.close_due(now) {
-                    cluster.ready.push(batch);
-                }
+                cluster.sched.close_windows(now);
             }
             while next_arrival < backlog.len() && backlog[next_arrival].spec.arrival_ns <= now {
                 let job = backlog[next_arrival];
@@ -482,39 +509,30 @@ impl FleetRunner {
         assert_eq!(self.outcomes.len(), total, "every job is accounted for");
 
         let horizon = ServiceMetrics::horizon(&self.outcomes);
-        for c in self.clusters.iter_mut() {
+        let mut batch_sizes = Vec::new();
+        let mut leases = Vec::new();
+        for (ci, c) in self.clusters.iter_mut().enumerate() {
             c.bank_routable(horizon);
-        }
-        self.stats.availability = self
-            .clusters
-            .iter()
-            .map(|c| {
-                if horizon > 0.0 {
-                    c.routable_total_ns / horizon
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        self.stats.final_states = self
-            .clusters
-            .iter()
-            .map(|c| c.health.state().name())
-            .collect();
-        let leases: Vec<LeaseMetrics> = self
-            .clusters
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, c)| {
-                let base = ci * self.cfg.base.num_leases;
-                c.pool
+            let availability = if horizon > 0.0 {
+                c.routable_total_ns / horizon
+            } else {
+                1.0
+            };
+            self.stats.availability.push(availability);
+            self.stats.final_states.push(c.health.state().name());
+            c.sched.finish();
+            batch_sizes.extend_from_slice(&c.sched.batch_sizes);
+            let base = ci * self.cfg.base.num_leases;
+            leases.extend(
+                c.sched
+                    .pool
                     .leases()
                     .iter()
-                    .map(move |l| LeaseMetrics::from_lease(l, base + l.id, horizon))
-            })
-            .collect();
+                    .map(|l| LeaseMetrics::from_lease(l, base + l.id, horizon)),
+            );
+        }
         let metrics =
-            ServiceMetrics::build_parts(&self.outcomes, &self.batch_sizes, self.peak_queue, leases);
+            ServiceMetrics::build_parts(&self.outcomes, &batch_sizes, self.peak_queue, leases);
         FleetReport {
             outcomes: self.outcomes,
             metrics,
@@ -526,58 +544,33 @@ impl FleetRunner {
     /// no work left, health probes stop mattering (they would otherwise
     /// tick forever on a permanently dead cluster) — only remaining
     /// chaos events are still played out.
-    fn next_event_ns(
-        &self,
-        backlog: &[QueuedJob],
-        next_arrival: usize,
-        work_remaining: bool,
-    ) -> Option<f64> {
-        let mut t: Option<f64> = None;
-        let mut consider = |x: f64| {
-            t = Some(t.map_or(x, |a: f64| a.min(x)));
-        };
-        if let Some(j) = backlog.get(next_arrival) {
-            consider(j.spec.arrival_ns);
-        }
+    fn next_event_ns(&self, t_arrival: Option<f64>, work_remaining: bool) -> Option<f64> {
+        let chaos = self.chaos.get(self.chaos_idx).map(|e| e.t_ns);
         if !work_remaining {
-            if let Some(e) = self.chaos.get(self.chaos_idx) {
-                consider(e.t_ns);
-            }
-            return t;
+            return [t_arrival, chaos].into_iter().flatten().reduce(f64::min);
         }
-        for c in &self.clusters {
-            if c.alive {
-                if let Some(x) = c.coalescer.next_close_ns() {
-                    consider(x);
-                }
-                if c.health.routable() && !c.ready.is_empty() {
-                    consider(c.pool.next_free_ns());
-                }
-            }
-            if let Some(x) = c.health.next_event_ns() {
-                consider(x);
-            }
-        }
-        for f in &self.in_flight {
-            if let Some(c) = f.completions.get(f.cursor) {
-                consider(c.outcome.completed_ns);
-            }
-            consider(f.done_ns);
-        }
-        for &(at, _) in &self.pending_hedges {
-            consider(at);
-        }
-        if let Some(e) = self.chaos.get(self.chaos_idx) {
-            consider(e.t_ns);
-        }
-        t
+        let clusters = self
+            .clusters
+            .iter()
+            .flat_map(|c| [c.due_ns, c.health.next_event_ns()]);
+        let in_flight = self.in_flight.iter().flat_map(|f| {
+            let next = f.completions.get(f.cursor).map(|c| c.outcome.completed_ns);
+            [next, Some(f.done_ns)]
+        });
+        let hedges = self.pending_hedges.iter().map(|&(at, _)| Some(at));
+        clusters
+            .chain(in_flight)
+            .chain(hedges)
+            .chain([chaos])
+            .flatten()
+            .reduce(f64::min)
     }
 
     /// Fleet-wide queued jobs (admission-control depth).
     fn queue_depth(&self) -> usize {
         self.clusters
             .iter()
-            .map(ClusterState::queued)
+            .map(|c| c.sched.queued())
             .sum::<usize>()
             + self.parked.len()
     }
@@ -597,7 +590,7 @@ impl FleetRunner {
         self.clusters
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.alive && c.health.routable())
+            .filter(|(_, c)| c.dispatchable())
             .map(|(i, _)| i)
             .collect()
     }
@@ -641,20 +634,18 @@ impl FleetRunner {
         unintt_telemetry::counter_add_labeled("serve_shed_jobs", "tenant", u64::from(tenant), 1);
     }
 
-    /// Routes one accepted job to its shard's coalescer (or parks it
+    /// Routes one accepted job to its shard's scheduler (or parks it
     /// when nothing is routable).
     fn place(&mut self, job: QueuedJob, now: f64) {
         let candidates = self.routable_clusters();
-        let Some(target) = self
+        match self
             .router
             .route(job.spec.tenant, &job.spec.class, &candidates)
-        else {
-            self.parked.push(job);
-            return;
-        };
-        let cluster = &mut self.clusters[target];
-        if let Some(batch) = cluster.coalescer.offer(job, now) {
-            cluster.ready.push(batch);
+        {
+            Some(target) => self.clusters[target]
+                .sched
+                .offer(job, now, &mut self.shared),
+            None => self.parked.push(job),
         }
     }
 
@@ -668,6 +659,38 @@ impl FleetRunner {
         for job in parked {
             self.place(job, now);
         }
+    }
+
+    /// Re-shards jobs off cluster `from` — killed, tripped, or out of
+    /// healthy nodes mid-batch — to the survivors, in id order.
+    fn reshard(&mut self, from: usize, mut jobs: Vec<QueuedJob>, t: f64) {
+        if jobs.is_empty() {
+            return;
+        }
+        jobs.sort_by_key(|j| j.id);
+        let n = jobs.len() as u64;
+        self.stats.failovers += n;
+        unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
+            name: "failover".into(),
+            kind: unintt_telemetry::InstantKind::Failover,
+            track: format!("cluster{from}"),
+            t_ns: t,
+            attrs: vec![("jobs", n.into())],
+        });
+        unintt_telemetry::counter_add("sim_failovers", n);
+        for job in jobs {
+            self.place(job, t);
+        }
+    }
+
+    /// Commits one result unless a copy already landed (commit is
+    /// idempotent, keyed by job id). Returns whether this copy won.
+    fn commit(&mut self, c: &Completion) -> bool {
+        let first = self.committed.insert(c.outcome.id);
+        if first {
+            self.outcomes.push(dispatch::commit_completion(c));
+        }
+        first
     }
 
     /// Commits every in-flight result due by `now`, idempotently — the
@@ -690,16 +713,33 @@ impl FleetRunner {
             let f = &mut self.in_flight[idx];
             let c = f.completions[f.cursor].clone();
             f.cursor += 1;
-            let id = c.outcome.id;
             let was_hedge = f.is_hedge;
-            if self.committed.insert(id) {
-                self.outcomes.push(dispatch::commit_completion(&c));
-                if was_hedge {
-                    self.stats.hedge_wins += 1;
-                }
+            if self.commit(&c) && was_hedge {
+                self.stats.hedge_wins += 1;
             }
         }
         self.cancel_redundant(now);
+    }
+
+    /// Removes in-flight `idx` before it ran to the end (a kill or a lost
+    /// hedge race at `t`): the lease is refunded the simulated time that
+    /// never ran, and the partner, if any, is unlinked.
+    fn drop_in_flight(&mut self, idx: usize, t: f64) -> InFlight {
+        let f = self.in_flight.swap_remove(idx);
+        let lease = self.clusters[f.cluster].sched.pool.lease_mut(f.lease);
+        if f.free_ns > t && lease.free_at_ns == f.free_ns {
+            lease.busy_ns -= f.free_ns - t;
+            lease.free_at_ns = t;
+        }
+        if let Some(p) = f.partner {
+            if let Some(partner) = self.in_flight.iter_mut().find(|g| g.seq == p) {
+                partner.partner = None;
+            }
+        }
+        for c in &f.completions {
+            self.uncover(c.outcome.id);
+        }
+        f
     }
 
     /// Cancels any live hedge-pair member whose every job is already
@@ -717,21 +757,7 @@ impl FleetRunner {
             }
         }
         for &idx in cancelled.iter().rev() {
-            let f = self.in_flight.swap_remove(idx);
-            for c in &f.completions {
-                self.uncover(c.outcome.id);
-            }
-            let lease = self.clusters[f.cluster].pool.lease_mut(f.lease);
-            if lease.free_at_ns == f.done_ns {
-                lease.busy_ns -= f.done_ns - now;
-                lease.free_at_ns = now;
-            }
-            // Unlink the partner so it won't look for us later.
-            if let Some(p) = f.partner {
-                if let Some(partner) = self.in_flight.iter_mut().find(|g| g.seq == p) {
-                    partner.partner = None;
-                }
-            }
+            self.drop_in_flight(idx, now);
             self.stats.hedge_cancels += 1;
         }
     }
@@ -775,7 +801,7 @@ impl FleetRunner {
                     // Replacement hardware: every lease comes back whole
                     // after the configured swap time.
                     let repair_ns = self.cfg.base.repair_ns;
-                    let pool = &mut self.clusters[e.cluster].pool;
+                    let pool = &mut self.clusters[e.cluster].sched.pool;
                     for l in 0..pool.len() {
                         let lease = pool.lease_mut(l);
                         lease.free_at_ns = lease.free_at_ns.min(e.t_ns);
@@ -787,7 +813,8 @@ impl FleetRunner {
     }
 
     /// A whole cluster drops at `t`: quarantine it, lose its un-finished
-    /// in-flight work, and re-shard everything to survivors.
+    /// in-flight work, and re-shard everything to survivors — queued
+    /// jobs, DAG proofs in progress, and jobs whose last live copy died.
     fn kill_cluster(&mut self, cluster: usize, t: f64) {
         let state = &mut self.clusters[cluster];
         state.alive = false;
@@ -804,58 +831,40 @@ impl FleetRunner {
         unintt_telemetry::counter_add("sim_quarantines", 1);
 
         // In-flight work on the dead cluster: results completed by `t`
-        // were committed by `commit_due`; the rest are lost. Jobs whose
-        // last live copy died re-shard to survivors.
+        // were committed by `commit_due`; the rest are lost.
         let mut orphans: Vec<QueuedJob> = Vec::new();
-        let mut idx = 0;
-        while idx < self.in_flight.len() {
-            if self.in_flight[idx].cluster != cluster {
-                idx += 1;
-                continue;
-            }
-            let f = self.in_flight.swap_remove(idx);
-            // Refund the lease for simulated time that never ran.
-            let lease = self.clusters[cluster].pool.lease_mut(f.lease);
-            if f.done_ns > t && lease.free_at_ns == f.done_ns {
-                lease.busy_ns -= f.done_ns - t;
-                lease.free_at_ns = t;
-            }
-            if let Some(p) = f.partner {
-                if let Some(partner) = self.in_flight.iter_mut().find(|g| g.seq == p) {
-                    partner.partner = None;
-                }
-            }
-            for c in &f.completions {
-                let id = c.outcome.id;
-                self.uncover(id);
-                if !self.committed.contains(&id) && !self.coverage.contains_key(&id) {
-                    orphans.push(c.job);
-                }
-            }
+        while let Some(idx) = self.in_flight.iter().position(|f| f.cluster == cluster) {
+            let f = self.drop_in_flight(idx, t);
+            orphans.extend(
+                f.completions
+                    .iter()
+                    .filter(|c| {
+                        let id = c.outcome.id;
+                        !self.committed.contains(&id) && !self.coverage.contains_key(&id)
+                    })
+                    .map(|c| c.job),
+            );
         }
-        // Queued work re-shards wholesale.
-        let state = &mut self.clusters[cluster];
-        let flushed = state.coalescer.flush(t);
-        let mut requeued: Vec<QueuedJob> = orphans;
-        for b in state.ready.drain().chain(flushed) {
-            requeued.extend(b.jobs);
-        }
-        requeued.sort_by_key(|j| j.id);
-        let n = requeued.len() as u64;
-        if n > 0 {
-            self.stats.failovers += n;
-            unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                name: "failover".into(),
-                kind: unintt_telemetry::InstantKind::Failover,
-                track: format!("cluster{cluster}"),
-                t_ns: t,
-                attrs: vec![("jobs", requeued.len().into())],
-            });
-            unintt_telemetry::counter_add("sim_failovers", n);
-        }
-        for job in requeued {
-            self.place(job, t);
-        }
+        orphans.extend(self.clusters[cluster].sched.evacuate(t));
+        self.reshard(cluster, orphans, t);
+    }
+
+    /// A breaker trip outside chaos (consecutive leftover failures):
+    /// queued work and DAG proofs in progress re-shard away; in-flight
+    /// batches finish normally.
+    fn trip_breaker(&mut self, c: usize, now: f64) {
+        self.clusters[c].bank_routable(now);
+        self.stats.quarantines += 1;
+        unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
+            name: "breaker-trip".into(),
+            kind: unintt_telemetry::InstantKind::Quarantine,
+            track: format!("cluster{c}"),
+            t_ns: now,
+            attrs: vec![],
+        });
+        unintt_telemetry::counter_add("sim_quarantines", 1);
+        let jobs = self.clusters[c].sched.evacuate(now);
+        self.reshard(c, jobs, now);
     }
 
     /// Advances every health machine: due probes resolve (success iff
@@ -901,21 +910,18 @@ impl FleetRunner {
     }
 
     fn launch_hedge(&mut self, primary_seq: u64, now: f64) {
-        let Some(pi) = self.in_flight.iter().position(|f| f.seq == primary_seq) else {
+        let Some(p) = self.in_flight.iter().find(|f| f.seq == primary_seq) else {
             return; // primary already killed or cancelled
         };
-        let (p_cluster, p_key, stragglers): (usize, Option<BatchKey>, Vec<QueuedJob>) = {
-            let p = &self.in_flight[pi];
-            let jobs = p
-                .completions
-                .iter()
-                .skip(p.cursor)
-                .filter(|c| !self.committed.contains(&c.outcome.id))
-                .map(|c| c.job)
-                .collect();
-            (p.cluster, p.key, jobs)
-        };
-        let Some(key) = p_key else { return };
+        let Some(key) = p.key else { return };
+        let p_cluster = p.cluster;
+        let stragglers: Vec<QueuedJob> = p
+            .completions
+            .iter()
+            .skip(p.cursor)
+            .filter(|c| !self.committed.contains(&c.outcome.id))
+            .map(|c| c.job)
+            .collect();
         if stragglers.is_empty() {
             return;
         }
@@ -925,257 +931,113 @@ impl FleetRunner {
             .routable_clusters()
             .into_iter()
             .filter(|&c| c != p_cluster)
-            .map(|c| (self.clusters[c].pool.next_free_ns(), c))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("lease clocks are finite")
-                    .then(a.1.cmp(&b.1))
-            })
+            .map(|c| (self.clusters[c].sched.pool.next_free_ns(), c))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .map(|(_, c)| c);
         let Some(target) = target else { return };
-        let start = self.clusters[target].pool.next_free_ns().max(now);
-        let hedge_seq = self.dispatch_raw(target, key, stragglers, start, true, Some(primary_seq));
-        if let Some(hs) = hedge_seq {
-            if let Some(p) = self.in_flight.iter_mut().find(|f| f.seq == primary_seq) {
-                p.partner = Some(hs);
-            }
-            self.stats.hedges += 1;
-            unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                name: "hedge".into(),
-                kind: unintt_telemetry::InstantKind::Hedge,
-                track: format!("cluster{target}"),
-                t_ns: now,
-                attrs: vec![("primary", primary_seq.into())],
-            });
-            unintt_telemetry::counter_add("sim_hedges", 1);
-        }
-    }
-
-    /// Dispatches every cluster's ready work onto its free leases.
-    fn dispatch_all(&mut self, now: f64) {
-        for c in 0..self.clusters.len() {
-            loop {
-                let cl = &self.clusters[c];
-                if !(cl.alive && cl.health.routable())
-                    || cl.ready.is_empty()
-                    || !cl.pool.any_free(now)
-                {
-                    break;
-                }
-                let batch = self.clusters[c].ready.pop().expect("ready is non-empty");
-                self.dispatch_batch(c, batch, now);
-            }
-        }
-    }
-
-    /// One batch on cluster `c`: deadline-expire, then run.
-    fn dispatch_batch(&mut self, c: usize, batch: ReadyBatch, now: f64) {
-        let (jobs, expired) = dispatch::split_expired(batch.jobs, now);
-        if !expired.is_empty() {
-            let n = expired.len() as u64;
-            self.stats.deadline_cancelled += n;
-            unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                name: "deadline-cancel".into(),
-                kind: unintt_telemetry::InstantKind::Shed,
-                track: format!("cluster{c}"),
-                t_ns: now,
-                attrs: vec![("jobs", expired.len().into())],
-            });
-            unintt_telemetry::counter_add("serve_deadline_cancelled", n);
-            self.outcomes.extend(expired);
-        }
-        if jobs.is_empty() {
+        let Some(run) = self.clusters[target]
+            .sched
+            .hedge(key, stragglers, now, &mut self.shared)
+        else {
+            return;
+        };
+        let (hedge_seq, live) = (run.seq, !run.completions.is_empty());
+        self.launch(target, run, Some(primary_seq));
+        if !live {
             return;
         }
-        match batch.key {
-            Some(key) => {
-                self.dispatch_raw(c, key, jobs, now, false, None);
-            }
-            None => self.dispatch_singleton(c, jobs[0], now),
+        if let Some(p) = self.in_flight.iter_mut().find(|f| f.seq == primary_seq) {
+            p.partner = Some(hedge_seq);
         }
+        self.stats.hedges += 1;
+        unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
+            name: "hedge".into(),
+            kind: unintt_telemetry::InstantKind::Hedge,
+            track: format!("cluster{target}"),
+            t_ns: now,
+            attrs: vec![("primary", primary_seq.into())],
+        });
+        unintt_telemetry::counter_add("sim_hedges", 1);
     }
 
-    /// Runs a raw batch on cluster `c` starting at `start`, registering
-    /// the in-flight. Returns the dispatch seq (None if the batch lost
-    /// every job to a dead-on-arrival lease — cannot happen in practice
-    /// because dead leases were repaired at dispatch end).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_raw(
-        &mut self,
-        c: usize,
-        key: BatchKey,
-        jobs: Vec<QueuedJob>,
-        start: f64,
-        is_hedge: bool,
-        partner: Option<u64>,
-    ) -> Option<u64> {
-        self.dispatch_seq += 1;
-        let seq = self.dispatch_seq;
-        let lease = self.clusters[c].pool.earliest();
-        let lease_id = lease.id;
-        let mut result = lease.with_cluster(key.field, |cluster| {
-            dispatch::run_raw_batch(
-                &mut self.caches,
-                &self.cfg.base,
-                key,
-                &jobs,
-                cluster,
-                seq,
-                start,
-            )
-        });
-        // `start + elapsed` and the last per-job completion are the same
-        // instant computed with different float association; clamp so no
-        // completion lands (one ULP) after the in-flight's `done`.
-        let mut done = start + result.elapsed_ns;
-        if let Some(last) = result.completions.last() {
-            done = done.max(last.outcome.completed_ns);
-        }
-        self.batch_sizes.push(jobs.len());
-        unintt_telemetry::record_span(|| unintt_telemetry::Span {
-            id: unintt_telemetry::fresh_id(),
-            parent: None,
-            name: if is_hedge {
-                "hedge-dispatch"
-            } else {
-                "dispatch"
-            }
-            .into(),
-            level: unintt_telemetry::SpanLevel::Serve,
-            category: "dispatch",
-            track: format!("cluster{c}-lease{lease_id}"),
-            t_start_ns: start,
-            t_end_ns: done,
-            attrs: vec![("jobs", jobs.len().into()), ("seq", seq.into())],
-        });
-        {
-            let lease = self.clusters[c].pool.lease_mut(lease_id);
-            lease.free_at_ns = done;
-            lease.busy_ns += result.elapsed_ns;
-            lease.dispatches += 1;
-        }
-        // Health bookkeeping + leftover failover.
-        if result.leftover.is_empty() {
-            self.clusters[c].health.record_success();
-        } else {
-            let lease = self.clusters[c].pool.lease_mut(lease_id);
-            lease.repair(done, self.cfg.base.repair_ns);
-            let tripped = self.clusters[c].health.record_failure(done);
-            if tripped {
-                self.trip_breaker(c, done);
-            }
-            let leftover = std::mem::take(&mut result.leftover);
-            self.stats.failovers += leftover.len() as u64;
-            unintt_telemetry::counter_add("sim_failovers", leftover.len() as u64);
-            for job in leftover {
-                self.place(job, done);
-            }
-        }
-        // Coverage + in-flight registration.
-        for comp in &result.completions {
-            *self.coverage.entry(comp.outcome.id).or_insert(0) += 1;
-        }
-        let has_completions = !result.completions.is_empty();
-        // Hedge arming: only primaries hedge, and only once the p99 is
-        // trustworthy.
-        if !is_hedge && has_completions {
-            if let Some(h) = self.cfg.hedge {
-                if self.samples.count() as usize >= h.min_samples {
-                    let p99 = self.samples.quantile(0.99);
-                    let deadline = start + h.factor * p99;
-                    if done > deadline {
-                        self.pending_hedges.push((deadline, seq));
+    /// Dispatches every routable cluster's placeable work at `now`.
+    /// Re-sharding an unfinished tail can hand jobs to a cluster this pass
+    /// already visited, so the pass repeats until nothing moved.
+    fn dispatch_all(&mut self, now: f64) {
+        let mut again = true;
+        while again {
+            again = false;
+            for c in 0..self.clusters.len() {
+                while self.clusters[c].dispatchable() {
+                    let sched = &mut self.clusters[c].sched;
+                    let Some(d) = sched.dispatch_next(now, &mut self.shared) else {
+                        break;
+                    };
+                    self.stats.deadline_cancelled += d.expired.len() as u64;
+                    self.outcomes.extend(d.expired);
+                    if let Some(run) = d.run {
+                        again |= self.launch(c, run, None);
                     }
                 }
             }
         }
-        self.samples.observe(result.elapsed_ns);
-        if has_completions {
+    }
+
+    /// Registers a batch run on cluster `c` as in flight — its results
+    /// commit when the clock reaches each one — and does the fleet's
+    /// bookkeeping: health, hedge arming, and re-sharding an unfinished
+    /// tail. `partner` is the primary's seq when this run is a hedge.
+    /// Returns whether jobs were re-sharded.
+    fn launch(&mut self, c: usize, mut run: BatchRun, partner: Option<u64>) -> bool {
+        let is_hedge = partner.is_some();
+        let done = run
+            .completions
+            .last()
+            .map_or(run.done_ns, |l| run.done_ns.max(l.outcome.completed_ns));
+        let leftover = std::mem::take(&mut run.leftover);
+        let resharded = !leftover.is_empty();
+        if resharded {
+            // The lease ran out of healthy nodes mid-batch (it was
+            // repaired): a failure on this cluster's record, and the tail
+            // re-shards.
+            if self.clusters[c].health.record_failure(run.done_ns) {
+                self.trip_breaker(c, run.done_ns);
+            }
+            self.reshard(c, leftover, run.done_ns);
+        } else {
+            self.clusters[c].health.record_success();
+        }
+        for comp in &run.completions {
+            *self.coverage.entry(comp.outcome.id).or_insert(0) += 1;
+        }
+        if run.key.is_some() {
+            // Hedge arming: only primaries hedge, and only once the p99
+            // is trustworthy.
+            if let Some(h) = self.cfg.hedge.filter(|_| !is_hedge) {
+                if !run.completions.is_empty() && self.samples.count() as usize >= h.min_samples {
+                    let deadline = run.start_ns + h.factor * self.samples.quantile(0.99);
+                    if done > deadline {
+                        self.pending_hedges.push((deadline, run.seq));
+                    }
+                }
+            }
+            self.samples.observe(run.elapsed_ns);
+        }
+        if !run.completions.is_empty() {
             self.in_flight.push(InFlight {
-                seq,
+                seq: run.seq,
                 cluster: c,
-                lease: lease_id,
-                key: Some(key),
-                completions: result.completions,
+                lease: run.lease,
+                key: run.key,
+                completions: run.completions,
                 cursor: 0,
+                free_ns: run.done_ns,
                 done_ns: done,
                 is_hedge,
                 partner,
             });
-            Some(seq)
-        } else {
-            None
         }
-    }
-
-    /// Runs one PLONK/STARK job on cluster `c` as an in-flight singleton.
-    fn dispatch_singleton(&mut self, c: usize, job: QueuedJob, now: f64) {
-        self.dispatch_seq += 1;
-        let seq = self.dispatch_seq;
-        // The fleet runs DAG jobs monolithically (stage interleaving is a
-        // single-cluster scheduler feature; the output bytes are the same
-        // either way).
-        let (sim_ns, output_digest) =
-            dispatch::run_proof(&mut self.caches, &self.cfg.base, job.spec.class);
-        let elapsed = sim_ns + self.cfg.base.dispatch_overhead_ns;
-        let done = now + elapsed;
-        let lease_id = {
-            let lease = self.clusters[c].pool.earliest();
-            lease.id
-        };
-        {
-            let lease = self.clusters[c].pool.lease_mut(lease_id);
-            lease.free_at_ns = done;
-            lease.busy_ns += elapsed;
-            lease.dispatches += 1;
-        }
-        self.clusters[c].health.record_success();
-        self.batch_sizes.push(1);
-        *self.coverage.entry(job.id).or_insert(0) += 1;
-        self.in_flight.push(InFlight {
-            seq,
-            cluster: c,
-            lease: lease_id,
-            key: None,
-            completions: vec![Completion {
-                outcome: JobOutcome {
-                    batch_size: 1,
-                    output_digest,
-                    ..JobOutcome::new(&job, JobStatus::Completed, done)
-                },
-                exec_start_ns: now,
-                job,
-            }],
-            cursor: 0,
-            done_ns: done,
-            is_hedge: false,
-            partner: None,
-        });
-    }
-
-    /// A breaker trip outside chaos (consecutive leftover failures):
-    /// queued work re-shards away; in-flight work finishes normally.
-    fn trip_breaker(&mut self, c: usize, now: f64) {
-        self.clusters[c].bank_routable(now);
-        self.stats.quarantines += 1;
-        unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-            name: "breaker-trip".into(),
-            kind: unintt_telemetry::InstantKind::Quarantine,
-            track: format!("cluster{c}"),
-            t_ns: now,
-            attrs: vec![],
-        });
-        unintt_telemetry::counter_add("sim_quarantines", 1);
-        let state = &mut self.clusters[c];
-        let flushed = state.coalescer.flush(now);
-        let mut requeued: Vec<QueuedJob> = Vec::new();
-        for b in state.ready.drain().chain(flushed) {
-            requeued.extend(b.jobs);
-        }
-        requeued.sort_by_key(|j| j.id);
-        for job in requeued {
-            self.place(job, now);
-        }
+        resharded
     }
 }
 

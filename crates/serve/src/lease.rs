@@ -170,11 +170,6 @@ impl LeasePool {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// True if some lease is free at `now`.
-    pub fn any_free(&self, now: f64) -> bool {
-        self.leases.iter().any(|l| l.free_at_ns <= now)
-    }
-
     /// Mutable access to one lease by id.
     pub fn lease_mut(&mut self, id: usize) -> &mut Lease {
         &mut self.leases[id]
@@ -274,7 +269,7 @@ mod tests {
         };
         let run = |fresh_each: bool| {
             let mut lease = Lease::new(1, LeaseShape::default());
-            let mut caches = EngineCaches::new();
+            let mut caches = EngineCaches::default();
             let (mut trace, mut losses) = (Vec::new(), 0);
             for step in 0..24u64 {
                 let field = [ServiceField::Goldilocks, ServiceField::BabyBear][step as usize % 2];

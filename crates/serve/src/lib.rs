@@ -45,6 +45,7 @@ mod job;
 mod lease;
 mod metrics;
 mod router;
+mod scheduler;
 mod service;
 mod workload;
 

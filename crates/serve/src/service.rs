@@ -1,5 +1,5 @@
-//! The proving service: front door, admission control, the
-//! discrete-event scheduler loop, and dispatch onto GPU leases.
+//! The proving service: front door, admission control and the
+//! discrete-event loop over one cluster.
 //!
 //! Everything runs on the **simulated clock**: jobs carry arrival
 //! timestamps, batches occupy leases for exactly the time the cluster
@@ -8,30 +8,26 @@
 //! bit-identical — including under fault injection, whose plans are
 //! seeded per dispatch.
 //!
-//! There is one event loop. Every lease carries
-//! [`ServiceConfig::streams_per_lease`] typed compute queues for DAG
-//! stages; one queue per lease (the default) *is* the serialized
-//! schedule — the `k = 1` case of the loop, not a second scheduler.
+//! The cluster is scheduled by the one per-cluster scheduler each
+//! cluster of a [`crate::FleetService`] runs too; this module runs one
+//! of them on its own.
 //!
 //! Transforms are *functionally executed* (not just cost-modelled): with
 //! `verify_outputs` on, every raw-NTT result is checked bit-for-bit
 //! against a CPU reference computed through [`unintt_ntt::batch`]'s
 //! batched path, every PLONK proof is verified, and every STARK
 //! commitment is checked. The execution machinery itself lives in
-//! [`crate::dispatch`], shared with the multi-cluster fleet runner.
+//! [`crate::dispatch`].
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 
-use unintt_gpu_sim::StreamSet;
-use unintt_pipeline::DagRun;
-
-use crate::coalesce::{Coalescer, QueuedJob, ReadyBatch};
+use crate::coalesce::{QueuedJob, ReadyBatch};
 use crate::config::ServiceConfig;
-use crate::dispatch::{self, DispatchKey, EngineCaches, ReadyQueue};
-use crate::job::{AdmissionError, DagKind, JobClass, JobId, JobOutcome, JobSpec, JobStatus};
-use crate::lease::LeasePool;
+use crate::dispatch;
+use crate::job::{AdmissionError, JobId, JobOutcome, JobSpec, JobStatus};
 use crate::metrics::ServiceMetrics;
+use crate::scheduler::{Scheduler, Shared};
 
 /// Everything one run produced: per-job outcomes plus the metrics
 /// snapshot.
@@ -42,7 +38,7 @@ pub struct ServiceReport {
     /// Aggregated metrics.
     pub metrics: ServiceMetrics,
     /// Lease-occupied simulated time per DAG stage kind, summed over
-    /// every [`JobClass::ProveDag`] job (empty when none ran). This is
+    /// every [`crate::JobClass::ProveDag`] job (empty when none ran). This is
     /// the per-stage time attribution experiment E19 reports.
     pub stage_ns: BTreeMap<&'static str, f64>,
 }
@@ -115,639 +111,100 @@ impl ProofService {
     /// Plays every submitted job through the service on the simulated
     /// clock and returns the report. The backlog is consumed; the service
     /// can be reused for a fresh stream afterwards.
-    pub fn run(&mut self) -> ServiceReport {
-        let backlog = std::mem::take(&mut self.backlog);
-        Runner::new(self.cfg.clone()).run(backlog)
-    }
-}
-
-/// One operation on the ready list, logged in test builds so
-/// `tests::raw_op_profile` can replay a run's batch selection alone.
-#[cfg(test)]
-#[derive(Clone)]
-enum ReadyOp {
-    Push(ReadyBatch),
-    Peek,
-    Pop,
-}
-
-/// One [`JobClass::ProveDag`] job being executed stage-by-stage: its
-/// progress through the stage DAG, released at the job's arrival.
-struct ActiveDag {
-    job: QueuedJob,
-    kind: DagKind,
-    run: DagRun,
-    /// When the first stage started executing (for the lifecycle spans).
-    first_start_ns: Option<f64>,
-}
-
-/// One in-flight DAG stage: everything needed to commit its completion
-/// when its queue drains.
-struct PendingStage {
-    job: JobId,
-    si: usize,
-    lease: usize,
-    queue: usize,
-    start_ns: f64,
-    seq: u64,
-    stage_name: String,
-    kind_name: &'static str,
-}
-
-/// The discrete-event execution engine behind [`ProofService::run`].
-struct Runner {
-    cfg: ServiceConfig,
-    pool: LeasePool,
-    coalescer: Coalescer,
-    ready: ReadyQueue,
-    dags: Vec<ActiveDag>,
-    outcomes: Vec<JobOutcome>,
-    batch_sizes: Vec<usize>,
-    stage_ns: BTreeMap<&'static str, f64>,
-    peak_queue: usize,
-    dispatch_seq: u64,
-    caches: EngineCaches,
-    #[cfg(test)]
-    ready_log: Vec<ReadyOp>,
-}
-
-impl Runner {
-    fn new(cfg: ServiceConfig) -> Self {
-        let pool = LeasePool::new(cfg.num_leases, cfg.lease);
-        let coalescer = Coalescer::new(cfg.batch_window_ns, cfg.max_batch);
-        let ready = ReadyQueue::new(cfg.policy);
-        Self {
-            cfg,
-            pool,
-            coalescer,
-            ready,
-            dags: Vec::new(),
-            outcomes: Vec::new(),
-            batch_sizes: Vec::new(),
-            stage_ns: BTreeMap::new(),
-            peak_queue: 0,
-            dispatch_seq: 0,
-            caches: EngineCaches::new(),
-            #[cfg(test)]
-            ready_log: Vec::new(),
-        }
-    }
-
-    /// The event loop: advance the simulated clock to the next arrival,
-    /// window close, lease release or stage completion; process
-    /// everything due; repeat until the stream is drained.
-    ///
-    /// Every lease carries a [`StreamSet`] of
-    /// [`ServiceConfig::streams_per_lease`] typed compute queues. With
-    /// one queue a lease holds one DAG stage at a time — the serialized
-    /// schedule. With more, a compute-bound MSM stage and a memory-bound
-    /// NTT stage of *different* proofs (or independent stages of one
-    /// proof) co-reside on one lease, both advancing under the
-    /// interference-model slowdown instead of serializing; same-class
-    /// stages still serialize — the set rejects them at admission. Raw
-    /// batches and monolithic proofs keep exclusive occupancy at every
-    /// queue count: they need a lease with no batch in flight *and*
-    /// every queue drained.
-    ///
-    /// Outputs do not depend on the queue count because stage execution
-    /// stays functional-at-dispatch: `run_stage` mutates proof state the
-    /// instant the stage is admitted, in DAG dependency order with
-    /// totally ordered transcript barriers, while the overlap model only
-    /// decides when the *completion* commits on the simulated clock.
     ///
     /// # Panics
     ///
     /// Panics if `streams_per_lease` is outside
     /// `1..=`[`unintt_core::MAX_STREAMS_PER_LEASE`] or the interference
     /// model is invalid.
-    fn run(&mut self, mut backlog: Vec<QueuedJob>) -> ServiceReport {
-        let k = self.cfg.streams_per_lease;
-        assert!(
-            (1..=unintt_core::MAX_STREAMS_PER_LEASE as usize).contains(&k),
-            "streams_per_lease must be 1..={}, got {k}",
-            unintt_core::MAX_STREAMS_PER_LEASE
-        );
-        self.cfg.interference.validate();
-        let mut streams: Vec<StreamSet> = (0..self.pool.len())
-            .map(|_| StreamSet::new(k, self.cfg.interference))
-            .collect();
-        // Last instant each lease released work (batch end or stage
-        // completion). Ordering accepting leases by this is
-        // earliest-free lease selection at one queue.
-        let mut release_ns = vec![0.0f64; self.pool.len()];
-        let mut pending: BTreeMap<u64, PendingStage> = BTreeMap::new();
+    pub fn run(&mut self) -> ServiceReport {
+        let backlog = std::mem::take(&mut self.backlog);
+        play(
+            &mut Scheduler::new(self.cfg.clone(), String::new()),
+            backlog,
+        )
+    }
+}
 
-        let total = backlog.len();
-        self.outcomes = dispatch::arrival_order(&mut backlog);
-        let mut next_arrival = 0usize;
-        let mut now = 0.0f64;
+/// The event loop behind [`ProofService::run`]: advance the simulated
+/// clock to the next arrival, window close, lease release or stage
+/// completion; process everything due; repeat until the stream is
+/// drained. Results commit the instant their batch is dispatched.
+fn play(sched: &mut Scheduler, mut backlog: Vec<QueuedJob>) -> ServiceReport {
+    let capacity = sched.cfg.queue_capacity;
+    let mut shared = Shared::default();
+    let total = backlog.len();
+    let mut outcomes = dispatch::arrival_order(&mut backlog);
+    let mut peak_queue = 0;
+    let mut next_arrival = 0usize;
+    let mut now = 0.0f64;
 
-        loop {
-            // 1. Close every coalescing window that has expired.
-            for batch in self.coalescer.close_due(now) {
-                unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                    name: "window-flush".into(),
-                    kind: unintt_telemetry::InstantKind::CoalescerFlush,
-                    track: "coalescer".into(),
-                    t_ns: now,
-                    attrs: vec![("jobs", batch.len().into())],
+    loop {
+        // 1. Close every coalescing window that has expired.
+        sched.close_windows(now);
+
+        // 2. Admit arrivals due by now (in arrival, then id order).
+        while next_arrival < backlog.len() && backlog[next_arrival].spec.arrival_ns <= now {
+            let job = backlog[next_arrival];
+            next_arrival += 1;
+            let depth = sched.queued();
+            if depth >= capacity {
+                let full = JobStatus::Rejected(AdmissionError::QueueFull { depth, capacity });
+                outcomes.push(JobOutcome::new(&job, full, now));
+                unintt_telemetry::counter_add("serve_jobs_rejected", 1);
+                continue;
+            }
+            sched.offer(job, now, &mut shared);
+            peak_queue = peak_queue.max(sched.queued());
+            if unintt_telemetry::recording() {
+                unintt_telemetry::counter_add("serve_jobs_admitted", 1);
+                unintt_telemetry::gauge_set("serve_queue_depth", sched.queued() as f64);
+                unintt_telemetry::gauge_max("serve_queue_depth_peak", peak_queue as f64);
+            }
+        }
+
+        // 3. Dispatch everything placeable at `now`.
+        while let Some(d) = sched.dispatch_next(now, &mut shared) {
+            outcomes.extend(d.expired);
+            let Some(run) = d.run else { continue };
+            outcomes.extend(run.completions.iter().map(dispatch::commit_completion));
+            if !run.leftover.is_empty() {
+                // The lease ran out of healthy nodes mid-batch and was
+                // repaired: requeue the unfinished tail. No job is ever
+                // failed.
+                sched.push_ready(ReadyBatch {
+                    key: run.key,
+                    jobs: run.leftover,
+                    ready_ns: run.done_ns,
                 });
-                #[cfg(test)]
-                self.ready_log.push(ReadyOp::Push(batch.clone()));
-                self.ready.push(batch);
-            }
-
-            // 2. Admit arrivals due by now (in arrival, then id order).
-            while next_arrival < backlog.len() && backlog[next_arrival].spec.arrival_ns <= now {
-                let job = backlog[next_arrival];
-                next_arrival += 1;
-                self.admit(job, now);
-            }
-
-            // 3. Dispatch everything placeable at `now`. Batches and DAG
-            // stages compete under one policy ordering (batches win
-            // exact ties); a batch blocked by stage residency waits
-            // while complementary stages keep flowing (the scheduler is
-            // work-conserving across classes).
-            loop {
-                #[cfg(test)]
-                self.ready_log.push(ReadyOp::Peek);
-                let batch = self.ready.peek().and_then(|key| {
-                    self.idle_lease(&streams, &release_ns, now)
-                        .map(|l| (key, l))
-                });
-                let stage = self.next_ready_stage(now, &streams, &release_ns);
-                match (batch, stage) {
-                    (Some((bk, lease)), stage)
-                        if stage
-                            .is_none_or(|(.., sk)| bk.cmp_under(&sk, self.cfg.policy).is_le()) =>
-                    {
-                        #[cfg(test)]
-                        self.ready_log.push(ReadyOp::Pop);
-                        let batch = self.ready.pop().expect("peeked");
-                        self.dispatch(batch, lease, now);
-                    }
-                    (_, Some((di, si, lease, _))) => {
-                        self.start_stage(di, si, lease, now, &mut streams, &mut pending);
-                    }
-                    (_, None) => break,
-                }
-            }
-
-            // 4. The next event: an arrival, a window close, a lease
-            // coming free (batch end or repair), or an in-flight stage
-            // completing. Everything due at `now` was already processed,
-            // so every candidate is strictly in the future.
-            let t_arrival = backlog.get(next_arrival).map(|j| j.spec.arrival_ns);
-            let t_close = self.coalescer.next_close_ns();
-            // The earliest *future* lease-free instant. Not
-            // `next_free_ns()`: that is the global minimum, and a lease
-            // whose only work is in its queues keeps a stale
-            // `free_at_ns <= now` that would mask a busier lease's batch
-            // ending later — exactly the wake-up a waiting stage needs.
-            let t_lease = if self.ready.is_empty() && self.dags.is_empty() {
-                None
-            } else {
-                self.pool
-                    .leases()
-                    .iter()
-                    .map(|l| l.free_at_ns)
-                    .filter(|&t| t > now && t.is_finite())
-                    .min_by(f64::total_cmp)
-            };
-            let t_complete = streams
-                .iter()
-                .filter_map(StreamSet::earliest_completion_ns)
-                .min_by(f64::total_cmp);
-            let Some(t) = [t_arrival, t_close, t_lease, t_complete]
-                .into_iter()
-                .flatten()
-                .fold(None, |acc: Option<f64>, t| {
-                    Some(acc.map_or(t, |a| a.min(t)))
-                })
-            else {
-                break;
-            };
-            debug_assert!(t > now, "events must advance the simulated clock");
-            now = now.max(t);
-
-            // 5. Advance every queue to `now` and commit the stages
-            // finishing there, in (lease, queue) order.
-            for l in 0..streams.len() {
-                streams[l].advance_to(now);
-                for fin in streams[l].take_finished() {
-                    let p = pending.remove(&fin.key).expect("known in-flight stage");
-                    release_ns[l] = release_ns[l].max(now);
-                    self.complete_stage(p, now);
-                }
             }
         }
 
-        // Queue-residency wall time becomes lease busy time. Batches
-        // and stages never overlap on one lease (batches require every
-        // queue drained), so the union adds cleanly to the batch time
-        // already accumulated in `busy_ns`.
-        for (l, ss) in streams.iter().enumerate() {
-            debug_assert!(ss.is_idle(), "queues drained at shutdown");
-            self.pool.lease_mut(l).busy_ns += ss.busy_union_ns;
-        }
-        debug_assert!(pending.is_empty(), "no stage left in flight");
+        // 4. The next event: an arrival or the scheduler's own.
+        let t_arrival = backlog.get(next_arrival).map(|j| j.spec.arrival_ns);
+        let Some(t) = [t_arrival, sched.next_event_ns(now)]
+            .into_iter()
+            .flatten()
+            .reduce(f64::min)
+        else {
+            break;
+        };
+        debug_assert!(t > now, "events must advance the simulated clock");
+        now = now.max(t);
 
-        self.outcomes.sort_by_key(|o| o.id);
-        debug_assert!(self.dags.is_empty(), "every DAG ran to completion");
-        debug_assert_eq!(self.outcomes.len(), total, "every job is accounted for");
-        let metrics = ServiceMetrics::build(
-            &self.outcomes,
-            &self.batch_sizes,
-            self.peak_queue,
-            &self.pool,
-        );
-        ServiceReport {
-            outcomes: std::mem::take(&mut self.outcomes),
-            metrics,
-            stage_ns: std::mem::take(&mut self.stage_ns),
-        }
+        // 5. Advance every queue to `now`; commit the proofs that finish.
+        let finished = sched.advance(now, &mut shared);
+        outcomes.extend(finished.iter().map(dispatch::commit_completion));
     }
 
-    /// The lease a coalesced batch or monolithic proof would run on: no
-    /// batch in flight *and* every queue drained (batches occupy the
-    /// whole device). Longest-idle first, then lowest id.
-    fn idle_lease(&self, streams: &[StreamSet], release_ns: &[f64], now: f64) -> Option<usize> {
-        let leases = self.pool.leases();
-        (0..leases.len())
-            .filter(|&l| leases[l].free_at_ns <= now && streams[l].is_idle())
-            .min_by(|&a, &b| {
-                let ka = leases[a].free_at_ns.max(release_ns[a]);
-                let kb = leases[b].free_at_ns.max(release_ns[b]);
-                ka.total_cmp(&kb).then(a.cmp(&b))
-            })
-    }
-
-    /// The ready DAG stage the scheduler would start at `now`, with the
-    /// lease it lands on: candidates — every [`DagRun::ready`] stage, all
-    /// available by `now` — are ordered by the dispatch policy, and
-    /// the first one some lease can accept wins — a stage whose class
-    /// is resident everywhere is skipped this round so complementary
-    /// work behind it keeps flowing. Per-stage cost for
-    /// shortest-job-first is the job's estimate split evenly across its
-    /// stages, so one big proof's stages rank like the medium jobs they
-    /// effectively are. The lease minimizes (interference penalty,
-    /// idle-since, id): spread first, then pair complementary classes.
-    fn next_ready_stage(
-        &self,
-        now: f64,
-        streams: &[StreamSet],
-        release_ns: &[f64],
-    ) -> Option<(usize, usize, usize, DispatchKey)> {
-        let mut cands: Vec<(usize, usize, DispatchKey)> = Vec::new();
-        for (di, dag) in self.dags.iter().enumerate() {
-            let per_stage_cost = dag.job.spec.class.estimated_cost() / dag.run.dag().len() as f64;
-            for (s, avail) in dag.run.ready() {
-                // Completions commit at the instant the loop reaches and
-                // jobs are admitted once they arrived, so nothing ready
-                // is available later than `now`.
-                debug_assert!(avail <= now, "ready stage available in the future");
-                cands.push((
-                    di,
-                    s,
-                    DispatchKey {
-                        ready_ns: avail,
-                        priority: dag.job.spec.priority,
-                        cost: per_stage_cost,
-                        id: dag.job.id,
-                    },
-                ));
-            }
-        }
-        cands.sort_by(|a, b| a.2.cmp_under(&b.2, self.cfg.policy));
-        let leases = self.pool.leases();
-        for (di, s, key) in cands {
-            let class = self.dags[di].run.dag().nodes()[s].kind.resource_class();
-            let lease = (0..leases.len())
-                .filter(|&l| leases[l].free_at_ns <= now && streams[l].can_accept(class))
-                .min_by(|&a, &b| {
-                    streams[a]
-                        .join_penalty(class)
-                        .total_cmp(&streams[b].join_penalty(class))
-                        .then(
-                            (leases[a].free_at_ns.max(release_ns[a]))
-                                .total_cmp(&leases[b].free_at_ns.max(release_ns[b])),
-                        )
-                        .then(a.cmp(&b))
-                });
-            if let Some(l) = lease {
-                return Some((di, s, l, key));
-            }
-        }
-        None
-    }
-
-    /// Functionally executes one ready stage at `now` and admits its
-    /// simulated duration to a queue of lease `lease_id`. The proof
-    /// state mutates *here*, at dispatch; the completion (and with it
-    /// every dependent stage) commits when the queue drains.
-    fn start_stage(
-        &mut self,
-        di: usize,
-        si: usize,
-        lease_id: usize,
-        now: f64,
-        streams: &mut [StreamSet],
-        pending: &mut BTreeMap<u64, PendingStage>,
-    ) {
-        self.dispatch_seq += 1;
-        let seq = self.dispatch_seq;
-        let dag = &mut self.dags[di];
-        // DAG stages run fault-free in the service, like the monolithic
-        // proof dispatches (their backends own machines separate from the
-        // lease's raw-NTT cluster); stage replay under injected faults is
-        // covered by the pipeline and prover test suites.
-        let elapsed = dag
-            .run
-            .start(si, &self.cfg.recovery)
-            .expect("DAG stages run fault-free in the service")
-            + self.cfg.stage_overhead_ns;
-        dag.first_start_ns.get_or_insert(now);
-        let node = &dag.run.dag().nodes()[si];
-        let class = node.kind.resource_class();
-        let joining = !streams[lease_id].is_idle();
-        let queue = streams[lease_id].admit(seq, class, elapsed);
-        pending.insert(
-            seq,
-            PendingStage {
-                job: dag.job.id,
-                si,
-                lease: lease_id,
-                queue,
-                start_ns: now,
-                seq,
-                stage_name: node.name.clone(),
-                kind_name: node.kind.name(),
-            },
-        );
-        unintt_telemetry::counter_add("serve_dag_stages", 1);
-        self.pool.lease_mut(lease_id).dispatches += 1;
-        if unintt_telemetry::recording() {
-            if joining {
-                unintt_telemetry::counter_add("sim_costream_pairs", 1);
-            }
-            let occ =
-                streams.iter().map(|s| s.in_flight() as f64).sum::<f64>() / streams.len() as f64;
-            unintt_telemetry::gauge_set("sim_stream_occupancy", occ);
-            unintt_telemetry::gauge_max("sim_stream_occupancy_peak", occ);
-        }
-    }
-
-    /// Commits one stage completion at `now` — its stretched end under
-    /// the interference model — emitting the per-queue span, and retires
-    /// the DAG when this completed its last stage (the barriers it
-    /// unblocks complete inside [`DagRun::complete`]).
-    fn complete_stage(&mut self, p: PendingStage, now: f64) {
-        let di = self
-            .dags
-            .iter()
-            .position(|d| d.job.id == p.job)
-            .expect("completing stage belongs to an active DAG");
-        self.dags[di].run.complete(p.si, now);
-        *self.stage_ns.entry(p.kind_name).or_insert(0.0) += now - p.start_ns;
-        unintt_telemetry::record_span(|| unintt_telemetry::Span {
-            id: unintt_telemetry::fresh_id(),
-            parent: None,
-            name: p.stage_name.clone(),
-            level: unintt_telemetry::SpanLevel::Serve,
-            category: "stage",
-            track: format!("lease{}.q{}", p.lease, p.queue),
-            t_start_ns: p.start_ns,
-            t_end_ns: now,
-            attrs: vec![
-                ("kind", p.kind_name.into()),
-                ("job", p.job.0.into()),
-                ("seq", p.seq.into()),
-                ("queue", (p.queue as u64).into()),
-            ],
-        });
-        if let Some(done) = self.dags[di].run.done_ns() {
-            self.finish_dag(di, done);
-        }
-    }
-
-    /// Jobs waiting (coalescing + ready + in-progress DAG proofs), the
-    /// admission-control depth.
-    fn queue_depth(&self) -> usize {
-        self.coalescer.queued() + self.ready.jobs() + self.dags.len()
-    }
-
-    /// Admission control + coalescer offer for one arrival.
-    fn admit(&mut self, job: QueuedJob, now: f64) {
-        let depth = self.queue_depth();
-        if depth >= self.cfg.queue_capacity {
-            let capacity = self.cfg.queue_capacity;
-            let full = JobStatus::Rejected(AdmissionError::QueueFull { depth, capacity });
-            self.outcomes.push(JobOutcome::new(&job, full, now));
-            unintt_telemetry::counter_add("serve_jobs_rejected", 1);
-            return;
-        }
-        if let JobClass::ProveDag { kind } = job.spec.class {
-            // DAG jobs skip the coalescer: the pipeline is staged once at
-            // admission (over the same fixtures the monolithic runners
-            // use) and its ready stages then compete for leases directly.
-            let pipe = dispatch::build_dag(&mut self.caches, &self.cfg, kind);
-            self.dags.push(ActiveDag {
-                job,
-                kind,
-                run: DagRun::new(pipe, job.spec.arrival_ns),
-                first_start_ns: None,
-            });
-        } else if let Some(batch) = self.coalescer.offer(job, now) {
-            unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                name: "batch-full".into(),
-                kind: unintt_telemetry::InstantKind::CoalescerFlush,
-                track: "coalescer".into(),
-                t_ns: now,
-                attrs: vec![("jobs", batch.len().into())],
-            });
-            #[cfg(test)]
-            self.ready_log.push(ReadyOp::Push(batch.clone()));
-            self.ready.push(batch);
-        }
-        self.peak_queue = self.peak_queue.max(self.queue_depth());
-        if unintt_telemetry::recording() {
-            unintt_telemetry::counter_add("serve_jobs_admitted", 1);
-            unintt_telemetry::gauge_set("serve_queue_depth", self.queue_depth() as f64);
-            unintt_telemetry::gauge_max("serve_queue_depth_peak", self.peak_queue as f64);
-        }
-    }
-
-    /// Runs one batch on lease `lease_id` (the caller picks it: the
-    /// longest-idle fully drained lease), charging simulated time and
-    /// recording outcomes. Members whose deadline already passed are
-    /// cancelled here, at dequeue, before the lease is touched.
-    fn dispatch(&mut self, batch: ReadyBatch, lease_id: usize, now: f64) {
-        debug_assert!(!batch.is_empty());
-        let (jobs, expired) = dispatch::split_expired(batch.jobs, now);
-        if !expired.is_empty() {
-            unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                name: "deadline-cancel".into(),
-                kind: unintt_telemetry::InstantKind::Shed,
-                track: "admission".into(),
-                t_ns: now,
-                attrs: vec![("jobs", expired.len().into())],
-            });
-            unintt_telemetry::counter_add("serve_deadline_cancelled", expired.len() as u64);
-            self.outcomes.extend(expired);
-        }
-        if jobs.is_empty() {
-            return;
-        }
-        let batch_len = jobs.len();
-        self.batch_sizes.push(batch_len);
-        self.dispatch_seq += 1;
-        let seq = self.dispatch_seq;
-        debug_assert!(
-            self.pool.leases()[lease_id].free_at_ns <= now,
-            "dispatch requires a free lease"
-        );
-
-        match batch.key {
-            Some(key) => {
-                let result = self
-                    .pool
-                    .lease_mut(lease_id)
-                    .with_cluster(key.field, |cluster| {
-                        dispatch::run_raw_batch(
-                            &mut self.caches,
-                            &self.cfg,
-                            key,
-                            &jobs,
-                            cluster,
-                            seq,
-                            now,
-                        )
-                    });
-                for c in &result.completions {
-                    self.outcomes.push(dispatch::commit_completion(c));
-                }
-                let done = now + result.elapsed_ns;
-                unintt_telemetry::record_span(|| unintt_telemetry::Span {
-                    id: unintt_telemetry::fresh_id(),
-                    parent: None,
-                    name: "dispatch".into(),
-                    level: unintt_telemetry::SpanLevel::Serve,
-                    category: "dispatch",
-                    track: format!("lease{lease_id}"),
-                    t_start_ns: now,
-                    t_end_ns: done,
-                    attrs: vec![
-                        ("jobs", batch_len.into()),
-                        ("seq", seq.into()),
-                        ("class", "raw-ntt".into()),
-                    ],
-                });
-                let lease = self.pool.lease_mut(lease_id);
-                lease.free_at_ns = done;
-                lease.busy_ns += result.elapsed_ns;
-                lease.dispatches += 1;
-                if !result.leftover.is_empty() {
-                    // The lease ran out of healthy nodes mid-batch: swap
-                    // it for fresh hardware and requeue the unfinished
-                    // tail. No job is ever failed.
-                    lease.repair(done, self.cfg.repair_ns);
-                    unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                        name: "lease-repair".into(),
-                        kind: unintt_telemetry::InstantKind::LeaseRepair,
-                        track: format!("lease{lease_id}"),
-                        t_ns: done,
-                        attrs: vec![("requeued", result.leftover.len().into())],
-                    });
-                    let requeued = ReadyBatch {
-                        key: Some(key),
-                        jobs: result.leftover,
-                        ready_ns: done,
-                    };
-                    #[cfg(test)]
-                    self.ready_log.push(ReadyOp::Push(requeued.clone()));
-                    self.ready.push(requeued);
-                } else if lease.is_dead() {
-                    lease.repair(done, self.cfg.repair_ns);
-                    unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                        name: "lease-repair".into(),
-                        kind: unintt_telemetry::InstantKind::LeaseRepair,
-                        track: format!("lease{lease_id}"),
-                        t_ns: done,
-                        attrs: vec![],
-                    });
-                }
-            }
-            None => {
-                let job = jobs[0];
-                let (sim_ns, output_digest) =
-                    dispatch::run_proof(&mut self.caches, &self.cfg, job.spec.class);
-                let elapsed = sim_ns + self.cfg.dispatch_overhead_ns;
-                let done = now + elapsed;
-                dispatch::record_job_spans(
-                    job.id,
-                    job.spec.class.name(),
-                    job.spec.arrival_ns,
-                    now,
-                    done,
-                    1,
-                );
-                unintt_telemetry::record_span(|| unintt_telemetry::Span {
-                    id: unintt_telemetry::fresh_id(),
-                    parent: None,
-                    name: "dispatch".into(),
-                    level: unintt_telemetry::SpanLevel::Serve,
-                    category: "dispatch",
-                    track: format!("lease{lease_id}"),
-                    t_start_ns: now,
-                    t_end_ns: done,
-                    attrs: vec![
-                        ("jobs", 1u64.into()),
-                        ("seq", seq.into()),
-                        ("class", job.spec.class.name().into()),
-                    ],
-                });
-                self.outcomes.push(JobOutcome {
-                    batch_size: 1,
-                    output_digest,
-                    ..JobOutcome::new(&job, JobStatus::Completed, done)
-                });
-                let lease = self.pool.lease_mut(lease_id);
-                lease.free_at_ns = done;
-                lease.busy_ns += elapsed;
-                lease.dispatches += 1;
-            }
-        }
-    }
-
-    /// Commits a DAG job completed at `done`: verifies the output (when
-    /// configured), records its lifecycle spans and outcome, and retires
-    /// the DAG.
-    fn finish_dag(&mut self, di: usize, done: f64) {
-        let dag = self.dags.remove(di);
-        if self.cfg.verify_outputs {
-            dispatch::verify_dag_output(&mut self.caches, dag.kind, dag.run.pipe());
-        }
-        let digest = dag
-            .run
-            .pipe()
-            .output_digest()
-            .expect("complete pipeline has a digest");
-        let exec_start = dag.first_start_ns.unwrap_or(dag.job.spec.arrival_ns);
-        dispatch::record_job_spans(
-            dag.job.id,
-            dag.job.spec.class.name(),
-            dag.job.spec.arrival_ns,
-            exec_start,
-            done,
-            1,
-        );
-        self.batch_sizes.push(1);
-        self.outcomes.push(JobOutcome {
-            batch_size: 1,
-            output_digest: digest,
-            ..JobOutcome::new(&dag.job, JobStatus::Completed, done)
-        });
+    sched.finish();
+    outcomes.sort_by_key(|o| o.id);
+    debug_assert_eq!(outcomes.len(), total, "every job is accounted for");
+    let metrics = ServiceMetrics::build(&outcomes, &sched.batch_sizes, peak_queue, &sched.pool);
+    ServiceReport {
+        outcomes,
+        metrics,
+        stage_ns: std::mem::take(&mut sched.stage_ns),
     }
 }
 
@@ -759,7 +216,10 @@ mod tests {
 
     use super::*;
     use crate::config::SchedulerPolicy;
-    use crate::job::{Priority, ServiceField};
+    use crate::dispatch::{EngineCaches, ReadyQueue};
+    use crate::job::{DagKind, JobClass, Priority, ServiceField};
+    use crate::lease::LeasePool;
+    use crate::scheduler::ReadyOp;
     use crate::workload::WorkloadSpec;
 
     fn raw_spec(log_n: u32, direction: Direction, arrival_ns: f64) -> JobSpec {
@@ -807,7 +267,7 @@ mod tests {
             forward: true,
         };
         let mut pool = LeasePool::new(1, cfg.lease);
-        let mut caches = EngineCaches::new();
+        let mut caches = EngineCaches::default();
         let (served_ns, network_hidden_ns, node_hidden_ns) =
             pool.lease_mut(0).with_cluster(field, |cluster| {
                 let served = run_raw_batch(&mut caches, &cfg, key, &jobs, cluster, 0, 0.0);
@@ -1355,10 +815,10 @@ mod tests {
             .zip(spec.generate())
             .map(|(id, spec)| QueuedJob { id, spec })
             .collect();
-        let mut runner = Runner::new(cfg.clone());
-        let report = runner.run(backlog);
+        let mut sched = Scheduler::new(cfg.clone(), String::new());
+        let report = play(&mut sched, backlog);
         assert!(report.all_completed());
-        let log = std::mem::take(&mut runner.ready_log);
+        let log = std::mem::take(&mut sched.ready_log);
 
         // The selection replayed alone, once through the linear scan the
         // loop used to run (a peek scans for the policy's pick, a pop
@@ -1542,7 +1002,7 @@ mod tests {
 
         // PLONK fixture setup, and the SRS it generates (4n powers).
         let fixture = best_ms(&mut || {
-            let mut caches = EngineCaches::new();
+            let mut caches = EngineCaches::default();
             dispatch::plonk_fixture(&mut caches, LOG_GATES);
             black_box(caches);
         });
@@ -1552,7 +1012,7 @@ mod tests {
         });
 
         // One PLONK proof's stages summed by kind, best of REPS per kind.
-        let mut caches = EngineCaches::new();
+        let mut caches = EngineCaches::default();
         let stages = |caches: &mut EngineCaches, simulated: bool| {
             let mut best: BTreeMap<&'static str, f64> = BTreeMap::new();
             for _ in 0..REPS {
