@@ -115,13 +115,16 @@ pipeline-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e19
 	test -s target/quick/BENCH_pipeline.json
 
-# Stream smoke: the intra-lease overlap suite (bit-identity across queue
-# counts and fault injection), then the quick E20 cell, which sweeps one
+# Stream smoke: the stream set's extra-instant property (advancing at
+# any instant between events moves no completion), the intra-lease
+# overlap suite (bit-identity across queue counts and fault injection),
+# then the quick E20 cell, which sweeps one
 # to four queues per lease and asserts per-job digest identity against
 # the monolithic reference in every cell. Rerunning E19 around it and
 # diffing proves the multi-queue runs left the one-queue experiment
 # byte-identical.
 stream-smoke:
+	cargo test --release -p unintt-gpu-sim --test stream_extra_instants
 	cargo test --release -p unintt-serve --test stream_overlap
 	cargo run --release -p unintt-bench --bin harness -- --quick e19
 	cp target/quick/BENCH_pipeline.json target/quick/BENCH_pipeline.before.json

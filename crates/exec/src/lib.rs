@@ -792,14 +792,29 @@ mod tests {
         let cycles = exec.shared.park_cycles.load(Ordering::Relaxed);
         assert!(cycles <= 2 * exec.handles.len(), "{cycles} park cycles");
 
-        // Tasks that outlast the grain reach the parked workers.
+        // Tasks that outlast the grain reach the parked workers. The joiner
+        // runs a first task that outlasts the grain, which is the evidence
+        // that wakes a worker; the two tasks behind it can only finish
+        // together, each waiting at a rendezvous for the other, so they
+        // complete only if a woken worker runs one while the joiner runs
+        // the other. Run one after the other, the first would wait out
+        // the timeout and fail.
         let caller = std::thread::current().id();
         let on_worker = AtomicUsize::new(0);
-        let t = Instant::now();
+        let arrived = (Mutex::new(0usize), Condvar::new());
         exec.scope(|s| {
-            for _ in 0..8 {
+            s.spawn(|| std::thread::sleep(Duration::from_millis(1)));
+            for _ in 0..2 {
                 s.spawn(|| {
-                    std::thread::sleep(Duration::from_millis(2));
+                    let (count, cv) = &arrived;
+                    let mut n = count.lock().unwrap();
+                    *n += 1;
+                    cv.notify_all();
+                    let (n, wait) = cv
+                        .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                        .unwrap();
+                    assert!(!wait.timed_out(), "the two tasks never ran at once");
+                    drop(n);
                     if std::thread::current().id() != caller {
                         on_worker.fetch_add(1, Ordering::Relaxed);
                     }
@@ -807,7 +822,6 @@ mod tests {
             }
         });
         assert!(on_worker.load(Ordering::Relaxed) > 0, "no worker was woken");
-        assert!(t.elapsed() < Duration::from_millis(8 * 2));
     }
 
     fn percentiles(mut xs: Vec<f64>) -> (f64, f64, f64) {

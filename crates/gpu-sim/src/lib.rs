@@ -62,6 +62,6 @@ pub use machine::Machine;
 pub use patterns::{
     bank_conflict_degree, coalescing_efficiency, ntt_butterflies, warp_ntt_shuffles, SHARED_BANKS,
 };
-pub use stream::{InFlight, InterferenceModel, ResourceClass, StreamSet};
+pub use stream::{InFlight, InterferenceModel, ResourceClass, SimTime, StreamSet};
 pub use timeline::{Timeline, TraceEvent, MAX_EVENTS};
 pub use trace::{Category, CollectiveEvent, Level, Stats, TimeByCategory};

@@ -1,4 +1,5 @@
-//! Typed compute queues (streams) with a resource-interference model.
+//! Typed compute queues (streams) with a resource-interference model, and
+//! the integer clock every discrete-event loop runs on.
 //!
 //! Real GPUs expose multiple hardware queues: a compute-bound kernel
 //! (MSM window accumulation) and a memory/shuffle-bound kernel (NTT
@@ -11,14 +12,18 @@
 //! This module is the simulator's version of that: a [`StreamSet`] is a
 //! small set of typed queues attached to one device lease, and an
 //! [`InterferenceModel`] prices co-residency. Work is modelled as a
-//! fluid: each in-flight stage carries its remaining *solo* nanoseconds
-//! and advances at rate `1 / slowdown` where the slowdown is the product
-//! of pairwise interference factors against every co-resident stage.
-//! Rates only change when a stage is admitted or completes, so the
-//! piecewise-constant-rate integration in [`StreamSet::advance_to`] is
-//! exact, not an approximation — and the whole model stays perfectly
-//! deterministic: the same admissions produce the same completions to
-//! the last bit.
+//! fluid: each in-flight stage carries its remaining *solo* work and
+//! advances at rate `1 / slowdown` where the slowdown is the product of
+//! pairwise interference factors against every co-resident stage.
+//!
+//! The integration is exact. Time is [`SimTime`], whole picoseconds;
+//! every factor is a whole number of thousandths; and remaining work is
+//! kept in integer units, `unit` per solo picosecond, where `unit` is a
+//! multiple of every slowdown's numerator. So each rate is a whole
+//! number of units per picosecond, a stage completes at the first
+//! picosecond by which its work has drained, and advancing the set at an
+//! extra instant between events changes no completion instant,
+//! `busy_union` or `stream_busy`.
 //!
 //! Scheduling invariants (enforced here, relied on by `unintt-pipeline`
 //! and `unintt-serve`):
@@ -29,6 +34,68 @@
 //!   the stage's real data movement up front and hand only the charged
 //!   duration here, which is what keeps overlapped schedules
 //!   bit-identical to serialized ones.
+
+use std::ops::{Add, AddAssign, Sub};
+
+/// An instant or a duration on the discrete-event clock: whole
+/// picoseconds. A cost model's `f64` nanoseconds become a `SimTime` once,
+/// where they enter an event loop ([`SimTime::from_ns`]); reports convert
+/// back with [`SimTime::as_ns`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SimTime(pub u64);
+
+impl SimTime {
+    /// The clock's origin (and the empty duration).
+    pub const ZERO: Self = Self(0);
+
+    /// `ns` rounded to the nearest picosecond, or `None` when `ns` is
+    /// negative, NaN, or past the clock's range (2^64 ps, about 213
+    /// days).
+    pub fn try_from_ns(ns: f64) -> Option<Self> {
+        let ps = (ns * 1e3).round();
+        // 2^64 as f64; `ns >= 0.0` is false for NaN.
+        (ns >= 0.0 && ps < 18_446_744_073_709_551_616.0).then_some(Self(ps as u64))
+    }
+
+    /// `ns` rounded to the nearest picosecond.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`try_from_ns`](Self::try_from_ns) would return `None`.
+    pub fn from_ns(ns: f64) -> Self {
+        Self::try_from_ns(ns)
+            .unwrap_or_else(|| panic!("{ns} ns is not a simulated time (finite, >= 0, < 2^64 ps)"))
+    }
+
+    /// The value in nanoseconds, for reports.
+    pub fn as_ns(self) -> f64 {
+        self.0 as f64 / 1e3
+    }
+}
+
+impl Add for SimTime {
+    type Output = Self;
+    fn add(self, rhs: Self) -> Self {
+        Self(self.0.checked_add(rhs.0).expect("simulated clock overflow"))
+    }
+}
+
+impl Sub for SimTime {
+    type Output = Self;
+    fn sub(self, rhs: Self) -> Self {
+        Self(
+            self.0
+                .checked_sub(rhs.0)
+                .expect("negative simulated duration"),
+        )
+    }
+}
+
+impl AddAssign for SimTime {
+    fn add_assign(&mut self, rhs: Self) {
+        *self = *self + rhs;
+    }
+}
 
 /// The bottleneck resource a stage saturates while it runs. Mirrors the
 /// ZKProphet observation that ZKP kernels leave either compute or
@@ -105,17 +172,38 @@ impl InterferenceModel {
         })
     }
 
-    /// Panics unless every factor is a finite slowdown (`≥ 1`).
+    /// Panics unless every factor is a finite slowdown (`≥ 1`) that is a
+    /// whole number of thousandths — the exact rational the stream
+    /// integration runs on; a factor without that form is rejected, not
+    /// rounded.
     pub fn validate(&self) {
-        for (name, f) in [
+        self.work_unit();
+    }
+
+    /// Work units per solo picosecond: `(compute_memory ·
+    /// mixed_other)²` in thousandths. A stage has at most two
+    /// co-residents (one per other class), so its slowdown's numerator is
+    /// a product of at most two factors, each of which this divides.
+    fn work_unit(&self) -> u128 {
+        let [cm, mo] = [
             ("compute_memory", self.compute_memory),
             ("mixed_other", self.mixed_other),
-        ] {
+        ]
+        .map(|(name, f)| {
             assert!(
                 f.is_finite() && f >= 1.0,
                 "interference factor {name} must be a finite slowdown >= 1, got {f}"
             );
-        }
+            let thousandths = (f * 1e3).round();
+            assert!(
+                thousandths / 1e3 == f,
+                "interference factor {name} must be a whole number of thousandths, got {f}"
+            );
+            thousandths as u128
+        });
+        cm.checked_mul(mo)
+            .and_then(|p| p.checked_mul(p))
+            .expect("interference factors too large for exact stream integration")
     }
 }
 
@@ -125,7 +213,7 @@ impl Default for InterferenceModel {
     }
 }
 
-/// One stage currently resident on a stream.
+/// One stage resident on a stream.
 #[derive(Clone, Debug)]
 pub struct InFlight {
     /// Caller-chosen identity (dispatch sequence number, say) handed
@@ -135,17 +223,9 @@ pub struct InFlight {
     pub queue: usize,
     /// Its resource class.
     pub class: ResourceClass,
-    /// When it was admitted, ns.
-    pub start_ns: f64,
-    /// Remaining *solo* work, ns (advances at `1/slowdown` per wall ns).
-    remaining_ns: f64,
+    /// Remaining *solo* work, in the set's work units.
+    remaining: u128,
 }
-
-/// Completion detection tolerance, ns. Remaining work decays through
-/// float subtraction whose error is bounded well below a picosecond for
-/// any clock this simulator reaches; real stage durations are
-/// microseconds, so nothing completes spuriously.
-const DONE_EPS_NS: f64 = 1e-3;
 
 /// A small set of typed compute queues attached to one device lease,
 /// advancing in-flight stages as fluids under an [`InterferenceModel`]
@@ -154,15 +234,17 @@ const DONE_EPS_NS: f64 = 1e-3;
 pub struct StreamSet {
     queues: usize,
     model: InterferenceModel,
-    now_ns: f64,
+    /// Work units per solo picosecond.
+    unit: u128,
+    now: SimTime,
     inflight: Vec<InFlight>,
     /// Admissions that joined at least one already-resident stage.
     pub costream_joins: u64,
     /// Wall time with ≥ 1 resident stage (the lease-busy union).
-    pub busy_union_ns: f64,
-    /// Stream-occupied time (`Σ residents × dt`): exceeds
-    /// `busy_union_ns` exactly when overlap happened.
-    pub stream_busy_ns: f64,
+    pub busy_union: SimTime,
+    /// Stream-occupied time (`Σ residents × dt`): exceeds `busy_union`
+    /// exactly when overlap happened.
+    pub stream_busy: SimTime,
 }
 
 impl StreamSet {
@@ -173,26 +255,21 @@ impl StreamSet {
     /// Panics when `queues == 0` or the model is invalid.
     pub fn new(queues: usize, model: InterferenceModel) -> Self {
         assert!(queues >= 1, "a stream set needs at least one queue");
-        model.validate();
         Self {
             queues,
             model,
-            now_ns: 0.0,
+            unit: model.work_unit(),
+            now: SimTime::ZERO,
             inflight: Vec::with_capacity(queues),
             costream_joins: 0,
-            busy_union_ns: 0.0,
-            stream_busy_ns: 0.0,
+            busy_union: SimTime::ZERO,
+            stream_busy: SimTime::ZERO,
         }
     }
 
-    /// Number of queues.
-    pub fn queues(&self) -> usize {
-        self.queues
-    }
-
     /// The set's local clock (the last `advance_to` instant).
-    pub fn now_ns(&self) -> f64 {
-        self.now_ns
+    pub fn now(&self) -> SimTime {
+        self.now
     }
 
     /// Stages currently resident.
@@ -203,11 +280,6 @@ impl StreamSet {
     /// True when no stage is resident.
     pub fn is_idle(&self) -> bool {
         self.inflight.is_empty()
-    }
-
-    /// Fraction of queues occupied right now.
-    pub fn occupancy(&self) -> f64 {
-        self.inflight.len() as f64 / self.queues as f64
     }
 
     /// Whether a stage of `class` may be admitted right now: a queue is
@@ -222,36 +294,37 @@ impl StreamSet {
     /// on an idle set). Schedulers minimize this to pick complementary
     /// co-residents.
     pub fn join_penalty(&self, class: ResourceClass) -> f64 {
-        self.inflight.iter().fold(1.0, |acc, s| {
-            acc * self
-                .model
-                .slowdown(class, s.class)
-                .expect("co-resident classes always differ")
-        })
+        self.factors(class, None).product()
     }
 
-    /// The current slowdown of resident stage `i`.
-    fn slowdown_of(&self, i: usize) -> f64 {
-        let class = self.inflight[i].class;
+    /// The factors a `class` stage pays against every resident stage but
+    /// the one at `skip`.
+    fn factors(&self, class: ResourceClass, skip: Option<usize>) -> impl Iterator<Item = f64> + '_ {
         self.inflight
             .iter()
             .enumerate()
-            .filter(|&(j, _)| j != i)
-            .fold(1.0, |acc, (_, s)| {
-                acc * self
-                    .model
+            .filter(move |&(j, _)| Some(j) != skip)
+            .map(move |(_, s)| {
+                self.model
                     .slowdown(class, s.class)
                     .expect("co-resident classes always differ")
             })
     }
 
-    /// Admits a stage of `class` carrying `work_ns` solo nanoseconds,
-    /// returning the queue index it occupies (lowest free index).
+    /// Work units resident stage `i` drains per picosecond: `unit` over
+    /// its slowdown, exactly (see [`InterferenceModel::work_unit`]).
+    fn rate_of(&self, i: usize) -> u128 {
+        self.factors(self.inflight[i].class, Some(i))
+            .fold(self.unit, |rate, f| rate / (f * 1e3).round() as u128 * 1000)
+    }
+
+    /// Admits a stage of `class` carrying `work` of solo time, returning
+    /// the queue index it occupies (lowest free index).
     ///
     /// # Panics
     ///
     /// Panics when [`can_accept`](Self::can_accept) is false.
-    pub fn admit(&mut self, key: u64, class: ResourceClass, work_ns: f64) -> usize {
+    pub fn admit(&mut self, key: u64, class: ResourceClass, work: SimTime) -> usize {
         assert!(
             self.can_accept(class),
             "admit requires a free queue and no resident {} stage",
@@ -267,21 +340,25 @@ impl StreamSet {
             key,
             queue,
             class,
-            start_ns: self.now_ns,
-            // Zero-cost stages would complete "now" and stall an event
-            // loop waiting for a *future* completion; clamp to one
-            // picosecond (far below any real stage charge).
-            remaining_ns: work_ns.max(DONE_EPS_NS),
+            // A zero-cost stage would complete "now" and stall an event
+            // loop waiting for a *future* completion; it takes one
+            // picosecond.
+            remaining: u128::from(work.0.max(1))
+                .checked_mul(self.unit)
+                .expect("stage work fits the stream's work units"),
         });
         queue
     }
 
     /// The earliest instant a resident stage completes under the current
     /// residency (exact until the next admission), or `None` when idle.
-    pub fn earliest_completion_ns(&self) -> Option<f64> {
+    pub fn earliest_completion(&self) -> Option<SimTime> {
         (0..self.inflight.len())
-            .map(|i| self.now_ns + self.inflight[i].remaining_ns * self.slowdown_of(i))
-            .min_by(f64::total_cmp)
+            .map(|i| {
+                let ps = self.inflight[i].remaining.div_ceil(self.rate_of(i));
+                self.now + SimTime(u64::try_from(ps).expect("completion within the clock's range"))
+            })
+            .min()
     }
 
     /// Advances the local clock to `t`, draining remaining work at the
@@ -292,37 +369,33 @@ impl StreamSet {
     /// # Panics
     ///
     /// Debug-panics when `t` would rewind the clock or overshoot a
-    /// completion by more than the detection tolerance.
-    pub fn advance_to(&mut self, t: f64) {
-        debug_assert!(t >= self.now_ns - DONE_EPS_NS, "stream clock cannot rewind");
-        let dt = (t - self.now_ns).max(0.0);
-        if dt > 0.0 && !self.inflight.is_empty() {
-            self.busy_union_ns += dt;
-            self.stream_busy_ns += dt * self.inflight.len() as f64;
+    /// completion.
+    pub fn advance_to(&mut self, t: SimTime) {
+        debug_assert!(t >= self.now, "stream clock cannot rewind");
+        debug_assert!(
+            self.earliest_completion().is_none_or(|c| t <= c),
+            "advance_to overshot a completion"
+        );
+        let dt = t.max(self.now) - self.now;
+        if dt > SimTime::ZERO && !self.inflight.is_empty() {
+            self.busy_union += dt;
+            self.stream_busy += SimTime(dt.0 * self.inflight.len() as u64);
             for i in 0..self.inflight.len() {
-                let rate = 1.0 / self.slowdown_of(i);
-                self.inflight[i].remaining_ns -= dt * rate;
-                debug_assert!(
-                    self.inflight[i].remaining_ns >= -DONE_EPS_NS,
-                    "advance_to overshot a completion"
-                );
+                let drained = u128::from(dt.0).saturating_mul(self.rate_of(i));
+                let s = &mut self.inflight[i];
+                s.remaining = s.remaining.saturating_sub(drained);
             }
         }
-        self.now_ns = self.now_ns.max(t);
+        self.now = self.now.max(t);
     }
 
     /// Removes and returns every stage whose work has drained (ordered
     /// by queue index, deterministically). Call after `advance_to`.
     pub fn take_finished(&mut self) -> Vec<InFlight> {
-        let mut done: Vec<InFlight> = Vec::new();
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].remaining_ns <= DONE_EPS_NS {
-                done.push(self.inflight.remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        let (mut done, left) = std::mem::take(&mut self.inflight)
+            .into_iter()
+            .partition::<Vec<_>, _>(|s| s.remaining == 0);
+        self.inflight = left;
         done.sort_by_key(|s| s.queue);
         done
     }
@@ -332,6 +405,10 @@ impl StreamSet {
 mod tests {
     use super::*;
 
+    fn ns(ns: f64) -> SimTime {
+        SimTime::from_ns(ns)
+    }
+
     #[test]
     fn same_class_never_overlaps() {
         let model = InterferenceModel::default_model();
@@ -340,7 +417,7 @@ mod tests {
             None
         );
         let mut set = StreamSet::new(2, model);
-        set.admit(1, ResourceClass::Memory, 100.0);
+        set.admit(1, ResourceClass::Memory, ns(100.0));
         assert!(!set.can_accept(ResourceClass::Memory));
         assert!(set.can_accept(ResourceClass::Compute));
         assert!(set.can_accept(ResourceClass::Mixed));
@@ -349,16 +426,16 @@ mod tests {
     #[test]
     fn solo_stage_runs_at_full_rate() {
         let mut set = StreamSet::new(2, InterferenceModel::default_model());
-        set.admit(7, ResourceClass::Compute, 1_000.0);
-        assert_eq!(set.earliest_completion_ns(), Some(1_000.0));
-        set.advance_to(1_000.0);
+        set.admit(7, ResourceClass::Compute, ns(1_000.0));
+        assert_eq!(set.earliest_completion(), Some(ns(1_000.0)));
+        set.advance_to(ns(1_000.0));
         let done = set.take_finished();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].key, 7);
         assert_eq!(done[0].queue, 0);
         assert!(set.is_idle());
-        assert_eq!(set.busy_union_ns, 1_000.0);
-        assert_eq!(set.stream_busy_ns, 1_000.0);
+        assert_eq!(set.busy_union, ns(1_000.0));
+        assert_eq!(set.stream_busy, ns(1_000.0));
     }
 
     #[test]
@@ -368,17 +445,17 @@ mod tests {
         // 2000 ns serialized.
         let model = InterferenceModel::default_model();
         let mut set = StreamSet::new(2, model);
-        set.admit(1, ResourceClass::Compute, 1_000.0);
-        set.admit(2, ResourceClass::Memory, 1_000.0);
+        set.admit(1, ResourceClass::Compute, ns(1_000.0));
+        set.admit(2, ResourceClass::Memory, ns(1_000.0));
         assert_eq!(set.costream_joins, 1);
-        let t = set.earliest_completion_ns().unwrap();
-        assert!((t - 1_120.0).abs() < 1e-9, "{t}");
+        let t = set.earliest_completion().unwrap();
+        assert_eq!(t, ns(1_120.0));
         set.advance_to(t);
         let done = set.take_finished();
         assert_eq!(done.len(), 2, "equal work completes together");
         // Overlap shows up as stream-time exceeding the busy union.
-        assert!((set.busy_union_ns - 1_120.0).abs() < 1e-9);
-        assert!((set.stream_busy_ns - 2_240.0).abs() < 1e-9);
+        assert_eq!(set.busy_union, ns(1_120.0));
+        assert_eq!(set.stream_busy, ns(2_240.0));
     }
 
     #[test]
@@ -387,14 +464,14 @@ mod tests {
         // 1.12: compute finishes at 560; memory drained 500 solo-ns by
         // then and runs the remaining 1500 alone, finishing at 2060.
         let mut set = StreamSet::new(2, InterferenceModel::default_model());
-        set.admit(1, ResourceClass::Compute, 500.0);
-        set.admit(2, ResourceClass::Memory, 2_000.0);
-        let t1 = set.earliest_completion_ns().unwrap();
-        assert!((t1 - 560.0).abs() < 1e-9, "{t1}");
+        set.admit(1, ResourceClass::Compute, ns(500.0));
+        set.admit(2, ResourceClass::Memory, ns(2_000.0));
+        let t1 = set.earliest_completion().unwrap();
+        assert_eq!(t1, ns(560.0));
         set.advance_to(t1);
         assert_eq!(set.take_finished().len(), 1);
-        let t2 = set.earliest_completion_ns().unwrap();
-        assert!((t2 - 2_060.0).abs() < 1e-6, "{t2}");
+        let t2 = set.earliest_completion().unwrap();
+        assert_eq!(t2, ns(2_060.0));
         set.advance_to(t2);
         assert_eq!(set.take_finished().len(), 1);
         assert!(set.is_idle());
@@ -404,37 +481,37 @@ mod tests {
     fn join_penalty_prefers_complementary_classes() {
         let mut set = StreamSet::new(3, InterferenceModel::default_model());
         assert_eq!(set.join_penalty(ResourceClass::Memory), 1.0);
-        set.admit(1, ResourceClass::Compute, 1_000.0);
-        assert!((set.join_penalty(ResourceClass::Memory) - 1.12).abs() < 1e-12);
-        assert!((set.join_penalty(ResourceClass::Mixed) - 1.35).abs() < 1e-12);
+        set.admit(1, ResourceClass::Compute, ns(1_000.0));
+        assert_eq!(set.join_penalty(ResourceClass::Memory), 1.12);
+        assert_eq!(set.join_penalty(ResourceClass::Mixed), 1.35);
     }
 
     #[test]
     fn single_queue_set_is_strictly_serial() {
         let mut set = StreamSet::new(1, InterferenceModel::default_model());
-        set.admit(1, ResourceClass::Compute, 100.0);
+        set.admit(1, ResourceClass::Compute, ns(100.0));
         assert!(!set.can_accept(ResourceClass::Memory), "no second queue");
-        set.advance_to(100.0);
+        set.advance_to(ns(100.0));
         assert_eq!(set.take_finished().len(), 1);
         assert_eq!(set.costream_joins, 0);
-        assert_eq!(set.busy_union_ns, set.stream_busy_ns);
+        assert_eq!(set.busy_union, set.stream_busy);
     }
 
     #[test]
     fn determinism_bitwise() {
         let run = || {
             let mut set = StreamSet::new(2, InterferenceModel::conservative());
-            set.admit(1, ResourceClass::Compute, 12_345.678);
-            set.advance_to(1_000.0);
-            set.admit(2, ResourceClass::Memory, 9_876.543);
+            set.admit(1, ResourceClass::Compute, ns(12_345.678));
+            set.advance_to(ns(1_000.0));
+            set.admit(2, ResourceClass::Memory, ns(9_876.543));
             let mut times = Vec::new();
-            while let Some(t) = set.earliest_completion_ns() {
+            while let Some(t) = set.earliest_completion() {
                 set.advance_to(t);
                 for f in set.take_finished() {
                     times.push((f.key, t));
                 }
             }
-            (times, set.busy_union_ns, set.stream_busy_ns)
+            (times, set.busy_union, set.stream_busy)
         };
         assert_eq!(run(), run());
     }
@@ -443,8 +520,8 @@ mod tests {
     #[should_panic(expected = "free queue")]
     fn admitting_same_class_panics() {
         let mut set = StreamSet::new(2, InterferenceModel::default_model());
-        set.admit(1, ResourceClass::Mixed, 10.0);
-        set.admit(2, ResourceClass::Mixed, 10.0);
+        set.admit(1, ResourceClass::Mixed, ns(10.0));
+        set.admit(2, ResourceClass::Mixed, ns(10.0));
     }
 
     #[test]
@@ -457,5 +534,25 @@ mod tests {
                 mixed_other: 1.2,
             },
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of thousandths")]
+    fn factors_without_an_exact_form_are_rejected() {
+        InterferenceModel {
+            compute_memory: 1.0 + 1.0 / 3.0,
+            mixed_other: 1.2,
+        }
+        .validate();
+    }
+
+    #[test]
+    fn sim_time_rounds_once_and_rejects_what_it_cannot_hold() {
+        assert_eq!(SimTime::from_ns(1.0004), SimTime(1_000));
+        assert_eq!(SimTime::from_ns(1.0006), SimTime(1_001));
+        assert_eq!(SimTime(1_500).as_ns(), 1.5);
+        for bad in [-1.0, f64::NAN, f64::INFINITY, 1e30] {
+            assert_eq!(SimTime::try_from_ns(bad), None, "{bad}");
+        }
     }
 }

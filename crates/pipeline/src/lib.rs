@@ -38,7 +38,7 @@ pub use dag::{DagError, ProofDag, StageKind, StageNode};
 pub use exec::{DagExecutor, ExecReport, ProofRun};
 pub use proof::ProofPipeline;
 pub use run::DagRun;
-pub use unintt_gpu_sim::{InterferenceModel, ResourceClass};
+pub use unintt_gpu_sim::{InterferenceModel, ResourceClass, SimTime};
 
 #[cfg(test)]
 mod tests {
@@ -46,8 +46,12 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
     use unintt_ff::{Field, Goldilocks};
     use unintt_fri::{commit_trace, FriConfig, LdeBackend};
-    use unintt_gpu_sim::presets;
+    use unintt_gpu_sim::{presets, SimTime};
     use unintt_zkp::{prove, random_circuit, setup, Backend, ProvingKey, Witness};
+
+    fn ns(ns: f64) -> SimTime {
+        SimTime::from_ns(ns)
+    }
 
     fn plonk_fixture(seed: u64, gates: usize) -> (ProvingKey, Witness) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -237,52 +241,52 @@ mod tests {
 
     #[test]
     fn dag_run_roots_are_available_at_the_release_instant() {
-        let run = DagRun::new(plonk_pipe(81, 16, 2), 5.0);
-        let roots: Vec<(usize, f64)> = run.ready().collect();
-        assert_eq!(roots, vec![(0, 5.0)]);
-        assert_eq!(run.done_ns(), None);
+        let run = DagRun::new(plonk_pipe(81, 16, 2), ns(5.0));
+        let roots: Vec<(usize, SimTime)> = run.ready().collect();
+        assert_eq!(roots, vec![(0, ns(5.0))]);
+        assert_eq!(run.done(), None);
     }
 
     #[test]
     fn dag_run_barriers_complete_at_their_latest_dependency() {
         let policy = unintt_core::RecoveryPolicy::none();
-        let mut run = DagRun::new(plonk_pipe(82, 16, 2), 0.0);
+        let mut run = DagRun::new(plonk_pipe(82, 16, 2), ns(0.0));
         run.start(0, &policy).unwrap();
-        run.complete(0, 10.0);
+        run.complete(0, ns(10.0));
         // The three wire commits are ready together; the round-1 barrier
         // behind them never is — it is not a lane's work.
-        let commits: Vec<(usize, f64)> = run.ready().collect();
-        assert_eq!(commits, vec![(1, 10.0), (2, 10.0), (3, 10.0)]);
+        let commits: Vec<(usize, SimTime)> = run.ready().collect();
+        assert_eq!(commits, vec![(1, ns(10.0)), (2, ns(10.0)), (3, ns(10.0))]);
         for (s, _) in commits {
             run.start(s, &policy).unwrap();
         }
-        run.complete(1, 30.0);
-        run.complete(3, 20.0);
+        run.complete(1, ns(30.0));
+        run.complete(3, ns(20.0));
         assert_eq!(run.ready().count(), 0, "barrier waits for commit b");
-        run.complete(2, 25.0);
+        run.complete(2, ns(25.0));
         // Stage 5 depends only on the barrier, so its availability is
         // the barrier's completion: the latest of 30, 25 and 20.
-        assert_eq!(run.ready().collect::<Vec<_>>(), vec![(5, 30.0)]);
+        assert_eq!(run.ready().collect::<Vec<_>>(), vec![(5, ns(30.0))]);
     }
 
     #[test]
     fn dag_run_done_is_the_latest_completion() {
         let policy = unintt_core::RecoveryPolicy::none();
-        let mut run = DagRun::new(plonk_pipe(83, 16, 2), 0.0);
-        let mut latest = 0.0f64;
+        let mut run = DagRun::new(plonk_pipe(83, 16, 2), ns(0.0));
+        let mut latest = ns(0.0);
         // Serial driver: each stage runs 3 ns per index past its
         // availability, so the two opening commits finish out of order.
         loop {
             let Some((s, avail)) = run.ready().next() else {
                 break;
             };
-            assert_eq!(run.done_ns(), None);
+            assert_eq!(run.done(), None);
             run.start(s, &policy).unwrap();
-            let t = avail + 3.0 * (unintt_zkp::PLONK_STAGES - s) as f64;
+            let t = avail + ns(3.0 * (unintt_zkp::PLONK_STAGES - s) as f64);
             run.complete(s, t);
             latest = latest.max(t);
         }
         assert!(run.pipe().output_digest().is_some());
-        assert_eq!(run.done_ns(), Some(latest));
+        assert_eq!(run.done(), Some(latest));
     }
 }

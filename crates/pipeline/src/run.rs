@@ -12,7 +12,7 @@
 //! dependency's instant.
 
 use unintt_core::RecoveryPolicy;
-use unintt_gpu_sim::FabricError;
+use unintt_gpu_sim::{FabricError, SimTime};
 
 use crate::dag::ProofDag;
 use crate::proof::ProofPipeline;
@@ -22,24 +22,24 @@ pub struct DagRun {
     pipe: ProofPipeline,
     dag: ProofDag,
     /// The instant root stages become available.
-    release_ns: f64,
+    release: SimTime,
     /// Stage has been executed (dispatched, for a charged stage).
     started: Vec<bool>,
     /// Simulated completion instant per stage (`None` = not yet).
-    completion: Vec<Option<f64>>,
+    completion: Vec<Option<SimTime>>,
 }
 
 impl DagRun {
     /// Stages `pipe` for scheduling; its root stages are available at
-    /// `release_ns` (0 in the executor, the job's arrival in the service).
-    pub fn new(pipe: ProofPipeline, release_ns: f64) -> Self {
+    /// `release` (0 in the executor, the job's arrival in the service).
+    pub fn new(pipe: ProofPipeline, release: SimTime) -> Self {
         let dag = pipe.dag();
         let mut run = Self {
             started: vec![false; dag.len()],
             completion: vec![None; dag.len()],
             pipe,
             dag,
-            release_ns,
+            release,
         };
         run.cascade_barriers();
         run
@@ -58,30 +58,31 @@ impl DagRun {
     /// The ready charged stages — not started, every dependency
     /// complete — in index order, each with its availability: the
     /// latest dependency completion, or the release instant for roots.
-    pub fn ready(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub fn ready(&self) -> impl Iterator<Item = (usize, SimTime)> + '_ {
         (0..self.dag.len())
             .filter(|&s| !self.started[s] && !self.dag.nodes()[s].kind.is_barrier())
             .filter_map(|s| Some((s, self.avail(s)?)))
     }
 
     /// Functionally executes the ready charged stage `s` at dispatch,
-    /// returning the simulated nanoseconds it charged.
+    /// returning the simulated time it charged, rounded once to the event
+    /// clock.
     ///
     /// # Errors
     ///
     /// Propagates the pipeline's [`FabricError`]; the stage then stays
     /// ready and can be started again.
-    pub fn start(&mut self, s: usize, policy: &RecoveryPolicy) -> Result<f64, FabricError> {
+    pub fn start(&mut self, s: usize, policy: &RecoveryPolicy) -> Result<SimTime, FabricError> {
         debug_assert!(!self.started[s], "stage {s} started twice");
         let ns = self.pipe.run_stage(s, policy)?;
         self.started[s] = true;
-        Ok(ns)
+        Ok(SimTime::from_ns(ns))
     }
 
     /// Commits the completion of started stage `s` at `t`, then runs
     /// every barrier that unblocks, each at its latest dependency's
     /// instant and without occupying a lane.
-    pub fn complete(&mut self, s: usize, t: f64) {
+    pub fn complete(&mut self, s: usize, t: SimTime) {
         debug_assert!(self.started[s] && self.completion[s].is_none());
         self.completion[s] = Some(t);
         self.cascade_barriers();
@@ -89,16 +90,16 @@ impl DagRun {
 
     /// The proof's completion instant (its latest stage completion), once
     /// every stage has completed.
-    pub fn done_ns(&self) -> Option<f64> {
+    pub fn done(&self) -> Option<SimTime> {
         self.completion
             .iter()
-            .try_fold(0.0f64, |done, c| Some(done.max((*c)?)))
+            .try_fold(SimTime::ZERO, |done, c| Some(done.max((*c)?)))
     }
 
     /// When stage `s` may start, or `None` while a dependency is
     /// outstanding.
-    fn avail(&self, s: usize) -> Option<f64> {
-        let mut avail = self.release_ns;
+    fn avail(&self, s: usize) -> Option<SimTime> {
+        let mut avail = self.release;
         for &d in &self.dag.nodes()[s].deps {
             avail = avail.max(self.completion[d]?);
         }

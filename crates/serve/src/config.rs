@@ -2,7 +2,7 @@
 //! scheduling policy and fault-injection knobs.
 
 use unintt_core::RecoveryPolicy;
-use unintt_gpu_sim::{FaultRates, InterferenceModel};
+use unintt_gpu_sim::{FaultRates, InterferenceModel, SimTime};
 
 /// How the dispatcher orders ready batches when a lease frees up.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -129,6 +129,37 @@ impl Default for ServiceConfig {
             streams_per_lease: 1,
             interference: InterferenceModel::default_model(),
         }
+    }
+}
+
+/// The setting `name`, a duration of `ns`, on the event clock.
+///
+/// # Panics
+///
+/// Panics unless `ns` is finite and `>= 0`.
+pub(crate) fn duration(name: &str, ns: f64) -> SimTime {
+    assert!(
+        ns.is_finite() && ns >= 0.0,
+        "{name} must be a finite duration >= 0, got {ns}"
+    );
+    SimTime::from_ns(ns)
+}
+
+impl ServiceConfig {
+    /// The coalescing window, the dispatch and stage overheads and the
+    /// repair time on the event clock, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless each is finite and `>= 0`.
+    pub(crate) fn durations(&self) -> [SimTime; 4] {
+        [
+            ("batch_window_ns", self.batch_window_ns),
+            ("dispatch_overhead_ns", self.dispatch_overhead_ns),
+            ("stage_overhead_ns", self.stage_overhead_ns),
+            ("repair_ns", self.repair_ns),
+        ]
+        .map(|(name, ns)| duration(name, ns))
     }
 }
 

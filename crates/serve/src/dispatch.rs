@@ -14,7 +14,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use unintt_core::{Cluster, ClusterNttEngine, UniNttOptions};
 use unintt_ff::{BabyBear, Field, Goldilocks, PrimeField, TwoAdicField};
 use unintt_fri::{commit_trace, verify_trace, FriConfig, LdeBackend};
-use unintt_gpu_sim::{presets, FaultPlan, FieldSpec, KernelProfile};
+use unintt_gpu_sim::{presets, FaultPlan, FieldSpec, KernelProfile, SimTime};
 use unintt_ntt::{batch_transform_parallel, Direction, Ntt};
 use unintt_zkp::{
     prove, random_circuit, setup, verify, Backend, ProvingKey, VerifyingKey, Witness,
@@ -23,7 +23,7 @@ use unintt_zkp::{
 use unintt_pipeline::ProofPipeline;
 
 use crate::coalesce::{BatchKey, QueuedJob, ReadyBatch};
-use crate::config::{SchedulerPolicy, ServiceConfig};
+use crate::config::{duration, SchedulerPolicy, ServiceConfig};
 use crate::job::{AdmissionError, DagKind, JobClass, JobId, JobOutcome, JobStatus, ServiceField};
 
 /// Seed domain for per-job synthetic payloads.
@@ -55,8 +55,10 @@ pub(crate) struct EngineCaches {
 pub(crate) struct Completion {
     /// The fully built outcome (status is always `Completed`).
     pub outcome: JobOutcome,
-    /// When the job's execution began on the lease, simulated ns.
-    pub exec_start_ns: f64,
+    /// When the job's execution began on the lease.
+    pub exec_start: SimTime,
+    /// When it completed: the outcome's `completed_ns` on the event clock.
+    pub done: SimTime,
     /// The submitting job, so a fleet can re-dispatch it (priorities and
     /// deadlines intact) after a chaos kill or for a hedge.
     pub job: QueuedJob,
@@ -64,8 +66,9 @@ pub(crate) struct Completion {
 
 /// Result of one raw-NTT batch dispatch.
 pub(crate) struct RawDispatch {
-    /// Simulated time the lease was occupied (cluster delta + overhead).
-    pub elapsed_ns: f64,
+    /// Simulated time the lease was occupied (per-job cluster charges +
+    /// overhead).
+    pub elapsed: SimTime,
     /// Per-job completions, in batch order.
     pub completions: Vec<Completion>,
     /// Jobs not run because the lease ran out of healthy nodes; the
@@ -154,8 +157,8 @@ impl ReadyQueue {
 /// under one ordering.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DispatchKey {
-    /// When the unit became dispatchable, simulated ns.
-    pub ready_ns: f64,
+    /// When the unit became dispatchable.
+    pub ready: SimTime,
     /// Scheduling priority (max over batch members).
     pub priority: crate::job::Priority,
     /// Estimated cost for shortest-job-first.
@@ -170,7 +173,7 @@ impl DispatchKey {
     fn of(batch: &ReadyBatch) -> Self {
         let jobs = &batch.jobs;
         Self {
-            ready_ns: batch.ready_ns,
+            ready: batch.ready,
             priority: jobs
                 .iter()
                 .map(|j| j.spec.priority)
@@ -183,11 +186,7 @@ impl DispatchKey {
 
     /// Total order under `policy`: smallest compares first.
     pub fn cmp_under(&self, other: &Self, policy: SchedulerPolicy) -> std::cmp::Ordering {
-        let fifo = self
-            .ready_ns
-            .partial_cmp(&other.ready_ns)
-            .expect("ready times are finite")
-            .then(self.id.cmp(&other.id));
+        let fifo = (self.ready, self.id).cmp(&(other.ready, other.id));
         match policy {
             SchedulerPolicy::Fifo => fifo,
             SchedulerPolicy::Priority => other.priority.cmp(&self.priority).then(fifo),
@@ -201,23 +200,19 @@ impl DispatchKey {
 }
 
 /// Sorts a runner's backlog into admission order (arrival, then id),
-/// first removing every job whose arrival time is not finite — the
-/// simulated clock never reaches it — as an
+/// first removing every job whose arrival is not an instant of the
+/// simulated clock — negative, NaN, infinite or past its range — as an
 /// [`AdmissionError::InvalidArrival`] rejection, returned.
 pub(crate) fn arrival_order(backlog: &mut Vec<QueuedJob>) -> Vec<JobOutcome> {
+    let valid = |j: &QueuedJob| SimTime::try_from_ns(j.spec.arrival_ns).is_some();
+    let invalid = JobStatus::Rejected(AdmissionError::InvalidArrival);
     let rejected = backlog
         .iter()
-        .filter(|j| !j.spec.arrival_ns.is_finite())
-        .map(|j| JobOutcome::new(j, JobStatus::Rejected(AdmissionError::InvalidArrival), 0.0))
+        .filter(|j| !valid(j))
+        .map(|j| JobOutcome::new(j, invalid, SimTime::ZERO))
         .collect();
-    backlog.retain(|j| j.spec.arrival_ns.is_finite());
-    backlog.sort_by(|a, b| {
-        a.spec
-            .arrival_ns
-            .partial_cmp(&b.spec.arrival_ns)
-            .expect("arrival times are finite")
-            .then(a.id.cmp(&b.id))
-    });
+    backlog.retain(valid);
+    backlog.sort_by_key(|j| (j.arrival(), j.id));
     rejected
 }
 
@@ -225,12 +220,15 @@ pub(crate) fn arrival_order(backlog: &mut Vec<QueuedJob>) -> Vec<JobOutcome> {
 /// [`JobStatus::DeadlineExceeded`] outcomes for members whose deadline
 /// passed while they sat queued — those are cancelled at `now` and never
 /// occupy a lease.
-pub(crate) fn split_expired(jobs: Vec<QueuedJob>, now: f64) -> (Vec<QueuedJob>, Vec<JobOutcome>) {
+pub(crate) fn split_expired(
+    jobs: Vec<QueuedJob>,
+    now: SimTime,
+) -> (Vec<QueuedJob>, Vec<JobOutcome>) {
     let mut live = Vec::with_capacity(jobs.len());
     let mut expired = Vec::new();
     for job in jobs {
         match job.spec.deadline_ns {
-            Some(deadline_ns) if deadline_ns <= now => {
+            Some(deadline_ns) if job.deadline().is_some_and(|d| d <= now) => {
                 let status = JobStatus::DeadlineExceeded { deadline_ns };
                 expired.push(JobOutcome::new(&job, status, now));
             }
@@ -240,11 +238,13 @@ pub(crate) fn split_expired(jobs: Vec<QueuedJob>, now: f64) -> (Vec<QueuedJob>, 
     (live, expired)
 }
 
-/// Runs a coalesced raw-NTT batch on `cluster`: every member shares the
-/// lease, the plan (from the engine cache), and — crucially — one fixed
-/// dispatch overhead. Member jobs execute back-to-back with fault
-/// recovery; a job that cannot complete because the lease lost its last
-/// healthy node lands in `leftover`.
+/// Runs a coalesced raw-NTT batch on `cluster` from `start`: every member
+/// shares the lease, the plan (from the engine cache), and — crucially —
+/// one fixed dispatch overhead. Member jobs execute back-to-back with
+/// fault recovery, each charged its cluster time rounded once to the
+/// event clock, so the last completion is exactly `start + elapsed`; a
+/// job that cannot complete because the lease lost its last healthy node
+/// lands in `leftover`.
 pub(crate) fn run_raw_batch(
     caches: &mut EngineCaches,
     cfg: &ServiceConfig,
@@ -252,7 +252,7 @@ pub(crate) fn run_raw_batch(
     jobs: &[QueuedJob],
     cluster: &mut Cluster,
     dispatch_seq: u64,
-    start_ns: f64,
+    start: SimTime,
 ) -> RawDispatch {
     match key.field {
         ServiceField::Goldilocks => run_raw_batch_in::<Goldilocks>(
@@ -263,7 +263,7 @@ pub(crate) fn run_raw_batch(
             jobs,
             cluster,
             dispatch_seq,
-            start_ns,
+            start,
         ),
         ServiceField::BabyBear => run_raw_batch_in::<BabyBear>(
             &mut caches.engines_b,
@@ -273,7 +273,7 @@ pub(crate) fn run_raw_batch(
             jobs,
             cluster,
             dispatch_seq,
-            start_ns,
+            start,
         ),
     }
 }
@@ -287,7 +287,7 @@ fn run_raw_batch_in<F: TwoAdicField>(
     jobs: &[QueuedJob],
     cluster: &mut Cluster,
     dispatch_seq: u64,
-    start_ns: f64,
+    start: SimTime,
 ) -> RawDispatch {
     let engine = engines.entry(key.log_n).or_insert_with(|| {
         let node_cfg = presets::a100_nvlink(cfg.lease.gpus_per_node);
@@ -325,47 +325,55 @@ fn run_raw_batch_in<F: TwoAdicField>(
     let inv_n = F::from_u64(n as u64)
         .inverse()
         .expect("domain size is invertible in an NTT-friendly field");
-    let t0 = cluster.total_time_ns();
+    let overhead = duration("dispatch_overhead_ns", cfg.dispatch_overhead_ns);
+    // The cluster's f64 clock at the last charge, and `start` plus every
+    // job's charge so far, each rounded once.
+    let (mut machine, mut t) = (cluster.total_time_ns(), start);
     let mut completions = Vec::with_capacity(jobs.len());
     let mut leftover = Vec::new();
     for (idx, (job, input)) in jobs.iter().zip(&inputs).enumerate() {
-        let exec_start_ns = start_ns + (cluster.total_time_ns() - t0);
-        match engine.forward_with_recovery(cluster, input, &cfg.recovery) {
-            Ok(mut report) => {
+        let exec_start = t;
+        let ran = engine
+            .forward_with_recovery(cluster, input, &cfg.recovery)
+            .map(|mut report| {
                 let output = if key.forward {
                     std::mem::take(&mut report.output)
                 } else {
                     inverse_from_forward(&report.output, inv_n, cluster)
                 };
-                if let Some(flat) = &references {
-                    assert_eq!(
-                        output,
-                        flat[idx * n..(idx + 1) * n],
-                        "cluster output diverged from the CPU reference for {}",
-                        job.id
-                    );
-                }
-                let done = start_ns + (cluster.total_time_ns() - t0) + cfg.dispatch_overhead_ns;
-                completions.push(Completion {
-                    outcome: JobOutcome {
-                        batch_size: jobs.len(),
-                        retries: report.total_retries(),
-                        replans: report.replans,
-                        output_digest: digest(&output),
-                        ..JobOutcome::new(job, JobStatus::Completed, done)
-                    },
-                    exec_start_ns,
-                    job: *job,
-                });
-            }
-            Err(_) => {
-                leftover.extend_from_slice(&jobs[idx..]);
-                break;
-            }
+                (report, output)
+            });
+        let now = cluster.total_time_ns();
+        t += SimTime::from_ns(now - machine);
+        machine = now;
+        let Ok((report, output)) = ran else {
+            leftover.extend_from_slice(&jobs[idx..]);
+            break;
+        };
+        if let Some(flat) = &references {
+            assert_eq!(
+                output,
+                flat[idx * n..(idx + 1) * n],
+                "cluster output diverged from the CPU reference for {}",
+                job.id
+            );
         }
+        let done = t + overhead;
+        completions.push(Completion {
+            outcome: JobOutcome {
+                batch_size: jobs.len(),
+                retries: report.total_retries(),
+                replans: report.replans,
+                output_digest: digest(&output),
+                ..JobOutcome::new(job, JobStatus::Completed, done)
+            },
+            exec_start,
+            done,
+            job: *job,
+        });
     }
     RawDispatch {
-        elapsed_ns: cluster.total_time_ns() - t0 + cfg.dispatch_overhead_ns,
+        elapsed: t - start + overhead,
         completions,
         leftover,
     }
@@ -554,7 +562,7 @@ pub(crate) fn commit_completion(c: &Completion) -> JobOutcome {
         c.outcome.id,
         c.outcome.class_name,
         c.outcome.arrival_ns,
-        c.exec_start_ns,
+        c.exec_start.as_ns(),
         c.outcome.completed_ns,
         c.outcome.batch_size,
     );
@@ -612,7 +620,7 @@ mod tests {
     /// One random batch of fresh jobs: raw NTTs of two sizes (equal costs
     /// are common) or a `key: None` proof singleton, priorities drawn
     /// from all three classes.
-    fn fresh_batch(rng: &mut StdRng, next_id: &mut u64, ready_ns: f64) -> ReadyBatch {
+    fn fresh_batch(rng: &mut StdRng, next_id: &mut u64, ready: SimTime) -> ReadyBatch {
         let proof = rng.gen_range(0..5) == 0;
         let len = if proof { 1 } else { 1 + rng.gen_range(0..3) };
         let jobs = (0..len)
@@ -643,7 +651,7 @@ mod tests {
                 forward: true,
             }),
             jobs,
-            ready_ns,
+            ready,
         }
     }
 
@@ -675,7 +683,11 @@ mod tests {
                     break;
                 }
                 if step < steps && (scan.is_empty() || rng.gen_range(0..5) < 3) {
-                    let head_ns = queue.peek().map_or(0.0, |k| k.ready_ns);
+                    // Times start at 400 µs: a chain of under 160
+                    // requeues, each ready up to 2 µs before the head,
+                    // stays on the clock.
+                    let ns = |ns: f64| SimTime::from_ns(400_000.0 + ns);
+                    let head = queue.peek().map_or(ns(0.0), |k| k.ready);
                     // Coarse times tie often; a requeue is the tail of an
                     // earlier pop, ready before the current head.
                     let batch = match rng.gen_range(0..4) {
@@ -683,13 +695,13 @@ mod tests {
                             let mut b = popped.swap_remove(rng.gen_range(0..popped.len() as u64) as usize);
                             let keep = 1 + rng.gen_range(0..b.jobs.len() as u64) as usize;
                             b.jobs.drain(..b.jobs.len() - keep);
-                            b.ready_ns = head_ns - 1_000.0 * rng.gen_range(0..3) as f64;
+                            b.ready = head - SimTime::from_ns(1_000.0 * rng.gen_range(0..3) as f64);
                             b
                         }
-                        1 => fresh_batch(&mut rng, &mut next_id, head_ns),
+                        1 => fresh_batch(&mut rng, &mut next_id, head),
                         _ => {
-                            let ready_ns = 1_000.0 * rng.gen_range(0..6) as f64;
-                            fresh_batch(&mut rng, &mut next_id, ready_ns)
+                            let ready = ns(1_000.0 * rng.gen_range(0..6) as f64);
+                            fresh_batch(&mut rng, &mut next_id, ready)
                         }
                     };
                     scan.push(batch.clone());

@@ -33,6 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use unintt_gpu_sim::SimTime;
 use unintt_telemetry::StreamHist;
 
 use crate::coalesce::{BatchKey, QueuedJob};
@@ -253,18 +254,31 @@ impl FleetService {
     ///
     /// # Panics
     ///
-    /// Panics on an empty fleet, a soft capacity above the hard cap, or a
-    /// chaos event with a non-finite time or a cluster outside the fleet.
+    /// Panics on an empty fleet, a soft capacity above the hard cap, a
+    /// configured duration (cluster or health) that is not finite and
+    /// `>= 0`, a hedge factor that is not, or a chaos event with a time
+    /// the simulated clock cannot hold or a cluster outside the fleet. A
+    /// negative chaos time fires at the start of the run.
     pub fn new(cfg: FleetConfig) -> Self {
         assert!(cfg.clusters >= 1, "a fleet needs at least one cluster");
         assert!(
             cfg.soft_capacity <= cfg.hard_capacity,
             "soft capacity cannot exceed the hard cap"
         );
+        // Convert every duration once here, so a bad one panics now.
+        cfg.base.durations();
+        HealthMachine::new(cfg.health, 0);
+        if let Some(h) = cfg.hedge {
+            assert!(
+                h.factor.is_finite() && h.factor >= 0.0,
+                "hedge factor must be finite and >= 0, got {}",
+                h.factor
+            );
+        }
         for e in &cfg.chaos.events {
             assert!(
-                e.t_ns.is_finite(),
-                "chaos event times must be finite, got {}",
+                e.t_ns.is_finite() && SimTime::try_from_ns(e.t_ns.max(0.0)).is_some(),
+                "chaos event times must be finite and in the simulated clock's range, got {}",
                 e.t_ns
             );
             assert!(
@@ -286,7 +300,8 @@ impl FleetService {
         &self.cfg
     }
 
-    /// Submits one job, returning its id. A NaN or infinite arrival is
+    /// Submits one job, returning its id. An arrival the simulated clock
+    /// cannot hold (negative, NaN, infinite or past its range) is
     /// rejected at the start of [`run`](Self::run) as
     /// [`AdmissionError::InvalidArrival`].
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
@@ -327,12 +342,8 @@ struct ClusterState {
     alive: bool,
     /// Availability accounting: when the current routable stretch began,
     /// and routable time banked so far.
-    routable_since: Option<f64>,
-    routable_total_ns: f64,
-    /// The scheduler's next event, the next arrival counted as one: the
-    /// instants the service would wake it at. Its queues advance only
-    /// then, so they round exactly as the service's do.
-    due_ns: Option<f64>,
+    routable_since: Option<SimTime>,
+    routable_total: SimTime,
 }
 
 impl ClusterState {
@@ -342,9 +353,9 @@ impl ClusterState {
     }
 
     /// Close the current routable stretch (breaker tripping or drain).
-    fn bank_routable(&mut self, now: f64) {
+    fn bank_routable(&mut self, now: SimTime) {
         if let Some(since) = self.routable_since.take() {
-            self.routable_total_ns += now - since;
+            self.routable_total += now.max(since) - since;
         }
     }
 }
@@ -359,13 +370,9 @@ struct InFlight {
     /// have been offered for commit.
     completions: Vec<Completion>,
     cursor: usize,
-    /// When the lease frees: `start + elapsed`, the service's instant.
-    free_ns: f64,
-    /// When the in-flight retires. The last per-job completion is the
-    /// same instant as `free_ns` computed with different float
-    /// association; this is the later of the two, so no completion lands
-    /// (one ULP) after it and goes uncommitted.
-    done_ns: f64,
+    /// When the lease frees and the in-flight retires: the last
+    /// completion, or later when the run ended with a leftover tail.
+    done: SimTime,
     is_hedge: bool,
     /// The paired dispatch (primary ↔ hedge), by seq.
     partner: Option<u64>,
@@ -378,8 +385,8 @@ struct FleetRunner {
     router: ShardRouter,
     shared: Shared,
     in_flight: Vec<InFlight>,
-    /// Hedges scheduled but not yet launched: `(fire_ns, primary_seq)`.
-    pending_hedges: Vec<(f64, u64)>,
+    /// Hedges scheduled but not yet launched: `(fire_at, primary_seq)`.
+    pending_hedges: Vec<(SimTime, u64)>,
     /// Accepted jobs with no routable cluster right now; re-offered on
     /// the next re-admission.
     parked: Vec<QueuedJob>,
@@ -395,7 +402,8 @@ struct FleetRunner {
     /// bucketed p99's ≤0.8 % relative error is noise against the 3×
     /// hedge factor applied on top of it.
     samples: StreamHist,
-    chaos: Vec<ChaosEvent>,
+    /// The chaos plan in firing order, each event at its instant.
+    chaos: Vec<(SimTime, ChaosEvent)>,
     chaos_idx: usize,
     stats: FleetStats,
 }
@@ -407,13 +415,17 @@ impl FleetRunner {
                 sched: Scheduler::new(cfg.base.clone(), format!("cluster{c}-")),
                 health: HealthMachine::new(cfg.health, c),
                 alive: true,
-                routable_since: Some(0.0),
-                routable_total_ns: 0.0,
-                due_ns: None,
+                routable_since: Some(SimTime::ZERO),
+                routable_total: SimTime::ZERO,
             })
             .collect();
-        let mut chaos = cfg.chaos.events.clone();
-        chaos.sort_by(|a, b| a.t_ns.total_cmp(&b.t_ns).then(a.cluster.cmp(&b.cluster)));
+        let mut chaos: Vec<(SimTime, ChaosEvent)> = cfg
+            .chaos
+            .events
+            .iter()
+            .map(|&e| (SimTime::from_ns(e.t_ns.max(0.0)), e))
+            .collect();
+        chaos.sort_by_key(|&(t, e)| (t, e.cluster));
         let router = ShardRouter::new(cfg.router_seed);
         Self {
             cfg,
@@ -438,49 +450,28 @@ impl FleetRunner {
         let total = backlog.len();
         self.outcomes = dispatch::arrival_order(&mut backlog);
         let mut next_arrival = 0usize;
-        let mut now = 0.0f64;
-
-        // Livelock guard: every iteration must either advance `now` or
-        // change state; a bound far above any real run turns a stuck
-        // event loop into a diagnosable panic instead of a hang.
-        let iter_cap = 1_000_000 + 100 * total as u64;
-        let mut iters = 0u64;
+        let mut now = SimTime::ZERO;
+        let mut first = true;
         loop {
-            iters += 1;
-            assert!(
-                iters < iter_cap,
-                "fleet event loop stalled at t={now} ns \
-                 (arrivals {next_arrival}/{}, {} in flight, {} parked)",
-                backlog.len(),
-                self.in_flight.len(),
-                self.parked.len(),
-            );
-            let t_arrival = backlog.get(next_arrival).map(|j| j.spec.arrival_ns);
-            for c in &mut self.clusters {
-                c.due_ns = [t_arrival, c.sched.next_event_ns(now)]
-                    .into_iter()
-                    .flatten()
-                    .reduce(f64::min);
-            }
+            let t_arrival = backlog.get(next_arrival).map(QueuedJob::arrival);
             let work_remaining = t_arrival.is_some()
                 || !self.parked.is_empty()
                 || !self.in_flight.is_empty()
                 || !self.pending_hedges.is_empty()
                 || self.clusters.iter().any(|c| c.sched.queued() > 0);
-            let Some(t) = self.next_event_ns(t_arrival, work_remaining) else {
+            let Some(t) = self.next_event(now, t_arrival, work_remaining) else {
                 break;
             };
-            now = now.max(t);
+            debug_assert!(first || t > now, "fleet event at {t:?} after {now:?}");
+            (now, first) = (t, false);
 
             // Order matters for determinism and semantics: results that
             // completed by `now` commit before chaos can destroy them;
             // health transitions precede routing; dispatch goes last so
             // it sees every batch that became ready at this instant.
             for c in 0..self.clusters.len() {
-                if self.clusters[c].due_ns.is_some_and(|d| d <= now) {
-                    for done in self.clusters[c].sched.advance(now, &mut self.shared) {
-                        self.commit(&done);
-                    }
+                for done in self.clusters[c].sched.advance(now, &mut self.shared) {
+                    self.commit(&done);
                 }
             }
             self.commit_due(now);
@@ -491,7 +482,7 @@ impl FleetRunner {
             for cluster in self.clusters.iter_mut().filter(|c| c.alive) {
                 cluster.sched.close_windows(now);
             }
-            while next_arrival < backlog.len() && backlog[next_arrival].spec.arrival_ns <= now {
+            while next_arrival < backlog.len() && backlog[next_arrival].arrival() <= now {
                 let job = backlog[next_arrival];
                 next_arrival += 1;
                 self.admit(job, now);
@@ -512,9 +503,9 @@ impl FleetRunner {
         let mut batch_sizes = Vec::new();
         let mut leases = Vec::new();
         for (ci, c) in self.clusters.iter_mut().enumerate() {
-            c.bank_routable(horizon);
+            c.bank_routable(SimTime::from_ns(horizon));
             let availability = if horizon > 0.0 {
-                c.routable_total_ns / horizon
+                c.routable_total.as_ns() / horizon
             } else {
                 1.0
             };
@@ -544,26 +535,31 @@ impl FleetRunner {
     /// no work left, health probes stop mattering (they would otherwise
     /// tick forever on a permanently dead cluster) — only remaining
     /// chaos events are still played out.
-    fn next_event_ns(&self, t_arrival: Option<f64>, work_remaining: bool) -> Option<f64> {
-        let chaos = self.chaos.get(self.chaos_idx).map(|e| e.t_ns);
+    fn next_event(
+        &self,
+        now: SimTime,
+        t_arrival: Option<SimTime>,
+        work_remaining: bool,
+    ) -> Option<SimTime> {
+        let chaos = self.chaos.get(self.chaos_idx).map(|&(t, _)| t);
         if !work_remaining {
-            return [t_arrival, chaos].into_iter().flatten().reduce(f64::min);
+            return [t_arrival, chaos].into_iter().flatten().min();
         }
         let clusters = self
             .clusters
             .iter()
-            .flat_map(|c| [c.due_ns, c.health.next_event_ns()]);
+            .flat_map(|c| [c.sched.next_event(now), c.health.next_event()]);
         let in_flight = self.in_flight.iter().flat_map(|f| {
-            let next = f.completions.get(f.cursor).map(|c| c.outcome.completed_ns);
-            [next, Some(f.done_ns)]
+            let next = f.completions.get(f.cursor).map(|c| c.done);
+            [next, Some(f.done)]
         });
         let hedges = self.pending_hedges.iter().map(|&(at, _)| Some(at));
         clusters
             .chain(in_flight)
             .chain(hedges)
-            .chain([chaos])
+            .chain([t_arrival, chaos])
             .flatten()
-            .reduce(f64::min)
+            .min()
     }
 
     /// Fleet-wide queued jobs (admission-control depth).
@@ -596,7 +592,7 @@ impl FleetRunner {
     }
 
     /// Admission: backpressure sheds (bulk first), then shard routing.
-    fn admit(&mut self, job: QueuedJob, now: f64) {
+    fn admit(&mut self, job: QueuedJob, now: SimTime) {
         let depth = self.queue_depth();
         let over_hard = depth >= self.cfg.hard_capacity;
         let over_soft = depth >= self.cfg.soft_capacity;
@@ -614,7 +610,7 @@ impl FleetRunner {
     }
 
     /// Graceful degradation: record an `Overloaded` shed.
-    fn shed(&mut self, job: QueuedJob, depth: usize, now: f64) {
+    fn shed(&mut self, job: QueuedJob, depth: usize, now: SimTime) {
         let tenant = job.spec.tenant;
         let status = JobStatus::Rejected(AdmissionError::Overloaded {
             depth,
@@ -627,7 +623,7 @@ impl FleetRunner {
             name: "overload-shed".into(),
             kind: unintt_telemetry::InstantKind::Shed,
             track: "admission".into(),
-            t_ns: now,
+            t_ns: now.as_ns(),
             attrs: vec![("tenant", u64::from(tenant).into())],
         });
         unintt_telemetry::counter_add("sim_shed_jobs", 1);
@@ -636,7 +632,7 @@ impl FleetRunner {
 
     /// Routes one accepted job to its shard's scheduler (or parks it
     /// when nothing is routable).
-    fn place(&mut self, job: QueuedJob, now: f64) {
+    fn place(&mut self, job: QueuedJob, now: SimTime) {
         let candidates = self.routable_clusters();
         match self
             .router
@@ -650,7 +646,7 @@ impl FleetRunner {
     }
 
     /// Re-offers parked jobs once some cluster is routable again.
-    fn retry_parked(&mut self, now: f64) {
+    fn retry_parked(&mut self, now: SimTime) {
         if self.parked.is_empty() || self.routable_clusters().is_empty() {
             return;
         }
@@ -663,7 +659,7 @@ impl FleetRunner {
 
     /// Re-shards jobs off cluster `from` — killed, tripped, or out of
     /// healthy nodes mid-batch — to the survivors, in id order.
-    fn reshard(&mut self, from: usize, mut jobs: Vec<QueuedJob>, t: f64) {
+    fn reshard(&mut self, from: usize, mut jobs: Vec<QueuedJob>, t: SimTime) {
         if jobs.is_empty() {
             return;
         }
@@ -674,7 +670,7 @@ impl FleetRunner {
             name: "failover".into(),
             kind: unintt_telemetry::InstantKind::Failover,
             track: format!("cluster{from}"),
-            t_ns: t,
+            t_ns: t.as_ns(),
             attrs: vec![("jobs", n.into())],
         });
         unintt_telemetry::counter_add("sim_failovers", n);
@@ -696,14 +692,14 @@ impl FleetRunner {
     /// Commits every in-flight result due by `now`, idempotently — the
     /// first copy of a job's result wins; duplicates are dropped. Then
     /// cancels hedge-pair losers made fully redundant.
-    fn commit_due(&mut self, now: f64) {
+    fn commit_due(&mut self, now: SimTime) {
         // Gather (time, seq) of due completions and replay in global
         // deterministic order.
         loop {
-            let mut best: Option<(f64, u64, usize)> = None;
+            let mut best: Option<(SimTime, u64, usize)> = None;
             for (idx, f) in self.in_flight.iter().enumerate() {
                 if let Some(c) = f.completions.get(f.cursor) {
-                    let t = c.outcome.completed_ns;
+                    let t = c.done;
                     if t <= now && best.is_none_or(|(bt, bs, _)| (t, f.seq) < (bt, bs)) {
                         best = Some((t, f.seq, idx));
                     }
@@ -722,14 +718,15 @@ impl FleetRunner {
     }
 
     /// Removes in-flight `idx` before it ran to the end (a kill or a lost
-    /// hedge race at `t`): the lease is refunded the simulated time that
-    /// never ran, and the partner, if any, is unlinked.
-    fn drop_in_flight(&mut self, idx: usize, t: f64) -> InFlight {
+    /// hedge race at `t`): a lease still reserved to the run's end (not
+    /// pushed back by a repair or a revive) is refunded the simulated
+    /// time that never ran, and the partner, if any, is unlinked.
+    fn drop_in_flight(&mut self, idx: usize, t: SimTime) -> InFlight {
         let f = self.in_flight.swap_remove(idx);
         let lease = self.clusters[f.cluster].sched.pool.lease_mut(f.lease);
-        if f.free_ns > t && lease.free_at_ns == f.free_ns {
-            lease.busy_ns -= f.free_ns - t;
-            lease.free_at_ns = t;
+        if f.done > t && lease.free_at == f.done {
+            lease.busy = lease.busy - (f.done - t);
+            lease.free_at = t;
         }
         if let Some(p) = f.partner {
             if let Some(partner) = self.in_flight.iter_mut().find(|g| g.seq == p) {
@@ -744,11 +741,11 @@ impl FleetRunner {
 
     /// Cancels any live hedge-pair member whose every job is already
     /// committed (its partner won): the lease is refunded from `now`.
-    fn cancel_redundant(&mut self, now: f64) {
+    fn cancel_redundant(&mut self, now: SimTime) {
         let mut cancelled: Vec<usize> = Vec::new();
         for (idx, f) in self.in_flight.iter().enumerate() {
             if f.partner.is_some()
-                && f.done_ns > now
+                && f.done > now
                 && f.completions
                     .iter()
                     .all(|c| self.committed.contains(&c.outcome.id))
@@ -772,11 +769,11 @@ impl FleetRunner {
     }
 
     /// Removes in-flights fully played out by `now`.
-    fn retire_due(&mut self, now: f64) {
+    fn retire_due(&mut self, now: SimTime) {
         let mut idx = 0;
         while idx < self.in_flight.len() {
             let f = &self.in_flight[idx];
-            if f.done_ns <= now && f.cursor == f.completions.len() {
+            if f.done <= now && f.cursor == f.completions.len() {
                 let f = self.in_flight.swap_remove(idx);
                 for c in &f.completions {
                     self.uncover(c.outcome.id);
@@ -788,24 +785,24 @@ impl FleetRunner {
     }
 
     /// Fires every chaos event due by `now`, in schedule order.
-    fn fire_chaos(&mut self, now: f64) {
-        while let Some(&e) = self.chaos.get(self.chaos_idx) {
-            if e.t_ns > now {
+    fn fire_chaos(&mut self, now: SimTime) {
+        while let Some(&(t, e)) = self.chaos.get(self.chaos_idx) {
+            if t > now {
                 break;
             }
             self.chaos_idx += 1;
             match e.kind {
-                ChaosKind::Kill => self.kill_cluster(e.cluster, e.t_ns),
+                ChaosKind::Kill => self.kill_cluster(e.cluster, t),
                 ChaosKind::Revive => {
                     self.clusters[e.cluster].alive = true;
                     // Replacement hardware: every lease comes back whole
                     // after the configured swap time.
-                    let repair_ns = self.cfg.base.repair_ns;
-                    let pool = &mut self.clusters[e.cluster].sched.pool;
-                    for l in 0..pool.len() {
-                        let lease = pool.lease_mut(l);
-                        lease.free_at_ns = lease.free_at_ns.min(e.t_ns);
-                        lease.repair(e.t_ns, repair_ns);
+                    let sched = &mut self.clusters[e.cluster].sched;
+                    let repair = sched.repair;
+                    for l in 0..sched.pool.len() {
+                        let lease = sched.pool.lease_mut(l);
+                        lease.free_at = lease.free_at.min(t);
+                        lease.repair(t, repair);
                     }
                 }
             }
@@ -815,7 +812,7 @@ impl FleetRunner {
     /// A whole cluster drops at `t`: quarantine it, lose its un-finished
     /// in-flight work, and re-shard everything to survivors — queued
     /// jobs, DAG proofs in progress, and jobs whose last live copy died.
-    fn kill_cluster(&mut self, cluster: usize, t: f64) {
+    fn kill_cluster(&mut self, cluster: usize, t: SimTime) {
         let state = &mut self.clusters[cluster];
         state.alive = false;
         state.bank_routable(t);
@@ -825,7 +822,7 @@ impl FleetRunner {
             name: "cluster-kill".into(),
             kind: unintt_telemetry::InstantKind::Quarantine,
             track: format!("cluster{cluster}"),
-            t_ns: t,
+            t_ns: t.as_ns(),
             attrs: vec![],
         });
         unintt_telemetry::counter_add("sim_quarantines", 1);
@@ -852,14 +849,14 @@ impl FleetRunner {
     /// A breaker trip outside chaos (consecutive leftover failures):
     /// queued work and DAG proofs in progress re-shard away; in-flight
     /// batches finish normally.
-    fn trip_breaker(&mut self, c: usize, now: f64) {
+    fn trip_breaker(&mut self, c: usize, now: SimTime) {
         self.clusters[c].bank_routable(now);
         self.stats.quarantines += 1;
         unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
             name: "breaker-trip".into(),
             kind: unintt_telemetry::InstantKind::Quarantine,
             track: format!("cluster{c}"),
-            t_ns: now,
+            t_ns: now.as_ns(),
             attrs: vec![],
         });
         unintt_telemetry::counter_add("sim_quarantines", 1);
@@ -869,7 +866,7 @@ impl FleetRunner {
 
     /// Advances every health machine: due probes resolve (success iff
     /// the hardware is back), completed warmups re-admit.
-    fn step_health(&mut self, now: f64) {
+    fn step_health(&mut self, now: SimTime) {
         for c in 0..self.clusters.len() {
             let alive = self.clusters[c].alive;
             let health = &mut self.clusters[c].health;
@@ -884,7 +881,7 @@ impl FleetRunner {
                     name: "readmit".into(),
                     kind: unintt_telemetry::InstantKind::Quarantine,
                     track: format!("cluster{c}"),
-                    t_ns: now,
+                    t_ns: now.as_ns(),
                     attrs: vec![],
                 });
             }
@@ -893,7 +890,7 @@ impl FleetRunner {
 
     /// Launches hedges whose deadline fired and whose primary is still
     /// live with uncommitted work.
-    fn launch_due_hedges(&mut self, now: f64) {
+    fn launch_due_hedges(&mut self, now: SimTime) {
         let mut due: Vec<u64> = Vec::new();
         self.pending_hedges.retain(|&(at, seq)| {
             if at <= now {
@@ -909,7 +906,7 @@ impl FleetRunner {
         }
     }
 
-    fn launch_hedge(&mut self, primary_seq: u64, now: f64) {
+    fn launch_hedge(&mut self, primary_seq: u64, now: SimTime) {
         let Some(p) = self.in_flight.iter().find(|f| f.seq == primary_seq) else {
             return; // primary already killed or cancelled
         };
@@ -931,9 +928,7 @@ impl FleetRunner {
             .routable_clusters()
             .into_iter()
             .filter(|&c| c != p_cluster)
-            .map(|c| (self.clusters[c].sched.pool.next_free_ns(), c))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, c)| c);
+            .min_by_key(|&c| (self.clusters[c].sched.pool.next_free(), c));
         let Some(target) = target else { return };
         let Some(run) = self.clusters[target]
             .sched
@@ -954,7 +949,7 @@ impl FleetRunner {
             name: "hedge".into(),
             kind: unintt_telemetry::InstantKind::Hedge,
             track: format!("cluster{target}"),
-            t_ns: now,
+            t_ns: now.as_ns(),
             attrs: vec![("primary", primary_seq.into())],
         });
         unintt_telemetry::counter_add("sim_hedges", 1);
@@ -963,7 +958,7 @@ impl FleetRunner {
     /// Dispatches every routable cluster's placeable work at `now`.
     /// Re-sharding an unfinished tail can hand jobs to a cluster this pass
     /// already visited, so the pass repeats until nothing moved.
-    fn dispatch_all(&mut self, now: f64) {
+    fn dispatch_all(&mut self, now: SimTime) {
         let mut again = true;
         while again {
             again = false;
@@ -990,20 +985,16 @@ impl FleetRunner {
     /// Returns whether jobs were re-sharded.
     fn launch(&mut self, c: usize, mut run: BatchRun, partner: Option<u64>) -> bool {
         let is_hedge = partner.is_some();
-        let done = run
-            .completions
-            .last()
-            .map_or(run.done_ns, |l| run.done_ns.max(l.outcome.completed_ns));
         let leftover = std::mem::take(&mut run.leftover);
         let resharded = !leftover.is_empty();
         if resharded {
             // The lease ran out of healthy nodes mid-batch (it was
             // repaired): a failure on this cluster's record, and the tail
             // re-shards.
-            if self.clusters[c].health.record_failure(run.done_ns) {
-                self.trip_breaker(c, run.done_ns);
+            if self.clusters[c].health.record_failure(run.done) {
+                self.trip_breaker(c, run.done);
             }
-            self.reshard(c, leftover, run.done_ns);
+            self.reshard(c, leftover, run.done);
         } else {
             self.clusters[c].health.record_success();
         }
@@ -1015,13 +1006,16 @@ impl FleetRunner {
             // is trustworthy.
             if let Some(h) = self.cfg.hedge.filter(|_| !is_hedge) {
                 if !run.completions.is_empty() && self.samples.count() as usize >= h.min_samples {
-                    let deadline = run.start_ns + h.factor * self.samples.quantile(0.99);
-                    if done > deadline {
+                    // At least a picosecond: a hedge never races its
+                    // primary from the instant it started.
+                    let wait = SimTime::from_ns(h.factor * self.samples.quantile(0.99));
+                    let deadline = run.start + wait.max(SimTime(1));
+                    if run.done > deadline {
                         self.pending_hedges.push((deadline, run.seq));
                     }
                 }
             }
-            self.samples.observe(run.elapsed_ns);
+            self.samples.observe((run.done - run.start).as_ns());
         }
         if !run.completions.is_empty() {
             self.in_flight.push(InFlight {
@@ -1031,8 +1025,7 @@ impl FleetRunner {
                 key: run.key,
                 completions: run.completions,
                 cursor: 0,
-                free_ns: run.done_ns,
-                done_ns: done,
+                done: run.done,
                 is_hedge,
                 partner,
             });
@@ -1138,6 +1131,30 @@ mod tests {
             "metrics skip them"
         );
         assert!(report.zero_accepted_failures());
+    }
+
+    #[test]
+    #[should_panic(expected = "repair_ns must be a finite duration >= 0, got -1")]
+    fn negative_repair_time_is_rejected_up_front() {
+        FleetService::new(FleetConfig {
+            base: ServiceConfig {
+                repair_ns: -1.0,
+                ..ServiceConfig::default()
+            },
+            ..small_fleet(ChaosPlan::none())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "probe_ns must be a finite duration >= 0, got inf")]
+    fn infinite_probe_time_is_rejected_up_front() {
+        FleetService::new(FleetConfig {
+            health: HealthConfig {
+                probe_ns: f64::INFINITY,
+                ..HealthConfig::default()
+            },
+            ..small_fleet(ChaosPlan::none())
+        });
     }
 
     #[test]

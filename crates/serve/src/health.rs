@@ -18,6 +18,10 @@
 //! `(seed, cluster, trip)` triple) so co-quarantined clusters don't
 //! probe in lockstep — yet two runs of the same fleet are bit-identical.
 
+use unintt_gpu_sim::SimTime;
+
+use crate::config::duration;
+
 /// Tunables for the per-cluster [`HealthMachine`].
 #[derive(Clone, Copy, Debug)]
 pub struct HealthConfig {
@@ -85,6 +89,12 @@ impl HealthState {
 #[derive(Clone, Debug)]
 pub struct HealthMachine {
     cfg: HealthConfig,
+    /// `backoff_base_ns`, `backoff_max_ns`, `probe_ns` and
+    /// `repair_warmup_ns` on the event clock.
+    backoff_base: SimTime,
+    backoff_max: SimTime,
+    probe: SimTime,
+    warmup: SimTime,
     cluster: usize,
     state: HealthState,
     consecutive_failures: u32,
@@ -92,8 +102,8 @@ pub struct HealthMachine {
     /// drives the exponential backoff.
     trips: u32,
     /// When Quarantined: the earliest instant the half-open probe may
-    /// launch. When Repairing: when warmup completes.
-    next_transition_ns: f64,
+    /// launch. When Repairing: when warmup completes. `None` otherwise.
+    next_transition: Option<SimTime>,
     /// Lifetime count of breaker trips (metrics).
     pub total_quarantines: u64,
     /// Lifetime count of probes launched (metrics).
@@ -102,14 +112,28 @@ pub struct HealthMachine {
 
 impl HealthMachine {
     /// A Healthy machine for cluster `cluster`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every configured duration is finite and `>= 0` and
+    /// the jitter fraction is finite.
     pub fn new(cfg: HealthConfig, cluster: usize) -> Self {
+        assert!(
+            cfg.jitter_frac.is_finite(),
+            "jitter_frac must be finite, got {}",
+            cfg.jitter_frac
+        );
         Self {
             cfg,
+            backoff_base: duration("backoff_base_ns", cfg.backoff_base_ns),
+            backoff_max: duration("backoff_max_ns", cfg.backoff_max_ns),
+            probe: duration("probe_ns", cfg.probe_ns),
+            warmup: duration("repair_warmup_ns", cfg.repair_warmup_ns),
             cluster,
             state: HealthState::Healthy,
             consecutive_failures: 0,
             trips: 0,
-            next_transition_ns: f64::INFINITY,
+            next_transition: None,
             total_quarantines: 0,
             total_probes: 0,
         }
@@ -132,11 +156,8 @@ impl HealthMachine {
 
     /// The next instant this machine wants the event loop's attention
     /// (probe launch or warmup completion), or `None` when idle.
-    pub fn next_event_ns(&self) -> Option<f64> {
-        match self.state {
-            HealthState::Quarantined | HealthState::Repairing => Some(self.next_transition_ns),
-            _ => None,
-        }
+    pub fn next_event(&self) -> Option<SimTime> {
+        self.next_transition
     }
 
     /// A dispatch on this cluster succeeded: reset the failure streak;
@@ -152,7 +173,7 @@ impl HealthMachine {
     /// A dispatch on this cluster failed (lease died mid-batch, probe
     /// timeout, …). Returns `true` if this failure tripped the breaker
     /// into Quarantined.
-    pub fn record_failure(&mut self, now: f64) -> bool {
+    pub fn record_failure(&mut self, now: SimTime) -> bool {
         self.consecutive_failures += 1;
         if self.state == HealthState::Healthy {
             self.state = HealthState::Degraded;
@@ -166,54 +187,56 @@ impl HealthMachine {
 
     /// Force the breaker open (chaos kill, whole-cluster loss): no
     /// production traffic until a probe succeeds.
-    pub fn quarantine(&mut self, now: f64) {
+    pub fn quarantine(&mut self, now: SimTime) {
         self.state = HealthState::Quarantined;
         self.total_quarantines += 1;
         self.trips += 1;
-        self.next_transition_ns = now + self.backoff_ns();
+        self.next_transition = Some(now + self.backoff());
     }
 
     /// True when the half-open probe is due.
-    pub fn probe_due(&self, now: f64) -> bool {
-        self.state == HealthState::Quarantined && now >= self.next_transition_ns
+    pub fn probe_due(&self, now: SimTime) -> bool {
+        self.state == HealthState::Quarantined && self.next_transition.is_some_and(|t| now >= t)
     }
 
     /// Resolve a half-open probe launched at `now`. On success the
     /// machine enters Repairing (warmup ends `probe_ns + repair_warmup_ns`
     /// later); on failure the backoff doubles and a new probe is
     /// scheduled. Returns the instant of the next transition.
-    pub fn probe_result(&mut self, now: f64, ok: bool) -> f64 {
+    pub fn probe_result(&mut self, now: SimTime, ok: bool) -> SimTime {
         debug_assert_eq!(self.state, HealthState::Quarantined, "probes are half-open");
         self.total_probes += 1;
-        if ok {
+        let next = if ok {
             self.state = HealthState::Repairing;
-            self.next_transition_ns = now + self.cfg.probe_ns + self.cfg.repair_warmup_ns;
+            now + self.probe + self.warmup
         } else {
             self.trips += 1;
-            self.next_transition_ns = now + self.cfg.probe_ns + self.backoff_ns();
-        }
-        self.next_transition_ns
+            now + self.probe + self.backoff()
+        };
+        self.next_transition = Some(next);
+        next
     }
 
     /// Complete the Repairing warmup if due: the cluster returns to
     /// Healthy with a clean slate. Returns `true` on re-admission.
-    pub fn try_readmit(&mut self, now: f64) -> bool {
-        if self.state == HealthState::Repairing && now >= self.next_transition_ns {
+    pub fn try_readmit(&mut self, now: SimTime) -> bool {
+        if self.state == HealthState::Repairing && self.next_transition.is_some_and(|t| now >= t) {
             self.state = HealthState::Healthy;
             self.consecutive_failures = 0;
             self.trips = 0;
-            self.next_transition_ns = f64::INFINITY;
+            self.next_transition = None;
             return true;
         }
         false
     }
 
     /// The current backoff: `base · 2^(trips−1)` capped at the ceiling,
-    /// with deterministic ±`jitter_frac` seeded jitter.
-    fn backoff_ns(&self) -> f64 {
-        let exp = self.trips.saturating_sub(1).min(32);
-        let raw = (self.cfg.backoff_base_ns * f64::from(1u32 << exp.min(30)))
-            .min(self.cfg.backoff_max_ns);
+    /// with deterministic ±`jitter_frac` seeded jitter, and at least one
+    /// picosecond, so a failing probe never reschedules itself at the
+    /// instant it ran.
+    fn backoff(&self) -> SimTime {
+        let exp = self.trips.saturating_sub(1).min(30);
+        let raw = SimTime(self.backoff_base.0.saturating_mul(1 << exp)).min(self.backoff_max);
         let draw = splitmix64(
             self.cfg
                 .seed
@@ -222,7 +245,8 @@ impl HealthMachine {
         );
         // Map the draw to [−jitter, +jitter].
         let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        raw * (1.0 + self.cfg.jitter_frac * (2.0 * unit - 1.0))
+        let jittered = raw.as_ns() * (1.0 + self.cfg.jitter_frac * (2.0 * unit - 1.0));
+        SimTime::from_ns(jittered.max(0.0)).max(SimTime(1))
     }
 }
 
@@ -238,6 +262,10 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ns(ns: f64) -> SimTime {
+        SimTime::from_ns(ns)
+    }
 
     fn cfg() -> HealthConfig {
         HealthConfig {
@@ -255,10 +283,13 @@ mod tests {
     fn breaker_trips_after_consecutive_failures() {
         let mut m = HealthMachine::new(cfg(), 0);
         assert_eq!(m.state(), HealthState::Healthy);
-        assert!(!m.record_failure(10.0));
+        assert!(!m.record_failure(ns(10.0)));
         assert_eq!(m.state(), HealthState::Degraded);
-        assert!(!m.record_failure(20.0));
-        assert!(m.record_failure(30.0), "third consecutive failure trips");
+        assert!(!m.record_failure(ns(20.0)));
+        assert!(
+            m.record_failure(ns(30.0)),
+            "third consecutive failure trips"
+        );
         assert_eq!(m.state(), HealthState::Quarantined);
         assert!(!m.routable());
     }
@@ -266,25 +297,25 @@ mod tests {
     #[test]
     fn success_resets_the_streak() {
         let mut m = HealthMachine::new(cfg(), 0);
-        m.record_failure(10.0);
-        m.record_failure(20.0);
+        m.record_failure(ns(10.0));
+        m.record_failure(ns(20.0));
         m.record_success();
         assert_eq!(m.state(), HealthState::Healthy, "degraded recovers");
-        assert!(!m.record_failure(30.0));
-        assert!(!m.record_failure(40.0));
-        assert!(m.record_failure(50.0), "streak restarted after success");
+        assert!(!m.record_failure(ns(30.0)));
+        assert!(!m.record_failure(ns(40.0)));
+        assert!(m.record_failure(ns(50.0)), "streak restarted after success");
     }
 
     #[test]
     fn half_open_recovery_walks_quarantine_to_healthy() {
         let mut m = HealthMachine::new(cfg(), 0);
-        m.quarantine(1_000.0);
-        assert!(!m.probe_due(1_000.0), "backoff holds the probe");
-        let probe_at = m.next_event_ns().expect("probe scheduled");
+        m.quarantine(ns(1_000.0));
+        assert!(!m.probe_due(ns(1_000.0)), "backoff holds the probe");
+        let probe_at = m.next_event().expect("probe scheduled");
         assert!(m.probe_due(probe_at));
         let warm_done = m.probe_result(probe_at, true);
         assert_eq!(m.state(), HealthState::Repairing);
-        assert!(!m.try_readmit(warm_done - 1.0));
+        assert!(!m.try_readmit(warm_done - ns(1.0)));
         assert!(m.try_readmit(warm_done));
         assert_eq!(m.state(), HealthState::Healthy);
         assert!(m.routable());
@@ -293,13 +324,13 @@ mod tests {
     #[test]
     fn failed_probes_back_off_exponentially_with_jitter() {
         let mut m = HealthMachine::new(cfg(), 0);
-        m.quarantine(0.0);
-        let first = m.next_event_ns().expect("scheduled") - 0.0;
-        let mut gaps = vec![first];
+        m.quarantine(ns(0.0));
+        let first = m.next_event().expect("scheduled") - ns(0.0);
+        let mut gaps = vec![first.as_ns()];
         let mut t = first;
         for _ in 0..4 {
             let next = m.probe_result(t, false);
-            gaps.push(next - t - m.cfg.probe_ns);
+            gaps.push((next - t).as_ns() - m.cfg.probe_ns);
             t = next;
         }
         for w in gaps.windows(2).take(3) {
@@ -322,17 +353,17 @@ mod tests {
         let mut a1 = HealthMachine::new(cfg(), 0);
         let mut a2 = HealthMachine::new(cfg(), 0);
         let mut b = HealthMachine::new(cfg(), 1);
-        a1.quarantine(0.0);
-        a2.quarantine(0.0);
-        b.quarantine(0.0);
+        a1.quarantine(ns(0.0));
+        a2.quarantine(ns(0.0));
+        b.quarantine(ns(0.0));
         assert_eq!(
-            a1.next_event_ns(),
-            a2.next_event_ns(),
+            a1.next_event(),
+            a2.next_event(),
             "same seed+cluster → same jitter"
         );
         assert_ne!(
-            a1.next_event_ns(),
-            b.next_event_ns(),
+            a1.next_event(),
+            b.next_event(),
             "different clusters desynchronize"
         );
     }
@@ -340,13 +371,14 @@ mod tests {
     #[test]
     fn readmission_resets_the_backoff_ladder() {
         let mut m = HealthMachine::new(cfg(), 0);
-        m.quarantine(0.0);
-        let first_gap = m.next_event_ns().expect("scheduled");
+        m.quarantine(ns(0.0));
+        let first_gap = m.next_event().expect("scheduled");
         let t = m.probe_result(first_gap, false); // trips ×2
         let t2 = m.probe_result(t, true);
         assert!(m.try_readmit(t2));
         m.quarantine(t2);
-        let fresh_gap = m.next_event_ns().expect("scheduled") - t2;
+        let fresh_gap = m.next_event().expect("scheduled") - t2;
+        let (fresh_gap, first_gap) = (fresh_gap.as_ns(), first_gap.as_ns());
         assert!(
             (fresh_gap - first_gap).abs() / first_gap < 0.25,
             "post-recovery backoff restarts near the base: {fresh_gap} vs {first_gap}"

@@ -1,6 +1,6 @@
 //! Typed jobs: what tenants submit through the service front door.
 
-use unintt_gpu_sim::FieldSpec;
+use unintt_gpu_sim::{FieldSpec, SimTime};
 use unintt_ntt::Direction;
 
 use crate::coalesce::{BatchKey, QueuedJob};
@@ -262,9 +262,10 @@ pub enum AdmissionError {
         /// Priority of the shed job (Low sheds first).
         priority: Priority,
     },
-    /// The job's arrival time is NaN or infinite: the simulated clock can
-    /// never reach it. Rejected at the start of the run and left out of
-    /// every metric.
+    /// The job's arrival time is not an instant of the simulated clock:
+    /// negative, NaN, infinite, or past the clock's range (2^64 ps, about
+    /// 213 days). Rejected at the start of the run and left out of every
+    /// metric.
     InvalidArrival,
 }
 
@@ -285,7 +286,9 @@ impl std::fmt::Display for AdmissionError {
                      shed {priority:?}-priority job"
                 )
             }
-            AdmissionError::InvalidArrival => write!(f, "arrival time is not finite"),
+            AdmissionError::InvalidArrival => {
+                write!(f, "arrival time is not an instant of the simulated clock")
+            }
         }
     }
 }
@@ -344,22 +347,25 @@ pub struct JobOutcome {
 
 impl JobOutcome {
     /// `job`'s outcome with `status` at `now`, before any batch, retry,
-    /// re-plan or output is recorded. A completed job missed its deadline
-    /// if `now` is past it; one cancelled for its deadline always did.
-    pub(crate) fn new(job: &QueuedJob, status: JobStatus, now: f64) -> Self {
+    /// re-plan or output is recorded. Both instants are the event clock's
+    /// (an invalid arrival is reported as submitted). A completed job
+    /// missed its deadline if `now` is past it; one cancelled for its
+    /// deadline always did.
+    pub(crate) fn new(job: &QueuedJob, status: JobStatus, now: SimTime) -> Self {
         let spec = &job.spec;
         Self {
             id: job.id,
             tenant: spec.tenant,
             class_name: spec.class.name(),
             status,
-            arrival_ns: spec.arrival_ns,
-            completed_ns: now,
+            arrival_ns: SimTime::try_from_ns(spec.arrival_ns)
+                .map_or(spec.arrival_ns, SimTime::as_ns),
+            completed_ns: now.as_ns(),
             batch_size: 0,
             retries: 0,
             replans: 0,
             missed_deadline: match status {
-                JobStatus::Completed => spec.deadline_ns.is_some_and(|d| now > d),
+                JobStatus::Completed => job.deadline().is_some_and(|d| now > d),
                 JobStatus::Rejected(_) => false,
                 JobStatus::DeadlineExceeded { .. } => true,
             },

@@ -6,10 +6,10 @@
 //! re-applies the device losses the lease has accumulated — so a lease
 //! degraded by an earlier fault stays degraded until repaired. A lease
 //! whose every node has lost a GPU is taken out of service for
-//! `repair_ns` and comes back whole.
+//! the configured repair time and comes back whole.
 
 use unintt_core::{Cluster, NetworkConfig};
-use unintt_gpu_sim::presets;
+use unintt_gpu_sim::{presets, SimTime};
 
 use crate::config::LeaseShape;
 use crate::job::ServiceField;
@@ -21,9 +21,9 @@ pub struct Lease {
     pub id: usize,
     shape: LeaseShape,
     /// Simulated instant the current (or last) dispatch finishes.
-    pub free_at_ns: f64,
+    pub free_at: SimTime,
     /// Total simulated time spent running batches.
-    pub busy_ns: f64,
+    pub busy: SimTime,
     /// Batches dispatched on this lease.
     pub dispatches: u64,
     /// Times the lease was swapped for fresh hardware.
@@ -40,8 +40,8 @@ impl Lease {
         Self {
             id,
             shape,
-            free_at_ns: 0.0,
-            busy_ns: 0.0,
+            free_at: SimTime::ZERO,
+            busy: SimTime::ZERO,
             dispatches: 0,
             repairs: 0,
             dead: Vec::new(),
@@ -113,11 +113,11 @@ impl Lease {
     }
 
     /// Swaps the lease for fresh hardware: losses clear, and the lease
-    /// rejoins the pool at `now + repair_ns`.
-    pub fn repair(&mut self, now: f64, repair_ns: f64) {
+    /// rejoins the pool `repair` after `now` (or after its current run).
+    pub fn repair(&mut self, now: SimTime, repair: SimTime) {
         self.dead.clear();
         self.repairs += 1;
-        self.free_at_ns = self.free_at_ns.max(now) + repair_ns;
+        self.free_at = self.free_at.max(now) + repair;
     }
 
     /// GPUs currently lost.
@@ -147,27 +147,19 @@ impl LeasePool {
 
     /// The lease that frees earliest (ties broken by lowest id).
     pub fn earliest(&mut self) -> &mut Lease {
-        let idx = self
-            .leases
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.free_at_ns
-                    .partial_cmp(&b.free_at_ns)
-                    .expect("lease clocks are finite")
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(|(i, _)| i)
-            .expect("pool is never empty");
-        &mut self.leases[idx]
+        self.leases
+            .iter_mut()
+            .min_by_key(|l| (l.free_at, l.id))
+            .expect("pool is never empty")
     }
 
     /// The earliest instant any lease is free.
-    pub fn next_free_ns(&self) -> f64 {
+    pub fn next_free(&self) -> SimTime {
         self.leases
             .iter()
-            .map(|l| l.free_at_ns)
-            .fold(f64::INFINITY, f64::min)
+            .map(|l| l.free_at)
+            .min()
+            .expect("pool is never empty")
     }
 
     /// Mutable access to one lease by id.
@@ -199,10 +191,10 @@ mod tests {
     fn earliest_breaks_ties_by_id() {
         let mut pool = LeasePool::new(3, LeaseShape::default());
         assert_eq!(pool.earliest().id, 0);
-        pool.leases[0].free_at_ns = 100.0;
+        pool.leases[0].free_at = SimTime::from_ns(100.0);
         assert_eq!(pool.earliest().id, 1);
-        pool.leases[1].free_at_ns = 50.0;
-        pool.leases[2].free_at_ns = 50.0;
+        pool.leases[1].free_at = SimTime::from_ns(50.0);
+        pool.leases[2].free_at = SimTime::from_ns(50.0);
         assert_eq!(pool.earliest().id, 1, "equal clocks resolve by id");
     }
 
@@ -233,10 +225,10 @@ mod tests {
         });
         assert!(lease.is_dead());
 
-        lease.repair(1_000.0, 5_000.0);
+        lease.repair(SimTime::from_ns(1_000.0), SimTime::from_ns(5_000.0));
         assert!(!lease.is_dead());
         assert_eq!(lease.lost_devices(), 0);
-        assert_eq!(lease.free_at_ns, 6_000.0);
+        assert_eq!(lease.free_at, SimTime::from_ns(6_000.0));
         assert_eq!(lease.repairs, 1);
         lease.with_cluster(ServiceField::Goldilocks, |c| {
             assert_eq!(c.healthy_nodes(), vec![0, 1], "repaired hardware is whole");
@@ -311,14 +303,14 @@ mod tests {
                     } else {
                         assert_eq!(format!("{cluster:?}"), format!("{fresh:?}"));
                     }
-                    let start_ns = 1e5 * step as f64;
-                    let r = run_raw_batch(&mut caches, &cfg, key, &jobs, cluster, step, start_ns);
+                    let start = SimTime::from_ns(1e5 * step as f64);
+                    let r = run_raw_batch(&mut caches, &cfg, key, &jobs, cluster, step, start);
                     let report = format!("{:?} {:?}", r.completions, r.leftover);
-                    (r.elapsed_ns.to_bits(), report, format!("{cluster:?}"))
+                    (r.elapsed, report, format!("{cluster:?}"))
                 }));
                 losses = losses.max(lease.lost_devices());
                 if lease.is_dead() {
-                    lease.repair(0.0, 0.0);
+                    lease.repair(SimTime::ZERO, SimTime::ZERO);
                 }
             }
             assert!(losses > 0, "a device is lost mid-sequence");

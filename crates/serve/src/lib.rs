@@ -65,5 +65,5 @@ pub use lease::{Lease, LeasePool};
 pub use metrics::{ClassMetrics, LatencyStats, LeaseMetrics, ServiceMetrics};
 pub use router::ShardRouter;
 pub use service::{ProofService, ServiceReport};
-pub use unintt_gpu_sim::{InterferenceModel, ResourceClass};
+pub use unintt_gpu_sim::{InterferenceModel, ResourceClass, SimTime};
 pub use workload::{WorkloadMix, WorkloadSpec};

@@ -69,9 +69,9 @@ impl LeaseMetrics {
         LeaseMetrics {
             id,
             dispatches: lease.dispatches,
-            busy_ns: lease.busy_ns,
+            busy_ns: lease.busy.as_ns(),
             occupancy: if horizon_ns > 0.0 {
-                lease.busy_ns / horizon_ns
+                lease.busy.as_ns() / horizon_ns
             } else {
                 0.0
             },

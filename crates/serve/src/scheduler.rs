@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use unintt_gpu_sim::StreamSet;
+use unintt_gpu_sim::{SimTime, StreamSet};
 use unintt_pipeline::DagRun;
 
 use crate::coalesce::{BatchKey, Coalescer, QueuedJob, ReadyBatch};
@@ -71,7 +71,7 @@ struct ActiveDag {
     kind: DagKind,
     run: DagRun,
     /// When the first stage started executing (for the lifecycle spans).
-    first_start_ns: Option<f64>,
+    first_start: Option<SimTime>,
 }
 
 /// One in-flight DAG stage: everything needed to commit its completion
@@ -81,7 +81,7 @@ struct PendingStage {
     si: usize,
     lease: usize,
     queue: usize,
-    start_ns: f64,
+    start: SimTime,
     stage_name: String,
     kind_name: &'static str,
 }
@@ -93,10 +93,10 @@ pub(crate) struct BatchRun {
     pub(crate) seq: u64,
     pub(crate) lease: usize,
     pub(crate) key: Option<BatchKey>,
-    pub(crate) start_ns: f64,
-    /// When the lease frees: `start_ns + elapsed_ns`.
-    pub(crate) done_ns: f64,
-    pub(crate) elapsed_ns: f64,
+    pub(crate) start: SimTime,
+    /// When the lease frees: `start` plus the run's charges. The last
+    /// completion is this instant unless the run ended with `leftover`.
+    pub(crate) done: SimTime,
     /// Per-job results, in batch order.
     pub(crate) completions: Vec<Completion>,
     /// Jobs not run because the lease ran out of healthy nodes (the lease
@@ -115,6 +115,11 @@ pub(crate) struct Dispatch {
 /// The per-cluster scheduler (see the module docs).
 pub(crate) struct Scheduler {
     pub(crate) cfg: ServiceConfig,
+    /// `cfg`'s per-dispatch and per-stage overheads and repair time on
+    /// the event clock.
+    dispatch_overhead: SimTime,
+    stage_overhead: SimTime,
+    pub(crate) repair: SimTime,
     /// Prefix of every telemetry track written here: empty in the
     /// service, `cluster{c}-` in a fleet.
     label: String,
@@ -122,7 +127,7 @@ pub(crate) struct Scheduler {
     streams: Vec<StreamSet>,
     /// Last instant each lease released a stage. Ordering accepting
     /// leases by this is earliest-free lease selection at one queue.
-    release_ns: Vec<f64>,
+    release: Vec<SimTime>,
     coalescer: Coalescer,
     ready: ReadyQueue,
     dags: Vec<ActiveDag>,
@@ -130,7 +135,7 @@ pub(crate) struct Scheduler {
     /// One entry per dispatched batch or finished DAG proof.
     pub(crate) batch_sizes: Vec<usize>,
     /// Lease-occupied simulated time per DAG stage kind.
-    pub(crate) stage_ns: BTreeMap<&'static str, f64>,
+    pub(crate) stage_time: BTreeMap<&'static str, SimTime>,
     #[cfg(test)]
     pub(crate) ready_log: Vec<ReadyOp>,
 }
@@ -141,8 +146,9 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if `streams_per_lease` is outside
-    /// `1..=`[`unintt_core::MAX_STREAMS_PER_LEASE`] or the interference
-    /// model is invalid.
+    /// `1..=`[`unintt_core::MAX_STREAMS_PER_LEASE`], the interference
+    /// model is invalid, or a configured duration is not finite and
+    /// `>= 0`.
     pub(crate) fn new(cfg: ServiceConfig, label: String) -> Self {
         let k = cfg.streams_per_lease;
         assert!(
@@ -151,13 +157,17 @@ impl Scheduler {
             unintt_core::MAX_STREAMS_PER_LEASE
         );
         cfg.interference.validate();
+        let [window, dispatch_overhead, stage_overhead, repair] = cfg.durations();
         let pool = LeasePool::new(cfg.num_leases, cfg.lease);
         Self {
             streams: (0..pool.len())
                 .map(|_| StreamSet::new(k, cfg.interference))
                 .collect(),
-            release_ns: vec![0.0; pool.len()],
-            coalescer: Coalescer::new(cfg.batch_window_ns, cfg.max_batch),
+            release: vec![SimTime::ZERO; pool.len()],
+            coalescer: Coalescer::new(window, cfg.max_batch),
+            dispatch_overhead,
+            stage_overhead,
+            repair,
             ready: ReadyQueue::new(cfg.policy),
             pool,
             cfg,
@@ -165,7 +175,7 @@ impl Scheduler {
             dags: Vec::new(),
             pending: BTreeMap::new(),
             batch_sizes: Vec::new(),
-            stage_ns: BTreeMap::new(),
+            stage_time: BTreeMap::new(),
             #[cfg(test)]
             ready_log: Vec::new(),
         }
@@ -178,7 +188,7 @@ impl Scheduler {
     }
 
     /// Closes every coalescing window that has expired by `now`.
-    pub(crate) fn close_windows(&mut self, now: f64) {
+    pub(crate) fn close_windows(&mut self, now: SimTime) {
         for batch in self.coalescer.close_due(now) {
             self.flush_instant("window-flush", now, batch.len());
             self.push_ready(batch);
@@ -188,14 +198,14 @@ impl Scheduler {
     /// Takes one admitted job at `now`. DAG jobs skip the coalescer: the
     /// pipeline is staged once here (over the same fixtures the monolithic
     /// runners use) and its ready stages then compete for leases directly.
-    pub(crate) fn offer(&mut self, job: QueuedJob, now: f64, shared: &mut Shared) {
+    pub(crate) fn offer(&mut self, job: QueuedJob, now: SimTime, shared: &mut Shared) {
         if let JobClass::ProveDag { kind } = job.spec.class {
             let pipe = dispatch::build_dag(&mut shared.caches, &self.cfg, kind);
             self.dags.push(ActiveDag {
                 job,
                 kind,
-                run: DagRun::new(pipe, job.spec.arrival_ns),
-                first_start_ns: None,
+                run: DagRun::new(pipe, job.arrival()),
+                first_start: None,
             });
         } else if let Some(batch) = self.coalescer.offer(job, now) {
             self.flush_instant("batch-full", now, batch.len());
@@ -203,12 +213,12 @@ impl Scheduler {
         }
     }
 
-    fn flush_instant(&self, name: &str, now: f64, jobs: usize) {
+    fn flush_instant(&self, name: &str, now: SimTime, jobs: usize) {
         unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
             name: name.into(),
             kind: unintt_telemetry::InstantKind::CoalescerFlush,
             track: format!("{}coalescer", self.label),
-            t_ns: now,
+            t_ns: now.as_ns(),
             attrs: vec![("jobs", jobs.into())],
         });
     }
@@ -226,7 +236,7 @@ impl Scheduler {
     /// stages compete under one policy ordering (batches win exact ties);
     /// a batch blocked by stage residency waits while complementary stages
     /// keep flowing (the scheduler is work-conserving across classes).
-    pub(crate) fn dispatch_next(&mut self, now: f64, shared: &mut Shared) -> Option<Dispatch> {
+    pub(crate) fn dispatch_next(&mut self, now: SimTime, shared: &mut Shared) -> Option<Dispatch> {
         loop {
             #[cfg(test)]
             self.ready_log.push(ReadyOp::Peek);
@@ -253,21 +263,17 @@ impl Scheduler {
     /// The lease a coalesced batch or monolithic proof would run on: no
     /// batch in flight *and* every queue drained (batches occupy the
     /// whole device). Longest-idle first, then lowest id.
-    fn idle_lease(&self, now: f64) -> Option<usize> {
+    fn idle_lease(&self, now: SimTime) -> Option<usize> {
         let leases = self.pool.leases();
         (0..leases.len())
-            .filter(|&l| leases[l].free_at_ns <= now && self.streams[l].is_idle())
-            .min_by(|&a, &b| {
-                self.idle_since(a)
-                    .total_cmp(&self.idle_since(b))
-                    .then(a.cmp(&b))
-            })
+            .filter(|&l| leases[l].free_at <= now && self.streams[l].is_idle())
+            .min_by_key(|&l| (self.idle_since(l), l))
     }
 
     /// When lease `l` last released work: its batch end or its latest
     /// stage completion.
-    fn idle_since(&self, l: usize) -> f64 {
-        self.pool.leases()[l].free_at_ns.max(self.release_ns[l])
+    fn idle_since(&self, l: usize) -> SimTime {
+        self.pool.leases()[l].free_at.max(self.release[l])
     }
 
     /// The ready DAG stage the scheduler would start at `now`, with the
@@ -280,7 +286,7 @@ impl Scheduler {
     /// stages, so one big proof's stages rank like the medium jobs they
     /// effectively are. The lease minimizes (interference penalty,
     /// idle-since, id): spread first, then pair complementary classes.
-    fn next_ready_stage(&self, now: f64) -> Option<(usize, usize, usize, DispatchKey)> {
+    fn next_ready_stage(&self, now: SimTime) -> Option<(usize, usize, usize, DispatchKey)> {
         let mut cands: Vec<(usize, usize, DispatchKey)> = Vec::new();
         for (di, dag) in self.dags.iter().enumerate() {
             let per_stage_cost = dag.job.spec.class.estimated_cost() / dag.run.dag().len() as f64;
@@ -293,7 +299,7 @@ impl Scheduler {
                     di,
                     s,
                     DispatchKey {
-                        ready_ns: avail,
+                        ready: avail,
                         priority: dag.job.spec.priority,
                         cost: per_stage_cost,
                         id: dag.job.id,
@@ -307,13 +313,12 @@ impl Scheduler {
         for (di, s, key) in cands {
             let class = self.dags[di].run.dag().nodes()[s].kind.resource_class();
             let lease = (0..leases.len())
-                .filter(|&l| leases[l].free_at_ns <= now && streams[l].can_accept(class))
+                .filter(|&l| leases[l].free_at <= now && streams[l].can_accept(class))
                 .min_by(|&a, &b| {
                     streams[a]
                         .join_penalty(class)
                         .total_cmp(&streams[b].join_penalty(class))
-                        .then(self.idle_since(a).total_cmp(&self.idle_since(b)))
-                        .then(a.cmp(&b))
+                        .then((self.idle_since(a), a).cmp(&(self.idle_since(b), b)))
                 });
             if let Some(l) = lease {
                 return Some((di, s, l, key));
@@ -331,7 +336,7 @@ impl Scheduler {
         di: usize,
         si: usize,
         lease_id: usize,
-        now: f64,
+        now: SimTime,
         shared: &mut Shared,
     ) {
         let seq = shared.next_seq();
@@ -344,12 +349,11 @@ impl Scheduler {
             .run
             .start(si, &self.cfg.recovery)
             .expect("DAG stages run fault-free")
-            + self.cfg.stage_overhead_ns;
-        dag.first_start_ns.get_or_insert(now);
+            + self.stage_overhead;
+        dag.first_start.get_or_insert(now);
         let node = &dag.run.dag().nodes()[si];
         let class = node.kind.resource_class();
-        // A no-op when the caller advanced every queue to `now`; a fleet
-        // only does that at this scheduler's own events.
+        // `advance` skips idle queues, so an idle queue's clock may lag.
         let streams = &mut self.streams[lease_id];
         streams.advance_to(now);
         let joining = !streams.is_idle();
@@ -361,7 +365,7 @@ impl Scheduler {
                 si,
                 lease: lease_id,
                 queue,
-                start_ns: now,
+                start: now,
                 stage_name: node.name.clone(),
                 kind_name: node.kind.name(),
             },
@@ -390,7 +394,7 @@ impl Scheduler {
         &mut self,
         batch: ReadyBatch,
         lease_id: usize,
-        now: f64,
+        now: SimTime,
         shared: &mut Shared,
     ) -> Dispatch {
         debug_assert!(!batch.is_empty());
@@ -400,7 +404,7 @@ impl Scheduler {
                 name: "deadline-cancel".into(),
                 kind: unintt_telemetry::InstantKind::Shed,
                 track: format!("{}admission", self.label),
-                t_ns: now,
+                t_ns: now.as_ns(),
                 attrs: vec![("jobs", expired.len().into())],
             });
             unintt_telemetry::counter_add("serve_deadline_cancelled", expired.len() as u64);
@@ -417,11 +421,11 @@ impl Scheduler {
         &mut self,
         key: BatchKey,
         jobs: Vec<QueuedJob>,
-        now: f64,
+        now: SimTime,
         shared: &mut Shared,
     ) -> Option<BatchRun> {
         let lease = self.pool.earliest();
-        let (id, start) = (lease.id, lease.free_at_ns.max(now));
+        let (id, start) = (lease.id, lease.free_at.max(now));
         self.streams[id]
             .is_idle()
             .then(|| self.run_batch(id, Some(key), jobs, start, shared))
@@ -436,14 +440,14 @@ impl Scheduler {
         lease_id: usize,
         key: Option<BatchKey>,
         jobs: Vec<QueuedJob>,
-        start: f64,
+        start: SimTime,
         shared: &mut Shared,
     ) -> BatchRun {
         let seq = shared.next_seq();
         self.batch_sizes.push(jobs.len());
         let lease = self.pool.lease_mut(lease_id);
-        debug_assert!(lease.free_at_ns <= start, "dispatch requires a free lease");
-        let (elapsed_ns, completions, leftover) = match key {
+        debug_assert!(lease.free_at <= start, "dispatch requires a free lease");
+        let (elapsed, completions, leftover) = match key {
             Some(key) => {
                 let r = lease.with_cluster(key.field, |cluster| {
                     dispatch::run_raw_batch(
@@ -456,27 +460,29 @@ impl Scheduler {
                         start,
                     )
                 });
-                (r.elapsed_ns, r.completions, r.leftover)
+                (r.elapsed, r.completions, r.leftover)
             }
             None => {
                 let job = jobs[0];
                 let (sim_ns, output_digest) =
                     dispatch::run_proof(&mut shared.caches, &self.cfg, job.spec.class);
-                let elapsed = sim_ns + self.cfg.dispatch_overhead_ns;
+                let elapsed = SimTime::from_ns(sim_ns) + self.dispatch_overhead;
+                let done = start + elapsed;
                 let outcome = JobOutcome {
                     batch_size: 1,
                     output_digest,
-                    ..JobOutcome::new(&job, JobStatus::Completed, start + elapsed)
+                    ..JobOutcome::new(&job, JobStatus::Completed, done)
                 };
                 let completion = Completion {
                     outcome,
-                    exec_start_ns: start,
+                    exec_start: start,
+                    done,
                     job,
                 };
                 (elapsed, vec![completion], Vec::new())
             }
         };
-        let done_ns = start + elapsed_ns;
+        let done = start + elapsed;
         unintt_telemetry::record_span(|| unintt_telemetry::Span {
             id: unintt_telemetry::fresh_id(),
             parent: None,
@@ -484,8 +490,8 @@ impl Scheduler {
             level: unintt_telemetry::SpanLevel::Serve,
             category: "dispatch",
             track: format!("{}lease{lease_id}", self.label),
-            t_start_ns: start,
-            t_end_ns: done_ns,
+            t_start_ns: start.as_ns(),
+            t_end_ns: done.as_ns(),
             attrs: vec![
                 ("jobs", jobs.len().into()),
                 ("seq", seq.into()),
@@ -493,17 +499,17 @@ impl Scheduler {
             ],
         });
         let lease = self.pool.lease_mut(lease_id);
-        lease.free_at_ns = done_ns;
-        lease.busy_ns += elapsed_ns;
+        lease.free_at = done;
+        lease.busy += elapsed;
         lease.dispatches += 1;
         if !leftover.is_empty() || lease.is_dead() {
-            lease.repair(done_ns, self.cfg.repair_ns);
+            lease.repair(done, self.repair);
             let requeued = leftover.len();
             unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
                 name: "lease-repair".into(),
                 kind: unintt_telemetry::InstantKind::LeaseRepair,
                 track: format!("{}lease{lease_id}", self.label),
-                t_ns: done_ns,
+                t_ns: done.as_ns(),
                 attrs: if requeued > 0 {
                     vec![("requeued", requeued.into())]
                 } else {
@@ -515,9 +521,8 @@ impl Scheduler {
             seq,
             lease: lease_id,
             key,
-            start_ns: start,
-            done_ns,
-            elapsed_ns,
+            start,
+            done,
             completions,
             leftover,
         }
@@ -527,38 +532,35 @@ impl Scheduler {
     /// coming free (batch end or repair) while work waits, or an in-flight
     /// stage completing — or `None`. Everything due at `now` was already
     /// processed, so every candidate is strictly in the future.
-    pub(crate) fn next_event_ns(&self, now: f64) -> Option<f64> {
-        let t_close = self.coalescer.next_close_ns();
-        // The earliest *future* lease-free instant. Not
-        // `next_free_ns()`: that is the global minimum, and a lease
-        // whose only work is in its queues keeps a stale
-        // `free_at_ns <= now` that would mask a busier lease's batch
-        // ending later — exactly the wake-up a waiting stage needs.
+    pub(crate) fn next_event(&self, now: SimTime) -> Option<SimTime> {
+        let t_close = self.coalescer.next_close();
+        // The earliest *future* lease-free instant. Not `next_free()`:
+        // that is the global minimum, and a lease whose only work is in
+        // its queues keeps a stale `free_at <= now` that would mask a
+        // busier lease's batch ending later — exactly the wake-up a
+        // waiting stage needs.
         let t_lease = if self.ready.is_empty() && self.dags.is_empty() {
             None
         } else {
             self.pool
                 .leases()
                 .iter()
-                .map(|l| l.free_at_ns)
-                .filter(|&t| t > now && t.is_finite())
-                .min_by(f64::total_cmp)
+                .map(|l| l.free_at)
+                .filter(|&t| t > now)
+                .min()
         };
         let t_complete = self
             .streams
             .iter()
-            .filter_map(StreamSet::earliest_completion_ns)
-            .min_by(f64::total_cmp);
-        [t_close, t_lease, t_complete]
-            .into_iter()
-            .flatten()
-            .reduce(f64::min)
+            .filter_map(StreamSet::earliest_completion)
+            .min();
+        [t_close, t_lease, t_complete].into_iter().flatten().min()
     }
 
     /// Advances every queue to `now` and commits the stages finishing
     /// there, in (lease, queue) order. Returns the DAG proofs those
     /// completions finished, for the caller to commit.
-    pub(crate) fn advance(&mut self, now: f64, shared: &mut Shared) -> Vec<Completion> {
+    pub(crate) fn advance(&mut self, now: SimTime, shared: &mut Shared) -> Vec<Completion> {
         let mut finished = Vec::new();
         if self.pending.is_empty() {
             // Idle queues only move their clock, and `start_stage` moves a
@@ -568,7 +570,7 @@ impl Scheduler {
         for l in 0..self.streams.len() {
             self.streams[l].advance_to(now);
             for fin in self.streams[l].take_finished() {
-                self.release_ns[l] = self.release_ns[l].max(now);
+                self.release[l] = self.release[l].max(now);
                 finished.extend(self.complete_stage(fin.key, now, shared));
             }
         }
@@ -580,7 +582,12 @@ impl Scheduler {
     /// per-queue span, and retires the DAG when this completed its last
     /// stage (the barriers it unblocks complete inside
     /// [`DagRun::complete`]).
-    fn complete_stage(&mut self, seq: u64, now: f64, shared: &mut Shared) -> Option<Completion> {
+    fn complete_stage(
+        &mut self,
+        seq: u64,
+        now: SimTime,
+        shared: &mut Shared,
+    ) -> Option<Completion> {
         let p = self.pending.remove(&seq).expect("known in-flight stage");
         let di = self
             .dags
@@ -588,7 +595,7 @@ impl Scheduler {
             .position(|d| d.job.id == p.job)
             .expect("completing stage belongs to an active DAG");
         self.dags[di].run.complete(p.si, now);
-        *self.stage_ns.entry(p.kind_name).or_insert(0.0) += now - p.start_ns;
+        *self.stage_time.entry(p.kind_name).or_default() += now - p.start;
         unintt_telemetry::record_span(|| unintt_telemetry::Span {
             id: unintt_telemetry::fresh_id(),
             parent: None,
@@ -596,8 +603,8 @@ impl Scheduler {
             level: unintt_telemetry::SpanLevel::Serve,
             category: "stage",
             track: format!("{}lease{}.q{}", self.label, p.lease, p.queue),
-            t_start_ns: p.start_ns,
-            t_end_ns: now,
+            t_start_ns: p.start.as_ns(),
+            t_end_ns: now.as_ns(),
             attrs: vec![
                 ("kind", p.kind_name.into()),
                 ("job", p.job.0.into()),
@@ -605,7 +612,7 @@ impl Scheduler {
                 ("queue", (p.queue as u64).into()),
             ],
         });
-        let done = self.dags[di].run.done_ns()?;
+        let done = self.dags[di].run.done()?;
         let dag = self.dags.remove(di);
         if self.cfg.verify_outputs {
             dispatch::verify_dag_output(&mut shared.caches, dag.kind, dag.run.pipe());
@@ -622,7 +629,8 @@ impl Scheduler {
                 output_digest,
                 ..JobOutcome::new(&dag.job, JobStatus::Completed, done)
             },
-            exec_start_ns: dag.first_start_ns.unwrap_or(dag.job.spec.arrival_ns),
+            exec_start: dag.first_start.unwrap_or(dag.job.arrival()),
+            done,
             job: dag.job,
         })
     }
@@ -632,7 +640,7 @@ impl Scheduler {
     /// dropped mid-flight and the proofs restart from admission wherever
     /// they land. Lease busy time keeps the queue residency accounted so
     /// far.
-    pub(crate) fn evacuate(&mut self, now: f64) -> Vec<QueuedJob> {
+    pub(crate) fn evacuate(&mut self, now: SimTime) -> Vec<QueuedJob> {
         let flushed = self.coalescer.flush(now);
         let mut jobs: Vec<QueuedJob> = self
             .ready
@@ -644,7 +652,7 @@ impl Scheduler {
         self.pending.clear();
         for (l, ss) in self.streams.iter_mut().enumerate() {
             if !ss.is_idle() {
-                self.pool.lease_mut(l).busy_ns += ss.busy_union_ns;
+                self.pool.lease_mut(l).busy += ss.busy_union;
                 *ss = StreamSet::new(self.cfg.streams_per_lease, self.cfg.interference);
             }
         }
@@ -655,7 +663,7 @@ impl Scheduler {
     /// Ends the run: queue-residency wall time becomes lease busy time.
     /// Batches and stages never overlap on one lease (batches require
     /// every queue drained), so the union adds cleanly to the batch time
-    /// already accumulated in `busy_ns`.
+    /// already accumulated in `busy`.
     pub(crate) fn finish(&mut self) {
         debug_assert!(
             self.queued() == 0 && self.pending.is_empty(),
@@ -663,7 +671,7 @@ impl Scheduler {
         );
         for (l, ss) in self.streams.iter().enumerate() {
             debug_assert!(ss.is_idle(), "queues drained at shutdown");
-            self.pool.lease_mut(l).busy_ns += ss.busy_union_ns;
+            self.pool.lease_mut(l).busy += ss.busy_union;
         }
     }
 }

@@ -22,6 +22,8 @@
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 
+use unintt_gpu_sim::SimTime;
+
 use crate::coalesce::{QueuedJob, ReadyBatch};
 use crate::config::ServiceConfig;
 use crate::dispatch;
@@ -79,7 +81,8 @@ impl ProofService {
 
     /// Submits one job, returning its id. Admission control runs at the
     /// job's simulated arrival instant during [`run`](Self::run), not
-    /// here; a NaN or infinite arrival is rejected there as
+    /// here; an arrival the simulated clock cannot hold (negative, NaN,
+    /// infinite or past its range) is rejected there as
     /// [`AdmissionError::InvalidArrival`].
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
         let id = JobId(self.next_id);
@@ -115,8 +118,9 @@ impl ProofService {
     /// # Panics
     ///
     /// Panics if `streams_per_lease` is outside
-    /// `1..=`[`unintt_core::MAX_STREAMS_PER_LEASE`] or the interference
-    /// model is invalid.
+    /// `1..=`[`unintt_core::MAX_STREAMS_PER_LEASE`], the interference
+    /// model is invalid, or a configured duration is not finite and
+    /// `>= 0`.
     pub fn run(&mut self) -> ServiceReport {
         let backlog = std::mem::take(&mut self.backlog);
         play(
@@ -137,14 +141,14 @@ fn play(sched: &mut Scheduler, mut backlog: Vec<QueuedJob>) -> ServiceReport {
     let mut outcomes = dispatch::arrival_order(&mut backlog);
     let mut peak_queue = 0;
     let mut next_arrival = 0usize;
-    let mut now = 0.0f64;
+    let mut now = SimTime::ZERO;
 
     loop {
         // 1. Close every coalescing window that has expired.
         sched.close_windows(now);
 
         // 2. Admit arrivals due by now (in arrival, then id order).
-        while next_arrival < backlog.len() && backlog[next_arrival].spec.arrival_ns <= now {
+        while next_arrival < backlog.len() && backlog[next_arrival].arrival() <= now {
             let job = backlog[next_arrival];
             next_arrival += 1;
             let depth = sched.queued();
@@ -175,22 +179,22 @@ fn play(sched: &mut Scheduler, mut backlog: Vec<QueuedJob>) -> ServiceReport {
                 sched.push_ready(ReadyBatch {
                     key: run.key,
                     jobs: run.leftover,
-                    ready_ns: run.done_ns,
+                    ready: run.done,
                 });
             }
         }
 
         // 4. The next event: an arrival or the scheduler's own.
-        let t_arrival = backlog.get(next_arrival).map(|j| j.spec.arrival_ns);
-        let Some(t) = [t_arrival, sched.next_event_ns(now)]
+        let t_arrival = backlog.get(next_arrival).map(QueuedJob::arrival);
+        let Some(t) = [t_arrival, sched.next_event(now)]
             .into_iter()
             .flatten()
-            .reduce(f64::min)
+            .min()
         else {
             break;
         };
         debug_assert!(t > now, "events must advance the simulated clock");
-        now = now.max(t);
+        now = t;
 
         // 5. Advance every queue to `now`; commit the proofs that finish.
         let finished = sched.advance(now, &mut shared);
@@ -204,7 +208,11 @@ fn play(sched: &mut Scheduler, mut backlog: Vec<QueuedJob>) -> ServiceReport {
     ServiceReport {
         outcomes,
         metrics,
-        stage_ns: std::mem::take(&mut sched.stage_ns),
+        stage_ns: sched
+            .stage_time
+            .iter()
+            .map(|(&kind, t)| (kind, t.as_ns()))
+            .collect(),
     }
 }
 
@@ -270,7 +278,8 @@ mod tests {
         let mut caches = EngineCaches::default();
         let (served_ns, network_hidden_ns, node_hidden_ns) =
             pool.lease_mut(0).with_cluster(field, |cluster| {
-                let served = run_raw_batch(&mut caches, &cfg, key, &jobs, cluster, 0, 0.0);
+                let served =
+                    run_raw_batch(&mut caches, &cfg, key, &jobs, cluster, 0, SimTime::ZERO);
                 assert_eq!(served.completions.len(), jobs.len());
                 let node_hidden: Vec<f64> = (0..cluster.num_nodes())
                     .map(|node| cluster.node(node).stats().comm_hidden_ns)
@@ -458,11 +467,14 @@ mod tests {
             JobClass::PlonkProve { log_gates: 5 }.pipelined(),
             0.0,
         ));
+        stream.extend([raw_spec(8, Direction::Forward, 0.0); 2]);
         let invalid = [
             (1, f64::NAN),
             (3, f64::INFINITY),
             (4, f64::NEG_INFINITY),
             (6, f64::NAN),
+            (7, -1.0),
+            (8, 1e30),
         ];
         for (i, t) in invalid {
             stream[i].arrival_ns = t;
@@ -471,7 +483,7 @@ mod tests {
         let ids: Vec<JobId> = report.outcomes.iter().map(|o| o.id).collect();
         assert_eq!(
             ids,
-            (0..7).map(JobId).collect::<Vec<_>>(),
+            (0..9).map(JobId).collect::<Vec<_>>(),
             "one outcome per job"
         );
         for (i, o) in report.outcomes.iter().enumerate() {
@@ -490,6 +502,30 @@ mod tests {
         );
         assert_eq!(report.metrics.rejected(), 0);
         assert!(report.metrics.horizon_ns.is_finite());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_window_ns must be a finite duration >= 0, got NaN")]
+    fn nan_batch_window_is_rejected() {
+        run_stream(
+            ServiceConfig {
+                batch_window_ns: f64::NAN,
+                ..ServiceConfig::default()
+            },
+            &[raw_spec(8, Direction::Forward, 0.0)],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stage_overhead_ns must be a finite duration >= 0, got -1")]
+    fn negative_stage_overhead_is_rejected() {
+        run_stream(
+            ServiceConfig {
+                stage_overhead_ns: -1.0,
+                ..ServiceConfig::default()
+            },
+            &[raw_spec(8, Direction::Forward, 0.0)],
+        );
     }
 
     #[test]

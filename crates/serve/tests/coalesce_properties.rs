@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use unintt_ntt::Direction;
 use unintt_serve::{
-    Coalescer, JobClass, JobId, JobSpec, Priority, QueuedJob, ReadyBatch, ServiceField,
+    Coalescer, JobClass, JobId, JobSpec, Priority, QueuedJob, ReadyBatch, ServiceField, SimTime,
 };
 
 /// One step of a driven coalescer session. Times advance by the step's
@@ -74,7 +74,7 @@ fn ops_from_seed(seed: u64, count: usize) -> Vec<Op> {
         .collect()
 }
 
-fn offer(coalescer: &mut Coalescer, id: u64, s: usize, now: f64) -> Option<ReadyBatch> {
+fn offer(coalescer: &mut Coalescer, id: u64, s: usize, now: SimTime) -> Option<ReadyBatch> {
     coalescer.offer(
         QueuedJob {
             id: JobId(id),
@@ -83,7 +83,7 @@ fn offer(coalescer: &mut Coalescer, id: u64, s: usize, now: f64) -> Option<Ready
                 class: shape(s),
                 priority: Priority::Normal,
                 deadline_ns: None,
-                arrival_ns: now,
+                arrival_ns: now.as_ns(),
             },
         },
         now,
@@ -92,34 +92,30 @@ fn offer(coalescer: &mut Coalescer, id: u64, s: usize, now: f64) -> Option<Ready
 
 /// Drives the ops and returns `(released batches, offered job count)`.
 fn drive(window_ns: f64, max_batch: usize, ops: &[Op]) -> (Vec<ReadyBatch>, u64) {
-    let mut coalescer = Coalescer::new(window_ns, max_batch);
-    let mut now = 0.0f64;
+    let mut coalescer = Coalescer::new(SimTime::from_ns(window_ns), max_batch);
+    let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
     let mut released = Vec::new();
     for op in ops {
         match *op {
             Op::Offer { shape: s, dt } => {
-                now += dt;
+                now += SimTime::from_ns(dt);
                 released.extend(offer(&mut coalescer, next_id, s, now));
                 next_id += 1;
                 // Note: an overdue window may stay open here — closing
                 // is the caller's job via `close_due`, not `offer`'s.
             }
             Op::CloseDue { dt } => {
-                now += dt;
+                now += SimTime::from_ns(dt);
                 released.extend(coalescer.close_due(now));
-                if let Some(t) = coalescer.next_close_ns() {
-                    assert!(t > now, "surviving window {t} was already due at {now}");
+                if let Some(t) = coalescer.next_close() {
+                    assert!(t > now, "surviving window {t:?} was already due at {now:?}");
                 }
             }
             Op::Flush { dt } => {
-                now += dt;
+                now += SimTime::from_ns(dt);
                 released.extend(coalescer.flush(now));
-                assert_eq!(
-                    coalescer.next_close_ns(),
-                    None,
-                    "flush empties every window"
-                );
+                assert_eq!(coalescer.next_close(), None, "flush empties every window");
                 assert_eq!(coalescer.queued(), 0);
             }
         }
@@ -194,29 +190,29 @@ proptest! {
         max_batch in 2usize..20,
         op_count in 0usize..60,
     ) {
-        let mut coalescer = Coalescer::new(window_ns, max_batch);
-        let mut now = 0.0f64;
+        let mut coalescer = Coalescer::new(SimTime::from_ns(window_ns), max_batch);
+        let mut now = SimTime::ZERO;
         let mut next_id = 0u64;
-        let mut prev_call = f64::NEG_INFINITY;
+        let mut prev_call = None;
         for op in ops_from_seed(seed, op_count) {
             match op {
                 Op::Offer { shape: s, dt } => {
-                    now += dt;
+                    now += SimTime::from_ns(dt);
                     let _ = offer(&mut coalescer, next_id, s, now);
                     next_id += 1;
                 }
                 Op::CloseDue { dt } | Op::Flush { dt } => {
-                    now += dt;
+                    now += SimTime::from_ns(dt);
                     for batch in coalescer.close_due(now) {
                         prop_assert!(
-                            batch.ready_ns > prev_call && batch.ready_ns <= now,
-                            "batch ready at {} outside ({}, {}]",
-                            batch.ready_ns,
+                            Some(batch.ready) > prev_call && batch.ready <= now,
+                            "batch ready at {:?} outside ({:?}, {:?}]",
+                            batch.ready,
                             prev_call,
                             now
                         );
                     }
-                    prev_call = now;
+                    prev_call = Some(now);
                 }
             }
         }

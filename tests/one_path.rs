@@ -7,12 +7,12 @@
 //! are gone; what they computed survives here as data captured from the
 //! last commit that had them:
 //!
-//! * the one-queue schedule's clocks — outcomes, horizon, per-lease
-//!   counters from the serial loop; the time-attribution accumulators
-//!   (`stage_ns`, per-lease `busy_ns`) from the multi-queue loop forced
-//!   to one queue, whose float summation order is the one that survives
-//!   (on these streams the two loops agreed bit for bit on everything
-//!   else);
+//! * the one-queue schedule — statuses, digests, batch sizes, peak queue
+//!   depth and per-lease dispatch and repair counts from the serial loop.
+//!   Its instants (outcome timestamps, horizon, `stage_ns`, per-lease
+//!   `busy_ns`) were re-captured when the event loops moved to integer
+//!   picoseconds; each is within 10 ps of the serial loop's `f64`
+//!   value;
 //! * `prove` and `commit_trace` digests and simulated clocks from the
 //!   monolithic bodies;
 //! * the checkpointed-recovery tests, ported onto `resume`.
@@ -109,55 +109,55 @@ const SCHEDULE_PINS: [SchedulePin; 4] = [
     SchedulePin {
         seed: 14,
         faults: false,
-        outcomes_fnv: 0x36bf_3ad5_3ecd_d321,
-        horizon_bits: 0x414e_6d6f_1795_64d6,
+        outcomes_fnv: 0x6d39_fbf2_1d36_e77a,
+        horizon_bits: 0x414e_6d6f_16e9_78d5,
         peak_queue_depth: 20,
         leases: [
-            (35, 0, 0x414e_0f43_b9a2_81dc),
-            (37, 0, 0x414e_1dc8_a593_ba08),
+            (35, 0, 0x414e_0f43_b937_4bc7),
+            (37, 0, 0x414e_1dc8_a4dd_2f1b),
         ],
         stage_ns: [
-            ("fold", 0x40c5_31e2_9ef2_d100),
-            ("hash", 0x40c5_240c_0d8f_4100),
-            ("msm", 0x4140_28ac_3f96_3232),
-            ("ntt", 0x412b_f680_9ae1_1374),
-            ("pointwise", 0x40df_4282_d32d_9300),
+            ("fold", 0x40c5_31e2_8f5c_28f6),
+            ("hash", 0x40c5_240c_0831_26e9),
+            ("msm", 0x4140_28ac_3e76_c8b4),
+            ("ntt", 0x412b_f680_9a1c_ac08),
+            ("pointwise", 0x40df_4282_c083_126f),
         ],
     },
     SchedulePin {
         seed: 17,
         faults: false,
-        outcomes_fnv: 0xc129_45db_7f91_cc99,
-        horizon_bits: 0x4141_c857_f1d2_4d6e,
+        outcomes_fnv: 0x4cf5_b9d5_6ce4_dddb,
+        horizon_bits: 0x4141_c857_f147_ae14,
         peak_queue_depth: 18,
         leases: [
-            (22, 0, 0x4141_8b6b_b3e4_a63a),
-            (31, 0, 0x4141_5e5c_9b59_9df7),
+            (22, 0, 0x4141_8b6b_b374_bc6a),
+            (31, 0, 0x4141_5e5c_9ac0_8312),
         ],
         stage_ns: [
-            ("fold", 0x40d5_31e2_9ef2_d100),
-            ("hash", 0x40d5_240c_0d8f_4100),
-            ("msm", 0x4130_28ac_3f96_322c),
-            ("ntt", 0x4122_6ee7_8b2e_822f),
-            ("pointwise", 0x40d9_0444_cd67_1480),
+            ("fold", 0x40d5_31e2_8f5c_28f6),
+            ("hash", 0x40d5_240c_0831_26e9),
+            ("msm", 0x4130_28ac_3e76_c8b4),
+            ("ntt", 0x4122_6ee7_8a3d_70a4),
+            ("pointwise", 0x40d9_0444_bc6a_7efa),
         ],
     },
     SchedulePin {
         seed: 21,
         faults: false,
-        outcomes_fnv: 0x347b_b940_d55c_eaa7,
-        horizon_bits: 0x414e_4616_510f_20ef,
+        outcomes_fnv: 0x95c1_0bb2_3777_435e,
+        horizon_bits: 0x414e_4616_5041_8937,
         peak_queue_depth: 19,
         leases: [
-            (39, 0, 0x414e_282f_06e1_3fc5),
-            (37, 0, 0x414d_c24f_ee88_14d3),
+            (39, 0, 0x414e_282f_0604_1893),
+            (37, 0, 0x414d_c24f_edf3_b646),
         ],
         stage_ns: [
-            ("fold", 0x40d5_31e2_9ef2_d100),
-            ("hash", 0x40d5_240c_0d8f_4110),
-            ("msm", 0x4140_28ac_3f96_3232),
-            ("ntt", 0x412e_ee45_6eb5_0e63),
-            ("pointwise", 0x40e2_c242_8adc_37a0),
+            ("fold", 0x40d5_31e2_8f5c_28f6),
+            ("hash", 0x40d5_240c_0831_26e9),
+            ("msm", 0x4140_28ac_3e76_c8b4),
+            ("ntt", 0x412e_ee45_6d91_6873),
+            ("pointwise", 0x40e2_c242_7ef9_db23),
         ],
     },
     // Lease 1 dies mid-batch and is repaired; everything after runs on
@@ -165,19 +165,19 @@ const SCHEDULE_PINS: [SchedulePin; 4] = [
     SchedulePin {
         seed: 15,
         faults: true,
-        outcomes_fnv: 0xf932_6b4a_15c2_342c,
-        horizon_bits: 0x4150_b269_eadc_36c4,
+        outcomes_fnv: 0x4499_5fe9_e15e_5106,
+        horizon_bits: 0x4150_b269_ea3d_70a4,
         peak_queue_depth: 19,
         leases: [
-            (54, 0, 0x4150_7e2f_c7fb_529e),
-            (6, 1, 0x4131_7ec0_b758_a2db),
+            (54, 0, 0x4150_7e2f_c75c_28f6),
+            (6, 1, 0x4131_7ec0_b74b_c6a8),
         ],
         stage_ns: [
-            ("fold", 0x40ef_cad3_ee6c_39c0),
-            ("hash", 0x40ef_b612_1456_e180),
-            ("msm", 0x4120_28ac_3f96_3239),
-            ("ntt", 0x4128_0e4b_e8bb_27e4),
-            ("pointwise", 0x40e5_e616_d9b4_eb00),
+            ("fold", 0x40ef_cad3_d70a_3d71),
+            ("hash", 0x40ef_b612_0c49_ba5e),
+            ("msm", 0x4120_28ac_3e76_c8b4),
+            ("ntt", 0x4128_0e4b_e666_6666),
+            ("pointwise", 0x40e5_e616_c8b4_3958),
         ],
     },
 ];
