@@ -58,10 +58,13 @@ e14:
 e15:
 	cargo run --release -p unintt-bench --bin harness -- --quick e15
 
-# Proving-service smoke: run the example and the E14 quick sweep.
+# Proving-service smoke: run the example and the E14 quick sweep, then
+# the front-door proptest (any JobSpec: one outcome per job, no panic)
+# and the one-cluster fleet held to the deleted service loop's pins.
 serve-smoke:
 	cargo run --release --example proof_service
 	cargo run --release -p unintt-bench --bin harness -- --quick e14
+	cargo test --release -p unintt-serve --test front_door --test one_scheduler
 
 # Telemetry smoke: E16 writes trace.json/trace.folded/BENCH_obs.json and
 # validates the Chrome/Perfetto JSON before writing; the trace subcommand

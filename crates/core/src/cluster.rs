@@ -291,9 +291,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     ///
     /// # Panics
     ///
-    /// Panics under the node-engine's conditions, or if the per-node share
-    /// is smaller than `num_nodes` (the chunked exchange needs
-    /// `N/T ≥ T`).
+    /// Panics where [`Self::try_new`] returns an error.
     pub fn new(
         log_n: u32,
         num_nodes: usize,
@@ -301,29 +299,47 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
         opts: UniNttOptions,
         field_spec: FieldSpec,
     ) -> Self {
-        assert!(
-            num_nodes.is_power_of_two(),
-            "node count must be a power of two"
-        );
+        Self::try_new(log_n, num_nodes, node_cfg, opts, field_spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Plans a size-`2^log_n` transform over `num_nodes` machines of
+    /// shape `node_cfg`, or says why it cannot: the node count is not a
+    /// power of two, the per-node share is smaller than `num_nodes` (the
+    /// chunked exchange needs `N/T ≥ T`), `log_n` exceeds the field's
+    /// two-adicity, or the node engine cannot be planned
+    /// ([`UniNttEngine::try_new`]).
+    pub fn try_new(
+        log_n: u32,
+        num_nodes: usize,
+        node_cfg: &MachineConfig,
+        opts: UniNttOptions,
+        field_spec: FieldSpec,
+    ) -> Result<Self, String> {
+        if !num_nodes.is_power_of_two() {
+            return Err("node count must be a power of two".into());
+        }
         let log_t = num_nodes.trailing_zeros();
-        assert!(
-            log_n >= 2 * log_t,
-            "transform of 2^{log_n} too small for 2^{log_t} nodes"
-        );
+        if log_n < 2 * log_t {
+            return Err(format!(
+                "transform of 2^{log_n} too small for 2^{log_t} nodes"
+            ));
+        }
+        let omega = F::try_two_adic_generator(log_n)?;
         // Node-local results are chunked across nodes, so the node engine
         // runs with natural output ordering.
         let mut node_opts = opts;
         node_opts.natural_output = true;
-        Self {
+        Ok(Self {
             log_n,
             log_t,
-            node_engine: UniNttEngine::new(log_n - log_t, node_cfg, node_opts, field_spec),
+            node_engine: UniNttEngine::try_new(log_n - log_t, node_cfg, node_opts, field_spec)?,
             outer: Ntt::new(log_t),
-            omega: F::two_adic_generator(log_n),
+            omega,
             field_spec,
             node_cfg: node_cfg.clone(),
             opts,
-        }
+        })
     }
 
     /// Transform size.

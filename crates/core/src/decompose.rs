@@ -53,33 +53,43 @@ impl DecompositionPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the machine has a non-power-of-two GPU count, or if the
-    /// per-GPU share would be smaller than one element per GPU
-    /// (`log_n < log_g`).
+    /// Panics where [`Self::try_plan`] returns an error.
     pub fn plan(log_n: u32, machine: &MachineConfig, elem_bytes: usize) -> Self {
+        Self::try_plan(log_n, machine, elem_bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Plans a size-`2^log_n` transform on `machine`, or says why it
+    /// cannot: a non-power-of-two GPU count, a per-GPU share smaller than
+    /// one element per GPU (`log_n < log_g`), or a shard whose working
+    /// set exceeds device memory.
+    pub fn try_plan(
+        log_n: u32,
+        machine: &MachineConfig,
+        elem_bytes: usize,
+    ) -> Result<Self, String> {
         let g = machine.num_gpus;
-        assert!(
-            g.is_power_of_two(),
-            "UniNTT requires a power-of-two GPU count, got {g}"
-        );
+        if !g.is_power_of_two() {
+            return Err(format!("UniNTT requires a power-of-two GPU count, got {g}"));
+        }
         let log_g = g.trailing_zeros();
-        assert!(
-            log_n >= log_g,
-            "transform of size 2^{log_n} cannot be split across 2^{log_g} GPUs"
-        );
+        if log_n < log_g {
+            return Err(format!(
+                "transform of size 2^{log_n} cannot be split across 2^{log_g} GPUs"
+            ));
+        }
         let log_m = log_n - log_g;
 
         // Capacity: the engine keeps input + output + exchange staging
         // resident, ~4x the shard footprint.
         let shard_bytes = (1u128 << log_m) * elem_bytes.max(1) as u128;
         let working_set = 4 * shard_bytes;
-        assert!(
-            working_set <= machine.gpu.memory_bytes as u128,
-            "shard of 2^{log_m} x {elem_bytes}B elements needs ~{working_set} bytes per GPU, \
-             exceeding the {}'s {} bytes of device memory",
-            machine.gpu.name,
-            machine.gpu.memory_bytes
-        );
+        if working_set > machine.gpu.memory_bytes as u128 {
+            return Err(format!(
+                "shard of 2^{log_m} x {elem_bytes}B elements needs ~{working_set} bytes per GPU, \
+                 exceeding the {}'s {} bytes of device memory",
+                machine.gpu.name, machine.gpu.memory_bytes
+            ));
+        }
 
         // Block tile: as many elements as fit in shared memory with double
         // buffering, capped so several blocks stay resident per SM.
@@ -96,14 +106,14 @@ impl DecompositionPlan {
         // (the paper's planner does the same to keep tiles uniform).
         let device_passes = split_balanced(log_m, log_block_tile);
 
-        Self {
+        Ok(Self {
             log_n,
             log_g,
             log_m,
             device_passes,
             log_block_tile,
             log_warp_tile: LOG_WARP_TILE.min(log_m.max(1)),
-        }
+        })
     }
 
     /// Number of global-memory passes per GPU.

@@ -133,30 +133,43 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     ///
     /// # Panics
     ///
-    /// Panics if the GPU count is not a power of two, `log_n` exceeds the
-    /// field's two-adicity, or the shard would be smaller than the GPU
-    /// count (needed by the block-cyclic output layout).
+    /// Panics where [`Self::try_new`] returns an error, or (when its
+    /// twiddles are first built) if `log_n` exceeds the field's
+    /// two-adicity.
     pub fn new(
         log_n: u32,
         machine_cfg: &MachineConfig,
         opts: UniNttOptions,
         field_spec: FieldSpec,
     ) -> Self {
-        let plan = DecompositionPlan::plan(log_n, machine_cfg, field_spec.elem_bytes);
-        assert!(
-            plan.log_m >= plan.log_g,
-            "shard of 2^{} elements is smaller than the 2^{} GPUs (block-cyclic layout needs log_m >= log_g)",
-            plan.log_m,
-            plan.log_g
-        );
-        Self {
+        Self::try_new(log_n, machine_cfg, opts, field_spec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Plans an engine for size `2^log_n` on `machine_cfg`, or says why
+    /// it cannot: the plan fails ([`DecompositionPlan::try_plan`]) or the
+    /// shard would be smaller than the GPU count (needed by the
+    /// block-cyclic output layout).
+    pub fn try_new(
+        log_n: u32,
+        machine_cfg: &MachineConfig,
+        opts: UniNttOptions,
+        field_spec: FieldSpec,
+    ) -> Result<Self, String> {
+        let plan = DecompositionPlan::try_plan(log_n, machine_cfg, field_spec.elem_bytes)?;
+        if plan.log_m < plan.log_g {
+            return Err(format!(
+                "shard of 2^{} elements is smaller than the 2^{} GPUs (block-cyclic layout needs log_m >= log_g)",
+                plan.log_m, plan.log_g
+            ));
+        }
+        Ok(Self {
             local: OnceLock::new(),
             outer: OnceLock::new(),
             roots: OnceLock::new(),
             plan,
             opts,
             field_spec,
-        }
+        })
     }
 
     /// The decomposition plan in force.

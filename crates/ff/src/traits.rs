@@ -182,17 +182,24 @@ pub trait TwoAdicField: PrimeField + crate::ShoupField {
     ///
     /// Panics if `bits > Self::TWO_ADICITY`.
     fn two_adic_generator(bits: u32) -> Self {
-        assert!(
-            bits <= Self::TWO_ADICITY,
-            "requested 2^{bits}-th root of unity exceeds two-adicity {} of {}",
-            Self::TWO_ADICITY,
-            Self::NAME
-        );
+        Self::try_two_adic_generator(bits).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::two_adic_generator`], or why the field has no such root
+    /// (`bits > Self::TWO_ADICITY`).
+    fn try_two_adic_generator(bits: u32) -> Result<Self, String> {
+        if bits > Self::TWO_ADICITY {
+            return Err(format!(
+                "requested 2^{bits}-th root of unity exceeds two-adicity {} of {}",
+                Self::TWO_ADICITY,
+                Self::NAME
+            ));
+        }
         let mut g = Self::max_two_adic_generator();
         for _ in bits..Self::TWO_ADICITY {
             g = g.square();
         }
-        g
+        Ok(g)
     }
 
     /// A primitive `2^TWO_ADICITY`-th root of unity.

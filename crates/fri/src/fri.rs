@@ -51,6 +51,19 @@ impl FriConfig {
             log_final_len: 3,
         }
     }
+
+    /// Checks that a trace of `columns` columns of `2^log_rows` rows can
+    /// be committed under this configuration: at least one column, and
+    /// long enough that its LDE folds past the final codeword length.
+    pub fn check_trace_shape(&self, columns: usize, log_rows: u32) -> Result<(), &'static str> {
+        if columns == 0 {
+            return Err("trace must have at least one column");
+        }
+        if log_rows + self.log_blowup <= self.log_final_len {
+            return Err("trace too short for the FRI configuration");
+        }
+        Ok(())
+    }
 }
 
 /// One query's openings in one layer: the two points folded together.

@@ -114,20 +114,18 @@ impl CommitState {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty, ragged, or too short for the FRI
-    /// configuration.
+    /// Panics if the trace is ragged, its length is not a power of two,
+    /// or [`FriConfig::check_trace_shape`] rejects it.
     pub(crate) fn new(columns: &[Vec<Goldilocks>], config: FriConfig) -> Self {
-        assert!(!columns.is_empty(), "trace must have at least one column");
-        let n = columns[0].len();
+        let n = columns.first().map_or(1, Vec::len);
         assert!(
             columns.iter().all(|c| c.len() == n),
             "all trace columns must have equal length"
         );
         assert!(n.is_power_of_two(), "trace length must be a power of two");
-        assert!(
-            n.trailing_zeros() + config.log_blowup > config.log_final_len,
-            "trace too short for the FRI configuration"
-        );
+        if let Err(e) = config.check_trace_shape(columns.len(), n.trailing_zeros()) {
+            panic!("{e}");
+        }
         Self {
             config,
             done: [false; STARK_STAGES],

@@ -360,6 +360,7 @@ mod tests {
             outcomes: vec![],
             metrics: Default::default(),
             stage_ns,
+            fleet: Default::default(),
         };
         let attr = AttributionReport::from_service_report(&report);
         let by_scope: BTreeMap<_, _> = attr
@@ -398,6 +399,7 @@ mod tests {
             outcomes: vec![],
             metrics,
             stage_ns: BTreeMap::new(),
+            fleet: Default::default(),
         };
         let attr = AttributionReport::from_service_report(&report);
         let queue = attr

@@ -54,12 +54,10 @@ impl Default for LeaseShape {
     }
 }
 
-/// Tunables for [`crate::ProofService`].
+/// Tunables for one cluster ([`crate::FleetConfig::base`]); admission
+/// control is fleet-wide, in [`crate::FleetConfig`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Admission-control bound: jobs queued (coalescing + ready) beyond
-    /// this are rejected with [`crate::AdmissionError::QueueFull`].
-    pub queue_capacity: usize,
     /// Coalescing window, simulated ns: a batch stays open this long
     /// after its first job before dispatch. `0.0` disables coalescing —
     /// every job dispatches as a singleton.
@@ -113,7 +111,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            queue_capacity: 512,
             batch_window_ns: 25_000.0,
             max_batch: 16,
             policy: SchedulerPolicy::Fifo,
@@ -170,7 +167,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let cfg = ServiceConfig::default();
-        assert!(cfg.queue_capacity > 0);
+        assert!(crate::FleetConfig::from(cfg.clone()).hard_capacity > 0);
         assert!(cfg.max_batch > 1);
         assert!(cfg.num_leases >= 1);
         assert!(cfg.lease.nodes.is_power_of_two());

@@ -8,13 +8,13 @@
 //! can defer — and, after a chaos kill or a lost hedge race, discard —
 //! results whose completion instant never arrives.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{btree_map::Entry, BTreeMap, VecDeque};
 
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_core::{Cluster, ClusterNttEngine, UniNttOptions};
 use unintt_ff::{BabyBear, Field, Goldilocks, PrimeField, TwoAdicField};
 use unintt_fri::{commit_trace, verify_trace, FriConfig, LdeBackend};
-use unintt_gpu_sim::{presets, FaultPlan, FieldSpec, KernelProfile, SimTime};
+use unintt_gpu_sim::{presets, FaultPlan, KernelProfile, SimTime};
 use unintt_ntt::{batch_transform_parallel, Direction, Ntt};
 use unintt_zkp::{
     prove, random_circuit, setup, verify, Backend, ProvingKey, VerifyingKey, Witness,
@@ -200,20 +200,67 @@ impl DispatchKey {
 }
 
 /// Sorts a runner's backlog into admission order (arrival, then id),
-/// first removing every job whose arrival is not an instant of the
-/// simulated clock — negative, NaN, infinite or past its range — as an
-/// [`AdmissionError::InvalidArrival`] rejection, returned.
-pub(crate) fn arrival_order(backlog: &mut Vec<QueuedJob>) -> Vec<JobOutcome> {
-    let valid = |j: &QueuedJob| SimTime::try_from_ns(j.spec.arrival_ns).is_some();
-    let invalid = JobStatus::Rejected(AdmissionError::InvalidArrival);
-    let rejected = backlog
-        .iter()
-        .filter(|j| !valid(j))
-        .map(|j| JobOutcome::new(j, invalid, SimTime::ZERO))
-        .collect();
-    backlog.retain(valid);
+/// first removing, as rejections returned, every job whose arrival is not
+/// an instant of the simulated clock — negative, NaN, infinite or past
+/// its range — ([`AdmissionError::InvalidArrival`]) and every job a lease
+/// of `cfg` cannot run ([`AdmissionError::UnsupportedShape`]).
+pub(crate) fn arrival_order(
+    backlog: &mut Vec<QueuedJob>,
+    cfg: &ServiceConfig,
+    caches: &mut EngineCaches,
+) -> Vec<JobOutcome> {
+    let mut rejected = Vec::new();
+    backlog.retain(|j| {
+        let error = if SimTime::try_from_ns(j.spec.arrival_ns).is_none() {
+            AdmissionError::InvalidArrival
+        } else if !runnable(caches, cfg, j.spec.class) {
+            AdmissionError::UnsupportedShape
+        } else {
+            return true;
+        };
+        let status = JobStatus::Rejected(error);
+        rejected.push(JobOutcome::new(j, status, SimTime::ZERO));
+        false
+    });
     backlog.sort_by_key(|j| (j.arrival(), j.id));
     rejected
+}
+
+/// Whether a lease of `cfg` can run `class`, asked of the checks that
+/// would otherwise panic mid-run: a raw transform's cluster engine must
+/// plan (it is built here, into `caches`), a STARK trace must pass
+/// [`FriConfig::check_trace_shape`]. PLONK sizes are not checked.
+fn runnable(caches: &mut EngineCaches, cfg: &ServiceConfig, class: JobClass) -> bool {
+    match class.monolithic() {
+        JobClass::RawNtt { field, log_n, .. } if field == ServiceField::Goldilocks => {
+            raw_engine(&mut caches.engines_g, cfg, field, log_n).is_ok()
+        }
+        JobClass::RawNtt { field, log_n, .. } => {
+            raw_engine(&mut caches.engines_b, cfg, field, log_n).is_ok()
+        }
+        JobClass::StarkCommit { log_trace, columns } => FriConfig::standard()
+            .check_trace_shape(columns, log_trace)
+            .is_ok(),
+        _ => true,
+    }
+}
+
+/// The cluster engine for raw `2^log_n` transforms on a lease of `cfg`,
+/// built on first use, or why the lease cannot run that size.
+fn raw_engine<'a, F: TwoAdicField>(
+    engines: &'a mut BTreeMap<u32, ClusterNttEngine<F>>,
+    cfg: &ServiceConfig,
+    field: ServiceField,
+    log_n: u32,
+) -> Result<&'a ClusterNttEngine<F>, String> {
+    if let Entry::Vacant(slot) = engines.entry(log_n) {
+        let (nodes, spec) = (cfg.lease.nodes, field.spec());
+        let node_cfg = presets::a100_nvlink(cfg.lease.gpus_per_node);
+        let opts = UniNttOptions::tuned_for(&spec);
+        let engine = ClusterNttEngine::try_new(log_n, nodes, &node_cfg, opts, spec)?;
+        slot.insert(engine);
+    }
+    Ok(&engines[&log_n])
 }
 
 /// Splits a dequeued batch into still-viable jobs and
@@ -258,7 +305,6 @@ pub(crate) fn run_raw_batch(
         ServiceField::Goldilocks => run_raw_batch_in::<Goldilocks>(
             &mut caches.engines_g,
             cfg,
-            FieldSpec::goldilocks(),
             key,
             jobs,
             cluster,
@@ -268,7 +314,6 @@ pub(crate) fn run_raw_batch(
         ServiceField::BabyBear => run_raw_batch_in::<BabyBear>(
             &mut caches.engines_b,
             cfg,
-            FieldSpec::babybear(),
             key,
             jobs,
             cluster,
@@ -278,22 +323,17 @@ pub(crate) fn run_raw_batch(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_raw_batch_in<F: TwoAdicField>(
     engines: &mut BTreeMap<u32, ClusterNttEngine<F>>,
     cfg: &ServiceConfig,
-    field_spec: FieldSpec,
     key: BatchKey,
     jobs: &[QueuedJob],
     cluster: &mut Cluster,
     dispatch_seq: u64,
     start: SimTime,
 ) -> RawDispatch {
-    let engine = engines.entry(key.log_n).or_insert_with(|| {
-        let node_cfg = presets::a100_nvlink(cfg.lease.gpus_per_node);
-        let opts = UniNttOptions::tuned_for(&field_spec);
-        ClusterNttEngine::new(key.log_n, cfg.lease.nodes, &node_cfg, opts, field_spec)
-    });
+    let engine = raw_engine(engines, cfg, key.field, key.log_n)
+        .unwrap_or_else(|e| panic!("admission rejects shapes a lease cannot run: {e}"));
     if let Some(rates) = cfg.fault_rates {
         for node in 0..cluster.num_nodes() {
             let seed = cfg.fault_seed
@@ -502,23 +542,17 @@ pub(crate) fn verify_dag_output(caches: &mut EngineCaches, kind: DagKind, pipe: 
     }
 }
 
-/// Records the lifecycle spans for one completed job on its own track:
-/// a `job` root covering arrival → completion, with `queued` and
-/// `execute` children splitting the interval at dispatch time. No-op
-/// when telemetry is disabled.
-pub(crate) fn record_job_spans(
-    id: JobId,
-    class: &'static str,
-    arrival_ns: f64,
-    exec_start_ns: f64,
-    done_ns: f64,
-    batch_size: usize,
-) {
+/// Commits one completion and returns its outcome for the report. With
+/// telemetry on, the job's lifecycle spans go on its own track: a `job`
+/// root covering arrival → completion, with `queued` and `execute`
+/// children splitting the interval at dispatch time.
+pub(crate) fn commit_completion(c: &Completion) -> JobOutcome {
+    let o = c.outcome;
     let Some(root) = unintt_telemetry::reserve_span_id() else {
-        return;
+        return o;
     };
     use unintt_telemetry::{fresh_id, record_span, Span, SpanLevel};
-    let track = id.to_string();
+    let (track, exec_start_ns) = (o.id.to_string(), c.exec_start.as_ns());
     record_span(|| Span {
         id: fresh_id(),
         parent: Some(root),
@@ -526,7 +560,7 @@ pub(crate) fn record_job_spans(
         level: SpanLevel::Serve,
         category: "queue",
         track: track.clone(),
-        t_start_ns: arrival_ns,
+        t_start_ns: o.arrival_ns,
         t_end_ns: exec_start_ns,
         attrs: vec![],
     });
@@ -538,8 +572,8 @@ pub(crate) fn record_job_spans(
         category: "execute",
         track: track.clone(),
         t_start_ns: exec_start_ns,
-        t_end_ns: done_ns,
-        attrs: vec![("class", class.into())],
+        t_end_ns: o.completed_ns,
+        attrs: vec![("class", o.class_name.into())],
     });
     record_span(|| Span {
         id: root,
@@ -548,25 +582,15 @@ pub(crate) fn record_job_spans(
         level: SpanLevel::Serve,
         category: "job",
         track,
-        t_start_ns: arrival_ns,
-        t_end_ns: done_ns,
-        attrs: vec![("class", class.into()), ("batch", batch_size.into())],
+        t_start_ns: o.arrival_ns,
+        t_end_ns: o.completed_ns,
+        attrs: vec![
+            ("class", o.class_name.into()),
+            ("batch", o.batch_size.into()),
+        ],
     });
     unintt_telemetry::counter_add("serve_jobs_completed", 1);
-}
-
-/// Commits one completion: records its lifecycle spans and returns the
-/// outcome for the report.
-pub(crate) fn commit_completion(c: &Completion) -> JobOutcome {
-    record_job_spans(
-        c.outcome.id,
-        c.outcome.class_name,
-        c.outcome.arrival_ns,
-        c.exec_start.as_ns(),
-        c.outcome.completed_ns,
-        c.outcome.batch_size,
-    );
-    c.outcome
+    o
 }
 
 /// Deterministic synthetic payload for one raw job.

@@ -1,23 +1,26 @@
 //! The fleet: several independent simulated clusters behind a shard
-//! router, surviving injected chaos.
+//! router, surviving injected chaos — and the one event loop of the
+//! crate.
 //!
-//! Where [`crate::ProofService`] drives one cluster scheduler,
-//! [`FleetService`] drives `clusters` of the same one — lease pool,
-//! stream queues, coalescer, ready list and stage DAGs each — plus a
-//! [`HealthMachine`] per cluster. A one-cluster fleet with no chaos and
-//! no hedging plays a stream exactly as the service does. A rendezvous
-//! [`ShardRouter`] places jobs by `(tenant, shape)` so same-shaped work
-//! from one tenant lands on one warm cluster and coalesces. Resilience
-//! machinery on top:
+//! [`FleetService`] drives `clusters` copies of the one cluster scheduler
+//! — lease pool, stream queues, coalescer, ready list and stage DAGs each
+//! — plus a [`HealthMachine`] per cluster. The proving service is the
+//! one-cluster case: [`crate::ProofService`] is this type, and a
+//! [`ServiceConfig`] converts into a one-cluster [`FleetConfig`] with no
+//! hedging and no chaos. A rendezvous [`ShardRouter`] places jobs by
+//! `(tenant, shape)` so same-shaped work from one tenant lands on one
+//! warm cluster and coalesces. Resilience machinery on top:
 //!
 //! * **Circuit breakers** — consecutive dispatch failures (or a chaos
 //!   kill) trip a cluster into Quarantined; half-open probes with
 //!   exponential backoff + seeded jitter re-admit it through Repairing.
 //! * **Failover** — when a cluster dies mid-burst, its in-flight,
 //!   queued and in-progress DAG jobs re-shard to survivors (a DAG proof
-//!   restarts from admission). Commit is idempotent, keyed by
-//!   [`JobId`]: a job's result lands exactly once no matter how many
-//!   times chaos forces a re-dispatch.
+//!   restarts from admission); so does the unfinished tail of a batch
+//!   whose lease ran out of healthy nodes, back through the router —
+//!   onto the same cluster when it is the only one. Commit is
+//!   idempotent, keyed by [`JobId`]: a job's result lands exactly once
+//!   no matter how many times chaos forces a re-dispatch.
 //! * **Hedged dispatch** — a batch whose projected completion overruns
 //!   `hedge.factor ×` the running p99 is speculatively duplicated on
 //!   another cluster; first result wins per job and the loser is
@@ -25,16 +28,19 @@
 //! * **Deadline-aware admission + graceful degradation** — queued jobs
 //!   whose deadline passes are cancelled at dequeue (typed
 //!   [`JobStatus::DeadlineExceeded`]); past the fleet's soft capacity,
-//!   Low-priority (bulk) traffic is shed before latency-sensitive
-//!   traffic, and everything sheds at the hard cap.
+//!   Low-priority (bulk) traffic is shed
+//!   ([`AdmissionError::Overloaded`]) before latency-sensitive traffic,
+//!   and at the hard cap every arrival is rejected
+//!   ([`AdmissionError::QueueFull`]).
 //!
 //! Everything stays on the deterministic simulated clock: the same
 //! submissions, configuration and chaos plan replay bit-identically.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::mpsc::Receiver;
 
 use unintt_gpu_sim::SimTime;
-use unintt_telemetry::StreamHist;
+use unintt_telemetry::{InstantKind, StreamHist};
 
 use crate::coalesce::{BatchKey, QueuedJob};
 use crate::config::ServiceConfig;
@@ -146,18 +152,18 @@ pub struct FleetConfig {
     /// Number of independent clusters.
     pub clusters: usize,
     /// Per-cluster configuration (leases, coalescing, policy, stream
-    /// queues, faults). Admission control is fleet-wide: the fleet sheds
-    /// at `soft_capacity` / `hard_capacity` and ignores
-    /// `base.queue_capacity`.
+    /// queues, faults). Admission control is fleet-wide:
+    /// `soft_capacity` / `hard_capacity`.
     pub base: ServiceConfig,
     /// Circuit-breaker and recovery tuning.
     pub health: HealthConfig,
     /// Straggler hedging; `None` disables it.
     pub hedge: Option<HedgeConfig>,
-    /// Fleet-wide queued-job count past which Low-priority (bulk)
-    /// arrivals are shed.
+    /// Fleet-wide queued-job count at which Low-priority (bulk)
+    /// arrivals are shed as [`AdmissionError::Overloaded`].
     pub soft_capacity: usize,
-    /// Fleet-wide queued-job count past which every arrival is shed.
+    /// Fleet-wide queued-job count at which every arrival is rejected
+    /// as [`AdmissionError::QueueFull`].
     pub hard_capacity: usize,
     /// Seed for the rendezvous shard router.
     pub router_seed: u64,
@@ -184,7 +190,9 @@ impl Default for FleetConfig {
 /// [`ServiceMetrics`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetStats {
-    /// Jobs re-sharded to a survivor after their cluster died.
+    /// Jobs re-sharded through the router: off a killed or tripped
+    /// cluster, or as the unfinished tail of a batch whose lease ran out
+    /// of healthy nodes.
     pub failovers: u64,
     /// Speculative (hedge) dispatches launched.
     pub hedges: u64,
@@ -215,11 +223,20 @@ pub struct FleetReport {
     pub outcomes: Vec<JobOutcome>,
     /// Aggregated service metrics (classes, latency, leases fleet-wide).
     pub metrics: ServiceMetrics,
+    /// Lease-occupied simulated time per DAG stage kind over every
+    /// cluster's [`crate::JobClass::ProveDag`] jobs (empty when none ran):
+    /// the per-stage time attribution experiment E19 reports.
+    pub stage_ns: BTreeMap<&'static str, f64>,
     /// Resilience counters.
     pub fleet: FleetStats,
 }
 
 impl FleetReport {
+    /// True when every submitted job ran to completion.
+    pub fn all_completed(&self) -> bool {
+        self.outcomes.iter().all(JobOutcome::completed)
+    }
+
     /// True when every *accepted* job reached a terminal success state:
     /// completed, or cancelled for a deadline nobody could meet. Shed
     /// and rejected jobs are excluded — they were never accepted. This
@@ -241,8 +258,9 @@ impl FleetReport {
     }
 }
 
-/// The multi-cluster front door. Mirrors [`crate::ProofService`]:
-/// submissions accumulate, [`run`](Self::run) plays the stream.
+/// The front door. Submissions accumulate ([`submit`](Self::submit),
+/// or from a channel via [`ingest`](Self::ingest)); [`run`](Self::run)
+/// then plays the whole stream on the simulated clock.
 pub struct FleetService {
     cfg: FleetConfig,
     backlog: Vec<QueuedJob>,
@@ -250,7 +268,8 @@ pub struct FleetService {
 }
 
 impl FleetService {
-    /// A fleet with the given configuration.
+    /// A fleet with the given configuration (a [`ServiceConfig`] makes
+    /// a one-cluster one).
     ///
     /// # Panics
     ///
@@ -259,7 +278,8 @@ impl FleetService {
     /// `>= 0`, a hedge factor that is not, or a chaos event with a time
     /// the simulated clock cannot hold or a cluster outside the fleet. A
     /// negative chaos time fires at the start of the run.
-    pub fn new(cfg: FleetConfig) -> Self {
+    pub fn new(cfg: impl Into<FleetConfig>) -> Self {
+        let cfg = cfg.into();
         assert!(cfg.clusters >= 1, "a fleet needs at least one cluster");
         assert!(
             cfg.soft_capacity <= cfg.hard_capacity,
@@ -295,15 +315,10 @@ impl FleetService {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// Submits one job, returning its id. An arrival the simulated clock
-    /// cannot hold (negative, NaN, infinite or past its range) is
-    /// rejected at the start of [`run`](Self::run) as
-    /// [`AdmissionError::InvalidArrival`].
+    /// Submits one job, returning its id. Admission runs during
+    /// [`run`](Self::run): an arrival the simulated clock cannot hold
+    /// (negative, NaN, infinite or past its range) or a shape no lease can
+    /// run is rejected at its start, anything else at its arrival instant.
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
         let id = JobId(self.next_id);
         self.next_id += 1;
@@ -316,15 +331,23 @@ impl FleetService {
         specs.into_iter().map(|s| self.submit(s)).collect()
     }
 
+    /// Drains every job currently buffered in `rx` (the channel front
+    /// door for producers on other threads) into the backlog.
+    pub fn ingest(&mut self, rx: &Receiver<JobSpec>) -> Vec<JobId> {
+        rx.try_iter().map(|spec| self.submit(spec)).collect()
+    }
+
     /// Jobs waiting to be played.
     pub fn pending(&self) -> usize {
         self.backlog.len()
     }
 
     /// Plays every submitted job through the fleet on the simulated
-    /// clock. The chaos plan (if any) fires on schedule. Panics if the
-    /// plan leaves the whole fleet dead forever with work still queued —
-    /// a chaos plan must revive enough capacity to drain.
+    /// clock and returns the report. The backlog is consumed; the fleet
+    /// can be reused for a fresh stream afterwards. The chaos plan (if
+    /// any) fires on schedule. Panics if the plan leaves the whole fleet
+    /// dead forever with work still queued — a chaos plan must revive
+    /// enough capacity to drain.
     pub fn run(&mut self) -> FleetReport {
         let backlog = std::mem::take(&mut self.backlog);
         FleetRunner::new(self.cfg.clone()).run(backlog)
@@ -333,8 +356,8 @@ impl FleetService {
 
 /// One cluster inside the fleet: its scheduler plus the fleet's view of
 /// its health.
-struct ClusterState {
-    sched: Scheduler,
+pub(crate) struct ClusterState {
+    pub(crate) sched: Scheduler,
     health: HealthMachine,
     /// Chaos switch: `false` between a Kill and its Revive. Distinct
     /// from health — a revived cluster stays quarantined until a probe
@@ -360,6 +383,17 @@ impl ClusterState {
     }
 }
 
+/// Marks a fleet event at `t` on cluster `c`'s track.
+fn mark(name: &str, kind: InstantKind, c: usize, t: SimTime, attr: Option<(&'static str, u64)>) {
+    unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
+        name: name.into(),
+        kind,
+        track: format!("cluster{c}"),
+        t_ns: t.as_ns(),
+        attrs: attr.into_iter().map(|(k, v)| (k, v.into())).collect(),
+    });
+}
+
 /// A dispatched batch whose results have not all committed yet.
 struct InFlight {
     seq: u64,
@@ -378,10 +412,11 @@ struct InFlight {
     partner: Option<u64>,
 }
 
-/// The discrete-event engine behind [`FleetService::run`].
-struct FleetRunner {
+/// The discrete-event engine behind [`FleetService::run`]: the crate's
+/// one event loop.
+pub(crate) struct FleetRunner {
     cfg: FleetConfig,
-    clusters: Vec<ClusterState>,
+    pub(crate) clusters: Vec<ClusterState>,
     router: ShardRouter,
     shared: Shared,
     in_flight: Vec<InFlight>,
@@ -409,10 +444,12 @@ struct FleetRunner {
 }
 
 impl FleetRunner {
-    fn new(cfg: FleetConfig) -> Self {
+    pub(crate) fn new(cfg: FleetConfig) -> Self {
+        // A one-cluster fleet (the service) labels no tracks.
+        let label = |c| (cfg.clusters > 1).then(|| format!("cluster{c}-"));
         let clusters = (0..cfg.clusters)
             .map(|c| ClusterState {
-                sched: Scheduler::new(cfg.base.clone(), format!("cluster{c}-")),
+                sched: Scheduler::new(cfg.base.clone(), label(c).unwrap_or_default()),
                 health: HealthMachine::new(cfg.health, c),
                 alive: true,
                 routable_since: Some(SimTime::ZERO),
@@ -446,9 +483,10 @@ impl FleetRunner {
         }
     }
 
-    fn run(mut self, mut backlog: Vec<QueuedJob>) -> FleetReport {
+    pub(crate) fn run(&mut self, mut backlog: Vec<QueuedJob>) -> FleetReport {
         let total = backlog.len();
-        self.outcomes = dispatch::arrival_order(&mut backlog);
+        self.outcomes =
+            dispatch::arrival_order(&mut backlog, &self.cfg.base, &mut self.shared.caches);
         let mut next_arrival = 0usize;
         let mut now = SimTime::ZERO;
         let mut first = true;
@@ -502,6 +540,7 @@ impl FleetRunner {
         let horizon = ServiceMetrics::horizon(&self.outcomes);
         let mut batch_sizes = Vec::new();
         let mut leases = Vec::new();
+        let mut stage_time: BTreeMap<&'static str, SimTime> = BTreeMap::new();
         for (ci, c) in self.clusters.iter_mut().enumerate() {
             c.bank_routable(SimTime::from_ns(horizon));
             let availability = if horizon > 0.0 {
@@ -513,6 +552,9 @@ impl FleetRunner {
             self.stats.final_states.push(c.health.state().name());
             c.sched.finish();
             batch_sizes.extend_from_slice(&c.sched.batch_sizes);
+            for (&kind, &t) in &c.sched.stage_time {
+                *stage_time.entry(kind).or_default() += t;
+            }
             let base = ci * self.cfg.base.num_leases;
             leases.extend(
                 c.sched
@@ -522,12 +564,16 @@ impl FleetRunner {
                     .map(|l| LeaseMetrics::from_lease(l, base + l.id, horizon)),
             );
         }
-        let metrics =
-            ServiceMetrics::build_parts(&self.outcomes, &batch_sizes, self.peak_queue, leases);
+        let outcomes = std::mem::take(&mut self.outcomes);
+        let metrics = ServiceMetrics::build_parts(&outcomes, &batch_sizes, self.peak_queue, leases);
         FleetReport {
-            outcomes: self.outcomes,
+            outcomes,
             metrics,
-            fleet: self.stats,
+            stage_ns: stage_time
+                .into_iter()
+                .map(|(k, t)| (k, t.as_ns()))
+                .collect(),
+            fleet: std::mem::take(&mut self.stats),
         }
     }
 
@@ -591,12 +637,18 @@ impl FleetRunner {
             .collect()
     }
 
-    /// Admission: backpressure sheds (bulk first), then shard routing.
+    /// Admission: the hard cap rejects, the soft cap sheds bulk
+    /// traffic, then shard routing.
     fn admit(&mut self, job: QueuedJob, now: SimTime) {
         let depth = self.queue_depth();
-        let over_hard = depth >= self.cfg.hard_capacity;
-        let over_soft = depth >= self.cfg.soft_capacity;
-        if over_hard || (over_soft && job.spec.priority == Priority::Low) {
+        if depth >= self.cfg.hard_capacity {
+            let capacity = self.cfg.hard_capacity;
+            let full = JobStatus::Rejected(AdmissionError::QueueFull { depth, capacity });
+            self.outcomes.push(JobOutcome::new(&job, full, now));
+            unintt_telemetry::counter_add("serve_jobs_rejected", 1);
+            return;
+        }
+        if depth >= self.cfg.soft_capacity && job.spec.priority == Priority::Low {
             self.shed(job, depth, now);
             return;
         }
@@ -621,7 +673,7 @@ impl FleetRunner {
         *self.stats.shed_by_tenant.entry(tenant).or_insert(0) += 1;
         unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
             name: "overload-shed".into(),
-            kind: unintt_telemetry::InstantKind::Shed,
+            kind: InstantKind::Shed,
             track: "admission".into(),
             t_ns: now.as_ns(),
             attrs: vec![("tenant", u64::from(tenant).into())],
@@ -666,13 +718,8 @@ impl FleetRunner {
         jobs.sort_by_key(|j| j.id);
         let n = jobs.len() as u64;
         self.stats.failovers += n;
-        unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-            name: "failover".into(),
-            kind: unintt_telemetry::InstantKind::Failover,
-            track: format!("cluster{from}"),
-            t_ns: t.as_ns(),
-            attrs: vec![("jobs", n.into())],
-        });
+        let moved = Some(("jobs", n));
+        mark("failover", InstantKind::Failover, from, t, moved);
         unintt_telemetry::counter_add("sim_failovers", n);
         for job in jobs {
             self.place(job, t);
@@ -813,20 +860,8 @@ impl FleetRunner {
     /// in-flight work, and re-shard everything to survivors — queued
     /// jobs, DAG proofs in progress, and jobs whose last live copy died.
     fn kill_cluster(&mut self, cluster: usize, t: SimTime) {
-        let state = &mut self.clusters[cluster];
-        state.alive = false;
-        state.bank_routable(t);
-        state.health.quarantine(t);
-        self.stats.quarantines += 1;
-        unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-            name: "cluster-kill".into(),
-            kind: unintt_telemetry::InstantKind::Quarantine,
-            track: format!("cluster{cluster}"),
-            t_ns: t.as_ns(),
-            attrs: vec![],
-        });
-        unintt_telemetry::counter_add("sim_quarantines", 1);
-
+        self.clusters[cluster].alive = false;
+        self.clusters[cluster].health.quarantine(t);
         // In-flight work on the dead cluster: results completed by `t`
         // were committed by `commit_due`; the rest are lost.
         let mut orphans: Vec<QueuedJob> = Vec::new();
@@ -842,26 +877,20 @@ impl FleetRunner {
                     .map(|c| c.job),
             );
         }
-        orphans.extend(self.clusters[cluster].sched.evacuate(t));
-        self.reshard(cluster, orphans, t);
+        self.trip_breaker(cluster, t, "cluster-kill", orphans);
     }
 
-    /// A breaker trip outside chaos (consecutive leftover failures):
-    /// queued work and DAG proofs in progress re-shard away; in-flight
-    /// batches finish normally.
-    fn trip_breaker(&mut self, c: usize, now: SimTime) {
-        self.clusters[c].bank_routable(now);
+    /// Trips cluster `c`'s breaker at `t` — a chaos kill, or consecutive
+    /// leftover failures (`breaker-trip`; its in-flight batches finish
+    /// normally) — and re-shards `jobs`, every queued job and the DAG
+    /// proofs in progress to the survivors.
+    fn trip_breaker(&mut self, c: usize, t: SimTime, name: &str, mut jobs: Vec<QueuedJob>) {
+        self.clusters[c].bank_routable(t);
         self.stats.quarantines += 1;
-        unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-            name: "breaker-trip".into(),
-            kind: unintt_telemetry::InstantKind::Quarantine,
-            track: format!("cluster{c}"),
-            t_ns: now.as_ns(),
-            attrs: vec![],
-        });
+        mark(name, InstantKind::Quarantine, c, t, None);
         unintt_telemetry::counter_add("sim_quarantines", 1);
-        let jobs = self.clusters[c].sched.evacuate(now);
-        self.reshard(c, jobs, now);
+        jobs.extend(self.clusters[c].sched.evacuate(t));
+        self.reshard(c, jobs, t);
     }
 
     /// Advances every health machine: due probes resolve (success iff
@@ -877,13 +906,7 @@ impl FleetRunner {
             if health.try_readmit(now) {
                 self.clusters[c].routable_since = Some(now);
                 self.stats.readmissions += 1;
-                unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                    name: "readmit".into(),
-                    kind: unintt_telemetry::InstantKind::Quarantine,
-                    track: format!("cluster{c}"),
-                    t_ns: now.as_ns(),
-                    attrs: vec![],
-                });
+                mark("readmit", InstantKind::Quarantine, c, now, None);
             }
         }
     }
@@ -891,15 +914,11 @@ impl FleetRunner {
     /// Launches hedges whose deadline fired and whose primary is still
     /// live with uncommitted work.
     fn launch_due_hedges(&mut self, now: SimTime) {
-        let mut due: Vec<u64> = Vec::new();
-        self.pending_hedges.retain(|&(at, seq)| {
-            if at <= now {
-                due.push(seq);
-                false
-            } else {
-                true
-            }
-        });
+        let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_hedges)
+            .into_iter()
+            .partition(|&(at, _)| at <= now);
+        self.pending_hedges = later;
+        let mut due: Vec<u64> = due.into_iter().map(|(_, seq)| seq).collect();
         due.sort_unstable();
         for seq in due {
             self.launch_hedge(seq, now);
@@ -945,13 +964,8 @@ impl FleetRunner {
             p.partner = Some(hedge_seq);
         }
         self.stats.hedges += 1;
-        unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-            name: "hedge".into(),
-            kind: unintt_telemetry::InstantKind::Hedge,
-            track: format!("cluster{target}"),
-            t_ns: now.as_ns(),
-            attrs: vec![("primary", primary_seq.into())],
-        });
+        let primary = Some(("primary", primary_seq));
+        mark("hedge", InstantKind::Hedge, target, now, primary);
         unintt_telemetry::counter_add("sim_hedges", 1);
     }
 
@@ -992,7 +1006,7 @@ impl FleetRunner {
             // repaired): a failure on this cluster's record, and the tail
             // re-shards.
             if self.clusters[c].health.record_failure(run.done) {
-                self.trip_breaker(c, run.done);
+                self.trip_breaker(c, run.done, "breaker-trip", Vec::new());
             }
             self.reshard(c, leftover, run.done);
         } else {

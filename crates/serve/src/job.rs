@@ -242,18 +242,19 @@ impl JobSpec {
 /// Why admission control turned a job away.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionError {
-    /// The bounded queue was full at the job's arrival: the service
-    /// sheds rather than queue unboundedly (backpressure).
+    /// The fleet-wide queue was at its hard capacity at the job's
+    /// arrival: the service sheds rather than queue unboundedly
+    /// (backpressure).
     QueueFull {
-        /// Jobs queued at the rejection instant.
+        /// Jobs queued fleet-wide at the rejection instant.
         depth: usize,
-        /// The configured queue capacity.
+        /// The configured hard capacity.
         capacity: usize,
     },
-    /// The fleet was saturated and graceful degradation shed this job:
-    /// Bulk (low-priority) traffic is shed at the soft capacity,
-    /// latency-sensitive traffic only at the hard cap. Counted
-    /// separately from hard [`AdmissionError::QueueFull`] rejections.
+    /// The fleet was past its soft capacity and graceful degradation
+    /// shed this Low-priority (bulk) job; latency-sensitive traffic is
+    /// turned away only at the hard cap, as
+    /// [`AdmissionError::QueueFull`]. Counted separately from those.
     Overloaded {
         /// Jobs queued fleet-wide at the shed instant.
         depth: usize,
@@ -267,6 +268,10 @@ pub enum AdmissionError {
     /// 213 days). Rejected at the start of the run and left out of every
     /// metric.
     InvalidArrival,
+    /// A lease cannot run the job's shape: a raw transform too small for
+    /// its nodes and GPUs or past the field's two-adicity, or a STARK
+    /// trace FRI cannot commit. Rejected like `InvalidArrival`.
+    UnsupportedShape,
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -289,6 +294,7 @@ impl std::fmt::Display for AdmissionError {
             AdmissionError::InvalidArrival => {
                 write!(f, "arrival time is not an instant of the simulated clock")
             }
+            AdmissionError::UnsupportedShape => write!(f, "a lease cannot run this job's shape"),
         }
     }
 }

@@ -8,23 +8,28 @@
 //!
 //! The pieces:
 //!
-//! * [`ProofService`] — the front door: typed [`JobSpec`] submissions
-//!   (directly or drained from an `mpsc` channel), with priorities and
-//!   deadlines.
-//! * Admission control — a bounded queue; jobs beyond
-//!   [`ServiceConfig::queue_capacity`] are shed with a typed
-//!   [`AdmissionError::QueueFull`] instead of queueing unboundedly.
+//! * [`FleetService`] — the one front door and event loop: typed
+//!   [`JobSpec`] submissions (directly or from an `mpsc` channel) played
+//!   over clusters behind a shard router, with failover, hedging and
+//!   chaos. [`ProofService`] is the same type over one cluster
+//!   (`ProofService::new(ServiceConfig { .. })`); [`ServiceReport`] is
+//!   its [`FleetReport`].
+//! * Admission control — an invalid arrival or a shape no lease can run
+//!   is rejected before the run; past [`FleetConfig::soft_capacity`]
+//!   queued jobs Low-priority arrivals are shed, and at
+//!   [`FleetConfig::hard_capacity`] every arrival is rejected
+//!   ([`AdmissionError::QueueFull`]) instead of queueing unboundedly.
 //! * [`Coalescer`] — groups raw-NTT jobs of identical
 //!   `(field, log_n, direction)` shape arriving within
 //!   [`ServiceConfig::batch_window_ns`] into one batched dispatch,
 //!   amortizing the fixed per-dispatch overhead.
-//! * GPU leases ([`LeasePool`]) — the cluster is partitioned into
+//! * GPU leases ([`LeasePool`]) — each cluster is partitioned into
 //!   `num_leases` slices of `nodes × gpus_per_node`; each batch occupies
 //!   one lease for exactly the simulated time the cluster charges.
 //!   Device-loss faults degrade a lease (the engine re-plans over
 //!   survivors, per `unintt_core::ClusterNttEngine::forward_with_recovery`);
-//!   a fully dead lease is swapped for fresh hardware and its batch
-//!   requeued — **jobs never fail**.
+//!   a fully dead lease is swapped for fresh hardware and the batch's
+//!   unfinished tail re-offered through the router — **jobs never fail**.
 //! * [`ServiceMetrics`] — per-class throughput and latency percentiles,
 //!   batch-size histogram, queue depth and lease occupancy.
 //!

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use crate::job::{AdmissionError, JobOutcome, JobStatus};
-use crate::lease::{Lease, LeasePool};
+use crate::lease::Lease;
 
 /// Latency distribution summary, shared with the telemetry crate so
 /// every consumer uses the same nearest-rank percentile math.
@@ -98,23 +98,6 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Builds the snapshot from run artifacts. `batch_sizes` holds one
-    /// entry per dispatched batch.
-    pub fn build(
-        outcomes: &[JobOutcome],
-        batch_sizes: &[usize],
-        peak_queue_depth: usize,
-        pool: &LeasePool,
-    ) -> Self {
-        let horizon_ns = Self::horizon(outcomes);
-        let leases = pool
-            .leases()
-            .iter()
-            .map(|l| LeaseMetrics::from_lease(l, l.id, horizon_ns))
-            .collect();
-        Self::build_parts(outcomes, batch_sizes, peak_queue_depth, leases)
-    }
-
     /// The last completion (or rejection) instant across outcomes, ns.
     pub fn horizon(outcomes: &[JobOutcome]) -> f64 {
         outcomes
@@ -123,8 +106,10 @@ impl ServiceMetrics {
             .fold(0.0f64, f64::max)
     }
 
-    /// Builds the snapshot from pre-assembled lease metrics — the fleet
-    /// path, where leases come from several per-cluster pools.
+    /// Builds the snapshot from run artifacts: `batch_sizes` holds one
+    /// entry per dispatched batch, `leases` every cluster's leases. Jobs
+    /// rejected before admission (an invalid arrival or an unsupported
+    /// shape) are left out.
     pub fn build_parts(
         outcomes: &[JobOutcome],
         batch_sizes: &[usize],
@@ -135,9 +120,13 @@ impl ServiceMetrics {
 
         let mut classes: BTreeMap<&'static str, ClassMetrics> = BTreeMap::new();
         let mut latencies: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
-        let invalid = JobStatus::Rejected(AdmissionError::InvalidArrival);
-        for o in outcomes.iter().filter(|o| o.status != invalid) {
-            let c = classes.entry(o.class_name).or_default();
+        for o in outcomes {
+            let c = match o.status {
+                JobStatus::Rejected(
+                    AdmissionError::InvalidArrival | AdmissionError::UnsupportedShape,
+                ) => continue,
+                _ => classes.entry(o.class_name).or_default(),
+            };
             c.submitted += 1;
             match o.status {
                 JobStatus::Completed => {
@@ -154,8 +143,8 @@ impl ServiceMetrics {
                         .push(o.latency_ns());
                 }
                 JobStatus::Rejected(AdmissionError::QueueFull { .. }) => c.rejected += 1,
-                JobStatus::Rejected(AdmissionError::InvalidArrival) => unreachable!("skipped"),
                 JobStatus::Rejected(AdmissionError::Overloaded { .. }) => c.shed += 1,
+                JobStatus::Rejected(_) => unreachable!("skipped above"),
                 JobStatus::DeadlineExceeded { .. } => c.deadline_exceeded += 1,
             }
         }

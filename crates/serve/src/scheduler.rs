@@ -1,7 +1,7 @@
-//! One cluster's scheduler, behind both front doors.
+//! One cluster's scheduler.
 //!
-//! [`crate::ProofService`] drives one [`Scheduler`]; [`crate::FleetService`]
-//! drives one per cluster and keeps only what is fleet-specific (routing,
+//! [`crate::FleetService`] drives one per cluster (the proving service is
+//! the one-cluster case) and keeps only what is fleet-specific (routing,
 //! health, chaos, hedging, idempotent commit). A scheduler owns a
 //! cluster's lease pool, the typed compute queues on every lease, the
 //! coalescer, the policy-ordered ready list and the DAG proofs in
@@ -87,8 +87,8 @@ struct PendingStage {
 }
 
 /// One batch (a coalesced raw-NTT batch or a monolithic proof) run on one
-/// lease. Its results are the caller's to commit — at once in the
-/// service, when the clock reaches each one in a fleet.
+/// lease. Its results are the fleet's to commit, when its clock reaches
+/// each one.
 pub(crate) struct BatchRun {
     pub(crate) seq: u64,
     pub(crate) lease: usize,
@@ -100,7 +100,8 @@ pub(crate) struct BatchRun {
     /// Per-job results, in batch order.
     pub(crate) completions: Vec<Completion>,
     /// Jobs not run because the lease ran out of healthy nodes (the lease
-    /// was already repaired); the caller requeues or re-shards them.
+    /// was already repaired); the fleet re-shards them through its
+    /// router.
     pub(crate) leftover: Vec<QueuedJob>,
 }
 
@@ -120,8 +121,8 @@ pub(crate) struct Scheduler {
     dispatch_overhead: SimTime,
     stage_overhead: SimTime,
     pub(crate) repair: SimTime,
-    /// Prefix of every telemetry track written here: empty in the
-    /// service, `cluster{c}-` in a fleet.
+    /// Prefix of every telemetry track written here: empty in a
+    /// one-cluster fleet, `cluster{c}-` in a larger one.
     label: String,
     pub(crate) pool: LeasePool,
     streams: Vec<StreamSet>,
@@ -223,9 +224,8 @@ impl Scheduler {
         });
     }
 
-    /// Queues a closed batch for dispatch (also how the service requeues
-    /// an unfinished tail).
-    pub(crate) fn push_ready(&mut self, batch: ReadyBatch) {
+    /// Queues a closed batch for dispatch.
+    fn push_ready(&mut self, batch: ReadyBatch) {
         #[cfg(test)]
         self.ready_log.push(ReadyOp::Push(batch.clone()));
         self.ready.push(batch);

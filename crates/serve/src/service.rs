@@ -1,231 +1,52 @@
-//! The proving service: front door, admission control and the
-//! discrete-event loop over one cluster.
-//!
-//! Everything runs on the **simulated clock**: jobs carry arrival
-//! timestamps, batches occupy leases for exactly the time the cluster
-//! simulation charges, and the coalescing window is simulated time. Two
-//! runs over the same submissions and configuration are therefore
-//! bit-identical — including under fault injection, whose plans are
-//! seeded per dispatch.
-//!
-//! The cluster is scheduled by the one per-cluster scheduler each
-//! cluster of a [`crate::FleetService`] runs too; this module runs one
-//! of them on its own.
-//!
-//! Transforms are *functionally executed* (not just cost-modelled): with
-//! `verify_outputs` on, every raw-NTT result is checked bit-for-bit
-//! against a CPU reference computed through [`unintt_ntt::batch`]'s
-//! batched path, every PLONK proof is verified, and every STARK
-//! commitment is checked. The execution machinery itself lives in
-//! [`crate::dispatch`].
+//! The proving service: the one-cluster case of [`FleetService`]. A
+//! [`ServiceConfig`] converts into a [`FleetConfig`] of one cluster with
+//! no hedging and no chaos, and the fleet's one event loop, admission
+//! model and report serve it — on the simulated clock, so two runs over
+//! the same submissions and configuration are bit-identical, fault
+//! injection included. Execution is functional: with `verify_outputs` on,
+//! every raw-NTT result is checked against a CPU reference and every
+//! proof or commitment verified (see `crate::dispatch`).
 
-use std::collections::BTreeMap;
-use std::sync::mpsc::Receiver;
-
-use unintt_gpu_sim::SimTime;
-
-use crate::coalesce::{QueuedJob, ReadyBatch};
 use crate::config::ServiceConfig;
-use crate::dispatch;
-use crate::job::{AdmissionError, JobId, JobOutcome, JobSpec, JobStatus};
-use crate::metrics::ServiceMetrics;
-use crate::scheduler::{Scheduler, Shared};
+use crate::fleet::{ChaosPlan, FleetConfig, FleetReport, FleetService};
 
-/// Everything one run produced: per-job outcomes plus the metrics
-/// snapshot.
-#[derive(Clone, Debug)]
-pub struct ServiceReport {
-    /// One entry per submitted job, sorted by job id.
-    pub outcomes: Vec<JobOutcome>,
-    /// Aggregated metrics.
-    pub metrics: ServiceMetrics,
-    /// Lease-occupied simulated time per DAG stage kind, summed over
-    /// every [`crate::JobClass::ProveDag`] job (empty when none ran). This is
-    /// the per-stage time attribution experiment E19 reports.
-    pub stage_ns: BTreeMap<&'static str, f64>,
-}
+/// The multi-tenant proving service front door: a one-cluster
+/// [`FleetService`] (`ProofService::new(ServiceConfig { .. })`).
+pub type ProofService = FleetService;
 
-impl ServiceReport {
-    /// True when every submitted job ran to completion.
-    pub fn all_completed(&self) -> bool {
-        self.outcomes.iter().all(JobOutcome::completed)
-    }
-}
+/// Everything one service run produced: the fleet's report.
+pub type ServiceReport = FleetReport;
 
-/// The multi-tenant proving service front door.
-///
-/// Submissions accumulate (directly via [`submit`](Self::submit) or
-/// drained from a channel via [`ingest`](Self::ingest)); a call to
-/// [`run`](Self::run) then plays the whole stream through the simulated
-/// service and returns the report.
-pub struct ProofService {
-    cfg: ServiceConfig,
-    backlog: Vec<QueuedJob>,
-    next_id: u64,
-}
-
-impl ProofService {
-    /// A service with the given configuration.
-    pub fn new(cfg: ServiceConfig) -> Self {
+impl From<ServiceConfig> for FleetConfig {
+    /// One cluster of `base`, no hedging and no chaos; every other
+    /// setting (the admission tiers among them) is the fleet default.
+    fn from(base: ServiceConfig) -> Self {
         Self {
-            cfg,
-            backlog: Vec::new(),
-            next_id: 0,
+            clusters: 1,
+            base,
+            hedge: None,
+            chaos: ChaosPlan::none(),
+            ..Self::default()
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
-    }
-
-    /// Submits one job, returning its id. Admission control runs at the
-    /// job's simulated arrival instant during [`run`](Self::run), not
-    /// here; an arrival the simulated clock cannot hold (negative, NaN,
-    /// infinite or past its range) is rejected there as
-    /// [`AdmissionError::InvalidArrival`].
-    pub fn submit(&mut self, spec: JobSpec) -> JobId {
-        let id = JobId(self.next_id);
-        self.next_id += 1;
-        self.backlog.push(QueuedJob { id, spec });
-        id
-    }
-
-    /// Submits a whole stream.
-    pub fn submit_all(&mut self, specs: impl IntoIterator<Item = JobSpec>) -> Vec<JobId> {
-        specs.into_iter().map(|s| self.submit(s)).collect()
-    }
-
-    /// Drains every job currently buffered in `rx` (the channel front
-    /// door for producers on other threads) into the backlog.
-    pub fn ingest(&mut self, rx: &Receiver<JobSpec>) -> Vec<JobId> {
-        let mut ids = Vec::new();
-        while let Ok(spec) = rx.try_recv() {
-            ids.push(self.submit(spec));
-        }
-        ids
-    }
-
-    /// Jobs waiting to be played.
-    pub fn pending(&self) -> usize {
-        self.backlog.len()
-    }
-
-    /// Plays every submitted job through the service on the simulated
-    /// clock and returns the report. The backlog is consumed; the service
-    /// can be reused for a fresh stream afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams_per_lease` is outside
-    /// `1..=`[`unintt_core::MAX_STREAMS_PER_LEASE`], the interference
-    /// model is invalid, or a configured duration is not finite and
-    /// `>= 0`.
-    pub fn run(&mut self) -> ServiceReport {
-        let backlog = std::mem::take(&mut self.backlog);
-        play(
-            &mut Scheduler::new(self.cfg.clone(), String::new()),
-            backlog,
-        )
-    }
-}
-
-/// The event loop behind [`ProofService::run`]: advance the simulated
-/// clock to the next arrival, window close, lease release or stage
-/// completion; process everything due; repeat until the stream is
-/// drained. Results commit the instant their batch is dispatched.
-fn play(sched: &mut Scheduler, mut backlog: Vec<QueuedJob>) -> ServiceReport {
-    let capacity = sched.cfg.queue_capacity;
-    let mut shared = Shared::default();
-    let total = backlog.len();
-    let mut outcomes = dispatch::arrival_order(&mut backlog);
-    let mut peak_queue = 0;
-    let mut next_arrival = 0usize;
-    let mut now = SimTime::ZERO;
-
-    loop {
-        // 1. Close every coalescing window that has expired.
-        sched.close_windows(now);
-
-        // 2. Admit arrivals due by now (in arrival, then id order).
-        while next_arrival < backlog.len() && backlog[next_arrival].arrival() <= now {
-            let job = backlog[next_arrival];
-            next_arrival += 1;
-            let depth = sched.queued();
-            if depth >= capacity {
-                let full = JobStatus::Rejected(AdmissionError::QueueFull { depth, capacity });
-                outcomes.push(JobOutcome::new(&job, full, now));
-                unintt_telemetry::counter_add("serve_jobs_rejected", 1);
-                continue;
-            }
-            sched.offer(job, now, &mut shared);
-            peak_queue = peak_queue.max(sched.queued());
-            if unintt_telemetry::recording() {
-                unintt_telemetry::counter_add("serve_jobs_admitted", 1);
-                unintt_telemetry::gauge_set("serve_queue_depth", sched.queued() as f64);
-                unintt_telemetry::gauge_max("serve_queue_depth_peak", peak_queue as f64);
-            }
-        }
-
-        // 3. Dispatch everything placeable at `now`.
-        while let Some(d) = sched.dispatch_next(now, &mut shared) {
-            outcomes.extend(d.expired);
-            let Some(run) = d.run else { continue };
-            outcomes.extend(run.completions.iter().map(dispatch::commit_completion));
-            if !run.leftover.is_empty() {
-                // The lease ran out of healthy nodes mid-batch and was
-                // repaired: requeue the unfinished tail. No job is ever
-                // failed.
-                sched.push_ready(ReadyBatch {
-                    key: run.key,
-                    jobs: run.leftover,
-                    ready: run.done,
-                });
-            }
-        }
-
-        // 4. The next event: an arrival or the scheduler's own.
-        let t_arrival = backlog.get(next_arrival).map(QueuedJob::arrival);
-        let Some(t) = [t_arrival, sched.next_event(now)]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            break;
-        };
-        debug_assert!(t > now, "events must advance the simulated clock");
-        now = t;
-
-        // 5. Advance every queue to `now`; commit the proofs that finish.
-        let finished = sched.advance(now, &mut shared);
-        outcomes.extend(finished.iter().map(dispatch::commit_completion));
-    }
-
-    sched.finish();
-    outcomes.sort_by_key(|o| o.id);
-    debug_assert_eq!(outcomes.len(), total, "every job is accounted for");
-    let metrics = ServiceMetrics::build(&outcomes, &sched.batch_sizes, peak_queue, &sched.pool);
-    ServiceReport {
-        outcomes,
-        metrics,
-        stage_ns: sched
-            .stage_time
-            .iter()
-            .map(|(&kind, t)| (kind, t.as_ns()))
-            .collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::sync::mpsc;
 
+    use unintt_gpu_sim::SimTime;
     use unintt_ntt::Direction;
 
     use super::*;
+    use crate::coalesce::{QueuedJob, ReadyBatch};
     use crate::config::SchedulerPolicy;
-    use crate::dispatch::{EngineCaches, ReadyQueue};
-    use crate::job::{DagKind, JobClass, Priority, ServiceField};
+    use crate::dispatch::{self, EngineCaches, ReadyQueue};
+    use crate::fleet::FleetRunner;
+    use crate::job::{
+        AdmissionError, DagKind, JobClass, JobId, JobSpec, JobStatus, Priority, ServiceField,
+    };
     use crate::lease::LeasePool;
     use crate::scheduler::ReadyOp;
     use crate::workload::WorkloadSpec;
@@ -242,7 +63,7 @@ mod tests {
         )
     }
 
-    fn run_stream(cfg: ServiceConfig, stream: &[JobSpec]) -> ServiceReport {
+    fn run_stream(cfg: impl Into<FleetConfig>, stream: &[JobSpec]) -> ServiceReport {
         let mut service = ProofService::new(cfg);
         service.submit_all(stream.iter().copied());
         service.run()
@@ -375,12 +196,16 @@ mod tests {
             .map(|i| raw_spec(10, Direction::Forward, i as f64))
             .collect();
         let report = run_stream(
-            ServiceConfig {
-                queue_capacity: 4,
-                batch_window_ns: 0.0,
-                max_batch: 1,
-                num_leases: 1,
-                ..ServiceConfig::default()
+            FleetConfig {
+                soft_capacity: 4,
+                hard_capacity: 4,
+                ..ServiceConfig {
+                    batch_window_ns: 0.0,
+                    max_batch: 1,
+                    num_leases: 1,
+                    ..ServiceConfig::default()
+                }
+                .into()
             },
             &stream,
         );
@@ -851,10 +676,10 @@ mod tests {
             .zip(spec.generate())
             .map(|(id, spec)| QueuedJob { id, spec })
             .collect();
-        let mut sched = Scheduler::new(cfg.clone(), String::new());
-        let report = play(&mut sched, backlog);
+        let mut runner = FleetRunner::new(cfg.clone().into());
+        let report = runner.run(backlog);
         assert!(report.all_completed());
-        let log = std::mem::take(&mut sched.ready_log);
+        let log = std::mem::take(&mut runner.clusters[0].sched.ready_log);
 
         // The selection replayed alone, once through the linear scan the
         // loop used to run (a peek scans for the policy's pick, a pop
