@@ -46,9 +46,11 @@ test-e16-two-threads:
 test-eight-threads:
 	UNINTT_THREADS=8 cargo test -q --release
 
-# Fault-tolerance smoke: the quick E13 sweep.
+# Paper-tables smoke: the quick E1-E13 run (E13's fault sweep among
+# them), written through the one artifact writer.
 e13:
-	cargo run --release -p unintt-bench --bin harness -- --quick e13
+	cargo run --release -p unintt-bench --bin harness -- --quick paper
+	test -s target/quick/BENCH_paper.json
 
 e14:
 	cargo run --release -p unintt-bench --bin harness -- --quick e14

@@ -1,14 +1,18 @@
-//! Where harness artifacts land.
+//! Where harness artifacts land, and the one function that writes an
+//! experiment's `BENCH_*.json`.
 //!
-//! A full run writes its machine-readable `BENCH_*.json` results in the
-//! working directory: run from the repo root, these are the committed
-//! baselines the perf gate byte-compares. A quick run writes the same
-//! file under `target/quick/`, so a smoke run never overwrites a
-//! committed full-mode capture. Bulky trace captures — Chrome/Perfetto
-//! JSON, folded stacks — route to a dedicated trace directory,
-//! `target/traces/` by default, overridable with `harness --trace-dir
-//! <path>`. Keeping them out of the repo root means a tracing run never
-//! litters the tree with untracked artifacts.
+//! An artifact renders the experiment's [`Table`]s — the cells its
+//! stdout prints — as `bench`, `quick`, then one member per table
+//! ([`json`]), so the gate and the text output cannot disagree.
+//!
+//! A full run writes its artifact in the working directory: run from the
+//! repo root, these are the committed baselines the perf gate
+//! byte-compares. A quick run writes the same file under `target/quick/`,
+//! so a smoke run never overwrites a committed full-mode capture. Bulky
+//! trace captures — Chrome/Perfetto JSON, folded stacks — route to a
+//! dedicated trace directory, `target/traces/` by default, overridable
+//! with `harness --trace-dir <path>`. Keeping them out of the repo root
+//! means a tracing run never litters the tree with untracked artifacts.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -51,24 +55,33 @@ pub fn bench_path(file: &str, quick: bool) -> PathBuf {
     dir.join(file)
 }
 
-/// Writes an experiment's machine-readable results to
-/// [`bench_path`]`(file, quick)` and notes where on `table`.
-pub fn write_bench(table: &mut Table, file: &str, quick: bool, json: &str) {
-    write(
-        table,
-        &bench_path(file, quick),
-        json,
-        "machine-readable results",
-    );
+/// Renders an artifact: `bench`, `quick`, then each table as a member
+/// keyed by its name.
+pub fn json(bench: &str, quick: bool, tables: &[Table]) -> String {
+    let mut members = vec![
+        format!("  \"bench\": {bench:?}"),
+        format!("  \"quick\": {quick}"),
+    ];
+    members.extend(tables.iter().map(Table::json));
+    format!("{{\n{}\n}}\n", members.join(",\n"))
+}
+
+/// Writes `tables` as the artifact `file` at [`bench_path`]`(file, quick)`
+/// and notes on the last table where it went.
+pub fn write_bench(tables: &mut [Table], file: &str, bench: &str, quick: bool) {
+    let body = json(bench, quick, tables);
+    let path = bench_path(file, quick);
+    let last = tables.last_mut().expect("an artifact has a table");
+    write(last, &path, &body, "machine-readable results");
 }
 
 /// Writes `body` to `path` and notes on `table` where the `what` went, or
-/// why it could not be written.
+/// why it could not be written. The note is not part of the table's JSON.
 pub fn write(table: &mut Table, path: &Path, body: &str, what: &str) {
-    match std::fs::write(path, body) {
-        Ok(()) => table.note(format!("{what} written to {}", path.display())),
-        Err(e) => table.note(format!("could not write {}: {e}", path.display())),
-    }
+    table.note_written(match std::fs::write(path, body) {
+        Ok(()) => format!("{what} written to {}", path.display()),
+        Err(e) => format!("could not write {}: {e}", path.display()),
+    });
 }
 
 #[cfg(test)]

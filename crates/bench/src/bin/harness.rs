@@ -2,8 +2,7 @@
 
 use std::process::ExitCode;
 
-use unintt_bench::experiments;
-use unintt_bench::Table;
+use unintt_bench::experiments::{self, Experiment};
 use unintt_bench::{artifacts, perf_gate};
 
 const USAGE: &str = "\
@@ -12,7 +11,9 @@ usage: harness [--quick] <experiment>...
        harness attribute <workload>
        harness perf-gate [<artifact>...]
   <experiment>      one or more of: e1 e2 e3 e4 e5 e6 e7 e8 e9 e11 e12 e13
-                    e14 e15 e16 e17 e19 e20 e21 all
+                    paper e14 e15 e16 e17 e19 e20 e21 all; `paper` runs
+                    E1-E13 and writes BENCH_paper.json, e14-e21 each
+                    write their BENCH_*.json, e1-e13 alone print only
   trace             run the named experiments with telemetry enabled and
                     write a Chrome/Perfetto trace_<experiment>.json into
                     the trace directory (e16 manages its own session and
@@ -101,71 +102,59 @@ fn main() -> ExitCode {
         selected
     };
 
-    let run_one = |name: &str| -> Option<Table> {
-        let table = match name {
-            "e1" => experiments::e1_headline::run(quick),
-            "e2" => experiments::e2_scaling::run(quick),
-            "e3" => experiments::e3_vs_baseline::run(quick),
-            "e4" => experiments::e4_comm_volume::run(quick),
-            "e5" => experiments::e5_breakdown::run(quick),
-            "e6" => experiments::e6_ablation::run(quick),
-            "e7" => experiments::e7_topology::run(quick),
-            "e8" => experiments::e8_end_to_end::run(quick),
-            "e9" => experiments::e9_batching::run(quick),
-            "e11" => experiments::e11_stark_commit::run(quick),
-            "e12" => experiments::e12_multi_node::run(quick),
-            "e13" => experiments::e13_fault_tolerance::run(quick),
-            "e14" => experiments::e14_serving::run(quick),
-            "e15" => experiments::e15_comm_overlap::run(quick),
-            "e16" => experiments::e16_observability::run(quick),
-            "e17" => experiments::e17_resilience::run(quick),
-            "e19" => experiments::e19_pipeline::run(quick),
-            "e20" => experiments::e20_streams::run(quick),
-            "e21" => experiments::e21_slo::run(quick),
-            _ => return None,
-        };
-        Some(table)
-    };
-
     for name in &selected {
-        if trace_mode && *name != "all" && *name != "e16" && *name != "e21" {
-            // E16 and E21 drive their own telemetry sessions (nesting
-            // would deadlock on the session lock); E16 always writes
-            // trace.json into the trace directory itself.
-            let guard = unintt_telemetry::start_session();
-            let Some(table) = run_one(name) else {
-                eprintln!("unknown experiment '{name}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let session = unintt_telemetry::take_session();
-            drop(guard);
-            println!("{table}");
-            let path = artifacts::trace_path(&format!("trace_{name}.json"));
-            match std::fs::write(&path, unintt_telemetry::chrome_trace_json(&session)) {
-                Ok(()) => println!(
-                    "trace with {} spans / {} instants written to {}",
-                    session.spans.len(),
-                    session.instants.len(),
-                    path.display()
-                ),
-                Err(e) => {
-                    eprintln!("could not write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if *name == "all" {
-            for table in experiments::run_all(quick) {
+        let chosen: Vec<&Experiment> = if *name == "all" {
+            experiments::all().collect()
+        } else if let Some(e) = experiments::EXPERIMENTS.iter().find(|e| e.name == *name) {
+            vec![e]
+        } else {
+            eprintln!("unknown experiment '{name}'\n{USAGE}");
+            return ExitCode::FAILURE;
+        };
+        // E16 and E21 drive their own telemetry sessions (nesting would
+        // deadlock on the session lock); E16 always writes trace.json
+        // into the trace directory itself.
+        let traced = trace_mode && !matches!(*name, "all" | "e16" | "e21");
+        let guard = traced.then(unintt_telemetry::start_session);
+        for e in chosen {
+            for table in e.run(quick) {
                 println!("{table}");
             }
-        } else {
-            match run_one(name) {
-                Some(table) => println!("{table}"),
-                None => {
-                    eprintln!("unknown experiment '{name}'\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+        }
+        let Some(guard) = guard else { continue };
+        let session = unintt_telemetry::take_session();
+        drop(guard);
+        let path = artifacts::trace_path(&format!("trace_{name}.json"));
+        match std::fs::write(&path, unintt_telemetry::chrome_trace_json(&session)) {
+            Ok(()) => println!(
+                "trace with {} spans / {} instants written to {}",
+                session.spans.len(),
+                session.instants.len(),
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("could not write {}: {e}", path.display());
+                return ExitCode::FAILURE;
             }
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_experiment() {
+        for e in experiments::EXPERIMENTS {
+            assert!(
+                USAGE
+                    .split_whitespace()
+                    .any(|w| w.trim_end_matches(';') == e.name),
+                "USAGE does not list {}",
+                e.name
+            );
+        }
+    }
 }

@@ -9,7 +9,7 @@ use unintt_ff::{Field, Goldilocks};
 use unintt_fri::{commit_trace, fri, permutations_for, verify_trace, FriConfig, LdeBackend};
 use unintt_gpu_sim::{presets, FieldSpec, KernelProfile, Machine, MachineConfig};
 
-use crate::report::{fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 /// Projected commitment time for a `2^log_rows × width` trace: the same
 /// charge sequence `commit_trace` performs, through the cost-only paths.
@@ -63,8 +63,16 @@ pub fn run(quick: bool) -> Table {
     let width = 8; // trace columns
 
     let mut table = Table::new(
+        "e11",
         format!("E11: STARK trace commitment, {width} columns (Goldilocks, blowup 4)"),
-        &["rows", "mode", "1-GPU", "UniNTT-8", "speedup", "verified"],
+        &[
+            ("rows", Kind::Label),
+            ("mode", Kind::Label),
+            ("1-GPU", Kind::Ns(0)),
+            ("UniNTT-8", Kind::Ns(0)),
+            ("speedup", Kind::Num(2, "x")),
+            ("verified", Kind::Label),
+        ],
     );
 
     let mut rng = StdRng::seed_from_u64(11);
@@ -84,13 +92,13 @@ pub fn run(quick: bool) -> Table {
         assert_eq!(c1.trace_root, c8.trace_root, "backends must agree");
         let ok = verify_trace(&c8, &config);
 
-        table.row(vec![
-            format!("2^{}", n.trailing_zeros()),
+        table.row([
+            format!("2^{}", n.trailing_zeros()).into(),
             "functional".into(),
-            fmt_ns(t1),
-            fmt_ns(t8),
-            format!("{:.2}x", t1 / t8),
-            if ok { "yes".into() } else { "NO".into() },
+            t1.into(),
+            t8.into(),
+            (t1 / t8).into(),
+            if ok { "yes" } else { "NO" }.into(),
         ]);
     }
 
@@ -101,12 +109,12 @@ pub fn run(quick: bool) -> Table {
     for &log_rows in projected_sizes {
         let t1 = projected(log_rows, width, &one_cfg, &config);
         let t8 = projected(log_rows, width, &eight_cfg, &config);
-        table.row(vec![
-            format!("2^{log_rows}"),
+        table.row([
+            format!("2^{log_rows}").into(),
             "projected".into(),
-            fmt_ns(t1),
-            fmt_ns(t8),
-            format!("{:.2}x", t1 / t8),
+            t1.into(),
+            t8.into(),
+            (t1 / t8).into(),
             "-".into(),
         ]);
     }

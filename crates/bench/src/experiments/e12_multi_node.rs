@@ -14,7 +14,7 @@ use unintt_core::{Cluster, ClusterNttEngine, NetworkConfig, UniNttOptions};
 use unintt_ff::Bn254Fr;
 use unintt_gpu_sim::{presets, FieldSpec};
 
-use crate::report::{fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 /// Runs E12 and renders the table.
 pub fn run(quick: bool) -> Table {
@@ -24,15 +24,16 @@ pub fn run(quick: bool) -> Table {
     let node_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
 
     let mut table = Table::new(
+        "e12",
         format!("E12: multi-node UniNTT (2^{log_n} BN254-Fr, {gpus_per_node}×A100 per node)"),
         &[
-            "nodes",
-            "network",
-            "time",
-            "vs 1 node",
-            "network bytes",
-            "comm hidden",
-            "collectives",
+            ("nodes", Kind::Count),
+            ("network", Kind::Label),
+            ("time", Kind::Ns(0)),
+            ("vs 1 node", Kind::Num(2, "x")),
+            ("network bytes", Kind::Bytes),
+            ("comm hidden", Kind::Ns(0)),
+            ("collectives", Kind::Count),
         ],
     );
 
@@ -68,18 +69,14 @@ pub fn run(quick: bool) -> Table {
             let collectives: u64 = (0..nodes)
                 .map(|n| cluster.node(n).stats().collectives)
                 .sum();
-            table.row(vec![
-                nodes.to_string(),
-                if nodes == 1 {
-                    "-".into()
-                } else {
-                    name.to_string()
-                },
-                fmt_ns(t),
-                format!("{:.2}x", baseline_ns / t),
-                crate::report::fmt_bytes(cluster.network_bytes()),
-                fmt_ns(hidden_ns),
-                collectives.to_string(),
+            table.row([
+                nodes.into(),
+                if nodes == 1 { "-" } else { name }.into(),
+                t.into(),
+                (baseline_ns / t).into(),
+                cluster.network_bytes().into(),
+                hidden_ns.into(),
+                collectives.into(),
             ]);
         }
     }

@@ -16,7 +16,7 @@ use unintt_ff::{Goldilocks, PrimeField};
 use unintt_gpu_sim::{presets, Category, FaultPlan, FaultRates, FieldSpec, Machine};
 use unintt_ntt::Ntt;
 
-use crate::report::{fmt_bytes, fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 /// One policy column of the sweep.
 struct Policy {
@@ -50,17 +50,18 @@ pub fn run(quick: bool) -> Table {
     let rates: &[f64] = &[0.0, 1e-3, 1e-2, 5e-2];
 
     let mut table = Table::new(
+        "e13",
         format!("E13: fault tolerance (2^{log_n} Goldilocks forward NTT, {gpus}×A100)"),
         &[
-            "p/collective",
-            "policy",
-            "runs",
-            "completed",
-            "silent corrupt",
-            "retries",
-            "retransmitted",
-            "fault time",
-            "total time",
+            ("p/collective", Kind::Label),
+            ("policy", Kind::Label),
+            ("runs", Kind::Count),
+            ("completed", Kind::Num(1, "%")),
+            ("silent corrupt", Kind::Count),
+            ("retries", Kind::Count),
+            ("retransmitted", Kind::Bytes),
+            ("fault time", Kind::Num(2, "%")),
+            ("total time", Kind::Ns(0)),
         ],
     );
 
@@ -120,16 +121,16 @@ pub fn run(quick: bool) -> Table {
                 total_ns += machine.max_clock_ns();
             }
 
-            table.row(vec![
-                format!("{p:.0e}"),
-                pol.name.to_string(),
-                runs.to_string(),
-                format!("{:.1}%", 100.0 * completed as f64 / runs as f64),
-                corrupted.to_string(),
-                retries.to_string(),
-                fmt_bytes(retransmitted),
-                format!("{:.2}%", 100.0 * fault_ns / total_ns),
-                fmt_ns(total_ns),
+            table.row([
+                format!("{p:.0e}").into(),
+                pol.name.into(),
+                runs.into(),
+                (100.0 * completed as f64 / runs as f64).into(),
+                corrupted.into(),
+                retries.into(),
+                retransmitted.into(),
+                (100.0 * fault_ns / total_ns).into(),
+                total_ns.into(),
             ]);
         }
     }

@@ -16,15 +16,12 @@
 //! seeded, so two runs produce byte-identical output — including the
 //! machine-readable `BENCH_serve.json` written next to the process.
 
-use std::fmt::Write as _;
-
 use unintt_gpu_sim::FaultRates;
-use unintt_serve::{ProofService, SchedulerPolicy, ServiceConfig, ServiceMetrics, WorkloadSpec};
+use unintt_serve::{
+    ClassMetrics, ProofService, SchedulerPolicy, ServiceConfig, ServiceMetrics, WorkloadSpec,
+};
 
-use crate::report::{fmt_ns, Table};
-
-/// Where the machine-readable results land.
-pub const JSON_PATH: &str = "BENCH_serve.json";
+use crate::report::{Kind, Table};
 
 /// One measured service run.
 struct Cell {
@@ -91,80 +88,53 @@ fn e14_fault_rates() -> FaultRates {
     }
 }
 
-fn render_json(cells: &[Cell], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"serve-offered-load\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let m = &c.metrics;
-        let raw = &m.classes["raw-ntt"];
-        let _ = write!(
-            out,
-            "    {{\"section\": \"{}\", \"load_jobs_per_s\": {:.0}, \"window_ns\": {:.0}, \
-             \"policy\": \"{}\", \"faulted\": {}, \"completed\": {}, \"rejected\": {}, \
-             \"horizon_ns\": {:.0}, \"throughput_jobs_per_s\": {:.1}, \
-             \"mean_batch_size\": {:.3}, \"p50_ns\": {:.0}, \"p95_ns\": {:.0}, \
-             \"p99_ns\": {:.0}, \"peak_queue\": {}, \"occupancy\": {:.4}, \
-             \"retries\": {}, \"replans\": {}}}",
-            c.section,
-            c.load_jobs_per_s,
-            c.window_ns,
-            c.policy.name(),
-            c.faulted,
-            m.completed(),
-            m.rejected(),
-            m.horizon_ns,
-            m.throughput_jobs_per_s(),
-            m.mean_batch_size(),
-            raw.latency.p50_ns,
-            raw.latency.p95_ns,
-            raw.latency.p99_ns,
-            m.peak_queue_depth,
-            m.mean_occupancy(),
-            raw.retries,
-            raw.replans,
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The raw-NTT class of a cell's metrics.
+fn raw(c: &Cell) -> &ClassMetrics {
+    &c.metrics.classes["raw-ntt"]
 }
 
-fn push_row(table: &mut Table, c: &Cell) {
-    let m = &c.metrics;
-    let raw = &m.classes["raw-ntt"];
-    table.row(vec![
-        c.section.into(),
-        format!("{:.0}k/s", c.load_jobs_per_s / 1_000.0),
-        if c.window_ns == 0.0 {
-            "off".into()
-        } else {
-            fmt_ns(c.window_ns)
-        },
-        c.policy.name().into(),
-        format!("{:.0}", m.throughput_jobs_per_s()),
-        format!("{:.2}", m.mean_batch_size()),
-        fmt_ns(raw.latency.p50_ns),
-        fmt_ns(raw.latency.p95_ns),
-        format!("{:.0}%", 100.0 * m.mean_occupancy()),
-        format!("{}+{}", raw.retries, raw.replans),
-    ]);
-}
-
-/// Runs E14 and renders the table (also writes [`JSON_PATH`]).
-pub fn run(quick: bool) -> Table {
-    let (loads, windows, jobs) = grid(quick);
-    let mut table = Table::new(
+/// The results table: one row per cell.
+fn results(cells: &[Cell]) -> Table {
+    Table::of(
+        "results",
         "E14: proving service under offered load (2 leases of 2 nodes x 2 A100)",
+        cells,
         &[
-            "section", "load", "window", "policy", "jobs/s", "batch", "p50", "p95", "occ",
-            "flt(r+p)",
+            ("section", Kind::Label, |c| c.section.into()),
+            ("load_jobs_per_s", Kind::Num(0, ""), |c| {
+                c.load_jobs_per_s.into()
+            }),
+            ("window_ns", Kind::Ns(0), |c| c.window_ns.into()),
+            ("policy", Kind::Label, |c| c.policy.name().into()),
+            ("faulted", Kind::Bool, |c| c.faulted.into()),
+            ("completed", Kind::Count, |c| c.metrics.completed().into()),
+            ("rejected", Kind::Count, |c| c.metrics.rejected().into()),
+            ("horizon_ns", Kind::Ns(0), |c| c.metrics.horizon_ns.into()),
+            ("throughput_jobs_per_s", Kind::Num(1, ""), |c| {
+                c.metrics.throughput_jobs_per_s().into()
+            }),
+            ("mean_batch_size", Kind::Num(3, ""), |c| {
+                c.metrics.mean_batch_size().into()
+            }),
+            ("p50_ns", Kind::Ns(0), |c| raw(c).latency.p50_ns.into()),
+            ("p95_ns", Kind::Ns(0), |c| raw(c).latency.p95_ns.into()),
+            ("p99_ns", Kind::Ns(0), |c| raw(c).latency.p99_ns.into()),
+            ("peak_queue", Kind::Count, |c| {
+                c.metrics.peak_queue_depth.into()
+            }),
+            ("occupancy", Kind::Num(4, ""), |c| {
+                c.metrics.mean_occupancy().into()
+            }),
+            ("retries", Kind::Count, |c| raw(c).retries.into()),
+            ("replans", Kind::Count, |c| raw(c).replans.into()),
         ],
-    );
-    let mut cells = Vec::new();
+    )
+}
 
+/// Runs E14 and returns its table.
+pub fn run(quick: bool) -> Vec<Table> {
+    let (loads, windows, jobs) = grid(quick);
+    let mut cells = Vec::new();
     // Section 1: coalescing — load × window sweep under FIFO.
     for &load in &loads {
         for &window in &windows {
@@ -201,15 +171,12 @@ pub fn run(quick: bool) -> Table {
         Some(e14_fault_rates()),
     ));
 
-    for c in &cells {
-        push_row(&mut table, c);
-    }
-
+    let mut table = results(&cells);
     table.note("same seeded stream per load across windows/policies; simulated clock only");
-    table.note("flt(r+p): transient retries + degraded replans absorbed; all jobs completed");
-    let json = render_json(&cells, quick);
-    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
-    table
+    table.note(
+        "retries + replans: transient faults and degraded leases absorbed; all jobs completed",
+    );
+    vec![table]
 }
 
 #[cfg(test)]
@@ -259,12 +226,11 @@ mod tests {
     fn json_is_deterministic_and_well_formed() {
         let run_once = || {
             let c = run_cell("t", 5_000.0, 16, 25_000.0, SchedulerPolicy::Fifo, None);
-            render_json(&[c], true)
+            crate::artifacts::json("t", true, &[results(&[c])])
         };
         let a = run_once();
         let b = run_once();
         assert_eq!(a, b, "identical runs must render byte-identical JSON");
-        assert!(a.starts_with("{\n") && a.ends_with("}\n"));
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
+        unintt_telemetry::parse_json(&a).expect("well-formed JSON");
     }
 }

@@ -17,17 +17,12 @@
 //! byte-identical output — including the machine-readable
 //! `BENCH_comm.json` written next to the process.
 
-use std::fmt::Write as _;
-
 use unintt_core::{CommMode, UniNttOptions};
 use unintt_ff::Goldilocks;
 use unintt_gpu_sim::{presets, FieldSpec, MachineConfig};
 
 use crate::experiments::unintt_run;
-use crate::report::{fmt_ns, Table};
-
-/// Where the machine-readable results land.
-pub const JSON_PATH: &str = "BENCH_comm.json";
+use crate::report::{Kind, Table};
 
 /// One measured configuration.
 struct Cell {
@@ -103,60 +98,33 @@ fn chunk_sweep(quick: bool) -> Vec<u32> {
     }
 }
 
-fn render_json(cells: &[Cell], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"comm-overlap\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"topology\": \"{}\", \"mode\": \"{}\", \"chunks\": {}, \
-             \"time_ns\": {:.0}, \"raw_comm_ns\": {:.0}, \"exposed_comm_ns\": {:.0}, \
-             \"hidden_comm_ns\": {:.0}, \"overlap_efficiency\": {:.4}, \
-             \"reduction_vs_blocking\": {:.4}}}",
-            c.topology,
-            c.mode,
-            c.chunks,
-            c.time_ns,
-            c.raw_comm_ns,
-            c.exposed_comm_ns,
-            c.hidden_comm_ns,
-            c.overlap_efficiency(),
-            // Zero out sub-display-precision deltas (a C=1 pipeline can
-            // land a float ulp off the blocking clock) so the JSON never
-            // renders a negative zero.
-            if c.reduction_vs_blocking.abs() < 0.00005 {
-                0.0
-            } else {
-                c.reduction_vs_blocking
-            },
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The results table: one row per configuration.
+fn results(log_n: u32, cells: &[Cell]) -> Table {
+    Table::of(
+        "results",
+        format!("E15: communication-compute overlap (UniNTT, 2^{log_n} Goldilocks, 8 GPUs)"),
+        cells,
+        &[
+            ("topology", Kind::Label, |c| c.topology.into()),
+            ("mode", Kind::Label, |c| c.mode.into()),
+            ("chunks", Kind::Count, |c| c.chunks.into()),
+            ("time_ns", Kind::Ns(0), |c| c.time_ns.into()),
+            ("raw_comm_ns", Kind::Ns(0), |c| c.raw_comm_ns.into()),
+            ("exposed_comm_ns", Kind::Ns(0), |c| c.exposed_comm_ns.into()),
+            ("hidden_comm_ns", Kind::Ns(0), |c| c.hidden_comm_ns.into()),
+            ("overlap_efficiency", Kind::Num(4, ""), |c| {
+                c.overlap_efficiency().into()
+            }),
+            ("reduction_vs_blocking", Kind::Num(4, ""), |c| {
+                c.reduction_vs_blocking.into()
+            }),
+        ],
+    )
 }
 
-/// Runs E15 and renders the table (also writes [`JSON_PATH`]).
-pub fn run(quick: bool) -> Table {
+/// Runs E15 and returns its table.
+pub fn run(quick: bool) -> Vec<Table> {
     let log_n = if quick { 22 } else { 24 };
-    let mut table = Table::new(
-        format!("E15: communication-compute overlap (UniNTT, 2^{log_n} Goldilocks, 8 GPUs)"),
-        &[
-            "topology",
-            "mode",
-            "chunks",
-            "time",
-            "comm(raw)",
-            "exposed",
-            "hidden",
-            "hid%",
-            "dT vs blk",
-        ],
-    );
-
     let mut cells = Vec::new();
     for (name, cfg) in topologies() {
         let blocking = measure(name, &cfg, log_n, CommMode::Blocking, 0, 0.0);
@@ -174,36 +142,10 @@ pub fn run(quick: bool) -> Table {
         }
     }
 
-    for c in &cells {
-        table.row(vec![
-            c.topology.into(),
-            c.mode.into(),
-            if c.mode == "blocking" {
-                "-".into()
-            } else if c.chunks == 0 {
-                "auto".into()
-            } else {
-                c.chunks.to_string()
-            },
-            fmt_ns(c.time_ns),
-            fmt_ns(c.raw_comm_ns),
-            fmt_ns(c.exposed_comm_ns),
-            fmt_ns(c.hidden_comm_ns),
-            format!("{:.0}%", 100.0 * c.overlap_efficiency()),
-            if c.mode == "blocking" {
-                "-".into()
-            } else {
-                let delta = -100.0 * c.reduction_vs_blocking;
-                format!("{:+.1}%", if delta.abs() < 0.05 { 0.0 } else { delta })
-            },
-        ]);
-    }
-
+    let mut table = results(log_n, &cells);
     table.note("same bytes cross the fabric in every row; only the schedule changes");
-    table.note("chunks=auto lets the planner size the pipeline from the exchange volume");
-    let json = render_json(&cells, quick);
-    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
-    table
+    table.note("chunks 0: the planner sizes the pipeline (blocking rows: unused)");
+    vec![table]
 }
 
 #[cfg(test)]
@@ -277,12 +219,11 @@ mod tests {
             let b = measure("t", &cfg, 20, CommMode::Blocking, 0, 0.0);
             let bns = b.time_ns;
             let o = measure("t", &cfg, 20, CommMode::Overlapped, 0, bns);
-            render_json(&[b, o], true)
+            crate::artifacts::json("t", true, &[results(20, &[b, o])])
         };
         let a = run_once();
         let b = run_once();
         assert_eq!(a, b, "identical runs must render byte-identical JSON");
-        assert!(a.starts_with("{\n") && a.ends_with("}\n"));
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
+        unintt_telemetry::parse_json(&a).expect("well-formed JSON");
     }
 }

@@ -26,21 +26,14 @@
 //! with the numbers the benchmarks report would be worse than no trace
 //! at all.
 
-use std::fmt::Write as _;
-
 use unintt_core::{Cluster, ClusterNttEngine, NetworkConfig, UniNttEngine, UniNttOptions};
 use unintt_ff::{Bn254Fr, Goldilocks};
 use unintt_gpu_sim::{presets, FieldSpec, Machine};
-use unintt_serve::{
-    JobSpec, ProofService, ServiceConfig, ServiceReport, WorkloadMix, WorkloadSpec,
-};
+use unintt_serve::{ProofService, ServiceConfig, ServiceReport, WorkloadMix, WorkloadSpec};
 use unintt_telemetry::{self as telemetry, AttrValue, InstantKind, Registry, Session, SpanLevel};
 
-use crate::report::Table;
+use crate::report::{Kind, Table};
 
-/// The machine-readable results' file name (committed, byte-compared;
-/// placed by [`crate::artifacts::bench_path`], unlike the trace captures).
-pub const JSON_PATH: &str = "BENCH_obs.json";
 /// The merged Chrome/Perfetto trace's file name, resolved inside
 /// [`crate::artifacts::trace_dir`].
 pub const TRACE_FILE: &str = "trace.json";
@@ -175,12 +168,61 @@ fn reconcile_stages(session: &Session, report: &ServiceReport) -> Vec<ReconRow> 
         .collect()
 }
 
+/// Serves the E16 mixed stream — its proofs as stage DAGs over two
+/// queues per lease when `pipelined` — and takes the session's
+/// service-level story: lease clusters restart their simulated clocks at
+/// zero on every dispatch, so their device/fabric/cluster spans do not
+/// share the service clock.
+fn serve_session(quick: bool, pipelined: bool) -> (Session, ServiceReport) {
+    let jobs = if quick { 12 } else { 32 };
+    let spec = WorkloadSpec {
+        mix: WorkloadMix::mixed(),
+        ..WorkloadSpec::raw_only(0xe16, jobs, 20_000.0)
+    };
+    let mut stream = spec.generate();
+    if pipelined {
+        for s in &mut stream {
+            s.class = s.class.pipelined();
+        }
+    }
+    let mut service = ProofService::new(ServiceConfig {
+        streams_per_lease: if pipelined { 2 } else { 1 },
+        ..ServiceConfig::default()
+    });
+    service.submit_all(stream);
+    let report = service.run();
+    assert!(
+        report.all_completed(),
+        "the E16 stream runs well under default admission capacity"
+    );
+    let mut session = telemetry::take_session();
+    session.spans.retain(|s| s.level == SpanLevel::Serve);
+    session.instants.retain(|i| {
+        matches!(
+            i.kind,
+            InstantKind::LeaseRepair | InstantKind::CoalescerFlush
+        )
+    });
+    (session, report)
+}
+
 /// Runs the four reference workloads under one telemetry session and
 /// returns the merged trace plus reconciliation evidence. Writes nothing.
 pub fn collect(quick: bool) -> Collected {
     let guard = telemetry::start_session();
     let mut sections = Vec::new();
     let mut merged = Session::default();
+    let mut add = |name: &'static str, mut session: Session, recon| {
+        session.prefix_tracks(&format!("{name}/"));
+        let (spans, instants) = (session.spans.len(), session.instants.len());
+        sections.push(SectionReport {
+            name,
+            spans,
+            instants,
+            recon,
+        });
+        merged.merge(session);
+    };
 
     // Section e1/ — the headline single-node shape.
     {
@@ -192,16 +234,9 @@ pub fn collect(quick: bool) -> Collected {
         let mut machine = Machine::new(cfg.clone(), fs);
         engine.simulate_forward(&mut machine, 1);
         machine.export_telemetry_spans();
-        let mut session = telemetry::take_session();
+        let session = telemetry::take_session();
         let recon = reconcile_devices(&session, &machine);
-        session.prefix_tracks("e1/");
-        sections.push(SectionReport {
-            name: "e1",
-            spans: session.spans.len(),
-            instants: session.instants.len(),
-            recon,
-        });
-        merged.merge(session);
+        add("e1", session, recon);
     }
 
     // Section e12/ — the multi-node shape over the datacenter network.
@@ -222,103 +257,25 @@ pub fn collect(quick: bool) -> Collected {
         for n in 0..cluster.num_nodes() {
             cluster.node(n).export_telemetry_spans();
         }
-        let mut session = telemetry::take_session();
+        let session = telemetry::take_session();
         let mut recon = Vec::new();
         for n in 0..cluster.num_nodes() {
             recon.extend(reconcile_devices(&session, cluster.node(n)));
         }
-        session.prefix_tracks("e12/");
-        sections.push(SectionReport {
-            name: "e12",
-            spans: session.spans.len(),
-            instants: session.instants.len(),
-            recon,
-        });
-        merged.merge(session);
+        add("e12", session, recon);
     }
 
     // Section serve/ — a small mixed proving-service stream.
-    {
-        let jobs = if quick { 12 } else { 32 };
-        let spec = WorkloadSpec {
-            mix: WorkloadMix::mixed(),
-            ..WorkloadSpec::raw_only(0xe16, jobs, 20_000.0)
-        };
-        let mut service = ProofService::new(ServiceConfig::default());
-        service.submit_all(spec.generate());
-        let report = service.run();
-        assert!(
-            report.all_completed(),
-            "the E16 stream runs well under default admission capacity"
-        );
-        let mut session = telemetry::take_session();
-        // Lease clusters restart their simulated clocks at zero on every
-        // dispatch, so their device/fabric/cluster spans do not share the
-        // service clock; keep only the service-level story.
-        session.spans.retain(|s| s.level == SpanLevel::Serve);
-        session.instants.retain(|i| {
-            matches!(
-                i.kind,
-                InstantKind::LeaseRepair | InstantKind::CoalescerFlush
-            )
-        });
-        session.prefix_tracks("serve/");
-        sections.push(SectionReport {
-            name: "serve",
-            spans: session.spans.len(),
-            instants: session.instants.len(),
-            recon: Vec::new(),
-        });
-        merged.merge(session);
-    }
+    let (session, _) = serve_session(quick, false);
+    add("serve", session, Vec::new());
 
     // Section streams/ — the same stream with proofs submitted as stage
     // DAGs over two compute queues per lease. Stage spans ride
     // `lease{l}.q{q}` tracks and must sum, kind by kind, to the service
     // report's own stage attribution.
-    {
-        let jobs = if quick { 12 } else { 32 };
-        let spec = WorkloadSpec {
-            mix: WorkloadMix::mixed(),
-            ..WorkloadSpec::raw_only(0xe16, jobs, 20_000.0)
-        };
-        let stream: Vec<JobSpec> = spec
-            .generate()
-            .into_iter()
-            .map(|s| JobSpec {
-                class: s.class.pipelined(),
-                ..s
-            })
-            .collect();
-        let mut service = ProofService::new(ServiceConfig {
-            streams_per_lease: 2,
-            ..ServiceConfig::default()
-        });
-        service.submit_all(stream);
-        let report = service.run();
-        assert!(
-            report.all_completed(),
-            "the E16 streamed section runs well under default admission capacity"
-        );
-        let mut session = telemetry::take_session();
-        // Same clock rationale as serve/: keep the service-level story.
-        session.spans.retain(|s| s.level == SpanLevel::Serve);
-        session.instants.retain(|i| {
-            matches!(
-                i.kind,
-                InstantKind::LeaseRepair | InstantKind::CoalescerFlush
-            )
-        });
-        let recon = reconcile_stages(&session, &report);
-        session.prefix_tracks("streams/");
-        sections.push(SectionReport {
-            name: "streams",
-            spans: session.spans.len(),
-            instants: session.instants.len(),
-            recon,
-        });
-        merged.merge(session);
-    }
+    let (session, report) = serve_session(quick, true);
+    let recon = reconcile_stages(&session, &report);
+    add("streams", session, recon);
 
     let registry = telemetry::registry_snapshot();
     let prometheus = telemetry::render_prometheus();
@@ -331,92 +288,69 @@ pub fn collect(quick: bool) -> Collected {
     }
 }
 
-fn render_json(collected: &Collected, quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"observability\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"sections\": [\n");
-    for (i, sec) in collected.sections.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"spans\": {}, \"instants\": {}, \"reconciliation\": [",
-            sec.name, sec.spans, sec.instants
-        );
-        for (j, r) in sec.recon.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"track\": \"{}\", \"span_ns\": {:.3}, \"stats_ns\": {:.3}, \
-                 \"rel_err\": {:.3e}}}",
-                if j == 0 { "" } else { ", " },
-                r.track,
-                r.span_ns,
-                r.stats_ns,
-                r.rel_err()
-            );
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < collected.sections.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"counters\": {");
-    for (i, (name, value)) in collected.registry.counters.iter().enumerate() {
-        let _ = write!(out, "{}\"{name}\": {value}", if i == 0 { "" } else { ", " });
-    }
-    out.push_str("}\n}\n");
-    out
+/// E16's tables: per-section span counts, the reconciliation rows of
+/// every section, and the registry's counters.
+fn tables(collected: &Collected) -> Vec<Table> {
+    let sections = Table::of(
+        "sections",
+        "E16: unified telemetry — Perfetto trace + cost-model reconciliation",
+        &collected.sections,
+        &[
+            ("name", Kind::Label, |s| s.name.into()),
+            ("spans", Kind::Count, |s| s.spans.into()),
+            ("instants", Kind::Count, |s| s.instants.into()),
+        ],
+    );
+    let rows = collected
+        .sections
+        .iter()
+        .flat_map(|s| s.recon.iter().map(move |r| (s.name, r)));
+    let mut recon = Table::of(
+        "reconciliation",
+        "E16: span totals vs the cost model, per device track and stage kind",
+        rows,
+        &[
+            ("section", Kind::Label, |&(s, _)| s.into()),
+            ("track", Kind::Label, |(_, r)| r.track.as_str().into()),
+            ("span_ns", Kind::Ns(3), |(_, r)| r.span_ns.into()),
+            ("stats_ns", Kind::Ns(3), |(_, r)| r.stats_ns.into()),
+            ("rel_err", Kind::Sci(3), |(_, r)| r.rel_err().into()),
+        ],
+    );
+    recon.note("every device track's span total matches Stats::time_ns.total()");
+    let counters = Table::of(
+        "counters",
+        "E16: metrics registry counters",
+        &collected.registry.counters,
+        &[
+            ("counter", Kind::Label, |&(&name, _)| name.into()),
+            ("value", Kind::Count, |&(_, &value)| value.into()),
+        ],
+    );
+    vec![sections, recon, counters]
 }
 
 /// Runs E16, writes [`TRACE_FILE`] and [`FOLDED_FILE`] into the trace
-/// directory plus [`JSON_PATH`] where [`crate::artifacts::bench_path`]
-/// puts it, and renders the table.
-pub fn run(quick: bool) -> Table {
+/// directory, and returns its tables.
+pub fn run(quick: bool) -> Vec<Table> {
     let collected = collect(quick);
-    let mut table = Table::new(
-        "E16: unified telemetry — Perfetto trace + cost-model reconciliation",
-        &["section", "spans", "instants", "tracks", "max rel err"],
-    );
-    for sec in &collected.sections {
-        let max_err = sec.recon.iter().map(ReconRow::rel_err).fold(0.0, f64::max);
-        table.row(vec![
-            sec.name.to_string(),
-            sec.spans.to_string(),
-            sec.instants.to_string(),
-            if sec.recon.is_empty() {
-                "-".into()
-            } else {
-                sec.recon.len().to_string()
-            },
-            if sec.recon.is_empty() {
-                "-".into()
-            } else {
-                format!("{max_err:.1e}")
-            },
-        ]);
-    }
-    table.note("every device track's span total matches Stats::time_ns.total()");
-
+    let mut tables = tables(&collected);
     let trace = telemetry::chrome_trace_json(&collected.session);
     let summary = telemetry::validate_chrome_trace(&trace)
         .expect("exported trace must be well-formed Chrome/Perfetto JSON");
-    table.note(format!(
+    let sections = &mut tables[0];
+    sections.note(format!(
         "trace validated: {} events on {} tracks",
         summary.events, summary.tracks
     ));
     let folded = telemetry::folded_stacks(&collected.session);
-    let json = render_json(&collected, quick);
     for (file, body, what) in [
         (TRACE_FILE, &trace, "Perfetto/chrome://tracing trace"),
         (FOLDED_FILE, &folded, "folded stacks"),
     ] {
-        crate::artifacts::write(&mut table, &crate::artifacts::trace_path(file), body, what);
+        crate::artifacts::write(sections, &crate::artifacts::trace_path(file), body, what);
     }
-    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
-    table
+    tables
 }
 
 #[cfg(test)]
@@ -509,7 +443,8 @@ mod tests {
             telemetry::chrome_trace_json(&b.session),
             "identical runs must render byte-identical traces"
         );
-        assert_eq!(render_json(&a, true), render_json(&b, true));
+        let json = |c: &Collected| crate::artifacts::json("t", true, &tables(c));
+        assert_eq!(json(&a), json(&b));
         assert_eq!(a.prometheus, b.prometheus);
     }
 

@@ -19,16 +19,11 @@
 //! scripted chaos plan, so two runs produce byte-identical output —
 //! including the machine-readable `BENCH_resilience.json`.
 
-use std::fmt::Write as _;
-
 use unintt_serve::{
     ChaosPlan, FleetConfig, FleetReport, FleetService, SchedulerPolicy, ServiceConfig, WorkloadSpec,
 };
 
-use crate::report::{fmt_ns, Table};
-
-/// Where the machine-readable results land.
-pub const JSON_PATH: &str = "BENCH_resilience.json";
+use crate::report::{Kind, Table};
 
 /// One measured fleet run.
 struct Cell {
@@ -40,8 +35,8 @@ struct Cell {
     digests_match: bool,
 }
 
-/// Stream size per mode.
-fn jobs(quick: bool) -> usize {
+/// Stream size per mode (E21 replays the same size).
+pub(crate) fn jobs(quick: bool) -> usize {
     if quick {
         48
     } else {
@@ -54,8 +49,9 @@ fn stream(quick: bool) -> WorkloadSpec {
     WorkloadSpec::bursty(0xe17, jobs(quick), 40_000.0)
 }
 
-/// A three-cluster fleet with the given chaos plan and policy.
-fn fleet_config(chaos: ChaosPlan, policy: SchedulerPolicy) -> FleetConfig {
+/// A three-cluster fleet with the given chaos plan and policy (E21's
+/// fleet too).
+pub(crate) fn fleet_config(chaos: ChaosPlan, policy: SchedulerPolicy) -> FleetConfig {
     FleetConfig {
         clusters: 3,
         base: ServiceConfig {
@@ -117,92 +113,87 @@ fn min_availability(r: &FleetReport) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn render_json(cells: &[Cell], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"fleet-resilience\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let m = &c.report.metrics;
-        let f = &c.report.fleet;
-        let raw = &m.classes["raw-ntt"];
-        let _ = write!(
-            out,
-            "    {{\"section\": \"{}\", \"scenario\": \"{}\", \"policy\": \"{}\", \
-             \"completed\": {}, \"shed\": {}, \"deadline_cancelled\": {}, \
-             \"failovers\": {}, \"hedges\": {}, \"hedge_wins\": {}, \
-             \"quarantines\": {}, \"probes\": {}, \"readmissions\": {}, \
-             \"horizon_ns\": {:.0}, \"throughput_jobs_per_s\": {:.1}, \
-             \"p99_ns\": {:.0}, \"min_availability\": {:.4}, \
-             \"digests_match_baseline\": {}, \"final_states\": [{}]}}",
-            c.section,
-            c.scenario,
-            c.policy.name(),
-            m.completed(),
-            m.shed(),
-            m.deadline_exceeded(),
-            f.failovers,
-            f.hedges,
-            f.hedge_wins,
-            f.quarantines,
-            f.probes,
-            f.readmissions,
-            m.horizon_ns,
-            m.throughput_jobs_per_s(),
-            raw.latency.p99_ns,
-            min_availability(&c.report),
-            c.digests_match,
-            f.final_states
-                .iter()
-                .map(|s| format!("\"{s}\""))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn push_row(table: &mut Table, c: &Cell) {
-    let m = &c.report.metrics;
-    let f = &c.report.fleet;
-    let raw = &m.classes["raw-ntt"];
-    table.row(vec![
-        c.section.into(),
-        c.scenario.into(),
-        c.policy.name().into(),
-        format!("{}", m.completed()),
-        format!("{}", m.deadline_exceeded()),
-        format!("{}", f.failovers),
-        format!("{}/{}", f.quarantines, f.readmissions),
-        format!("{:.0}", m.throughput_jobs_per_s()),
-        fmt_ns(raw.latency.p99_ns),
-        format!("{:.1}%", 100.0 * min_availability(&c.report)),
-        if c.digests_match { "yes" } else { "NO" }.into(),
-    ]);
-}
-
-/// Runs E17 and renders the table (also writes [`JSON_PATH`]).
-pub fn run(quick: bool) -> Table {
-    let spec = stream(quick);
-    let mut table = Table::new(
+/// E17's tables: one row per cell, and each cell's per-cluster final
+/// breaker states.
+fn tables(cells: &[Cell]) -> Vec<Table> {
+    let mut results = Table::of(
+        "results",
         "E17: fleet resilience under injected chaos (3 clusters x 2 leases of 2 nodes x 2 A100)",
+        cells,
         &[
-            "section",
-            "scenario",
-            "policy",
-            "done",
-            "ddl",
-            "failover",
-            "quar/adm",
-            "jobs/s",
-            "p99",
-            "min-avail",
-            "bits",
+            ("section", Kind::Label, |c| c.section.into()),
+            ("scenario", Kind::Label, |c| c.scenario.into()),
+            ("policy", Kind::Label, |c| c.policy.name().into()),
+            ("completed", Kind::Count, |c| {
+                c.report.metrics.completed().into()
+            }),
+            ("shed", Kind::Count, |c| c.report.metrics.shed().into()),
+            ("deadline_cancelled", Kind::Count, |c| {
+                c.report.metrics.deadline_exceeded().into()
+            }),
+            ("failovers", Kind::Count, |c| {
+                c.report.fleet.failovers.into()
+            }),
+            ("hedges", Kind::Count, |c| c.report.fleet.hedges.into()),
+            ("hedge_wins", Kind::Count, |c| {
+                c.report.fleet.hedge_wins.into()
+            }),
+            ("quarantines", Kind::Count, |c| {
+                c.report.fleet.quarantines.into()
+            }),
+            ("probes", Kind::Count, |c| c.report.fleet.probes.into()),
+            ("readmissions", Kind::Count, |c| {
+                c.report.fleet.readmissions.into()
+            }),
+            ("horizon_ns", Kind::Ns(0), |c| {
+                c.report.metrics.horizon_ns.into()
+            }),
+            ("throughput_jobs_per_s", Kind::Num(1, ""), |c| {
+                c.report.metrics.throughput_jobs_per_s().into()
+            }),
+            ("p99_ns", Kind::Ns(0), |c| {
+                c.report.metrics.classes["raw-ntt"].latency.p99_ns.into()
+            }),
+            ("min_availability", Kind::Num(4, ""), |c| {
+                min_availability(&c.report).into()
+            }),
+            ("digests_match_baseline", Kind::Bool, |c| {
+                c.digests_match.into()
+            }),
         ],
     );
+    results.note("same seeded bursty stream per section; chaos kills/revives whole clusters");
+    results
+        .note("digests_match_baseline: completed-job digests identical to the fault-free baseline");
+    results.note("zero accepted-job failures asserted in every cell");
+    let rows = cells.iter().flat_map(|c| {
+        c.report
+            .fleet
+            .final_states
+            .iter()
+            .enumerate()
+            .map(move |s| (c, s))
+    });
+    let states = Table::of(
+        "final_states",
+        "E17: each cluster's breaker state at the end of each cell",
+        rows,
+        &[
+            ("section", Kind::Label, |(c, _)| c.section.into()),
+            ("scenario", Kind::Label, |(c, _)| c.scenario.into()),
+            ("policy", Kind::Label, |(c, _)| c.policy.name().into()),
+            ("cluster", Kind::Count, |&(_, (cluster, _))| cluster.into()),
+            ("final_states", Kind::Label, |&(_, (_, &state))| {
+                state.into()
+            }),
+        ],
+    );
+    vec![results, states]
+}
+
+/// Runs E17 and returns its tables.
+pub fn run(quick: bool) -> Vec<Table> {
+    let spec = stream(quick);
 
     // Section 1: the fault-free baseline defines the digest set.
     let baseline = run_fleet(&spec, ChaosPlan::none(), SchedulerPolicy::Fifo);
@@ -265,16 +256,7 @@ pub fn run(quick: bool) -> Table {
         &deadline_baseline,
     ));
 
-    for c in &cells {
-        push_row(&mut table, c);
-    }
-
-    table.note("same seeded bursty stream per section; chaos kills/revives whole clusters");
-    table.note("bits: completed-job digests identical to the fault-free baseline");
-    table.note("zero accepted-job failures asserted in every cell");
-    let json = render_json(&cells, quick);
-    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
-    table
+    tables(&cells)
 }
 
 #[cfg(test)]
@@ -315,12 +297,11 @@ mod tests {
                 SchedulerPolicy::Fifo,
                 &baseline,
             );
-            render_json(&[cell], true)
+            crate::artifacts::json("t", true, &tables(&[cell]))
         };
         let a = run_once();
         let b = run_once();
         assert_eq!(a, b, "identical runs must render byte-identical JSON");
-        assert!(a.starts_with("{\n") && a.ends_with("}\n"));
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
+        unintt_telemetry::parse_json(&a).expect("well-formed JSON");
     }
 }

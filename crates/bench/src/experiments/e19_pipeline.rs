@@ -26,16 +26,11 @@
 //! seeded, so two runs produce byte-identical output — including the
 //! machine-readable `BENCH_pipeline.json` written next to the process.
 
-use std::fmt::Write as _;
-
 use unintt_serve::{
     JobSpec, ProofService, ServiceConfig, ServiceReport, WorkloadMix, WorkloadSpec,
 };
 
-use crate::report::{fmt_ns, Table};
-
-/// Where the machine-readable results land.
-pub const JSON_PATH: &str = "BENCH_pipeline.json";
+use crate::report::{Kind, Table};
 
 /// One measured service run (one load level, one submission mode).
 struct Cell {
@@ -52,48 +47,28 @@ impl Cell {
             "monolithic"
         }
     }
-
-    /// Completed proof jobs (PLONK + STARK, either submission form).
-    fn proofs(&self) -> usize {
-        self.report
-            .outcomes
-            .iter()
-            .filter(|o| o.completed() && o.class_name != "raw-ntt")
-            .count()
-    }
-
-    /// Completed proofs per simulated second.
-    fn proofs_per_s(&self) -> f64 {
-        if self.report.metrics.horizon_ns <= 0.0 {
-            return 0.0;
-        }
-        self.proofs() as f64 / (self.report.metrics.horizon_ns * 1e-9)
-    }
-
-    /// The stage attribution as "ntt 42% msm 31% ..." (empty for
-    /// monolithic cells, which cannot see inside a proof dispatch).
-    fn attribution(&self) -> String {
-        let total: f64 = self.report.stage_ns.values().sum();
-        if total <= 0.0 {
-            return "-".into();
-        }
-        let mut parts: Vec<(f64, &str)> = self
-            .report
-            .stage_ns
-            .iter()
-            .map(|(&name, &ns)| (ns / total, name))
-            .collect();
-        parts.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(b.1)));
-        parts
-            .iter()
-            .map(|(frac, name)| format!("{name} {:.0}%", 100.0 * frac))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
 }
 
-/// The swept grid: offered loads and jobs per cell.
-fn grid(quick: bool) -> (Vec<f64>, usize) {
+/// Completed proof jobs (PLONK + STARK, either submission form).
+pub(crate) fn proofs(report: &ServiceReport) -> usize {
+    report
+        .outcomes
+        .iter()
+        .filter(|o| o.completed() && o.class_name != "raw-ntt")
+        .count()
+}
+
+/// Completed proofs per simulated second.
+pub(crate) fn proofs_per_s(report: &ServiceReport) -> f64 {
+    if report.metrics.horizon_ns <= 0.0 {
+        return 0.0;
+    }
+    proofs(report) as f64 / (report.metrics.horizon_ns * 1e-9)
+}
+
+/// The swept grid: offered loads and jobs per cell (E20 sweeps the same
+/// grid, so its dag rows replicate this experiment's cells).
+pub(crate) fn grid(quick: bool) -> (Vec<f64>, usize) {
     let loads = vec![5_000.0, 20_000.0, 80_000.0];
     let jobs = if quick { 24 } else { 64 };
     (loads, jobs)
@@ -164,70 +139,63 @@ fn run_pair(load: f64, jobs: usize) -> (Cell, Cell) {
     (mono, dag)
 }
 
-fn render_json(cells: &[Cell], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"pipeline-dag-scheduling\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let m = &c.report.metrics;
-        let raw = &m.classes["raw-ntt"];
-        let _ = write!(
-            out,
-            "    {{\"load_jobs_per_s\": {:.0}, \"mode\": \"{}\", \"completed\": {}, \
-             \"proofs\": {}, \"horizon_ns\": {:.0}, \"throughput_jobs_per_s\": {:.1}, \
-             \"proofs_per_s\": {:.2}, \"occupancy\": {:.4}, \"raw_p95_ns\": {:.0}, \
-             \"stage_ns\": {{",
-            c.load_jobs_per_s,
-            c.mode(),
-            m.completed(),
-            c.proofs(),
-            m.horizon_ns,
-            m.throughput_jobs_per_s(),
-            c.proofs_per_s(),
-            m.mean_occupancy(),
-            raw.latency.p95_ns,
-        );
-        for (j, (name, ns)) in c.report.stage_ns.iter().enumerate() {
-            let _ = write!(out, "{}\"{name}\": {ns:.0}", if j == 0 { "" } else { ", " });
-        }
-        out.push_str("}}");
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn push_row(table: &mut Table, c: &Cell) {
-    let m = &c.report.metrics;
-    let raw = &m.classes["raw-ntt"];
-    table.row(vec![
-        format!("{:.0}k/s", c.load_jobs_per_s / 1_000.0),
-        c.mode().into(),
-        format!("{:.0}", m.throughput_jobs_per_s()),
-        format!("{:.1}", c.proofs_per_s()),
-        format!("{:.0}%", 100.0 * m.mean_occupancy()),
-        fmt_ns(raw.latency.p95_ns),
-        c.attribution(),
-    ]);
-}
-
-/// Runs E19 and renders the table (also writes [`JSON_PATH`]).
-pub fn run(quick: bool) -> Table {
-    let (loads, jobs) = grid(quick);
-    let mut table = Table::new(
+/// E19's tables: one row per cell, and the DAG cells' lease time per
+/// stage kind.
+fn tables(cells: &[Cell]) -> Vec<Table> {
+    let mut results = Table::of(
+        "results",
         "E19: DAG-pipelined vs monolithic proving under mixed load (2 leases of 2 nodes x 2 A100)",
+        cells,
         &[
-            "load",
-            "mode",
-            "jobs/s",
-            "proofs/s",
-            "occ",
-            "raw p95",
-            "stage attribution",
+            ("load_jobs_per_s", Kind::Num(0, ""), |c| {
+                c.load_jobs_per_s.into()
+            }),
+            ("mode", Kind::Label, |c| c.mode().into()),
+            ("completed", Kind::Count, |c| {
+                c.report.metrics.completed().into()
+            }),
+            ("proofs", Kind::Count, |c| proofs(&c.report).into()),
+            ("horizon_ns", Kind::Ns(0), |c| {
+                c.report.metrics.horizon_ns.into()
+            }),
+            ("throughput_jobs_per_s", Kind::Num(1, ""), |c| {
+                c.report.metrics.throughput_jobs_per_s().into()
+            }),
+            ("proofs_per_s", Kind::Num(2, ""), |c| {
+                proofs_per_s(&c.report).into()
+            }),
+            ("occupancy", Kind::Num(4, ""), |c| {
+                c.report.metrics.mean_occupancy().into()
+            }),
+            ("raw_p95_ns", Kind::Ns(0), |c| {
+                c.report.metrics.classes["raw-ntt"].latency.p95_ns.into()
+            }),
         ],
     );
+    results.note("same seeded stream per load; dag cells map proof classes via pipelined()");
+    results.note("every job's output digest matches its monolithic twin (asserted per pair)");
+    let rows = cells
+        .iter()
+        .flat_map(|c| c.report.stage_ns.iter().map(move |s| (c, s)));
+    let stages = Table::of(
+        "stage_ns",
+        "E19: lease-occupied time per stage kind (DAG cells; a monolithic dispatch sees none)",
+        rows,
+        &[
+            ("load_jobs_per_s", Kind::Num(0, ""), |(c, _)| {
+                c.load_jobs_per_s.into()
+            }),
+            ("mode", Kind::Label, |(c, _)| c.mode().into()),
+            ("stage", Kind::Label, |&(_, (&stage, _))| stage.into()),
+            ("stage_ns", Kind::Ns(0), |&(_, (_, &ns))| ns.into()),
+        ],
+    );
+    vec![results, stages]
+}
+
+/// Runs E19 and returns its tables.
+pub fn run(quick: bool) -> Vec<Table> {
+    let (loads, jobs) = grid(quick);
     let mut cells = Vec::new();
     for &load in &loads {
         let (mono, dag) = run_pair(load, jobs);
@@ -241,24 +209,16 @@ pub fn run(quick: bool) -> Table {
     let high_dag = &cells[cells.len() - 1];
     assert!(
         high_dag.report.metrics.mean_occupancy() > high_mono.report.metrics.mean_occupancy()
-            && high_dag.proofs_per_s() > high_mono.proofs_per_s(),
+            && proofs_per_s(&high_dag.report) > proofs_per_s(&high_mono.report),
         "DAG pipelining must raise occupancy and proof throughput at high load: \
          occ {:.4} vs {:.4}, proofs/s {:.2} vs {:.2}",
         high_dag.report.metrics.mean_occupancy(),
         high_mono.report.metrics.mean_occupancy(),
-        high_dag.proofs_per_s(),
-        high_mono.proofs_per_s(),
+        proofs_per_s(&high_dag.report),
+        proofs_per_s(&high_mono.report),
     );
 
-    for c in &cells {
-        push_row(&mut table, c);
-    }
-
-    table.note("same seeded stream per load; dag cells map proof classes via pipelined()");
-    table.note("every job's output digest matches its monolithic twin (asserted per pair)");
-    let json = render_json(&cells, quick);
-    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
-    table
+    tables(&cells)
 }
 
 #[cfg(test)]
@@ -300,10 +260,10 @@ mod tests {
             mono.report.metrics.mean_occupancy()
         );
         assert!(
-            dag.proofs_per_s() > mono.proofs_per_s(),
+            proofs_per_s(&dag.report) > proofs_per_s(&mono.report),
             "stage interleaving should finish proofs faster: {:.2} vs {:.2}",
-            dag.proofs_per_s(),
-            mono.proofs_per_s()
+            proofs_per_s(&dag.report),
+            proofs_per_s(&mono.report)
         );
     }
 
@@ -332,12 +292,11 @@ mod tests {
     fn json_is_deterministic_and_well_formed() {
         let run_once = || {
             let (mono, dag) = run_pair(5_000.0, 12);
-            render_json(&[mono, dag], true)
+            crate::artifacts::json("t", true, &tables(&[mono, dag]))
         };
         let a = run_once();
         let b = run_once();
         assert_eq!(a, b, "identical runs must render byte-identical JSON");
-        assert!(a.starts_with("{\n") && a.ends_with("}\n"));
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
+        unintt_telemetry::parse_json(&a).expect("well-formed JSON");
     }
 }

@@ -7,7 +7,7 @@ use unintt_ff::{Bn254Fr, Goldilocks};
 use unintt_gpu_sim::{presets, FieldSpec};
 
 use crate::experiments::{single_gpu_run, unintt_run};
-use crate::report::{fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 /// Runs E1 and renders the table.
 pub fn run(quick: bool) -> Table {
@@ -20,8 +20,15 @@ pub fn run(quick: bool) -> Table {
     };
 
     let mut table = Table::new(
+        "e1",
         format!("E1: UniNTT speedup on {gpus}×A100 (NVSwitch) vs 1×A100"),
-        &["field", "log2(N)", "1-GPU", "UniNTT-8", "speedup"],
+        &[
+            ("field", Kind::Label),
+            ("log2(N)", Kind::Label),
+            ("1-GPU", Kind::Ns(0)),
+            ("UniNTT-8", Kind::Ns(0)),
+            ("speedup", Kind::Num(2, "x")),
+        ],
     );
 
     let mut speedups = Vec::new();
@@ -47,12 +54,12 @@ pub fn run(quick: bool) -> Table {
             if log_n >= 22 {
                 large_speedups.push(speedup);
             }
-            table.row(vec![
-                name.to_string(),
-                format!("2^{log_n}"),
-                fmt_ns(t1),
-                fmt_ns(t8),
-                format!("{speedup:.2}x"),
+            table.row([
+                name.into(),
+                format!("2^{log_n}").into(),
+                t1.into(),
+                t8.into(),
+                speedup.into(),
             ]);
         }
     }

@@ -24,15 +24,10 @@
 //! produce byte-identical output — including the machine-readable
 //! `BENCH_streams.json` written next to the process.
 
-use std::fmt::Write as _;
-
 use unintt_serve::{InterferenceModel, ProofService, ServiceConfig, ServiceReport};
 
-use super::e19_pipeline::stream;
-use crate::report::{fmt_ns, Table};
-
-/// Where the machine-readable results land.
-pub const JSON_PATH: &str = "BENCH_streams.json";
+use super::e19_pipeline::{grid, proofs, proofs_per_s, stream};
+use crate::report::{Kind, Table};
 
 /// The horizon-reduction floor the full-mode run asserts at the highest
 /// load: two queues must shave at least this fraction off the one-queue
@@ -47,7 +42,7 @@ struct Cell {
 }
 
 /// How one cell schedules the stream.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Mode {
     /// Whole proofs hold one lease each (the E19 baseline's baseline).
     Monolithic,
@@ -58,7 +53,7 @@ enum Mode {
 }
 
 /// Which bundled interference model a streamed cell runs under.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum ModelChoice {
     Default,
     Conservative,
@@ -81,15 +76,7 @@ impl ModelChoice {
 }
 
 impl Mode {
-    fn label(self) -> String {
-        match self {
-            Mode::Monolithic => "monolithic".into(),
-            Mode::Dag => "dag".into(),
-            Mode::Streams { k, model } => format!("dag+streams k={k} {}", model.name()),
-        }
-    }
-
-    fn json_mode(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Mode::Monolithic => "monolithic",
             Mode::Dag => "dag",
@@ -103,33 +90,13 @@ impl Mode {
             Mode::Streams { k, .. } => k,
         }
     }
-}
 
-impl Cell {
-    /// Completed proof jobs (PLONK + STARK, either submission form).
-    fn proofs(&self) -> usize {
-        self.report
-            .outcomes
-            .iter()
-            .filter(|o| o.completed() && o.class_name != "raw-ntt")
-            .count()
-    }
-
-    /// Completed proofs per simulated second.
-    fn proofs_per_s(&self) -> f64 {
-        if self.report.metrics.horizon_ns <= 0.0 {
-            return 0.0;
+    fn interference(self) -> &'static str {
+        match self {
+            Mode::Monolithic | Mode::Dag => "-",
+            Mode::Streams { model, .. } => model.name(),
         }
-        self.proofs() as f64 / (self.report.metrics.horizon_ns * 1e-9)
     }
-}
-
-/// The swept grid: offered loads and jobs per cell (E19's grid, so the
-/// dag rows here replicate that experiment's cells).
-fn grid(quick: bool) -> (Vec<f64>, usize) {
-    let loads = vec![5_000.0, 20_000.0, 80_000.0];
-    let jobs = if quick { 24 } else { 64 };
-    (loads, jobs)
 }
 
 /// Runs one scheduling mode over the seeded stream for `load`.
@@ -170,86 +137,59 @@ fn assert_bit_identical(reference: &Cell, other: &Cell) {
         assert_eq!(r.id, o.id);
         assert!(r.output_digest != 0, "{} must digest its output", r.id);
         assert_eq!(
-            r.output_digest,
-            o.output_digest,
-            "{} ({} vs {}): stream overlap must not change a single output bit",
-            r.id,
-            reference.mode.label(),
-            other.mode.label(),
+            r.output_digest, o.output_digest,
+            "{} ({:?} vs {:?}): stream overlap must not change a single output bit",
+            r.id, reference.mode, other.mode,
         );
     }
 }
 
-fn render_json(cells: &[Cell], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"intra-lease-stream-overlap\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let m = &c.report.metrics;
-        let model = match c.mode {
-            Mode::Streams { model, .. } => model.name(),
-            _ => "-",
-        };
-        let _ = write!(
-            out,
-            "    {{\"load_jobs_per_s\": {:.0}, \"mode\": \"{}\", \"streams\": {}, \
-             \"interference\": \"{}\", \"completed\": {}, \"proofs\": {}, \
-             \"horizon_ns\": {:.0}, \"throughput_jobs_per_s\": {:.1}, \
-             \"proofs_per_s\": {:.2}, \"occupancy\": {:.4}, \"raw_p95_ns\": {:.0}}}",
-            c.load_jobs_per_s,
-            c.mode.json_mode(),
-            c.mode.streams(),
-            model,
-            m.completed(),
-            c.proofs(),
-            m.horizon_ns,
-            m.throughput_jobs_per_s(),
-            c.proofs_per_s(),
-            m.mean_occupancy(),
-            m.classes["raw-ntt"].latency.p95_ns,
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn push_row(table: &mut Table, c: &Cell, dag_horizon: Option<f64>) {
-    let m = &c.report.metrics;
-    let delta = match dag_horizon {
-        Some(base) if base > 0.0 => {
-            format!("{:+.1}%", 100.0 * (m.horizon_ns - base) / base)
-        }
-        _ => "-".into(),
-    };
-    table.row(vec![
-        format!("{:.0}k/s", c.load_jobs_per_s / 1_000.0),
-        c.mode.label(),
-        fmt_ns(m.horizon_ns),
-        delta,
-        format!("{:.0}", m.throughput_jobs_per_s()),
-        format!("{:.1}", c.proofs_per_s()),
-        format!("{:.0}%", 100.0 * m.mean_occupancy()),
-        fmt_ns(m.classes["raw-ntt"].latency.p95_ns),
-    ]);
-}
-
-/// Runs E20 and renders the table (also writes [`JSON_PATH`]).
-pub fn run(quick: bool) -> Table {
-    let (loads, jobs) = grid(quick);
-    let mut table = Table::new(
+/// The results table: one row per cell.
+fn results(cells: &[Cell]) -> Table {
+    Table::of(
+        "results",
         "E20: intra-lease stream overlap under mixed load (2 leases of 2 nodes x 2 A100)",
+        cells,
         &[
-            "load", "mode", "horizon", "vs dag", "jobs/s", "proofs/s", "occ", "raw p95",
+            ("load_jobs_per_s", Kind::Num(0, ""), |c| {
+                c.load_jobs_per_s.into()
+            }),
+            ("mode", Kind::Label, |c| c.mode.name().into()),
+            ("streams", Kind::Count, |c| c.mode.streams().into()),
+            ("interference", Kind::Label, |c| {
+                c.mode.interference().into()
+            }),
+            ("completed", Kind::Count, |c| {
+                c.report.metrics.completed().into()
+            }),
+            ("proofs", Kind::Count, |c| proofs(&c.report).into()),
+            ("horizon_ns", Kind::Ns(0), |c| {
+                c.report.metrics.horizon_ns.into()
+            }),
+            ("throughput_jobs_per_s", Kind::Num(1, ""), |c| {
+                c.report.metrics.throughput_jobs_per_s().into()
+            }),
+            ("proofs_per_s", Kind::Num(2, ""), |c| {
+                proofs_per_s(&c.report).into()
+            }),
+            ("occupancy", Kind::Num(4, ""), |c| {
+                c.report.metrics.mean_occupancy().into()
+            }),
+            ("raw_p95_ns", Kind::Ns(0), |c| {
+                c.report.metrics.classes["raw-ntt"].latency.p95_ns.into()
+            }),
         ],
-    );
+    )
+}
+
+/// Runs E20 and returns its table.
+pub fn run(quick: bool) -> Vec<Table> {
+    let (loads, jobs) = grid(quick);
 
     // Three-way per load: monolithic / DAG (one queue) / DAG + two
     // queues, digest-checked against each other.
-    let mut cells: Vec<(Cell, Option<f64>)> = Vec::new();
-    let mut headline: Option<(f64, f64)> = None;
+    let mut cells = Vec::new();
+    let mut headline = (0.0, 0.0);
     for &load in &loads {
         let mono = run_cell(load, jobs, Mode::Monolithic);
         let dag = run_cell(load, jobs, Mode::Dag);
@@ -264,20 +204,14 @@ pub fn run(quick: bool) -> Table {
         assert_bit_identical(&mono, &dag);
         assert_bit_identical(&mono, &streamed);
         let dag_horizon = dag.report.metrics.horizon_ns;
-        headline = Some((dag_horizon, streamed.report.metrics.horizon_ns));
-        cells.push((mono, None));
-        cells.push((dag, None));
-        cells.push((streamed, Some(dag_horizon)));
+        headline = (dag_horizon, streamed.report.metrics.horizon_ns);
+        cells.extend([mono, dag, streamed]);
     }
 
     // Queue-count x interference-model sweep at the highest load; every
     // cell digest-checked against the monolithic reference.
     let high = *loads.last().expect("grid has loads");
     let reference = run_cell(high, jobs, Mode::Monolithic);
-    let dag_horizon = cells
-        .iter()
-        .find(|(c, _)| c.load_jobs_per_s == high && c.mode == Mode::Dag)
-        .map(|(c, _)| c.report.metrics.horizon_ns);
     for model in [ModelChoice::Default, ModelChoice::Conservative] {
         for k in 1..=4 {
             if k == 2 && model == ModelChoice::Default {
@@ -285,7 +219,7 @@ pub fn run(quick: bool) -> Table {
             }
             let cell = run_cell(high, jobs, Mode::Streams { k, model });
             assert_bit_identical(&reference, &cell);
-            cells.push((cell, dag_horizon));
+            cells.push(cell);
         }
     }
 
@@ -293,35 +227,26 @@ pub fn run(quick: bool) -> Table {
     // the end-to-end horizon by >= 15% versus the one-queue DAG
     // baseline. Quick mode's trimmed stream is too short to saturate
     // the queues, so the gate applies to full runs.
-    if let Some((dag_ns, streamed_ns)) = headline {
-        let reduction = 1.0 - streamed_ns / dag_ns;
-        if !quick {
-            assert!(
-                reduction >= HEADLINE_MIN_REDUCTION,
-                "two queues must cut the high-load horizon by >= {:.0}%: \
-                 dag {:.0} ns vs streamed {:.0} ns ({:.1}%)",
-                100.0 * HEADLINE_MIN_REDUCTION,
-                dag_ns,
-                streamed_ns,
-                100.0 * reduction,
-            );
-        }
-        table.note(format!(
-            "high-load horizon reduction with k=2 (default model): {:.1}%",
-            100.0 * reduction
-        ));
-    }
+    let (dag_ns, streamed_ns) = headline;
+    let reduction = 1.0 - streamed_ns / dag_ns;
+    assert!(
+        quick || reduction >= HEADLINE_MIN_REDUCTION,
+        "two queues must cut the high-load horizon by >= {:.0}%: \
+         dag {:.0} ns vs streamed {:.0} ns ({:.1}%)",
+        100.0 * HEADLINE_MIN_REDUCTION,
+        dag_ns,
+        streamed_ns,
+        100.0 * reduction,
+    );
 
-    for (c, base) in &cells {
-        push_row(&mut table, c, *base);
-    }
-
+    let mut table = results(&cells);
+    table.note(format!(
+        "high-load horizon reduction with k=2 (default model): {:.1}%",
+        100.0 * reduction
+    ));
     table.note("same seeded stream per load as E19; dag rows replicate that experiment");
     table.note("every cell's output digests match the monolithic reference (asserted)");
-    let json_cells: Vec<Cell> = cells.into_iter().map(|(c, _)| c).collect();
-    let json = render_json(&json_cells, quick);
-    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
-    table
+    vec![table]
 }
 
 #[cfg(test)]
@@ -393,12 +318,11 @@ mod tests {
                     model: ModelChoice::Default,
                 },
             );
-            render_json(&[mono, streamed], true)
+            crate::artifacts::json("t", true, &[results(&[mono, streamed])])
         };
         let a = run_once();
         let b = run_once();
         assert_eq!(a, b, "identical runs must render byte-identical JSON");
-        assert!(a.starts_with("{\n") && a.ends_with("}\n"));
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
+        unintt_telemetry::parse_json(&a).expect("well-formed JSON");
     }
 }

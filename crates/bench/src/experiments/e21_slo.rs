@@ -21,58 +21,32 @@
 //! runs produce byte-identical output — including the machine-readable
 //! `BENCH_slo.json`.
 
-use std::fmt::Write as _;
-
 use unintt_core::{UniNttEngine, UniNttOptions};
 use unintt_ff::Goldilocks;
 use unintt_gpu_sim::{presets, FieldSpec, Machine, Topology};
 use unintt_msm::simulate_multi_gpu_msm;
 use unintt_ntt::Direction;
 use unintt_serve::{
-    AttributionRow, ChaosEvent, ChaosKind, ChaosPlan, FleetConfig, FleetReport, FleetService,
-    JobClass, JobOutcome, JobSpec, JobStatus, Priority, SchedulerPolicy, ServiceConfig,
-    ServiceField, Verdict, WorkloadSpec,
+    AttributionRow, ChaosEvent, ChaosKind, ChaosPlan, FleetReport, FleetService, JobClass,
+    JobOutcome, JobSpec, JobStatus, Priority, SchedulerPolicy, ServiceField, Verdict, WorkloadSpec,
 };
 use unintt_telemetry::{
     self as telemetry, BurnWindows, LatencyStats, Objective, SloEngine, SloEvent, SloSpec,
     StreamHist,
 };
 
-use crate::report::{fmt_ns, Table};
+use super::e17_resilience::{fleet_config, jobs};
+use crate::report::{Kind, Table};
 
-/// Where the machine-readable results land.
-pub const JSON_PATH: &str = "BENCH_slo.json";
-
-/// Stream size per mode.
-fn jobs(quick: bool) -> usize {
-    if quick {
-        48
-    } else {
-        160
-    }
-}
-
-/// The seeded bursty multi-tenant stream every cell replays.
+/// The seeded bursty multi-tenant stream every cell replays: E17's
+/// shape, its own seed.
 fn stream(quick: bool) -> WorkloadSpec {
     WorkloadSpec::bursty(0xe21, jobs(quick), 40_000.0)
 }
 
-/// A three-cluster fleet with the given chaos plan.
-fn fleet_config(chaos: ChaosPlan) -> FleetConfig {
-    FleetConfig {
-        clusters: 3,
-        base: ServiceConfig {
-            policy: SchedulerPolicy::Fifo,
-            ..ServiceConfig::default()
-        },
-        chaos,
-        ..FleetConfig::default()
-    }
-}
-
 /// Plays `specs` (already sorted by arrival) through a fleet with `chaos`.
 fn run_fleet(specs: Vec<JobSpec>, chaos: ChaosPlan) -> FleetReport {
-    let mut fleet = FleetService::new(fleet_config(chaos));
+    let mut fleet = FleetService::new(fleet_config(chaos, SchedulerPolicy::Fifo));
     fleet.submit_all(specs);
     fleet.run()
 }
@@ -442,138 +416,138 @@ pub fn attribution_report(which: &str) -> Option<Table> {
     if selected.is_empty() {
         return None;
     }
-    let mut table = Table::new(
+    let pct = Kind::Num(1, "%");
+    let mut table = Table::of(
+        "attribution",
         "Bottleneck attribution: utilization-vs-roofline fractions per workload",
+        selected,
         &[
-            "workload",
-            "total",
-            "compute",
-            "memory",
-            "wire",
-            "other",
-            "peak-link",
-            "verdict",
+            ("workload", Kind::Label, |c| c.row.scope.as_str().into()),
+            ("total", Kind::Ns(0), |c| c.row.total_ns.into()),
+            ("compute", pct, |c| (100.0 * c.row.compute_frac).into()),
+            ("memory", pct, |c| (100.0 * c.row.memory_frac).into()),
+            ("wire", pct, |c| (100.0 * c.row.wire_frac).into()),
+            ("other", pct, |c| (100.0 * c.row.other_frac).into()),
+            ("peak-link", pct, |c| {
+                c.row.peak_link_utilization.map(|u| 100.0 * u).into()
+            }),
+            ("verdict", Kind::Label, |c| c.row.verdict.as_str().into()),
         ],
     );
-    for c in &selected {
-        let r = &c.row;
-        table.row(vec![
-            r.scope.clone(),
-            fmt_ns(r.total_ns),
-            format!("{:.1}%", 100.0 * r.compute_frac),
-            format!("{:.1}%", 100.0 * r.memory_frac),
-            format!("{:.1}%", 100.0 * r.wire_frac),
-            format!("{:.1}%", 100.0 * r.other_frac),
-            r.peak_link_utilization
-                .map(|u| format!("{:.1}%", 100.0 * u))
-                .unwrap_or_else(|| "-".into()),
-            r.verdict.as_str().into(),
-        ]);
-    }
     table.note("verdict = dominant busy fraction vs the device roofline (see serve::attribution)");
     Some(table)
 }
 
-fn render_json(
+/// E21's tables: the calibrated summary, one row per SLO scenario, the
+/// alerts each fired, the streaming-vs-exact quantiles and the
+/// attribution verdicts.
+fn tables(
     slo: &[SloCell],
     threshold_ns: f64,
     recon: &HistRecon,
     attr: &[AttrCell],
     alerts_recorded: usize,
-    quick: bool,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"slo-observability\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"latency_slo_threshold_ns\": {threshold_ns:.0},");
-    let _ = writeln!(out, "  \"alert_instants_recorded\": {alerts_recorded},");
-    out.push_str("  \"slo\": [\n");
-    for (i, c) in slo.iter().enumerate() {
-        let m = &c.report.metrics;
-        let (lo, hi) = c.window.unwrap_or((0.0, 0.0));
-        let alert_specs: Vec<String> = c
-            .engine
-            .alerts()
-            .iter()
-            .map(|a| format!("\"{}\"", a.spec))
-            .collect();
-        let _ = write!(
-            out,
-            "    {{\"scenario\": \"{}\", \"completed\": {}, \"deadline_cancelled\": {}, \
-             \"failovers\": {}, \"horizon_ns\": {:.0}, \"p99_ns\": {:.0}, \
-             \"alerts\": {}, \"alert_specs\": [{}], \
-             \"window_ns\": [{:.0}, {:.0}], \"alerts_in_window\": {}}}",
-            c.scenario,
-            m.completed(),
-            m.deadline_exceeded(),
-            c.report.fleet.failovers,
-            m.horizon_ns,
-            m.classes["raw-ntt"].latency.p99_ns,
-            c.engine.alerts().len(),
-            alert_specs.join(", "),
-            lo,
-            hi,
-            c.alerts_ok(),
-        );
-        out.push_str(if i + 1 < slo.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"hist\": {{\"count\": {}, \"exact_p50_ns\": {:.0}, \"stream_p50_ns\": {:.0}, \
-         \"exact_p95_ns\": {:.0}, \"stream_p95_ns\": {:.0}, \
-         \"exact_p99_ns\": {:.0}, \"stream_p99_ns\": {:.0}, \"worst_rel_err\": {:.6}}},",
-        recon.count,
-        recon.exact.p50_ns,
-        recon.stream_p50_ns,
-        recon.exact.p95_ns,
-        recon.stream_p95_ns,
-        recon.exact.p99_ns,
-        recon.stream_p99_ns,
-        recon.worst_rel_err(),
-    );
-    out.push_str("  \"attribution\": [\n");
-    for (i, c) in attr.iter().enumerate() {
-        let r = &c.row;
-        let _ = write!(
-            out,
-            "    {{\"scope\": \"{}\", \"verdict\": \"{}\", \"expected\": \"{}\", \
-             \"total_ns\": {:.0}, \"compute_frac\": {:.4}, \"memory_frac\": {:.4}, \
-             \"wire_frac\": {:.4}, \"other_frac\": {:.4}{}}}",
-            r.scope,
-            r.verdict.as_str(),
-            c.expected.as_str(),
-            r.total_ns,
-            r.compute_frac,
-            r.memory_frac,
-            r.wire_frac,
-            r.other_frac,
-            r.peak_link_utilization
-                .map(|u| format!(", \"peak_link_utilization\": {u:.4}"))
-                .unwrap_or_default(),
-        );
-        out.push_str(if i + 1 < attr.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Runs E21 and renders the table (also writes [`JSON_PATH`]).
-pub fn run(quick: bool) -> Table {
-    let mut table = Table::new(
+) -> Vec<Table> {
+    let mut summary = Table::new(
+        "summary",
         "E21: SLO burn-rate alerts, streaming histograms, bottleneck attribution",
         &[
-            "section",
-            "cell",
-            "detail",
-            "alerts",
-            "in-window",
-            "p99",
-            "verdict",
+            ("latency_slo_threshold_ns", Kind::Ns(0)),
+            ("alert_instants_recorded", Kind::Count),
         ],
     );
+    summary.row([threshold_ns.into(), alerts_recorded.into()]);
+    summary.note("latency SLO threshold = 1.5x the worst fault-free sojourn (self-calibrated)");
+    summary.note(
+        "alerts: multi-window burn rate >= 14.4 over both fast (h/24) and slow (h/6) windows",
+    );
+    summary.note("zero false positives on the clean baseline is asserted, not sampled");
 
+    // An undegraded scenario's window prints as 0..0.
+    let scenarios = Table::of(
+        "slo",
+        "E21: burn-rate alerts per scenario, against the injected degradation window",
+        slo,
+        &[
+            ("scenario", Kind::Label, |c| c.scenario.into()),
+            ("completed", Kind::Count, |c| {
+                c.report.metrics.completed().into()
+            }),
+            ("deadline_cancelled", Kind::Count, |c| {
+                c.report.metrics.deadline_exceeded().into()
+            }),
+            ("failovers", Kind::Count, |c| {
+                c.report.fleet.failovers.into()
+            }),
+            ("horizon_ns", Kind::Ns(0), |c| {
+                c.report.metrics.horizon_ns.into()
+            }),
+            ("p99_ns", Kind::Ns(0), |c| {
+                c.report.metrics.classes["raw-ntt"].latency.p99_ns.into()
+            }),
+            ("alerts", Kind::Count, |c| c.engine.alerts().len().into()),
+            ("window_start_ns", Kind::Ns(0), |c| {
+                c.window.map_or(0.0, |w| w.0).into()
+            }),
+            ("window_end_ns", Kind::Ns(0), |c| {
+                c.window.map_or(0.0, |w| w.1).into()
+            }),
+            ("alerts_in_window", Kind::Bool, |c| c.alerts_ok().into()),
+        ],
+    );
+    let fired = slo
+        .iter()
+        .flat_map(|c| c.engine.alerts().iter().map(move |a| (c.scenario, a.spec)));
+    let alerts = Table::of(
+        "alert_specs",
+        "E21: the SLO each alert fired on, in firing order",
+        fired,
+        &[
+            ("scenario", Kind::Label, |&(scenario, _)| scenario.into()),
+            ("alert_specs", Kind::Label, |&(_, spec)| spec.into()),
+        ],
+    );
+    let hist = Table::of(
+        "hist",
+        "E21: streaming vs exact latency quantiles over the baseline sojourns",
+        [recon],
+        &[
+            ("count", Kind::Count, |r| r.count.into()),
+            ("exact_p50_ns", Kind::Ns(0), |r| r.exact.p50_ns.into()),
+            ("stream_p50_ns", Kind::Ns(0), |r| r.stream_p50_ns.into()),
+            ("exact_p95_ns", Kind::Ns(0), |r| r.exact.p95_ns.into()),
+            ("stream_p95_ns", Kind::Ns(0), |r| r.stream_p95_ns.into()),
+            ("exact_p99_ns", Kind::Ns(0), |r| r.exact.p99_ns.into()),
+            ("stream_p99_ns", Kind::Ns(0), |r| r.stream_p99_ns.into()),
+            ("worst_rel_err", Kind::Num(6, ""), |r| {
+                r.worst_rel_err().into()
+            }),
+        ],
+    );
+    let frac = Kind::Num(4, "");
+    let verdicts = Table::of(
+        "attribution",
+        "E21: bottleneck verdicts on known workloads",
+        attr,
+        &[
+            ("scope", Kind::Label, |c| c.row.scope.as_str().into()),
+            ("verdict", Kind::Label, |c| c.row.verdict.as_str().into()),
+            ("expected", Kind::Label, |c| c.expected.as_str().into()),
+            ("total_ns", Kind::Ns(0), |c| c.row.total_ns.into()),
+            ("compute_frac", frac, |c| c.row.compute_frac.into()),
+            ("memory_frac", frac, |c| c.row.memory_frac.into()),
+            ("wire_frac", frac, |c| c.row.wire_frac.into()),
+            ("other_frac", frac, |c| c.row.other_frac.into()),
+            ("peak_link_utilization", frac, |c| {
+                c.row.peak_link_utilization.into()
+            }),
+        ],
+    );
+    vec![summary, scenarios, alerts, hist, verdicts]
+}
+
+/// Runs E21 and returns its tables.
+pub fn run(quick: bool) -> Vec<Table> {
     // The SLO replays run under a telemetry session so alert instants
     // and burn-rate gauges land somewhere inspectable.
     let guard = telemetry::start_session();
@@ -590,7 +564,6 @@ pub fn run(quick: bool) -> Table {
         alerts_recorded, fired,
         "every fired alert must be recorded in the telemetry session"
     );
-
     for c in &cells {
         assert!(
             c.alerts_ok(),
@@ -599,21 +572,6 @@ pub fn run(quick: bool) -> Table {
             c.engine.alerts(),
             c.window
         );
-        table.row(vec![
-            "slo".into(),
-            c.scenario.into(),
-            match c.window {
-                None => "no degradation injected".into(),
-                Some((lo, hi)) => format!("degraded {}..{}", fmt_ns(lo), fmt_ns(hi)),
-            },
-            format!("{}", c.engine.alerts().len()),
-            match c.window {
-                None => "n/a (none allowed)".into(),
-                Some(_) => if c.alerts_ok() { "yes" } else { "NO" }.into(),
-            },
-            fmt_ns(c.report.metrics.classes["raw-ntt"].latency.p99_ns),
-            "-".into(),
-        ]);
     }
 
     let recon = HistRecon::from_outcomes(&cells[0].report.outcomes);
@@ -622,19 +580,6 @@ pub fn run(quick: bool) -> Table {
         "streaming quantiles drifted {:.4} > 2% from exact",
         recon.worst_rel_err()
     );
-    table.row(vec![
-        "hist".into(),
-        "stream-vs-exact".into(),
-        format!(
-            "p99 {} vs {} exact",
-            fmt_ns(recon.stream_p99_ns),
-            fmt_ns(recon.exact.p99_ns)
-        ),
-        "-".into(),
-        format!("err {:.3}%", 100.0 * recon.worst_rel_err()),
-        fmt_ns(recon.exact.p99_ns),
-        "-".into(),
-    ]);
 
     let attr = attribution_cells();
     for c in &attr {
@@ -643,33 +588,8 @@ pub fn run(quick: bool) -> Table {
             "attribution verdict drifted on {}: {:?}",
             c.row.scope, c.row
         );
-        table.row(vec![
-            "attribution".into(),
-            c.row.scope.clone(),
-            format!(
-                "compute {:.0}% mem {:.0}% wire {:.0}%",
-                100.0 * c.row.compute_frac,
-                100.0 * c.row.memory_frac,
-                100.0 * c.row.wire_frac
-            ),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            c.row.verdict.as_str().into(),
-        ]);
     }
-
-    table.note(format!(
-        "latency SLO threshold {} = 1.5x the worst fault-free sojourn (self-calibrated)",
-        fmt_ns(threshold_ns)
-    ));
-    table.note(
-        "alerts: multi-window burn rate >= 14.4 over both fast (h/24) and slow (h/6) windows",
-    );
-    table.note("zero false positives on the clean baseline is asserted, not sampled");
-    let json = render_json(&cells, threshold_ns, &recon, &attr, alerts_recorded, quick);
-    crate::artifacts::write_bench(&mut table, JSON_PATH, quick, &json);
-    table
+    tables(&cells, threshold_ns, &recon, &attr, alerts_recorded)
 }
 
 #[cfg(test)]
@@ -733,21 +653,25 @@ mod tests {
             let (cells, threshold_ns) = run_slo_cells(true);
             let recon = HistRecon::from_outcomes(&cells[0].report.outcomes);
             let fired: usize = cells.iter().map(|c| c.engine.alerts().len()).sum();
-            render_json(
-                &cells,
-                threshold_ns,
-                &recon,
-                &attribution_cells(),
-                fired,
-                true,
-            )
+            let tables = tables(&cells, threshold_ns, &recon, &attribution_cells(), fired);
+            crate::artifacts::json("t", true, &tables)
         };
         let a = run_once();
-        let b = run_once();
-        assert_eq!(a, b, "identical runs must render byte-identical JSON");
-        assert!(a.starts_with("{\n") && a.ends_with("}\n"));
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert!(a.contains("\"alerts_in_window\": true"));
-        assert!(!a.contains("\"alerts_in_window\": false"));
+        assert_eq!(
+            a,
+            run_once(),
+            "identical runs must render byte-identical JSON"
+        );
+        let parsed = unintt_telemetry::parse_json(&a).expect("well-formed JSON");
+        let rows = parsed
+            .get("slo")
+            .and_then(|t| t.get("rows")?.as_array())
+            .unwrap();
+        assert!(
+            rows.iter()
+                .all(|r| r.as_array().unwrap().last()
+                    == Some(&unintt_telemetry::JsonValue::Bool(true))),
+            "every scenario's alerts fall in its window"
+        );
     }
 }

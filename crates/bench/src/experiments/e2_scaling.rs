@@ -6,7 +6,7 @@ use unintt_ff::Bn254Fr;
 use unintt_gpu_sim::{presets, FieldSpec};
 
 use crate::experiments::{single_gpu_run, unintt_run};
-use crate::report::{fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 /// Runs E2 and renders the table.
 pub fn run(quick: bool) -> Table {
@@ -14,8 +14,15 @@ pub fn run(quick: bool) -> Table {
     let fs = FieldSpec::bn254_fr();
 
     let mut table = Table::new(
+        "e2",
         "E2: strong scaling of UniNTT (BN254-Fr, A100 NVSwitch)",
-        &["log2(N)", "GPUs", "time", "speedup", "efficiency"],
+        &[
+            ("log2(N)", Kind::Label),
+            ("GPUs", Kind::Count),
+            ("time", Kind::Ns(0)),
+            ("speedup", Kind::Num(2, "x")),
+            ("efficiency", Kind::Num(0, "%")),
+        ],
     );
 
     for &log_n in sizes {
@@ -25,12 +32,12 @@ pub fn run(quick: bool) -> Table {
             let cfg = presets::a100_nvlink(gpus);
             let (t, _) = unintt_run::<Bn254Fr>(log_n, &cfg, UniNttOptions::tuned_for(&fs), fs, 1);
             let speedup = t1 / t;
-            table.row(vec![
-                format!("2^{log_n}"),
-                gpus.to_string(),
-                fmt_ns(t),
-                format!("{speedup:.2}x"),
-                format!("{:.0}%", 100.0 * speedup / gpus as f64),
+            table.row([
+                format!("2^{log_n}").into(),
+                gpus.into(),
+                t.into(),
+                speedup.into(),
+                (100.0 * speedup / gpus as f64).into(),
             ]);
         }
     }

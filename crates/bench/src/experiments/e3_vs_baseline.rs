@@ -9,7 +9,7 @@ use unintt_ff::Bn254Fr;
 use unintt_gpu_sim::{presets, FieldSpec};
 
 use crate::experiments::{baseline_run, single_gpu_run, unintt_run};
-use crate::report::{fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 /// Runs E3 and renders the table.
 pub fn run(quick: bool) -> Table {
@@ -23,14 +23,15 @@ pub fn run(quick: bool) -> Table {
     };
 
     let mut table = Table::new(
+        "e3",
         format!("E3: UniNTT vs naive four-step on {gpus}×A100 (BN254-Fr)"),
         &[
-            "log2(N)",
-            "1-GPU",
-            "four-step-4",
-            "UniNTT-4",
-            "UniNTT gain",
-            "multi-GPU worth it?",
+            ("log2(N)", Kind::Label),
+            ("1-GPU", Kind::Ns(0)),
+            ("four-step-4", Kind::Ns(0)),
+            ("UniNTT-4", Kind::Ns(0)),
+            ("UniNTT gain", Kind::Num(2, "x")),
+            ("multi-GPU worth it?", Kind::Label),
         ],
     );
 
@@ -38,17 +39,13 @@ pub fn run(quick: bool) -> Table {
         let (t1, _) = single_gpu_run::<Bn254Fr>(log_n, &cfg, fs);
         let (tb, _) = baseline_run::<Bn254Fr>(log_n, &cfg, fs);
         let (tu, _) = unintt_run::<Bn254Fr>(log_n, &cfg, UniNttOptions::tuned_for(&fs), fs, 1);
-        table.row(vec![
-            format!("2^{log_n}"),
-            fmt_ns(t1),
-            fmt_ns(tb),
-            fmt_ns(tu),
-            format!("{:.2}x", tb / tu),
-            if tu < t1 {
-                "yes".into()
-            } else {
-                "no (latency-bound)".into()
-            },
+        table.row([
+            format!("2^{log_n}").into(),
+            t1.into(),
+            tb.into(),
+            tu.into(),
+            (tb / tu).into(),
+            if tu < t1 { "yes" } else { "no (latency-bound)" }.into(),
         ]);
     }
     table.note("UniNTT gain = four-step time / UniNTT time (same GPU count)");

@@ -12,7 +12,7 @@ use unintt_ff::Bn254Fr;
 use unintt_gpu_sim::{presets, FieldSpec};
 
 use crate::experiments::{baseline_run, unintt_run};
-use crate::report::{fmt_bytes, Table};
+use crate::report::{Kind, Table};
 
 /// Runs E4 and renders the table.
 pub fn run(quick: bool) -> Table {
@@ -26,13 +26,14 @@ pub fn run(quick: bool) -> Table {
     };
 
     let mut table = Table::new(
+        "e4",
         format!("E4: inter-GPU traffic per forward NTT ({gpus}×A100, BN254-Fr)"),
         &[
-            "log2(N)",
-            "data size",
-            "UniNTT bytes",
-            "four-step bytes",
-            "ratio",
+            ("log2(N)", Kind::Label),
+            ("data size", Kind::Bytes),
+            ("UniNTT bytes", Kind::Bytes),
+            ("four-step bytes", Kind::Bytes),
+            ("ratio", Kind::Num(2, "x")),
         ],
     );
 
@@ -40,15 +41,12 @@ pub fn run(quick: bool) -> Table {
         let total_bytes = (1u64 << log_n) * fs.elem_bytes as u64;
         let (_, su) = unintt_run::<Bn254Fr>(log_n, &cfg, UniNttOptions::tuned_for(&fs), fs, 1);
         let (_, sb) = baseline_run::<Bn254Fr>(log_n, &cfg, fs);
-        table.row(vec![
-            format!("2^{log_n}"),
-            fmt_bytes(total_bytes),
-            fmt_bytes(su.interconnect_bytes_sent),
-            fmt_bytes(sb.interconnect_bytes_sent),
-            format!(
-                "{:.2}x",
-                sb.interconnect_bytes_sent as f64 / su.interconnect_bytes_sent as f64
-            ),
+        table.row([
+            format!("2^{log_n}").into(),
+            total_bytes.into(),
+            su.interconnect_bytes_sent.into(),
+            sb.interconnect_bytes_sent.into(),
+            (sb.interconnect_bytes_sent as f64 / su.interconnect_bytes_sent as f64).into(),
         ]);
     }
     table.note("bytes summed over all devices; UniNTT sends (G-1)/G of the data exactly once");

@@ -12,7 +12,7 @@ use unintt_ff::{Bn254Fr, Goldilocks};
 use unintt_gpu_sim::{presets, FieldSpec, Level};
 
 use crate::experiments::unintt_run;
-use crate::report::Table;
+use crate::report::{Cell, Kind, Table};
 
 /// Runs E5 and renders the table.
 pub fn run(quick: bool) -> Table {
@@ -20,9 +20,18 @@ pub fn run(quick: bool) -> Table {
     let gpus = 8;
     let cfg = presets::a100_nvlink(gpus);
 
+    let share = Kind::Num(1, "%");
     let mut table = Table::new(
+        "e5",
         format!("E5: work breakdown by hierarchy level (UniNTT, {gpus}×A100, raw component time)"),
-        &["field", "log2(N)", "warp", "block", "device", "multi-GPU"],
+        &[
+            ("field", Kind::Label),
+            ("log2(N)", Kind::Label),
+            ("warp", share),
+            ("block", share),
+            ("device", share),
+            ("multi-GPU", share),
+        ],
     );
 
     for &(fs, name) in &[
@@ -38,17 +47,17 @@ pub fn run(quick: bool) -> Table {
             };
             let by_level = stats.raw_time_ns.by_level();
             let total: f64 = by_level.iter().map(|(_, t)| t).sum();
-            let pct = |lvl: Level| {
+            let pct = |lvl: Level| -> Cell {
                 let t = by_level
                     .iter()
                     .find(|(l, _)| *l == lvl)
                     .map(|(_, t)| *t)
                     .unwrap_or(0.0);
-                format!("{:.1}%", 100.0 * t / total)
+                (100.0 * t / total).into()
             };
-            table.row(vec![
-                name.to_string(),
-                format!("2^{log_n}"),
+            table.row([
+                name.into(),
+                format!("2^{log_n}").into(),
                 pct(Level::Warp),
                 pct(Level::Block),
                 pct(Level::Device),

@@ -11,7 +11,7 @@ use unintt_ff::Bn254Fr;
 use unintt_gpu_sim::{presets, FieldSpec};
 
 use crate::experiments::unintt_run;
-use crate::report::{fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 /// The tuned configuration with exactly one optimization flipped.
 fn flipped(base: UniNttOptions, which: u32) -> UniNttOptions {
@@ -38,33 +38,34 @@ pub fn run(quick: bool) -> Table {
     let tuned = UniNttOptions::tuned_for(&fs);
 
     let mut table = Table::new(
+        "e6",
         format!(
             "E6: optimization ablation (UniNTT, 2^{log_n} BN254-Fr, batch {batch}, {gpus}×A100)"
         ),
-        &["configuration", "time", "slowdown"],
+        &[
+            ("configuration", Kind::Label),
+            ("time", Kind::Ns(0)),
+            ("slowdown", Kind::Num(2, "x")),
+        ],
     );
 
     let (t_tuned, _) = unintt_run::<Bn254Fr>(log_n, &cfg, tuned, fs, batch);
-    table.row(vec![
-        "tuned (O1-O5)".into(),
-        fmt_ns(t_tuned),
-        "1.00x".into(),
-    ]);
+    table.row(["tuned (O1-O5)".into(), t_tuned.into(), 1.0.into()]);
 
     for which in 1..=5u32 {
         let (t, _) = unintt_run::<Bn254Fr>(log_n, &cfg, flipped(tuned, which), fs, batch);
-        table.row(vec![
-            UniNttOptions::ablation_label(which).to_string(),
-            fmt_ns(t),
-            format!("{:.2}x", t / t_tuned),
+        table.row([
+            UniNttOptions::ablation_label(which).into(),
+            t.into(),
+            (t / t_tuned).into(),
         ]);
     }
 
     let (t_none, _) = unintt_run::<Bn254Fr>(log_n, &cfg, UniNttOptions::none(), fs, batch);
-    table.row(vec![
+    table.row([
         "none (all off)".into(),
-        fmt_ns(t_none),
-        format!("{:.2}x", t_none / t_tuned),
+        t_none.into(),
+        (t_none / t_tuned).into(),
     ]);
     table.note("slowdown relative to the cost-model-tuned configuration");
     table

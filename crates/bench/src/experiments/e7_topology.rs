@@ -11,7 +11,7 @@ use unintt_ff::Bn254Fr;
 use unintt_gpu_sim::{presets, FieldSpec, MachineConfig, Topology};
 
 use crate::experiments::{single_gpu_run, unintt_run};
-use crate::report::{fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 fn with_topology(mut cfg: MachineConfig, topology: Topology) -> MachineConfig {
     cfg.interconnect.topology = topology;
@@ -31,8 +31,14 @@ pub fn run(quick: bool) -> Table {
     let gpu_counts: &[usize] = if quick { &[8] } else { &[4, 8] };
 
     let mut table = Table::new(
+        "e7",
         format!("E7: interconnect sensitivity (UniNTT, 2^{log_n} BN254-Fr, A100-class GPUs)"),
-        &["GPUs", "topology", "time", "vs 1 GPU"],
+        &[
+            ("GPUs", Kind::Count),
+            ("topology", Kind::Label),
+            ("time", Kind::Ns(0)),
+            ("vs 1 GPU", Kind::Num(2, "x")),
+        ],
     );
 
     for &gpus in gpu_counts {
@@ -45,21 +51,16 @@ pub fn run(quick: bool) -> Table {
         ] {
             let cfg = with_topology(base.clone(), topology);
             let (t, _) = unintt_run::<Bn254Fr>(log_n, &cfg, UniNttOptions::tuned_for(&fs), fs, 1);
-            table.row(vec![
-                gpus.to_string(),
-                name.to_string(),
-                fmt_ns(t),
-                format!("{:.2}x", t1 / t),
-            ]);
+            table.row([gpus.into(), name.into(), t.into(), (t1 / t).into()]);
         }
         // Two-level hierarchy: NVSwitch islands of gpus/2 joined by IB.
         let pod = presets::a100_superpod(2, gpus / 2);
         let (t, _) = unintt_run::<Bn254Fr>(log_n, &pod, UniNttOptions::tuned_for(&fs), fs, 1);
-        table.row(vec![
-            gpus.to_string(),
-            "2-node hierarchical (IB)".to_string(),
-            fmt_ns(t),
-            format!("{:.2}x", t1 / t),
+        table.row([
+            gpus.into(),
+            "2-node hierarchical (IB)".into(),
+            t.into(),
+            (t1 / t).into(),
         ]);
     }
     table.note(">1x means the multi-GPU configuration beats one GPU of the same model");

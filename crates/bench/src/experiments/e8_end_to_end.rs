@@ -18,7 +18,7 @@ use unintt_gpu_sim::{presets, FieldSpec, Machine, MachineConfig};
 use unintt_msm::simulate_multi_gpu_msm;
 use unintt_zkp::{prove, random_circuit, setup, verify, Backend};
 
-use crate::report::{fmt_ns, Table};
+use crate::report::{Kind, Table};
 
 /// Projected prover time: `(ntt_ns, msm_ns)` for a circuit of `2^log_rows`
 /// gates with NTT on `ntt_cfg` and MSM on `msm_cfg`.
@@ -58,16 +58,18 @@ pub fn run(quick: bool) -> Table {
     };
     let projected_sizes: &[u32] = if quick { &[20] } else { &[16, 18, 20, 22, 24] };
 
+    let share = Kind::Num(0, "%");
     let mut table = Table::new(
+        "e8",
         format!("E8: end-to-end proof generation ({gpus}×A100, BN254)"),
         &[
-            "gates",
-            "mode",
-            "status-quo (1-GPU NTT)",
-            "NTT share",
-            "UniNTT (8-GPU NTT)",
-            "NTT share",
-            "gain",
+            ("gates", Kind::Label),
+            ("mode", Kind::Label),
+            ("status-quo (1-GPU NTT)", Kind::Ns(0)),
+            ("NTT share", share),
+            ("UniNTT (8-GPU NTT)", Kind::Ns(0)),
+            ("NTT share", share),
+            ("gain", Kind::Num(2, "x")),
         ],
     );
 
@@ -88,14 +90,14 @@ pub fn run(quick: bool) -> Table {
         assert_eq!(proof_sq, proof_u, "backends must agree bit-for-bit");
         let r_u = unintt.report();
 
-        table.row(vec![
-            format!("2^{}", rows.trailing_zeros()),
+        table.row([
+            format!("2^{}", rows.trailing_zeros()).into(),
             "functional".into(),
-            fmt_ns(r_sq.total_ns()),
-            format!("{:.0}%", 100.0 * r_sq.ntt_fraction()),
-            fmt_ns(r_u.total_ns()),
-            format!("{:.0}%", 100.0 * r_u.ntt_fraction()),
-            format!("{:.2}x", r_sq.total_ns() / r_u.total_ns()),
+            r_sq.total_ns().into(),
+            (100.0 * r_sq.ntt_fraction()).into(),
+            r_u.total_ns().into(),
+            (100.0 * r_u.ntt_fraction()).into(),
+            (r_sq.total_ns() / r_u.total_ns()).into(),
         ]);
     }
 
@@ -106,14 +108,14 @@ pub fn run(quick: bool) -> Table {
         let (ntt_sq, msm_sq) = projected(log_rows, &one, &eight);
         let (ntt_u, msm_u) = projected(log_rows, &eight, &eight);
         let (total_sq, total_u) = (ntt_sq + msm_sq, ntt_u + msm_u);
-        table.row(vec![
-            format!("2^{log_rows}"),
+        table.row([
+            format!("2^{log_rows}").into(),
             "projected".into(),
-            fmt_ns(total_sq),
-            format!("{:.0}%", 100.0 * ntt_sq / total_sq),
-            fmt_ns(total_u),
-            format!("{:.0}%", 100.0 * ntt_u / total_u),
-            format!("{:.2}x", total_sq / total_u),
+            total_sq.into(),
+            (100.0 * ntt_sq / total_sq).into(),
+            total_u.into(),
+            (100.0 * ntt_u / total_u).into(),
+            (total_sq / total_u).into(),
         ]);
     }
 

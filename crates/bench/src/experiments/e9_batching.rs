@@ -8,7 +8,7 @@ use unintt_ff::Bn254Fr;
 use unintt_gpu_sim::{presets, FieldSpec};
 
 use crate::experiments::unintt_run;
-use crate::report::Table;
+use crate::report::{Kind, Table};
 
 /// Runs E9 and renders the table.
 pub fn run(quick: bool) -> Table {
@@ -23,8 +23,14 @@ pub fn run(quick: bool) -> Table {
     };
 
     let mut table = Table::new(
+        "e9",
         format!("E9: batch NTT throughput (2^{log_n} BN254-Fr, {gpus}×A100)"),
-        &["batch", "batched (O5 on)", "unbatched", "O5 gain"],
+        &[
+            ("batch", Kind::Count),
+            ("batched (O5 on)", Kind::Num(0, " NTT/s")),
+            ("unbatched", Kind::Num(0, " NTT/s")),
+            ("O5 gain", Kind::Num(2, "x")),
+        ],
     );
 
     let tuned = UniNttOptions::tuned_for(&fs);
@@ -35,11 +41,11 @@ pub fn run(quick: bool) -> Table {
     for &b in batches {
         let (t_on, _) = unintt_run::<Bn254Fr>(log_n, &cfg, tuned, fs, b);
         let (t_off, _) = unintt_run::<Bn254Fr>(log_n, &cfg, unbatched, fs, b);
-        table.row(vec![
-            b.to_string(),
-            format!("{:.0} NTT/s", throughput(t_on, b)),
-            format!("{:.0} NTT/s", throughput(t_off, b)),
-            format!("{:.2}x", t_off / t_on),
+        table.row([
+            b.into(),
+            throughput(t_on, b).into(),
+            throughput(t_off, b).into(),
+            (t_off / t_on).into(),
         ]);
     }
     table.note("throughput = batch / simulated makespan of the whole batch");

@@ -72,32 +72,80 @@ pub fn baseline_run<F: TwoAdicField>(
     (machine.max_clock_ns(), machine.stats())
 }
 
-/// Runs every experiment and returns the rendered tables in order.
-///
-/// `quick` trims the sweeps (smaller sizes, fewer points) so the whole
-/// suite finishes in seconds; the full mode is what `EXPERIMENTS.md`
-/// records.
-pub fn run_all(quick: bool) -> Vec<Table> {
-    vec![
-        e1_headline::run(quick),
-        e2_scaling::run(quick),
-        e3_vs_baseline::run(quick),
-        e4_comm_volume::run(quick),
-        e5_breakdown::run(quick),
-        e6_ablation::run(quick),
-        e7_topology::run(quick),
-        e8_end_to_end::run(quick),
-        e9_batching::run(quick),
-        e11_stark_commit::run(quick),
-        e12_multi_node::run(quick),
-        e13_fault_tolerance::run(quick),
-        e14_serving::run(quick),
-        e15_comm_overlap::run(quick),
-        e16_observability::run(quick),
-        e17_resilience::run(quick),
-        e19_pipeline::run(quick),
-        e21_slo::run(quick),
-    ]
+/// What builds an experiment's tables; `quick` trims the sweeps.
+pub type Tables = fn(bool) -> Vec<Table>;
+
+/// One harness experiment: its name, what builds its tables, and the
+/// artifact they are written to.
+pub struct Experiment {
+    /// Harness name (`e1`, `paper`, …); also the artifact's `"bench"`.
+    pub name: &'static str,
+    /// Builds the tables.
+    pub tables: Tables,
+    /// The artifact's file name, committed at the repo root; `None`:
+    /// stdout only.
+    pub artifact: Option<&'static str>,
+}
+
+const fn exp(name: &'static str, tables: Tables, artifact: Option<&'static str>) -> Experiment {
+    Experiment {
+        name,
+        tables,
+        artifact,
+    }
+}
+
+impl Experiment {
+    /// Runs the experiment, writes its artifact (if it has one) and
+    /// returns its tables.
+    pub fn run(&self, quick: bool) -> Vec<Table> {
+        let mut tables = (self.tables)(quick);
+        if let Some(file) = self.artifact {
+            crate::artifacts::write_bench(&mut tables, file, self.name, quick);
+        }
+        tables
+    }
+}
+
+/// Every experiment, in order: the one list the harness's names, `all`
+/// and `perf-gate` read. The stdout-only entries are the paper's tables,
+/// which the `paper` entry writes as one artifact.
+pub static EXPERIMENTS: &[Experiment] = &[
+    exp("e1", |q| vec![e1_headline::run(q)], None),
+    exp("e2", |q| vec![e2_scaling::run(q)], None),
+    exp("e3", |q| vec![e3_vs_baseline::run(q)], None),
+    exp("e4", |q| vec![e4_comm_volume::run(q)], None),
+    exp("e5", |q| vec![e5_breakdown::run(q)], None),
+    exp("e6", |q| vec![e6_ablation::run(q)], None),
+    exp("e7", |q| vec![e7_topology::run(q)], None),
+    exp("e8", |q| vec![e8_end_to_end::run(q)], None),
+    exp("e9", |q| vec![e9_batching::run(q)], None),
+    exp("e11", |q| vec![e11_stark_commit::run(q)], None),
+    exp("e12", |q| vec![e12_multi_node::run(q)], None),
+    exp("e13", |q| vec![e13_fault_tolerance::run(q)], None),
+    exp("paper", paper, Some("BENCH_paper.json")),
+    exp("e14", e14_serving::run, Some("BENCH_serve.json")),
+    exp("e15", e15_comm_overlap::run, Some("BENCH_comm.json")),
+    exp("e16", e16_observability::run, Some("BENCH_obs.json")),
+    exp("e17", e17_resilience::run, Some("BENCH_resilience.json")),
+    exp("e19", e19_pipeline::run, Some("BENCH_pipeline.json")),
+    exp("e20", e20_streams::run, Some("BENCH_streams.json")),
+    exp("e21", e21_slo::run, Some("BENCH_slo.json")),
+];
+
+/// What `harness all` runs and `perf-gate` checks: every experiment with
+/// an artifact (`paper` stands for E1–E13).
+pub fn all() -> impl Iterator<Item = &'static Experiment> {
+    EXPERIMENTS.iter().filter(|e| e.artifact.is_some())
+}
+
+/// The paper's tables, E1–E9 and E11–E13, in order.
+fn paper(quick: bool) -> Vec<Table> {
+    EXPERIMENTS
+        .iter()
+        .filter(|e| e.artifact.is_none())
+        .flat_map(|e| (e.tables)(quick))
+        .collect()
 }
 
 #[cfg(test)]
@@ -106,8 +154,35 @@ mod tests {
 
     #[test]
     fn quick_suite_runs_and_produces_rows() {
-        for table in run_all(true) {
-            assert!(!table.is_empty(), "{}", table.render());
+        let mut tables = Vec::new();
+        for e in all() {
+            let run = e.run(true);
+            for table in &run {
+                assert!(!table.is_empty(), "{}", table.render());
+            }
+            // Two tables with one name would collapse into one JSON member.
+            let artifact = crate::artifacts::json(e.name, true, &run);
+            match unintt_telemetry::parse_json(&artifact) {
+                Ok(unintt_telemetry::JsonValue::Object(members)) => {
+                    assert_eq!(
+                        members.len(),
+                        run.len() + 2,
+                        "{} repeats a table name",
+                        e.name
+                    )
+                }
+                other => panic!("{} renders no JSON object: {other:?}", e.name),
+            }
+            tables.extend(run);
+        }
+        // `all` covers every entry: each experiment's title appears.
+        for e in EXPERIMENTS.iter().filter(|e| e.name != "paper") {
+            let prefix = format!("== {}:", e.name.to_uppercase());
+            assert!(
+                tables.iter().any(|t| t.render().starts_with(&prefix)),
+                "harness all skips {}",
+                e.name
+            );
         }
     }
 }

@@ -1,12 +1,17 @@
-//! Perf-regression gate: rerun the experiments behind every committed
+//! Perf-regression gate: rerun the experiment behind every committed
 //! `BENCH_*.json` and diff the fresh bytes against the committed
 //! baseline.
 //!
-//! Every gated experiment (E14–E17, E19–E21) runs on a deterministic
-//! simulated clock, so its artifact must match **byte-for-byte** — any
-//! diff is a regression (or an intentional change that needs a new
-//! committed baseline) and fails the gate. Host wall-clock time is
-//! measured by the repository benchmark (`benchmark/`), not here.
+//! Every gated artifact — `BENCH_paper.json` (E1–E9, E11–E13) and the
+//! seven beyond the paper, `BENCH_serve.json` (E14), `BENCH_comm.json`
+//! (E15), `BENCH_obs.json` (E16), `BENCH_resilience.json` (E17),
+//! `BENCH_pipeline.json` (E19), `BENCH_streams.json` (E20) and
+//! `BENCH_slo.json` (E21) — comes from a deterministic simulated clock,
+//! so it must match **byte-for-byte**: any diff is a regression (or an
+//! intentional change that needs a new committed baseline) and fails the
+//! gate. On a failure the gate parses both sides and names the cells
+//! that moved, `artifact table[row] column: old → new`. Host wall-clock
+//! time is measured by the repository benchmark (`benchmark/`), not here.
 //!
 //! The committed baseline is read from `git show HEAD:<file>` so a dirty
 //! working tree cannot fool the gate; files not yet committed fall back
@@ -19,100 +24,27 @@
 //! cargo run -p unintt-bench --release --bin harness -- perf-gate BENCH_serve.json
 //! ```
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
-use crate::experiments;
-use crate::report::Table;
+use unintt_telemetry::{parse_json, JsonValue};
 
-/// One gated artifact: which experiment regenerates it.
-pub struct GateSpec {
-    /// Artifact name as committed at the repo root.
-    pub file: &'static str,
-    /// Harness experiment id that regenerates it.
-    pub experiment: &'static str,
-    runner: fn(bool) -> Table,
-}
+use crate::experiments::{self, Experiment};
+use crate::report::{Kind, Table};
 
-/// Every artifact the gate knows how to regenerate, in experiment order.
-pub fn gate_specs() -> Vec<GateSpec> {
-    vec![
-        GateSpec {
-            file: "BENCH_serve.json",
-            experiment: "e14",
-            runner: experiments::e14_serving::run,
-        },
-        GateSpec {
-            file: "BENCH_comm.json",
-            experiment: "e15",
-            runner: experiments::e15_comm_overlap::run,
-        },
-        GateSpec {
-            file: "BENCH_obs.json",
-            experiment: "e16",
-            runner: experiments::e16_observability::run,
-        },
-        GateSpec {
-            file: "BENCH_resilience.json",
-            experiment: "e17",
-            runner: experiments::e17_resilience::run,
-        },
-        GateSpec {
-            file: "BENCH_pipeline.json",
-            experiment: "e19",
-            runner: experiments::e19_pipeline::run,
-        },
-        GateSpec {
-            file: "BENCH_streams.json",
-            experiment: "e20",
-            runner: experiments::e20_streams::run,
-        },
-        GateSpec {
-            file: "BENCH_slo.json",
-            experiment: "e21",
-            runner: experiments::e21_slo::run,
-        },
-    ]
-}
+/// At most this many moved cells are listed per artifact.
+const MAX_LISTED: usize = 8;
 
 /// What the gate concluded about one artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// Fresh bytes match the committed baseline byte for byte.
     Pass,
-    /// The fresh bytes diverged from the committed baseline.
-    Fail(String),
+    /// The fresh bytes diverged from the committed baseline; what moved.
+    Fail(Vec<String>),
     /// No committed baseline exists yet; nothing to compare against.
     Skip(String),
-}
-
-impl Outcome {
-    fn label(&self) -> &'static str {
-        match self {
-            Outcome::Pass => "pass",
-            Outcome::Fail(_) => "FAIL",
-            Outcome::Skip(_) => "skip",
-        }
-    }
-
-    fn detail(&self) -> String {
-        match self {
-            Outcome::Pass => "bytes match committed baseline".into(),
-            Outcome::Fail(d) | Outcome::Skip(d) => d.clone(),
-        }
-    }
-}
-
-/// One row of the gate report.
-pub struct GateRow {
-    /// Artifact name.
-    pub file: &'static str,
-    /// Experiment that regenerated it.
-    pub experiment: &'static str,
-    /// Mode the committed baseline was captured in (and the rerun used).
-    pub quick: bool,
-    /// Verdict.
-    pub outcome: Outcome,
 }
 
 /// The repo root (so `git show` and the disk fallback resolve no matter
@@ -143,121 +75,166 @@ fn committed_bytes(file: &str) -> Option<Vec<u8>> {
     shown.or_else(|| std::fs::read(root.join(file)).ok())
 }
 
-/// Parses the artifact's own `"quick"` field (defaults to full mode).
+/// Parses an artifact's own `"quick"` field (defaults to full mode).
 fn committed_quick(bytes: &[u8]) -> bool {
-    let text = String::from_utf8_lossy(bytes);
-    text.find("\"quick\":")
-        .map(|i| text[i + 8..].trim_start().starts_with("true"))
-        .unwrap_or(false)
+    parse_json(&String::from_utf8_lossy(bytes))
+        .is_ok_and(|v| v.get("quick") == Some(&JsonValue::Bool(true)))
 }
 
-/// 1-based line of the first byte where the two renderings diverge.
-fn first_diff_line(a: &str, b: &str) -> usize {
-    let mut line = 1;
-    for (ca, cb) in a.chars().zip(b.chars()) {
-        if ca != cb {
-            return line;
+/// A parsed value as the report prints it.
+fn show(v: Option<&JsonValue>) -> String {
+    match v {
+        None => "absent".into(),
+        Some(JsonValue::Null) => "null".into(),
+        Some(JsonValue::Bool(b)) => b.to_string(),
+        Some(JsonValue::Number(x)) => x.to_string(),
+        Some(JsonValue::String(s)) => format!("{s:?}"),
+        Some(JsonValue::Array(items)) => {
+            let items: Vec<String> = items.iter().map(|i| show(Some(i))).collect();
+            format!("[{}]", items.join(", "))
         }
-        if ca == '\n' {
-            line += 1;
+        Some(JsonValue::Object(_)) => "{…}".into(),
+    }
+}
+
+/// `v` as an array; empty when absent or not an array.
+fn items(v: Option<&JsonValue>) -> &[JsonValue] {
+    v.and_then(JsonValue::as_array).unwrap_or(&[])
+}
+
+/// What moved between two renderings of an artifact, one line per cell:
+/// `table[row] column: old → new`; a title, column list or note list
+/// that moved, or a member that is not a table, is named whole.
+fn moved_cells(old: &str, new: &str) -> Vec<String> {
+    let (Ok(JsonValue::Object(old)), Ok(JsonValue::Object(new))) =
+        (parse_json(old), parse_json(new))
+    else {
+        return vec!["an artifact does not parse as a JSON object".into()];
+    };
+    let mut moved = Vec::new();
+    for key in old.keys().chain(new.keys()).collect::<BTreeSet<_>>() {
+        let (a, b) = (old.get(key), new.get(key));
+        if a == b {
+            continue;
+        }
+        if a.or(b).and_then(|t| t.get("rows")).is_none() {
+            moved.push(format!("{key}: {} → {}", show(a), show(b)));
+            continue;
+        }
+        for field in ["title", "columns", "notes"] {
+            let (fa, fb) = (a.and_then(|t| t.get(field)), b.and_then(|t| t.get(field)));
+            if fa != fb {
+                moved.push(format!("{key} {field}: {} → {}", show(fa), show(fb)));
+            }
+        }
+        let columns = b.or(a).and_then(|t| t.get("columns")?.as_array());
+        let (ra, rb) = (
+            items(a.and_then(|t| t.get("rows"))),
+            items(b.and_then(|t| t.get("rows"))),
+        );
+        for i in 0..ra.len().max(rb.len()) {
+            let (ca, cb) = (items(ra.get(i)), items(rb.get(i)));
+            for j in (0..ca.len().max(cb.len())).filter(|&j| ca.get(j) != cb.get(j)) {
+                let column = columns.and_then(|c| c.get(j)?.as_str()).unwrap_or("?");
+                moved.push(format!(
+                    "{key}[{i}] {column}: {} → {}",
+                    show(ca.get(j)),
+                    show(cb.get(j))
+                ));
+            }
         }
     }
-    line
+    if moved.is_empty() {
+        moved.push("bytes differ but every value parses equal (layout only)".into());
+    }
+    moved
 }
 
-/// Reruns one gated artifact and compares it against its baseline.
+/// Reruns one gated artifact in its committed mode and compares it
+/// against its baseline; returns the mode and the verdict.
 ///
 /// The experiment writes its JSON where [`crate::artifacts::bench_path`]
 /// puts it; the gate snapshots whatever was there before and restores it
 /// afterwards, so a gate run never perturbs the working tree (a fresh
 /// artifact only survives on disk when there was nothing to clobber).
-pub fn run_one(spec: &GateSpec) -> GateRow {
-    let Some(committed) = committed_bytes(spec.file) else {
-        return GateRow {
-            file: spec.file,
-            experiment: spec.experiment,
-            quick: false,
-            outcome: Outcome::Skip("no committed baseline (run the experiment and commit)".into()),
-        };
+pub fn run_one(experiment: &Experiment) -> (bool, Outcome) {
+    let file = experiment
+        .artifact
+        .expect("a gated experiment writes an artifact");
+    let Some(committed) = committed_bytes(file) else {
+        let why = "no committed baseline (run the experiment and commit)";
+        return (false, Outcome::Skip(why.into()));
     };
     let quick = committed_quick(&committed);
-    let path = crate::artifacts::bench_path(spec.file, quick);
+    let path = crate::artifacts::bench_path(file, quick);
     let preexisting = std::fs::read(&path).ok();
 
-    let _ = (spec.runner)(quick);
+    experiment.run(quick);
     let fresh = std::fs::read(&path).ok();
 
     // Put the working directory back exactly as we found it.
-    match &preexisting {
-        Some(bytes) => {
-            let _ = std::fs::write(&path, bytes);
-        }
-        None => {
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    let Some(fresh) = fresh else {
-        return GateRow {
-            file: spec.file,
-            experiment: spec.experiment,
-            quick,
-            outcome: Outcome::Fail(format!("rerun produced no {}", spec.file)),
-        };
+    let _ = match &preexisting {
+        Some(bytes) => std::fs::write(&path, bytes),
+        None => std::fs::remove_file(&path),
     };
 
-    let outcome = if fresh == committed {
-        Outcome::Pass
-    } else {
-        Outcome::Fail(format!(
-            "bytes diverged at line {}",
-            first_diff_line(
-                &String::from_utf8_lossy(&committed),
-                &String::from_utf8_lossy(&fresh)
-            )
-        ))
+    let outcome = match fresh {
+        None => Outcome::Fail(vec![format!("rerun produced no {file}")]),
+        Some(fresh) if fresh == committed => Outcome::Pass,
+        Some(fresh) => Outcome::Fail(moved_cells(
+            &String::from_utf8_lossy(&committed),
+            &String::from_utf8_lossy(&fresh),
+        )),
     };
-    GateRow {
-        file: spec.file,
-        experiment: spec.experiment,
-        quick,
-        outcome,
-    }
+    (quick, outcome)
 }
 
-/// Runs the gate over `files` (all known artifacts when empty). Returns
-/// the rendered report and whether the gate passed (no `Fail` rows).
-pub fn run_gate(files: &[&str]) -> (Table, bool) {
-    let specs = gate_specs();
-    let selected: Vec<&GateSpec> = if files.is_empty() {
-        specs.iter().collect()
-    } else {
-        specs
-            .iter()
-            .filter(|s| files.contains(&s.file) || files.contains(&s.experiment))
-            .collect()
-    };
+/// Runs the gate over `names` — artifacts or experiments; every gated
+/// artifact when empty. Returns the rendered report and whether the gate
+/// passed (no `Fail` rows).
+pub fn run_gate(names: &[&str]) -> (Table, bool) {
     let mut table = Table::new(
+        "perf-gate",
         "Perf-regression gate: fresh reruns vs committed BENCH baselines",
-        &["artifact", "experiment", "mode", "verdict", "detail"],
+        &["artifact", "experiment", "mode", "verdict", "detail"].map(|h| (h, Kind::Label)),
     );
-    let mut ok = true;
-    for spec in &selected {
-        let row = run_one(spec);
-        if matches!(row.outcome, Outcome::Fail(_)) {
-            ok = false;
+    let mut moved = Vec::new();
+    for e in experiments::all() {
+        let file = e.artifact.expect("every entry of all() writes an artifact");
+        if !(names.is_empty() || names.contains(&e.name) || names.contains(&file)) {
+            continue;
         }
-        table.row(vec![
-            row.file.into(),
-            row.experiment.into(),
-            if row.quick { "quick" } else { "full" }.into(),
-            row.outcome.label().into(),
-            row.outcome.detail(),
+        let (quick, outcome) = run_one(e);
+        let (verdict, detail) = match &outcome {
+            Outcome::Pass => ("pass", "bytes match committed baseline".to_string()),
+            Outcome::Skip(why) => ("skip", why.clone()),
+            Outcome::Fail(lines) => {
+                let listed = lines.iter().take(MAX_LISTED);
+                moved.extend(listed.map(|l| format!("{file}: {l}")));
+                if lines.len() > MAX_LISTED {
+                    moved.push(format!("{file}: … and {} more", lines.len() - MAX_LISTED));
+                }
+                (
+                    "FAIL",
+                    format!("{} difference(s), listed below", lines.len()),
+                )
+            }
+        };
+        let mode = if quick { "quick" } else { "full" };
+        table.row([
+            file.into(),
+            e.name.into(),
+            mode.into(),
+            verdict.into(),
+            detail.into(),
         ]);
     }
-    if selected.is_empty() {
+    let ok = !table.is_empty() && moved.is_empty();
+    if table.is_empty() {
         table.note("no artifact matched the requested names");
-        ok = false;
+    }
+    for line in moved {
+        table.note(line);
     }
     table.note("every artifact must match byte-for-byte");
     table.note(if ok { "gate: PASS" } else { "gate: FAIL" });
@@ -270,27 +247,44 @@ mod tests {
 
     #[test]
     fn committed_quick_parses_both_modes() {
-        assert!(committed_quick(b"{\n  \"quick\": true,\n}"));
-        assert!(!committed_quick(b"{\n  \"quick\": false,\n}"));
+        assert!(committed_quick(b"{\n  \"quick\": true\n}"));
+        assert!(!committed_quick(b"{\n  \"quick\": false\n}"));
         assert!(!committed_quick(b"{}"));
     }
 
     #[test]
-    fn first_diff_line_counts_newlines() {
-        assert_eq!(first_diff_line("a\nb\nc", "a\nb\nd"), 3);
-        assert_eq!(first_diff_line("same", "same"), 1);
+    fn report_names_the_moved_cell() {
+        let committed = std::fs::read_to_string(repo_root().join("BENCH_comm.json")).unwrap();
+        // Append a digit to the last cell of the third row.
+        let mut lines: Vec<String> = committed.lines().map(String::from).collect();
+        let at = lines
+            .iter()
+            .position(|l| l.contains("\"rows\": ["))
+            .unwrap()
+            + 3;
+        let end = lines[at].rfind(']').unwrap();
+        lines[at].insert(end, '7');
+        let moved = moved_cells(&committed, &lines.join("\n"));
+        assert_eq!(moved.len(), 1, "{moved:?}");
+        assert!(
+            moved[0].starts_with("results[2] reduction_vs_blocking: "),
+            "{moved:?}"
+        );
+        assert_eq!(
+            moved_cells(&committed, &committed.replace("\n      [", "\n[")),
+            ["bytes differ but every value parses equal (layout only)"]
+        );
     }
 
     #[test]
     fn gate_specs_cover_every_committed_artifact() {
-        let specs = gate_specs();
         let root = repo_root();
         let mut missing = Vec::new();
         for entry in std::fs::read_dir(&root).unwrap() {
             let name = entry.unwrap().file_name().into_string().unwrap();
             if name.starts_with("BENCH_")
                 && name.ends_with(".json")
-                && !specs.iter().any(|s| s.file == name)
+                && !experiments::all().any(|e| e.artifact == Some(name.as_str()))
             {
                 missing.push(name);
             }
