@@ -594,12 +594,29 @@ pub fn run(quick: bool) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+
+    /// One quick run of the SLO cells, shared by every test that reads
+    /// them (each run replays full-size straggler NTTs).
+    fn quick_cells() -> &'static (Vec<SloCell>, f64) {
+        static CELLS: OnceLock<(Vec<SloCell>, f64)> = OnceLock::new();
+        CELLS.get_or_init(|| run_slo_cells(true))
+    }
+
+    /// The artifact the cells render to.
+    fn render(cells: &[SloCell], threshold_ns: f64) -> String {
+        let recon = HistRecon::from_outcomes(&cells[0].report.outcomes);
+        let fired: usize = cells.iter().map(|c| c.engine.alerts().len()).sum();
+        let tables = tables(cells, threshold_ns, &recon, &attribution_cells(), fired);
+        crate::artifacts::json("t", true, &tables)
+    }
 
     #[test]
     fn baseline_is_clean_and_degraded_cells_alert_in_window() {
-        let (cells, threshold_ns) = run_slo_cells(true);
-        assert!(threshold_ns > 0.0);
+        let (cells, threshold_ns) = quick_cells();
+        assert!(*threshold_ns > 0.0);
         assert_eq!(cells.len(), 3);
         let baseline = &cells[0];
         assert!(baseline.window.is_none());
@@ -626,7 +643,7 @@ mod tests {
 
     #[test]
     fn streaming_quantiles_track_exact_within_two_percent() {
-        let (cells, _) = run_slo_cells(true);
+        let (cells, _) = quick_cells();
         let recon = HistRecon::from_outcomes(&cells[0].report.outcomes);
         assert!(recon.count > 0);
         assert!(
@@ -649,17 +666,12 @@ mod tests {
 
     #[test]
     fn json_is_deterministic_and_well_formed() {
-        let run_once = || {
-            let (cells, threshold_ns) = run_slo_cells(true);
-            let recon = HistRecon::from_outcomes(&cells[0].report.outcomes);
-            let fired: usize = cells.iter().map(|c| c.engine.alerts().len()).sum();
-            let tables = tables(&cells, threshold_ns, &recon, &attribution_cells(), fired);
-            crate::artifacts::json("t", true, &tables)
-        };
-        let a = run_once();
+        let (cells, threshold_ns) = quick_cells();
+        let a = render(cells, *threshold_ns);
+        let (fresh, fresh_threshold_ns) = run_slo_cells(true);
         assert_eq!(
             a,
-            run_once(),
+            render(&fresh, fresh_threshold_ns),
             "identical runs must render byte-identical JSON"
         );
         let parsed = unintt_telemetry::parse_json(&a).expect("well-formed JSON");

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
+pub mod docs;
 pub mod experiments;
 pub mod perf_gate;
 pub mod report;

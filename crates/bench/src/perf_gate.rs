@@ -10,8 +10,11 @@
 //! so it must match **byte-for-byte**: any diff is a regression (or an
 //! intentional change that needs a new committed baseline) and fails the
 //! gate. On a failure the gate parses both sides and names the cells
-//! that moved, `artifact table[row] column: old → new`. Host wall-clock
-//! time is measured by the repository benchmark (`benchmark/`), not here.
+//! that moved, `artifact table[row] column: old → new`. A full-mode rerun
+//! also checks the tables' blocks in EXPERIMENTS.md
+//! ([`crate::docs::stale_blocks`]) and fails naming each block that
+//! differs from what the harness printed. Host wall-clock time is
+//! measured by the repository benchmark (`benchmark/`), not here.
 //!
 //! The committed baseline is read from `git show HEAD:<file>` so a dirty
 //! working tree cannot fool the gate; files not yet committed fall back
@@ -39,7 +42,8 @@ const MAX_LISTED: usize = 8;
 /// What the gate concluded about one artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// Fresh bytes match the committed baseline byte for byte.
+    /// Fresh bytes match the committed baseline byte for byte (and, in
+    /// full mode, every table its EXPERIMENTS.md block).
     Pass,
     /// The fresh bytes diverged from the committed baseline; what moved.
     Fail(Vec<String>),
@@ -151,7 +155,8 @@ fn moved_cells(old: &str, new: &str) -> Vec<String> {
 }
 
 /// Reruns one gated artifact in its committed mode and compares it
-/// against its baseline; returns the mode and the verdict.
+/// against its baseline — and, in full mode, its tables against their
+/// EXPERIMENTS.md blocks; returns the mode and the verdict.
 ///
 /// The experiment writes its JSON where [`crate::artifacts::bench_path`]
 /// puts it; the gate snapshots whatever was there before and restores it
@@ -169,7 +174,17 @@ pub fn run_one(experiment: &Experiment) -> (bool, Outcome) {
     let path = crate::artifacts::bench_path(file, quick);
     let preexisting = std::fs::read(&path).ok();
 
-    experiment.run(quick);
+    // The blocks hold results, so they are compared before the artifact
+    // note is added.
+    let mut tables = (experiment.tables)(quick);
+    let stale = match quick {
+        true => Vec::new(),
+        false => {
+            let doc = std::fs::read_to_string(repo_root().join("EXPERIMENTS.md"));
+            stale_docs(&doc.unwrap_or_default(), &tables)
+        }
+    };
+    crate::artifacts::write_bench(&mut tables, file, experiment.name, quick);
     let fresh = std::fs::read(&path).ok();
 
     // Put the working directory back exactly as we found it.
@@ -178,15 +193,31 @@ pub fn run_one(experiment: &Experiment) -> (bool, Outcome) {
         None => std::fs::remove_file(&path),
     };
 
-    let outcome = match fresh {
-        None => Outcome::Fail(vec![format!("rerun produced no {file}")]),
-        Some(fresh) if fresh == committed => Outcome::Pass,
-        Some(fresh) => Outcome::Fail(moved_cells(
+    let mut moved = match fresh {
+        None => vec![format!("rerun produced no {file}")],
+        Some(fresh) if fresh == committed => Vec::new(),
+        Some(fresh) => moved_cells(
             &String::from_utf8_lossy(&committed),
             &String::from_utf8_lossy(&fresh),
-        )),
+        ),
+    };
+    moved.extend(stale);
+    let outcome = match moved.is_empty() {
+        true => Outcome::Pass,
+        false => Outcome::Fail(moved),
     };
     (quick, outcome)
+}
+
+/// One line per EXPERIMENTS.md block that differs from its table.
+fn stale_docs(doc: &str, tables: &[Table]) -> Vec<String> {
+    crate::docs::stale_blocks(doc, tables)
+        .iter()
+        .map(|text| {
+            let title = text.lines().next().unwrap_or_default();
+            format!("EXPERIMENTS.md block \"{title}\" differs from the harness output")
+        })
+        .collect()
 }
 
 /// Runs the gate over `names` — artifacts or experiments; every gated
@@ -206,7 +237,8 @@ pub fn run_gate(names: &[&str]) -> (Table, bool) {
         }
         let (quick, outcome) = run_one(e);
         let (verdict, detail) = match &outcome {
-            Outcome::Pass => ("pass", "bytes match committed baseline".to_string()),
+            Outcome::Pass if quick => ("pass", "bytes match committed baseline".to_string()),
+            Outcome::Pass => ("pass", "bytes and EXPERIMENTS.md blocks match".to_string()),
             Outcome::Skip(why) => ("skip", why.clone()),
             Outcome::Fail(lines) => {
                 let listed = lines.iter().take(MAX_LISTED);
@@ -236,7 +268,7 @@ pub fn run_gate(names: &[&str]) -> (Table, bool) {
     for line in moved {
         table.note(line);
     }
-    table.note("every artifact must match byte-for-byte");
+    table.note("every artifact must match byte-for-byte, and every full-mode table its EXPERIMENTS.md block");
     table.note(if ok { "gate: PASS" } else { "gate: FAIL" });
     (table, ok)
 }
@@ -274,6 +306,20 @@ mod tests {
             moved_cells(&committed, &committed.replace("\n      [", "\n[")),
             ["bytes differ but every value parses equal (layout only)"]
         );
+    }
+
+    #[test]
+    fn stale_docs_names_the_edited_block() {
+        let mut table = Table::new("t", "E99: a table", &[("n", Kind::Count)]);
+        table.row([7u64.into()]);
+        let doc = format!("# E99\n\n```\n{}```\n", table.render());
+        let tables = [table];
+        assert!(stale_docs(&doc, &tables).is_empty());
+        assert_eq!(
+            stale_docs(&doc.replace('7', "8"), &tables),
+            ["EXPERIMENTS.md block \"== E99: a table ==\" differs from the harness output"]
+        );
+        assert_eq!(stale_docs("", &tables).len(), 1, "a missing block is stale");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! the harness prints them. This test renders the same tables in full
 //! mode and fails on any block that drifted; the fix is to re-paste the
 //! output of `harness <experiment>` and reread the verdict under it.
+//! (`harness perf-gate` checks the blocks of E14–E21 the same way.)
 
+use unintt_bench::docs::stale_blocks;
 use unintt_bench::experiments::EXPERIMENTS;
 
 #[test]
@@ -11,17 +13,8 @@ fn experiments_md_blocks_match_the_paper_tables() {
     let doc = std::fs::read_to_string(path).expect("EXPERIMENTS.md at the repo root");
     let mut stale = Vec::new();
     for e in EXPERIMENTS.iter().filter(|e| e.artifact.is_none()) {
-        for table in (e.tables)(false) {
-            let text = table.render();
-            let title = text.lines().next().expect("a title line");
-            // A block runs from its title line to the closing fence.
-            let block = doc.find(&format!("\n{title}\n")).map(|at| {
-                let rest = &doc[at + 1..];
-                &rest[..rest.find("```").unwrap_or(rest.len())]
-            });
-            if block != Some(text.as_str()) {
-                stale.push(format!("{}:\n{text}", e.name));
-            }
+        for text in stale_blocks(&doc, &(e.tables)(false)) {
+            stale.push(format!("{}:\n{text}", e.name));
         }
     }
     assert!(

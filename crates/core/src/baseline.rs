@@ -64,14 +64,14 @@ impl<F: TwoAdicField> FourStepMultiGpuEngine<F> {
     ///
     /// Panics on layout/size mismatch, as [`UniNttEngine::forward`].
     pub fn forward(&self, machine: &mut Machine, data: &mut Sharded<F>) {
-        let plane = Plane::unguarded(std::slice::from_mut(data));
+        let plane = Plane::Elements(std::slice::from_mut(data));
         self.inner
             .drive(machine, Direction::Forward, &Self::CONVERT, F::ONE, plane);
     }
 
     /// Inverse NTT: natural-block input, natural-block output.
     pub fn inverse(&self, machine: &mut Machine, data: &mut Sharded<F>) {
-        let plane = Plane::unguarded(std::slice::from_mut(data));
+        let plane = Plane::Elements(std::slice::from_mut(data));
         self.inner
             .drive(machine, Direction::Inverse, &Self::CONVERT, F::ONE, plane);
     }

@@ -408,8 +408,9 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     ///
     /// Panics on shape mismatches.
     pub fn forward(&self, cluster: &mut Cluster, node_shards: &mut [Vec<F>]) {
-        let plane = Plane::unguarded(node_shards);
-        self.attempt(cluster, None, plane, "cluster-forward")
+        let plane = Plane::Elements(node_shards);
+        let policy = &RecoveryPolicy::none();
+        self.attempt(cluster, None, plane, policy, "cluster-forward")
             .unwrap_or_else(|(_, e)| panic!("{e}"));
     }
 
@@ -473,8 +474,9 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
             let plan = replanned.as_ref().unwrap_or(self);
             let retries_before = Self::cluster_retries(cluster);
             let mut shards = plan.distribute(input);
-            let plane = Plane::Elements(&mut shards, policy);
-            let attempt = plan.attempt(cluster, Some(&survivors[..t]), plane, "cluster-attempt");
+            let plane = Plane::Elements(&mut shards);
+            let active = Some(&survivors[..t]);
+            let attempt = plan.attempt(cluster, active, plane, policy, "cluster-attempt");
             retries_per_attempt.push(Self::cluster_retries(cluster) - retries_before);
             match attempt {
                 Ok(()) => {
@@ -523,17 +525,18 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
         machine: &mut Machine,
         slot: usize,
         plane: &mut Plane<'_, Vec<F>>,
+        policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
         let engine = &self.node_engine;
         let forward = |machine: &mut Machine, inner: &mut Plane<'_, Sharded<F>>| {
-            engine.run(machine, Direction::Forward, &[], F::ONE, inner)
+            engine.run(machine, Direction::Forward, &[], F::ONE, inner, policy)
         };
         match plane {
-            Plane::Elements(data, policy) => {
+            Plane::Elements(data) => {
                 let gpus = engine.plan().num_gpus();
                 let mut sharded = Sharded::distribute(&data[slot], gpus, ShardLayout::Cyclic);
                 let batch = std::slice::from_mut(&mut sharded);
-                forward(machine, &mut Plane::Elements(batch, policy))?;
+                forward(machine, &mut Plane::Elements(batch))?;
                 sharded.layout().assemble(sharded.shards(), &mut data[slot]);
                 scale_by_powers(&mut data[slot], F::ONE, self.omega.pow(slot as u64));
             }
@@ -557,6 +560,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
         cluster: &mut Cluster,
         active: Option<&[usize]>,
         mut plane: Plane<'_, Vec<F>>,
+        policy: &RecoveryPolicy,
         root_name: &'static str,
     ) -> Result<(), AttemptError> {
         let t = self.num_nodes();
@@ -565,7 +569,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
             t,
             "cluster does not match the plan"
         );
-        if let Plane::Elements(shards, _) = &plane {
+        if let Plane::Elements(shards) = &plane {
             assert_eq!(shards.len(), t, "need one shard per node");
             assert!(
                 shards.iter().all(|s| s.len() == self.n() / t),
@@ -584,7 +588,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                 Phase::Local => {
                     for slot in 0..t {
                         let at = node(slot);
-                        self.node_phase(&mut cluster.nodes[at], slot, &mut plane)
+                        self.node_phase(&mut cluster.nodes[at], slot, &mut plane, policy)
                             .map_err(|e| match e {
                                 FabricError::DeviceLost { .. } => (Some(at), e),
                                 other => (None, other),
@@ -597,7 +601,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                 // shard `src`), charged analytically among exactly the
                 // plan's `t` participants.
                 Phase::Exchange => {
-                    if let Plane::Elements(shards, _) = &mut plane {
+                    if let Plane::Elements(shards) = &mut plane {
                         let chunk = shards[0].len() / t;
                         for src in 1..t {
                             let (below, from) = shards.split_at_mut(src);
@@ -621,7 +625,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                 Phase::Outer => {
                     let profile = self.cluster_outer_profile();
                     for slot in 0..t {
-                        if let Plane::Elements(shards, _) = &mut plane {
+                        if let Plane::Elements(shards) = &mut plane {
                             self.outer.forward_columns(&mut shards[slot]);
                         }
                         launch_on_node(&mut cluster.nodes[node(slot)], &profile);
@@ -656,7 +660,8 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     ///
     /// Panics if the cluster does not match the plan.
     pub fn simulate_forward(&self, cluster: &mut Cluster) {
-        self.attempt(cluster, None, Plane::Unit(1), "cluster-forward")
+        let policy = &RecoveryPolicy::none();
+        self.attempt(cluster, None, Plane::Unit(1), policy, "cluster-forward")
             .unwrap_or_else(|(_, e)| panic!("{e}"));
     }
 }

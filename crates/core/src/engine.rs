@@ -35,7 +35,9 @@
 //! construction; a coset transform is a scale phase on the list. This
 //! file holds the body of each phase, once, written against a [`Plane`]:
 //! `simulate_*` is the functional transform's walk on the plane that
-//! holds no elements.
+//! holds no elements. Both planes exchange through the one all-to-all,
+//! [`Machine::exchange_all_to_all`], so under a fault plan they take the
+//! same fault decisions and charge the same drops, retries and repairs.
 //!
 //! ## Communication–compute overlap
 //!
@@ -260,7 +262,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// single (larger) all-to-all; without it every vector pays its own
     /// kernels and collectives.
     pub fn forward_batch(&self, machine: &mut Machine, batch: &mut [Sharded<F>]) {
-        let plane = Plane::unguarded(batch);
+        let plane = Plane::Elements(batch);
         self.drive(machine, Direction::Forward, &[], F::ONE, plane);
     }
 
@@ -284,13 +286,13 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         batch: &mut [Sharded<F>],
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
-        let plane = &mut Plane::Elements(batch, policy);
-        self.run(machine, Direction::Forward, &[], F::ONE, plane)
+        let plane = &mut Plane::Elements(batch);
+        self.run(machine, Direction::Forward, &[], F::ONE, plane, policy)
     }
 
     /// Inverse NTT of a batch (exact inverse of [`Self::forward_batch`]).
     pub fn inverse_batch(&self, machine: &mut Machine, batch: &mut [Sharded<F>]) {
-        let plane = Plane::unguarded(batch);
+        let plane = Plane::Elements(batch);
         self.drive(machine, Direction::Inverse, &[], F::ONE, plane);
     }
 
@@ -302,8 +304,8 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         batch: &mut [Sharded<F>],
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
-        let plane = &mut Plane::Elements(batch, policy);
-        self.run(machine, Direction::Inverse, &[], F::ONE, plane)
+        let plane = &mut Plane::Elements(batch);
+        self.run(machine, Direction::Inverse, &[], F::ONE, plane, policy)
     }
 
     /// Fault-tolerant [`Self::forward`] for a single vector; errors as
@@ -351,7 +353,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// `shift` is zero.
     pub fn coset_inverse(&self, machine: &mut Machine, data: &mut Sharded<F>, shift: F) {
         let shift_inv = shift.inverse().expect("coset shift must be nonzero");
-        let plane = Plane::unguarded(std::slice::from_mut(data));
+        let plane = Plane::Elements(std::slice::from_mut(data));
         self.drive(
             machine,
             Direction::Inverse,
@@ -364,7 +366,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// Coset forward NTT of a batch: one fused scale phase plus one
     /// batched transform (shared passes and collectives under O5).
     pub fn coset_forward_batch(&self, machine: &mut Machine, batch: &mut [Sharded<F>], shift: F) {
-        let plane = Plane::unguarded(batch);
+        let plane = Plane::Elements(batch);
         self.drive(machine, Direction::Forward, &[Phase::Scale], shift, plane);
     }
 
@@ -378,8 +380,8 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         shift: F,
         policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
-        let plane = &mut Plane::Elements(batch, policy);
-        self.run(machine, Direction::Forward, &[Phase::Scale], shift, plane)
+        let (plane, lead) = (&mut Plane::Elements(batch), &[Phase::Scale]);
+        self.run(machine, Direction::Forward, lead, shift, plane, policy)
     }
 
     /// Cost-only [`Self::coset_forward_batch`]: the same walk with nothing
@@ -403,8 +405,9 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         self.drive(machine, Direction::Inverse, &[], F::ONE, Plane::Unit(batch));
     }
 
-    /// [`Self::run`] for the entry points that treat a fabric error as a
-    /// bug (no recovery policy, or nothing that can fail).
+    /// [`Self::run`] with [`RecoveryPolicy::none`], for the entry points
+    /// that treat a fabric error as a bug: with no fault plan installed
+    /// nothing can fail.
     pub(crate) fn drive(
         &self,
         machine: &mut Machine,
@@ -413,7 +416,8 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         shift: F,
         mut plane: Plane<'_, Sharded<F>>,
     ) {
-        self.run(machine, direction, lead, shift, &mut plane)
+        let policy = &RecoveryPolicy::none();
+        self.run(machine, direction, lead, shift, &mut plane, policy)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
@@ -423,12 +427,13 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     /// and stamps the output layout. `lead` is what precedes the transform
     /// in the forward direction and follows it in the inverse one: a
     /// [`Phase::Scale`] by the powers of `shift` for a coset transform,
-    /// the four-step baseline's pack and [`Phase::Convert`].
+    /// the four-step baseline's pack and [`Phase::Convert`]. Transient
+    /// collective faults are absorbed under `policy`, on either plane.
     ///
     /// # Errors
     ///
-    /// The [`FabricError`] of a collective that outlived the element
-    /// plane's recovery policy; the unit plane cannot fail.
+    /// The [`FabricError`] of a collective that outlived `policy` — the
+    /// same error on both planes.
     pub(crate) fn run(
         &self,
         machine: &mut Machine,
@@ -436,6 +441,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         lead: &[Phase],
         shift: F,
         plane: &mut Plane<'_, Sharded<F>>,
+        policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
         let g = self.plan.num_gpus();
         let natural_if = |natural: bool, otherwise| match natural {
@@ -460,7 +466,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
             g,
             "machine does not match the engine's plan"
         );
-        if let Plane::Elements(batch, _) = plane {
+        if let Plane::Elements(batch) = plane {
             for item in batch.iter() {
                 assert_eq!(item.len(), self.n(), "vector size does not match engine");
                 assert_eq!(item.num_gpus(), g, "vector sharded over wrong GPU count");
@@ -486,13 +492,13 @@ impl<F: TwoAdicField> UniNttEngine<F> {
                     }
                 };
                 let pre = observed.then(|| machine.stats());
-                self.exchange(machine, plane, overlap)?;
+                self.exchange(machine, plane, overlap, policy)?;
                 Ok(pre.map_or_else(Vec::new, |pre| {
                     exchange_attrs(&pre, &machine.stats(), overlap.is_some())
                 }))
             },
         )?;
-        if let Plane::Elements(batch, _) = plane {
+        if let Plane::Elements(batch) = plane {
             for item in batch.iter_mut() {
                 item.set_layout(produced);
             }
@@ -618,7 +624,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
             }
         };
         match plane {
-            Plane::Elements(batch, _) => {
+            Plane::Elements(batch) => {
                 machine.parallel_phase(&mut per_device_shards(batch), |ctx, dev, shards| {
                     shards.iter_mut().for_each(|shard| work(dev, shard));
                     charge(ctx);
@@ -628,34 +634,27 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         }
     }
 
-    /// One all-to-all under the recovery policy: transient drops are
-    /// retried with exponential backoff (charged as simulated fault
-    /// time); with verification on, corrupted chunks are repaired inside the
-    /// collective. Drops are atomic — no data moves on a failed attempt —
-    /// so retrying the same buffers is always safe; under overlap a retry
-    /// re-runs the whole pipeline (the blocking attempt only charged the
-    /// detection timeout).
+    /// One all-to-all of `bytes` per device under the recovery policy —
+    /// moving `shards`, or on the unit plane (`None`) nothing: transient
+    /// drops are retried with exponential backoff (charged as simulated
+    /// fault time); with verification on, a corrupted chunk is repaired
+    /// inside the collective. Drops are atomic — no data moves on a failed
+    /// attempt — so retrying the same buffers is always safe; under
+    /// overlap a retry re-runs the whole pipeline (the failed attempt only
+    /// charged the detection timeout).
     fn transfer(
         &self,
         machine: &mut Machine,
-        shards: &mut [Vec<F>],
+        mut shards: Option<&mut [Vec<F>]>,
+        bytes: u64,
         policy: &RecoveryPolicy,
         compute: Option<&OverlapCompute<'_>>,
     ) -> Result<(), FabricError> {
-        let elem_bytes = self.field_spec.elem_bytes;
+        let verify = policy.verify_checksums;
         let mut attempt = 0;
         loop {
-            let res = match compute {
-                Some(c) => machine
-                    .all_to_all_overlapped(shards, elem_bytes, c, policy.verify_checksums)
-                    .map(|_| ()),
-                None if policy.verify_checksums => {
-                    machine.all_to_all_checked(shards, elem_bytes).map(|_| ())
-                }
-                None => machine.all_to_all(shards, elem_bytes).map(|_| ()),
-            };
-            match res {
-                Ok(()) => return Ok(()),
+            match machine.exchange_all_to_all(shards.as_deref_mut(), bytes, verify, compute) {
+                Ok(_) => return Ok(()),
                 Err(e) if e.is_transient() && attempt < policy.max_retries => {
                     machine.charge_fault_ns("retry-backoff", policy.backoff_ns(attempt));
                     machine.count_retry();
@@ -667,21 +666,23 @@ impl<F: TwoAdicField> UniNttEngine<F> {
     }
 
     /// One exchange among the GPUs: one all-to-all carrying the whole
-    /// batch (batching on) or one per vector (batching off). With
-    /// `overlap = Some(direction)` it is charged as a software pipeline
-    /// interleaved with the exchange-adjacent kernels — forward streams
-    /// local → fabric → outer, inverse streams outer → fabric → local;
-    /// with `None` it blocks (the reordering and layout-conversion
+    /// batch (batching on) or one per vector (batching off), on either
+    /// plane. With `overlap = Some(direction)` it is charged as a software
+    /// pipeline interleaved with the exchange-adjacent kernels — forward
+    /// streams local → fabric → outer, inverse streams outer → fabric →
+    /// local; with `None` it blocks (the reordering and layout-conversion
     /// exchanges have no compute to hide behind).
     fn exchange(
         &self,
         machine: &mut Machine,
         plane: &mut Plane<'_, Sharded<F>>,
         overlap: Option<Direction>,
+        policy: &RecoveryPolicy,
     ) -> Result<(), FabricError> {
         let g = self.plan.num_gpus();
         let m = self.plan.shard_len();
         let (transfers, per_launch) = self.launches(plane.len());
+        let bytes = per_launch * (m * self.field_spec.elem_bytes) as u64;
         let lists = overlap.map(|direction| {
             let (mut local, mut outer) = (Vec::new(), Vec::new());
             self.local_kernels(per_launch, true, |kernel| local.push(*kernel));
@@ -699,7 +700,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         let compute = compute.as_ref();
 
         match plane {
-            Plane::Elements(batch, policy) if per_launch > 1 => {
+            Plane::Elements(batch) if per_launch > 1 => {
                 // Pack chunk-major so one all-to-all carries every vector:
                 // combined chunk c = [item0 chunk c | item1 chunk c | …].
                 let chunk = m / g;
@@ -716,7 +717,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
                         buf
                     })
                     .collect();
-                self.transfer(machine, &mut combined, policy, compute)?;
+                self.transfer(machine, Some(&mut combined[..]), bytes, policy, compute)?;
                 for (dev, buf) in combined.into_iter().enumerate() {
                     // Received layout: for src in 0..g, for item, chunk data.
                     let mut received = buf.chunks_exact(chunk);
@@ -728,20 +729,15 @@ impl<F: TwoAdicField> UniNttEngine<F> {
                     }
                 }
             }
-            Plane::Elements(batch, policy) => {
+            Plane::Elements(batch) => {
                 for item in batch.iter_mut() {
-                    self.transfer(machine, item.shards_mut(), policy, compute)?;
+                    let shards = Some(&mut item.shards_mut()[..]);
+                    self.transfer(machine, shards, bytes, policy, compute)?;
                 }
             }
             Plane::Unit(_) => {
-                let bytes = per_launch * (m * self.field_spec.elem_bytes) as u64;
                 for _ in 0..transfers {
-                    match compute {
-                        Some(c) => {
-                            machine.charge_all_to_all_overlapped(bytes, c);
-                        }
-                        None => machine.charge_all_to_all(bytes),
-                    }
+                    self.transfer(machine, None, bytes, policy, compute)?;
                 }
             }
         }
@@ -1099,6 +1095,75 @@ mod tests {
             m.stats().interconnect_bytes_retransmitted > 0,
             "the corruption must have been repaired by retransmission"
         );
+    }
+
+    #[test]
+    fn run_takes_the_same_faults_on_both_planes() {
+        use unintt_gpu_sim::{FaultEvent, FaultKind, FaultPlan};
+        let (log_n, gpus) = (10u32, 4usize);
+        let cfg = presets::a100_nvlink(gpus);
+        let fs = FieldSpec::goldilocks();
+        let at = |seq, kind| FaultEvent { seq, kind };
+        let plans = [
+            (
+                "drop-and-retry",
+                vec![at(0, FaultKind::Drop), at(1, FaultKind::Drop)],
+            ),
+            (
+                "verified-corrupt",
+                vec![at(0, FaultKind::Corrupt { src: 2, dst: 1 })],
+            ),
+            (
+                "device-loss",
+                vec![at(0, FaultKind::DeviceLoss { device: 3 })],
+            ),
+        ];
+        let blocking = UniNttOptions {
+            comm_mode: CommMode::Blocking,
+            ..UniNttOptions::full()
+        };
+        let unbatched = UniNttOptions {
+            batching: false,
+            natural_output: true,
+            ..UniNttOptions::full()
+        };
+        for opts in [UniNttOptions::full(), blocking, unbatched] {
+            let engine = UniNttEngine::<Goldilocks>::new(log_n, &cfg, opts, fs);
+            for (name, events) in &plans {
+                for policy in [RecoveryPolicy::default(), RecoveryPolicy::none()] {
+                    let [elements, unit] = [true, false].map(|elements| {
+                        let mut m = Machine::new(cfg.clone(), fs);
+                        m.set_fault_plan(FaultPlan::scripted(events.clone()));
+                        let mut batch: Vec<_> = (0..2)
+                            .map(|i| {
+                                let input = random_vec::<Goldilocks>(1 << log_n, i);
+                                Sharded::distribute(&input, gpus, ShardLayout::Cyclic)
+                            })
+                            .collect();
+                        let mut plane = match elements {
+                            true => Plane::Elements(&mut batch[..]),
+                            false => Plane::Unit(2),
+                        };
+                        let one = Goldilocks::ONE;
+                        let result =
+                            engine.run(&mut m, Direction::Forward, &[], one, &mut plane, &policy);
+                        let log = m.fault_log().to_vec();
+                        (result, m.max_clock_ns().to_bits(), m.stats(), log)
+                    });
+                    let case = format!("{opts:?} {name} {policy:?}");
+                    let fails = match *name {
+                        "drop-and-retry" => policy.max_retries == 0,
+                        "device-loss" => true,
+                        _ => false,
+                    };
+                    assert_eq!(elements.0.is_err(), fails, "{case}: {:?}", elements.0);
+                    if *name == "verified-corrupt" && policy.verify_checksums {
+                        assert!(elements.2.interconnect_bytes_retransmitted > 0, "{case}");
+                    }
+                    assert_eq!(elements, unit, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A [`RecoveryPolicy`] tells the engines how hard to fight transient
 //! fabric faults: how many times to retry a dropped collective, how much
 //! simulated backoff to charge between attempts, and whether to verify
-//! each transferred chunk against its sender's copy (which turns silent
-//! corruption into a cheap targeted retransmission, not a wrong result).
+//! the exchanged chunks (which turns silent corruption into a cheap
+//! targeted retransmission of the damaged chunk, not a wrong result).
 //!
 //! All recovery time is *simulated* time, charged to the machine under
 //! [`unintt_gpu_sim::Category::Fault`], so the overhead of a policy is
@@ -20,8 +20,9 @@ pub struct RecoveryPolicy {
     pub backoff_base_ns: f64,
     /// Multiplier applied to the backoff after each failed attempt.
     pub backoff_multiplier: f64,
-    /// Verify every exchanged chunk against the sender's copy (the ideal
-    /// checksum: its content) and re-request bad ones.
+    /// Verify the exchanged chunks and re-request the one an injected
+    /// corruption damaged (the simulator knows which: the repair is keyed
+    /// on the fault decision, so it costs the same whatever the data).
     /// Without this, injected corruption silently reaches the output.
     pub verify_checksums: bool,
 }

@@ -9,9 +9,10 @@
 //! back for a forward transform and back to front for an inverse one.
 //!
 //! What moves through the phases is the level's *plane*, and each level
-//! has exactly two: one holds the elements and does the host arithmetic
-//! and the real collectives, the other holds only a count and charges
-//! the same collectives without data. Every launch, pipeline, layout
+//! has exactly two: one holds the elements and does the host arithmetic,
+//! the other holds only a count. Both run the same collectives — fault
+//! decisions, retries and repairs included — one with data to move, one
+//! without. Every launch, pipeline, layout
 //! stamp and span is therefore written once; a cost-only "simulate" is
 //! the walk with nothing to move, and cannot drift from the functional
 //! run because it is the functional run.
@@ -19,30 +20,21 @@
 use unintt_ntt::Direction;
 use unintt_telemetry::{AttrValue, Span, SpanLevel};
 
-use crate::RecoveryPolicy;
-
 /// What moves through the phases of a transform: sharded vectors through
 /// the fabric's, one host vector per node through the cluster's.
 pub(crate) enum Plane<'a, T> {
-    /// The data itself, transformed in place, and how transient collective
-    /// faults are absorbed: phases do the host arithmetic and run the real
-    /// collectives under the policy.
-    Elements(&'a mut [T], &'a RecoveryPolicy),
+    /// The data itself, transformed in place: phases do the host
+    /// arithmetic and move it through the collectives.
+    Elements(&'a mut [T]),
     /// Nothing but a count of vectors: phases only charge.
     Unit(u64),
 }
 
-impl<'a, T> Plane<'a, T> {
-    /// The element plane with no recovery: the first fabric error is final.
-    pub(crate) fn unguarded(data: &'a mut [T]) -> Self {
-        const NONE: RecoveryPolicy = RecoveryPolicy::none();
-        Plane::Elements(data, &NONE)
-    }
-
+impl<T> Plane<'_, T> {
     /// How many vectors the plane stands for.
     pub(crate) fn len(&self) -> u64 {
         match self {
-            Plane::Elements(data, _) => data.len() as u64,
+            Plane::Elements(data) => data.len() as u64,
             Plane::Unit(count) => *count,
         }
     }

@@ -2,10 +2,13 @@
 //!
 //! A cost-only `simulate_*` is the functional transform's walk with
 //! nothing to move, so for any engine, option set, communication mode,
-//! batch and direction the two must charge bit-equal clocks and equal
-//! [`Stats`], and — with a telemetry session open — record the same span
-//! tree. There is one path to check, so what this file checks is that the
-//! planes really are the only difference.
+//! batch, direction and fault plan the two must charge bit-equal clocks
+//! and equal [`Stats`], log the same faults, and — with a telemetry
+//! session open — record the same span tree. There is one path to check,
+//! so what this file checks is that the planes really are the only
+//! difference. The fault plans hold the kinds a transform without a
+//! recovery policy survives: delays, stragglers and corruptions that no
+//! one verifies.
 
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_core::{
@@ -13,7 +16,9 @@ use unintt_core::{
     Sharded, UniNttEngine, UniNttOptions,
 };
 use unintt_ff::{Field, Goldilocks, PrimeField};
-use unintt_gpu_sim::{presets, FieldSpec, Machine, Stats};
+use unintt_gpu_sim::{
+    presets, FaultEvent, FaultKind, FaultPlan, FaultRates, FieldSpec, Machine, MachineConfig, Stats,
+};
 use unintt_telemetry::{AttrValue, Session};
 
 const LOG_N: u32 = 13;
@@ -50,9 +55,56 @@ enum Op {
     CosetForward,
 }
 
+/// The fault plans every pair runs under, for a machine of `gpus`
+/// devices: none, two scripted ones and a seeded one.
+fn fault_plans(gpus: usize) -> Vec<(&'static str, Option<FaultPlan>)> {
+    let at = |seq, kind| FaultEvent { seq, kind };
+    let last = gpus.saturating_sub(1);
+    let corrupt = FaultKind::Corrupt { src: last, dst: 0 };
+    let straggler = FaultKind::Straggler {
+        device: last,
+        factor: 2.5,
+    };
+    let rates = FaultRates {
+        corrupt_p: 0.3,
+        delay_p: 0.2,
+        straggler_p: 0.1,
+        ..FaultRates::default()
+    };
+    vec![
+        ("clean", None),
+        (
+            "corrupt-delay-straggler",
+            Some(FaultPlan::scripted(vec![
+                at(0, corrupt),
+                at(1, FaultKind::Delay { factor: 3.0 }),
+                at(2, straggler),
+            ])),
+        ),
+        (
+            "straggler-corrupt",
+            Some(FaultPlan::scripted(vec![at(0, straggler), at(1, corrupt)])),
+        ),
+        ("seeded", Some(FaultPlan::random(11, rates))),
+    ]
+}
+
+/// A fresh machine under `plan`.
+fn machine(cfg: &MachineConfig, plan: &Option<FaultPlan>) -> Machine {
+    let mut m = Machine::new(cfg.clone(), FieldSpec::goldilocks());
+    if let Some(plan) = plan {
+        m.set_fault_plan(plan.clone());
+    }
+    m
+}
+
 /// What one plane left on a machine.
-fn outcome(m: &Machine) -> (u64, Stats) {
-    (m.max_clock_ns().to_bits(), m.stats())
+fn outcome(m: &Machine) -> (u64, Stats, Vec<FaultEvent>) {
+    (
+        m.max_clock_ns().to_bits(),
+        m.stats(),
+        m.fault_log().to_vec(),
+    )
 }
 
 /// Runs `op` over `batch` vectors on `plane` — the element plane (real
@@ -89,12 +141,18 @@ fn both_planes_charge_the_same_clock_and_stats() {
                 let engine = UniNttEngine::<Goldilocks>::new(LOG_N, &cfg, opts, fs);
                 for batch in [1usize, 3] {
                     for op in [Op::Forward, Op::Inverse, Op::CosetForward] {
-                        let [elements, unit] = [true, false].map(|elements| {
-                            let mut m = Machine::new(cfg.clone(), fs);
-                            run(&engine, &mut m, op, batch, elements);
-                            outcome(&m)
-                        });
-                        assert_eq!(elements, unit, "g{gpus} {opt_tag} {mode:?} b{batch} {op:?}");
+                        for (plan_tag, plan) in fault_plans(gpus) {
+                            let [elements, unit] = [true, false].map(|elements| {
+                                let mut m = machine(&cfg, &plan);
+                                run(&engine, &mut m, op, batch, elements);
+                                outcome(&m)
+                            });
+                            let case =
+                                format!("g{gpus} {opt_tag} {mode:?} b{batch} {op:?} {plan_tag}");
+                            let injected = !elements.2.is_empty();
+                            assert_eq!(injected, gpus > 1 && plan.is_some(), "{case}");
+                            assert_eq!(elements, unit, "{case}");
+                        }
                     }
                 }
             }
@@ -102,38 +160,57 @@ fn both_planes_charge_the_same_clock_and_stats() {
 
         // The four-step baseline is the same walk with two more phases.
         let engine = FourStepMultiGpuEngine::<Goldilocks>::new(LOG_N, &cfg, fs);
-        let (mut elements, mut unit) = (Machine::new(cfg.clone(), fs), Machine::new(cfg, fs));
-        let mut data = batch_of(1, gpus, ShardLayout::NaturalBlocks).remove(0);
-        engine.forward(&mut elements, &mut data);
-        engine.simulate_forward(&mut unit, 1);
-        assert_eq!(outcome(&elements), outcome(&unit), "four-step g{gpus}");
+        for (plan_tag, plan) in fault_plans(gpus) {
+            let (mut elements, mut unit) = (machine(&cfg, &plan), machine(&cfg, &plan));
+            let mut data = batch_of(1, gpus, ShardLayout::NaturalBlocks).remove(0);
+            engine.forward(&mut elements, &mut data);
+            engine.simulate_forward(&mut unit, 1);
+            assert_eq!(
+                outcome(&elements),
+                outcome(&unit),
+                "four-step g{gpus} {plan_tag}"
+            );
+        }
     }
 }
 
 /// What one plane left on a cluster: its clock, the network counters and
-/// every node's stats.
-fn cluster_outcome(cl: &Cluster) -> (u64, u64, u64, Vec<Stats>) {
+/// every node's stats and fault log.
+fn cluster_outcome(cl: &Cluster) -> (u64, u64, u64, Vec<(Stats, Vec<FaultEvent>)>) {
+    let node = |i| (cl.node(i).stats(), cl.node(i).fault_log().to_vec());
     (
         cl.total_time_ns().to_bits(),
         cl.network_bytes(),
         cl.network_hidden_ns().to_bits(),
-        (0..cl.num_nodes()).map(|i| cl.node(i).stats()).collect(),
+        (0..cl.num_nodes()).map(node).collect(),
     )
 }
 
-fn cluster_planes(nodes: usize, gpus: usize, mode: CommMode) -> [Cluster; 2] {
+/// Both planes of a cluster forward, every node under `plan`.
+fn cluster_planes(
+    nodes: usize,
+    gpus: usize,
+    mode: CommMode,
+    plan: &Option<FaultPlan>,
+) -> [Cluster; 2] {
     let fs = FieldSpec::goldilocks();
     let node_cfg = presets::a100_nvlink(gpus);
     let mut opts = UniNttOptions::tuned_for(&fs);
     opts.comm_mode = mode;
     let engine = ClusterNttEngine::<Goldilocks>::new(LOG_N, nodes, &node_cfg, opts, fs);
     let cluster = || {
-        Cluster::new(
+        let mut cl = Cluster::new(
             nodes,
             node_cfg.clone(),
             NetworkConfig::infiniband_400g(),
             fs,
-        )
+        );
+        if let Some(plan) = plan {
+            for node in 0..nodes {
+                cl.node_mut(node).set_fault_plan(plan.clone());
+            }
+        }
+        cl
     };
     let (mut elements, mut unit) = (cluster(), cluster());
     let mut shards = engine.distribute(&random_vec(1 << LOG_N, 5));
@@ -146,12 +223,14 @@ fn cluster_planes(nodes: usize, gpus: usize, mode: CommMode) -> [Cluster; 2] {
 fn both_cluster_planes_charge_the_same_clock_and_stats() {
     for (nodes, gpus) in [(1usize, 2usize), (2, 2), (4, 4), (4, 1)] {
         for mode in [CommMode::Overlapped, CommMode::Blocking] {
-            let [elements, unit] = cluster_planes(nodes, gpus, mode);
-            assert_eq!(
-                cluster_outcome(&elements),
-                cluster_outcome(&unit),
-                "t{nodes} g{gpus} {mode:?}"
-            );
+            for (plan_tag, plan) in fault_plans(gpus) {
+                let [elements, unit] = cluster_planes(nodes, gpus, mode, &plan);
+                assert_eq!(
+                    cluster_outcome(&elements),
+                    cluster_outcome(&unit),
+                    "t{nodes} g{gpus} {mode:?} {plan_tag}"
+                );
+            }
         }
     }
 }

@@ -16,10 +16,13 @@
 //!   collective duration) is charged as fault time, and
 //!   [`FabricError::CollectiveDropped`] is returned. Retrying is safe.
 //! * **Corrupt** — the collective *succeeds* with one damaged chunk.
-//!   [`Machine::all_to_all_checked`] detects this by comparing every
-//!   received chunk with the sender's copy and re-requests only the bad
-//!   chunks (charged as fault time + retransmitted bytes); the plain
-//!   variant delivers it silently.
+//!   The checked variants ([`Machine::all_to_all_checked`],
+//!   [`Machine::all_gather_checked`], [`Machine::reduce_to_root_checked`])
+//!   repair exactly the `(src → dst)` chunk the decision names: it is
+//!   re-requested point-to-point (charged as fault time + retransmitted
+//!   bytes) whatever values it held, so the charge depends on the fault
+//!   decision alone, never on the data. The plain variants deliver it
+//!   silently.
 //! * **Delay / Straggler** — the collective succeeds; extra time is
 //!   charged (once, or persistently on the slow device).
 //! * **DeviceLoss** — the device dies; this and every later collective
@@ -32,9 +35,6 @@ use crate::fault::{CollectiveReport, FabricError, FaultKind};
 use crate::machine::Machine;
 use crate::timeline::TraceEvent;
 use crate::trace::{Category, CollectiveEvent};
-
-/// Whether a received chunk differs from the one its sender dispatched.
-type Differs<T> = fn(&[T], &[T]) -> bool;
 
 /// Caller-supplied compute to interleave with an overlapped collective.
 ///
@@ -200,27 +200,27 @@ impl Machine {
     /// [`IndivisibleShard`] on argument bugs;
     /// [`CollectiveDropped`] / [`DeviceLost`] on injected faults. An
     /// injected *corruption* is **not** an error here — it silently
-    /// damages one chunk; use [`Machine::all_to_all_checked`] to detect
-    /// and repair it.
+    /// damages one chunk; use [`Machine::all_to_all_checked`] to repair
+    /// it.
     ///
     /// [`UnequalShardLengths`]: FabricError::UnequalShardLengths
     /// [`IndivisibleShard`]: FabricError::IndivisibleShard
     /// [`CollectiveDropped`]: FabricError::CollectiveDropped
     /// [`DeviceLost`]: FabricError::DeviceLost
-    pub fn all_to_all<T: Copy + Send>(
+    pub fn all_to_all<T: Copy + Send + PartialEq>(
         &mut self,
         shards: &mut [Vec<T>],
         elem_bytes: usize,
     ) -> Result<CollectiveReport, FabricError> {
-        self.exchange_all_to_all(shards, elem_bytes, None, None)
+        let bytes = shard_bytes(shards, elem_bytes);
+        self.exchange_all_to_all(Some(shards), bytes, false, None)
             .map(|r| r.collective)
     }
 
-    /// [`Machine::all_to_all`] plus per-chunk verification: every received
-    /// chunk is compared with the chunk its sender dispatched, and
-    /// mismatching chunks are re-requested point-to-point (charged as
-    /// fault time and counted as retransmitted bytes). The returned report
-    /// says how much was repaired.
+    /// [`Machine::all_to_all`] plus repair: the chunk an injected
+    /// corruption damaged is re-requested point-to-point from its sender
+    /// (charged as fault time and counted as retransmitted bytes). The
+    /// returned report says how much was repaired.
     ///
     /// # Errors
     ///
@@ -230,7 +230,8 @@ impl Machine {
         shards: &mut [Vec<T>],
         elem_bytes: usize,
     ) -> Result<CollectiveReport, FabricError> {
-        self.exchange_all_to_all(shards, elem_bytes, Some(<[T]>::ne), None)
+        let bytes = shard_bytes(shards, elem_bytes);
+        self.exchange_all_to_all(Some(shards), bytes, true, None)
             .map(|r| r.collective)
     }
 
@@ -252,25 +253,37 @@ impl Machine {
         compute: &OverlapCompute<'_>,
         verify_checksums: bool,
     ) -> Result<OverlapReport, FabricError> {
-        let differs = verify_checksums.then_some(<[T]>::ne as Differs<T>);
-        self.exchange_all_to_all(shards, elem_bytes, differs, Some(compute))
+        let bytes = shard_bytes(shards, elem_bytes);
+        self.exchange_all_to_all(Some(shards), bytes, verify_checksums, Some(compute))
     }
 
-    /// The one all-to-all body. `differs(received, sent)` turns on
-    /// per-chunk verification and repair; `pipeline` selects how time is
-    /// charged — `None` blocks, `Some` runs the software pipeline. Overlap
-    /// changes *when* things happen, never *what* data lands where: the
-    /// exchange, the fault decision and the repair are the same code on
-    /// both schedules.
-    fn exchange_all_to_all<T: Copy + Send>(
+    /// The one all-to-all body, for both data planes. `shards` holds the
+    /// data (`None`: nothing moves, the exchange is only charged) and
+    /// `bytes_per_device` is what each device's shard weighs. The fault
+    /// decision, its drop / delay / straggler / device-loss charges and,
+    /// with `verify`, the repair of the one chunk a corruption decision
+    /// names are the same calls whether or not data moves, so a cost-only
+    /// walk charges exactly what the functional one does. `pipeline`
+    /// selects how time is charged — `None` blocks, `Some` runs the
+    /// software pipeline (with `chunks == 1` that degenerates to the
+    /// blocking order: produce, transfer, consume). Overlap changes *when*
+    /// things happen, never *what* data lands where.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::all_to_all`]; the shape checks need `shards`.
+    pub fn exchange_all_to_all<T: Copy + Send + PartialEq>(
         &mut self,
-        shards: &mut [Vec<T>],
-        elem_bytes: usize,
-        differs: Option<Differs<T>>,
+        mut shards: Option<&mut [Vec<T>]>,
+        bytes_per_device: u64,
+        verify: bool,
         pipeline: Option<&OverlapCompute<'_>>,
     ) -> Result<OverlapReport, FabricError> {
         let d = self.num_devices();
-        let len = self.validate_equal_shards(shards)?;
+        let len = match shards.as_deref() {
+            Some(shards) => self.validate_equal_shards(shards)?,
+            None => 0,
+        };
         if d <= 1 {
             // Nothing moves; the interleaved kernels still run.
             if let Some(compute) = pipeline {
@@ -283,30 +296,41 @@ impl Machine {
         }
         self.ensure_all_alive()?;
         let chunk = len / d;
-        let bytes_per_device = (len * elem_bytes) as u64;
         let base_ns = self.model().all_to_all_ns(bytes_per_device);
 
         let (seq, fault) = self.take_fault_decision();
         let fault = self.apply_pre_fault(seq, fault, base_ns)?;
+        // An empty chunk has nothing to damage.
+        let chunk_bytes = bytes_per_device / d as u64;
+        let corrupt = match fault {
+            Some(FaultKind::Corrupt { src, dst }) if chunk_bytes > 0 => Some((src, dst)),
+            _ => None,
+        };
 
-        // Functional exchange.
-        let old: Vec<Vec<T>> = shards.to_vec();
-        for (dst_dev, shard) in shards.iter_mut().enumerate() {
-            for src_dev in 0..d {
-                shard[src_dev * chunk..(src_dev + 1) * chunk]
-                    .copy_from_slice(&old[src_dev][dst_dev * chunk..(dst_dev + 1) * chunk]);
+        #[cfg(debug_assertions)]
+        let sent = shards.as_deref().map(<[Vec<T>]>::to_vec);
+
+        // Functional exchange, in place: chunk `src` of shard `dst` swaps
+        // with chunk `dst` of shard `src`. An in-flight corruption then
+        // overwrites one element of the (src → dst) chunk with a
+        // neighbouring element from another chunk, at a position that is a
+        // pure function of the sequence number; the element it replaced is
+        // kept for the repair.
+        let mut damaged = None;
+        if let Some(shards) = shards.as_deref_mut() {
+            for src in 1..d {
+                let (below, from) = shards.split_at_mut(src);
+                for (dst, shard) in below.iter_mut().enumerate() {
+                    shard[src * chunk..(src + 1) * chunk]
+                        .swap_with_slice(&mut from[0][dst * chunk..(dst + 1) * chunk]);
+                }
             }
-        }
-
-        // In-flight corruption: one element of the (src → dst) chunk is
-        // overwritten by a neighbouring element from another chunk. The
-        // position is a pure function of the sequence number; an empty
-        // chunk has nothing to damage.
-        if let Some(FaultKind::Corrupt { src, dst }) = fault.filter(|_| chunk > 0) {
-            let off = (crate::fault::splitmix64(seq ^ 0xc0ff_ee00) % chunk as u64) as usize;
-            let pos = src * chunk + off;
-            let other = (pos + chunk) % len;
-            shards[dst][pos] = shards[dst][other];
+            if let Some((src, dst)) = corrupt.filter(|_| chunk > 0) {
+                let off = (crate::fault::splitmix64(seq ^ 0xc0ff_ee00) % chunk as u64) as usize;
+                let pos = src * chunk + off;
+                damaged = Some((dst, pos, shards[dst][pos]));
+                shards[dst][pos] = shards[dst][(pos + chunk) % len];
+            }
         }
 
         // Timing.
@@ -319,46 +343,43 @@ impl Machine {
             ..OverlapReport::default()
         };
         match pipeline {
-            None => self.charge_all_to_all(bytes_per_device),
+            None => {
+                let (lat, wire) = self.fabric_mut().record_all_to_all(bytes_per_device);
+                let links = self.fabric().links_used_all_to_all();
+                let egress = bytes_per_device * (d as u64 - 1) / d as u64;
+                self.charge_collective("all-to-all", lat + wire, egress, links);
+            }
             Some(compute) => {
                 (report.elapsed_ns, report.comm_ns, report.hidden_comm_ns) =
                     self.run_overlap_pipeline("all-to-all-overlapped", bytes_per_device, compute);
             }
         }
 
-        // Verification: compare each received chunk with the sender's
-        // copy and re-request the damaged ones, before anything downstream
-        // touches the data.
-        if let Some(differs) = differs {
-            let chunk_bytes = (chunk * elem_bytes) as u64;
-            for dst in 0..d {
-                for src in 0..d {
-                    let received = &shards[dst][src * chunk..(src + 1) * chunk];
-                    let sent = &old[src][dst * chunk..(dst + 1) * chunk];
-                    if differs(received, sent) {
-                        shards[dst][src * chunk..(src + 1) * chunk].copy_from_slice(sent);
-                        self.retransmit(src, chunk_bytes, &mut report.collective);
-                    }
-                }
+        // Repair, keyed on the decision: the chunk it names is re-requested
+        // from its sender before anything downstream touches the data.
+        if let Some((src, _)) = corrupt.filter(|_| verify) {
+            if let (Some(shards), Some((dst, pos, value))) = (&mut shards, damaged) {
+                shards[dst][pos] = value;
+            }
+            self.retransmit(src, chunk_bytes, &mut report.collective);
+        }
+
+        // Every chunk holds what its sender dispatched, except an
+        // unrepaired corruption's.
+        #[cfg(debug_assertions)]
+        if let (Some(sent), Some(received)) = (sent, shards.as_deref()) {
+            let unrepaired = corrupt.filter(|_| !verify);
+            for (dst, src) in (0..d).flat_map(|dst| (0..d).map(move |src| (dst, src))) {
+                let got = &received[dst][src * chunk..(src + 1) * chunk];
+                let want = &sent[src][dst * chunk..(dst + 1) * chunk];
+                assert!(
+                    got == want || unrepaired == Some((src, dst)),
+                    "all-to-all seq {seq}: chunk {src} → {dst} differs from what was sent"
+                );
             }
         }
         self.apply_delay_fault(fault, base_ns);
         Ok(report)
-    }
-
-    /// Charges the time and bytes of an all-to-all of `bytes_per_device`
-    /// without moving any data. Cost-only simulations (large-size sweeps)
-    /// use this to stay in lock-step with the functional path; it is
-    /// fault-blind and consumes no collective sequence number.
-    pub fn charge_all_to_all(&mut self, bytes_per_device: u64) {
-        let d = self.num_devices();
-        if d <= 1 {
-            return;
-        }
-        let (lat, wire) = self.fabric_mut().record_all_to_all(bytes_per_device);
-        let links = self.fabric().links_used_all_to_all();
-        let egress = bytes_per_device * (d as u64 - 1) / d as u64;
-        self.charge_collective("all-to-all", lat + wire, egress, links);
     }
 
     /// Shared engine of the overlapped all-to-all: records the transfer
@@ -535,34 +556,6 @@ impl Machine {
         }
     }
 
-    /// Charges the time of an overlapped all-to-all of `bytes_per_device`
-    /// plus its interleaved compute, without moving any data. The
-    /// cost-only twin of [`Machine::all_to_all_overlapped`], exactly as
-    /// [`Machine::charge_all_to_all`] is the twin of
-    /// [`Machine::all_to_all`]; fault-blind, consumes no sequence number.
-    ///
-    /// With `chunks == 1` the schedule degenerates to the blocking order
-    /// (produce, transfer, consume) and charges identical time to
-    /// launching the kernels normally around a blocking all-to-all.
-    pub fn charge_all_to_all_overlapped(
-        &mut self,
-        bytes_per_device: u64,
-        compute: &OverlapCompute<'_>,
-    ) -> OverlapReport {
-        if self.num_devices() <= 1 {
-            self.charge_overlap_compute_flat(compute);
-            return OverlapReport::default();
-        }
-        let (elapsed, comm, hidden) =
-            self.run_overlap_pipeline("all-to-all-overlapped", bytes_per_device, compute);
-        OverlapReport {
-            collective: CollectiveReport::default(),
-            elapsed_ns: elapsed,
-            comm_ns: comm,
-            hidden_comm_ns: hidden,
-        }
-    }
-
     /// All-gather: every device ends with the concatenation of all shards
     /// (device order). Returns the gathered copies.
     ///
@@ -597,13 +590,10 @@ impl Machine {
             let base_ns = self.model().all_gather_ns(bytes_per_device);
             let (seq, fault) = self.take_fault_decision();
             let fault = self.apply_pre_fault(seq, fault, base_ns)?;
-            if let Some(FaultKind::Corrupt { src, dst }) = fault {
-                if len > 0 && out[dst].len() > 1 {
-                    let pos = src * len
-                        + (crate::fault::splitmix64(seq ^ 0xc0ff_ee01) % len as u64) as usize;
-                    let other = (pos + 1) % out[dst].len();
-                    out[dst][pos] = out[dst][other];
-                }
+            if let Some(FaultKind::Corrupt { src, dst }) = fault.filter(|_| len > 0) {
+                let pos =
+                    src * len + (crate::fault::splitmix64(seq ^ 0xc0ff_ee01) % len as u64) as usize;
+                out[dst][pos] = out[dst][(pos + 1) % out[dst].len()];
             }
             let egress = bytes_per_device * (d as u64 - 1);
             self.charge_collective("all-gather", base_ns, egress, d as u32);
@@ -612,11 +602,12 @@ impl Machine {
         Ok(out)
     }
 
-    /// [`Machine::all_gather`] plus per-source verification: every
-    /// gathered segment is compared with the shard its source dispatched,
-    /// and damaged segments are re-requested point-to-point (charged as
-    /// fault time and counted as retransmitted bytes). The returned report
-    /// says what was injected and how much was repaired.
+    /// [`Machine::all_gather`] plus repair: the segment an injected
+    /// corruption damaged is re-requested point-to-point from its source
+    /// (charged as fault time and counted as retransmitted bytes) and
+    /// copied back from the source's shard, whatever values it held — as
+    /// [`Machine::reduce_to_root_checked`] repairs a contribution. The
+    /// returned report says what was injected and how much was repaired.
     ///
     /// # Errors
     ///
@@ -633,16 +624,14 @@ impl Machine {
         }
         let mut report = self.logged_report(seq);
         let len = shards[0].len();
-        let seg_bytes = (len * elem_bytes) as u64;
-        for row in out.iter_mut() {
-            for (src, sent) in shards.iter().enumerate() {
-                let seg = &mut row[src * len..(src + 1) * len];
-                if *seg != sent[..] {
-                    seg.copy_from_slice(sent);
-                    self.retransmit(src, seg_bytes, &mut report);
-                }
-            }
+        if let Some(FaultKind::Corrupt { src, dst }) = report.injected.filter(|_| len > 0) {
+            out[dst][src * len..(src + 1) * len].copy_from_slice(&shards[src]);
+            self.retransmit(src, (len * elem_bytes) as u64, &mut report);
         }
+        debug_assert!(
+            out.iter().all(|row| row[..] == shards.concat()[..]),
+            "all-gather seq {seq}: a repaired copy differs from what was sent"
+        );
         Ok((out, report))
     }
 
@@ -744,17 +733,12 @@ impl Machine {
         }
         Ok(vec![value.clone(); d])
     }
+}
 
-    /// Host → device transfer (PCIe staging of inputs). Charges only the
-    /// target device.
-    pub fn host_to_device_ns(&mut self, device: usize, bytes: u64) {
-        // PCIe 4.0 x16 effective rate, the host link on every preset.
-        const HOST_LINK_GBPS: f64 = 25.0;
-        let ns = bytes as f64 / (HOST_LINK_GBPS * 1e9) * 1e9;
-        let dev = &mut self.devices_mut()[device];
-        dev.clock_ns += ns;
-        *dev.stats.time_ns.get_mut(Category::Interconnect) += ns;
-    }
+/// What each device's shard weighs on the wire (the first shard's; the
+/// collective rejects unequal shards before it charges anything).
+fn shard_bytes<T>(shards: &[Vec<T>], elem_bytes: usize) -> u64 {
+    shards.first().map_or(0, |s| (s.len() * elem_bytes) as u64)
 }
 
 #[cfg(test)]
@@ -770,6 +754,9 @@ mod tests {
     fn machine(gpus: usize) -> Machine {
         Machine::new(presets::a100_nvlink(gpus), FieldSpec::goldilocks())
     }
+
+    /// The cost-only plane: an exchange with no data to move.
+    const NOTHING: Option<&mut [Vec<u64>]> = None;
 
     fn scripted(machine: &mut Machine, seq: u64, kind: FaultKind) {
         machine.set_fault_plan(FaultPlan::scripted(vec![FaultEvent { seq, kind }]));
@@ -945,6 +932,57 @@ mod tests {
     }
 
     #[test]
+    fn both_planes_take_the_same_faults() {
+        let (prod, cons) = overlap_profiles();
+        let compute = OverlapCompute {
+            producers: &[prod],
+            consumers: &[cons],
+            chunks: 3,
+        };
+        let plans = [
+            FaultPlan::scripted(vec![FaultEvent {
+                seq: 1,
+                kind: FaultKind::DeviceLoss { device: 3 },
+            }]),
+            FaultPlan::random(7, FaultRates::transfers_only(0.4)),
+            FaultPlan::random(
+                8,
+                FaultRates {
+                    corrupt_p: 0.3,
+                    delay_p: 0.2,
+                    straggler_p: 0.2,
+                    ..FaultRates::default()
+                },
+            ),
+        ];
+        for (plan, verify, pipelined) in plans
+            .iter()
+            .flat_map(|p| [false, true].map(move |v| (p, v)))
+            .flat_map(|(p, v)| [false, true].map(move |o| (p, v, o)))
+        {
+            let pipeline = pipelined.then_some(&compute);
+            let [elements, unit] = [true, false].map(|elements| {
+                let mut m = machine(4);
+                m.set_fault_plan(plan.clone());
+                let mut shards: Vec<Vec<u64>> = (0..4).map(|dev| vec![dev as u64; 64]).collect();
+                let outcomes: Vec<_> = (0..6)
+                    .map(|_| {
+                        let shards = elements.then_some(&mut shards[..]);
+                        m.exchange_all_to_all(shards, 64 * 8, verify, pipeline)
+                    })
+                    .collect();
+                let log = m.fault_log().to_vec();
+                (outcomes, log, m.max_clock_ns().to_bits(), m.stats())
+            });
+            assert!(!elements.1.is_empty(), "every plan injects something");
+            assert_eq!(
+                elements, unit,
+                "{plan:?} verify={verify} pipelined={pipelined}"
+            );
+        }
+    }
+
+    #[test]
     fn cluster_loss_kills_every_device_at_once() {
         let mut m = machine(4);
         scripted(&mut m, 1, FaultKind::ClusterLoss);
@@ -1069,7 +1107,7 @@ mod tests {
             m.parallel_phase(&mut shards, |ctx, _, _| {
                 ctx.launch(&prod);
             });
-            m.charge_all_to_all(bytes);
+            m.exchange_all_to_all(NOTHING, bytes, false, None).unwrap();
             m.parallel_phase(&mut shards, |ctx, _, _| {
                 ctx.launch(&cons);
             });
@@ -1082,7 +1120,8 @@ mod tests {
                 consumers: &[cons],
                 chunks: 1,
             };
-            m.charge_all_to_all_overlapped(bytes, &compute);
+            m.exchange_all_to_all(NOTHING, bytes, false, Some(&compute))
+                .unwrap();
             m
         };
 
@@ -1110,7 +1149,9 @@ mod tests {
                 consumers: &[cons],
                 chunks,
             };
-            let rep = m.charge_all_to_all_overlapped(bytes, &compute);
+            let rep = m
+                .exchange_all_to_all(NOTHING, bytes, false, Some(&compute))
+                .unwrap();
             (m, rep)
         };
         let (m1, r1) = run(1);

@@ -1,11 +1,14 @@
 //! End-to-end fault recovery: a 4-GPU forward NTT whose all-to-all is
 //! dropped by an injected fault must, after retry, produce output
 //! bit-identical to the CPU reference — and the whole episode must be
-//! deterministic under the fault plan's seed.
+//! deterministic under the fault plan's seed, and charge the same
+//! whatever data the transform carries.
 
 use unintt_core::{RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
 use unintt_ff::{Goldilocks, PrimeField};
-use unintt_gpu_sim::{presets, FaultEvent, FaultKind, FaultPlan, FaultRates, FieldSpec, Machine};
+use unintt_gpu_sim::{
+    presets, Category, FaultEvent, FaultKind, FaultPlan, FaultRates, FieldSpec, Machine,
+};
 use unintt_ntt::Ntt;
 
 const LOG_N: u32 = 12;
@@ -85,4 +88,40 @@ fn recovery_costs_simulated_time_but_not_correctness() {
         recovered_ns > clean_ns,
         "recovery charged no simulated time: {recovered_ns} vs {clean_ns}"
     );
+}
+
+#[test]
+fn fault_clock_does_not_depend_on_the_data() {
+    // Constant input makes most exchanged chunks hold equal values, so a
+    // corruption there copies an equal value: a repair that compared
+    // content would find nothing to re-request and charge nothing.
+    let fs = FieldSpec::goldilocks();
+    let cfg = presets::a100_nvlink(GPUS);
+    let engine = UniNttEngine::<Goldilocks>::new(LOG_N, &cfg, UniNttOptions::tuned_for(&fs), fs);
+    let rates = FaultRates {
+        corrupt_p: 0.5,
+        drop_p: 0.2,
+        ..FaultRates::default()
+    };
+    let run = |input: Vec<Goldilocks>| {
+        let mut machine = Machine::new(cfg.clone(), fs);
+        machine.set_fault_plan(FaultPlan::random(23, rates));
+        for _ in 0..6 {
+            let mut data = Sharded::distribute(&input, GPUS, ShardLayout::Cyclic);
+            engine
+                .try_forward(&mut machine, &mut data, &RecoveryPolicy::default())
+                .expect("four retries absorb these drops");
+            assert_eq!(data.collect(), cpu_reference(&input), "repair is exact");
+        }
+        let stats = machine.stats();
+        (
+            stats.time_ns.get(Category::Fault).to_bits(),
+            stats.interconnect_bytes_retransmitted,
+            machine.fault_log().to_vec(),
+        )
+    };
+    let random = run(test_input());
+    let constant = run(vec![Goldilocks::from_u64(7); 1 << LOG_N]);
+    assert!(random.1 > 0, "the plan corrupts some exchange");
+    assert_eq!(random, constant);
 }
