@@ -174,9 +174,7 @@ pub fn run_one(experiment: &Experiment) -> (bool, Outcome) {
     let path = crate::artifacts::bench_path(file, quick);
     let preexisting = std::fs::read(&path).ok();
 
-    // The blocks hold results, so they are compared before the artifact
-    // note is added.
-    let mut tables = (experiment.tables)(quick);
+    let tables = experiment.run(quick);
     let stale = match quick {
         true => Vec::new(),
         false => {
@@ -184,7 +182,6 @@ pub fn run_one(experiment: &Experiment) -> (bool, Outcome) {
             stale_docs(&doc.unwrap_or_default(), &tables)
         }
     };
-    crate::artifacts::write_bench(&mut tables, file, experiment.name, quick);
     let fresh = std::fs::read(&path).ok();
 
     // Put the working directory back exactly as we found it.

@@ -218,8 +218,19 @@ impl Table {
             .collect()
     }
 
-    /// Renders the table as aligned text.
+    /// Renders the table as aligned text, the notes of where its files
+    /// were written last.
     pub fn render(&self) -> String {
+        let mut out = self.results();
+        for note in &self.written {
+            let _ = writeln!(out, "  note: {note}");
+        }
+        out
+    }
+
+    /// [`Table::render`] without the notes of where files were written:
+    /// what the table's EXPERIMENTS.md block holds.
+    pub(crate) fn results(&self) -> String {
         let text = self.cells(Cell::text);
         // Widths count bytes while padding counts chars, so a cell with a
         // `µ` gets one more space: the layout every captured table has.
@@ -244,7 +255,7 @@ impl Table {
         for row in &text {
             out += &line(row.iter().collect());
         }
-        for note in self.notes.iter().chain(&self.written) {
+        for note in &self.notes {
             let _ = writeln!(out, "  note: {note}");
         }
         out
@@ -381,7 +392,11 @@ mod tests {
             Some("demo \"q\"")
         );
         assert!(!json.contains("written"), "file notes stay out of the JSON");
-        assert!(t.render().contains("note: written to x"));
+        assert!(t.render().ends_with("  note: n\n  note: written to x\n"));
+        assert!(
+            t.results().ends_with("  note: n\n"),
+            "results leave file notes out"
+        );
     }
 
     #[test]

@@ -634,26 +634,27 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         }
     }
 
-    /// One all-to-all of `bytes` per device under the recovery policy —
-    /// moving `shards`, or on the unit plane (`None`) nothing: transient
-    /// drops are retried with exponential backoff (charged as simulated
-    /// fault time); with verification on, a corrupted chunk is repaired
-    /// inside the collective. Drops are atomic — no data moves on a failed
-    /// attempt — so retrying the same buffers is always safe; under
-    /// overlap a retry re-runs the whole pipeline (the failed attempt only
-    /// charged the detection timeout).
+    /// One all-to-all of `len` elements per device under the recovery
+    /// policy — moving `shards`, or on the unit plane (`None`) nothing:
+    /// transient drops are retried with exponential backoff (charged as
+    /// simulated fault time); with verification on, a corrupted chunk is
+    /// repaired inside the collective. Drops are atomic — no data moves on
+    /// a failed attempt — so retrying the same buffers is always safe;
+    /// under overlap a retry re-runs the whole pipeline (the failed
+    /// attempt only charged the detection timeout).
     fn transfer(
         &self,
         machine: &mut Machine,
         mut shards: Option<&mut [Vec<F>]>,
-        bytes: u64,
+        len: usize,
         policy: &RecoveryPolicy,
         compute: Option<&OverlapCompute<'_>>,
     ) -> Result<(), FabricError> {
-        let verify = policy.verify_checksums;
+        let (elem_bytes, verify) = (self.field_spec.elem_bytes, policy.verify_checksums);
         let mut attempt = 0;
         loop {
-            match machine.exchange_all_to_all(shards.as_deref_mut(), bytes, verify, compute) {
+            let shards = shards.as_deref_mut();
+            match machine.exchange_all_to_all(shards, len, elem_bytes, verify, compute) {
                 Ok(_) => return Ok(()),
                 Err(e) if e.is_transient() && attempt < policy.max_retries => {
                     machine.charge_fault_ns("retry-backoff", policy.backoff_ns(attempt));
@@ -682,7 +683,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         let g = self.plan.num_gpus();
         let m = self.plan.shard_len();
         let (transfers, per_launch) = self.launches(plane.len());
-        let bytes = per_launch * (m * self.field_spec.elem_bytes) as u64;
+        let len = per_launch as usize * m;
         let lists = overlap.map(|direction| {
             let (mut local, mut outer) = (Vec::new(), Vec::new());
             self.local_kernels(per_launch, true, |kernel| local.push(*kernel));
@@ -717,7 +718,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
                         buf
                     })
                     .collect();
-                self.transfer(machine, Some(&mut combined[..]), bytes, policy, compute)?;
+                self.transfer(machine, Some(&mut combined[..]), len, policy, compute)?;
                 for (dev, buf) in combined.into_iter().enumerate() {
                     // Received layout: for src in 0..g, for item, chunk data.
                     let mut received = buf.chunks_exact(chunk);
@@ -732,12 +733,12 @@ impl<F: TwoAdicField> UniNttEngine<F> {
             Plane::Elements(batch) => {
                 for item in batch.iter_mut() {
                     let shards = Some(&mut item.shards_mut()[..]);
-                    self.transfer(machine, shards, bytes, policy, compute)?;
+                    self.transfer(machine, shards, len, policy, compute)?;
                 }
             }
             Plane::Unit(_) => {
                 for _ in 0..transfers {
-                    self.transfer(machine, None, bytes, policy, compute)?;
+                    self.transfer(machine, None, len, policy, compute)?;
                 }
             }
         }

@@ -212,8 +212,8 @@ impl Machine {
         shards: &mut [Vec<T>],
         elem_bytes: usize,
     ) -> Result<CollectiveReport, FabricError> {
-        let bytes = shard_bytes(shards, elem_bytes);
-        self.exchange_all_to_all(Some(shards), bytes, false, None)
+        let len = shard_len(shards);
+        self.exchange_all_to_all(Some(shards), len, elem_bytes, false, None)
             .map(|r| r.collective)
     }
 
@@ -230,8 +230,8 @@ impl Machine {
         shards: &mut [Vec<T>],
         elem_bytes: usize,
     ) -> Result<CollectiveReport, FabricError> {
-        let bytes = shard_bytes(shards, elem_bytes);
-        self.exchange_all_to_all(Some(shards), bytes, true, None)
+        let len = shard_len(shards);
+        self.exchange_all_to_all(Some(shards), len, elem_bytes, true, None)
             .map(|r| r.collective)
     }
 
@@ -253,13 +253,14 @@ impl Machine {
         compute: &OverlapCompute<'_>,
         verify_checksums: bool,
     ) -> Result<OverlapReport, FabricError> {
-        let bytes = shard_bytes(shards, elem_bytes);
-        self.exchange_all_to_all(Some(shards), bytes, verify_checksums, Some(compute))
+        let (len, verify) = (shard_len(shards), verify_checksums);
+        self.exchange_all_to_all(Some(shards), len, elem_bytes, verify, Some(compute))
     }
 
     /// The one all-to-all body, for both data planes. `shards` holds the
-    /// data (`None`: nothing moves, the exchange is only charged) and
-    /// `bytes_per_device` is what each device's shard weighs. The fault
+    /// data (`None`: nothing moves, the exchange is only charged); each
+    /// device's shard weighs `shard_len` elements of `elem_bytes` on the
+    /// wire on either plane (asserted against `shards`). The fault
     /// decision, its drop / delay / straggler / device-loss charges and,
     /// with `verify`, the repair of the one chunk a corruption decision
     /// names are the same calls whether or not data moves, so a cost-only
@@ -275,7 +276,8 @@ impl Machine {
     pub fn exchange_all_to_all<T: Copy + Send + PartialEq>(
         &mut self,
         mut shards: Option<&mut [Vec<T>]>,
-        bytes_per_device: u64,
+        shard_len: usize,
+        elem_bytes: usize,
         verify: bool,
         pipeline: Option<&OverlapCompute<'_>>,
     ) -> Result<OverlapReport, FabricError> {
@@ -284,6 +286,11 @@ impl Machine {
             Some(shards) => self.validate_equal_shards(shards)?,
             None => 0,
         };
+        assert!(
+            shards.is_none() || len == shard_len,
+            "shards of {len} elements charged as {shard_len}"
+        );
+        let bytes_per_device = (shard_len * elem_bytes) as u64;
         if d <= 1 {
             // Nothing moves; the interleaved kernels still run.
             if let Some(compute) = pipeline {
@@ -737,8 +744,8 @@ impl Machine {
 
 /// What each device's shard weighs on the wire (the first shard's; the
 /// collective rejects unequal shards before it charges anything).
-fn shard_bytes<T>(shards: &[Vec<T>], elem_bytes: usize) -> u64 {
-    shards.first().map_or(0, |s| (s.len() * elem_bytes) as u64)
+fn shard_len<T>(shards: &[Vec<T>]) -> usize {
+    shards.first().map_or(0, Vec::len)
 }
 
 #[cfg(test)]
@@ -968,7 +975,7 @@ mod tests {
                 let outcomes: Vec<_> = (0..6)
                     .map(|_| {
                         let shards = elements.then_some(&mut shards[..]);
-                        m.exchange_all_to_all(shards, 64 * 8, verify, pipeline)
+                        m.exchange_all_to_all(shards, 64, 8, verify, pipeline)
                     })
                     .collect();
                 let log = m.fault_log().to_vec();
@@ -980,6 +987,13 @@ mod tests {
                 "{plan:?} verify={verify} pipelined={pipelined}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "shards of 64 elements charged as 32")]
+    fn exchange_charges_what_the_shards_hold() {
+        let mut shards: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64; 64]).collect();
+        let _ = machine(4).exchange_all_to_all(Some(&mut shards[..]), 32, 8, false, None);
     }
 
     #[test]
@@ -1099,7 +1113,7 @@ mod tests {
     #[test]
     fn overlapped_single_chunk_matches_blocking_schedule() {
         let (prod, cons) = overlap_profiles();
-        let bytes = ((1 << 16) * 8) as u64;
+        let len = 1 << 16;
 
         let blocking = {
             let mut m = machine(4);
@@ -1107,7 +1121,7 @@ mod tests {
             m.parallel_phase(&mut shards, |ctx, _, _| {
                 ctx.launch(&prod);
             });
-            m.exchange_all_to_all(NOTHING, bytes, false, None).unwrap();
+            m.exchange_all_to_all(NOTHING, len, 8, false, None).unwrap();
             m.parallel_phase(&mut shards, |ctx, _, _| {
                 ctx.launch(&cons);
             });
@@ -1120,7 +1134,7 @@ mod tests {
                 consumers: &[cons],
                 chunks: 1,
             };
-            m.exchange_all_to_all(NOTHING, bytes, false, Some(&compute))
+            m.exchange_all_to_all(NOTHING, len, 8, false, Some(&compute))
                 .unwrap();
             m
         };
@@ -1141,7 +1155,7 @@ mod tests {
     #[test]
     fn overlap_hides_communication_with_many_chunks() {
         let (prod, cons) = overlap_profiles();
-        let bytes = (1 << 24) as u64;
+        let len = 1 << 21;
         let run = |chunks: u32| -> (Machine, OverlapReport) {
             let mut m = machine(8);
             let compute = OverlapCompute {
@@ -1150,7 +1164,7 @@ mod tests {
                 chunks,
             };
             let rep = m
-                .exchange_all_to_all(NOTHING, bytes, false, Some(&compute))
+                .exchange_all_to_all(NOTHING, len, 8, false, Some(&compute))
                 .unwrap();
             (m, rep)
         };
