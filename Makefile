@@ -4,7 +4,7 @@
 # Whole workspace except the vendored offline stubs under vendor/.
 EXCLUDE_VENDOR := --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 
-.PHONY: verify fmt clippy build bench-check test test-workspace test-one-thread test-e16-two-threads test-eight-threads e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke serve-profile msm-profile
+.PHONY: verify fmt clippy build bench-check test test-workspace test-one-thread test-e16-two-threads test-eight-threads e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke serve-profile msm-profile loc
 
 verify: fmt clippy build bench-check test kernel-smoke e13 serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate bench-smoke
 
@@ -181,6 +181,11 @@ msm-profile:
 # BENCH_*.json in its committed mode and byte-compare. Fails on any diff.
 perf-gate:
 	cargo run --release -p unintt-bench --bin harness -- perf-gate
+
+# Line count (informational, not part of verify): non-test lines per
+# crate under crates/*/src, the figure simplicity changes quote.
+loc:
+	bash scripts/loc.sh
 
 # Repo-benchmark smoke: one checked op per BENCHMARK.json workload (every
 # digest pin and independent check) plus one traced run; exits non-zero

@@ -83,11 +83,11 @@ pub fn run(quick: bool) -> Table {
 
         let mut one = LdeBackend::simulated(presets::a100_nvlink(1));
         let c1 = commit_trace(&trace, &config, &mut one);
-        let t1 = one.sim_time_ns();
+        let t1 = one.sim_time().as_ns();
 
         let mut eight = LdeBackend::simulated(presets::a100_nvlink(gpus));
         let c8 = commit_trace(&trace, &config, &mut eight);
-        let t8 = eight.sim_time_ns();
+        let t8 = eight.sim_time().as_ns();
 
         assert_eq!(c1.trace_root, c8.trace_root, "backends must agree");
         let ok = verify_trace(&c8, &config);

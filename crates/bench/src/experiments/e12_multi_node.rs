@@ -12,7 +12,7 @@
 
 use unintt_core::{Cluster, ClusterNttEngine, NetworkConfig, UniNttOptions};
 use unintt_ff::Bn254Fr;
-use unintt_gpu_sim::{presets, FieldSpec};
+use unintt_gpu_sim::{presets, FieldSpec, SimTime};
 
 use crate::report::{Kind, Table};
 
@@ -56,16 +56,16 @@ pub fn run(quick: bool) -> Table {
             );
             let mut cluster = Cluster::new(nodes, node_cfg.clone(), net, fs);
             engine.simulate_forward(&mut cluster);
-            let t = cluster.total_time_ns();
+            let t = cluster.total_time().as_ns();
             if nodes == 1 {
                 baseline_ns = t;
             }
             // Hidden communication = network wire time buried under the
             // outer column NTTs plus each node's intra-fabric overlap.
-            let hidden_ns = cluster.network_hidden_ns()
+            let hidden = cluster.network_hidden()
                 + (0..nodes)
-                    .map(|n| cluster.node(n).stats().comm_hidden_ns)
-                    .sum::<f64>();
+                    .map(|n| cluster.node(n).ledger().comm_hidden_ns)
+                    .sum::<SimTime>();
             let collectives: u64 = (0..nodes)
                 .map(|n| cluster.node(n).stats().collectives)
                 .sum();
@@ -75,7 +75,7 @@ pub fn run(quick: bool) -> Table {
                 t.into(),
                 (baseline_ns / t).into(),
                 cluster.network_bytes().into(),
-                hidden_ns.into(),
+                hidden.into(),
                 collectives.into(),
             ]);
         }
@@ -103,7 +103,7 @@ mod tests {
         engine.simulate_forward(&mut ib);
         let mut eth = Cluster::new(4, node_cfg, NetworkConfig::ethernet_100g(), fs);
         engine.simulate_forward(&mut eth);
-        assert!(ib.total_time_ns() < eth.total_time_ns());
+        assert!(ib.total_time() < eth.total_time());
     }
 
     #[test]

@@ -19,16 +19,16 @@
 //!
 //! The headline check is **reconciliation**: for every device track the
 //! sum of exported span durations must equal the cost model's
-//! bottleneck-attributed total (`Stats::time_ns.total()`) to within
-//! float-summation rounding — and for the streamed serving section, the
-//! per-queue stage spans must sum to the service report's own per-kind
-//! stage attribution (`ServiceReport::stage_ns`). A trace that disagrees
-//! with the numbers the benchmarks report would be worse than no trace
-//! at all.
+//! bottleneck-attributed total (`Stats::time_ns.total()`) — exactly, since
+//! both add the same integer charges — and for the streamed serving
+//! section, the per-queue stage spans must sum to the service report's
+//! own per-kind stage attribution (`ServiceReport::stage_ns`). A trace
+//! that disagrees with the numbers the benchmarks report would be worse
+//! than no trace at all.
 
 use unintt_core::{Cluster, ClusterNttEngine, NetworkConfig, UniNttEngine, UniNttOptions};
 use unintt_ff::{Bn254Fr, Goldilocks};
-use unintt_gpu_sim::{presets, FieldSpec, Machine};
+use unintt_gpu_sim::{presets, FieldSpec, Machine, SimTime};
 use unintt_serve::{ProofService, ServiceConfig, ServiceReport, WorkloadMix, WorkloadSpec};
 use unintt_telemetry::{self as telemetry, AttrValue, InstantKind, Registry, Session, SpanLevel};
 
@@ -40,10 +40,6 @@ pub const TRACE_FILE: &str = "trace.json";
 /// Folded stacks for `flamegraph.pl`-style tooling, same directory.
 pub const FOLDED_FILE: &str = "trace.folded";
 
-/// Spans must account for the stats total to within float-summation
-/// rounding (the two sides add the same numbers in different orders).
-const RECON_REL_TOL: f64 = 1e-9;
-
 /// One device track's reconciliation row: the sum of its telemetry span
 /// durations against the cost model's bottleneck-attributed total.
 pub struct ReconRow {
@@ -53,20 +49,6 @@ pub struct ReconRow {
     pub span_ns: f64,
     /// `Stats::time_ns.total()` for the same device, ns.
     pub stats_ns: f64,
-}
-
-impl ReconRow {
-    /// Relative disagreement between the two accountings.
-    pub fn rel_err(&self) -> f64 {
-        if self.stats_ns <= 0.0 {
-            return if self.span_ns.abs() <= f64::EPSILON {
-                0.0
-            } else {
-                f64::INFINITY
-            };
-        }
-        ((self.span_ns - self.stats_ns) / self.stats_ns).abs()
-    }
 }
 
 /// One trace section plus its reconciliation evidence.
@@ -106,25 +88,22 @@ fn reconcile_devices(session: &Session, machine: &Machine) -> Vec<ReconRow> {
                 0,
                 "reconciliation requires a complete timeline on {track}"
             );
-            let span_ns = session
+            let span: SimTime = session
                 .spans
                 .iter()
                 .filter(|s| s.level == SpanLevel::Device && s.track == track)
-                .map(|s| s.duration_ns())
+                .map(|s| s.duration())
                 .sum();
-            let row = ReconRow {
-                track,
-                span_ns,
-                stats_ns: machine.device_stats(d).time_ns.total(),
-            };
-            assert!(
-                row.rel_err() < RECON_REL_TOL,
-                "telemetry drifted from the cost model on {}: spans {} ns vs stats {} ns",
-                row.track,
-                row.span_ns,
-                row.stats_ns
+            let stats = machine.device_stats(d).time_ns.total();
+            assert_eq!(
+                span, stats,
+                "telemetry drifted from the cost model on {track}"
             );
-            row
+            ReconRow {
+                track,
+                span_ns: span.as_ns(),
+                stats_ns: stats.as_ns(),
+            }
         })
         .collect()
 }
@@ -139,7 +118,7 @@ fn reconcile_stages(session: &Session, report: &ServiceReport) -> Vec<ReconRow> 
         .stage_ns
         .iter()
         .map(|(&kind, &stats_ns)| {
-            let span_ns = session
+            let span: SimTime = session
                 .spans
                 .iter()
                 .filter(|s| {
@@ -148,20 +127,17 @@ fn reconcile_stages(session: &Session, report: &ServiceReport) -> Vec<ReconRow> 
                             .iter()
                             .any(|(k, v)| *k == "kind" && *v == AttrValue::Str(kind))
                 })
-                .map(|s| s.duration_ns())
+                .map(|s| s.duration())
                 .sum();
             let row = ReconRow {
                 track: format!("stage:{kind}"),
-                span_ns,
+                span_ns: span.as_ns(),
                 stats_ns,
             };
-            assert!(
-                row.rel_err() < RECON_REL_TOL,
-                "per-queue spans drifted from the stage attribution on {}: \
-                 spans {} ns vs stage_ns {} ns",
-                row.track,
-                row.span_ns,
-                row.stats_ns
+            assert_eq!(
+                row.span_ns, row.stats_ns,
+                "per-queue spans drifted from the stage attribution on {}",
+                row.track
             );
             row
         })
@@ -314,10 +290,13 @@ fn tables(collected: &Collected) -> Vec<Table> {
             ("track", Kind::Label, |(_, r)| r.track.as_str().into()),
             ("span_ns", Kind::Ns(3), |(_, r)| r.span_ns.into()),
             ("stats_ns", Kind::Ns(3), |(_, r)| r.stats_ns.into()),
-            ("rel_err", Kind::Sci(3), |(_, r)| r.rel_err().into()),
         ],
     );
-    recon.note("every device track's span total matches Stats::time_ns.total()");
+    recon.note(
+        "span totals equal Stats::time_ns.total() per device track and \
+         ServiceReport::stage_ns per stage kind, exactly: both add the same \
+         integer picoseconds",
+    );
     let counters = Table::of(
         "counters",
         "E16: metrics registry counters",

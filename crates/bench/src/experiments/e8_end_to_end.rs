@@ -93,11 +93,11 @@ pub fn run(quick: bool) -> Table {
         table.row([
             format!("2^{}", rows.trailing_zeros()).into(),
             "functional".into(),
-            r_sq.total_ns().into(),
+            r_sq.total().into(),
             (100.0 * r_sq.ntt_fraction()).into(),
-            r_u.total_ns().into(),
+            r_u.total().into(),
             (100.0 * r_u.ntt_fraction()).into(),
-            (r_sq.total_ns() / r_u.total_ns()).into(),
+            (r_sq.total().as_ns() / r_u.total().as_ns()).into(),
         ]);
     }
 

@@ -5,6 +5,8 @@
 
 use std::fmt::Write as _;
 
+use unintt_gpu_sim::SimTime;
+
 /// What a column holds and how its cells print. A column has one print
 /// precision: the text and JSON forms of a number show the same digits,
 /// except that simulated times and byte counts take adaptive units in
@@ -58,6 +60,13 @@ cell_from!(&str => Label, String => Label, bool => Bool, f64 => Real, u32 => Int
 impl From<usize> for Cell {
     fn from(n: usize) -> Self {
         Cell::Int(n as u64)
+    }
+}
+
+/// A simulated time, for a [`Kind::Ns`] column.
+impl From<SimTime> for Cell {
+    fn from(t: SimTime) -> Self {
+        Cell::Real(t.as_ns())
     }
 }
 

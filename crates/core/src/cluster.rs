@@ -29,6 +29,7 @@ use serde::{Deserialize, Serialize};
 use unintt_ff::TwoAdicField;
 use unintt_gpu_sim::{
     alpha_beta_all_to_all_ns, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig,
+    SimTime,
 };
 use unintt_ntt::{scale_by_powers, Direction, Ntt};
 use unintt_telemetry::SpanLevel;
@@ -89,10 +90,10 @@ pub struct Cluster {
     nodes: Vec<Machine>,
     network: NetworkConfig,
     /// Time spent in cross-node communication (on top of node clocks).
-    network_ns: f64,
+    network_time: SimTime,
     /// Cross-node wire time hidden behind the outer column NTTs by the
-    /// overlapped schedule (already excluded from `network_ns`).
-    network_hidden_ns: f64,
+    /// overlapped schedule (already excluded from `network_time`).
+    network_hidden: SimTime,
     /// Bytes injected into the node-to-node network, all nodes summed.
     network_bytes: u64,
 }
@@ -125,8 +126,8 @@ impl Cluster {
                 })
                 .collect(),
             network,
-            network_ns: 0.0,
-            network_hidden_ns: 0.0,
+            network_time: SimTime::ZERO,
+            network_hidden: SimTime::ZERO,
             network_bytes: 0,
         }
     }
@@ -146,19 +147,15 @@ impl Cluster {
             node.reset();
             node.clear_fault_plan();
         }
-        self.network_ns = 0.0;
-        self.network_hidden_ns = 0.0;
+        self.network_time = SimTime::ZERO;
+        self.network_hidden = SimTime::ZERO;
         self.network_bytes = 0;
     }
 
     /// The cluster makespan: slowest node plus accumulated network time.
-    pub fn total_time_ns(&self) -> f64 {
-        let node_max = self
-            .nodes
-            .iter()
-            .map(Machine::max_clock_ns)
-            .fold(0.0, f64::max);
-        node_max + self.network_ns
+    pub fn total_time(&self) -> SimTime {
+        let node_max = self.nodes.iter().map(Machine::max_clock).max();
+        node_max.unwrap_or_default() + self.network_time
     }
 
     /// Cross-node traffic in bytes (all nodes summed).
@@ -168,8 +165,8 @@ impl Cluster {
 
     /// Cross-node wire time hidden behind compute by the overlapped
     /// schedule. Zero under [`CommMode::Blocking`].
-    pub fn network_hidden_ns(&self) -> f64 {
-        self.network_hidden_ns
+    pub fn network_hidden(&self) -> SimTime {
+        self.network_hidden
     }
 
     /// Access to one node's machine.
@@ -192,20 +189,20 @@ impl Cluster {
 
     /// Charges a cross-node all-to-all among `nodes` participants (the
     /// degraded path exchanges among survivors only) whose wire time is
-    /// pipelined against up to `hide_ns` of per-node compute: only the
+    /// pipelined against up to `hide` of per-node compute: only the
     /// exposed remainder (latency plus un-hidden wire time) advances the
     /// cluster clock. The latency term is never hidable — the first chunk
     /// must arrive before any dependent compute can start. A blocking
-    /// exchange hides nothing (`hide_ns = 0`).
-    fn charge_network_all_to_all(&mut self, nodes: usize, bytes_per_node: u64, hide_ns: f64) {
+    /// exchange hides nothing (`hide` is zero).
+    fn charge_network_all_to_all(&mut self, nodes: usize, bytes_per_node: u64, hide: SimTime) {
         if nodes <= 1 {
             return;
         }
-        let total = self.network.all_to_all_ns(nodes, bytes_per_node);
-        let wire = (total - self.network.latency_ns).max(0.0);
-        let hidden = wire.min(hide_ns.max(0.0));
-        self.network_ns += total - hidden;
-        self.network_hidden_ns += hidden;
+        let total = SimTime::from_ns(self.network.all_to_all_ns(nodes, bytes_per_node));
+        let wire = total.saturating_sub(SimTime::from_ns(self.network.latency_ns));
+        let hidden = wire.min(hide);
+        self.network_time += total - hidden;
+        self.network_hidden += hidden;
         self.network_bytes += (bytes_per_node * (nodes as u64 - 1) / nodes as u64) * nodes as u64;
     }
 }
@@ -232,11 +229,11 @@ pub struct ClusterRunReport<F> {
     /// Communication bytes moved end to end: intra-node GPU-fabric
     /// injections on every node plus cross-node network traffic.
     pub comm_bytes: u64,
-    /// Communication nanoseconds hidden behind compute by the overlapped
+    /// Communication time hidden behind compute by the overlapped
     /// schedule — GPU-fabric overlap inside the nodes plus network wire
     /// time pipelined against the outer column NTTs. Zero under
     /// [`CommMode::Blocking`].
-    pub comm_hidden_ns: f64,
+    pub comm_hidden: SimTime,
 }
 
 impl<F> ClusterRunReport<F> {
@@ -259,7 +256,7 @@ type AttemptError = (Option<usize>, FabricError);
 /// cluster clock (slowest node plus network time).
 const CLUSTER: Level<Cluster> = Level {
     span_level: SpanLevel::Cluster,
-    clock_ns: Cluster::total_time_ns,
+    clock: Cluster::total_time,
     track: |_| String::from("cluster"),
 };
 
@@ -386,14 +383,15 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     fn charge_cluster_exchange(&self, cluster: &mut Cluster) {
         let t = self.num_nodes();
         let bytes = ((self.n() / t) * self.field_spec.elem_bytes) as u64;
-        let hide_ns = match self.opts.comm_mode {
+        let hide = match self.opts.comm_mode {
             CommMode::Overlapped => {
                 let model = cluster.nodes[0].model();
-                model.kernel_cost(&self.cluster_outer_profile()).total_ns
+                let (work, launch) = model.kernel_cost(&self.cluster_outer_profile()).charge(1.0);
+                work + launch
             }
-            CommMode::Blocking => 0.0,
+            CommMode::Blocking => SimTime::ZERO,
         };
-        cluster.charge_network_all_to_all(t, bytes, hide_ns);
+        cluster.charge_network_all_to_all(t, bytes, hide);
     }
 
     /// Forward NTT across the cluster.
@@ -430,7 +428,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     ///
     /// Simulated time accumulates across replans on every surviving
     /// machine, so the recovery overhead of a policy is directly visible
-    /// in [`Cluster::total_time_ns`].
+    /// in [`Cluster::total_time`].
     ///
     /// # Errors
     ///
@@ -483,12 +481,12 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                     let output = plan.collect(&shards);
                     let mut collectives = 0u64;
                     let mut comm_bytes = cluster.network_bytes;
-                    let mut comm_hidden_ns = cluster.network_hidden_ns;
+                    let mut comm_hidden = cluster.network_hidden;
                     for machine in &cluster.nodes {
-                        let stats = machine.stats();
-                        collectives += stats.collectives;
-                        comm_bytes += stats.interconnect_bytes_sent;
-                        comm_hidden_ns += stats.comm_hidden_ns;
+                        let ledger = machine.ledger();
+                        collectives += ledger.collectives;
+                        comm_bytes += ledger.interconnect_bytes_sent;
+                        comm_hidden += ledger.comm_hidden_ns;
                     }
                     return Ok(ClusterRunReport {
                         output,
@@ -498,7 +496,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                         retries_per_attempt,
                         collectives,
                         comm_bytes,
-                        comm_hidden_ns,
+                        comm_hidden,
                     });
                 }
                 Err((Some(node), e)) => {
@@ -611,10 +609,10 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                             }
                         }
                     }
-                    let (bytes, hidden) = (cluster.network_bytes, cluster.network_hidden_ns);
+                    let (bytes, hidden) = (cluster.network_bytes, cluster.network_hidden);
                     self.charge_cluster_exchange(cluster);
                     let bytes = cluster.network_bytes - bytes;
-                    let hidden = cluster.network_hidden_ns - hidden;
+                    let hidden = (cluster.network_hidden - hidden).as_ns();
                     Ok(if observed {
                         vec![("bytes", bytes.into()), ("hidden_comm_ns", hidden.into())]
                     } else {
@@ -711,7 +709,7 @@ mod tests {
                 );
                 if nodes > 1 {
                     assert!(cluster.network_bytes() > 0);
-                    assert!(cluster.total_time_ns() > 0.0);
+                    assert!(cluster.total_time() > SimTime::ZERO);
                 }
             }
         }
@@ -783,13 +781,16 @@ mod tests {
         let mut block = Cluster::new(4, node_cfg, NetworkConfig::infiniband_400g(), fs);
         block_engine.simulate_forward(&mut block);
 
-        assert!(over.network_hidden_ns() > 0.0, "wire time must be hidden");
-        assert_eq!(block.network_hidden_ns(), 0.0);
         assert!(
-            over.total_time_ns() < block.total_time_ns(),
-            "overlap must shorten the makespan: over={} block={}",
-            over.total_time_ns(),
-            block.total_time_ns()
+            over.network_hidden() > SimTime::ZERO,
+            "wire time must be hidden"
+        );
+        assert_eq!(block.network_hidden(), SimTime::ZERO);
+        assert!(
+            over.total_time() < block.total_time(),
+            "overlap must shorten the makespan: over={:?} block={:?}",
+            over.total_time(),
+            block.total_time()
         );
         assert_eq!(over.network_bytes(), block.network_bytes());
     }
@@ -822,13 +823,13 @@ mod tests {
         // the default overlapped schedule hid some network wire time.
         assert!(report.collectives > 0);
         assert!(report.comm_bytes > cluster.network_bytes());
-        assert!(report.comm_hidden_ns > 0.0);
+        assert!(report.comm_hidden > SimTime::ZERO);
         assert_eq!(
-            report.comm_hidden_ns,
-            cluster.network_hidden_ns()
+            report.comm_hidden,
+            cluster.network_hidden()
                 + (0..4)
-                    .map(|i| cluster.node(i).stats().comm_hidden_ns)
-                    .sum::<f64>()
+                    .map(|i| cluster.node(i).ledger().comm_hidden_ns)
+                    .sum::<SimTime>()
         );
     }
 
@@ -996,7 +997,7 @@ mod tests {
             .forward_with_recovery(&mut cluster, &input, &RecoveryPolicy::default())
             .expect("transient faults are absorbed");
         cluster.node_mut(1).fail_device(0);
-        assert!(cluster.total_time_ns() > 0.0 && cluster.network_bytes() > 0);
+        assert!(cluster.total_time() > SimTime::ZERO && cluster.network_bytes() > 0);
         assert!(cluster.nodes.iter().any(|m| !m.fault_log().is_empty()));
         cluster.reset();
         assert_eq!(format!("{cluster:?}"), format!("{:?}", new()));

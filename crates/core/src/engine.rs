@@ -59,7 +59,8 @@ use std::sync::OnceLock;
 
 use unintt_ff::TwoAdicField;
 use unintt_gpu_sim::{
-    DeviceCtx, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, OverlapCompute, Stats,
+    DeviceCtx, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, OverlapCompute,
+    SimTime, Stats,
 };
 use unintt_ntt::{scale_by_powers, Direction, Ntt};
 use unintt_telemetry::SpanLevel;
@@ -71,22 +72,22 @@ use crate::{CommMode, DecompositionPlan, RecoveryPolicy, ShardLayout, Sharded, U
 /// The fabric level: spans on the machine's track, against its makespan.
 const FABRIC: Level<Machine> = Level {
     span_level: SpanLevel::Fabric,
-    clock_ns: Machine::max_clock_ns,
+    clock: Machine::max_clock,
     track: |machine| machine.label().to_string(),
 };
 
 /// Raw-vs-exposed-vs-hidden interconnect annotations for an exchange
 /// span, from the stats delta across the exchange.
-fn exchange_attrs(pre: &Stats, post: &Stats, overlapped: bool) -> Attrs {
+fn exchange_attrs(pre: &Stats<SimTime>, post: &Stats<SimTime>, overlapped: bool) -> Attrs {
     let mode = if overlapped { "overlapped" } else { "blocking" };
     let raw = post.raw_time_ns.interconnect - pre.raw_time_ns.interconnect;
     let exposed = post.time_ns.interconnect - pre.time_ns.interconnect;
     let hidden = post.comm_hidden_ns - pre.comm_hidden_ns;
     vec![
         ("mode", mode.into()),
-        ("raw_comm_ns", raw.into()),
-        ("exposed_comm_ns", exposed.into()),
-        ("hidden_comm_ns", hidden.into()),
+        ("raw_comm_ns", raw.as_ns().into()),
+        ("exposed_comm_ns", exposed.as_ns().into()),
+        ("hidden_comm_ns", hidden.as_ns().into()),
     ]
 }
 
@@ -491,10 +492,10 @@ impl<F: TwoAdicField> UniNttEngine<F> {
                         return Ok(Vec::new());
                     }
                 };
-                let pre = observed.then(|| machine.stats());
+                let pre = observed.then(|| machine.ledger());
                 self.exchange(machine, plane, overlap, policy)?;
                 Ok(pre.map_or_else(Vec::new, |pre| {
-                    exchange_attrs(&pre, &machine.stats(), overlap.is_some())
+                    exchange_attrs(&pre, &machine.ledger(), overlap.is_some())
                 }))
             },
         )?;
@@ -657,7 +658,8 @@ impl<F: TwoAdicField> UniNttEngine<F> {
             match machine.exchange_all_to_all(shards, len, elem_bytes, verify, compute) {
                 Ok(_) => return Ok(()),
                 Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                    machine.charge_fault_ns("retry-backoff", policy.backoff_ns(attempt));
+                    let backoff = SimTime::from_ns(policy.backoff_ns(attempt));
+                    machine.charge_fault("retry-backoff", backoff);
                     machine.count_retry();
                     attempt += 1;
                 }

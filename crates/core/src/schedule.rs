@@ -18,7 +18,7 @@
 //! run because it is the functional run.
 
 use unintt_ntt::Direction;
-use unintt_telemetry::{AttrValue, Span, SpanLevel};
+use unintt_telemetry::{AttrValue, SimTime, Span, SpanLevel};
 
 /// What moves through the phases of a transform: sharded vectors through
 /// the fabric's, one host vector per node through the cluster's.
@@ -115,7 +115,7 @@ pub(crate) struct Level<Hw> {
     /// The hierarchy level the spans are recorded at.
     pub span_level: SpanLevel,
     /// The level's simulated clock.
-    pub clock_ns: fn(&Hw) -> f64,
+    pub clock: fn(&Hw) -> SimTime,
     /// The telemetry track the spans render on.
     pub track: fn(&Hw) -> String,
 }
@@ -137,21 +137,20 @@ pub(crate) fn walk<Hw, E>(
 ) -> Result<(), E> {
     let phases = &schedule.phases[..schedule.len];
     let named = |p: &Phase| p.span(level.span_level);
-    let clock = level.clock_ns;
-    let record =
-        |hw: &Hw, id: Option<u64>, parent, (name, category): (&str, _), t_start_ns, attrs| {
-            unintt_telemetry::record_span(|| Span {
-                id: id.unwrap_or_else(unintt_telemetry::fresh_id),
-                parent,
-                name: name.to_string(),
-                level: level.span_level,
-                category,
-                track: (level.track)(hw),
-                t_start_ns,
-                t_end_ns: clock(hw),
-                attrs,
-            });
-        };
+    let clock = level.clock;
+    let record = |hw: &Hw, id: Option<u64>, parent, (name, category): (&str, _), t_start, attrs| {
+        unintt_telemetry::record_span(|| Span {
+            id: id.unwrap_or_else(unintt_telemetry::fresh_id),
+            parent,
+            name: name.to_string(),
+            level: level.span_level,
+            category,
+            track: (level.track)(hw),
+            t_start,
+            t_end: clock(hw),
+            attrs,
+        });
+    };
     // The transform proper is the tail of the list, after the lead-ins.
     let last = phases.len() - 1;
     let first = phases
@@ -174,10 +173,10 @@ pub(crate) fn walk<Hw, E>(
         if i == enter {
             open = unintt_telemetry::reserve_span_id().map(|id| (id, clock(hw)));
         }
-        let t_start_ns = open.map_or(0.0, |_| clock(hw));
+        let t_start = open.map_or(SimTime::ZERO, |_| clock(hw));
         let attrs = phase(hw, phases[i], open.is_some())?;
         if let (Some((root_id, _)), Some(span)) = (open, named(&phases[i])) {
-            record(hw, None, Some(root_id), span, t_start_ns, attrs);
+            record(hw, None, Some(root_id), span, t_start, attrs);
         }
         if i == leave {
             if let (Some((root_id, t_begin)), Some(root)) = (open.take(), root.take()) {

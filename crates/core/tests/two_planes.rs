@@ -2,8 +2,8 @@
 //!
 //! A cost-only `simulate_*` is the functional transform's walk with
 //! nothing to move, so for any engine, option set, communication mode,
-//! batch, direction and fault plan the two must charge bit-equal clocks
-//! and equal [`Stats`], log the same faults, and — with a telemetry
+//! batch, direction and fault plan the two must charge equal integer
+//! clocks and equal [`Stats`] books, log the same faults, and — with a telemetry
 //! session open — record the same span tree. There is one path to check,
 //! so what this file checks is that the planes really are the only
 //! difference. The fault plans hold the kinds a transform without a
@@ -17,7 +17,8 @@ use unintt_core::{
 };
 use unintt_ff::{Field, Goldilocks, PrimeField};
 use unintt_gpu_sim::{
-    presets, FaultEvent, FaultKind, FaultPlan, FaultRates, FieldSpec, Machine, MachineConfig, Stats,
+    presets, FaultEvent, FaultKind, FaultPlan, FaultRates, FieldSpec, Machine, MachineConfig,
+    SimTime, Stats,
 };
 use unintt_telemetry::{AttrValue, Session};
 
@@ -99,12 +100,8 @@ fn machine(cfg: &MachineConfig, plan: &Option<FaultPlan>) -> Machine {
 }
 
 /// What one plane left on a machine.
-fn outcome(m: &Machine) -> (u64, Stats, Vec<FaultEvent>) {
-    (
-        m.max_clock_ns().to_bits(),
-        m.stats(),
-        m.fault_log().to_vec(),
-    )
+fn outcome(m: &Machine) -> (SimTime, Stats<SimTime>, Vec<FaultEvent>) {
+    (m.max_clock(), m.ledger(), m.fault_log().to_vec())
 }
 
 /// Runs `op` over `batch` vectors on `plane` — the element plane (real
@@ -176,12 +173,19 @@ fn both_planes_charge_the_same_clock_and_stats() {
 
 /// What one plane left on a cluster: its clock, the network counters and
 /// every node's stats and fault log.
-fn cluster_outcome(cl: &Cluster) -> (u64, u64, u64, Vec<(Stats, Vec<FaultEvent>)>) {
-    let node = |i| (cl.node(i).stats(), cl.node(i).fault_log().to_vec());
+type ClusterOutcome = (
+    SimTime,
+    u64,
+    SimTime,
+    Vec<(Stats<SimTime>, Vec<FaultEvent>)>,
+);
+
+fn cluster_outcome(cl: &Cluster) -> ClusterOutcome {
+    let node = |i| (cl.node(i).ledger(), cl.node(i).fault_log().to_vec());
     (
-        cl.total_time_ns().to_bits(),
+        cl.total_time(),
         cl.network_bytes(),
-        cl.network_hidden_ns().to_bits(),
+        cl.network_hidden(),
         (0..cl.num_nodes()).map(node).collect(),
     )
 }
@@ -250,25 +254,25 @@ fn shape(session: &Session) -> Vec<String> {
     };
     let spans = session.spans.iter().map(|s| {
         format!(
-            "span {} parent={:?} {} {:?} {} {} [{:016x}, {:016x}] {:?}",
+            "span {} parent={:?} {} {:?} {} {} [{}, {}] {:?}",
             s.id,
             s.parent,
             s.name,
             s.level,
             s.category,
             s.track,
-            s.t_start_ns.to_bits(),
-            s.t_end_ns.to_bits(),
+            s.t_start.0,
+            s.t_end.0,
             attrs(&s.attrs),
         )
     });
     let instants = session.instants.iter().map(|i| {
         format!(
-            "instant {} {:?} {} {:016x} {:?}",
+            "instant {} {:?} {} {} {:?}",
             i.name,
             i.kind,
             i.track,
-            i.t_ns.to_bits(),
+            i.t.0,
             attrs(&i.attrs),
         )
     });

@@ -293,6 +293,6 @@ mod tests {
         assert_eq!(cpu.evals, simulated.evals);
         assert_eq!(cpu.fri_proof, simulated.fri_proof);
         assert!(verify_opening(&simulated, z, &config));
-        assert!(sim.sim_time_ns() > 0.0);
+        assert!(sim.sim_time() > unintt_gpu_sim::SimTime::ZERO);
     }
 }

@@ -19,7 +19,7 @@
 use unintt_core::{RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
 use unintt_exec::Executor;
 use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
-use unintt_gpu_sim::{FabricError, FieldSpec, KernelProfile, Machine, MachineConfig};
+use unintt_gpu_sim::{FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, SimTime};
 
 use crate::fri::{self, FriConfig, FriProof};
 use crate::hash::{compress, hash_elements, Digest, ROUNDS, WIDTH};
@@ -90,11 +90,11 @@ impl LdeBackend {
         }
     }
 
-    /// Simulated makespan so far (0 for the CPU backend).
-    pub fn sim_time_ns(&self) -> f64 {
+    /// Simulated makespan so far (zero for the CPU backend).
+    pub fn sim_time(&self) -> SimTime {
         match self {
-            LdeBackend::Cpu => 0.0,
-            LdeBackend::Simulated(sim) => sim.machine.max_clock_ns(),
+            LdeBackend::Cpu => SimTime::ZERO,
+            LdeBackend::Simulated(sim) => sim.machine.max_clock(),
         }
     }
 
@@ -449,7 +449,7 @@ mod tests {
         assert_eq!(cpu.trace_root, simulated.trace_root);
         assert_eq!(cpu.fri_proof, simulated.fri_proof);
         assert!(verify_trace(&simulated, &config));
-        assert!(sim.sim_time_ns() > 0.0);
+        assert!(sim.sim_time() > SimTime::ZERO);
     }
 
     #[test]

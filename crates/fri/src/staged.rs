@@ -34,7 +34,7 @@
 use unintt_core::RecoveryPolicy;
 use unintt_exec::Executor;
 use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
-use unintt_gpu_sim::FabricError;
+use unintt_gpu_sim::{FabricError, SimTime};
 
 use crate::fri::{self, FriConfig};
 use crate::hash::{permutations_for, Digest};
@@ -149,7 +149,7 @@ impl CommitState {
         exec: &Executor,
         idx: usize,
         policy: &RecoveryPolicy,
-    ) -> Result<f64, FabricError> {
+    ) -> Result<SimTime, FabricError> {
         assert!(idx < STARK_STAGES, "stage index out of range");
         assert!(!self.done[idx], "stage {idx} already completed");
         for &dep in STARK_DAG[idx].2 {
@@ -158,10 +158,10 @@ impl CommitState {
                 "stage {idx} depends on unfinished stage {dep}"
             );
         }
-        let before = backend.sim_time_ns();
+        let before = backend.sim_time();
         self.execute(columns, backend, exec, idx, policy)?;
         self.done[idx] = true;
-        Ok(backend.sim_time_ns() - before)
+        Ok(backend.sim_time() - before)
     }
 
     /// Runs every stage not yet done, in index order; see
@@ -354,9 +354,9 @@ impl StagedCommit {
         self.state.done.iter().all(|&d| d)
     }
 
-    /// Simulated nanoseconds accumulated so far (0 for the CPU backend).
-    pub fn sim_total_ns(&self) -> f64 {
-        self.backend.sim_time_ns()
+    /// Simulated time accumulated so far (zero for the CPU backend).
+    pub fn sim_total(&self) -> SimTime {
+        self.backend.sim_time()
     }
 
     /// The finished commitment, once [`StagedCommit::is_complete`].
@@ -369,7 +369,7 @@ impl StagedCommit {
         &mut self.backend
     }
 
-    /// Runs one stage, returning the simulated nanoseconds it charged.
+    /// Runs one stage, returning the simulated time it charged.
     ///
     /// # Errors
     ///
@@ -380,7 +380,11 @@ impl StagedCommit {
     ///
     /// Panics if `idx` is out of range, already done, or has an
     /// unfinished dependency.
-    pub fn run_stage(&mut self, idx: usize, policy: &RecoveryPolicy) -> Result<f64, FabricError> {
+    pub fn run_stage(
+        &mut self,
+        idx: usize,
+        policy: &RecoveryPolicy,
+    ) -> Result<SimTime, FabricError> {
         self.state.run_stage(
             &self.columns,
             &mut self.backend,
@@ -465,11 +469,14 @@ mod tests {
         // Every charged stage moved the simulated clock; the barrier
         // finalize did not.
         let last = per_stage.len() - 1;
-        for (i, ns) in per_stage.iter().enumerate() {
+        for (i, &charged) in per_stage.iter().enumerate() {
             if i == last {
-                assert_eq!(*ns, 0.0, "finalize is charge-free");
+                assert_eq!(charged, SimTime::ZERO, "finalize is charge-free");
             } else {
-                assert!(*ns > 0.0, "stage {i} must charge simulated time");
+                assert!(
+                    charged > SimTime::ZERO,
+                    "stage {i} must charge simulated time"
+                );
             }
         }
     }

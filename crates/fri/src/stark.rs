@@ -464,6 +464,6 @@ mod tests {
         assert_eq!(cpu.trace_root, simulated.trace_root);
         assert_eq!(cpu.fri_proof, simulated.fri_proof);
         assert!(verify_stark(&air, &simulated, &config));
-        assert!(sim.sim_time_ns() > 0.0);
+        assert!(sim.sim_time() > unintt_gpu_sim::SimTime::ZERO);
     }
 }

@@ -30,11 +30,14 @@
 //!
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
-use crate::device::KernelProfile;
+use unintt_telemetry::SimTime;
+
+use crate::cost::KernelCost;
+use crate::device::{book_kernel, KernelProfile};
 use crate::fault::{CollectiveReport, FabricError, FaultKind};
 use crate::machine::Machine;
 use crate::timeline::TraceEvent;
-use crate::trace::{Category, CollectiveEvent};
+use crate::trace::Category;
 
 /// Caller-supplied compute to interleave with an overlapped collective.
 ///
@@ -65,43 +68,44 @@ pub struct OverlapReport {
     pub collective: CollectiveReport,
     /// End-to-end pipeline time: producers, transfer, and consumers with
     /// all overlap applied (what the makespan advanced by).
-    pub elapsed_ns: f64,
+    pub elapsed: SimTime,
     /// The full (blocking-equivalent) communication charge the pipeline
     /// was working to hide.
-    pub comm_ns: f64,
-    /// Communication nanoseconds actually hidden behind compute.
-    pub hidden_comm_ns: f64,
+    pub comm: SimTime,
+    /// Communication time actually hidden behind compute.
+    pub hidden_comm: SimTime,
 }
 
 impl Machine {
-    /// Synchronizes clocks and charges `ns` of interconnect time plus
-    /// `egress_bytes` to every alive device, then logs one
-    /// [`CollectiveEvent`] for the operation.
-    fn charge_collective(&mut self, op: &'static str, ns: f64, egress_bytes: u64, links_used: u32) {
+    /// Synchronizes clocks and charges `time` of interconnect time plus
+    /// `egress_bytes` to every alive device, then marks the operation
+    /// ([`Machine::record_collective`]).
+    fn charge_collective(
+        &mut self,
+        op: &'static str,
+        time: SimTime,
+        egress_bytes: u64,
+        links_used: u32,
+    ) {
         self.barrier();
         let mut participants = 0u64;
         for d in self.devices_mut().iter_mut().filter(|d| d.alive) {
             d.timeline.push(TraceEvent {
                 name: "collective",
-                start_ns: d.clock_ns,
-                duration_ns: ns,
+                start: d.clock,
+                duration: time,
                 category: Category::Interconnect,
                 queue: 0,
             });
-            d.clock_ns += ns;
-            *d.stats.time_ns.get_mut(Category::Interconnect) += ns;
-            *d.stats.raw_time_ns.get_mut(Category::Interconnect) += ns;
+            d.clock += time;
+            d.stats.time_ns.interconnect += time;
+            d.stats.raw_time_ns.interconnect += time;
             d.stats.interconnect_bytes_sent += egress_bytes;
             d.stats.collectives += 1;
             participants += 1;
         }
-        self.record_collective_event(CollectiveEvent {
-            op,
-            bytes: egress_bytes * participants,
-            links_used,
-            time_ns: ns,
-            hidden_ns: 0.0,
-        });
+        let bytes = egress_bytes * participants;
+        self.record_collective(op, bytes, links_used, time, SimTime::ZERO);
     }
 
     /// Fails fast if a device has already died.
@@ -122,17 +126,17 @@ impl Machine {
         &mut self,
         seq: u64,
         fault: Option<FaultKind>,
-        base_ns: f64,
+        base: SimTime,
     ) -> Result<Option<FaultKind>, FabricError> {
         match fault {
             Some(FaultKind::Drop) => {
                 // The fabric waits out one modeled completion window
                 // before declaring the collective dead.
-                self.charge_fault_ns("collective-timeout", base_ns);
+                self.charge_fault("collective-timeout", base);
                 Err(FabricError::CollectiveDropped { seq })
             }
             Some(FaultKind::DeviceLoss { device }) => {
-                self.charge_fault_ns("device-loss-detect", base_ns);
+                self.charge_fault("device-loss-detect", base);
                 self.fail_device(device);
                 Err(FabricError::DeviceLost { device, seq })
             }
@@ -140,7 +144,7 @@ impl Machine {
                 // The whole machine drops out at once; detection costs the
                 // same window as a single loss, but afterwards no healthy
                 // device remains, so no local re-plan can succeed.
-                self.charge_fault_ns("cluster-loss-detect", base_ns);
+                self.charge_fault("cluster-loss-detect", base);
                 for device in 0..self.num_devices() {
                     self.fail_device(device);
                 }
@@ -154,10 +158,12 @@ impl Machine {
         }
     }
 
-    /// Charges the post-completion cost of a transient delay fault.
-    fn apply_delay_fault(&mut self, fault: Option<FaultKind>, base_ns: f64) {
+    /// Charges the post-completion cost of a transient delay fault: the
+    /// plan's factor stretches the collective's `base` charge.
+    fn apply_delay_fault(&mut self, fault: Option<FaultKind>, base: SimTime) {
         if let Some(FaultKind::Delay { factor }) = fault {
-            self.charge_fault_ns("collective-delay", (factor - 1.0).max(0.0) * base_ns);
+            let extra = SimTime::from_ns((factor - 1.0).max(0.0) * base.as_ns());
+            self.charge_fault("collective-delay", extra);
         }
     }
 
@@ -303,10 +309,10 @@ impl Machine {
         }
         self.ensure_all_alive()?;
         let chunk = len / d;
-        let base_ns = self.model().all_to_all_ns(bytes_per_device);
+        let base = SimTime::from_ns(self.model().all_to_all_ns(bytes_per_device));
 
         let (seq, fault) = self.take_fault_decision();
-        let fault = self.apply_pre_fault(seq, fault, base_ns)?;
+        let fault = self.apply_pre_fault(seq, fault, base)?;
         // An empty chunk has nothing to damage.
         let chunk_bytes = bytes_per_device / d as u64;
         let corrupt = match fault {
@@ -351,13 +357,13 @@ impl Machine {
         };
         match pipeline {
             None => {
-                let (lat, wire) = self.fabric_mut().record_all_to_all(bytes_per_device);
+                let (lat, wire) = self.record_all_to_all(bytes_per_device);
                 let links = self.fabric().links_used_all_to_all();
                 let egress = bytes_per_device * (d as u64 - 1) / d as u64;
                 self.charge_collective("all-to-all", lat + wire, egress, links);
             }
             Some(compute) => {
-                (report.elapsed_ns, report.comm_ns, report.hidden_comm_ns) =
+                (report.elapsed, report.comm, report.hidden_comm) =
                     self.run_overlap_pipeline("all-to-all-overlapped", bytes_per_device, compute);
             }
         }
@@ -385,8 +391,15 @@ impl Machine {
                 );
             }
         }
-        self.apply_delay_fault(fault, base_ns);
+        self.apply_delay_fault(fault, base);
         Ok(report)
+    }
+
+    /// Records one all-to-all on the fabric graph and returns its
+    /// `(latency, wire)` charge.
+    fn record_all_to_all(&mut self, bytes_per_device: u64) -> (SimTime, SimTime) {
+        let (lat, wire) = self.fabric_mut().record_all_to_all(bytes_per_device);
+        (SimTime::from_ns(lat), SimTime::from_ns(wire))
     }
 
     /// Shared engine of the overlapped all-to-all: records the transfer
@@ -395,150 +408,129 @@ impl Machine {
     /// resulting schedule. Communication is charged in full to
     /// `raw_time_ns.interconnect`; only the *exposed* part (what the
     /// pipeline failed to hide) lands on `time_ns.interconnect`, and the
-    /// difference accumulates in [`crate::Stats::comm_hidden_ns`].
+    /// difference accumulates in [`crate::Stats::comm_hidden_ns`]. The
+    /// schedule is integer: each kernel's charge is the one a plain launch
+    /// books, and a time cut into chunks is cut into whole picoseconds
+    /// that add back up to it.
     ///
-    /// Returns `(elapsed_ns, comm_ns, hidden_ns)`, maxed over devices.
+    /// Returns `(elapsed, comm, hidden)`, maxed over devices.
     fn run_overlap_pipeline(
         &mut self,
         op: &'static str,
         bytes_per_device: u64,
         compute: &OverlapCompute<'_>,
-    ) -> (f64, f64, f64) {
+    ) -> (SimTime, SimTime, SimTime) {
         let d = self.num_devices();
-        let chunks = compute.chunks.max(1) as usize;
+        let chunks = u64::from(compute.chunks.max(1));
         self.barrier();
 
-        let prod_costs: Vec<crate::cost::KernelCost> = compute
-            .producers
-            .iter()
-            .map(|p| self.model().kernel_cost(p))
-            .collect();
-        let cons_costs: Vec<crate::cost::KernelCost> = compute
-            .consumers
-            .iter()
-            .map(|p| self.model().kernel_cost(p))
-            .collect();
+        let costs = |profiles: &[KernelProfile]| -> Vec<KernelCost> {
+            profiles
+                .iter()
+                .map(|p| self.model().kernel_cost(p))
+                .collect()
+        };
+        let (prod_costs, cons_costs) = (costs(compute.producers), costs(compute.consumers));
 
-        let (lat, wire) = self.fabric_mut().record_all_to_all(bytes_per_device);
+        let (lat, wire) = self.record_all_to_all(bytes_per_device);
         let links = self.fabric().links_used_all_to_all();
-        let comm_ns = lat + wire;
+        let comm = lat + wire;
         let egress = bytes_per_device * (d as u64 - 1) / d as u64;
 
         // Work/launch split of a kernel list at straggler factor `s`.
         // Launch overhead is paid once per kernel; only the work part is
         // sliced across chunks (graph replay, not per-chunk launches).
-        let split = |costs: &[crate::cost::KernelCost], s: f64| -> (f64, f64) {
-            let mut work = 0.0;
-            let mut launch = 0.0;
-            for c in costs {
-                work += (c.total_ns - c.launch_ns) * s;
-                launch += c.launch_ns * s;
-            }
-            (work, launch)
+        let split = |costs: &[KernelCost], s: f64| -> (SimTime, SimTime) {
+            costs
+                .iter()
+                .fold((SimTime::ZERO, SimTime::ZERO), |(w, l), c| {
+                    let (work, launch) = c.charge(s);
+                    (w + work, l + launch)
+                })
         };
+        // The first `k` of `chunks` near-equal parts of `t` (`k <= chunks`,
+        // so the quotient fits back in a `u64`).
+        let upto = |t: SimTime, k: u64| {
+            SimTime((u128::from(t.0) * u128::from(k) / u128::from(chunks)) as u64)
+        };
+        let part = |t: SimTime, k: u64| upto(t, k + 1) - upto(t, k);
 
         // Chunk k of the send buffer is ready once the *slowest* alive
         // device has produced slices 0..=k (the fabric is shared).
-        let dev_info: Vec<(bool, f64)> = self
+        let speeds: Vec<f64> = self
             .devices_mut()
             .iter()
-            .map(|dev| (dev.alive, dev.speed_factor))
+            .filter(|dev| dev.alive)
+            .map(|dev| dev.speed_factor)
             .collect();
-        let mut avail = vec![0.0f64; chunks];
-        for &(alive, s) in &dev_info {
-            if !alive {
-                continue;
-            }
+        let mut avail = vec![SimTime::ZERO; chunks as usize];
+        for &s in &speeds {
             let (work, launch) = split(&prod_costs, s);
-            for (k, a) in avail.iter_mut().enumerate() {
-                let t = launch + work * (k as f64 + 1.0) / chunks as f64;
-                if t > *a {
-                    *a = t;
-                }
+            for (k, a) in (0..).zip(avail.iter_mut()) {
+                *a = (*a).max(launch + upto(work, k + 1));
             }
         }
 
         // Chunk transfers serialize on the shared fabric; each arrives
         // one fabric latency after its wire slice completes.
-        let wire_chunk = wire / chunks as f64;
-        let mut arrivals = vec![0.0f64; chunks];
-        let mut x = 0.0f64;
-        for (k, arr) in arrivals.iter_mut().enumerate() {
-            x = x.max(avail[k]) + wire_chunk;
-            *arr = x + lat;
-        }
+        let mut x = SimTime::ZERO;
+        let arrivals: Vec<SimTime> = (0..)
+            .zip(&avail)
+            .map(|(k, &a)| {
+                x = x.max(a) + part(wire, k);
+                x + lat
+            })
+            .collect();
 
-        let mut elapsed_max = 0.0f64;
-        let mut hidden_max = 0.0f64;
+        let mut elapsed_max = SimTime::ZERO;
+        let mut hidden_max = SimTime::ZERO;
         for dev in self.devices_mut().iter_mut().filter(|dev| dev.alive) {
             let s = dev.speed_factor;
             let (cons_work, cons_launch) = split(&cons_costs, s);
-            let elapsed = if cons_work + cons_launch > 0.0 {
-                let slice = cons_work / chunks as f64;
-                let mut done = 0.0f64;
-                for &arr in &arrivals {
-                    done = done.max(arr) + slice;
-                }
+            let elapsed = if cons_work + cons_launch > SimTime::ZERO {
+                let done = (0..).zip(&arrivals).fold(SimTime::ZERO, |done, (k, &arr)| {
+                    done.max(arr) + part(cons_work, k)
+                });
                 done + cons_launch
             } else {
-                arrivals.last().copied().unwrap_or(0.0)
+                arrivals.last().copied().unwrap_or_default()
             };
 
             // Charge the interleaved kernels exactly as a plain launch
             // would: same counters, same bottleneck/raw accounting.
-            let mut compute_total = 0.0;
+            let mut compute_total = SimTime::ZERO;
             for (profile, cost) in compute
                 .producers
                 .iter()
                 .zip(&prod_costs)
                 .chain(compute.consumers.iter().zip(&cons_costs))
             {
-                let st = &mut dev.stats;
-                st.kernels_launched += 1;
-                st.field_muls += profile.field_muls;
-                st.field_adds += profile.field_adds;
-                st.global_bytes_read += profile.global_bytes_read;
-                st.global_bytes_written += profile.global_bytes_written;
-                st.shuffle_ops += profile.shuffle_ops;
-                st.shared_accesses += profile.shared_accesses;
-                *st.time_ns.get_mut(cost.bottleneck) += (cost.total_ns - cost.launch_ns) * s;
-                *st.time_ns.get_mut(Category::Launch) += cost.launch_ns * s;
-                st.raw_time_ns.compute += cost.compute_ns * s;
-                st.raw_time_ns.global_mem += cost.global_mem_ns * s;
-                st.raw_time_ns.shared_mem += cost.shared_mem_ns * s;
-                st.raw_time_ns.shuffle += cost.shuffle_ns * s;
-                st.raw_time_ns.launch += cost.launch_ns * s;
-                compute_total += cost.total_ns * s;
+                let (work, launch) = book_kernel(&mut dev.stats, profile, cost, s);
+                compute_total += work + launch;
             }
 
-            let exposed = (elapsed - compute_total).max(0.0);
-            let hidden = (comm_ns - exposed).clamp(0.0, comm_ns);
+            let exposed = elapsed.saturating_sub(compute_total);
+            let hidden = comm.saturating_sub(exposed);
             let st = &mut dev.stats;
-            *st.time_ns.get_mut(Category::Interconnect) += exposed;
-            *st.raw_time_ns.get_mut(Category::Interconnect) += comm_ns;
+            st.time_ns.interconnect += exposed;
+            st.raw_time_ns.interconnect += comm;
             st.comm_hidden_ns += hidden;
             st.interconnect_bytes_sent += egress;
             st.collectives += 1;
             dev.timeline.push(TraceEvent {
                 name: "overlapped-collective",
-                start_ns: dev.clock_ns,
-                duration_ns: elapsed,
+                start: dev.clock,
+                duration: elapsed,
                 category: Category::Interconnect,
                 queue: 0,
             });
-            dev.clock_ns += elapsed;
+            dev.clock += elapsed;
             elapsed_max = elapsed_max.max(elapsed);
             hidden_max = hidden_max.max(hidden);
         }
         let alive = self.alive_devices() as u64;
-        self.record_collective_event(CollectiveEvent {
-            op,
-            bytes: egress * alive,
-            links_used: links,
-            time_ns: elapsed_max,
-            hidden_ns: hidden_max,
-        });
-        (elapsed_max, comm_ns, hidden_max)
+        self.record_collective(op, egress * alive, links, elapsed_max, hidden_max);
+        (elapsed_max, comm, hidden_max)
     }
 
     /// Charges `compute`'s kernels at their ordinary (non-pipelined)
@@ -594,17 +586,17 @@ impl Machine {
         if d > 1 {
             self.ensure_all_alive()?;
             let bytes_per_device = (len * elem_bytes) as u64;
-            let base_ns = self.model().all_gather_ns(bytes_per_device);
+            let base = SimTime::from_ns(self.model().all_gather_ns(bytes_per_device));
             let (seq, fault) = self.take_fault_decision();
-            let fault = self.apply_pre_fault(seq, fault, base_ns)?;
+            let fault = self.apply_pre_fault(seq, fault, base)?;
             if let Some(FaultKind::Corrupt { src, dst }) = fault.filter(|_| len > 0) {
                 let pos =
                     src * len + (crate::fault::splitmix64(seq ^ 0xc0ff_ee01) % len as u64) as usize;
                 out[dst][pos] = out[dst][(pos + 1) % out[dst].len()];
             }
             let egress = bytes_per_device * (d as u64 - 1);
-            self.charge_collective("all-gather", base_ns, egress, d as u32);
-            self.apply_delay_fault(fault, base_ns);
+            self.charge_collective("all-gather", base, egress, d as u32);
+            self.apply_delay_fault(fault, base);
         }
         Ok(out)
     }
@@ -675,12 +667,11 @@ impl Machine {
         }
         if d > 1 {
             self.ensure_all_alive()?;
-            let rounds = (d as f64).log2().ceil();
-            let base_ns = rounds * self.model().p2p_ns(elem_bytes as u64);
+            let base = self.tree_rounds(elem_bytes);
             let (seq, fault) = self.take_fault_decision();
-            let fault = self.apply_pre_fault(seq, fault, base_ns)?;
-            self.charge_collective("reduce-to-root", base_ns, elem_bytes as u64, d as u32 - 1);
-            self.apply_delay_fault(fault, base_ns);
+            let fault = self.apply_pre_fault(seq, fault, base)?;
+            self.charge_collective("reduce-to-root", base, elem_bytes as u64, d as u32 - 1);
+            self.apply_delay_fault(fault, base);
         }
         Ok(acc)
     }
@@ -731,14 +722,21 @@ impl Machine {
         let d = self.num_devices();
         if d > 1 {
             self.ensure_all_alive()?;
-            let rounds = (d as f64).log2().ceil();
-            let base_ns = rounds * self.model().p2p_ns(elem_bytes as u64);
+            let base = self.tree_rounds(elem_bytes);
             let (seq, fault) = self.take_fault_decision();
-            let fault = self.apply_pre_fault(seq, fault, base_ns)?;
-            self.charge_collective("broadcast", base_ns, elem_bytes as u64, d as u32 - 1);
-            self.apply_delay_fault(fault, base_ns);
+            let fault = self.apply_pre_fault(seq, fault, base)?;
+            self.charge_collective("broadcast", base, elem_bytes as u64, d as u32 - 1);
+            self.apply_delay_fault(fault, base);
         }
         Ok(vec![value.clone(); d])
+    }
+
+    /// A binomial tree's `ceil(log2 D)` point-to-point rounds of
+    /// `elem_bytes` each.
+    fn tree_rounds(&self, elem_bytes: usize) -> SimTime {
+        let rounds = self.num_devices().next_power_of_two().trailing_zeros();
+        let p2p = SimTime::from_ns(self.model().p2p_ns(elem_bytes as u64));
+        SimTime(p2p.0 * u64::from(rounds))
     }
 }
 
@@ -751,6 +749,8 @@ fn shard_len<T>(shards: &[Vec<T>]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::{OverlapCompute, OverlapReport};
+    use unintt_telemetry::{AttrValue, InstantKind, SimTime};
+
     use crate::config::FieldSpec;
     use crate::device::KernelProfile;
     use crate::fault::{FabricError, FaultEvent, FaultKind, FaultPlan, FaultRates};
@@ -1095,19 +1095,41 @@ mod tests {
         (prod, cons)
     }
 
+    /// The collective markers `run` records: `(name, attributes)`.
+    fn collective_marks(run: impl FnOnce()) -> Vec<(String, Vec<(&'static str, AttrValue)>)> {
+        let _guard = unintt_telemetry::start_session();
+        run();
+        let instants = unintt_telemetry::take_session().instants;
+        instants
+            .into_iter()
+            .filter(|i| i.kind == InstantKind::Collective)
+            .map(|i| (i.name, i.attrs))
+            .collect()
+    }
+
+    fn attr(attrs: &[(&'static str, AttrValue)], key: &str) -> AttrValue {
+        attrs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .expect("attribute")
+            .1
+            .clone()
+    }
+
     #[test]
     fn blocking_collectives_record_events() {
-        let mut m = machine(4);
-        let mut shards: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64; 16]).collect();
-        m.all_to_all(&mut shards, 8).unwrap();
-        let _ = m.all_gather(&shards, 8).unwrap();
-        let ev = m.collective_events();
-        assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].op, "all-to-all");
-        assert_eq!(ev[1].op, "all-gather");
-        assert!(ev[0].links_used > 0);
-        assert!(ev[0].bytes > 0);
-        assert_eq!(ev[0].hidden_ns, 0.0);
+        let marks = collective_marks(|| {
+            let mut m = machine(4);
+            let mut shards: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64; 16]).collect();
+            m.all_to_all(&mut shards, 8).unwrap();
+            let _ = m.all_gather(&shards, 8).unwrap();
+        });
+        assert_eq!(marks.len(), 2);
+        assert_eq!(marks[0].0, "all-to-all");
+        assert_eq!(marks[1].0, "all-gather");
+        assert_ne!(attr(&marks[0].1, "links_used"), AttrValue::U64(0));
+        assert_ne!(attr(&marks[0].1, "bytes"), AttrValue::U64(0));
+        assert_eq!(attr(&marks[0].1, "hidden_ns"), AttrValue::F64(0.0));
     }
 
     #[test]
@@ -1139,8 +1161,7 @@ mod tests {
             m
         };
 
-        let (b, o) = (blocking.max_clock_ns(), overlapped.max_clock_ns());
-        assert!((b - o).abs() < 1e-6 * b, "blocking {b} vs overlapped-1 {o}");
+        assert_eq!(blocking.max_clock(), overlapped.max_clock());
         assert_eq!(
             blocking.stats().kernels_launched,
             overlapped.stats().kernels_launched
@@ -1149,7 +1170,7 @@ mod tests {
             blocking.stats().interconnect_bytes_sent,
             overlapped.stats().interconnect_bytes_sent
         );
-        assert!(overlapped.stats().comm_hidden_ns < 1e-6);
+        assert_eq!(overlapped.ledger().comm_hidden_ns, SimTime::ZERO);
     }
 
     #[test]
@@ -1169,22 +1190,27 @@ mod tests {
             (m, rep)
         };
         let (m1, r1) = run(1);
-        let (m8, r8) = run(8);
+        let mut eight = None;
+        let marks = collective_marks(|| eight = Some(run(8)));
+        let (m8, r8) = eight.expect("ran");
         assert!(m8.max_clock_ns() < m1.max_clock_ns());
-        assert!(r8.hidden_comm_ns > 0.0);
-        assert!(r1.hidden_comm_ns.abs() < 1e-6);
+        assert!(r8.hidden_comm > SimTime::ZERO);
+        assert_eq!(r1.hidden_comm, SimTime::ZERO);
         // The raw (overlap-blind) interconnect charge is identical: overlap
         // changes the exposed time, not the work done.
-        let (s1, s8) = (m1.stats(), m8.stats());
-        assert!((s1.raw_time_ns.interconnect - s8.raw_time_ns.interconnect).abs() < 1e-9);
+        let (s1, s8) = (m1.ledger(), m8.ledger());
+        assert_eq!(s1.raw_time_ns.interconnect, s8.raw_time_ns.interconnect);
         // Hidden time is exactly what left the bottleneck account.
-        assert!(
-            (s8.raw_time_ns.interconnect - s8.time_ns.interconnect - s8.comm_hidden_ns).abs()
-                < 1e-6
+        assert_eq!(
+            s8.raw_time_ns.interconnect - s8.time_ns.interconnect,
+            s8.comm_hidden_ns
         );
-        assert_eq!(m8.collective_events().len(), 1);
-        assert_eq!(m8.collective_events()[0].op, "all-to-all-overlapped");
-        assert!(m8.collective_events()[0].hidden_ns > 0.0);
+        assert_eq!(marks.len(), 1);
+        assert_eq!(marks[0].0, "all-to-all-overlapped");
+        assert_eq!(
+            attr(&marks[0].1, "hidden_ns"),
+            AttrValue::F64(r8.hidden_comm.as_ns())
+        );
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! compute, global-memory, shared-memory and shuffle components (GPUs
 //! overlap these pipelines), plus a fixed launch overhead. Collective time
 //! follows the standard α–β (latency–bandwidth) model specialized per
-//! topology.
+//! topology. The formulas are `f64` nanoseconds; a charge becomes a
+//! [`SimTime`] once, where a device is charged ([`KernelCost::charge`]).
+
+use unintt_telemetry::SimTime;
 
 use crate::config::{FieldSpec, GpuConfig, InterconnectConfig, MachineConfig, Topology};
 use crate::device::KernelProfile;
@@ -36,6 +39,18 @@ pub struct KernelCost {
     pub shuffle_ns: f64,
     /// Launch overhead.
     pub launch_ns: f64,
+}
+
+impl KernelCost {
+    /// What one launch charges a device running at `speed`× the modelled
+    /// time: `(work, launch)`, each rounded once to whole picoseconds.
+    pub fn charge(&self, speed: f64) -> (SimTime, SimTime) {
+        let at_speed = |ns: f64| SimTime::from_ns(ns * speed);
+        (
+            at_speed(self.total_ns - self.launch_ns),
+            at_speed(self.launch_ns),
+        )
+    }
 }
 
 impl CostModel {

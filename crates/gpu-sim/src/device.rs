@@ -6,8 +6,15 @@
 //! what advances the simulated clock, so algorithmic choices (layouts,
 //! fusion, twiddle strategies) show up in simulated time exactly as their
 //! byte/op counts dictate.
+//!
+//! The clock is integer: the cost model's `f64` formula is rounded to
+//! whole picoseconds once per launch ([`SimTime`]), and the device's
+//! clock, timeline and per-category books all add that same integer, so
+//! they agree exactly.
 
-use crate::cost::CostModel;
+use unintt_telemetry::SimTime;
+
+use crate::cost::{CostModel, KernelCost};
 use crate::timeline::{Timeline, TraceEvent};
 use crate::trace::Stats;
 
@@ -58,10 +65,10 @@ impl KernelProfile {
 /// Mutable per-device simulation state: a clock and accumulated stats.
 #[derive(Clone, Debug)]
 pub struct DeviceState {
-    /// Simulated time on this device's stream, ns.
-    pub clock_ns: f64,
-    /// Accumulated accounting.
-    pub stats: Stats,
+    /// Simulated time on this device's stream.
+    pub clock: SimTime,
+    /// Accumulated accounting, on the same integer clock.
+    pub stats: Stats<SimTime>,
     /// Bounded event log.
     pub timeline: Timeline,
     /// False once the device has been killed by an injected fault; a dead
@@ -76,7 +83,7 @@ pub struct DeviceState {
 impl Default for DeviceState {
     fn default() -> Self {
         Self {
-            clock_ns: 0.0,
+            clock: SimTime::ZERO,
             stats: Stats::default(),
             timeline: Timeline::default(),
             alive: true,
@@ -107,51 +114,60 @@ impl<'a> DeviceCtx<'a> {
         self.model
     }
 
-    /// Charges one kernel launch and returns its cost breakdown.
+    /// Charges one kernel launch and returns the simulated time it took.
     ///
     /// Call this alongside the Rust code that performs the kernel's data
     /// transformation.
-    pub fn launch(&mut self, profile: &KernelProfile) -> crate::cost::KernelCost {
-        let mut cost = self.model.kernel_cost(profile);
-        let s = self.state.speed_factor;
-        if s != 1.0 {
-            cost.total_ns *= s;
-            cost.compute_ns *= s;
-            cost.global_mem_ns *= s;
-            cost.shared_mem_ns *= s;
-            cost.shuffle_ns *= s;
-            cost.launch_ns *= s;
-        }
-        let st = &mut self.state.stats;
-        st.kernels_launched += 1;
-        st.field_muls += profile.field_muls;
-        st.field_adds += profile.field_adds;
-        st.global_bytes_read += profile.global_bytes_read;
-        st.global_bytes_written += profile.global_bytes_written;
-        st.shuffle_ops += profile.shuffle_ops;
-        st.shared_accesses += profile.shared_accesses;
-        *st.time_ns.get_mut(cost.bottleneck) += cost.total_ns - cost.launch_ns;
-        *st.time_ns.get_mut(crate::trace::Category::Launch) += cost.launch_ns;
-        st.raw_time_ns.compute += cost.compute_ns;
-        st.raw_time_ns.global_mem += cost.global_mem_ns;
-        st.raw_time_ns.shared_mem += cost.shared_mem_ns;
-        st.raw_time_ns.shuffle += cost.shuffle_ns;
-        st.raw_time_ns.launch += cost.launch_ns;
-        self.state.timeline.push(TraceEvent {
+    pub fn launch(&mut self, profile: &KernelProfile) -> SimTime {
+        let cost = self.model.kernel_cost(profile);
+        let state = &mut *self.state;
+        let (work, launch) = book_kernel(&mut state.stats, profile, &cost, state.speed_factor);
+        let charged = work + launch;
+        state.timeline.push(TraceEvent {
             name: profile.name,
-            start_ns: self.state.clock_ns,
-            duration_ns: cost.total_ns,
+            start: state.clock,
+            duration: charged,
             category: cost.bottleneck,
             queue: 0,
         });
-        self.state.clock_ns += cost.total_ns;
-        cost
+        state.clock += charged;
+        charged
     }
 
     /// Current simulated clock of this device.
-    pub fn clock_ns(&self) -> f64 {
-        self.state.clock_ns
+    pub fn clock(&self) -> SimTime {
+        self.state.clock
     }
+}
+
+/// Books one launch of `profile` into `stats` on a device running at
+/// `speed`× its modelled `cost`: the counters, the work on its bottleneck
+/// category, the launch overhead, and every raw component, each rounded
+/// once to the integer clock. Returns `(work, launch)`.
+pub(crate) fn book_kernel(
+    stats: &mut Stats<SimTime>,
+    profile: &KernelProfile,
+    cost: &KernelCost,
+    speed: f64,
+) -> (SimTime, SimTime) {
+    let (work, launch) = cost.charge(speed);
+    let at_speed = |ns: f64| SimTime::from_ns(ns * speed);
+    stats.kernels_launched += 1;
+    stats.field_muls += profile.field_muls;
+    stats.field_adds += profile.field_adds;
+    stats.global_bytes_read += profile.global_bytes_read;
+    stats.global_bytes_written += profile.global_bytes_written;
+    stats.shuffle_ops += profile.shuffle_ops;
+    stats.shared_accesses += profile.shared_accesses;
+    *stats.time_ns.get_mut(cost.bottleneck) += work;
+    stats.time_ns.launch += launch;
+    let raw = &mut stats.raw_time_ns;
+    raw.compute += at_speed(cost.compute_ns);
+    raw.global_mem += at_speed(cost.global_mem_ns);
+    raw.shared_mem += at_speed(cost.shared_mem_ns);
+    raw.shuffle += at_speed(cost.shuffle_ns);
+    raw.launch += launch;
+    (work, launch)
 }
 
 #[cfg(test)]
@@ -169,12 +185,13 @@ mod tests {
         let mut p = KernelProfile::named("k");
         p.global_bytes_read = 1 << 20;
         p.field_muls = 1000;
-        let cost = ctx.launch(&p);
-        assert!(cost.total_ns > 0.0);
+        let charged = ctx.launch(&p);
+        assert!(charged > SimTime::ZERO);
         assert_eq!(state.stats.kernels_launched, 1);
         assert_eq!(state.stats.field_muls, 1000);
         assert_eq!(state.stats.global_bytes_read, 1 << 20);
-        assert!(state.clock_ns >= cost.total_ns);
+        assert_eq!(state.clock, charged);
+        assert_eq!(state.stats.time_ns.total(), charged);
     }
 
     #[test]
@@ -183,7 +200,7 @@ mod tests {
         let mut state = DeviceState::default();
         let mut ctx = DeviceCtx::new(0, &model, &mut state);
         ctx.launch(&KernelProfile::named("empty"));
-        assert!(state.stats.time_ns.get(Category::Launch) > 0.0);
+        assert!(state.stats.time_ns.get(Category::Launch) > SimTime::ZERO);
     }
 
     #[test]
@@ -195,9 +212,9 @@ mod tests {
             let mut p = KernelProfile::named("k");
             p.global_bytes_read = 1 << 24;
             ctx.launch(&p);
-            let after_one = ctx.clock_ns();
+            let after_one = ctx.clock();
             ctx.launch(&p);
-            assert!((ctx.clock_ns() - 2.0 * after_one).abs() < 1e-6);
+            assert_eq!(ctx.clock(), after_one + after_one);
         }
         assert_eq!(state.stats.kernels_launched, 2);
     }

@@ -13,7 +13,7 @@
 //! timeout, corrupted chunks cost their retransmission, stragglers
 //! stretch every subsequent kernel on the slow device, and recovery
 //! backoff (charged by the engines through
-//! [`crate::Machine::charge_fault_ns`]) also lands there. Recovery
+//! [`crate::Machine::charge_fault`]) also lands there. Recovery
 //! overhead is therefore directly readable from the stats as the
 //! fault-category share of total time.
 

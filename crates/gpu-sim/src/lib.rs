@@ -9,8 +9,10 @@
 //! * **Analytical**: time comes from a roofline cost model
 //!   ([`CostModel`]) driven by [`KernelProfile`] footprints and α–β
 //!   collective models, parameterized by datasheet presets
-//!   ([`presets`]). Ratios (compute : memory : interconnect) are what the
-//!   reproduction relies on, not absolute numbers.
+//!   ([`presets`]), and each charge is rounded once to the integer clock
+//!   ([`SimTime`], whole picoseconds). Ratios (compute : memory :
+//!   interconnect) are what the reproduction relies on, not absolute
+//!   numbers.
 //!
 //! ```
 //! use unintt_gpu_sim::{presets, FieldSpec, KernelProfile, Machine};
@@ -62,6 +64,7 @@ pub use machine::Machine;
 pub use patterns::{
     bank_conflict_degree, coalescing_efficiency, ntt_butterflies, warp_ntt_shuffles, SHARED_BANKS,
 };
-pub use stream::{InFlight, InterferenceModel, ResourceClass, SimTime, StreamSet};
+pub use stream::{InFlight, InterferenceModel, ResourceClass, StreamSet};
 pub use timeline::{Timeline, TraceEvent, MAX_EVENTS};
-pub use trace::{Category, CollectiveEvent, Level, Stats, TimeByCategory};
+pub use trace::{Category, Level, Stats, TimeByCategory};
+pub use unintt_telemetry::SimTime;

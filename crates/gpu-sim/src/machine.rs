@@ -12,7 +12,11 @@
 //! 3. [`Machine::barrier`] — clock synchronization.
 //!
 //! Per-device clocks advance independently inside a phase and are re-synced
-//! at collectives and barriers, mimicking streams + NCCL semantics.
+//! at collectives and barriers, mimicking streams + NCCL semantics. Every
+//! clock is a [`SimTime`]: each kernel, collective and fault charge is
+//! rounded to whole picoseconds once, where it is made.
+
+use unintt_telemetry::SimTime;
 
 use crate::config::{FieldSpec, MachineConfig};
 use crate::cost::CostModel;
@@ -20,7 +24,7 @@ use crate::device::{DeviceCtx, DeviceState};
 use crate::fabric::FabricGraph;
 use crate::fault::{CollectiveReport, FaultEvent, FaultPlan};
 use crate::timeline::TraceEvent;
-use crate::trace::{Category, CollectiveEvent, Stats};
+use crate::trace::{Category, Stats};
 
 /// A simulated multi-GPU machine.
 #[derive(Debug)]
@@ -32,7 +36,6 @@ pub struct Machine {
     fault_plan: Option<FaultPlan>,
     collective_seq: u64,
     fault_log: Vec<FaultEvent>,
-    collective_events: Vec<CollectiveEvent>,
     /// Telemetry track label; also prefixes per-device track names.
     label: String,
 }
@@ -56,7 +59,6 @@ impl Machine {
             fault_plan: None,
             collective_seq: 0,
             fault_log: Vec::new(),
-            collective_events: Vec::new(),
             label: String::from("machine"),
         }
     }
@@ -156,27 +158,36 @@ impl Machine {
     /// latency), like a `cudaDeviceSynchronize` across the machine.
     /// Dead devices stay frozen at their time of death.
     pub fn barrier(&mut self) {
-        let max = self.max_clock_ns();
+        let max = self.max_clock();
         let latency = if self.num_devices() > 1 {
-            self.cfg.interconnect.latency_ns
+            SimTime::from_ns(self.cfg.interconnect.latency_ns)
         } else {
-            0.0
+            SimTime::ZERO
         };
         for d in &mut self.devices {
             if d.alive {
-                d.clock_ns = max + latency;
+                d.clock = max + latency;
             }
         }
     }
 
     /// The current maximum device clock — the machine's makespan so far.
-    pub fn max_clock_ns(&self) -> f64 {
-        self.devices.iter().map(|d| d.clock_ns).fold(0.0, f64::max)
+    pub fn max_clock(&self) -> SimTime {
+        self.devices
+            .iter()
+            .map(|d| d.clock)
+            .max()
+            .unwrap_or_default()
     }
 
-    /// Merged statistics: counters summed over devices, per-category times
-    /// maxed (critical path across symmetric devices).
-    pub fn stats(&self) -> Stats {
+    /// [`Machine::max_clock`] in nanoseconds, for reports.
+    pub fn max_clock_ns(&self) -> f64 {
+        self.max_clock().as_ns()
+    }
+
+    /// Merged books on the integer clock: counters summed over devices,
+    /// per-category times maxed (critical path across symmetric devices).
+    pub fn ledger(&self) -> Stats<SimTime> {
         let mut out = Stats::new();
         for d in &self.devices {
             out.merge_concurrent(&d.stats);
@@ -184,8 +195,13 @@ impl Machine {
         out
     }
 
-    /// Per-device statistics (read-only).
-    pub fn device_stats(&self, device: usize) -> &Stats {
+    /// [`Machine::ledger`] read out in nanoseconds.
+    pub fn stats(&self) -> Stats {
+        self.ledger().as_ns()
+    }
+
+    /// Per-device books (read-only).
+    pub fn device_stats(&self, device: usize) -> &Stats<SimTime> {
         &self.devices[device].stats
     }
 
@@ -204,18 +220,11 @@ impl Machine {
         self.collective_seq = 0;
         self.fault_log.clear();
         self.fabric.reset();
-        self.collective_events.clear();
     }
 
     /// The link-level fabric graph with per-link occupancy totals.
     pub fn fabric(&self) -> &FabricGraph {
         &self.fabric
-    }
-
-    /// Every collective executed so far, with bytes, links used, and
-    /// overlap-hidden nanoseconds.
-    pub fn collective_events(&self) -> &[CollectiveEvent] {
-        &self.collective_events
     }
 
     /// Installs a fault plan; subsequent collectives consult it.
@@ -270,20 +279,20 @@ impl Machine {
         self.devices[device].speed_factor = factor;
     }
 
-    /// Charges `ns` of fault-handling time (detection timeouts, recovery
+    /// Charges `time` of fault handling (detection timeouts, recovery
     /// backoff) to every alive device and records it on their timelines.
-    pub fn charge_fault_ns(&mut self, name: &'static str, ns: f64) {
+    pub fn charge_fault(&mut self, name: &'static str, time: SimTime) {
         for d in self.devices.iter_mut().filter(|d| d.alive) {
             d.timeline.push(TraceEvent {
                 name,
-                start_ns: d.clock_ns,
-                duration_ns: ns,
+                start: d.clock,
+                duration: time,
                 category: Category::Fault,
                 queue: 0,
             });
-            d.clock_ns += ns;
-            *d.stats.time_ns.get_mut(Category::Fault) += ns;
-            *d.stats.raw_time_ns.get_mut(Category::Fault) += ns;
+            d.clock += time;
+            d.stats.time_ns.fault += time;
+            d.stats.raw_time_ns.fault += time;
         }
     }
 
@@ -310,7 +319,7 @@ impl Machine {
                 name: kind.name().to_string(),
                 kind: unintt_telemetry::InstantKind::Fault,
                 track: self.label.clone(),
-                t_ns: self.max_clock_ns(),
+                t: self.max_clock(),
                 attrs: vec![("seq", seq.into())],
             });
             unintt_telemetry::counter_add("sim_faults_injected", 1);
@@ -323,12 +332,13 @@ impl Machine {
     /// marker and counter, and counts the bytes on the sender and in
     /// `report`.
     pub(crate) fn retransmit(&mut self, src: usize, bytes: u64, report: &mut CollectiveReport) {
-        self.charge_fault_ns("chunk-retransmit", self.model.p2p_ns(bytes));
+        let p2p = SimTime::from_ns(self.model.p2p_ns(bytes));
+        self.charge_fault("chunk-retransmit", p2p);
         unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
             name: String::from("chunk-retransmit"),
             kind: unintt_telemetry::InstantKind::Retransmission,
             track: self.device_track(src),
-            t_ns: self.max_clock_ns(),
+            t: self.max_clock(),
             attrs: vec![("bytes", bytes.into())],
         });
         unintt_telemetry::counter_add("sim_chunk_retransmissions", 1);
@@ -355,49 +365,11 @@ impl Machine {
                     level: unintt_telemetry::SpanLevel::Device,
                     category: e.category.as_str(),
                     track: track.clone(),
-                    t_start_ns: e.start_ns,
-                    t_end_ns: e.start_ns + e.duration_ns,
+                    t_start: e.start,
+                    t_end: e.start + e.duration,
                     attrs: Vec::new(),
                 });
             }
-        }
-    }
-
-    /// Exports per-link fabric occupancy as
-    /// [`unintt_telemetry::InstantKind::LinkUtilization`] markers (one
-    /// per link, stamped at the final clock) plus a
-    /// `fabric_link_utilization{link="..."}` gauge per link, where
-    /// utilization is link busy time over the run's horizon. Call once
-    /// at the end of a run, like [`Machine::export_telemetry_spans`];
-    /// a no-op when telemetry is disabled.
-    pub fn export_fabric_telemetry(&self) {
-        if !unintt_telemetry::recording() {
-            return;
-        }
-        let horizon = self.max_clock_ns();
-        for link in self.fabric.links() {
-            let utilization = if horizon > 0.0 {
-                link.busy_ns / horizon
-            } else {
-                0.0
-            };
-            unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-                name: link.name.clone(),
-                kind: unintt_telemetry::InstantKind::LinkUtilization,
-                track: self.label.clone(),
-                t_ns: horizon,
-                attrs: vec![
-                    ("bandwidth_gbps", link.bandwidth_gbps.into()),
-                    ("busy_ns", link.busy_ns.into()),
-                    ("bytes", link.bytes_carried.into()),
-                    ("utilization", utilization.into()),
-                ],
-            });
-            unintt_telemetry::gauge_set_labeled(
-                "fabric_link_utilization",
-                &[("link", &link.name)],
-                utilization,
-            );
         }
     }
 
@@ -409,21 +381,30 @@ impl Machine {
         &mut self.fabric
     }
 
-    pub(crate) fn record_collective_event(&mut self, event: CollectiveEvent) {
+    /// Marks collective `op` on the machine's track: the bytes all
+    /// participants moved, the links it occupied, the time it charged and
+    /// the part of that an overlapped schedule hid behind compute.
+    pub(crate) fn record_collective(
+        &self,
+        op: &'static str,
+        bytes: u64,
+        links_used: u32,
+        time: SimTime,
+        hidden: SimTime,
+    ) {
         unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
-            name: event.op.to_string(),
+            name: op.to_string(),
             kind: unintt_telemetry::InstantKind::Collective,
             track: self.label.clone(),
-            t_ns: self.max_clock_ns(),
+            t: self.max_clock(),
             attrs: vec![
-                ("bytes", event.bytes.into()),
-                ("links_used", event.links_used.into()),
-                ("time_ns", event.time_ns.into()),
-                ("hidden_ns", event.hidden_ns.into()),
+                ("bytes", bytes.into()),
+                ("links_used", links_used.into()),
+                ("time_ns", time.as_ns().into()),
+                ("hidden_ns", hidden.as_ns().into()),
             ],
         });
         unintt_telemetry::counter_add("sim_collectives", 1);
-        self.collective_events.push(event);
     }
 }
 
@@ -465,14 +446,9 @@ mod tests {
             p.global_bytes_read = if id == 1 { 1 << 26 } else { 0 };
             ctx.launch(&p);
         });
-        let clocks_differ = {
-            let s0 = m.devices[0].clock_ns;
-            let s1 = m.devices[1].clock_ns;
-            (s0 - s1).abs() > 1.0
-        };
-        assert!(clocks_differ);
+        assert_ne!(m.devices[0].clock, m.devices[1].clock);
         m.barrier();
-        assert!((m.devices[0].clock_ns - m.devices[1].clock_ns).abs() < 1e-9);
+        assert_eq!(m.devices[0].clock, m.devices[1].clock);
     }
 
     #[test]
@@ -507,7 +483,7 @@ mod tests {
         assert_eq!(tl.events().len(), 2);
         assert_eq!(tl.events()[0].name, "my-kernel");
         assert_eq!(tl.events()[1].name, "collective");
-        assert!(tl.events()[1].start_ns >= tl.events()[0].duration_ns);
+        assert!(tl.events()[1].start >= tl.events()[0].duration);
         assert!(tl.render().contains("collective"));
     }
 

@@ -1,5 +1,5 @@
-//! Typed compute queues (streams) with a resource-interference model, and
-//! the integer clock every discrete-event loop runs on.
+//! Typed compute queues (streams) with a resource-interference model,
+//! integrated exactly on the machine's integer clock.
 //!
 //! Real GPUs expose multiple hardware queues: a compute-bound kernel
 //! (MSM window accumulation) and a memory/shuffle-bound kernel (NTT
@@ -16,8 +16,9 @@
 //! advances at rate `1 / slowdown` where the slowdown is the product of
 //! pairwise interference factors against every co-resident stage.
 //!
-//! The integration is exact. Time is [`SimTime`], whole picoseconds;
-//! every factor is a whole number of thousandths; and remaining work is
+//! The integration is exact. Time is [`SimTime`], whole picoseconds —
+//! the machine's own clock, so a stage's charged duration arrives here
+//! as the integer its devices advanced by; every factor is a whole number of thousandths; and remaining work is
 //! kept in integer units, `unit` per solo picosecond, where `unit` is a
 //! multiple of every slowdown's numerator. So each rate is a whole
 //! number of units per picosecond, a stage completes at the first
@@ -35,67 +36,7 @@
 //!   duration here, which is what keeps overlapped schedules
 //!   bit-identical to serialized ones.
 
-use std::ops::{Add, AddAssign, Sub};
-
-/// An instant or a duration on the discrete-event clock: whole
-/// picoseconds. A cost model's `f64` nanoseconds become a `SimTime` once,
-/// where they enter an event loop ([`SimTime::from_ns`]); reports convert
-/// back with [`SimTime::as_ns`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SimTime(pub u64);
-
-impl SimTime {
-    /// The clock's origin (and the empty duration).
-    pub const ZERO: Self = Self(0);
-
-    /// `ns` rounded to the nearest picosecond, or `None` when `ns` is
-    /// negative, NaN, or past the clock's range (2^64 ps, about 213
-    /// days).
-    pub fn try_from_ns(ns: f64) -> Option<Self> {
-        let ps = (ns * 1e3).round();
-        // 2^64 as f64; `ns >= 0.0` is false for NaN.
-        (ns >= 0.0 && ps < 18_446_744_073_709_551_616.0).then_some(Self(ps as u64))
-    }
-
-    /// `ns` rounded to the nearest picosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`try_from_ns`](Self::try_from_ns) would return `None`.
-    pub fn from_ns(ns: f64) -> Self {
-        Self::try_from_ns(ns)
-            .unwrap_or_else(|| panic!("{ns} ns is not a simulated time (finite, >= 0, < 2^64 ps)"))
-    }
-
-    /// The value in nanoseconds, for reports.
-    pub fn as_ns(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-}
-
-impl Add for SimTime {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        Self(self.0.checked_add(rhs.0).expect("simulated clock overflow"))
-    }
-}
-
-impl Sub for SimTime {
-    type Output = Self;
-    fn sub(self, rhs: Self) -> Self {
-        Self(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("negative simulated duration"),
-        )
-    }
-}
-
-impl AddAssign for SimTime {
-    fn add_assign(&mut self, rhs: Self) {
-        *self = *self + rhs;
-    }
-}
+use unintt_telemetry::SimTime;
 
 /// The bottleneck resource a stage saturates while it runs. Mirrors the
 /// ZKProphet observation that ZKP kernels leave either compute or

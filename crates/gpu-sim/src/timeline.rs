@@ -6,7 +6,7 @@
 //! "where did the 400 µs go" questions that aggregate [`crate::Stats`]
 //! cannot.
 
-use serde::{Deserialize, Serialize};
+use unintt_telemetry::SimTime;
 
 use crate::trace::Category;
 
@@ -15,20 +15,19 @@ use crate::trace::Category;
 pub const MAX_EVENTS: usize = 4096;
 
 /// One executed kernel or collective.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Kernel or collective name.
     pub name: &'static str,
-    /// Simulated start time on the device stream, ns.
-    pub start_ns: f64,
-    /// Simulated duration, ns.
-    pub duration_ns: f64,
+    /// Simulated start time on the device stream.
+    pub start: SimTime,
+    /// Simulated duration.
+    pub duration: SimTime,
     /// The bottleneck category the duration was attributed to.
     pub category: Category,
     /// The compute queue (stream) the work ran on. `0` is the default
     /// stream; stage schedulers running co-resident work through
     /// [`crate::StreamSet`] tag their queues so traces show the overlap.
-    #[serde(default)]
     pub queue: u32,
 }
 
@@ -72,8 +71,8 @@ impl Timeline {
             let _ = writeln!(
                 out,
                 "{:>12.2} µs  +{:>9.2} µs  {:<24} [{}]{}",
-                e.start_ns / 1e3,
-                e.duration_ns / 1e3,
+                e.start.as_ns() / 1e3,
+                e.duration.as_ns() / 1e3,
                 e.name,
                 e.category,
                 if e.queue > 0 {
@@ -94,11 +93,11 @@ impl Timeline {
 mod tests {
     use super::*;
 
-    fn event(name: &'static str, start: f64) -> TraceEvent {
+    fn event(name: &'static str, start: u64) -> TraceEvent {
         TraceEvent {
             name,
-            start_ns: start,
-            duration_ns: 10.0,
+            start: SimTime(start),
+            duration: SimTime(10_000),
             category: Category::Compute,
             queue: 0,
         }
@@ -107,8 +106,8 @@ mod tests {
     #[test]
     fn records_in_order() {
         let mut t = Timeline::default();
-        t.push(event("a", 0.0));
-        t.push(event("b", 10.0));
+        t.push(event("a", 0));
+        t.push(event("b", 10_000));
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.events()[1].name, "b");
         assert_eq!(t.total(), 2);
@@ -118,7 +117,7 @@ mod tests {
     fn bounds_and_counts_drops() {
         let mut t = Timeline::default();
         for i in 0..(MAX_EVENTS + 5) {
-            t.push(event("k", i as f64));
+            t.push(event("k", i as u64));
         }
         assert_eq!(t.events().len(), MAX_EVENTS);
         assert_eq!(t.dropped(), 5);
@@ -129,7 +128,7 @@ mod tests {
     #[test]
     fn render_contains_names() {
         let mut t = Timeline::default();
-        t.push(event("my-kernel", 1000.0));
+        t.push(event("my-kernel", 1_000_000));
         let s = t.render();
         assert!(s.contains("my-kernel"));
         assert!(s.contains("[compute]"));

@@ -1,6 +1,15 @@
 //! Cost accounting: categories, hierarchy levels, and accumulated stats.
+//!
+//! A device's books are kept on the integer clock ([`SimTime`]): each
+//! charge lands in them as the same whole number of picoseconds its
+//! clock advanced by, so per-category totals, the clock and the device's
+//! telemetry spans add up exactly. [`Stats::as_ns`] is the `f64` read-out
+//! reports print.
+
+use std::ops::Add;
 
 use serde::{Deserialize, Serialize};
+use unintt_telemetry::SimTime;
 
 /// Where simulated time is spent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -96,35 +105,22 @@ impl core::fmt::Display for Level {
     }
 }
 
-/// One collective operation as seen by the machine: what ran, how many
-/// bytes crossed the fabric, over how many links, and how much of the
-/// communication time an overlapped schedule hid behind compute.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
-pub struct CollectiveEvent {
-    /// Operation name (`"all-to-all"`, `"all-to-all-overlapped"`, …).
-    pub op: &'static str,
-    /// Total bytes moved across the fabric by all participants.
-    pub bytes: u64,
-    /// Number of fabric links the schedule occupied.
-    pub links_used: u32,
-    /// Wall (simulated) time charged for the operation, ns.
-    pub time_ns: f64,
-    /// Communication nanoseconds hidden behind caller-supplied compute
-    /// (0 for blocking collectives).
-    pub hidden_ns: f64,
-}
-
 /// Accumulated simulation statistics (per device, mergeable).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct Stats {
-    /// Simulated nanoseconds charged, by bottleneck category. Each kernel's
-    /// full roofline time lands on the single category that dominated it.
-    pub time_ns: TimeByCategory,
-    /// Raw (overlap-ignoring) component nanoseconds: every kernel adds each
-    /// of its pipeline components here, whether or not it was the
+///
+/// `T` is the unit of the three time fields. A device books
+/// `Stats<SimTime>`: every charge is a whole number of picoseconds, so
+/// the books add up exactly. [`Stats::as_ns`] reads them out as `Stats`
+/// in `f64` nanoseconds, for reports.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Stats<T = f64> {
+    /// Simulated time charged, by bottleneck category. Each kernel's full
+    /// roofline time lands on the single category that dominated it.
+    pub time_ns: TimeByCategory<T>,
+    /// Raw (overlap-ignoring) component time: every kernel adds each of
+    /// its pipeline components here, whether or not it was the
     /// bottleneck. Use for "where does the work live" breakdowns; sums to
     /// more than the makespan by construction.
-    pub raw_time_ns: TimeByCategory,
+    pub raw_time_ns: TimeByCategory<T>,
     /// Bytes read from global memory.
     pub global_bytes_read: u64,
     /// Bytes written to global memory.
@@ -133,11 +129,10 @@ pub struct Stats {
     pub interconnect_bytes_sent: u64,
     /// Bytes re-sent after verification detected corruption.
     pub interconnect_bytes_retransmitted: u64,
-    /// Interconnect nanoseconds hidden behind compute by overlapped
-    /// collectives (already *excluded* from `time_ns.interconnect`; the
-    /// raw, overlap-blind charge is in `raw_time_ns.interconnect`).
-    #[serde(default)]
-    pub comm_hidden_ns: f64,
+    /// Interconnect time hidden behind compute by overlapped collectives
+    /// (already *excluded* from `time_ns.interconnect`; the raw,
+    /// overlap-blind charge is in `raw_time_ns.interconnect`).
+    pub comm_hidden_ns: T,
     /// Kernel launches.
     pub kernels_launched: u64,
     /// Collective operations participated in.
@@ -157,28 +152,29 @@ pub struct Stats {
     pub shared_accesses: u64,
 }
 
-/// Nanoseconds indexed by [`Category`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeByCategory {
+/// Simulated time indexed by [`Category`], in the unit `T` (see
+/// [`Stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TimeByCategory<T = f64> {
     /// See [`Category::Compute`].
-    pub compute: f64,
+    pub compute: T,
     /// See [`Category::GlobalMem`].
-    pub global_mem: f64,
+    pub global_mem: T,
     /// See [`Category::SharedMem`].
-    pub shared_mem: f64,
+    pub shared_mem: T,
     /// See [`Category::Shuffle`].
-    pub shuffle: f64,
+    pub shuffle: T,
     /// See [`Category::Launch`].
-    pub launch: f64,
+    pub launch: T,
     /// See [`Category::Interconnect`].
-    pub interconnect: f64,
+    pub interconnect: T,
     /// See [`Category::Fault`].
-    pub fault: f64,
+    pub fault: T,
 }
 
-impl TimeByCategory {
+impl<T: Copy + Default + PartialOrd + Add<Output = T>> TimeByCategory<T> {
     /// Mutable access by category.
-    pub fn get_mut(&mut self, cat: Category) -> &mut f64 {
+    pub fn get_mut(&mut self, cat: Category) -> &mut T {
         match cat {
             Category::Compute => &mut self.compute,
             Category::GlobalMem => &mut self.global_mem,
@@ -191,7 +187,7 @@ impl TimeByCategory {
     }
 
     /// Read access by category.
-    pub fn get(&self, cat: Category) -> f64 {
+    pub fn get(&self, cat: Category) -> T {
         match cat {
             Category::Compute => self.compute,
             Category::GlobalMem => self.global_mem,
@@ -204,26 +200,24 @@ impl TimeByCategory {
     }
 
     /// Total across categories.
-    pub fn total(&self) -> f64 {
-        Category::ALL.iter().map(|&c| self.get(c)).sum()
+    pub fn total(&self) -> T {
+        Category::ALL
+            .iter()
+            .fold(T::default(), |sum, &c| sum + self.get(c))
     }
 
     /// Element-wise maximum (used when merging per-device critical paths).
     pub fn max_merge(&mut self, other: &Self) {
         for cat in Category::ALL {
-            let m = self.get(cat).max(other.get(cat));
-            *self.get_mut(cat) = m;
+            if other.get(cat) > self.get(cat) {
+                *self.get_mut(cat) = other.get(cat);
+            }
         }
     }
 
-    /// Nanoseconds aggregated to hierarchy levels.
-    pub fn by_level(&self) -> [(Level, f64); 4] {
-        let mut out = [
-            (Level::Warp, 0.0),
-            (Level::Block, 0.0),
-            (Level::Device, 0.0),
-            (Level::MultiGpu, 0.0),
-        ];
+    /// Time aggregated to hierarchy levels.
+    pub fn by_level(&self) -> [(Level, T); 4] {
+        let mut out = Level::ALL.map(|level| (level, T::default()));
         for cat in Category::ALL {
             let idx = match cat.level() {
                 Level::Warp => 0,
@@ -231,13 +225,28 @@ impl TimeByCategory {
                 Level::Device => 2,
                 Level::MultiGpu => 3,
             };
-            out[idx].1 += self.get(cat);
+            out[idx].1 = out[idx].1 + self.get(cat);
         }
         out
     }
 }
 
-impl Stats {
+impl TimeByCategory<SimTime> {
+    /// The same books in nanoseconds.
+    pub fn as_ns(&self) -> TimeByCategory {
+        TimeByCategory {
+            compute: self.compute.as_ns(),
+            global_mem: self.global_mem.as_ns(),
+            shared_mem: self.shared_mem.as_ns(),
+            shuffle: self.shuffle.as_ns(),
+            launch: self.launch.as_ns(),
+            interconnect: self.interconnect.as_ns(),
+            fault: self.fault.as_ns(),
+        }
+    }
+}
+
+impl<T: Copy + Default + PartialOrd + Add<Output = T>> Stats<T> {
     /// Creates empty stats.
     pub fn new() -> Self {
         Self::default()
@@ -246,14 +255,16 @@ impl Stats {
     /// Merges another device's stats: counters sum, per-category times take
     /// the maximum (devices run concurrently, so the per-category critical
     /// path is the max across symmetric devices).
-    pub fn merge_concurrent(&mut self, other: &Stats) {
+    pub fn merge_concurrent(&mut self, other: &Self) {
         self.time_ns.max_merge(&other.time_ns);
         self.raw_time_ns.max_merge(&other.raw_time_ns);
         self.global_bytes_read += other.global_bytes_read;
         self.global_bytes_written += other.global_bytes_written;
         self.interconnect_bytes_sent += other.interconnect_bytes_sent;
         self.interconnect_bytes_retransmitted += other.interconnect_bytes_retransmitted;
-        self.comm_hidden_ns = self.comm_hidden_ns.max(other.comm_hidden_ns);
+        if other.comm_hidden_ns > self.comm_hidden_ns {
+            self.comm_hidden_ns = other.comm_hidden_ns;
+        }
         self.kernels_launched += other.kernels_launched;
         self.collectives += other.collectives;
         self.faults_injected += other.faults_injected;
@@ -262,6 +273,29 @@ impl Stats {
         self.field_adds += other.field_adds;
         self.shuffle_ops += other.shuffle_ops;
         self.shared_accesses += other.shared_accesses;
+    }
+}
+
+impl Stats<SimTime> {
+    /// The same books with their times in nanoseconds.
+    pub fn as_ns(&self) -> Stats {
+        Stats {
+            time_ns: self.time_ns.as_ns(),
+            raw_time_ns: self.raw_time_ns.as_ns(),
+            global_bytes_read: self.global_bytes_read,
+            global_bytes_written: self.global_bytes_written,
+            interconnect_bytes_sent: self.interconnect_bytes_sent,
+            interconnect_bytes_retransmitted: self.interconnect_bytes_retransmitted,
+            comm_hidden_ns: self.comm_hidden_ns.as_ns(),
+            kernels_launched: self.kernels_launched,
+            collectives: self.collectives,
+            faults_injected: self.faults_injected,
+            retries: self.retries,
+            field_muls: self.field_muls,
+            field_adds: self.field_adds,
+            shuffle_ops: self.shuffle_ops,
+            shared_accesses: self.shared_accesses,
+        }
     }
 }
 
@@ -279,7 +313,7 @@ mod tests {
 
     #[test]
     fn time_by_category_accessors() {
-        let mut t = TimeByCategory::default();
+        let mut t = TimeByCategory::<f64>::default();
         *t.get_mut(Category::Compute) += 5.0;
         *t.get_mut(Category::Interconnect) += 7.0;
         assert_eq!(t.get(Category::Compute), 5.0);

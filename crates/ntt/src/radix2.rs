@@ -239,13 +239,6 @@ impl<F: TwoAdicField> Ntt<F> {
         self.dif_in_place_with(values, self.table.forward());
     }
 
-    /// Inverse-direction DIF kernel (bit-reversed output, inverse twiddles,
-    /// no scaling). Composes with [`Ntt::dit_in_place`] for round-trips that
-    /// avoid explicit permutation.
-    pub fn inverse_dif_in_place(&self, values: &mut [F]) {
-        self.dif_in_place_with(values, self.table.inverse());
-    }
-
     /// Inverse-direction DIT kernel (bit-reversed input, inverse twiddles,
     /// no scaling).
     pub fn inverse_dit_in_place(&self, values: &mut [F]) {

@@ -45,11 +45,11 @@ pub struct ProofRun {
     /// Stable fingerprint of the finished output.
     pub digest: u64,
     /// Simulated completion time of the final stage.
-    pub completed_ns: f64,
+    pub completed: SimTime,
     /// Transient stage retries absorbed during execution.
     pub retries: u32,
     /// Lane-occupied simulated time attributed per stage kind.
-    pub stage_ns: BTreeMap<StageKind, f64>,
+    pub stage_time: BTreeMap<StageKind, SimTime>,
 }
 
 /// The executor's summary.
@@ -57,9 +57,11 @@ pub struct ProofRun {
 pub struct ExecReport {
     /// Per-proof outcomes, in submission order.
     pub runs: Vec<ProofRun>,
-    /// Simulated time at which the last stage completed.
+    /// Simulated time at which the last stage completed, ns (a
+    /// read-out of the integer clock).
     pub makespan_ns: f64,
-    /// Total lane-occupied simulated time.
+    /// Total lane-occupied simulated time, ns (a read-out of the integer
+    /// clock).
     pub busy_ns: f64,
     /// Number of lanes.
     pub lanes: usize,
@@ -224,12 +226,9 @@ impl DagExecutor {
                     .pipe()
                     .output_digest()
                     .expect("complete proof has a digest"),
-                completed_ns: done(run).as_ns(),
+                completed: done(run),
                 retries,
-                stage_ns: stage_time
-                    .into_iter()
-                    .map(|(k, t)| (k, t.as_ns()))
-                    .collect(),
+                stage_time,
             })
             .collect();
         ExecReport {
@@ -244,16 +243,16 @@ impl DagExecutor {
 
 /// Starts one stage with in-place transient retries, returning the total
 /// simulated time consumed (successful attempt plus any wasted faulted
-/// attempts, each rounded once to the event clock) and the retry count.
+/// attempts) and the retry count.
 fn start_with_retries(run: &mut DagRun, stage: usize, policy: &RecoveryPolicy) -> (SimTime, u32) {
     let mut elapsed = SimTime::ZERO;
     let mut retries = 0u32;
     loop {
-        let before = run.pipe().sim_total_ns();
+        let before = run.pipe().sim_total();
         match run.start(stage, policy) {
             Ok(t) => return (elapsed + t, retries),
             Err(e) => {
-                elapsed += SimTime::from_ns(run.pipe().sim_total_ns() - before);
+                elapsed += run.pipe().sim_total() - before;
                 assert!(
                     e.is_transient() && retries < MAX_RETRIES,
                     "permanent stage failure: {e}"

@@ -133,15 +133,10 @@ mod tests {
         assert_eq!(digests(&two), expected);
         // One lane with one queue: nothing overlaps and the lane never
         // idles while a stage is ready, so it is busy the whole makespan.
-        assert!(
-            (one.makespan_ns - one.busy_ns).abs() < 1e-6,
-            "one lane: makespan {} != busy {}",
-            one.makespan_ns,
-            one.busy_ns
-        );
+        assert_eq!(one.makespan_ns, one.busy_ns, "one lane: makespan != busy");
         // Same total device work either way; a second lane only repacks
         // it, and the three proofs' independent stages overlap.
-        assert!((one.busy_ns - two.busy_ns).abs() < 1e-6);
+        assert_eq!(one.busy_ns, two.busy_ns);
         assert!(
             two.makespan_ns < one.makespan_ns,
             "two lanes {} >= one lane {}",
@@ -159,8 +154,8 @@ mod tests {
         assert_eq!(a.makespan_ns, b.makespan_ns);
         assert_eq!(a.busy_ns, b.busy_ns);
         for (ra, rb) in a.runs.iter().zip(&b.runs) {
-            assert_eq!(ra.completed_ns, rb.completed_ns);
-            assert_eq!(ra.stage_ns, rb.stage_ns);
+            assert_eq!(ra.completed, rb.completed);
+            assert_eq!(ra.stage_time, rb.stage_time);
         }
     }
 
@@ -180,7 +175,7 @@ mod tests {
         assert_eq!(digests(&serial), digests(&streamed));
         assert_eq!(streamed.streams_per_lane, 2);
         assert!(
-            streamed.makespan_ns <= serial.makespan_ns + 1e-6,
+            streamed.makespan_ns <= serial.makespan_ns,
             "streamed {} > serialized {}",
             streamed.makespan_ns,
             serial.makespan_ns
@@ -190,8 +185,8 @@ mod tests {
         let worst = InterferenceModel::default_model()
             .compute_memory
             .max(InterferenceModel::default_model().mixed_other);
-        assert!(streamed.busy_ns >= serial.busy_ns - 1e-6);
-        assert!(streamed.busy_ns <= serial.busy_ns * worst + 1e-6);
+        assert!(streamed.busy_ns >= serial.busy_ns);
+        assert!(streamed.busy_ns <= serial.busy_ns * worst);
     }
 
     #[test]
@@ -214,8 +209,8 @@ mod tests {
         assert_eq!(default.makespan_ns, conservative.makespan_ns);
         assert_eq!(default.busy_ns, conservative.busy_ns);
         for (a, b) in default.runs.iter().zip(&conservative.runs) {
-            assert_eq!(a.completed_ns, b.completed_ns);
-            assert_eq!(a.stage_ns, b.stage_ns);
+            assert_eq!(a.completed, b.completed);
+            assert_eq!(a.stage_time, b.stage_time);
         }
     }
 
@@ -224,19 +219,24 @@ mod tests {
         let report = DagExecutor::interleaved(2)
             .with_streams(3, InterferenceModel::default_model())
             .run(vec![plonk_pipe(71, 24, 4), stark_pipe(72, 5, 3, 4)]);
-        let attributed: f64 = report.runs.iter().flat_map(|r| r.stage_ns.values()).sum();
-        assert!((attributed - report.busy_ns).abs() < 1e-6);
+        let attributed: SimTime = report
+            .runs
+            .iter()
+            .flat_map(|r| r.stage_time.values())
+            .copied()
+            .sum();
+        assert_eq!(attributed.as_ns(), report.busy_ns);
     }
 
     #[test]
     fn stage_attribution_covers_all_busy_time() {
         let report = DagExecutor::interleaved(2).run(vec![plonk_pipe(41, 24, 4)]);
-        let attributed: f64 = report.runs[0].stage_ns.values().sum();
-        assert!((attributed - report.busy_ns).abs() < 1e-6);
+        let attributed: SimTime = report.runs[0].stage_time.values().copied().sum();
+        assert_eq!(attributed.as_ns(), report.busy_ns);
         // Barriers never appear in the attribution map.
-        assert!(!report.runs[0].stage_ns.contains_key(&StageKind::Barrier));
-        assert!(report.runs[0].stage_ns.contains_key(&StageKind::Ntt));
-        assert!(report.runs[0].stage_ns.contains_key(&StageKind::Msm));
+        assert!(!report.runs[0].stage_time.contains_key(&StageKind::Barrier));
+        assert!(report.runs[0].stage_time.contains_key(&StageKind::Ntt));
+        assert!(report.runs[0].stage_time.contains_key(&StageKind::Msm));
     }
 
     #[test]

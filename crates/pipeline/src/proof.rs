@@ -5,7 +5,7 @@
 
 use unintt_core::RecoveryPolicy;
 use unintt_ff::{Bn254Fr, Goldilocks};
-use unintt_gpu_sim::{FabricError, Machine};
+use unintt_gpu_sim::{FabricError, Machine, SimTime};
 use unintt_zkp::{Backend, Proof, ProvingKey, StagedProver, Witness};
 
 use unintt_fri::{FriConfig, LdeBackend, StagedCommit, TraceCommitment};
@@ -88,18 +88,22 @@ impl ProofPipeline {
     ///
     /// Propagates any [`FabricError`] that outlives `policy`'s retries;
     /// the stage stays not-done and can be re-run.
-    pub fn run_stage(&mut self, idx: usize, policy: &RecoveryPolicy) -> Result<f64, FabricError> {
+    pub fn run_stage(
+        &mut self,
+        idx: usize,
+        policy: &RecoveryPolicy,
+    ) -> Result<SimTime, FabricError> {
         match self {
             ProofPipeline::Plonk(p) => p.run_stage(idx, policy),
             ProofPipeline::Stark(s) => s.run_stage(idx, policy),
         }
     }
 
-    /// Total simulated nanoseconds across the proof's private machines.
-    pub fn sim_total_ns(&self) -> f64 {
+    /// Total simulated time across the proof's private machines.
+    pub fn sim_total(&self) -> SimTime {
         match self {
-            ProofPipeline::Plonk(p) => p.sim_total_ns(),
-            ProofPipeline::Stark(s) => s.sim_total_ns(),
+            ProofPipeline::Plonk(p) => p.sim_total(),
+            ProofPipeline::Stark(s) => s.sim_total(),
         }
     }
 

@@ -65,8 +65,7 @@ impl DagRun {
     }
 
     /// Functionally executes the ready charged stage `s` at dispatch,
-    /// returning the simulated time it charged, rounded once to the event
-    /// clock.
+    /// returning the simulated time it charged.
     ///
     /// # Errors
     ///
@@ -74,9 +73,9 @@ impl DagRun {
     /// ready and can be started again.
     pub fn start(&mut self, s: usize, policy: &RecoveryPolicy) -> Result<SimTime, FabricError> {
         debug_assert!(!self.started[s], "stage {s} started twice");
-        let ns = self.pipe.run_stage(s, policy)?;
+        let charged = self.pipe.run_stage(s, policy)?;
         self.started[s] = true;
-        Ok(SimTime::from_ns(ns))
+        Ok(charged)
     }
 
     /// Commits the completion of started stage `s` at `t`, then runs
@@ -117,11 +116,11 @@ impl DagRun {
                 let Some(avail) = self.avail(s) else {
                     continue;
                 };
-                let ns = self
+                let charged = self
                     .pipe
                     .run_stage(s, &RecoveryPolicy::none())
                     .expect("barrier stages are host-only and cannot fault");
-                debug_assert_eq!(ns, 0.0, "barriers are charge-free");
+                debug_assert_eq!(charged, SimTime::ZERO, "barriers are charge-free");
                 self.started[s] = true;
                 self.completion[s] = Some(avail);
                 progressed = true;

@@ -13,22 +13,17 @@
 //! counters cannot see: time jobs spent *waiting* rather than running,
 //! the queue-bound verdict.
 //!
-//! Three entry points, by what evidence is in hand:
+//! Two entry points, by what evidence is in hand:
 //!
 //! * [`AttributionRow::from_machine`] — a live simulated [`Machine`]
 //!   (device category totals + per-link fabric occupancy);
-//! * [`AttributionReport::from_session`] — a drained telemetry
-//!   [`Session`] (device spans by category, link-utilization markers),
-//!   used by `harness attribute <experiment>`;
 //! * [`AttributionReport::from_service_report`] — a [`ServiceReport`]
 //!   (per-stage lease time + queue-wait vs execution split).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use unintt_gpu_sim::{Category, Machine};
 use unintt_pipeline::StageKind;
-use unintt_telemetry::{InstantKind, Session, SpanLevel};
 
 use crate::service::ServiceReport;
 
@@ -181,56 +176,6 @@ pub struct AttributionReport {
 }
 
 impl AttributionReport {
-    /// Folds a drained telemetry session: device-level spans group by
-    /// `(track, category)` into one row per track, and
-    /// [`InstantKind::LinkUtilization`] markers supply each track's
-    /// peak link occupancy. Tracks with no device spans produce no row.
-    pub fn from_session(session: &Session) -> Self {
-        let mut per_track: BTreeMap<String, (f64, f64, f64, f64)> = BTreeMap::new();
-        for s in &session.spans {
-            if s.level != SpanLevel::Device {
-                continue;
-            }
-            // Device tracks are "<machine>/gpuN"; attribute to the machine.
-            let scope = s
-                .track
-                .rsplit_once('/')
-                .map_or(s.track.as_str(), |(m, _)| m);
-            let axes = per_track.entry(scope.to_string()).or_default();
-            let ns = s.duration_ns();
-            match s.category {
-                "compute" => axes.0 += ns,
-                "global-mem" | "shared-mem" | "shuffle" => axes.1 += ns,
-                "interconnect" => axes.2 += ns,
-                _ => axes.3 += ns,
-            }
-        }
-        let mut peaks: BTreeMap<String, f64> = BTreeMap::new();
-        for i in &session.instants {
-            if i.kind != InstantKind::LinkUtilization {
-                continue;
-            }
-            for (key, value) in &i.attrs {
-                if *key == "utilization" {
-                    if let unintt_telemetry::AttrValue::F64(u) = value {
-                        let p = peaks.entry(i.track.clone()).or_insert(0.0);
-                        if *u > *p {
-                            *p = *u;
-                        }
-                    }
-                }
-            }
-        }
-        let rows = per_track
-            .into_iter()
-            .map(|(scope, (c, m, w, o))| {
-                let peak = peaks.get(&scope).copied();
-                row_from_parts(scope, c, m, w, o, peak)
-            })
-            .collect();
-        Self { rows }
-    }
-
     /// Attributes a service run: one row per DAG stage kind (lease time
     /// under the stage's [`StageKind::resource_class`]) plus a
     /// `service/queue` row comparing sojourn time against lease-busy
@@ -296,58 +241,15 @@ impl AttributionReport {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use unintt_telemetry::{AttrValue, Instant, Span};
 
     #[test]
     fn classify_breaks_ties_deterministically() {
         assert_eq!(classify(1.0, 1.0, 1.0), Verdict::ComputeBound);
         assert_eq!(classify(0.0, 1.0, 1.0), Verdict::MemoryBound);
         assert_eq!(classify(0.0, 0.0, 1.0), Verdict::WireBound);
-    }
-
-    fn device_span(track: &str, category: &'static str, ns: f64) -> Span {
-        Span {
-            id: 1,
-            parent: None,
-            name: "k".into(),
-            level: SpanLevel::Device,
-            category,
-            track: track.into(),
-            t_start_ns: 0.0,
-            t_end_ns: ns,
-            attrs: vec![],
-        }
-    }
-
-    #[test]
-    fn session_fold_groups_tracks_and_categories() {
-        let session = Session {
-            spans: vec![
-                device_span("m0/gpu0", "compute", 60.0),
-                device_span("m0/gpu1", "global-mem", 30.0),
-                device_span("m0/gpu0", "interconnect", 10.0),
-                device_span("m1/gpu0", "shuffle", 5.0),
-            ],
-            instants: vec![Instant {
-                name: "gpu0→gpu1".into(),
-                kind: InstantKind::LinkUtilization,
-                track: "m0".into(),
-                t_ns: 100.0,
-                attrs: vec![("utilization", AttrValue::F64(0.8))],
-            }],
-        };
-        let report = AttributionReport::from_session(&session);
-        assert_eq!(report.rows.len(), 2);
-        let m0 = &report.rows[0];
-        assert_eq!(m0.scope, "m0");
-        assert_eq!(m0.verdict, Verdict::ComputeBound);
-        assert!((m0.total_ns - 100.0).abs() < 1e-9);
-        assert!((m0.wire_frac - 0.1).abs() < 1e-9);
-        assert_eq!(m0.peak_link_utilization, Some(0.8));
-        let m1 = &report.rows[1];
-        assert_eq!(m1.verdict, Verdict::MemoryBound);
-        assert_eq!(m1.peak_link_utilization, None);
     }
 
     #[test]

@@ -12,12 +12,13 @@ use std::collections::{btree_map::Entry, BTreeMap, VecDeque};
 
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_core::{Cluster, ClusterNttEngine, UniNttOptions};
-use unintt_ff::{BabyBear, Field, Goldilocks, PrimeField, TwoAdicField};
+use unintt_ff::{BabyBear, Bn254Fr, Field, Goldilocks, PrimeField, TwoAdicField};
 use unintt_fri::{commit_trace, verify_trace, FriConfig, LdeBackend};
 use unintt_gpu_sim::{presets, FaultPlan, KernelProfile, SimTime};
 use unintt_ntt::{batch_transform_parallel, Direction, Ntt};
 use unintt_zkp::{
     prove, random_circuit, setup, verify, Backend, ProvingKey, VerifyingKey, Witness,
+    LOG_QUOTIENT_BLOWUP,
 };
 
 use unintt_pipeline::ProofPipeline;
@@ -228,8 +229,9 @@ pub(crate) fn arrival_order(
 
 /// Whether a lease of `cfg` can run `class`, asked of the checks that
 /// would otherwise panic mid-run: a raw transform's cluster engine must
-/// plan (it is built here, into `caches`), a STARK trace must pass
-/// [`FriConfig::check_trace_shape`]. PLONK sizes are not checked.
+/// plan (it is built here, into `caches`), a PLONK circuit's quotient
+/// domain must fit BN254-Fr's two-adicity, a STARK trace must pass
+/// [`FriConfig::check_trace_shape`].
 fn runnable(caches: &mut EngineCaches, cfg: &ServiceConfig, class: JobClass) -> bool {
     match class.monolithic() {
         JobClass::RawNtt { field, log_n, .. } if field == ServiceField::Goldilocks => {
@@ -238,10 +240,13 @@ fn runnable(caches: &mut EngineCaches, cfg: &ServiceConfig, class: JobClass) -> 
         JobClass::RawNtt { field, log_n, .. } => {
             raw_engine(&mut caches.engines_b, cfg, field, log_n).is_ok()
         }
+        JobClass::PlonkProve { log_gates } => {
+            log_gates <= Bn254Fr::TWO_ADICITY - LOG_QUOTIENT_BLOWUP
+        }
         JobClass::StarkCommit { log_trace, columns } => FriConfig::standard()
             .check_trace_shape(columns, log_trace)
             .is_ok(),
-        _ => true,
+        JobClass::ProveDag { .. } => unreachable!("monolithic() unwraps DAG classes"),
     }
 }
 
@@ -366,9 +371,8 @@ fn run_raw_batch_in<F: TwoAdicField>(
         .inverse()
         .expect("domain size is invertible in an NTT-friendly field");
     let overhead = duration("dispatch_overhead_ns", cfg.dispatch_overhead_ns);
-    // The cluster's f64 clock at the last charge, and `start` plus every
-    // job's charge so far, each rounded once.
-    let (mut machine, mut t) = (cluster.total_time_ns(), start);
+    // `start` plus every job's charge so far.
+    let (base, mut t) = (cluster.total_time(), start);
     let mut completions = Vec::with_capacity(jobs.len());
     let mut leftover = Vec::new();
     for (idx, (job, input)) in jobs.iter().zip(&inputs).enumerate() {
@@ -383,9 +387,7 @@ fn run_raw_batch_in<F: TwoAdicField>(
                 };
                 (report, output)
             });
-        let now = cluster.total_time_ns();
-        t += SimTime::from_ns(now - machine);
-        machine = now;
+        t = start + (cluster.total_time() - base);
         let Ok((report, output)) = ran else {
             leftover.extend_from_slice(&jobs[idx..]);
             break;
@@ -461,7 +463,7 @@ pub(crate) fn run_proof(
     caches: &mut EngineCaches,
     cfg: &ServiceConfig,
     class: JobClass,
-) -> (f64, u64) {
+) -> (SimTime, u64) {
     let gpus = cfg.lease.total_gpus();
     match class.monolithic() {
         JobClass::PlonkProve { log_gates } => {
@@ -475,7 +477,7 @@ pub(crate) fn run_proof(
                     "service-produced proof must verify"
                 );
             }
-            (backend.report().total_ns(), proof.content_digest())
+            (backend.report().total(), proof.content_digest())
         }
         JobClass::StarkCommit { log_trace, columns } => {
             let trace = stark_fixture(caches, log_trace, columns);
@@ -488,7 +490,7 @@ pub(crate) fn run_proof(
                     "service-produced commitment must verify"
                 );
             }
-            (backend.sim_time_ns(), commitment.content_digest())
+            (backend.sim_time(), commitment.content_digest())
         }
         JobClass::RawNtt { .. } => unreachable!("raw jobs always carry a batch key"),
         JobClass::ProveDag { .. } => unreachable!("monolithic() unwraps DAG classes"),
@@ -552,7 +554,7 @@ pub(crate) fn commit_completion(c: &Completion) -> JobOutcome {
         return o;
     };
     use unintt_telemetry::{fresh_id, record_span, Span, SpanLevel};
-    let (track, exec_start_ns) = (o.id.to_string(), c.exec_start.as_ns());
+    let track = o.id.to_string();
     record_span(|| Span {
         id: fresh_id(),
         parent: Some(root),
@@ -560,8 +562,8 @@ pub(crate) fn commit_completion(c: &Completion) -> JobOutcome {
         level: SpanLevel::Serve,
         category: "queue",
         track: track.clone(),
-        t_start_ns: o.arrival_ns,
-        t_end_ns: exec_start_ns,
+        t_start: c.job.arrival(),
+        t_end: c.exec_start,
         attrs: vec![],
     });
     record_span(|| Span {
@@ -571,8 +573,8 @@ pub(crate) fn commit_completion(c: &Completion) -> JobOutcome {
         level: SpanLevel::Serve,
         category: "execute",
         track: track.clone(),
-        t_start_ns: exec_start_ns,
-        t_end_ns: o.completed_ns,
+        t_start: c.exec_start,
+        t_end: c.done,
         attrs: vec![("class", o.class_name.into())],
     });
     record_span(|| Span {
@@ -582,8 +584,8 @@ pub(crate) fn commit_completion(c: &Completion) -> JobOutcome {
         level: SpanLevel::Serve,
         category: "job",
         track,
-        t_start_ns: o.arrival_ns,
-        t_end_ns: o.completed_ns,
+        t_start: c.job.arrival(),
+        t_end: c.done,
         attrs: vec![
             ("class", o.class_name.into()),
             ("batch", o.batch_size.into()),

@@ -389,7 +389,7 @@ fn mark(name: &str, kind: InstantKind, c: usize, t: SimTime, attr: Option<(&'sta
         name: name.into(),
         kind,
         track: format!("cluster{c}"),
-        t_ns: t.as_ns(),
+        t,
         attrs: attr.into_iter().map(|(k, v)| (k, v.into())).collect(),
     });
 }
@@ -675,7 +675,7 @@ impl FleetRunner {
             name: "overload-shed".into(),
             kind: InstantKind::Shed,
             track: "admission".into(),
-            t_ns: now.as_ns(),
+            t: now,
             attrs: vec![("tenant", u64::from(tenant).into())],
         });
         unintt_telemetry::counter_add("sim_shed_jobs", 1);

@@ -219,7 +219,7 @@ impl Scheduler {
             name: name.into(),
             kind: unintt_telemetry::InstantKind::CoalescerFlush,
             track: format!("{}coalescer", self.label),
-            t_ns: now.as_ns(),
+            t: now,
             attrs: vec![("jobs", jobs.into())],
         });
     }
@@ -404,7 +404,7 @@ impl Scheduler {
                 name: "deadline-cancel".into(),
                 kind: unintt_telemetry::InstantKind::Shed,
                 track: format!("{}admission", self.label),
-                t_ns: now.as_ns(),
+                t: now,
                 attrs: vec![("jobs", expired.len().into())],
             });
             unintt_telemetry::counter_add("serve_deadline_cancelled", expired.len() as u64);
@@ -464,9 +464,9 @@ impl Scheduler {
             }
             None => {
                 let job = jobs[0];
-                let (sim_ns, output_digest) =
+                let (charged, output_digest) =
                     dispatch::run_proof(&mut shared.caches, &self.cfg, job.spec.class);
-                let elapsed = SimTime::from_ns(sim_ns) + self.dispatch_overhead;
+                let elapsed = charged + self.dispatch_overhead;
                 let done = start + elapsed;
                 let outcome = JobOutcome {
                     batch_size: 1,
@@ -490,8 +490,8 @@ impl Scheduler {
             level: unintt_telemetry::SpanLevel::Serve,
             category: "dispatch",
             track: format!("{}lease{lease_id}", self.label),
-            t_start_ns: start.as_ns(),
-            t_end_ns: done.as_ns(),
+            t_start: start,
+            t_end: done,
             attrs: vec![
                 ("jobs", jobs.len().into()),
                 ("seq", seq.into()),
@@ -509,7 +509,7 @@ impl Scheduler {
                 name: "lease-repair".into(),
                 kind: unintt_telemetry::InstantKind::LeaseRepair,
                 track: format!("{}lease{lease_id}", self.label),
-                t_ns: done.as_ns(),
+                t: done,
                 attrs: if requeued > 0 {
                     vec![("requeued", requeued.into())]
                 } else {
@@ -603,8 +603,8 @@ impl Scheduler {
             level: unintt_telemetry::SpanLevel::Serve,
             category: "stage",
             track: format!("{}lease{}.q{}", self.label, p.lease, p.queue),
-            t_start_ns: p.start.as_ns(),
-            t_end_ns: now.as_ns(),
+            t_start: p.start,
+            t_end: now,
             attrs: vec![
                 ("kind", p.kind_name.into()),
                 ("job", p.job.0.into()),

@@ -97,24 +97,23 @@ mod tests {
         };
         let mut pool = LeasePool::new(1, cfg.lease);
         let mut caches = EngineCaches::default();
-        let (served_ns, network_hidden_ns, node_hidden_ns) =
+        let (served, network_hidden, node_hidden) =
             pool.lease_mut(0).with_cluster(field, |cluster| {
                 let served =
                     run_raw_batch(&mut caches, &cfg, key, &jobs, cluster, 0, SimTime::ZERO);
                 assert_eq!(served.completions.len(), jobs.len());
-                let node_hidden: Vec<f64> = (0..cluster.num_nodes())
-                    .map(|node| cluster.node(node).stats().comm_hidden_ns)
+                let node_hidden: Vec<SimTime> = (0..cluster.num_nodes())
+                    .map(|node| cluster.node(node).ledger().comm_hidden_ns)
                     .collect();
-                (
-                    cluster.total_time_ns(),
-                    cluster.network_hidden_ns(),
-                    node_hidden,
-                )
+                (cluster.total_time(), cluster.network_hidden(), node_hidden)
             });
-        assert!(network_hidden_ns > 0.0, "no cross-node wire time hidden");
         assert!(
-            node_hidden_ns.iter().all(|&ns| ns > 0.0),
-            "no intra-node wire time hidden: {node_hidden_ns:?}"
+            network_hidden > SimTime::ZERO,
+            "no cross-node wire time hidden"
+        );
+        assert!(
+            node_hidden.iter().all(|&t| t > SimTime::ZERO),
+            "no intra-node wire time hidden: {node_hidden:?}"
         );
 
         let fs = FieldSpec::goldilocks();
@@ -128,17 +127,17 @@ mod tests {
             blocking,
             fs,
         );
-        let blocking_ns = pool.lease_mut(0).with_cluster(field, |cluster| {
+        let blocking_time = pool.lease_mut(0).with_cluster(field, |cluster| {
             for job in &jobs {
                 engine
                     .forward_with_recovery(cluster, &payload(job.id, log_n), &cfg.recovery)
                     .expect("fault-free");
             }
-            cluster.total_time_ns()
+            cluster.total_time()
         });
         assert!(
-            served_ns < blocking_ns,
-            "overlap must shorten the batch: {served_ns} vs {blocking_ns}"
+            served < blocking_time,
+            "overlap must shorten the batch: {served:?} vs {blocking_time:?}"
         );
     }
 

@@ -9,12 +9,19 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use unintt_ff::{Bn254Fr, TwoAdicField};
+use unintt_gpu_sim::SimTime;
 use unintt_ntt::Direction;
 use unintt_serve::{
     AdmissionError, ChaosEvent, ChaosKind, ChaosPlan, DagKind, FleetConfig, FleetReport,
     FleetService, JobClass, JobId, JobSpec, JobStatus, Priority, ProofService, ServiceConfig,
     ServiceField,
 };
+use unintt_zkp::LOG_QUOTIENT_BLOWUP;
+
+/// The largest PLONK circuit, `2^MAX_LOG_GATES` rows, whose quotient
+/// domain BN254-Fr can hold.
+const MAX_LOG_GATES: u32 = Bn254Fr::TWO_ADICITY - LOG_QUOTIENT_BLOWUP;
 
 /// Instants no clock or deadline check may choke on.
 const ODD_TIMES: [f64; 6] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.0, 1e30];
@@ -31,8 +38,9 @@ fn time(rng: &mut StdRng) -> f64 {
 
 /// A job class: small shapes every lease runs, and now and then one of
 /// the shapes a lease cannot run (a raw transform of 2^0–2^2 on the
-/// default 2×2 lease or past the field's two-adicity, a STARK trace with
-/// no columns or too short for FRI).
+/// default 2×2 lease or past the field's two-adicity, a PLONK circuit
+/// whose quotient domain is past BN254-Fr's, a STARK trace with no
+/// columns or too short for FRI).
 fn class(rng: &mut StdRng) -> JobClass {
     let field = if rng.gen_range(0..2) == 0 {
         ServiceField::Goldilocks
@@ -67,7 +75,10 @@ fn class(rng: &mut StdRng) -> JobClass {
             }
         }
         6 | 7 => JobClass::PlonkProve {
-            log_gates: rng.gen_range(0..5) as u32,
+            log_gates: match rng.gen_range(0..6) {
+                i @ 0..=4 => i as u32,
+                _ => [MAX_LOG_GATES + 1, 64][rng.gen_range(0..2) as usize],
+            },
         },
         8 => JobClass::StarkCommit {
             log_trace: 2 + rng.gen_range(0..4) as u32,
@@ -147,6 +158,32 @@ fn assert_accounted(report: &FleetReport, submitted: usize) -> Result<(), TestCa
     Ok(())
 }
 
+/// Every PLONK job past [`MAX_LOG_GATES`], monolithic or as a DAG, is
+/// rejected as an unsupported shape — or, when its arrival is not an
+/// instant of the clock, for that, which admission checks first.
+fn assert_oversized_plonk_rejected(
+    report: &FleetReport,
+    specs: &[JobSpec],
+) -> Result<(), TestCaseError> {
+    for (o, spec) in report.outcomes.iter().zip(specs) {
+        if let JobClass::PlonkProve { log_gates } = spec.class.monolithic() {
+            if log_gates > MAX_LOG_GATES {
+                let error = match SimTime::try_from_ns(spec.arrival_ns) {
+                    Some(_) => AdmissionError::UnsupportedShape,
+                    None => AdmissionError::InvalidArrival,
+                };
+                prop_assert_eq!(
+                    o.status,
+                    JobStatus::Rejected(error),
+                    "2^{} gates",
+                    log_gates
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -156,15 +193,19 @@ proptest! {
 
         let mut service = ProofService::new(ServiceConfig::default());
         service.submit_all(specs.iter().copied());
-        assert_accounted(&service.run(), jobs)?;
+        let report = service.run();
+        assert_accounted(&report, jobs)?;
+        assert_oversized_plonk_rejected(&report, &specs)?;
 
         let mut fleet = FleetService::new(FleetConfig {
             clusters: 3,
             chaos: kill_and_revive(seed, 3),
             ..FleetConfig::default()
         });
-        fleet.submit_all(specs);
-        assert_accounted(&fleet.run(), jobs)?;
+        fleet.submit_all(specs.iter().copied());
+        let report = fleet.run();
+        assert_accounted(&report, jobs)?;
+        assert_oversized_plonk_rejected(&report, &specs)?;
     }
 }
 
@@ -179,6 +220,10 @@ fn unrunnable_shapes_are_typed_rejections() {
     let dag_stark = |log_trace, columns| JobClass::ProveDag {
         kind: DagKind::Stark { log_trace, columns },
     };
+    let plonk = |log_gates| JobClass::PlonkProve { log_gates };
+    let dag_plonk = |log_gates| JobClass::ProveDag {
+        kind: DagKind::Plonk { log_gates },
+    };
     let (gl, bb) = (ServiceField::Goldilocks, ServiceField::BabyBear);
     let unrunnable = [
         raw(gl, 0),
@@ -191,13 +236,18 @@ fn unrunnable_shapes_are_typed_rejections() {
         stark(1, 2),
         dag_stark(6, 0),
         dag_stark(1, 2),
+        plonk(MAX_LOG_GATES + 1),
+        plonk(64),
+        dag_plonk(MAX_LOG_GATES + 1),
+        dag_plonk(64),
     ];
     let runnable = [
         raw(gl, 4),
         raw(bb, 8),
         stark(6, 2),
         dag_stark(6, 2),
-        JobClass::PlonkProve { log_gates: 3 },
+        plonk(3),
+        dag_plonk(2),
     ];
     // Interleaved, all arriving in the first few microseconds.
     let mut specs = Vec::new();

@@ -8,7 +8,9 @@
 //! batch_size, output_digest)`, the horizon's bits and each lease's
 //! dispatch count and busy-time bits. Both `ProofService::new(cfg)` and
 //! the explicit one-cluster `FleetConfig` (hedging off, no chaos,
-//! capacities above the stream) must reproduce them.
+//! capacities above the stream) must reproduce them. The instants were
+//! re-captured once when the machine clock became integer picoseconds
+//! (each within 51 ps; no status, batch size or digest moved).
 
 use unintt_serve::{
     ChaosPlan, FleetConfig, FleetReport, FleetService, JobSpec, JobStatus, ProofService,
@@ -97,216 +99,216 @@ const PINS: [Pin; 24] = [
         seed: 3,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Fifo,
-        outcomes_fnv: 0xd668_d5c4_40cc_78bb,
-        horizon_bits: 0x4156_cc6b_8ba5_e354,
-        leases: [(52, 0x4156_a5af_2851_eb85), (50, 0x4156_47ce_3862_4dd3)],
+        outcomes_fnv: 0x5214_048b_8997_4988,
+        horizon_bits: 0x4156_cc6b_8e97_8d50,
+        leases: [(52, 0x4156_a5af_2b43_9581), (50, 0x4156_47ce_3a4d_d2f2)],
     },
     Pin {
         stream: "raw_only",
         seed: 3,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Priority,
-        outcomes_fnv: 0xbaf2_0559_c21a_78a4,
-        horizon_bits: 0x4156_d000_e322_d0e5,
-        leases: [(50, 0x4156_5391_e47a_e148), (52, 0x4156_99eb_7c39_5810)],
+        outcomes_fnv: 0x13a2_9909_2865_3734,
+        horizon_bits: 0x4156_d000_e5a1_cac1,
+        leases: [(50, 0x4156_5391_e6d9_1687), (52, 0x4156_99eb_7eb8_51ec)],
     },
     Pin {
         stream: "raw_only",
         seed: 3,
         streams_per_lease: 1,
         policy: SchedulerPolicy::ShortestJobFirst,
-        outcomes_fnv: 0xa795_bc72_d2d6_b212,
-        horizon_bits: 0x4156_e184_7e04_1893,
-        leases: [(51, 0x4156_420e_4999_999a), (51, 0x4156_ab6f_171a_9fbe)],
+        outcomes_fnv: 0xe8d3_a088_aee9_ecf9,
+        horizon_bits: 0x4156_e184_8147_ae14,
+        leases: [(51, 0x4156_420e_4b33_3333), (51, 0x4156_ab6f_1a5e_353f)],
     },
     Pin {
         stream: "bursty",
         seed: 3,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Fifo,
-        outcomes_fnv: 0xf319_470b_9b58_f125,
-        horizon_bits: 0x4156_d9ca_e581_0625,
-        leases: [(49, 0x4156_3a2e_31eb_851f), (50, 0x4156_0f2b_11a9_fbe7)],
+        outcomes_fnv: 0x2198_c057_668d_5f1e,
+        horizon_bits: 0x4156_d9ca_e800_0000,
+        leases: [(49, 0x4156_3a2e_346a_7efa), (50, 0x4156_0f2b_13b6_45a2)],
     },
     Pin {
         stream: "bursty",
         seed: 3,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Priority,
-        outcomes_fnv: 0x8a0f_2e2c_7e3e_b697,
-        horizon_bits: 0x4156_f240_18d4_fdf4,
-        leases: [(50, 0x4156_076c_2e97_8d50), (49, 0x4156_41ed_14fd_f3b6)],
+        outcomes_fnv: 0x3bb0_4207_be0b_0a8d,
+        horizon_bits: 0x4156_f240_1a6e_978d,
+        leases: [(50, 0x4156_076c_3189_374c), (49, 0x4156_41ed_1697_8d50)],
     },
     Pin {
         stream: "bursty",
         seed: 3,
         streams_per_lease: 1,
         policy: SchedulerPolicy::ShortestJobFirst,
-        outcomes_fnv: 0xadbb_a7e8_3b7b_2d37,
-        horizon_bits: 0x4156_ec77_e53f_7cee,
-        leases: [(49, 0x4156_0d34_622d_0e56), (50, 0x4156_3c24_e168_72b0)],
+        outcomes_fnv: 0xf7e6_15e5_cd69_a024,
+        horizon_bits: 0x4156_ec77_e7ae_147b,
+        leases: [(49, 0x4156_0d34_6449_ba5e), (50, 0x4156_3c24_e3d7_0a3d)],
     },
     Pin {
         stream: "raw_only",
         seed: 4,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Fifo,
-        outcomes_fnv: 0x5a2a_1028_e21c_54d9,
-        horizon_bits: 0x4157_7b66_4e14_7ae1,
-        leases: [(55, 0x4157_5f40_d20c_49ba), (57, 0x4157_1111_4353_f7cf)],
+        outcomes_fnv: 0x79c1_a933_c82b_f71d,
+        horizon_bits: 0x4157_7b66_50f5_c28f,
+        leases: [(55, 0x4157_5f40_d4ed_9168), (57, 0x4157_1111_4635_3f7d)],
     },
     Pin {
         stream: "raw_only",
         seed: 4,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Priority,
-        outcomes_fnv: 0x0559_5a93_b706_f7b0,
-        horizon_bits: 0x4157_5ff6_f851_eb85,
-        leases: [(58, 0x4157_43d1_7c49_ba5e), (54, 0x4157_2c80_9916_872b)],
+        outcomes_fnv: 0xeeda_1b4b_90b2_507d,
+        horizon_bits: 0x4157_5ff6_fb22_d0e5,
+        leases: [(58, 0x4157_43d1_7f1a_9fbe), (54, 0x4157_2c80_9c08_3127)],
     },
     Pin {
         stream: "raw_only",
         seed: 4,
         streams_per_lease: 1,
         policy: SchedulerPolicy::ShortestJobFirst,
-        outcomes_fnv: 0xe19d_217a_6d9e_7336,
-        horizon_bits: 0x4157_9eaa_076c_8b44,
-        leases: [(56, 0x4156_fd85_d872_b021), (56, 0x4157_72cc_3ced_9168)],
+        outcomes_fnv: 0x7158_d301_278f_fa54,
+        horizon_bits: 0x4157_9eaa_0a8f_5c29,
+        leases: [(56, 0x4156_fd85_db12_6e98), (56, 0x4157_72cc_4010_624e)],
     },
     Pin {
         stream: "bursty",
         seed: 4,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Fifo,
-        outcomes_fnv: 0xcf4a_8f75_15ad_b3df,
-        horizon_bits: 0x4156_8f35_ef2b_020c,
-        leases: [(53, 0x4156_5390_2947_ae14), (46, 0x4156_1126_ac49_ba5e)],
+        outcomes_fnv: 0x6291_34ad_f032_c845,
+        horizon_bits: 0x4156_8f35_f20c_49ba,
+        leases: [(53, 0x4156_5390_2c28_f5c3), (46, 0x4156_1126_adf3_b646)],
     },
     Pin {
         stream: "bursty",
         seed: 4,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Priority,
-        outcomes_fnv: 0x6020_0ca6_a027_aaec,
-        horizon_bits: 0x4156_741d_3916_872b,
-        leases: [(49, 0x4156_2c75_8bc6_a7f0), (50, 0x4156_3841_49ca_c083)],
+        outcomes_fnv: 0xa4b9_4ec6_39a5_3ed7,
+        horizon_bits: 0x4156_741d_3ba5_e354,
+        leases: [(49, 0x4156_2c75_8dc2_8f5c), (50, 0x4156_3841_4c5a_1cac)],
     },
     Pin {
         stream: "bursty",
         seed: 4,
         streams_per_lease: 1,
         policy: SchedulerPolicy::ShortestJobFirst,
-        outcomes_fnv: 0x59e9_e74e_e97a_8cab,
-        horizon_bits: 0x4156_b0a6_8f6c_8b44,
-        leases: [(49, 0x4155_efec_3570_a3d7), (50, 0x4156_74ca_a020_c49c)],
+        outcomes_fnv: 0xe308_14b1_4d3f_c689,
+        horizon_bits: 0x4156_b0a6_91fb_e76d,
+        leases: [(49, 0x4155_efec_376c_8b44), (50, 0x4156_74ca_a2b0_20c5)],
     },
     Pin {
         stream: "mixed",
         seed: 14,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Fifo,
-        outcomes_fnv: 0xb532_f310_42b7_0a1c,
-        horizon_bits: 0x414e_6d6f_16e9_78d5,
-        leases: [(35, 0x414e_0f43_b937_4bc7), (37, 0x414e_1dc8_a4dd_2f1b)],
+        outcomes_fnv: 0x7233_87df_5e7a_6426,
+        horizon_bits: 0x414e_6d6f_1687_2b02,
+        leases: [(35, 0x414e_0f43_b916_872b), (37, 0x414e_1dc8_a47a_e148)],
     },
     Pin {
         stream: "mixed",
         seed: 14,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Priority,
-        outcomes_fnv: 0x93d8_f8cb_5be4_6f79,
-        horizon_bits: 0x414e_6018_e041_8937,
-        leases: [(40, 0x414e_1c99_efdf_3b64), (32, 0x414e_1072_6e35_3f7d)],
+        outcomes_fnv: 0xa566_2f69_9683_ef96,
+        horizon_bits: 0x414e_6018_e062_4dd3,
+        leases: [(40, 0x414e_1c99_ef3b_645a), (32, 0x414e_1072_6e56_0419)],
     },
     Pin {
         stream: "mixed",
         seed: 14,
         streams_per_lease: 1,
         policy: SchedulerPolicy::ShortestJobFirst,
-        outcomes_fnv: 0x9e72_df97_2875_368b,
-        horizon_bits: 0x414e_679e_19db_22d1,
-        leases: [(41, 0x414e_2925_12b0_20c5), (31, 0x414e_03e7_4b64_5a1d)],
+        outcomes_fnv: 0xeedb_ba3f_b4a1_c06e,
+        horizon_bits: 0x414e_679e_19fb_e76d,
+        leases: [(41, 0x414e_2925_12d0_e560), (31, 0x414e_03e7_4ac0_8312)],
     },
     Pin {
         stream: "mixed",
         seed: 14,
         streams_per_lease: 2,
         policy: SchedulerPolicy::Fifo,
-        outcomes_fnv: 0xd727_8239_fa50_2b63,
-        horizon_bits: 0x414b_51bc_851e_b852,
-        leases: [(47, 0x414b_100a_6f5c_28f6), (25, 0x414b_0216_1312_6e98)],
+        outcomes_fnv: 0xe0f2_f97f_b507_feb4,
+        horizon_bits: 0x414b_51bc_853f_7cee,
+        leases: [(47, 0x414b_100a_6e56_0419), (25, 0x414b_0216_1333_3333)],
     },
     Pin {
         stream: "mixed",
         seed: 14,
         streams_per_lease: 2,
         policy: SchedulerPolicy::Priority,
-        outcomes_fnv: 0x5db5_5e76_c45a_a610,
-        horizon_bits: 0x414b_65d6_8687_2b02,
-        leases: [(19, 0x414b_26ed_6eb8_51ec), (53, 0x414b_1630_147a_e148)],
+        outcomes_fnv: 0xc822_ea5e_33c0_98c0,
+        horizon_bits: 0x414b_65d6_86e9_78d5,
+        leases: [(19, 0x414b_26ed_6d70_a3d7), (53, 0x414b_1630_14dd_2f1b)],
     },
     Pin {
         stream: "mixed",
         seed: 14,
         streams_per_lease: 2,
         policy: SchedulerPolicy::ShortestJobFirst,
-        outcomes_fnv: 0x1454_ab02_7260_5c47,
-        horizon_bits: 0x414b_77e1_d3d7_0a3d,
-        leases: [(39, 0x414b_0c09_f6e9_78d5), (33, 0x414b_283b_61ca_c083)],
+        outcomes_fnv: 0x356c_b155_7dba_b365,
+        horizon_bits: 0x414b_77e1_d395_8106,
+        leases: [(39, 0x414b_0c09_f6e9_78d5), (33, 0x414b_283b_6189_374c)],
     },
     Pin {
         stream: "mixed",
         seed: 17,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Fifo,
-        outcomes_fnv: 0x59a4_7209_ee57_3823,
-        horizon_bits: 0x4141_c857_f147_ae14,
-        leases: [(22, 0x4141_8b6b_b374_bc6a), (31, 0x4141_5e5c_9ac0_8312)],
+        outcomes_fnv: 0xdda0_a83d_9170_4cf8,
+        horizon_bits: 0x4141_c857_f2f1_a9fc,
+        leases: [(22, 0x4141_8b6b_b395_8106), (31, 0x4141_5e5c_9c6a_7efa)],
     },
     Pin {
         stream: "mixed",
         seed: 17,
         streams_per_lease: 1,
         policy: SchedulerPolicy::Priority,
-        outcomes_fnv: 0x8b63_dfab_c4e2_438d,
-        horizon_bits: 0x4141_c749_647a_e148,
-        leases: [(19, 0x4141_8c7a_4041_8937), (34, 0x4141_5d4e_0df3_b646)],
+        outcomes_fnv: 0x7737_52dc_486a_f60b,
+        horizon_bits: 0x4141_c749_65a1_cac1,
+        leases: [(19, 0x4141_8c7a_40e5_6042), (34, 0x4141_5d4e_0f1a_9fbe)],
     },
     Pin {
         stream: "mixed",
         seed: 17,
         streams_per_lease: 1,
         policy: SchedulerPolicy::ShortestJobFirst,
-        outcomes_fnv: 0xc74f_e726_7b02_17a5,
-        horizon_bits: 0x4144_1f77_3b64_5a1d,
-        leases: [(29, 0x413e_6898_d2b0_20c5), (24, 0x4143_b57b_e4dd_2f1b)],
+        outcomes_fnv: 0xdaec_9de8_20e3_6db5,
+        horizon_bits: 0x4144_1f77_3c28_f5c3,
+        leases: [(29, 0x413e_6898_d4bc_6a7f), (24, 0x4143_b57b_e5a1_cac1)],
     },
     Pin {
         stream: "mixed",
         seed: 17,
         streams_per_lease: 2,
         policy: SchedulerPolicy::Fifo,
-        outcomes_fnv: 0x988a_d003_3bcf_c058,
-        horizon_bits: 0x4140_0358_d062_4dd3,
-        leases: [(25, 0x413f_24b2_fa1c_ac08), (28, 0x413f_32ba_f3b6_45a2)],
+        outcomes_fnv: 0xb15b_04a9_229b_1c5e,
+        horizon_bits: 0x4140_0358_d126_e979,
+        leases: [(25, 0x413f_24b2_fa1c_ac08), (28, 0x413f_32ba_f53f_7cee)],
     },
     Pin {
         stream: "mixed",
         seed: 17,
         streams_per_lease: 2,
         policy: SchedulerPolicy::Priority,
-        outcomes_fnv: 0xf4fe_ba7e_1692_7b07,
-        horizon_bits: 0x4141_8ae1_6645_a1cb,
-        leases: [(31, 0x4141_567d_e0e5_6042), (22, 0x413b_27e9_b958_1062)],
+        outcomes_fnv: 0xcc70_dd4c_73d7_0c9a,
+        horizon_bits: 0x4141_8ae1_670a_3d71,
+        leases: [(31, 0x4141_567d_e1a9_fbe7), (22, 0x413b_27e9_bae1_47ae)],
     },
     Pin {
         stream: "mixed",
         seed: 17,
         streams_per_lease: 2,
         policy: SchedulerPolicy::ShortestJobFirst,
-        outcomes_fnv: 0x6d2c_aecf_007a_d1c6,
-        horizon_bits: 0x4142_2a9e_7ed9_1687,
-        leases: [(38, 0x4141_f63a_f978_d4fe), (15, 0x413a_53b7_5374_bc6a)],
+        outcomes_fnv: 0x7fb9_62b0_1b99_0dc7,
+        horizon_bits: 0x4142_2a9e_7f3b_645a,
+        leases: [(38, 0x4141_f63a_f9db_22d1), (15, 0x413a_53b7_5604_1893)],
     },
 ];
 

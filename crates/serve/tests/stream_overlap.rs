@@ -5,12 +5,14 @@
 //! schedule's clocks are pinned in the root suite,
 //! `tests/one_path.rs`.)
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use unintt_gpu_sim::InterferenceModel;
 use unintt_serve::{
     JobSpec, ProofService, ServiceConfig, ServiceReport, WorkloadMix, WorkloadSpec,
 };
-use unintt_telemetry::SpanLevel;
+use unintt_telemetry::{AttrValue, SimTime, SpanLevel};
 
 /// A mixed stream with the proof jobs submitted as stage DAGs (the only
 /// class the stream scheduler overlaps).
@@ -179,11 +181,20 @@ fn per_queue_spans_reconcile_with_stage_accounting() {
     }
     // ...and their durations sum to the report's stage attribution,
     // the serve-side analogue of the E16 device reconciliation.
-    let span_total: f64 = stage_spans.iter().map(|s| s.duration_ns()).sum();
-    let stage_total: f64 = report.stage_ns.values().sum();
-    assert!(
-        ((span_total - stage_total) / stage_total).abs() < 1e-9,
-        "span durations {span_total} ns must match stage accounting {stage_total} ns"
+    let mut span_time: BTreeMap<&str, SimTime> = BTreeMap::new();
+    for s in &stage_spans {
+        let kind = s.attrs.iter().find_map(|(k, v)| match (*k, v) {
+            ("kind", AttrValue::Str(kind)) => Some(*kind),
+            _ => None,
+        });
+        *span_time
+            .entry(kind.expect("stage spans name their kind"))
+            .or_default() += s.duration();
+    }
+    let span_ns: BTreeMap<&str, f64> = span_time.into_iter().map(|(k, t)| (k, t.as_ns())).collect();
+    assert_eq!(
+        span_ns, report.stage_ns,
+        "span durations must match stage accounting"
     );
 
     assert!(

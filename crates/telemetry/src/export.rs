@@ -5,12 +5,14 @@
 //! complete events (`"ph":"X"`) for spans, instant events (`"ph":"i"`)
 //! for markers, and metadata events naming one thread per track.
 //! Timestamps are microseconds in the file (the viewer convention); the
-//! simulated-nanosecond values are carried losslessly in `args`.
+//! simulated instants are carried losslessly in `args`, as nanoseconds
+//! with three decimals (whole picoseconds).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::span::{AttrValue, Session};
+use crate::time::SimTime;
 use crate::tree::SpanTree;
 
 /// Escapes a string for inclusion in a JSON string literal.
@@ -86,8 +88,8 @@ pub fn chrome_trace_json(session: &Session) -> String {
             "\"level\":\"{}\",\"span_id\":{},\"t_start_ns\":{:.3},\"t_end_ns\":{:.3}",
             s.level.as_str(),
             s.id,
-            s.t_start_ns,
-            s.t_end_ns
+            s.t_start.as_ns(),
+            s.t_end.as_ns()
         );
         if let Some(p) = s.parent {
             let _ = write!(args, ",\"parent_id\":{p}");
@@ -100,14 +102,14 @@ pub fn chrome_trace_json(session: &Session) -> String {
              \"ts\":{:.3},\"dur\":{:.3},\"args\":{{{args}}}}}",
             escape_json(&s.name),
             escape_json(s.category),
-            s.t_start_ns * 1e-3,
-            s.duration_ns() * 1e-3,
+            s.t_start.as_ns() * 1e-3,
+            s.duration().as_ns() * 1e-3,
         ));
     }
 
     for i in &session.instants {
         let tid = ids[&i.track];
-        let mut args = format!("\"t_ns\":{:.3}", i.t_ns);
+        let mut args = format!("\"t_ns\":{:.3}", i.t.as_ns());
         for (k, v) in &i.attrs {
             let _ = write!(args, ",\"{}\":{}", escape_json(k), attr_json(v));
         }
@@ -116,7 +118,7 @@ pub fn chrome_trace_json(session: &Session) -> String {
              \"ts\":{:.3},\"s\":\"t\",\"args\":{{{args}}}}}",
             escape_json(&i.name),
             i.kind.as_str(),
-            i.t_ns * 1e-3,
+            i.t.as_ns() * 1e-3,
         ));
     }
 
@@ -137,13 +139,17 @@ pub fn folded_stacks(session: &Session) -> String {
     let tree = SpanTree::build(&session.spans);
     let mut lines: Vec<String> = Vec::new();
     for i in 0..session.spans.len() {
-        let self_ns = tree.self_time_ns(i);
-        if self_ns <= 0.0 {
+        let self_time = tree.self_time(i);
+        if self_time == SimTime::ZERO {
             continue;
         }
         let mut stack = vec![session.spans[i].track.as_str()];
         stack.extend(tree.path(i));
-        lines.push(format!("{} {}", stack.join(";"), self_ns.round() as u64));
+        lines.push(format!(
+            "{} {}",
+            stack.join(";"),
+            self_time.as_ns().round() as u64
+        ));
     }
     lines.sort();
     let mut out = lines.join("\n");
@@ -168,8 +174,8 @@ mod tests {
                     level: SpanLevel::Fabric,
                     category: "transform",
                     track: "machine".into(),
-                    t_start_ns: 0.0,
-                    t_end_ns: 100.0,
+                    t_start: SimTime::ZERO,
+                    t_end: SimTime::from_ns(100.0),
                     attrs: vec![("batch", 1u64.into())],
                 },
                 Span {
@@ -179,8 +185,8 @@ mod tests {
                     level: SpanLevel::Fabric,
                     category: "phase",
                     track: "machine".into(),
-                    t_start_ns: 0.0,
-                    t_end_ns: 60.0,
+                    t_start: SimTime::ZERO,
+                    t_end: SimTime::from_ns(60.0),
                     attrs: vec![],
                 },
             ],
@@ -188,7 +194,7 @@ mod tests {
                 name: "fault-drop".into(),
                 kind: InstantKind::Fault,
                 track: "machine".into(),
-                t_ns: 30.0,
+                t: SimTime::from_ns(30.0),
                 attrs: vec![("seq", 0u64.into())],
             }],
         }

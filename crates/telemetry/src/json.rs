@@ -355,8 +355,8 @@ mod tests {
                 level: SpanLevel::Device,
                 category: "compute",
                 track: "gpu0".into(),
-                t_start_ns: 0.0,
-                t_end_ns: 10.0,
+                t_start: crate::SimTime::ZERO,
+                t_end: crate::SimTime::from_ns(10.0),
                 attrs: vec![],
             }],
             instants: vec![],

@@ -44,6 +44,7 @@ mod latency;
 mod registry;
 mod slo;
 mod span;
+mod time;
 mod tree;
 
 pub use export::{chrome_trace_json, folded_stacks};
@@ -53,6 +54,7 @@ pub use latency::LatencyStats;
 pub use registry::{escape_label_value, Histogram, LabelPairs, Registry, DEFAULT_NS_BUCKETS};
 pub use slo::{Alert, BurnWindows, Objective, SloEngine, SloEvent, SloSpec};
 pub use span::{AttrValue, Instant, InstantKind, Session, Span, SpanLevel};
+pub use time::SimTime;
 pub use tree::SpanTree;
 
 use std::cell::Cell;
@@ -210,16 +212,6 @@ pub fn gauge_set_labeled(name: &'static str, labels: &[(&'static str, &str)], va
     lock(&REGISTRY).gauge_set_labeled(name, labels, value);
 }
 
-/// Attaches `# HELP` text to a metric family when enabled. Help text is
-/// cleared with the rest of the registry at session start.
-#[inline]
-pub fn describe_metric(name: &'static str, help: &'static str) {
-    if !recording() {
-        return;
-    }
-    lock(&REGISTRY).describe(name, help);
-}
-
 /// Observes a histogram sample when enabled.
 #[inline]
 pub fn histogram_observe(name: &'static str, value: f64) {
@@ -309,8 +301,8 @@ mod tests {
                 level: SpanLevel::Device,
                 category: "compute",
                 track: "gpu0".into(),
-                t_start_ns: 0.0,
-                t_end_ns: 5.0,
+                t_start: SimTime::ZERO,
+                t_end: SimTime::from_ns(5.0),
                 attrs: vec![],
             });
             counter_add("kernels", 1);

@@ -301,7 +301,7 @@ impl SloEngine {
                     name: spec.name.to_string(),
                     kind: InstantKind::Alert,
                     track: String::from("slo"),
-                    t_ns,
+                    t: crate::SimTime::from_ns(t_ns),
                     attrs: vec![
                         ("fast_burn", fast_burn.into()),
                         ("slow_burn", slow_burn.into()),

@@ -1,9 +1,11 @@
 //! Span and instant-event types recorded against the simulated clock.
 //!
-//! Every timestamp in this module is a simulated nanosecond produced by
-//! the cost model — never wall-clock time. Two runs of the same workload
+//! Every timestamp in this module is a [`SimTime`] instant of the
+//! simulated clock the cost model charges — never wall-clock time. Two runs of the same workload
 //! therefore produce byte-identical telemetry, which is what makes the
 //! traces replayable and diffable.
+
+use crate::time::SimTime;
 
 /// Where in the paper's execution hierarchy a span lives.
 ///
@@ -103,18 +105,18 @@ pub struct Span {
     pub category: &'static str,
     /// The timeline this span renders on (one Perfetto thread per track).
     pub track: String,
-    /// Simulated start, ns.
-    pub t_start_ns: f64,
-    /// Simulated end, ns.
-    pub t_end_ns: f64,
+    /// Simulated start.
+    pub t_start: SimTime,
+    /// Simulated end.
+    pub t_end: SimTime,
     /// Free-form key/value annotations.
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl Span {
-    /// Simulated duration in nanoseconds (never negative).
-    pub fn duration_ns(&self) -> f64 {
-        (self.t_end_ns - self.t_start_ns).max(0.0)
+    /// Simulated duration (zero for a span that ends before it starts).
+    pub fn duration(&self) -> SimTime {
+        self.t_end.saturating_sub(self.t_start)
     }
 }
 
@@ -141,8 +143,6 @@ pub enum InstantKind {
     Quarantine,
     /// An SLO burn-rate alert fired (fast + slow windows both over).
     Alert,
-    /// A fabric link's end-of-run occupancy summary (bytes, busy time).
-    LinkUtilization,
 }
 
 impl InstantKind {
@@ -159,7 +159,6 @@ impl InstantKind {
             InstantKind::Shed => "shed",
             InstantKind::Quarantine => "quarantine",
             InstantKind::Alert => "alert",
-            InstantKind::LinkUtilization => "link-utilization",
         }
     }
 }
@@ -173,8 +172,8 @@ pub struct Instant {
     pub kind: InstantKind,
     /// The timeline the marker renders on.
     pub track: String,
-    /// Simulated time of the event, ns.
-    pub t_ns: f64,
+    /// Simulated time of the event.
+    pub t: SimTime,
     /// Free-form key/value annotations.
     pub attrs: Vec<(&'static str, AttrValue)>,
 }

@@ -7,19 +7,12 @@
 //! and among candidates the smallest (tightest) interval wins.
 
 use crate::span::Span;
+use crate::time::SimTime;
 
-/// Relative slack allowed when comparing simulated timestamps. The cost
-/// model sums many f64 charges, so exact endpoint equality is one ulp
-/// away from false; everything structural stays well above this.
-const REL_EPS: f64 = 1e-9;
-
-fn eps_for(span: &Span) -> f64 {
-    REL_EPS * (span.t_end_ns.abs().max(span.t_start_ns.abs()).max(1.0))
-}
-
+/// Containment on the integer clock: a child that ends at its parent's
+/// end instant is inside it, one picosecond later is not.
 fn contains(parent: &Span, child: &Span) -> bool {
-    let eps = eps_for(parent).max(eps_for(child));
-    parent.t_start_ns <= child.t_start_ns + eps && child.t_end_ns <= parent.t_end_ns + eps
+    parent.t_start <= child.t_start && child.t_end <= parent.t_end
 }
 
 /// A parent/child index over a span slice.
@@ -50,7 +43,7 @@ impl<'a> SpanTree<'a> {
                     best = match best {
                         None => Some(j),
                         Some(b) => {
-                            let (bd, pd) = (spans[b].duration_ns(), p.duration_ns());
+                            let (bd, pd) = (spans[b].duration(), p.duration());
                             if pd < bd || (pd == bd && p.id < spans[b].id) {
                                 Some(j)
                             } else {
@@ -108,12 +101,12 @@ impl<'a> SpanTree<'a> {
 
     /// Span duration minus the summed duration of its direct children —
     /// the "self time" a flamegraph attributes to the frame itself.
-    pub fn self_time_ns(&self, i: usize) -> f64 {
-        let kids: f64 = self.children[i]
+    pub fn self_time(&self, i: usize) -> SimTime {
+        let kids: SimTime = self.children[i]
             .iter()
-            .map(|&c| self.spans[c].duration_ns())
+            .map(|&c| self.spans[c].duration())
             .sum();
-        (self.spans[i].duration_ns() - kids).max(0.0)
+        self.spans[i].duration().saturating_sub(kids)
     }
 
     /// Checks the structural invariants the exporters rely on:
@@ -126,10 +119,10 @@ impl<'a> SpanTree<'a> {
     /// Returns the first violation as a human-readable message.
     pub fn validate(&self) -> Result<(), String> {
         for s in self.spans {
-            if s.t_end_ns < s.t_start_ns - eps_for(s) {
+            if s.t_end < s.t_start {
                 return Err(format!(
-                    "span {} '{}' ends before it starts ({} > {})",
-                    s.id, s.name, s.t_start_ns, s.t_end_ns
+                    "span {} '{}' ends before it starts ({} > {} ps)",
+                    s.id, s.name, s.t_start.0, s.t_end.0
                 ));
             }
         }
@@ -138,15 +131,15 @@ impl<'a> SpanTree<'a> {
                 let (child, parent) = (&self.spans[i], &self.spans[*j]);
                 if !contains(parent, child) {
                     return Err(format!(
-                        "span {} '{}' [{}, {}] escapes parent {} '{}' [{}, {}]",
+                        "span {} '{}' [{}, {}] ps escapes parent {} '{}' [{}, {}] ps",
                         child.id,
                         child.name,
-                        child.t_start_ns,
-                        child.t_end_ns,
+                        child.t_start.0,
+                        child.t_end.0,
                         parent.id,
                         parent.name,
-                        parent.t_start_ns,
-                        parent.t_end_ns
+                        parent.t_start.0,
+                        parent.t_end.0
                     ));
                 }
             }
@@ -154,31 +147,25 @@ impl<'a> SpanTree<'a> {
         // Sibling groups: same parent slot (None == virtual root).
         let n = self.spans.len();
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            self.spans[a]
-                .t_start_ns
-                .partial_cmp(&self.spans[b].t_start_ns)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by_key(|&a| self.spans[a].t_start);
         for (oi, &a) in order.iter().enumerate() {
             for &b in order.iter().skip(oi + 1) {
                 if self.parent[a] != self.parent[b] || self.spans[a].track != self.spans[b].track {
                     continue;
                 }
                 let (first, second) = (&self.spans[a], &self.spans[b]);
-                let eps = eps_for(first).max(eps_for(second));
-                if second.t_start_ns < first.t_end_ns - eps {
+                if second.t_start < first.t_end {
                     return Err(format!(
-                        "siblings overlap on track '{}': {} '{}' [{}, {}] vs {} '{}' [{}, {}]",
+                        "siblings overlap on track '{}': {} '{}' [{}, {}] ps vs {} '{}' [{}, {}] ps",
                         first.track,
                         first.id,
                         first.name,
-                        first.t_start_ns,
-                        first.t_end_ns,
+                        first.t_start.0,
+                        first.t_end.0,
                         second.id,
                         second.name,
-                        second.t_start_ns,
-                        second.t_end_ns
+                        second.t_start.0,
+                        second.t_end.0
                     ));
                 }
             }
@@ -187,11 +174,8 @@ impl<'a> SpanTree<'a> {
     }
 
     /// Sum of root-span durations — the tree's total covered time.
-    pub fn total_root_ns(&self) -> f64 {
-        self.roots
-            .iter()
-            .map(|&r| self.spans[r].duration_ns())
-            .sum()
+    pub fn total_root(&self) -> SimTime {
+        self.roots.iter().map(|&r| self.spans[r].duration()).sum()
     }
 }
 
@@ -200,7 +184,7 @@ mod tests {
     use super::*;
     use crate::span::SpanLevel;
 
-    fn span(id: u64, parent: Option<u64>, level: SpanLevel, track: &str, t0: f64, t1: f64) -> Span {
+    fn span(id: u64, parent: Option<u64>, level: SpanLevel, track: &str, t0: u64, t1: u64) -> Span {
         Span {
             id,
             parent,
@@ -208,8 +192,8 @@ mod tests {
             level,
             category: "test",
             track: track.to_string(),
-            t_start_ns: t0,
-            t_end_ns: t1,
+            t_start: SimTime(t0),
+            t_end: SimTime(t1),
             attrs: Vec::new(),
         }
     }
@@ -217,9 +201,9 @@ mod tests {
     #[test]
     fn derives_tightest_containing_parent() {
         let spans = vec![
-            span(1, None, SpanLevel::Fabric, "m", 0.0, 100.0),
-            span(2, Some(1), SpanLevel::Fabric, "m", 0.0, 60.0),
-            span(3, None, SpanLevel::Device, "m/gpu0", 10.0, 20.0),
+            span(1, None, SpanLevel::Fabric, "m", 0, 100),
+            span(2, Some(1), SpanLevel::Fabric, "m", 0, 60),
+            span(3, None, SpanLevel::Device, "m/gpu0", 10, 20),
         ];
         let tree = SpanTree::build(&spans);
         // The device span nests under the tighter phase span, not the root.
@@ -231,8 +215,8 @@ mod tests {
     #[test]
     fn rejects_child_escaping_parent() {
         let spans = vec![
-            span(1, None, SpanLevel::Fabric, "m", 0.0, 50.0),
-            span(2, Some(1), SpanLevel::Device, "m/gpu0", 40.0, 80.0),
+            span(1, None, SpanLevel::Fabric, "m", 0, 50),
+            span(2, Some(1), SpanLevel::Device, "m/gpu0", 40, 80),
         ];
         let tree = SpanTree::build(&spans);
         assert!(tree.validate().is_err());
@@ -241,9 +225,9 @@ mod tests {
     #[test]
     fn rejects_overlapping_siblings_on_one_track() {
         let spans = vec![
-            span(1, None, SpanLevel::Fabric, "m", 0.0, 100.0),
-            span(2, Some(1), SpanLevel::Fabric, "m", 0.0, 60.0),
-            span(3, Some(1), SpanLevel::Fabric, "m", 50.0, 90.0),
+            span(1, None, SpanLevel::Fabric, "m", 0, 100),
+            span(2, Some(1), SpanLevel::Fabric, "m", 0, 60),
+            span(3, Some(1), SpanLevel::Fabric, "m", 50, 90),
         ];
         let tree = SpanTree::build(&spans);
         assert!(tree.validate().is_err());
@@ -252,23 +236,58 @@ mod tests {
     #[test]
     fn siblings_on_distinct_tracks_may_overlap() {
         let spans = vec![
-            span(1, None, SpanLevel::Device, "m/gpu0", 0.0, 60.0),
-            span(2, None, SpanLevel::Device, "m/gpu1", 0.0, 60.0),
+            span(1, None, SpanLevel::Device, "m/gpu0", 0, 60),
+            span(2, None, SpanLevel::Device, "m/gpu1", 0, 60),
         ];
         let tree = SpanTree::build(&spans);
         tree.validate().expect("parallel devices are fine");
-        assert_eq!(tree.total_root_ns(), 120.0);
+        assert_eq!(tree.total_root(), SimTime(120));
     }
 
     #[test]
     fn self_time_subtracts_children() {
         let spans = vec![
-            span(1, None, SpanLevel::Fabric, "m", 0.0, 100.0),
-            span(2, Some(1), SpanLevel::Fabric, "m", 0.0, 30.0),
-            span(3, Some(1), SpanLevel::Fabric, "m", 40.0, 80.0),
+            span(1, None, SpanLevel::Fabric, "m", 0, 100),
+            span(2, Some(1), SpanLevel::Fabric, "m", 0, 30),
+            span(3, Some(1), SpanLevel::Fabric, "m", 40, 80),
         ];
         let tree = SpanTree::build(&spans);
-        assert_eq!(tree.self_time_ns(0), 30.0);
+        assert_eq!(tree.self_time(0), SimTime(30));
         assert_eq!(tree.path(2), vec!["s1", "s3"]);
+    }
+
+    #[test]
+    fn child_ending_at_its_parents_end_is_attached() {
+        let spans = vec![
+            span(1, None, SpanLevel::Fabric, "m", 0, 100),
+            span(2, None, SpanLevel::Device, "m/gpu0", 40, 100),
+        ];
+        let tree = SpanTree::build(&spans);
+        assert_eq!(tree.parent_of(1), Some(0));
+        tree.validate().expect("valid tree");
+    }
+
+    #[test]
+    fn child_ending_one_picosecond_late_is_a_root() {
+        let spans = vec![
+            span(1, None, SpanLevel::Fabric, "m", 0, 100),
+            span(2, None, SpanLevel::Device, "m/gpu0", 40, 101),
+        ];
+        let tree = SpanTree::build(&spans);
+        assert_eq!(tree.parent_of(1), None);
+        assert_eq!(tree.roots(), &[0, 1]);
+    }
+
+    #[test]
+    fn zero_length_span_on_a_parents_boundary_is_attached() {
+        let spans = vec![
+            span(1, None, SpanLevel::Fabric, "m", 10, 100),
+            span(2, None, SpanLevel::Device, "m/gpu0", 100, 100),
+            span(3, None, SpanLevel::Device, "m/gpu0", 10, 10),
+        ];
+        let tree = SpanTree::build(&spans);
+        assert_eq!(tree.parent_of(1), Some(0));
+        assert_eq!(tree.parent_of(2), Some(0));
+        tree.validate().expect("valid tree");
     }
 }

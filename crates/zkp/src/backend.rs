@@ -17,17 +17,19 @@ use std::collections::HashMap;
 
 use unintt_core::{RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
 use unintt_ff::Bn254Fr;
-use unintt_gpu_sim::{FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, Stats};
+use unintt_gpu_sim::{
+    FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, SimTime, Stats,
+};
 use unintt_msm::{multi_gpu_msm, G1Affine, G1Projective};
 use unintt_ntt::Ntt;
 
 /// Where time was spent, for the end-to-end breakdown.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BackendReport {
-    /// Simulated nanoseconds in NTT work (0 for the CPU backend).
-    pub ntt_time_ns: f64,
-    /// Simulated nanoseconds in MSM work (0 for the CPU backend).
-    pub msm_time_ns: f64,
+    /// Simulated time in NTT work (zero for the CPU backend).
+    pub ntt_time: SimTime,
+    /// Simulated time in MSM work (zero for the CPU backend).
+    pub msm_time: SimTime,
     /// NTT-machine statistics.
     pub ntt_stats: Stats,
     /// MSM-machine statistics.
@@ -40,17 +42,17 @@ pub struct BackendReport {
 
 impl BackendReport {
     /// Total simulated time (prover phases are sequential).
-    pub fn total_ns(&self) -> f64 {
-        self.ntt_time_ns + self.msm_time_ns
+    pub fn total(&self) -> SimTime {
+        self.ntt_time + self.msm_time
     }
 
     /// Fraction of simulated time spent in NTT.
     pub fn ntt_fraction(&self) -> f64 {
-        let t = self.total_ns();
-        if t == 0.0 {
+        let t = self.total();
+        if t == SimTime::ZERO {
             0.0
         } else {
-            self.ntt_time_ns / t
+            self.ntt_time.as_ns() / t.as_ns()
         }
     }
 }
@@ -434,8 +436,8 @@ impl SimulatedBackend {
 
     fn report(&self) -> BackendReport {
         BackendReport {
-            ntt_time_ns: self.ntt_machine.max_clock_ns(),
-            msm_time_ns: self.msm_machine.max_clock_ns(),
+            ntt_time: self.ntt_machine.max_clock(),
+            msm_time: self.msm_machine.max_clock(),
             ntt_stats: self.ntt_machine.stats(),
             msm_stats: self.msm_machine.stats(),
             ntt_calls: self.ntt_calls,
@@ -472,7 +474,7 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(a, input);
         }
-        assert!(sim.report().ntt_time_ns > 0.0);
+        assert!(sim.report().ntt_time > SimTime::ZERO);
         assert_eq!(sim.report().ntt_calls, 6);
     }
 
@@ -484,18 +486,18 @@ mod tests {
         let mut cpu = Backend::cpu();
         let mut sim = Backend::simulated(presets::a100_nvlink(4), presets::a100_nvlink(4));
         assert_eq!(cpu.msm(&scalars, &points), sim.msm(&scalars, &points));
-        assert!(sim.report().msm_time_ns > 0.0);
+        assert!(sim.report().msm_time > SimTime::ZERO);
     }
 
     #[test]
     fn pointwise_charges_only_simulated() {
         let mut cpu = Backend::cpu();
         cpu.charge_pointwise(1024, 3);
-        assert_eq!(cpu.report().total_ns(), 0.0);
+        assert_eq!(cpu.report().total(), SimTime::ZERO);
 
         let mut sim = Backend::simulated(presets::a100_nvlink(2), presets::a100_nvlink(2));
         sim.charge_pointwise(1024, 3);
-        assert!(sim.report().ntt_time_ns > 0.0);
+        assert!(sim.report().ntt_time > SimTime::ZERO);
     }
 
     #[test]
@@ -513,11 +515,11 @@ mod tests {
     #[test]
     fn report_fraction() {
         let r = BackendReport {
-            ntt_time_ns: 75.0,
-            msm_time_ns: 25.0,
+            ntt_time: SimTime(75),
+            msm_time: SimTime(25),
             ..Default::default()
         };
-        assert_eq!(r.total_ns(), 100.0);
+        assert_eq!(r.total(), SimTime(100));
         assert!((r.ntt_fraction() - 0.75).abs() < 1e-12);
         assert_eq!(BackendReport::default().ntt_fraction(), 0.0);
     }

@@ -46,5 +46,5 @@ pub use permutation::{Cell, Column, WirePermutation};
 pub use poly::Polynomial;
 pub use prover::{prove, setup, verify, Proof, ProvingKey, VerifyingKey};
 pub use serialize::{DecodeError, PROOF_BYTES};
-pub use staged::{plonk_stage_descs, StageDesc, StagedProver, PLONK_STAGES};
+pub use staged::{plonk_stage_descs, StageDesc, StagedProver, LOG_QUOTIENT_BLOWUP, PLONK_STAGES};
 pub use transcript::Transcript;

@@ -137,11 +137,6 @@ impl WirePermutation {
         self.n
     }
 
-    /// The image of a cell under σ, as a flat index.
-    pub fn image_flat(&self, cell: Cell) -> usize {
-        self.sigma[cell.flat(self.n)]
-    }
-
     /// Checks that a wire assignment respects the permutation (every cell
     /// equals its σ-image — equivalent to equality on each class).
     pub fn is_respected<W: AsRef<[Bn254Fr]>>(&self, wires: &[W; 3]) -> bool {

@@ -51,11 +51,6 @@ impl<F: TwoAdicField> Polynomial<F> {
         &self.coeffs
     }
 
-    /// Consumes the polynomial, returning its coefficients.
-    pub fn into_coeffs(self) -> Vec<F> {
-        self.coeffs
-    }
-
     /// Horner evaluation at `x`.
     pub fn evaluate(&self, x: F) -> F {
         self.coeffs

@@ -33,7 +33,7 @@
 
 use unintt_core::RecoveryPolicy;
 use unintt_ff::{batch_inverse, Bn254Fr, Field, TwoAdicField};
-use unintt_gpu_sim::FabricError;
+use unintt_gpu_sim::{FabricError, SimTime};
 use unintt_msm::G1Projective;
 
 use crate::permutation::column_shifts;
@@ -56,6 +56,12 @@ pub struct StageDesc {
 
 /// Number of stages in the PLONK proof DAG.
 pub const PLONK_STAGES: usize = 16;
+
+/// The quotient is evaluated on a coset `2^LOG_QUOTIENT_BLOWUP` times the
+/// circuit's domain, so a circuit of `2^k` rows needs a BN254-Fr domain of
+/// `2^(k + LOG_QUOTIENT_BLOWUP)`: `k` is at most the field's two-adicity
+/// minus this.
+pub const LOG_QUOTIENT_BLOWUP: u32 = 2;
 
 /// The fixed PLONK proof DAG as `(name, kind, deps)` rows (see the module
 /// docs for why the edges are what they are). Every dependency has a
@@ -187,16 +193,16 @@ impl ProofState {
         backend: &mut Backend,
         idx: usize,
         policy: &RecoveryPolicy,
-    ) -> Result<f64, FabricError> {
+    ) -> Result<SimTime, FabricError> {
         assert!(idx < PLONK_STAGES, "stage index out of range");
         assert!(!self.done[idx], "stage {idx} already completed");
         for &d in PLONK_DAG[idx].2 {
             assert!(self.done[d], "stage {idx} depends on unfinished stage {d}");
         }
-        let before = backend.report().total_ns();
+        let before = backend.report().total();
         self.execute(pk, witness, backend, idx, policy)?;
         self.done[idx] = true;
-        Ok(backend.report().total_ns() - before)
+        Ok(backend.report().total() - before)
     }
 
     /// Runs every stage not yet done, in index order; see
@@ -311,7 +317,7 @@ impl ProofState {
                 let beta = self.beta.expect("round-1 barrier done");
                 let gamma = self.gamma.expect("round-1 barrier done");
                 let alpha = self.alpha.expect("round-2 barrier done");
-                let log_blowup = 2u32;
+                let log_blowup = LOG_QUOTIENT_BLOWUP;
                 let big_n = n << log_blowup;
                 let blowup = 1usize << log_blowup;
                 let shift = pk.domain().shift();
@@ -524,10 +530,10 @@ impl StagedProver {
         self.state.done.iter().all(|&d| d)
     }
 
-    /// Total simulated nanoseconds accumulated so far across the
-    /// backend's NTT and MSM machines (0 for the CPU backend).
-    pub fn sim_total_ns(&self) -> f64 {
-        self.backend.report().total_ns()
+    /// Total simulated time accumulated so far across the backend's NTT
+    /// and MSM machines (zero for the CPU backend).
+    pub fn sim_total(&self) -> SimTime {
+        self.backend.report().total()
     }
 
     /// The finished proof, once [`StagedProver::is_complete`].
@@ -540,7 +546,7 @@ impl StagedProver {
         &mut self.backend
     }
 
-    /// Runs one stage, returning the simulated nanoseconds it charged.
+    /// Runs one stage, returning the simulated time it charged.
     ///
     /// # Errors
     ///
@@ -552,7 +558,11 @@ impl StagedProver {
     ///
     /// Panics if `idx` is out of range, already done, or has an
     /// unfinished dependency.
-    pub fn run_stage(&mut self, idx: usize, policy: &RecoveryPolicy) -> Result<f64, FabricError> {
+    pub fn run_stage(
+        &mut self,
+        idx: usize,
+        policy: &RecoveryPolicy,
+    ) -> Result<SimTime, FabricError> {
         self.state
             .run_stage(&self.pk, &self.witness, &mut self.backend, idx, policy)
     }
@@ -621,11 +631,11 @@ mod tests {
 
         let mut sim_mono = Backend::simulated(presets::a100_nvlink(4), presets::a100_nvlink(4));
         let _ = prove(&pk, &witness, &[], &mut sim_mono);
-        let mono_ns = sim_mono.report().total_ns();
+        let mono_time = sim_mono.report().total();
 
         let sim = Backend::simulated(presets::a100_nvlink(4), presets::a100_nvlink(4));
         let mut staged = StagedProver::new(&pk, &witness, &[], sim);
-        let mut per_stage = 0.0;
+        let mut per_stage = SimTime::ZERO;
         let policy = RecoveryPolicy::none();
         for idx in scrambled_order() {
             per_stage += staged.run_stage(idx, &policy).expect("fault-free");
@@ -634,8 +644,8 @@ mod tests {
         // Any topological order issues the same kernel sequence per
         // machine, so the simulated clock agrees to the bit with the
         // index-order driver, and per-stage deltas tile it.
-        assert_eq!(staged.sim_total_ns().to_bits(), mono_ns.to_bits());
-        assert!((per_stage - mono_ns).abs() < 1e-6);
+        assert_eq!(staged.sim_total(), mono_time);
+        assert_eq!(per_stage, mono_time);
     }
 
     #[test]

@@ -74,8 +74,8 @@ fn main() {
         if e.category == Category::Fault {
             println!(
                 "  {:>10.2} µs  +{:>8.2} µs  {}",
-                e.start_ns / 1e3,
-                e.duration_ns / 1e3,
+                e.start.as_ns() / 1e3,
+                e.duration.as_ns() / 1e3,
                 e.name
             );
         }
@@ -89,7 +89,7 @@ fn main() {
             .events()
             .iter()
             .filter(|e| e.category != Category::Fault)
-            .map(|e| e.duration_ns)
+            .map(|e| e.duration.as_ns())
             .sum()
     };
     println!(

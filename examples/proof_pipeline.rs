@@ -44,7 +44,7 @@ fn main() {
     let r_sq = status_quo.report();
     println!(
         "status quo       : {:>9.1} µs simulated  (NTT {:>4.1}% on 1 GPU, MSM on 8)",
-        r_sq.total_ns() / 1e3,
+        r_sq.total().as_ns() / 1e3,
         100.0 * r_sq.ntt_fraction()
     );
 
@@ -53,7 +53,7 @@ fn main() {
     let r_u = unintt.report();
     println!(
         "UniNTT system    : {:>9.1} µs simulated  (NTT {:>4.1}% on 8 GPUs, MSM on 8)",
-        r_u.total_ns() / 1e3,
+        r_u.total().as_ns() / 1e3,
         100.0 * r_u.ntt_fraction()
     );
 
@@ -63,7 +63,7 @@ fn main() {
     println!("\nall three backends produced the identical, verifying proof ✓");
     println!(
         "end-to-end gain from multi-GPU NTT at this size: {:.2}x",
-        r_sq.total_ns() / r_u.total_ns()
+        r_sq.total().as_ns() / r_u.total().as_ns()
     );
     println!("(production circuits are 2^20+ gates; see `harness e8` for projections)");
 }

@@ -59,8 +59,8 @@ fn main() {
     for event in machine8.timeline(0).events() {
         println!(
             "  {:>8.1} µs  +{:>7.1} µs  {:<22} [{}]",
-            event.start_ns / 1e3,
-            event.duration_ns / 1e3,
+            event.start.as_ns() / 1e3,
+            event.duration.as_ns() / 1e3,
             event.name,
             event.category
         );

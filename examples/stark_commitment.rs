@@ -54,7 +54,7 @@ fn main() {
         );
         println!(
             "{gpus}×A100 (sim)   : {:>9.1} µs simulated",
-            backend.sim_time_ns() / 1e3
+            backend.sim_time().as_ns() / 1e3
         );
     }
 

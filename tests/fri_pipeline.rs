@@ -122,5 +122,5 @@ fn wider_traces_cost_more_simulated_time() {
     let _ = commit_trace(&narrow, &config, &mut b1);
     let mut b2 = LdeBackend::simulated(presets::a100_nvlink(4));
     let _ = commit_trace(&wide, &config, &mut b2);
-    assert!(b2.sim_time_ns() > b1.sim_time_ns());
+    assert!(b2.sim_time() > b1.sim_time());
 }

@@ -230,7 +230,8 @@ fn charge_row(n: usize, gpus: usize) -> String {
 }
 
 /// Captured at `4b1e464`, whose `multi_gpu_msm` ran one host Pippenger
-/// per device and reduced the partial sums.
+/// per device and reduced the partial sums; the times re-captured once
+/// when the machine clock became integer picoseconds (each within 2 ps).
 const CHARGE_PINS: &str = include_str!("data/msm_charge_pins.txt");
 
 #[test]

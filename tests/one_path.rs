@@ -11,10 +11,12 @@
 //!   depth and per-lease dispatch and repair counts from the serial loop.
 //!   Its instants (outcome timestamps, horizon, `stage_ns`, per-lease
 //!   `busy_ns`) were re-captured when the event loops moved to integer
-//!   picoseconds; each is within 10 ps of the serial loop's `f64`
-//!   value;
+//!   picoseconds, each within 10 ps of the serial loop's `f64` value,
+//!   and again when the machine clock did, each within 24 ps of the
+//!   value before;
 //! * `prove` and `commit_trace` digests and simulated clocks from the
-//!   monolithic bodies;
+//!   monolithic bodies (the clocks re-captured with the integer machine
+//!   clock, each within 10 ps);
 //! * the checkpointed-recovery tests, ported onto `resume`.
 
 use rand::{rngs::StdRng, SeedableRng};
@@ -109,54 +111,54 @@ const SCHEDULE_PINS: [SchedulePin; 4] = [
     SchedulePin {
         seed: 14,
         faults: false,
-        outcomes_fnv: 0x6d39_fbf2_1d36_e77a,
-        horizon_bits: 0x414e_6d6f_16e9_78d5,
+        outcomes_fnv: 0xf976_d91a_6c0c_5b3e,
+        horizon_bits: 0x414e_6d6f_1687_2b02,
         peak_queue_depth: 20,
         leases: [
-            (35, 0, 0x414e_0f43_b937_4bc7),
-            (37, 0, 0x414e_1dc8_a4dd_2f1b),
+            (35, 0, 0x414e_0f43_b916_872b),
+            (37, 0, 0x414e_1dc8_a47a_e148),
         ],
         stage_ns: [
-            ("fold", 0x40c5_31e2_8f5c_28f6),
+            ("fold", 0x40c5_31e2_b020_c49c),
             ("hash", 0x40c5_240c_0831_26e9),
-            ("msm", 0x4140_28ac_3e76_c8b4),
-            ("ntt", 0x412b_f680_9a1c_ac08),
+            ("msm", 0x4140_28ac_3df3_b646),
+            ("ntt", 0x412b_f680_9b22_d0e5),
             ("pointwise", 0x40df_4282_c083_126f),
         ],
     },
     SchedulePin {
         seed: 17,
         faults: false,
-        outcomes_fnv: 0x4cf5_b9d5_6ce4_dddb,
-        horizon_bits: 0x4141_c857_f147_ae14,
+        outcomes_fnv: 0x27cc_0a33_9769_5e9c,
+        horizon_bits: 0x4141_c857_f2f1_a9fc,
         peak_queue_depth: 18,
         leases: [
-            (22, 0, 0x4141_8b6b_b374_bc6a),
-            (31, 0, 0x4141_5e5c_9ac0_8312),
+            (22, 0, 0x4141_8b6b_b395_8106),
+            (31, 0, 0x4141_5e5c_9c6a_7efa),
         ],
         stage_ns: [
-            ("fold", 0x40d5_31e2_8f5c_28f6),
+            ("fold", 0x40d5_31e2_b020_c49c),
             ("hash", 0x40d5_240c_0831_26e9),
-            ("msm", 0x4130_28ac_3e76_c8b4),
-            ("ntt", 0x4122_6ee7_8a3d_70a4),
+            ("msm", 0x4130_28ac_3df3_b646),
+            ("ntt", 0x4122_6ee7_8c49_ba5e),
             ("pointwise", 0x40d9_0444_bc6a_7efa),
         ],
     },
     SchedulePin {
         seed: 21,
         faults: false,
-        outcomes_fnv: 0x95c1_0bb2_3777_435e,
-        horizon_bits: 0x414e_4616_5041_8937,
+        outcomes_fnv: 0x8b9f_c5a3_e103_db47,
+        horizon_bits: 0x414e_4616_4fbe_76c9,
         peak_queue_depth: 19,
         leases: [
-            (39, 0, 0x414e_282f_0604_1893),
-            (37, 0, 0x414d_c24f_edf3_b646),
+            (39, 0, 0x414e_282f_05a1_cac1),
+            (37, 0, 0x414d_c24f_ed4f_df3b),
         ],
         stage_ns: [
-            ("fold", 0x40d5_31e2_8f5c_28f6),
+            ("fold", 0x40d5_31e2_b020_c49c),
             ("hash", 0x40d5_240c_0831_26e9),
-            ("msm", 0x4140_28ac_3e76_c8b4),
-            ("ntt", 0x412e_ee45_6d91_6873),
+            ("msm", 0x4140_28ac_3df3_b646),
+            ("ntt", 0x412e_ee45_6f9d_b22d),
             ("pointwise", 0x40e2_c242_7ef9_db23),
         ],
     },
@@ -165,18 +167,18 @@ const SCHEDULE_PINS: [SchedulePin; 4] = [
     SchedulePin {
         seed: 15,
         faults: true,
-        outcomes_fnv: 0x4499_5fe9_e15e_5106,
-        horizon_bits: 0x4150_b269_ea3d_70a4,
+        outcomes_fnv: 0xb7ff_7ec5_6df4_2365,
+        horizon_bits: 0x4150_b269_ebb6_45a2,
         peak_queue_depth: 19,
         leases: [
-            (54, 0, 0x4150_7e2f_c75c_28f6),
-            (6, 1, 0x4131_7ec0_b74b_c6a8),
+            (54, 0, 0x4150_7e2f_c8d4_fdf4),
+            (6, 1, 0x4131_7ec0_b7ce_d917),
         ],
         stage_ns: [
-            ("fold", 0x40ef_cad3_d70a_3d71),
+            ("fold", 0x40ef_cad4_0831_26e9),
             ("hash", 0x40ef_b612_0c49_ba5e),
-            ("msm", 0x4120_28ac_3e76_c8b4),
-            ("ntt", 0x4128_0e4b_e666_6666),
+            ("msm", 0x4120_28ac_3df3_b646),
+            ("ntt", 0x4128_0e4b_ec8b_4396),
             ("pointwise", 0x40e5_e616_c8b4_3958),
         ],
     },
@@ -236,8 +238,8 @@ fn sim_backend(gpus: usize) -> Backend {
 fn prove_matches_the_monolithic_capture() {
     // (gates, seed, CPU content digest, total_ns bits on a100_nvlink(4)).
     for (gates, seed, digest, total_bits) in [
-        (60, 6, 0x722c_684b_f479_e6ecu64, 0x4125_dedc_327a_bdbdu64),
-        (500, 12, 0x5f95_f744_d607_f758, 0x4139_7a32_2962_2462),
+        (60, 6, 0x722c_684b_f479_e6ecu64, 0x4125_dedc_30a3_d70au64),
+        (500, 12, 0x5f95_f744_d607_f758, 0x4139_7a32_27ae_147b),
     ] {
         let (pk, vk, witness) = random_plonk(gates, seed);
         let cpu = prove(&pk, &witness, &[], &mut Backend::cpu());
@@ -247,7 +249,11 @@ fn prove_matches_the_monolithic_capture() {
         let mut sim = sim_backend(4);
         assert_eq!(prove(&pk, &witness, &[], &mut sim), cpu);
         let report = sim.report();
-        assert_eq!(report.total_ns().to_bits(), total_bits, "{gates} gates");
+        assert_eq!(
+            report.total().as_ns().to_bits(),
+            total_bits,
+            "{gates} gates"
+        );
         // 3 wire iNTT + 1 z iNTT + 13 coset NTT + 1 quotient iNTT;
         // 3 wires + z + quotient + 2 openings.
         assert_eq!((report.ntt_calls, report.msm_calls), (18, 7));
@@ -261,7 +267,10 @@ fn prove_matches_the_monolithic_capture() {
     let proof = prove(&pk, &witness, &[y], &mut sim);
     assert!(verify(&vk, &proof, &[y]));
     assert_eq!(proof.content_digest(), 0x3ea7_137c_ce55_abd6);
-    assert_eq!(sim.report().total_ns().to_bits(), 0x411e_e67a_ffb8_8f4f);
+    assert_eq!(
+        sim.report().total().as_ns().to_bits(),
+        0x411e_e67a_fdf3_b646
+    );
 }
 
 fn random_trace(n: usize, width: usize, seed: u64) -> Vec<Vec<Goldilocks>> {
@@ -281,9 +290,9 @@ fn commit_trace_matches_the_monolithic_capture() {
             4,
             2,
             0xa205_3115_951b_0f70u64,
-            0x40fc_2865_04d2_d107u64,
+            0x40fc_2865_0a3d_70a4u64,
         ),
-        (8, 3, 33, 0x58af_16d8_c7b4_c688, 0x40e1_30bd_b56c_199c),
+        (8, 3, 33, 0x58af_16d8_c7b4_c688, 0x40e1_30bd_c28f_5c29),
     ] {
         let trace = random_trace(n, width, seed);
         let cpu = commit_trace(&trace, &config, &mut LdeBackend::cpu());
@@ -293,7 +302,7 @@ fn commit_trace_matches_the_monolithic_capture() {
         let mut sim = LdeBackend::simulated(presets::a100_nvlink(4));
         let simulated = commit_trace(&trace, &config, &mut sim);
         assert_eq!(simulated.content_digest(), digest, "{n}x{width}");
-        assert_eq!(sim.sim_time_ns().to_bits(), sim_bits, "{n}x{width}");
+        assert_eq!(sim.sim_time().as_ns().to_bits(), sim_bits, "{n}x{width}");
     }
 }
 

@@ -278,7 +278,8 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 /// produced: a raw serving stream (every simulated-device phase is a tiny
 /// scope) and a 2^21 transform (every six-step phase is a large one). The
 /// stream's completion instants and horizon were re-captured when the
-/// event loops moved to integer picoseconds; its digests were not.
+/// event loops, and again when the machine clock, moved to integer
+/// picoseconds (within 19 ps); its digests were not.
 #[test]
 fn outputs_match_the_always_wake_pool() {
     let _turn = turn();
@@ -289,10 +290,10 @@ fn outputs_match_the_always_wake_pool() {
         .outcomes
         .iter()
         .flat_map(|o| [o.id.0, o.completed_ns.to_bits(), o.output_digest]));
-    assert_eq!(outcomes, 0x5e16_81fb_22f8_a2e5, "raw stream outcomes");
+    assert_eq!(outcomes, 0xa5b8_2800_b762_7240, "raw stream outcomes");
     assert_eq!(
         report.metrics.horizon_ns.to_bits(),
-        0x4147_430d_4a3d_70a4,
+        0x4147_430d_4c28_f5c3,
         "raw stream horizon"
     );
 
