@@ -277,20 +277,33 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 /// (e) Values computed on the pool are the ones the always-wake pool
 /// produced: a raw serving stream (every simulated-device phase is a tiny
 /// scope) and a 2^21 transform (every six-step phase is a large one). The
-/// stream's completion instants and horizon were re-captured when the
-/// event loops, and again when the machine clock, moved to integer
-/// picoseconds (within 19 ps); its digests were not.
+/// stream is pinned as two fingerprints, one over batch sizes and
+/// digests and one over completion instants. Its instants and horizon
+/// were re-captured when the event loops, and again when the machine
+/// clock, moved to integer picoseconds (within 19 ps); its digests were
+/// not.
 #[test]
 fn outputs_match_the_always_wake_pool() {
     let _turn = turn();
     let mut service = ProofService::new(ServiceConfig::default());
     service.submit_all(WorkloadSpec::raw_only(21, 64, 80_000.0).generate());
     let report = service.run();
-    let outcomes = fnv(report
+    let results = fnv(report
         .outcomes
         .iter()
-        .flat_map(|o| [o.id.0, o.completed_ns.to_bits(), o.output_digest]));
-    assert_eq!(outcomes, 0xa5b8_2800_b762_7240, "raw stream outcomes");
+        .flat_map(|o| [o.id.0, o.batch_size as u64, o.output_digest]));
+    let instants = fnv(report
+        .outcomes
+        .iter()
+        .flat_map(|o| [o.id.0, o.completed_ns.to_bits()]));
+    assert_eq!(
+        results, 0x7270_fd82_06e0_82b7,
+        "raw stream batch sizes and digests"
+    );
+    assert_eq!(
+        instants, 0x5053_02d7_9d74_3086,
+        "raw stream completion instants"
+    );
     assert_eq!(
         report.metrics.horizon_ns.to_bits(),
         0x4147_430d_4c28_f5c3,
