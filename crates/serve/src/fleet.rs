@@ -430,6 +430,8 @@ pub(crate) struct FleetRunner {
     /// drops to zero uncommitted must be re-sharded.
     coverage: BTreeMap<JobId, u32>,
     outcomes: Vec<JobOutcome>,
+    /// The latest instant an outcome was decided at: the run's horizon.
+    last_outcome: SimTime,
     peak_queue: usize,
     /// Streaming batch wall-time distribution, the hedge deadline's p99
     /// source. A log-bucketed histogram rather than a full sample vec:
@@ -475,6 +477,7 @@ impl FleetRunner {
             committed: BTreeSet::new(),
             coverage: BTreeMap::new(),
             outcomes: Vec::new(),
+            last_outcome: SimTime::ZERO,
             peak_queue: 0,
             samples: StreamHist::new(),
             chaos,
@@ -537,14 +540,14 @@ impl FleetRunner {
         self.outcomes.sort_by_key(|o| o.id);
         assert_eq!(self.outcomes.len(), total, "every job is accounted for");
 
-        let horizon = ServiceMetrics::horizon(&self.outcomes);
+        let horizon = self.last_outcome;
         let mut batch_sizes = Vec::new();
         let mut leases = Vec::new();
         let mut stage_time: BTreeMap<&'static str, SimTime> = BTreeMap::new();
         for (ci, c) in self.clusters.iter_mut().enumerate() {
-            c.bank_routable(SimTime::from_ns(horizon));
-            let availability = if horizon > 0.0 {
-                c.routable_total.as_ns() / horizon
+            c.bank_routable(horizon);
+            let availability = if horizon > SimTime::ZERO {
+                c.routable_total.as_ns() / horizon.as_ns()
             } else {
                 1.0
             };
@@ -561,11 +564,12 @@ impl FleetRunner {
                     .pool
                     .leases()
                     .iter()
-                    .map(|l| LeaseMetrics::from_lease(l, base + l.id, horizon)),
+                    .map(|l| LeaseMetrics::from_lease(l, base + l.id, horizon.as_ns())),
             );
         }
         let outcomes = std::mem::take(&mut self.outcomes);
-        let metrics = ServiceMetrics::build_parts(&outcomes, &batch_sizes, self.peak_queue, leases);
+        let metrics =
+            ServiceMetrics::build_parts(&outcomes, horizon, &batch_sizes, self.peak_queue, leases);
         FleetReport {
             outcomes,
             metrics,
@@ -644,7 +648,7 @@ impl FleetRunner {
         if depth >= self.cfg.hard_capacity {
             let capacity = self.cfg.hard_capacity;
             let full = JobStatus::Rejected(AdmissionError::QueueFull { depth, capacity });
-            self.outcomes.push(JobOutcome::new(&job, full, now));
+            self.record(JobOutcome::new(&job, full, now), now);
             unintt_telemetry::counter_add("serve_jobs_rejected", 1);
             return;
         }
@@ -669,7 +673,7 @@ impl FleetRunner {
             soft_capacity: self.cfg.soft_capacity,
             priority: job.spec.priority,
         });
-        self.outcomes.push(JobOutcome::new(&job, status, now));
+        self.record(JobOutcome::new(&job, status, now), now);
         *self.stats.shed_by_tenant.entry(tenant).or_insert(0) += 1;
         unintt_telemetry::record_instant(|| unintt_telemetry::Instant {
             name: "overload-shed".into(),
@@ -731,9 +735,15 @@ impl FleetRunner {
     fn commit(&mut self, c: &Completion) -> bool {
         let first = self.committed.insert(c.outcome.id);
         if first {
-            self.outcomes.push(dispatch::commit_completion(c));
+            self.record(dispatch::commit_completion(c), c.done);
         }
         first
+    }
+
+    /// Records an outcome decided at `at`.
+    fn record(&mut self, outcome: JobOutcome, at: SimTime) {
+        self.last_outcome = self.last_outcome.max(at);
+        self.outcomes.push(outcome);
     }
 
     /// Commits every in-flight result due by `now`, idempotently — the
@@ -983,7 +993,9 @@ impl FleetRunner {
                         break;
                     };
                     self.stats.deadline_cancelled += d.expired.len() as u64;
-                    self.outcomes.extend(d.expired);
+                    for outcome in d.expired {
+                        self.record(outcome, now);
+                    }
                     if let Some(run) = d.run {
                         again |= self.launch(c, run, None);
                     }

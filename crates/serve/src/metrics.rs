@@ -9,7 +9,7 @@ use crate::lease::Lease;
 /// Latency distribution summary, shared with the telemetry crate so
 /// every consumer uses the same nearest-rank percentile math.
 pub use unintt_telemetry::LatencyStats;
-use unintt_telemetry::StreamHist;
+use unintt_telemetry::{SimTime, StreamHist};
 
 /// Per-job-class counters and latency summary.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -98,25 +98,19 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// The last completion (or rejection) instant across outcomes, ns.
-    pub fn horizon(outcomes: &[JobOutcome]) -> f64 {
-        outcomes
-            .iter()
-            .map(|o| o.completed_ns)
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Builds the snapshot from run artifacts: `batch_sizes` holds one
-    /// entry per dispatched batch, `leases` every cluster's leases. Jobs
-    /// rejected before admission (an invalid arrival or an unsupported
-    /// shape) are left out.
+    /// Builds the snapshot from run artifacts: `horizon` is the last
+    /// outcome's instant, `batch_sizes` holds one entry per dispatched
+    /// batch, `leases` every cluster's leases. Jobs rejected before
+    /// admission (an invalid arrival or an unsupported shape) are left
+    /// out.
     pub fn build_parts(
         outcomes: &[JobOutcome],
+        horizon: SimTime,
         batch_sizes: &[usize],
         peak_queue_depth: usize,
         leases: Vec<LeaseMetrics>,
     ) -> Self {
-        let horizon_ns = Self::horizon(outcomes);
+        let horizon_ns = horizon.as_ns();
 
         let mut classes: BTreeMap<&'static str, ClassMetrics> = BTreeMap::new();
         let mut latencies: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
