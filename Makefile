@@ -114,11 +114,14 @@ kernel-smoke:
 # Pipeline smoke: the DAG bit-identity proptests (DAG-scheduled proofs
 # vs monolithic across seeds, sizes and injected stage faults), then the
 # quick E19 cell — which itself asserts per-job digest identity between
-# the DAG and monolithic runs and that pipelining wins at high load.
+# the DAG and monolithic runs and that pipelining wins at high load —
+# then the STARK example, which asserts verify_trace, verify_opening and
+# verify_stark on the CPU and simulated backends.
 pipeline-smoke:
 	cargo test --release -p unintt-pipeline
 	cargo run --release -p unintt-bench --bin harness -- --quick e19
 	test -s target/quick/BENCH_pipeline.json
+	cargo run --release --example stark_commitment
 
 # Stream smoke: the stream set's extra-instant property (advancing at
 # any instant between events moves no completion), the intra-lease
