@@ -6,7 +6,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_core::{UniNttEngine, UniNttOptions};
 use unintt_ff::{Field, Goldilocks};
-use unintt_fri::{commit_trace, fri, permutations_for, verify_trace, FriConfig, LdeBackend};
+use unintt_fri::{commit_trace, fri, verify_trace, FriConfig, LdeBackend};
 use unintt_gpu_sim::{presets, FieldSpec, KernelProfile, Machine, MachineConfig};
 
 use crate::report::{Kind, Table};
@@ -43,7 +43,10 @@ fn projected(log_rows: u32, width: usize, cfg: &MachineConfig, config: &FriConfi
             ctx.launch(&p);
         });
     };
-    charge(&mut machine, big_n * permutations_for(width) + big_n - 1);
+    charge(
+        &mut machine,
+        fri::trace_hash_permutations(config, big_n as usize, width),
+    );
     charge(
         &mut machine,
         fri::prove_hash_permutations(config, big_n as usize),

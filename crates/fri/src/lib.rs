@@ -40,7 +40,7 @@ pub mod staged;
 pub mod stark;
 
 pub use deep::{open_trace, verify_opening, DeepOpeningProof};
-pub use fri::{embed, FriConfig, FriProof, FriQueryProof, FriQueryRound};
+pub use fri::{embed, FriConfig, FriProof, FriQueryProof};
 pub use hash::{compress, hash_elements, permutations_for, Digest};
 pub use merkle::{MerklePath, MerkleTree};
 pub use pipeline::{commit_trace, verify_trace, LdeBackend, SimulatedLde, TraceCommitment};

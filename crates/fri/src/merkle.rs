@@ -44,13 +44,18 @@ pub struct MerklePath {
     pub siblings: Vec<Digest>,
 }
 
-/// Transposes equal-length columns into the row-major matrix the tree
-/// commits to (row `r` is `columns[..][r]`).
-pub(crate) fn row_major(columns: &[Vec<Goldilocks>]) -> Vec<Goldilocks> {
+/// Transposes equal-length columns into the row-major matrix a tree
+/// commits to, `2^log_group` rows to a leaf: with `L` rows, leaf `r`
+/// holds rows `r + t·L/2^log_group` for `t = 0, 1, …` in turn, row `i`
+/// being `columns[..][i]`. At `log_group = 0` leaf `r` is row `r`.
+pub(crate) fn row_major(columns: &[Vec<Goldilocks>], log_group: u32) -> Vec<Goldilocks> {
     let rows = columns.first().map_or(0, Vec::len);
+    let leaves = rows >> log_group;
     let mut values = Vec::with_capacity(rows * columns.len());
-    for r in 0..rows {
-        values.extend(columns.iter().map(|col| col[r]));
+    for r in 0..leaves {
+        for i in (r..rows).step_by(leaves) {
+            values.extend(columns.iter().map(|col| col[i]));
+        }
     }
     values
 }
@@ -257,7 +262,13 @@ mod tests {
         let columns: Vec<Vec<Goldilocks>> = (0..5)
             .map(|c| values.iter().skip(c).step_by(5).copied().collect())
             .collect();
-        assert_eq!(row_major(&columns), values);
+        assert_eq!(row_major(&columns, 0), values);
+        // Two rows to a leaf: leaf r holds rows r and r + 16.
+        let grouped = row_major(&columns, 1);
+        for r in 0..16 {
+            assert_eq!(grouped[10 * r..][..5], values[5 * r..][..5]);
+            assert_eq!(grouped[10 * r + 5..][..5], values[5 * (r + 16)..][..5]);
+        }
     }
 
     #[test]

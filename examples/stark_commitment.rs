@@ -64,8 +64,9 @@ fn main() {
         cpu_commitment.trace_root.as_u64()
     );
     println!(
-        "FRI: {} layers folded down to {} values, {} spot checks",
+        "FRI: {} layers folded by up to {} down to {} values, {} spot checks",
         cpu_commitment.fri_proof.layer_roots.len(),
+        1 << config.log_folding_arity,
         cpu_commitment.fri_proof.final_codeword.len(),
         cpu_commitment.fri_proof.queries.len()
     );

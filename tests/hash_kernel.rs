@@ -106,15 +106,17 @@ fn digests_match_the_dense_mix_capture() {
 
 #[test]
 fn commitment_matches_the_dense_mix_capture() {
-    // 2^8 × 5 extends to 2^10 leaves: four leaf bands per tree, on
-    // whatever pool and lanes this host has.
+    // 2^8 × 5 extends to 2^10 rows, eight to a trace leaf and to a
+    // first-layer FRI leaf, on whatever pool and lanes this host has.
+    // Re-captured when FRI came to fold by 8 (the digests above did not
+    // move).
     let mut rng = StdRng::seed_from_u64(16);
     let trace: Vec<Vec<Goldilocks>> = (0..5)
         .map(|_| (0..256).map(|_| Goldilocks::random(&mut rng)).collect())
         .collect();
     let config = FriConfig::standard();
     let commitment = commit_trace(&trace, &config, &mut LdeBackend::cpu());
-    assert_eq!(commitment.content_digest(), 0xa82e_0a10_2800_c2cf);
+    assert_eq!(commitment.content_digest(), 0x6062_4f55_7ffe_cf3a);
     assert!(verify_trace(&commitment, &config));
 }
 
