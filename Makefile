@@ -13,7 +13,7 @@ fmt:
 
 # Perf lints are warnings-as-errors on the hot paths.
 clippy:
-	cargo clippy --release --workspace $(EXCLUDE_VENDOR) --all-targets -- -D warnings -D clippy::perf
+	cargo clippy --release --workspace $(EXCLUDE_VENDOR) --all-targets -- -D warnings -D clippy::perf -D unreachable_pub
 
 build:
 	cargo build --release --workspace

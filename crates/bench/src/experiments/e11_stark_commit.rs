@@ -4,55 +4,11 @@
 //! over the 64-bit field, where the interconnect matters most.
 
 use rand::{rngs::StdRng, SeedableRng};
-use unintt_core::{UniNttEngine, UniNttOptions};
 use unintt_ff::{Field, Goldilocks};
-use unintt_fri::{commit_trace, fri, verify_trace, FriConfig, LdeBackend};
-use unintt_gpu_sim::{presets, FieldSpec, KernelProfile, Machine, MachineConfig};
+use unintt_fri::{commit_trace, projected_commit_time, verify_trace, FriConfig, LdeBackend};
+use unintt_gpu_sim::presets;
 
 use crate::report::{Kind, Table};
-
-/// Projected commitment time for a `2^log_rows × width` trace: the same
-/// charge sequence `commit_trace` performs, through the cost-only paths.
-fn projected(log_rows: u32, width: usize, cfg: &MachineConfig, config: &FriConfig) -> f64 {
-    let fs = FieldSpec::goldilocks();
-    let opts = {
-        let mut o = UniNttOptions::tuned_for(&fs);
-        o.natural_output = true;
-        o
-    };
-    let mut machine = Machine::new(cfg.clone(), fs);
-    let big_log = log_rows + config.log_blowup;
-    let big_n = 1u64 << big_log;
-
-    // LDE per column: iNTT(n) + coset NTT(n·blowup).
-    let small = UniNttEngine::<Goldilocks>::new(log_rows, cfg, opts, fs);
-    let big = UniNttEngine::<Goldilocks>::new(big_log, cfg, opts, fs);
-    small.simulate_inverse(&mut machine, width as u64);
-    big.simulate_coset_forward(&mut machine, width as u64);
-
-    // Hashing + combination + FRI folds, as sharded kernels.
-    let devices = machine.num_devices() as u64;
-    let charge = |machine: &mut Machine, perms: u64| {
-        let mut p = KernelProfile::named("sponge-hash");
-        p.blocks = (perms / 32).max(1);
-        p.field_muls = perms * 616 / devices;
-        p.global_bytes_read = perms * 64 / devices;
-        p.global_bytes_written = perms * 32 / devices;
-        let mut dummy: Vec<()> = vec![(); devices as usize];
-        machine.parallel_phase(&mut dummy, |ctx, _, _| {
-            ctx.launch(&p);
-        });
-    };
-    charge(
-        &mut machine,
-        fri::trace_hash_permutations(config, big_n as usize, width),
-    );
-    charge(
-        &mut machine,
-        fri::prove_hash_permutations(config, big_n as usize),
-    );
-    machine.max_clock_ns()
-}
 
 /// Runs E11 and renders the table.
 pub fn run(quick: bool) -> Table {
@@ -107,11 +63,11 @@ pub fn run(quick: bool) -> Table {
 
     // Production-scale traces, cost-only.
     let projected_sizes: &[u32] = if quick { &[20] } else { &[18, 20, 22, 24] };
-    let one_cfg = presets::a100_nvlink(1);
-    let eight_cfg = presets::a100_nvlink(gpus);
     for &log_rows in projected_sizes {
-        let t1 = projected(log_rows, width, &one_cfg, &config);
-        let t8 = projected(log_rows, width, &eight_cfg, &config);
+        let projected = |gpus| {
+            projected_commit_time(log_rows, width, presets::a100_nvlink(gpus), &config).as_ns()
+        };
+        let (t1, t8) = (projected(1), projected(gpus));
         table.row([
             format!("2^{log_rows}").into(),
             "projected".into(),

@@ -11,30 +11,33 @@
 //!
 //! is low-degree: if any claimed `vᵢ` were wrong, the corresponding term
 //! would not divide cleanly and `D` would be far from every low-degree
-//! codeword, so FRI rejects. Spot checks bind `D`'s layer-0 values to the
-//! committed trace rows through the same formula.
+//! codeword, so FRI rejects. The trace is committed exactly as
+//! [`crate::commit_trace`] commits it, and one trace opening per query
+//! binds its first FRI leaf: each of the leaf's rows, put through the
+//! formula above, is `D` at that row's position.
 
 use unintt_ff::{batch_inverse, Field, Goldilocks, GoldilocksExt2, PrimeField, TwoAdicField};
 use unintt_ntt::Ntt;
 
 use crate::fri::{self, FriConfig, FriProof};
-use crate::hash::{compress, hash_elements, permutations_for, Digest};
-use crate::merkle::{row_major, MerklePath, MerkleTree};
-use crate::pipeline::LdeBackend;
+use crate::hash::{compress, hash_elements, Digest};
+use crate::merkle::MerklePath;
+use crate::pipeline::{trace_leaf, LdeBackend};
+use crate::staged::commit_trace_tree;
 
 /// A DEEP opening: the trace commitment, the claimed evaluations at `ζ`,
 /// the FRI proof of the DEEP quotient, and the binding trace openings.
 #[derive(Clone, Debug)]
 pub struct DeepOpeningProof {
-    /// Root of the row-wise Merkle tree over the LDE matrix.
+    /// Root of the trace tree, the one [`crate::commit_trace`] builds: a
+    /// leaf holds the LDE rows the first FRI round folds together.
     pub trace_root: Digest,
     /// Claimed evaluations `colᵢ(ζ)`.
     pub evals: Vec<GoldilocksExt2>,
     /// FRI proof that the DEEP quotient is low-degree.
     pub fri_proof: FriProof,
-    /// Per FRI query, the trace rows at every position of its
-    /// first-round FRI leaf, in the leaf's order.
-    pub trace_openings: Vec<Vec<MerklePath>>,
+    /// Per FRI query, the trace leaf at its first-round FRI leaf's index.
+    pub trace_openings: Vec<MerklePath>,
     /// Trace rows before extension.
     pub n: usize,
     /// Number of columns.
@@ -56,37 +59,40 @@ fn deep_challenge(
     GoldilocksExt2::new(d.0[0], d.0[1])
 }
 
+/// `Σᵢ αⁱ·(rowᵢ − vᵢ)`: the DEEP quotient's numerator at one LDE row.
+fn deep_numerator(
+    row: &[Goldilocks],
+    evals: &[GoldilocksExt2],
+    alpha: GoldilocksExt2,
+) -> GoldilocksExt2 {
+    let terms = row.iter().zip(evals).rev();
+    terms.fold(GoldilocksExt2::ZERO, |acc, (&r, &v)| {
+        acc * alpha + (GoldilocksExt2::from_base(r) - v)
+    })
+}
+
 /// Opens every column of `columns` at the extension point `zeta`.
 ///
 /// Returns the proof; `backend` carries the heavy work (LDEs, hashing,
-/// quotient construction) exactly as in [`crate::commit_trace`].
+/// quotient construction), and the trace is committed by
+/// [`crate::commit_trace`]'s own stages.
 ///
 /// # Panics
 ///
-/// Panics if the trace is empty/ragged, too short for the FRI config, or
-/// if `zeta` lies on the evaluation coset (probability ~2⁻¹²⁸ for a random
-/// point).
+/// Panics where [`crate::commit_trace`] does (an empty, ragged or too
+/// short trace), or if `zeta` lies on the evaluation coset (probability
+/// ~2⁻¹²⁸ for a random point).
 pub fn open_trace(
     columns: &[Vec<Goldilocks>],
     zeta: GoldilocksExt2,
     config: &FriConfig,
     backend: &mut LdeBackend,
 ) -> DeepOpeningProof {
-    assert!(!columns.is_empty(), "trace must have at least one column");
+    // 1. LDE + Merkle commitment (commit_trace's stages 0–2).
+    let trace = commit_trace_tree(columns, config, backend);
+    let trace_root = trace.root();
     let n = columns[0].len();
-    assert!(
-        columns.iter().all(|c| c.len() == n),
-        "all trace columns must have equal length"
-    );
-
-    // 1. LDE + Merkle commitment (as in commit_trace).
-    let ldes = backend.lde_batch(columns, config.log_blowup);
     let big_n = n << config.log_blowup;
-    let rows = row_major(&ldes, 0);
-    backend.charge_hash(big_n as u64 * permutations_for(columns.len()));
-    backend.charge_hash(big_n as u64 - 1);
-    let tree = MerkleTree::commit_matrix(&rows, columns.len());
-    let trace_root = tree.root();
 
     // 2. Claimed evaluations: interpolate each column and Horner at ζ.
     let ntt = Ntt::<Goldilocks>::new(n.trailing_zeros());
@@ -106,46 +112,34 @@ pub fn open_trace(
     let alpha = deep_challenge(&trace_root, &zeta, &evals);
     let shift = Goldilocks::GENERATOR;
     let omega = Goldilocks::two_adic_generator(big_n.trailing_zeros());
-    let mut denoms: Vec<GoldilocksExt2> = {
-        let mut x = shift;
-        (0..big_n)
-            .map(|_| {
-                let d = GoldilocksExt2::from_base(x) - zeta;
-                x *= omega;
-                d
-            })
-            .collect()
-    };
+    let mut denoms: Vec<GoldilocksExt2> = std::iter::successors(Some(shift), |&x| Some(x * omega))
+        .take(big_n)
+        .map(|x| GoldilocksExt2::from_base(x) - zeta)
+        .collect();
     assert!(
         denoms.iter().all(|d| !d.is_zero()),
         "zeta must lie outside the evaluation coset"
     );
     batch_inverse(&mut denoms);
 
+    let mut row = Vec::with_capacity(columns.len());
     let deep: Vec<GoldilocksExt2> = (0..big_n)
         .map(|k| {
-            let mut acc = GoldilocksExt2::ZERO;
-            let mut coeff = GoldilocksExt2::ONE;
-            for (lde, &v) in ldes.iter().zip(&evals) {
-                acc += coeff * (GoldilocksExt2::from_base(lde[k]) - v);
-                coeff *= alpha;
-            }
-            acc * denoms[k]
+            row.clear();
+            row.extend(trace.ldes.iter().map(|lde| lde[k]));
+            deep_numerator(&row, &evals, alpha) * denoms[k]
         })
         .collect();
     backend.charge_pointwise(big_n * columns.len(), 6 * (big_n * columns.len()) as u64);
 
-    // 4. FRI on the quotient, plus the binding trace openings.
+    // 4. FRI on the quotient, plus per query the trace leaf holding its
+    //    first FRI leaf's positions.
     backend.charge_fri(config, big_n);
     let fri_proof = fri::prove(config, deep, shift);
     let trace_openings = fri_proof
         .queries
         .iter()
-        .map(|q| {
-            fri::first_leaf_positions(config, big_n, q.rounds[0].index)
-                .map(|pos| tree.open(&rows, pos))
-                .collect()
-        })
+        .map(|q| trace.open(q.rounds[0].index))
         .collect();
 
     DeepOpeningProof {
@@ -175,35 +169,22 @@ pub fn verify_opening(proof: &DeepOpeningProof, zeta: GoldilocksExt2, config: &F
 
     let alpha = deep_challenge(&proof.trace_root, &zeta, &proof.evals);
     let omega = Goldilocks::two_adic_generator(big_n.trailing_zeros());
-
-    for (query, opens) in proof.fri_proof.queries.iter().zip(&proof.trace_openings) {
+    let (width, root) = (proof.width, &proof.trace_root);
+    let queries = proof.fri_proof.queries.iter();
+    queries.zip(&proof.trace_openings).all(|(query, open)| {
         let first = &query.rounds[0];
-        let positions = fri::first_leaf_positions(config, big_n, first.index);
-        if opens.len() != first.row.len() / 2 {
-            return false;
-        }
-        for (t, (open, pos)) in opens.iter().zip(positions).enumerate() {
-            if open.index != pos || open.row.len() != proof.width || !open.verify(&proof.trace_root)
-            {
-                return false;
-            }
-            // Recompute D(x_q) from the opened row and the claimed evals.
-            let x = GoldilocksExt2::from_base(shift * omega.pow(pos as u64));
-            let Some(denom) = (x - zeta).inverse() else {
-                return false;
-            };
-            let mut acc = GoldilocksExt2::ZERO;
-            let mut coeff = GoldilocksExt2::ONE;
-            for (&r, &v) in open.row.iter().zip(&proof.evals) {
-                acc += coeff * (GoldilocksExt2::from_base(r) - v);
-                coeff *= alpha;
-            }
-            if acc * denom != fri::leaf_value(&first.row, t) {
-                return false;
-            }
-        }
-    }
-    true
+        trace_leaf(config, big_n, width, root, first.index, open).is_some_and(|mut slots| {
+            // Recompute D(x) at each row's position from the opened row
+            // and the claimed evals.
+            slots.all(|(t, pos, row)| {
+                let x = GoldilocksExt2::from_base(shift * omega.pow(pos as u64));
+                (x - zeta).inverse().is_some_and(|denom| {
+                    deep_numerator(row, &proof.evals, alpha) * denom
+                        == fri::leaf_value(&first.row, t)
+                })
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -226,11 +207,21 @@ mod tests {
 
     #[test]
     fn open_verify_roundtrip() {
-        let config = FriConfig::standard();
-        let trace = random_trace(64, 3, 1);
         let z = zeta(100);
-        let proof = open_trace(&trace, z, &config, &mut LdeBackend::cpu());
-        assert!(verify_opening(&proof, z, &config));
+        for log_folding_arity in 1..=3 {
+            for log_final_len in [2, 3] {
+                let config = FriConfig {
+                    log_folding_arity,
+                    log_final_len,
+                    ..FriConfig::standard()
+                };
+                for n in [4usize, 8, 32, 64, 256] {
+                    let trace = random_trace(n, 3, 1);
+                    let proof = open_trace(&trace, z, &config, &mut LdeBackend::cpu());
+                    assert!(verify_opening(&proof, z, &config), "{config:?} n={n}");
+                }
+            }
+        }
     }
 
     #[test]

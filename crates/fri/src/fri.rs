@@ -169,17 +169,6 @@ pub(crate) fn leaf_value(row: &[Goldilocks], t: usize) -> GoldilocksExt2 {
     GoldilocksExt2::new(row[2 * t], row[2 * t + 1])
 }
 
-/// The positions of a codeword of `n` values that the first-round leaf
-/// at `row` holds: `row + t·n/2^b` for `t < 2^b`.
-pub(crate) fn first_leaf_positions(
-    config: &FriConfig,
-    n: usize,
-    row: usize,
-) -> impl Iterator<Item = usize> {
-    let rows = n >> config.first_arity(n.trailing_zeros());
-    (row..n).step_by(rows.max(1))
-}
-
 /// An extension vector's two base components.
 fn components(values: &[GoldilocksExt2]) -> [Vec<Goldilocks>; 2] {
     let (re, im) = values.iter().map(|v| (v.a, v.b)).unzip();

@@ -15,9 +15,17 @@
 //!   traces at out-of-domain extension points;
 //! * [`commit_trace`] / [`verify_trace`] — the LDE → Merkle → FRI
 //!   pipeline, runnable on the CPU or on the simulated multi-GPU
-//!   [`LdeBackend`] with bit-identical outputs;
+//!   [`LdeBackend`] with bit-identical outputs, and
+//!   [`projected_commit_time`], its charges alone for traces too large
+//!   to commit;
 //! * [`prove_stark`] / [`verify_stark`] — a complete small STARK: AIR
 //!   constraints, composition polynomial, next-row spot checks.
+//!
+//! Every prover here commits its trace with one tree, built by the
+//! stages of [`staged`]: a leaf holds the LDE rows the first FRI round
+//! folds together, and a query opens the leaf at its first FRI leaf's
+//! index (the STARK one more, for the next rows). The verifiers share
+//! one binding check of those openings.
 //!
 //! ```
 //! use unintt_ff::{Field, Goldilocks, PrimeField};
@@ -44,5 +52,5 @@ pub use fri::{embed, FriConfig, FriProof, FriQueryProof};
 pub use hash::{compress, hash_elements, permutations_for, Digest};
 pub use merkle::{MerklePath, MerkleTree};
 pub use pipeline::{commit_trace, verify_trace, LdeBackend, SimulatedLde, TraceCommitment};
-pub use staged::{stark_stage_descs, StagedCommit};
+pub use staged::{projected_commit_time, stark_stage_descs, StagedCommit};
 pub use stark::{prove_stark, verify_stark, Air, Boundary, FibonacciAir, StarkProof};

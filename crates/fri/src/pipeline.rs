@@ -50,37 +50,11 @@ impl LdeBackend {
         LdeBackend::Simulated(SimulatedLde::new(cfg))
     }
 
-    /// Low-degree extension: evaluations on `H_n` → evaluations on the
-    /// coset `g·H_{n·2^log_blowup}`.
-    pub fn lde(&mut self, evals: &[Goldilocks], log_blowup: u32) -> Vec<Goldilocks> {
-        match self {
-            LdeBackend::Cpu => {
-                unintt_ntt::low_degree_extension(evals, log_blowup, Goldilocks::GENERATOR)
-            }
-            LdeBackend::Simulated(sim) => sim.lde(evals, log_blowup),
-        }
-    }
-
-    /// Batched LDE of equal-length columns: on the simulated backend the
-    /// whole batch shares passes and collectives (O5), as a production
-    /// committer would submit a trace. The CPU backend extends the columns
-    /// concurrently on the persistent worker pool.
-    pub fn lde_batch(
-        &mut self,
-        columns: &[Vec<Goldilocks>],
-        log_blowup: u32,
-    ) -> Vec<Vec<Goldilocks>> {
-        match self {
-            LdeBackend::Cpu => cpu_lde_batch(columns, log_blowup),
-            LdeBackend::Simulated(sim) => sim.lde_batch(columns, log_blowup),
-        }
-    }
-
     /// Charges a hash kernel of `permutations` sponge permutations.
     pub(crate) fn charge_hash(&mut self, permutations: u64) {
-        if let LdeBackend::Simulated(sim) = self {
-            sim.charge_hash(permutations);
-        }
+        let bytes = (permutations * WIDTH as u64 * 8, permutations * 32);
+        let muls = permutations * MULS_PER_PERMUTATION;
+        self.charge_sharded("sponge-hash", permutations / 32, muls, bytes);
     }
 
     /// Charges FRI's commit phase on a codeword of `n` values: every
@@ -95,9 +69,27 @@ impl LdeBackend {
     /// Charges an element-wise kernel (fold / linear combination) over
     /// `n` base-field elements doing `field_muls` multiplications.
     pub(crate) fn charge_pointwise(&mut self, n: usize, field_muls: u64) {
-        if let LdeBackend::Simulated(sim) = self {
-            sim.charge_pointwise(n, field_muls);
-        }
+        let bytes = (n * 8) as u64;
+        self.charge_sharded("pointwise", n as u64 / 256, field_muls, (bytes, bytes));
+    }
+
+    /// Launches kernel `name` on every simulated device, with `blocks`
+    /// (at least one) and the multiplications and `(read, written)`
+    /// bytes split evenly among them; nothing on the CPU backend.
+    fn charge_sharded(&mut self, name: &'static str, blocks: u64, muls: u64, bytes: (u64, u64)) {
+        let LdeBackend::Simulated(sim) = self else {
+            return;
+        };
+        let devices = sim.machine.num_devices() as u64;
+        let mut p = KernelProfile::named(name);
+        p.blocks = blocks.max(1);
+        p.field_muls = muls / devices;
+        p.global_bytes_read = bytes.0 / devices;
+        p.global_bytes_written = bytes.1 / devices;
+        sim.machine
+            .parallel_phase(&mut vec![(); devices as usize], |ctx, _, _| {
+                ctx.launch(&p);
+            });
     }
 
     /// Simulated makespan so far (zero for the CPU backend).
@@ -166,62 +158,30 @@ impl SimulatedLde {
         log_n < 2 * self.cfg.num_gpus.trailing_zeros()
     }
 
-    pub(crate) fn lde(&mut self, evals: &[Goldilocks], log_blowup: u32) -> Vec<Goldilocks> {
-        let n = evals.len();
-        assert!(n.is_power_of_two(), "length must be a power of two");
-        let log_n = n.trailing_zeros();
-        let g = self.cfg.num_gpus;
-        let log_g = g.trailing_zeros();
-        let big_log = log_n + log_blowup;
-
-        // Too small to split: host math plus a single-device charge.
-        if log_n < 2 * log_g {
-            let out = unintt_ntt::low_degree_extension(evals, log_blowup, Goldilocks::GENERATOR);
-            let mut p = KernelProfile::named("small-lde-single-device");
-            let bytes = (out.len() * 8) as u64;
-            p.global_bytes_read = bytes * big_log as u64;
-            p.global_bytes_written = bytes * big_log as u64;
-            p.field_muls = (out.len() as u64 / 2) * big_log as u64;
-            let mut unused = ();
-            self.machine.on_device(0, &mut unused, |ctx, _| {
-                ctx.launch(&p);
-            });
-            return out;
-        }
-
-        // Interpolate on the small domain.
-        let mut data = Sharded::distribute(evals, g, ShardLayout::NaturalBlocks);
-        self.engine(log_n); // ensure it exists before mutable borrow games
-        let engine_small = self.engines.get(&log_n).expect("just inserted").clone();
-        engine_small.inverse(&mut self.machine, &mut data);
-        let mut coeffs = data.collect();
-
-        // Zero-pad (a host-side re-shard; the real system allocates the
-        // larger buffer up front) and coset-evaluate on the big domain.
-        coeffs.resize(n << log_blowup, Goldilocks::ZERO);
-        self.engine(big_log);
-        let engine_big = self.engines.get(&big_log).expect("just inserted").clone();
-        let mut big = Sharded::distribute(&coeffs, g, ShardLayout::Cyclic);
-        engine_big.coset_forward(&mut self.machine, &mut big, Goldilocks::GENERATOR);
-        big.collect()
+    /// One column's LDE on the single-device path (see
+    /// [`SimulatedLde::small_path`]): host math plus one device's charge.
+    pub(crate) fn small_lde(&mut self, evals: &[Goldilocks], log_blowup: u32) -> Vec<Goldilocks> {
+        let out = unintt_ntt::low_degree_extension(evals, log_blowup, Goldilocks::GENERATOR);
+        let big_log = u64::from(out.len().trailing_zeros());
+        let mut p = KernelProfile::named("small-lde-single-device");
+        let bytes = (out.len() * 8) as u64;
+        p.global_bytes_read = bytes * big_log;
+        p.global_bytes_written = bytes * big_log;
+        p.field_muls = (out.len() as u64 / 2) * big_log;
+        self.machine.on_device(0, &mut (), |ctx, _| {
+            ctx.launch(&p);
+        });
+        out
     }
 
-    /// Batched LDE through the engine's batch paths: interpolate all
-    /// columns as one batch, then zero-pad and coset-evaluate them as
-    /// one batch.
-    fn lde_batch(&mut self, columns: &[Vec<Goldilocks>], log_blowup: u32) -> Vec<Vec<Goldilocks>> {
-        let n = columns[0].len();
-        assert!(
-            columns.iter().all(|c| c.len() == n),
-            "all columns must have equal length"
-        );
-        if self.small_path(n.trailing_zeros()) {
-            return columns.iter().map(|c| self.lde(c, log_blowup)).collect();
-        }
-        let policy = RecoveryPolicy::none();
-        self.try_interp_batch(columns, &policy)
-            .and_then(|coeffs| self.try_coset_batch(&coeffs, log_blowup, &policy))
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// Stages 0–1's charge for a batch of `width` columns of `2^log_n`
+    /// rows, with no data: the engines' cost-only interpolation and coset
+    /// LDE (the multi-device path).
+    pub(crate) fn simulate_lde(&mut self, log_n: u32, width: u64, log_blowup: u32) {
+        let small = self.engine(log_n).clone();
+        small.simulate_inverse(&mut self.machine, width);
+        let big = self.engine(log_n + log_blowup).clone();
+        big.simulate_coset_forward(&mut self.machine, width);
     }
 
     /// Phase 1a of the batched LDE: interpolate every column as one
@@ -239,8 +199,7 @@ impl SimulatedLde {
             .iter()
             .map(|c| Sharded::distribute(c, g, ShardLayout::NaturalBlocks))
             .collect();
-        self.engine(log_n);
-        let engine_small = self.engines.get(&log_n).expect("just inserted").clone();
+        let engine_small = self.engine(log_n).clone();
         engine_small.try_inverse_batch(&mut self.machine, &mut small_batch, policy)?;
         Ok(small_batch.iter().map(Sharded::collect).collect())
     }
@@ -257,8 +216,7 @@ impl SimulatedLde {
         let n = coeffs[0].len();
         let big_log = n.trailing_zeros() + log_blowup;
         let g = self.cfg.num_gpus;
-        self.engine(big_log);
-        let engine_big = self.engines.get(&big_log).expect("just inserted").clone();
+        let engine_big = self.engine(big_log).clone();
         let mut big_batch: Vec<Sharded<Goldilocks>> = coeffs
             .iter()
             .map(|c| {
@@ -274,32 +232,6 @@ impl SimulatedLde {
             policy,
         )?;
         Ok(big_batch.iter().map(Sharded::collect).collect())
-    }
-
-    fn charge_hash(&mut self, permutations: u64) {
-        let devices = self.machine.num_devices() as u64;
-        let mut p = KernelProfile::named("sponge-hash");
-        p.blocks = (permutations / 32).max(1);
-        p.field_muls = permutations * MULS_PER_PERMUTATION / devices;
-        p.global_bytes_read = permutations * (WIDTH as u64) * 8 / devices;
-        p.global_bytes_written = permutations * 32 / devices;
-        let mut dummy: Vec<()> = vec![(); devices as usize];
-        self.machine.parallel_phase(&mut dummy, |ctx, _, _| {
-            ctx.launch(&p);
-        });
-    }
-
-    fn charge_pointwise(&mut self, n: usize, field_muls: u64) {
-        let devices = self.machine.num_devices() as u64;
-        let mut p = KernelProfile::named("pointwise");
-        p.blocks = (n as u64 / 256).max(1);
-        p.field_muls = field_muls / devices;
-        p.global_bytes_read = (n * 8) as u64 / devices;
-        p.global_bytes_written = (n * 8) as u64 / devices;
-        let mut dummy: Vec<()> = vec![(); devices as usize];
-        self.machine.parallel_phase(&mut dummy, |ctx, _, _| {
-            ctx.launch(&p);
-        });
     }
 }
 
@@ -394,13 +326,8 @@ pub fn verify_trace(commitment: &TraceCommitment, config: &FriConfig) -> bool {
     let Some(big_n) = config.lde_len(commitment.n) else {
         return false;
     };
-    if !fri::verify(config, &commitment.fri_proof, big_n, Goldilocks::GENERATOR) {
-        return false;
-    }
-    let group = 1usize << config.first_arity(big_n.trailing_zeros());
-    if commitment.trace_openings.len() != commitment.fri_proof.queries.len()
-        || commitment.width == 0
-        || commitment.width.checked_mul(group).is_none()
+    if !fri::verify(config, &commitment.fri_proof, big_n, Goldilocks::GENERATOR)
+        || commitment.trace_openings.len() != commitment.fri_proof.queries.len()
     {
         return false;
     }
@@ -408,32 +335,48 @@ pub fn verify_trace(commitment: &TraceCommitment, config: &FriConfig) -> bool {
     // Bind the FRI codeword to the trace commitment: each of the leaf's
     // rows, α-combined, is the FRI layer-0 value at its position.
     let alpha = combination_challenge(&commitment.trace_root);
-    for (query, open) in commitment
-        .fri_proof
-        .queries
-        .iter()
+    let (width, root) = (commitment.width, &commitment.trace_root);
+    let queries = commitment.fri_proof.queries.iter();
+    queries
         .zip(&commitment.trace_openings)
-    {
-        let first = &query.rounds[0];
-        if open.index != first.index
-            || open.row.len() != commitment.width * group
-            || !open.verify(&commitment.trace_root)
-        {
-            return false;
-        }
-        for (t, row) in open.row.chunks_exact(commitment.width).enumerate() {
-            let mut acc = GoldilocksExt2::ZERO;
-            let mut coeff = GoldilocksExt2::ONE;
-            for &v in row {
-                acc += coeff * v;
-                coeff *= alpha;
-            }
-            if acc != fri::leaf_value(&first.row, t) {
-                return false;
-            }
-        }
-    }
-    true
+        .all(|(query, open)| {
+            let first = &query.rounds[0];
+            trace_leaf(config, big_n, width, root, first.index, open).is_some_and(|mut slots| {
+                slots.all(|(t, _, row)| {
+                    let combined = row.iter().rev().fold(GoldilocksExt2::ZERO, |acc, &v| {
+                        acc * alpha + GoldilocksExt2::from_base(v)
+                    });
+                    combined == fri::leaf_value(&first.row, t)
+                })
+            })
+        })
+}
+
+/// The binding check every trace verifier runs on a trace opening: `open`
+/// must be the leaf holding LDE row `position` (leaf `position mod
+/// (L/2^b)`, for an LDE of `big_n = L` rows whose first FRI round folds
+/// by `2^b`) of the tree under `root`, with `width·2^b` values and a path
+/// that verifies. Yields `(slot, position, row)` for each of the leaf's
+/// `2^b` rows, or `None` if a check fails.
+pub(crate) fn trace_leaf<'a>(
+    config: &FriConfig,
+    big_n: usize,
+    width: usize,
+    root: &Digest,
+    position: usize,
+    open: &'a MerklePath,
+) -> Option<impl Iterator<Item = (usize, usize, &'a [Goldilocks])>> {
+    let bits = config.first_arity(big_n.trailing_zeros());
+    let leaves = big_n >> bits;
+    let leaf = position % leaves;
+    let bound = width > 0
+        && open.index == leaf
+        && width.checked_mul(1 << bits) == Some(open.row.len())
+        && open.verify(root);
+    bound.then(|| {
+        let rows = open.row.chunks_exact(width).enumerate();
+        rows.map(move |(t, row)| (t, leaf + t * leaves, row))
+    })
 }
 
 #[cfg(test)]
@@ -468,6 +411,24 @@ mod tests {
         assert_eq!(cpu.fri_proof, simulated.fri_proof);
         assert!(verify_trace(&simulated, &config));
         assert!(sim.sim_time() > SimTime::ZERO);
+    }
+
+    #[test]
+    fn every_prover_commits_the_same_trace_root() {
+        use crate::{open_trace, prove_stark, FibonacciAir};
+        let (air, trace) = FibonacciAir::generate(64);
+        let zeta = GoldilocksExt2::new(Goldilocks::from_u64(5), Goldilocks::from_u64(11));
+        for log_folding_arity in 1..=3 {
+            let config = FriConfig {
+                log_folding_arity,
+                ..FriConfig::standard()
+            };
+            let root = commit_trace(&trace, &config, &mut LdeBackend::cpu()).trace_root;
+            let opened = open_trace(&trace, zeta, &config, &mut LdeBackend::cpu());
+            let proved = prove_stark(&air, &trace, &config, &mut LdeBackend::cpu());
+            assert_eq!(opened.trace_root, root, "k={log_folding_arity}");
+            assert_eq!(proved.trace_root, root, "k={log_folding_arity}");
+        }
     }
 
     #[test]

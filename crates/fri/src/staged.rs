@@ -12,7 +12,11 @@
 //!   the stages with stages of *other* proofs on shared hardware and
 //!   attribute simulated time per stage;
 //! * [`StagedCommit::resume`] runs whatever is not done yet, in index
-//!   order, under a [`RecoveryPolicy`] — fault-tolerant committing.
+//!   order, under a [`RecoveryPolicy`] — fault-tolerant committing;
+//! * [`crate::open_trace`] and [`crate::prove_stark`] run the first three
+//!   stages and go on from the committed trace tree their own way;
+//! * [`projected_commit_time`] charges every stage with no trace, through
+//!   the engines' cost-only paths.
 //!
 //! The STARK commitment is a strict pipeline (each phase consumes the
 //! previous one's output), so unlike the PLONK DAG there is no
@@ -34,11 +38,11 @@
 use unintt_core::RecoveryPolicy;
 use unintt_exec::Executor;
 use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
-use unintt_gpu_sim::{FabricError, SimTime};
+use unintt_gpu_sim::{FabricError, MachineConfig, SimTime};
 
 use crate::fri::{self, FriConfig};
 use crate::hash::Digest;
-use crate::merkle::{row_major, MerkleTree};
+use crate::merkle::{row_major, MerklePath, MerkleTree};
 use crate::pipeline::{combination_challenge, cpu_lde_batch, LdeBackend, TraceCommitment};
 
 /// One node of a proof-stage DAG (same shape as
@@ -90,6 +94,32 @@ pub fn stark_stage_descs(log_n: u32, config: &FriConfig) -> Vec<StageDesc> {
         .collect()
 }
 
+/// A committed trace: its LDE columns and the Merkle tree over them, a
+/// leaf per first-round FRI coset. With `L` extended rows and `b` the
+/// first round's log arity, leaf `r` holds rows `r + t·L/2^b` for
+/// `t < 2^b`, so one opening binds every position of a query's first
+/// FRI leaf.
+pub(crate) struct TraceTree {
+    /// The extended columns, one `Vec` per trace column.
+    pub(crate) ldes: Vec<Vec<Goldilocks>>,
+    /// The LDE as the matrix the tree commits to.
+    rows: Vec<Goldilocks>,
+    tree: MerkleTree,
+}
+
+impl TraceTree {
+    /// The trace root.
+    pub(crate) fn root(&self) -> Digest {
+        self.tree.root()
+    }
+
+    /// Opens the leaf holding LDE row `position`: leaf
+    /// `position mod (L/2^b)`.
+    pub(crate) fn open(&self, position: usize) -> MerklePath {
+        self.tree.open(&self.rows, position % self.tree.len())
+    }
+}
+
 /// Everything a commitment accumulates between stages. The trace, the
 /// backend and the pool are arguments of every call rather than fields,
 /// so [`crate::commit_trace`] drives the stages over its caller's
@@ -100,11 +130,7 @@ pub(crate) struct CommitState {
 
     coeffs: Option<Vec<Vec<Goldilocks>>>,
     ldes: Option<Vec<Vec<Goldilocks>>>,
-    /// The LDE as the matrix the trace tree commits to, each leaf the
-    /// rows the first FRI round folds together.
-    rows: Option<Vec<Goldilocks>>,
-    tree: Option<MerkleTree>,
-    trace_root: Option<Digest>,
+    trace: Option<TraceTree>,
     combined: Option<Vec<GoldilocksExt2>>,
     commitment: Option<TraceCommitment>,
 }
@@ -131,9 +157,7 @@ impl CommitState {
             done: [false; STARK_STAGES],
             coeffs: None,
             ldes: None,
-            rows: None,
-            tree: None,
-            trace_root: None,
+            trace: None,
             combined: None,
             commitment: None,
         }
@@ -199,6 +223,7 @@ impl CommitState {
         let log_blowup = self.config.log_blowup;
         let big_n = n << log_blowup;
         let width = columns.len();
+        charge_kernels(backend, &self.config, idx, big_n, width);
 
         match idx {
             // Phase 1a: batched interpolation. On the CPU backend and the
@@ -218,7 +243,10 @@ impl CommitState {
                     LdeBackend::Cpu => cpu_lde_batch(columns, log_blowup),
                     LdeBackend::Simulated(sim) => {
                         if sim.small_path(log_n) {
-                            columns.iter().map(|c| sim.lde(c, log_blowup)).collect()
+                            columns
+                                .iter()
+                                .map(|c| sim.small_lde(c, log_blowup))
+                                .collect()
                         } else {
                             let coeffs = self.coeffs.as_ref().expect("trace-interp done");
                             sim.try_coset_batch(coeffs, log_blowup, policy)?
@@ -228,41 +256,34 @@ impl CommitState {
                 self.coeffs = None; // superseded by the completed LDEs
                 self.ldes = Some(ldes);
             }
-            // Merkle commitment of the extended matrix, a leaf per
-            // first-round FRI coset.
+            // Merkle commitment of the extended matrix (a `TraceTree`).
             2 => {
-                let ldes = self.ldes.as_ref().expect("trace-coset done");
+                let ldes = self.ldes.take().expect("trace-coset done");
                 let bits = self.config.first_arity(big_n.trailing_zeros());
-                let rows = row_major(ldes, bits);
-                backend.charge_hash(fri::trace_hash_permutations(&self.config, big_n, width));
+                let rows = row_major(&ldes, bits);
                 let tree = MerkleTree::build(exec, &rows, width << bits);
-                self.trace_root = Some(tree.root());
-                self.rows = Some(rows);
-                self.tree = Some(tree);
+                self.trace = Some(TraceTree { ldes, rows, tree });
             }
             // Random linear combination of the columns, into the
             // extension field (α has ~128 bits of entropy; see the fri
             // module docs).
             3 => {
-                let ldes = self.ldes.as_ref().expect("trace-coset done");
-                let alpha = combination_challenge(&self.trace_root.expect("trace-merkle done"));
+                let trace = self.trace.as_ref().expect("trace-merkle done");
+                let alpha = combination_challenge(&trace.root());
                 let mut combined = vec![GoldilocksExt2::ZERO; big_n];
                 let mut coeff = GoldilocksExt2::ONE;
-                for lde in ldes {
+                for lde in &trace.ldes {
                     for (acc, &v) in combined.iter_mut().zip(lde) {
                         *acc += coeff * v;
                     }
                     coeff *= alpha;
                 }
-                // An ext×base product costs two base multiplies.
-                backend.charge_pointwise(big_n * width, 2 * (big_n * width) as u64);
                 self.combined = Some(combined);
             }
-            // The fused FRI fold chain: all rounds' layer commitments as
-            // one hash launch, all folds as one kernel over every layer's
-            // two base components. The fold values themselves are
-            // computed host-side in the finalize barrier.
-            4 => backend.charge_fri(&self.config, big_n),
+            // The fused FRI fold chain: charged only (see
+            // `charge_kernels`); the fold values themselves are computed
+            // host-side in the finalize barrier.
+            4 => {}
             // Final barrier: the FRI low-degree proof of the combination,
             // bound to the trace by opening, per query, the trace leaf
             // holding its first FRI leaf's positions.
@@ -275,16 +296,14 @@ impl CommitState {
                     Goldilocks::GENERATOR,
                     &Digest::zero(),
                 );
-                let rows = self.rows.take().expect("trace-merkle done");
-                let tree = self.tree.take().expect("trace-merkle done");
+                let trace = self.trace.take().expect("trace-merkle done");
                 let trace_openings = fri_proof
                     .queries
                     .iter()
-                    .map(|q| tree.open(&rows, q.rounds[0].index))
+                    .map(|q| trace.open(q.rounds[0].index))
                     .collect();
-                self.ldes = None;
                 self.commitment = Some(TraceCommitment {
-                    trace_root: self.trace_root.expect("trace-merkle done"),
+                    trace_root: trace.root(),
                     fri_proof,
                     trace_openings,
                     n,
@@ -295,6 +314,72 @@ impl CommitState {
         }
         Ok(())
     }
+}
+
+/// Charges stage `idx`'s hash and pointwise kernels for a `width`-column
+/// trace extended to `big_n` rows (the NTT stages charge through the
+/// engines as they run): the trace tree, the α-combination (an ext×base
+/// product costs two base multiplies), and the fused FRI fold chain —
+/// every layer tree as one hash launch, every fold as one kernel.
+fn charge_kernels(
+    backend: &mut LdeBackend,
+    config: &FriConfig,
+    idx: usize,
+    big_n: usize,
+    width: usize,
+) {
+    match idx {
+        2 => backend.charge_hash(fri::trace_hash_permutations(config, big_n, width)),
+        3 => backend.charge_pointwise(big_n * width, 2 * (big_n * width) as u64),
+        4 => backend.charge_fri(config, big_n),
+        _ => {}
+    }
+}
+
+/// Runs stages 0–2 (interpolation, coset LDE, trace tree) on `backend`,
+/// exactly as [`crate::commit_trace`] does, and hands over the committed
+/// trace: the first half of [`crate::open_trace`] and
+/// [`crate::prove_stark`].
+///
+/// # Panics
+///
+/// Panics where [`crate::commit_trace`] does: a ragged trace, one whose
+/// length is not a power of two, one [`FriConfig::check_trace_shape`]
+/// rejects, or a fabric fault.
+pub(crate) fn commit_trace_tree(
+    columns: &[Vec<Goldilocks>],
+    config: &FriConfig,
+    backend: &mut LdeBackend,
+) -> TraceTree {
+    let mut state = CommitState::new(columns, *config);
+    let (exec, policy) = (Executor::global(), RecoveryPolicy::none());
+    for idx in 0..=2 {
+        let run = state.run_stage(columns, backend, exec, idx, &policy);
+        run.unwrap_or_else(|e| panic!("{e}"));
+    }
+    state.trace.expect("trace-merkle done")
+}
+
+/// The simulated time [`crate::commit_trace`] charges for a
+/// `width`-column trace of `2^log_rows` rows on `machine`, with no trace:
+/// the engines' cost-only interpolation and coset LDE (the multi-device
+/// path), then every later stage's kernels, in stage order. For traces
+/// too large to commit on the host.
+pub fn projected_commit_time(
+    log_rows: u32,
+    width: usize,
+    machine: MachineConfig,
+    config: &FriConfig,
+) -> SimTime {
+    let mut backend = LdeBackend::simulated(machine);
+    if let LdeBackend::Simulated(sim) = &mut backend {
+        sim.simulate_lde(log_rows, width as u64, config.log_blowup);
+    }
+    let big_n = 1usize << (log_rows + config.log_blowup);
+    for idx in 2..STARK_STAGES {
+        charge_kernels(&mut backend, config, idx, big_n, width);
+    }
+    backend.sim_time()
 }
 
 /// A STARK trace commitment as runnable stages that owns its inputs
@@ -470,6 +555,19 @@ mod tests {
                     "stage {i} must charge simulated time"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn projection_charges_what_the_committer_charges() {
+        let config = FriConfig::standard();
+        for (log_n, width, gpus) in [(9, 4, 4), (10, 3, 8), (8, 2, 1)] {
+            let trace = random_trace(1 << log_n, width, 35);
+            let mut sim = LdeBackend::simulated(presets::a100_nvlink(gpus));
+            commit_trace(&trace, &config, &mut sim);
+            let projected =
+                projected_commit_time(log_n, width, presets::a100_nvlink(gpus), &config);
+            assert_eq!(projected, sim.sim_time(), "2^{log_n}×{width} on {gpus}");
         }
     }
 

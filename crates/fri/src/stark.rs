@@ -5,7 +5,9 @@
 //! paper's workload belongs to. The flow:
 //!
 //! 1. **Trace commitment** — LDE every column onto the `2^log_blowup`-times
-//!    larger coset and Merkle-commit the rows (the NTT-heavy phase).
+//!    larger coset and Merkle-commit the rows (the NTT-heavy phase), with
+//!    [`crate::commit_trace`]'s own stages: a leaf holds the rows the
+//!    first FRI round folds together.
 //! 2. **Composition** — a random challenge `α ∈ F_{p²}` combines every
 //!    transition constraint (divided by the all-rows-but-last vanishing
 //!    polynomial) and every boundary constraint (divided by its linear
@@ -13,10 +15,12 @@
 //!    trace satisfies the AIR.
 //! 3. **FRI** on the composition codeword, with challenges seeded by the
 //!    trace root and `α`.
-//! 4. **Spot checks** — at each FRI query position the verifier recomputes
-//!    the composition value from opened trace rows (current *and next*,
-//!    a rotation by `blowup` on the LDE domain) and matches it against the
-//!    FRI layer-0 opening.
+//! 4. **Spot checks** — at each position of a query's first FRI leaf the
+//!    verifier recomputes the composition value from opened trace rows
+//!    (current *and next*, a rotation by `blowup` on the LDE domain) and
+//!    matches it against the FRI layer-0 opening. Two trace openings per
+//!    query hold all of them: the leaf of the FRI leaf's positions, and
+//!    the leaf of those positions plus `blowup`.
 //!
 //! Supported constraint degree is ≤ 2 (so the composition stays below the
 //! FRI degree bound at blowup 4); that covers the classic demonstration
@@ -27,9 +31,10 @@
 use unintt_ff::{batch_inverse, Field, Goldilocks, GoldilocksExt2, PrimeField, TwoAdicField};
 
 use crate::fri::{self, FriConfig, FriProof};
-use crate::hash::{compress, hash_elements, permutations_for, Digest};
-use crate::merkle::{row_major, MerklePath, MerkleTree};
-use crate::pipeline::LdeBackend;
+use crate::hash::{compress, hash_elements, Digest};
+use crate::merkle::MerklePath;
+use crate::pipeline::{trace_leaf, LdeBackend};
+use crate::staged::commit_trace_tree;
 
 /// A boundary assertion: `trace[column][row] == value`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,15 +145,17 @@ impl FibonacciAir {
 /// A STARK proof.
 #[derive(Clone, Debug)]
 pub struct StarkProof {
-    /// Merkle root of the LDE trace matrix.
+    /// Root of the trace tree, the one [`crate::commit_trace`] builds:
+    /// with `L` extended rows and `b` the first FRI round's log arity,
+    /// leaf `r` holds rows `r + t·L/2^b` for `t < 2^b`.
     pub trace_root: Digest,
     /// FRI proof of the composition polynomial.
     pub fri_proof: FriProof,
-    /// Per FRI query, per position of its first-round FRI leaf (in the
-    /// leaf's order): the trace rows at that position and at the
-    /// *next-row* position (`+blowup` on the LDE domain), with their
-    /// authentication paths.
-    pub trace_openings: Vec<Vec<(MerklePath, MerklePath)>>,
+    /// Per FRI query, with `r` its first-round FRI leaf's index: trace
+    /// leaf `r`, and the leaf `(r + blowup) mod (L/2^b)` of the *next*
+    /// rows (`+blowup` on the LDE domain). Slot `t`'s next row sits in
+    /// the second leaf's slot `(t + (r + blowup) div (L/2^b)) mod 2^b`.
+    pub trace_openings: Vec<(MerklePath, MerklePath)>,
     /// Trace rows before extension.
     pub n: usize,
 }
@@ -212,22 +219,13 @@ pub fn prove_stark(
     backend: &mut LdeBackend,
 ) -> StarkProof {
     assert_eq!(trace.len(), air.width(), "trace width mismatch");
-    let n = trace[0].len();
-    assert!(
-        trace.iter().all(|c| c.len() == n),
-        "all trace columns must have equal length"
-    );
 
-    // 1. Trace LDE + commitment.
-    let ldes = backend.lde_batch(trace, config.log_blowup);
+    // 1. Trace LDE + commitment (commit_trace's stages 0–2).
+    let committed = commit_trace_tree(trace, config, backend);
+    let trace_root = committed.root();
+    let n = trace[0].len();
     let big_n = n << config.log_blowup;
     let blowup = 1usize << config.log_blowup;
-    let width = air.width();
-    let rows = row_major(&ldes, 0);
-    backend.charge_hash(big_n as u64 * permutations_for(air.width()));
-    backend.charge_hash(big_n as u64 - 1);
-    let tree = MerkleTree::commit_matrix(&rows, width);
-    let trace_root = tree.root();
 
     // 2. Composition codeword.
     let boundaries = air.boundaries();
@@ -263,21 +261,18 @@ pub fn prove_stark(
 
     let mut scratch: Vec<Goldilocks> = Vec::new();
     let mut composition: Vec<GoldilocksExt2> = Vec::with_capacity(big_n);
-    let mut x = shift;
+    let row = |k: usize| -> Vec<Goldilocks> { committed.ldes.iter().map(|lde| lde[k]).collect() };
     for k in 0..big_n {
-        let current = &rows[k * width..][..width];
-        let next = &rows[(k + blowup) % big_n * width..][..width];
         let denom_invs: Vec<GoldilocksExt2> = boundary_denoms.iter().map(|d| d[k]).collect();
         composition.push(composition_at(
             air,
-            current,
-            next,
+            &row(k),
+            &row((k + blowup) % big_n),
             alpha,
             z_t[k],
             &denom_invs,
             &mut scratch,
         ));
-        x *= omega_big;
     }
     let constraint_values = big_n * (air.transition_count() + boundaries.len());
     backend.charge_pointwise(constraint_values, 6 * constraint_values as u64);
@@ -287,20 +282,14 @@ pub fn prove_stark(
     backend.charge_fri(config, big_n);
     let fri_proof = fri::prove_seeded(config, composition, shift, &seed);
 
-    // 4. Trace openings at each position of every query's first FRI
-    //    leaf, and their next-rows.
+    // 4. Per query, the trace leaf holding its first FRI leaf's
+    //    positions, and the leaf holding their next rows.
     let trace_openings = fri_proof
         .queries
         .iter()
         .map(|q| {
-            fri::first_leaf_positions(config, big_n, q.rounds[0].index)
-                .map(|idx| {
-                    (
-                        tree.open(&rows, idx),
-                        tree.open(&rows, (idx + blowup) % big_n),
-                    )
-                })
-                .collect()
+            let r = q.rounds[0].index;
+            (committed.open(r), committed.open(r + blowup))
         })
         .collect();
 
@@ -340,52 +329,52 @@ pub fn verify_stark(air: &impl Air, proof: &StarkProof, config: &FriConfig) -> b
     let last = omega_small.pow(n as u64 - 1);
     let mut scratch: Vec<Goldilocks> = Vec::new();
 
-    for (query, opens) in proof.fri_proof.queries.iter().zip(&proof.trace_openings) {
-        let first = &query.rounds[0];
-        let positions = fri::first_leaf_positions(config, big_n, first.index);
-        if opens.len() != first.row.len() / 2 {
-            return false;
-        }
-        for (t, ((cur_open, next_open), idx)) in opens.iter().zip(positions).enumerate() {
-            if cur_open.index != idx
-                || next_open.index != (idx + blowup) % big_n
-                || cur_open.row.len() != air.width()
-                || next_open.row.len() != air.width()
-                || !cur_open.verify(&proof.trace_root)
-                || !next_open.verify(&proof.trace_root)
-            {
-                return false;
-            }
-
-            let x = shift * omega_big.pow(idx as u64);
-            let Some(z_t_inv) = ((x.pow(n as u64) - Goldilocks::ONE)
-                * (x - last).inverse().expect("coset avoids H"))
-            .inverse() else {
+    let (width, root) = (air.width(), &proof.trace_root);
+    let queries = proof.fri_proof.queries.iter();
+    queries
+        .zip(&proof.trace_openings)
+        .all(|(query, (cur_open, next_open))| {
+            let first = &query.rounds[0];
+            let (Some(mut current), Some(next)) = (
+                trace_leaf(config, big_n, width, root, first.index, cur_open),
+                trace_leaf(config, big_n, width, root, first.index + blowup, next_open),
+            ) else {
                 return false;
             };
-            let mut denom_invs = Vec::with_capacity(boundaries.len());
-            for b in &boundaries {
-                let Some(inv) = (x - omega_small.pow(b.row as u64)).inverse() else {
+            let next: Vec<_> = next.collect();
+            current.all(|(t, idx, cur_row)| {
+                let next_idx = (idx + blowup) % big_n;
+                let Some(&(_, _, next_row)) = next.iter().find(|&&(_, pos, _)| pos == next_idx)
+                else {
                     return false;
                 };
-                denom_invs.push(GoldilocksExt2::from_base(inv));
-            }
 
-            let expected = composition_at(
-                air,
-                &cur_open.row,
-                &next_open.row,
-                alpha,
-                GoldilocksExt2::from_base(z_t_inv),
-                &denom_invs,
-                &mut scratch,
-            );
-            if expected != fri::leaf_value(&first.row, t) {
-                return false;
-            }
-        }
-    }
-    true
+                let x = shift * omega_big.pow(idx as u64);
+                let Some(z_t_inv) = ((x.pow(n as u64) - Goldilocks::ONE)
+                    * (x - last).inverse().expect("coset avoids H"))
+                .inverse() else {
+                    return false;
+                };
+                let mut denom_invs = Vec::with_capacity(boundaries.len());
+                for b in &boundaries {
+                    let Some(inv) = (x - omega_small.pow(b.row as u64)).inverse() else {
+                        return false;
+                    };
+                    denom_invs.push(GoldilocksExt2::from_base(inv));
+                }
+
+                let expected = composition_at(
+                    air,
+                    cur_row,
+                    next_row,
+                    alpha,
+                    GoldilocksExt2::from_base(z_t_inv),
+                    &denom_invs,
+                    &mut scratch,
+                );
+                expected == fri::leaf_value(&first.row, t)
+            })
+        })
 }
 
 #[cfg(test)]
@@ -407,14 +396,43 @@ mod tests {
         assert_eq!(trace[0][4].to_canonical_u64(), 5);
     }
 
+    /// Round trips at folding arities 2, 4 and 8 and final lengths 4 and
+    /// 8. With `L = n·blowup` rows and a first round folding by `2^b`, a
+    /// query at first leaf `r` reads its next rows from leaf
+    /// `(r + blowup) mod (L/2^b)`, at slots rotated by
+    /// `(r + blowup) div (L/2^b)`; the test checks that rotated queries
+    /// (slot `2^b − 1` wraps to the front) and shapes with
+    /// `blowup ≥ L/2^b` both occur.
     #[test]
     fn stark_roundtrip() {
-        let config = FriConfig::standard();
-        for n in [16usize, 64, 256] {
-            let (air, trace) = FibonacciAir::generate(n);
-            let proof = prove_stark(&air, &trace, &config, &mut LdeBackend::cpu());
-            assert!(verify_stark(&air, &proof, &config), "n={n}");
+        let (mut rotated, mut wide_leaves) = (0, 0);
+        for log_folding_arity in 1..=3 {
+            for log_final_len in [2, 3] {
+                let config = FriConfig {
+                    log_folding_arity,
+                    log_final_len,
+                    ..FriConfig::standard()
+                };
+                for n in [4usize, 8, 16, 32, 64, 256] {
+                    let (air, trace) = FibonacciAir::generate(n);
+                    let proof = prove_stark(&air, &trace, &config, &mut LdeBackend::cpu());
+                    assert!(verify_stark(&air, &proof, &config), "{config:?} n={n}");
+
+                    let (big_n, blowup) = (n << config.log_blowup, 1 << config.log_blowup);
+                    let leaves = big_n >> config.first_arity(big_n.trailing_zeros());
+                    wide_leaves += usize::from(blowup >= leaves);
+                    let queries = proof.fri_proof.queries.iter().zip(&proof.trace_openings);
+                    for (query, (current, next)) in queries {
+                        let r = query.rounds[0].index;
+                        assert_eq!(current.index, r);
+                        assert_eq!(next.index, (r + blowup) % leaves);
+                        rotated += usize::from(r + blowup >= leaves);
+                    }
+                }
+            }
         }
+        assert!(rotated > 0, "no query read rotated next-row slots");
+        assert!(wide_leaves > 0, "no shape had blowup ≥ L/2^b");
     }
 
     #[test]
@@ -454,7 +472,7 @@ mod tests {
         assert!(!verify_stark(&air, &bad, &config));
 
         let mut bad = proof.clone();
-        bad.trace_openings[0][0].0.row[0] += Goldilocks::ONE;
+        bad.trace_openings[0].0.row[0] += Goldilocks::ONE;
         assert!(!verify_stark(&air, &bad, &config));
 
         let mut bad = proof;

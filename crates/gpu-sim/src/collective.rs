@@ -357,7 +357,7 @@ impl Machine {
         };
         match pipeline {
             None => {
-                let (lat, wire) = self.record_all_to_all(bytes_per_device);
+                let (lat, wire) = self.fabric_mut().record_all_to_all(bytes_per_device);
                 let links = self.fabric().links_used_all_to_all();
                 let egress = bytes_per_device * (d as u64 - 1) / d as u64;
                 self.charge_collective("all-to-all", lat + wire, egress, links);
@@ -395,13 +395,6 @@ impl Machine {
         Ok(report)
     }
 
-    /// Records one all-to-all on the fabric graph and returns its
-    /// `(latency, wire)` charge.
-    fn record_all_to_all(&mut self, bytes_per_device: u64) -> (SimTime, SimTime) {
-        let (lat, wire) = self.fabric_mut().record_all_to_all(bytes_per_device);
-        (SimTime::from_ns(lat), SimTime::from_ns(wire))
-    }
-
     /// Shared engine of the overlapped all-to-all: records the transfer
     /// on the fabric graph, software-pipelines producer slices → chunk
     /// transfers → consumer slices, and charges every alive device the
@@ -432,7 +425,7 @@ impl Machine {
         };
         let (prod_costs, cons_costs) = (costs(compute.producers), costs(compute.consumers));
 
-        let (lat, wire) = self.record_all_to_all(bytes_per_device);
+        let (lat, wire) = self.fabric_mut().record_all_to_all(bytes_per_device);
         let links = self.fabric().links_used_all_to_all();
         let comm = lat + wire;
         let egress = bytes_per_device * (d as u64 - 1) / d as u64;
@@ -1130,6 +1123,38 @@ mod tests {
         assert_ne!(attr(&marks[0].1, "links_used"), AttrValue::U64(0));
         assert_ne!(attr(&marks[0].1, "bytes"), AttrValue::U64(0));
         assert_eq!(attr(&marks[0].1, "hidden_ns"), AttrValue::F64(0.0));
+    }
+
+    #[test]
+    fn links_book_the_wire_time_the_devices_were_charged() {
+        for cfg in [
+            presets::a100_nvlink(4),
+            presets::v100_nvlink_ring(8),
+            presets::rtx4090_pcie(4),
+            presets::a100_superpod(2, 4),
+        ] {
+            let mut m = Machine::new(cfg.clone(), FieldSpec::goldilocks());
+            let d = m.num_devices();
+            // The devices' interconnect books hold latency + wire per
+            // exchange; take the latency out again.
+            let mut wire = SimTime::ZERO;
+            for len in [8, 1000, 4096, 12_344, 1 << 16] {
+                let booked = |m: &Machine| m.device_stats(0).time_ns.interconnect;
+                let before = booked(&m);
+                m.exchange_all_to_all(NOTHING, len * d, 8, false, None)
+                    .unwrap();
+                let bytes = (len * d * 8) as u64;
+                let (lat, _) = crate::fabric::all_to_all_split(&cfg.interconnect, d, bytes);
+                wire += booked(&m) - before - SimTime::from_ns(lat);
+            }
+            for l in m.fabric().links() {
+                assert_eq!(
+                    l.busy, wire,
+                    "{} on {:?}",
+                    l.name, cfg.interconnect.topology
+                );
+            }
+        }
     }
 
     #[test]

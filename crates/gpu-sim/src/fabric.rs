@@ -19,6 +19,8 @@
 //! separate links with separate loads, producing the staged
 //! gather → exchange → scatter all-to-all of multi-node machines.
 
+use unintt_telemetry::SimTime;
+
 use crate::config::{InterconnectConfig, Topology};
 
 /// Per-message fixed cost of crossing the inter-node fabric (IB verbs
@@ -130,8 +132,9 @@ pub struct Link {
     pub bandwidth_gbps: f64,
     /// Total bytes this link carried.
     pub bytes_carried: u64,
-    /// Total simulated time this link was occupied, in ns.
-    pub busy_ns: f64,
+    /// Total simulated time this link was occupied: the rounded wire
+    /// charge of every collective it carried, as the devices book it.
+    pub busy: SimTime,
 }
 
 impl Link {
@@ -140,7 +143,7 @@ impl Link {
             name,
             bandwidth_gbps,
             bytes_carried: 0,
-            busy_ns: 0.0,
+            busy: SimTime::ZERO,
         }
     }
 }
@@ -236,16 +239,17 @@ impl FabricGraph {
     pub fn reset(&mut self) {
         for l in &mut self.links {
             l.bytes_carried = 0;
-            l.busy_ns = 0.0;
+            l.busy = SimTime::ZERO;
         }
     }
 
     /// Schedules one all-to-all of `bytes_per_device` over the graph,
-    /// recording per-link loads, and returns the `(latency_ns, wire_ns)`
-    /// split of the charge (total = latency + wire).
-    pub(crate) fn record_all_to_all(&mut self, bytes_per_device: u64) -> (f64, f64) {
+    /// recording per-link loads, and returns the `(latency, wire)` split
+    /// of the charge (total = latency + wire), each rounded once.
+    pub(crate) fn record_all_to_all(&mut self, bytes_per_device: u64) -> (SimTime, SimTime) {
         let d = self.num_gpus;
         let (lat, wire) = all_to_all_split(&self.ic, d, bytes_per_device);
+        let (lat, wire) = (SimTime::from_ns(lat), SimTime::from_ns(wire));
         if d <= 1 {
             return (lat, wire);
         }
@@ -256,7 +260,7 @@ impl FabricGraph {
                 // Each injection and ejection port carries one egress.
                 for l in &mut self.links {
                     l.bytes_carried += egress;
-                    l.busy_ns += wire;
+                    l.busy += wire;
                 }
             }
             Topology::Ring => {
@@ -264,7 +268,7 @@ impl FabricGraph {
                 let chunk = bytes_per_device / d as u64;
                 for l in &mut self.links {
                     l.bytes_carried += (d as u64 - 1) * chunk;
-                    l.busy_ns += wire;
+                    l.busy += wire;
                 }
             }
             Topology::HostBounce => {
@@ -273,10 +277,10 @@ impl FabricGraph {
                 let (pcie, host) = self.links.split_at_mut(d);
                 for l in pcie {
                     l.bytes_carried += 2 * egress;
-                    l.busy_ns += wire;
+                    l.busy += wire;
                 }
                 host[0].bytes_carried += 2 * egress * d as u64;
-                host[0].busy_ns += wire;
+                host[0].busy += wire;
             }
             Topology::Hierarchical => {
                 let g = self.ic.gpus_per_node.max(1).min(d);
@@ -292,11 +296,11 @@ impl FabricGraph {
                 for l in gpu_links {
                     // Two intra-node stages (gather + scatter).
                     l.bytes_carried += 2 * intra;
-                    l.busy_ns += wire;
+                    l.busy += wire;
                 }
                 for l in node_links {
                     l.bytes_carried += node_bytes;
-                    l.busy_ns += wire;
+                    l.busy += wire;
                 }
             }
         }
@@ -352,10 +356,10 @@ mod tests {
         let mut g = FabricGraph::new(&cfg.interconnect, 4);
         assert_eq!(g.links().len(), 8); // 4 inject + 4 eject ports
         let (lat, wire) = g.record_all_to_all(1 << 20);
-        assert!(lat > 0.0 && wire > 0.0);
+        assert!(lat > SimTime::ZERO && wire > SimTime::ZERO);
         for l in g.links() {
             assert_eq!(l.bytes_carried, (1 << 20) * 3 / 4);
-            assert!((l.busy_ns - wire).abs() < 1e-9);
+            assert_eq!(l.busy, wire);
         }
         g.reset();
         assert!(g.links().iter().all(|l| l.bytes_carried == 0));

@@ -139,7 +139,7 @@ impl AttributionRow {
             .iter()
             .map(|l| {
                 if horizon > 0.0 {
-                    l.busy_ns / horizon
+                    l.busy.as_ns() / horizon
                 } else {
                     0.0
                 }

@@ -186,7 +186,7 @@ impl DispatchKey {
     }
 
     /// Total order under `policy`: smallest compares first.
-    pub fn cmp_under(&self, other: &Self, policy: SchedulerPolicy) -> std::cmp::Ordering {
+    pub(crate) fn cmp_under(&self, other: &Self, policy: SchedulerPolicy) -> std::cmp::Ordering {
         let fifo = (self.ready, self.id).cmp(&(other.ready, other.id));
         match policy {
             SchedulerPolicy::Fifo => fifo,
