@@ -12,12 +12,14 @@
 //! is low-degree: if any claimed `vᵢ` were wrong, the corresponding term
 //! would not divide cleanly and `D` would be far from every low-degree
 //! codeword, so FRI rejects. The trace is committed exactly as
-//! [`crate::commit_trace`] commits it, and one trace opening per query
-//! binds its first FRI leaf: each of the leaf's rows, put through the
-//! formula above, is `D` at that row's position.
+//! [`crate::commit_trace`] commits it, whose interpolation stage also
+//! yields the coefficients the claims are evaluated from. Each FRI query
+//! opens the trace leaf of its first FRI leaf through FRI's input hook:
+//! each of the leaf's rows, put through the formula above, is `D` at
+//! that row's position.
 
+use unintt_exec::Executor;
 use unintt_ff::{batch_inverse, Field, Goldilocks, GoldilocksExt2, PrimeField, TwoAdicField};
-use unintt_ntt::Ntt;
 
 use crate::fri::{self, FriConfig, FriProof};
 use crate::hash::{compress, hash_elements, Digest};
@@ -26,18 +28,18 @@ use crate::pipeline::{trace_leaf, LdeBackend};
 use crate::staged::commit_trace_tree;
 
 /// A DEEP opening: the trace commitment, the claimed evaluations at `ζ`,
-/// the FRI proof of the DEEP quotient, and the binding trace openings.
-#[derive(Clone, Debug)]
+/// and the FRI proof of the DEEP quotient, whose queries carry the
+/// binding trace openings.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeepOpeningProof {
     /// Root of the trace tree, the one [`crate::commit_trace`] builds: a
     /// leaf holds the LDE rows the first FRI round folds together.
     pub trace_root: Digest,
     /// Claimed evaluations `colᵢ(ζ)`.
     pub evals: Vec<GoldilocksExt2>,
-    /// FRI proof that the DEEP quotient is low-degree.
-    pub fri_proof: FriProof,
-    /// Per FRI query, the trace leaf at its first-round FRI leaf's index.
-    pub trace_openings: Vec<MerklePath>,
+    /// FRI proof that the DEEP quotient is low-degree; each query's input
+    /// is the trace leaf at its first-round FRI leaf's index.
+    pub fri_proof: FriProof<MerklePath>,
     /// Trace rows before extension.
     pub n: usize,
     /// Number of columns.
@@ -74,8 +76,9 @@ fn deep_numerator(
 /// Opens every column of `columns` at the extension point `zeta`.
 ///
 /// Returns the proof; `backend` carries the heavy work (LDEs, hashing,
-/// quotient construction), and the trace is committed by
-/// [`crate::commit_trace`]'s own stages.
+/// quotient construction). The trace is committed by
+/// [`crate::commit_trace`]'s own stages, and the claims are Horner
+/// evaluations of the coefficients its interpolation stage computed.
 ///
 /// # Panics
 ///
@@ -94,13 +97,11 @@ pub fn open_trace(
     let n = columns[0].len();
     let big_n = n << config.log_blowup;
 
-    // 2. Claimed evaluations: interpolate each column and Horner at ζ.
-    let ntt = Ntt::<Goldilocks>::new(n.trailing_zeros());
-    let evals: Vec<GoldilocksExt2> = columns
+    // 2. Claimed evaluations: Horner at ζ over each column's coefficients.
+    let evals: Vec<GoldilocksExt2> = trace
+        .coeffs
         .iter()
-        .map(|col| {
-            let mut coeffs = col.clone();
-            ntt.inverse(&mut coeffs);
+        .map(|coeffs| {
             coeffs.iter().rev().fold(GoldilocksExt2::ZERO, |acc, &c| {
                 acc * zeta + GoldilocksExt2::from_base(c)
             })
@@ -132,21 +133,22 @@ pub fn open_trace(
         .collect();
     backend.charge_pointwise(big_n * columns.len(), 6 * (big_n * columns.len()) as u64);
 
-    // 4. FRI on the quotient, plus per query the trace leaf holding its
-    //    first FRI leaf's positions.
+    // 4. FRI on the quotient, opening per query the trace leaf holding
+    //    its first FRI leaf's positions.
     backend.charge_fri(config, big_n);
-    let fri_proof = fri::prove(config, deep, shift);
-    let trace_openings = fri_proof
-        .queries
-        .iter()
-        .map(|q| trace.open(q.rounds[0].index))
-        .collect();
+    let fri_proof = fri::prove_on(
+        Executor::global(),
+        config,
+        deep,
+        shift,
+        &Digest::zero(),
+        |r| trace.open(r),
+    );
 
     DeepOpeningProof {
         trace_root,
         evals,
         fri_proof,
-        trace_openings,
         n,
         width: columns.len(),
     }
@@ -157,33 +159,22 @@ pub fn verify_opening(proof: &DeepOpeningProof, zeta: GoldilocksExt2, config: &F
     let Some(big_n) = config.lde_len(proof.n) else {
         return false;
     };
-    if proof.evals.len() != proof.width
-        || proof.trace_openings.len() != proof.fri_proof.queries.len()
-    {
+    if proof.evals.len() != proof.width {
         return false;
     }
-    let shift = Goldilocks::GENERATOR;
-    if !fri::verify(config, &proof.fri_proof, big_n, shift) {
-        return false;
-    }
-
     let alpha = deep_challenge(&proof.trace_root, &zeta, &proof.evals);
-    let omega = Goldilocks::two_adic_generator(big_n.trailing_zeros());
+    let (shift, seed) = (Goldilocks::GENERATOR, Digest::zero());
     let (width, root) = (proof.width, &proof.trace_root);
-    let queries = proof.fri_proof.queries.iter();
-    queries.zip(&proof.trace_openings).all(|(query, open)| {
-        let first = &query.rounds[0];
-        trace_leaf(config, big_n, width, root, first.index, open).is_some_and(|mut slots| {
-            // Recompute D(x) at each row's position from the opened row
-            // and the claimed evals.
-            slots.all(|(t, pos, row)| {
-                let x = GoldilocksExt2::from_base(shift * omega.pow(pos as u64));
-                (x - zeta).inverse().is_some_and(|denom| {
-                    deep_numerator(row, &proof.evals, alpha) * denom
-                        == fri::leaf_value(&first.row, t)
-                })
-            })
+    fri::verify_seeded(config, &proof.fri_proof, big_n, shift, &seed, |r, open| {
+        // Recompute D(x) at each row's position from the opened row and
+        // the claimed evals (FRI has checked that `big_n` is a domain).
+        let omega = Goldilocks::two_adic_generator(big_n.trailing_zeros());
+        let rows = trace_leaf(config, big_n, width, root, r, open)?;
+        rows.map(|(pos, row)| {
+            let x = GoldilocksExt2::from_base(shift * omega.pow(pos as u64));
+            Some(deep_numerator(row, &proof.evals, alpha) * (x - zeta).inverse()?)
         })
+        .collect()
     })
 }
 
@@ -226,19 +217,28 @@ mod tests {
 
     #[test]
     fn claimed_evals_match_direct_evaluation() {
+        use unintt_ntt::Ntt;
         let config = FriConfig::standard();
-        let trace = random_trace(32, 2, 2);
+        let trace = random_trace(32, 3, 2);
         let z = zeta(101);
-        let proof = open_trace(&trace, z, &config, &mut LdeBackend::cpu());
-
-        // Direct check: interpolate column 0 and Horner at ζ.
-        let ntt = Ntt::<Goldilocks>::new(5);
-        let mut coeffs = trace[0].clone();
-        ntt.inverse(&mut coeffs);
-        let direct = coeffs.iter().rev().fold(GoldilocksExt2::ZERO, |acc, &c| {
-            acc * z + GoldilocksExt2::from_base(c)
-        });
-        assert_eq!(proof.evals[0], direct);
+        // The CPU, the single-device path on eight GPUs and the
+        // multi-device path on four.
+        for gpus in [0, 8, 4] {
+            let mut backend = match gpus {
+                0 => LdeBackend::cpu(),
+                _ => LdeBackend::simulated(presets::a100_nvlink(gpus)),
+            };
+            let proof = open_trace(&trace, z, &config, &mut backend);
+            // Direct check: interpolate each column and Horner at ζ.
+            for (i, column) in trace.iter().enumerate() {
+                let mut coeffs = column.clone();
+                Ntt::<Goldilocks>::new(5).inverse(&mut coeffs);
+                let direct = coeffs.iter().rev().fold(GoldilocksExt2::ZERO, |acc, &c| {
+                    acc * z + GoldilocksExt2::from_base(c)
+                });
+                assert_eq!(proof.evals[i], direct, "{gpus} GPUs, column {i}");
+            }
+        }
     }
 
     #[test]
@@ -274,16 +274,18 @@ mod tests {
 
     #[test]
     fn simulated_backend_identical_opening() {
+        // 2^5 rows take the single-device path on eight GPUs, 2^7 the
+        // multi-device path on four.
         let config = FriConfig::standard();
-        let trace = random_trace(128, 3, 6);
         let z = zeta(105);
-        let cpu = open_trace(&trace, z, &config, &mut LdeBackend::cpu());
-        let mut sim = LdeBackend::simulated(presets::a100_nvlink(4));
-        let simulated = open_trace(&trace, z, &config, &mut sim);
-        assert_eq!(cpu.trace_root, simulated.trace_root);
-        assert_eq!(cpu.evals, simulated.evals);
-        assert_eq!(cpu.fri_proof, simulated.fri_proof);
-        assert!(verify_opening(&simulated, z, &config));
-        assert!(sim.sim_time() > unintt_gpu_sim::SimTime::ZERO);
+        for (n, gpus) in [(32, 8), (128, 4)] {
+            let trace = random_trace(n, 3, 6);
+            let cpu = open_trace(&trace, z, &config, &mut LdeBackend::cpu());
+            let mut sim = LdeBackend::simulated(presets::a100_nvlink(gpus));
+            let simulated = open_trace(&trace, z, &config, &mut sim);
+            assert_eq!(cpu, simulated, "n={n} on {gpus} GPUs");
+            assert!(verify_opening(&simulated, z, &config));
+            assert!(sim.sim_time() > unintt_gpu_sim::SimTime::ZERO);
+        }
     }
 }

@@ -136,23 +136,25 @@ impl FriConfig {
     }
 }
 
-/// One query: the opened leaf of every layer, outermost layer first.
+/// One query: the input's opening and the opened leaf of every layer.
 /// Round `i`'s leaf holds the `2^b` coset siblings its fold reads.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FriQueryProof {
+pub struct FriQueryProof<I = ()> {
+    /// The input hook's opening at the first-round leaf index.
+    pub input: I,
     /// Per-layer openings, outermost layer first.
     pub rounds: Vec<MerklePath>,
 }
 
-/// A complete FRI proof.
+/// A complete FRI proof, with `I` the per-query input opening.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FriProof {
+pub struct FriProof<I = ()> {
     /// Merkle roots of each committed layer (layer 0 = input codeword).
     pub layer_roots: Vec<Digest>,
     /// The final (unfolded) codeword, sent in the clear.
     pub final_codeword: Vec<GoldilocksExt2>,
     /// Spot-check queries.
-    pub queries: Vec<FriQueryProof>,
+    pub queries: Vec<FriQueryProof<I>>,
 }
 
 /// Embeds a base-field codeword into the extension (the usual entry point
@@ -165,7 +167,7 @@ pub fn embed(values: &[Goldilocks]) -> Vec<GoldilocksExt2> {
 }
 
 /// Value `t` of an opened layer leaf (two base coefficients per value).
-pub(crate) fn leaf_value(row: &[Goldilocks], t: usize) -> GoldilocksExt2 {
+fn leaf_value(row: &[Goldilocks], t: usize) -> GoldilocksExt2 {
     GoldilocksExt2::new(row[2 * t], row[2 * t + 1])
 }
 
@@ -276,29 +278,28 @@ fn omega_inv(len: usize) -> Goldilocks {
 /// Panics if the codeword length is not a power of two at least
 /// `2^(log_final_len + 1)`, or the folding arity is zero.
 pub fn prove(config: &FriConfig, codeword: Vec<GoldilocksExt2>, shift: Goldilocks) -> FriProof {
-    prove_seeded(config, codeword, shift, &Digest::zero())
+    prove_on(
+        Executor::global(),
+        config,
+        codeword,
+        shift,
+        &Digest::zero(),
+        |_| (),
+    )
 }
 
-/// [`prove`] with a transcript seed, binding the FRI challenges to prior
-/// protocol messages (commitment roots, evaluation claims).
-pub fn prove_seeded(
-    config: &FriConfig,
-    codeword: Vec<GoldilocksExt2>,
-    shift: Goldilocks,
-    seed: &Digest,
-) -> FriProof {
-    prove_on(Executor::global(), config, codeword, shift, seed)
-}
-
-/// [`prove_seeded`] with the layer trees built on `exec` (the proof does
-/// not depend on the pool).
-pub(crate) fn prove_on(
+/// [`prove`] with the layer trees built on `exec` (the proof does not
+/// depend on the pool), a transcript seed binding the challenges to
+/// prior protocol messages, and an input hook: `prove_input(r)` opens the
+/// committed input at each query's first-round leaf index `r`.
+pub(crate) fn prove_on<I>(
     exec: &Executor,
     config: &FriConfig,
     codeword: Vec<GoldilocksExt2>,
     shift: Goldilocks,
     seed: &Digest,
-) -> FriProof {
+    prove_input: impl Fn(usize) -> I,
+) -> FriProof<I> {
     let n = codeword.len();
     assert!(
         n.is_power_of_two(),
@@ -340,18 +341,19 @@ pub(crate) fn prove_on(
     transcript.absorb_ext_elements(&final_codeword);
 
     // Query phase: the leaf holding the queried position's coset, then
-    // the folded position in the next layer.
+    // the folded position in the next layer, then the input.
     let mut queries = Vec::with_capacity(config.num_queries);
     for _ in 0..config.num_queries {
         let mut index = transcript.challenge_index(n);
-        let rounds = committed
+        let rounds: Vec<MerklePath> = committed
             .iter()
             .map(|(tree, matrix)| {
                 index %= tree.len();
                 tree.open(matrix, index)
             })
             .collect();
-        queries.push(FriQueryProof { rounds });
+        let input = prove_input(rounds[0].index);
+        queries.push(FriQueryProof { input, rounds });
     }
 
     FriProof {
@@ -363,21 +365,42 @@ pub(crate) fn prove_on(
 
 /// Verifies a FRI proof for a codeword of length `n` on `shift·H_n`.
 pub fn verify(config: &FriConfig, proof: &FriProof, n: usize, shift: Goldilocks) -> bool {
-    verify_seeded(config, proof, n, shift, &Digest::zero())
+    verify_on(config, proof, n, shift, &Digest::zero(), |_, (), _| true)
 }
 
-/// [`verify`] with a transcript seed (must match the prover's).
-///
-/// Pins the round count against `n` (a shorter last round included),
-/// each opened leaf's index (`index % (L/m)`) and width, and checks the
-/// opened position `index / (L/m)` against the previous round's fold.
-/// The only field inversion is the coset shift's, once per proof.
-pub fn verify_seeded(
+/// [`verify`] with the prover's seed and an input hook: `verify_input(r,
+/// input)` returns the layer-0 values a query's input implies for the
+/// `2^b` slots of first-round leaf `r` (`None` if it is bad), and the
+/// opened leaf must hold exactly those.
+pub(crate) fn verify_seeded<I>(
     config: &FriConfig,
-    proof: &FriProof,
+    proof: &FriProof<I>,
     n: usize,
     shift: Goldilocks,
     seed: &Digest,
+    verify_input: impl Fn(usize, &I) -> Option<Vec<GoldilocksExt2>>,
+) -> bool {
+    verify_on(config, proof, n, shift, seed, |r, input, row| {
+        verify_input(r, input).is_some_and(|values| {
+            let opened = row.chunks_exact(2).map(|v| GoldilocksExt2::new(v[0], v[1]));
+            values.into_iter().eq(opened)
+        })
+    })
+}
+
+/// The one query loop: `bind(r, input, row)` judges each query's input
+/// against its opened first-round leaf. Pins the round count against `n`
+/// (a shorter last round included), each opened leaf's index
+/// (`index % (L/m)`) and width, and checks the opened position
+/// `index / (L/m)` against the previous round's fold. The only field
+/// inversion is the coset shift's, once per proof.
+fn verify_on<I>(
+    config: &FriConfig,
+    proof: &FriProof<I>,
+    n: usize,
+    shift: Goldilocks,
+    seed: &Digest,
+    bind: impl Fn(usize, &I, &[Goldilocks]) -> bool,
 ) -> bool {
     if !n.is_power_of_two()
         || n.trailing_zeros() > Goldilocks::TWO_ADICITY
@@ -446,8 +469,13 @@ pub fn verify_seeded(
             {
                 return false;
             }
-            // The opened position must hold the previous round's fold.
-            if expected.is_some_and(|e| e != leaf_value(&leaf.row, slot)) {
+            // The first leaf must hold what the input implies, every
+            // later one the previous round's fold at the opened position.
+            let bound = match expected {
+                None => bind(row, &query.input, &leaf.row),
+                Some(e) => e == leaf_value(&leaf.row, slot),
+            };
+            if !bound {
                 return false;
             }
             let (mut re, mut im): (Vec<_>, Vec<_>) =

@@ -23,9 +23,10 @@
 //!
 //! Every prover here commits its trace with one tree, built by the
 //! stages of [`staged`]: a leaf holds the LDE rows the first FRI round
-//! folds together, and a query opens the leaf at its first FRI leaf's
-//! index (the STARK one more, for the next rows). The verifiers share
-//! one binding check of those openings.
+//! folds together. FRI's one query loop opens it through an input hook
+//! at each query's first FRI leaf index (the STARK one more leaf, for the
+//! next rows); each verifier maps the opened rows to layer-0 values, and
+//! FRI checks them against its first opened leaf.
 //!
 //! ```
 //! use unintt_ff::{Field, Goldilocks, PrimeField};
@@ -52,5 +53,5 @@ pub use fri::{embed, FriConfig, FriProof, FriQueryProof};
 pub use hash::{compress, hash_elements, permutations_for, Digest};
 pub use merkle::{MerklePath, MerkleTree};
 pub use pipeline::{commit_trace, verify_trace, LdeBackend, SimulatedLde, TraceCommitment};
-pub use staged::{projected_commit_time, stark_stage_descs, StagedCommit};
+pub use staged::{projected_commit_time, StagedCommit};
 pub use stark::{prove_stark, verify_stark, Air, Boundary, FibonacciAir, StarkProof};

@@ -8,9 +8,11 @@
 //! proven low-degree with FRI.
 //!
 //! [`LdeBackend`] mirrors `unintt_zkp::Backend`: the CPU variant is the
-//! functional reference; the simulated variant routes every LDE through
-//! the [`UniNttEngine`] and charges Merkle hashing and folding to the
-//! simulated clock, while producing bit-identical commitments.
+//! functional reference; the simulated variant routes every LDE large
+//! enough to shard through the [`UniNttEngine`] (a smaller one runs on
+//! the host and charges one device) and charges Merkle hashing and
+//! folding to the simulated clock, while producing bit-identical
+//! commitments.
 //!
 //! The phases themselves are implemented once, as the stages of
 //! [`crate::staged`]; [`commit_trace`] drives them in index order. This
@@ -20,6 +22,7 @@ use unintt_core::{RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOpti
 use unintt_exec::Executor;
 use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
 use unintt_gpu_sim::{FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, SimTime};
+use unintt_ntt::Ntt;
 
 use crate::fri::{self, FriConfig, FriProof};
 use crate::hash::{compress, hash_elements, Digest, ROUNDS, WIDTH};
@@ -110,15 +113,25 @@ impl LdeBackend {
     }
 }
 
-/// Host-side batched LDE: independent columns, one task per column on the
-/// process-wide worker pool. Per-column results are bit-identical to the
-/// serial loop (each column's extension is self-contained).
-pub(crate) fn cpu_lde_batch(columns: &[Vec<Goldilocks>], log_blowup: u32) -> Vec<Vec<Goldilocks>> {
+/// The host NTT stages' body: each column copied, zero-padded to the
+/// size of `ntt` and transformed in place by `f`, one task per column on
+/// `exec`. Each column is self-contained, so the output does not depend
+/// on the pool.
+pub(crate) fn per_column(
+    exec: &Executor,
+    columns: &[Vec<Goldilocks>],
+    ntt: &Ntt<Goldilocks>,
+    f: impl Fn(&Ntt<Goldilocks>, &mut [Goldilocks]) + Sync,
+) -> Vec<Vec<Goldilocks>> {
     let mut out: Vec<Vec<Goldilocks>> = vec![Vec::new(); columns.len()];
-    Executor::global().scope(|scope| {
+    exec.scope(|scope| {
         for (col, slot) in columns.iter().zip(out.iter_mut()) {
+            let f = &f;
             scope.spawn(move || {
-                *slot = unintt_ntt::low_degree_extension(col, log_blowup, Goldilocks::GENERATOR);
+                slot.reserve_exact(ntt.n());
+                slot.extend_from_slice(col);
+                slot.resize(ntt.n(), Goldilocks::ZERO);
+                f(ntt, slot);
             });
         }
     });
@@ -158,20 +171,22 @@ impl SimulatedLde {
         log_n < 2 * self.cfg.num_gpus.trailing_zeros()
     }
 
-    /// One column's LDE on the single-device path (see
-    /// [`SimulatedLde::small_path`]): host math plus one device's charge.
-    pub(crate) fn small_lde(&mut self, evals: &[Goldilocks], log_blowup: u32) -> Vec<Goldilocks> {
-        let out = unintt_ntt::low_degree_extension(evals, log_blowup, Goldilocks::GENERATOR);
-        let big_log = u64::from(out.len().trailing_zeros());
+    /// Stage 1's charge on the single-device path (see
+    /// [`SimulatedLde::small_path`]) for `width` columns extended to
+    /// `big_n` rows: one launch per column on device 0. The host runs
+    /// the math.
+    pub(crate) fn charge_small_lde(&mut self, width: usize, big_n: usize) {
+        let big_log = u64::from(big_n.trailing_zeros());
         let mut p = KernelProfile::named("small-lde-single-device");
-        let bytes = (out.len() * 8) as u64;
+        let bytes = (big_n * 8) as u64;
         p.global_bytes_read = bytes * big_log;
         p.global_bytes_written = bytes * big_log;
-        p.field_muls = (out.len() as u64 / 2) * big_log;
-        self.machine.on_device(0, &mut (), |ctx, _| {
-            ctx.launch(&p);
-        });
-        out
+        p.field_muls = (big_n as u64 / 2) * big_log;
+        for _ in 0..width {
+            self.machine.on_device(0, &mut (), |ctx, _| {
+                ctx.launch(&p);
+            });
+        }
     }
 
     /// Stages 0–1's charge for a batch of `width` columns of `2^log_n`
@@ -235,21 +250,20 @@ impl SimulatedLde {
     }
 }
 
-/// A committed trace: the Merkle root of the LDE matrix, the FRI
-/// low-degree proof of a random column combination, and the trace
-/// openings binding the two together at the FRI query positions.
+/// A committed trace: the Merkle root of the LDE matrix and the FRI
+/// low-degree proof of a random column combination, whose queries carry
+/// the trace openings binding the two together.
 ///
 /// A trace leaf holds the LDE rows the first FRI round folds together
 /// (rows `r + t·N/2^b`, `b` that round's log arity), so one opening
 /// binds every position of a query's first FRI leaf.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceCommitment {
     /// Root of the Merkle tree over the grouped LDE matrix.
     pub trace_root: Digest,
-    /// FRI proof for the α-combination of the columns.
-    pub fri_proof: FriProof,
-    /// Per FRI query, the trace leaf at its first-round leaf's index.
-    pub trace_openings: Vec<MerklePath>,
+    /// FRI proof for the α-combination of the columns; each query's
+    /// input is the trace leaf at its first-round leaf's index.
+    pub fri_proof: FriProof<MerklePath>,
     /// Number of trace rows before extension.
     pub n: usize,
     /// Number of columns.
@@ -326,38 +340,29 @@ pub fn verify_trace(commitment: &TraceCommitment, config: &FriConfig) -> bool {
     let Some(big_n) = config.lde_len(commitment.n) else {
         return false;
     };
-    if !fri::verify(config, &commitment.fri_proof, big_n, Goldilocks::GENERATOR)
-        || commitment.trace_openings.len() != commitment.fri_proof.queries.len()
-    {
-        return false;
-    }
-
     // Bind the FRI codeword to the trace commitment: each of the leaf's
     // rows, α-combined, is the FRI layer-0 value at its position.
     let alpha = combination_challenge(&commitment.trace_root);
     let (width, root) = (commitment.width, &commitment.trace_root);
-    let queries = commitment.fri_proof.queries.iter();
-    queries
-        .zip(&commitment.trace_openings)
-        .all(|(query, open)| {
-            let first = &query.rounds[0];
-            trace_leaf(config, big_n, width, root, first.index, open).is_some_and(|mut slots| {
-                slots.all(|(t, _, row)| {
-                    let combined = row.iter().rev().fold(GoldilocksExt2::ZERO, |acc, &v| {
-                        acc * alpha + GoldilocksExt2::from_base(v)
-                    });
-                    combined == fri::leaf_value(&first.row, t)
-                })
-            })
+    let combine = |row: &[Goldilocks]| {
+        let terms = row.iter().rev();
+        terms.fold(GoldilocksExt2::ZERO, |acc, &v| {
+            acc * alpha + GoldilocksExt2::from_base(v)
         })
+    };
+    let (proof, shift, seed) = (&commitment.fri_proof, Goldilocks::GENERATOR, Digest::zero());
+    fri::verify_seeded(config, proof, big_n, shift, &seed, |r, open| {
+        let rows = trace_leaf(config, big_n, width, root, r, open)?;
+        Some(rows.map(|(_, row)| combine(row)).collect())
+    })
 }
 
 /// The binding check every trace verifier runs on a trace opening: `open`
 /// must be the leaf holding LDE row `position` (leaf `position mod
 /// (L/2^b)`, for an LDE of `big_n = L` rows whose first FRI round folds
 /// by `2^b`) of the tree under `root`, with `width·2^b` values and a path
-/// that verifies. Yields `(slot, position, row)` for each of the leaf's
-/// `2^b` rows, or `None` if a check fails.
+/// that verifies. Yields `(position, row)` for each of the leaf's `2^b`
+/// rows in slot order, or `None` if a check fails.
 pub(crate) fn trace_leaf<'a>(
     config: &FriConfig,
     big_n: usize,
@@ -365,7 +370,7 @@ pub(crate) fn trace_leaf<'a>(
     root: &Digest,
     position: usize,
     open: &'a MerklePath,
-) -> Option<impl Iterator<Item = (usize, usize, &'a [Goldilocks])>> {
+) -> Option<impl Iterator<Item = (usize, &'a [Goldilocks])>> {
     let bits = config.first_arity(big_n.trailing_zeros());
     let leaves = big_n >> bits;
     let leaf = position % leaves;
@@ -375,7 +380,7 @@ pub(crate) fn trace_leaf<'a>(
         && open.verify(root);
     bound.then(|| {
         let rows = open.row.chunks_exact(width).enumerate();
-        rows.map(move |(t, row)| (t, leaf + t * leaves, row))
+        rows.map(move |(t, row)| (leaf + t * leaves, row))
     })
 }
 
@@ -413,10 +418,25 @@ mod tests {
         assert!(sim.sim_time() > SimTime::ZERO);
     }
 
+    /// The three LDE paths for a 32-row trace: the CPU, the simulated
+    /// single-device path (eight GPUs shard from 2^6 rows) and the
+    /// multi-device path (four GPUs shard from 2^4 rows).
+    fn lde_paths() -> [(&'static str, LdeBackend); 3] {
+        let single = LdeBackend::simulated(presets::a100_nvlink(8));
+        let multi = LdeBackend::simulated(presets::a100_nvlink(4));
+        assert!(matches!(&single, LdeBackend::Simulated(s) if s.small_path(5)));
+        assert!(matches!(&multi, LdeBackend::Simulated(s) if !s.small_path(5)));
+        [
+            ("cpu", LdeBackend::cpu()),
+            ("single-device", single),
+            ("multi-device", multi),
+        ]
+    }
+
     #[test]
     fn every_prover_commits_the_same_trace_root() {
         use crate::{open_trace, prove_stark, FibonacciAir};
-        let (air, trace) = FibonacciAir::generate(64);
+        let (air, trace) = FibonacciAir::generate(32);
         let zeta = GoldilocksExt2::new(Goldilocks::from_u64(5), Goldilocks::from_u64(11));
         for log_folding_arity in 1..=3 {
             let config = FriConfig {
@@ -424,10 +444,15 @@ mod tests {
                 ..FriConfig::standard()
             };
             let root = commit_trace(&trace, &config, &mut LdeBackend::cpu()).trace_root;
-            let opened = open_trace(&trace, zeta, &config, &mut LdeBackend::cpu());
-            let proved = prove_stark(&air, &trace, &config, &mut LdeBackend::cpu());
-            assert_eq!(opened.trace_root, root, "k={log_folding_arity}");
-            assert_eq!(proved.trace_root, root, "k={log_folding_arity}");
+            for (path, mut backend) in lde_paths() {
+                let at = format!("k={log_folding_arity} {path}");
+                let committed = commit_trace(&trace, &config, &mut backend);
+                let opened = open_trace(&trace, zeta, &config, &mut backend);
+                let proved = prove_stark(&air, &trace, &config, &mut backend);
+                assert_eq!(committed.trace_root, root, "{at}");
+                assert_eq!(opened.trace_root, root, "{at}");
+                assert_eq!(proved.trace_root, root, "{at}");
+            }
         }
     }
 
@@ -445,7 +470,7 @@ mod tests {
         let config = FriConfig::standard();
         let trace = random_trace(64, 2, 4);
         let mut commitment = commit_trace(&trace, &config, &mut LdeBackend::cpu());
-        commitment.trace_openings[0].row[0] += Goldilocks::ONE;
+        commitment.fri_proof.queries[0].input.row[0] += Goldilocks::ONE;
         assert!(!verify_trace(&commitment, &config));
     }
 
@@ -458,7 +483,7 @@ mod tests {
         let commitment = commit_trace(&trace, &config, &mut LdeBackend::cpu());
         for drop_last in [false, true] {
             let mut bad = commitment.clone();
-            let siblings = &mut bad.trace_openings[0].siblings;
+            let siblings = &mut bad.fri_proof.queries[0].input.siblings;
             if drop_last {
                 siblings.pop();
             } else {
@@ -498,8 +523,7 @@ mod tests {
             for threads in [2, 8] {
                 let pooled = on(threads);
                 assert_eq!(pooled.content_digest(), serial.content_digest());
-                assert_eq!(pooled.fri_proof, serial.fri_proof);
-                assert_eq!(pooled.trace_openings, serial.trace_openings);
+                assert_eq!(pooled, serial);
             }
         }
     }

@@ -3,8 +3,11 @@
 //! This module is the only implementation of the commitment's phases —
 //! trace interpolation, the batched coset NTT, the row-wise Merkle
 //! commit, the α-combination, the fused FRI fold chain, and a final
-//! assembly barrier. Every way of producing a commitment is a *schedule*
-//! over these stages:
+//! assembly barrier. The two NTT stages run on every backend: sharded
+//! over the fabric on the simulated multi-device path, on the host pool
+//! otherwise (the single-device path charges its one launch per column
+//! in the coset stage). Every way of producing a commitment is a
+//! *schedule* over these stages:
 //!
 //! * [`crate::commit_trace`] runs them in index order on the caller's
 //!   backend, borrowing the trace (the monolithic entry point);
@@ -14,7 +17,8 @@
 //! * [`StagedCommit::resume`] runs whatever is not done yet, in index
 //!   order, under a [`RecoveryPolicy`] — fault-tolerant committing;
 //! * [`crate::open_trace`] and [`crate::prove_stark`] run the first three
-//!   stages and go on from the committed trace tree their own way;
+//!   stages and go on from the committed trace tree (its coefficients,
+//!   LDE columns and openings) their own way;
 //! * [`projected_commit_time`] charges every stage with no trace, through
 //!   the engines' cost-only paths.
 //!
@@ -39,11 +43,12 @@ use unintt_core::RecoveryPolicy;
 use unintt_exec::Executor;
 use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
 use unintt_gpu_sim::{FabricError, MachineConfig, SimTime};
+use unintt_ntt::{coset_ntt, Ntt};
 
 use crate::fri::{self, FriConfig};
 use crate::hash::Digest;
 use crate::merkle::{row_major, MerklePath, MerkleTree};
-use crate::pipeline::{combination_challenge, cpu_lde_batch, LdeBackend, TraceCommitment};
+use crate::pipeline::{combination_challenge, per_column, LdeBackend, TraceCommitment};
 
 /// One node of a proof-stage DAG (same shape as
 /// `unintt_zkp::StageDesc`; duplicated rather than shared so `fri` and
@@ -73,33 +78,14 @@ const STARK_DAG: [(&str, &str, &[usize]); STARK_STAGES] = [
     ("fri-finalize", "barrier", &[4]),    // 5
 ];
 
-/// The stage chain for a trace of `2^log_n` rows under `config`:
-/// interp → coset → merkle → combine → fold → finalize. The fold stage
-/// fuses every FRI round (its name records the count); see the module
-/// docs for why the rounds are not individual stages.
-pub fn stark_stage_descs(log_n: u32, config: &FriConfig) -> Vec<StageDesc> {
-    let layers = config.round_arities(log_n + config.log_blowup).count();
-    STARK_DAG
-        .iter()
-        .enumerate()
-        .map(|(idx, &(name, kind, deps))| StageDesc {
-            name: if idx == 4 {
-                format!("{name}-x{layers}")
-            } else {
-                name.to_string()
-            },
-            kind,
-            deps: deps.to_vec(),
-        })
-        .collect()
-}
-
 /// A committed trace: its LDE columns and the Merkle tree over them, a
 /// leaf per first-round FRI coset. With `L` extended rows and `b` the
 /// first round's log arity, leaf `r` holds rows `r + t·L/2^b` for
 /// `t < 2^b`, so one opening binds every position of a query's first
 /// FRI leaf.
 pub(crate) struct TraceTree {
+    /// The trace columns' coefficients (stage 0's output).
+    pub(crate) coeffs: Vec<Vec<Goldilocks>>,
     /// The extended columns, one `Vec` per trace column.
     pub(crate) ldes: Vec<Vec<Goldilocks>>,
     /// The LDE as the matrix the tree commits to.
@@ -226,43 +212,49 @@ impl CommitState {
         charge_kernels(backend, &self.config, idx, big_n, width);
 
         match idx {
-            // Phase 1a: batched interpolation. On the CPU backend and the
-            // simulated single-device path the whole LDE runs in the
-            // coset stage, so this stage is a no-op there.
+            // Interpolation: every column's coefficients, sharded over
+            // the fabric on the multi-device path, on the host otherwise
+            // (the CPU and the single-device path charge nothing here).
             0 => {
-                if let LdeBackend::Simulated(sim) = backend {
-                    if !sim.small_path(log_n) {
-                        self.coeffs = Some(sim.try_interp_batch(columns, policy)?);
+                self.coeffs = Some(match backend {
+                    LdeBackend::Simulated(sim) if !sim.small_path(log_n) => {
+                        sim.try_interp_batch(columns, policy)?
                     }
-                }
+                    _ => per_column(exec, columns, &Ntt::new(log_n), Ntt::inverse),
+                });
             }
-            // Phase 1b: zero-pad + batched coset evaluation (the
-            // NTT-heavy phase — with 1a the only one on the fabric).
+            // Zero-pad + coset evaluation (the NTT-heavy phase — with
+            // interpolation the only one on the fabric).
             1 => {
-                let ldes = match backend {
-                    LdeBackend::Cpu => cpu_lde_batch(columns, log_blowup),
-                    LdeBackend::Simulated(sim) => {
-                        if sim.small_path(log_n) {
-                            columns
-                                .iter()
-                                .map(|c| sim.small_lde(c, log_blowup))
-                                .collect()
-                        } else {
-                            let coeffs = self.coeffs.as_ref().expect("trace-interp done");
-                            sim.try_coset_batch(coeffs, log_blowup, policy)?
-                        }
+                let coeffs = self.coeffs.as_ref().expect("trace-interp done");
+                self.ldes = Some(match backend {
+                    LdeBackend::Simulated(sim) if !sim.small_path(log_n) => {
+                        sim.try_coset_batch(coeffs, log_blowup, policy)?
                     }
-                };
-                self.coeffs = None; // superseded by the completed LDEs
-                self.ldes = Some(ldes);
+                    _ => {
+                        if let LdeBackend::Simulated(sim) = backend {
+                            sim.charge_small_lde(width, big_n);
+                        }
+                        let ntt = Ntt::new(log_n + log_blowup);
+                        per_column(exec, coeffs, &ntt, |ntt, c| {
+                            coset_ntt(ntt, c, Goldilocks::GENERATOR)
+                        })
+                    }
+                });
             }
             // Merkle commitment of the extended matrix (a `TraceTree`).
             2 => {
+                let coeffs = self.coeffs.take().expect("trace-interp done");
                 let ldes = self.ldes.take().expect("trace-coset done");
                 let bits = self.config.first_arity(big_n.trailing_zeros());
                 let rows = row_major(&ldes, bits);
                 let tree = MerkleTree::build(exec, &rows, width << bits);
-                self.trace = Some(TraceTree { ldes, rows, tree });
+                self.trace = Some(TraceTree {
+                    coeffs,
+                    ldes,
+                    rows,
+                    tree,
+                });
             }
             // Random linear combination of the columns, into the
             // extension field (α has ~128 bits of entropy; see the fri
@@ -289,23 +281,18 @@ impl CommitState {
             // holding its first FRI leaf's positions.
             5 => {
                 let combined = self.combined.take().expect("alpha-combine done");
+                let trace = self.trace.take().expect("trace-merkle done");
                 let fri_proof = fri::prove_on(
                     exec,
                     &self.config,
                     combined,
                     Goldilocks::GENERATOR,
                     &Digest::zero(),
+                    |r| trace.open(r),
                 );
-                let trace = self.trace.take().expect("trace-merkle done");
-                let trace_openings = fri_proof
-                    .queries
-                    .iter()
-                    .map(|q| trace.open(q.rounds[0].index))
-                    .collect();
                 self.commitment = Some(TraceCommitment {
                     trace_root: trace.root(),
                     fri_proof,
-                    trace_openings,
                     n,
                     width,
                 });
@@ -317,10 +304,10 @@ impl CommitState {
 }
 
 /// Charges stage `idx`'s hash and pointwise kernels for a `width`-column
-/// trace extended to `big_n` rows (the NTT stages charge through the
-/// engines as they run): the trace tree, the α-combination (an ext×base
-/// product costs two base multiplies), and the fused FRI fold chain —
-/// every layer tree as one hash launch, every fold as one kernel.
+/// trace extended to `big_n` rows (the NTT stages charge as they run):
+/// the trace tree, the α-combination (an ext×base product costs two base
+/// multiplies), and the fused FRI fold chain — every layer tree as one
+/// hash launch, every fold as one kernel.
 fn charge_kernels(
     backend: &mut LdeBackend,
     config: &FriConfig,
@@ -411,9 +398,27 @@ impl StagedCommit {
         }
     }
 
-    /// The stage chain this committer executes.
+    /// The stage chain this committer executes: interp → coset → merkle
+    /// → combine → fold → finalize. The fold stage fuses every FRI round
+    /// (its name records the count); see the module docs for why the
+    /// rounds are not individual stages.
     pub fn stage_descs(&self) -> Vec<StageDesc> {
-        stark_stage_descs(self.columns[0].len().trailing_zeros(), &self.state.config)
+        let config = &self.state.config;
+        let log_n = self.columns[0].len().trailing_zeros();
+        let layers = config.round_arities(log_n + config.log_blowup).count();
+        STARK_DAG
+            .iter()
+            .enumerate()
+            .map(|(idx, &(name, kind, deps))| StageDesc {
+                name: if idx == 4 {
+                    format!("{name}-x{layers}")
+                } else {
+                    name.to_string()
+                },
+                kind,
+                deps: deps.to_vec(),
+            })
+            .collect()
     }
 
     /// Number of stages.
@@ -574,7 +579,7 @@ mod tests {
     #[test]
     fn small_trace_single_device_path() {
         // log_n = 3 < 2·log_g on 4 GPUs: the no-collective path, where
-        // interp is a no-op and coset does the whole per-column LDE.
+        // both NTT stages run on the host and coset charges one device.
         let config = FriConfig::standard();
         let trace = random_trace(8, 2, 33);
         let mono = commit_trace(&trace, &config, &mut LdeBackend::cpu());

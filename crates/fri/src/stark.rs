@@ -18,9 +18,10 @@
 //! 4. **Spot checks** — at each position of a query's first FRI leaf the
 //!    verifier recomputes the composition value from opened trace rows
 //!    (current *and next*, a rotation by `blowup` on the LDE domain) and
-//!    matches it against the FRI layer-0 opening. Two trace openings per
-//!    query hold all of them: the leaf of the FRI leaf's positions, and
-//!    the leaf of those positions plus `blowup`.
+//!    FRI matches it against its layer-0 opening. Two trace openings per
+//!    query, made through FRI's input hook, hold all of them: the leaf of
+//!    the FRI leaf's positions, and the leaf of those positions plus
+//!    `blowup`.
 //!
 //! Supported constraint degree is ≤ 2 (so the composition stays below the
 //! FRI degree bound at blowup 4); that covers the classic demonstration
@@ -28,6 +29,7 @@
 //! limitation, not a protocol one (production systems raise the blowup or
 //! split the composition).
 
+use unintt_exec::Executor;
 use unintt_ff::{batch_inverse, Field, Goldilocks, GoldilocksExt2, PrimeField, TwoAdicField};
 
 use crate::fri::{self, FriConfig, FriProof};
@@ -143,19 +145,18 @@ impl FibonacciAir {
 }
 
 /// A STARK proof.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StarkProof {
     /// Root of the trace tree, the one [`crate::commit_trace`] builds:
     /// with `L` extended rows and `b` the first FRI round's log arity,
     /// leaf `r` holds rows `r + t·L/2^b` for `t < 2^b`.
     pub trace_root: Digest,
-    /// FRI proof of the composition polynomial.
-    pub fri_proof: FriProof,
-    /// Per FRI query, with `r` its first-round FRI leaf's index: trace
-    /// leaf `r`, and the leaf `(r + blowup) mod (L/2^b)` of the *next*
-    /// rows (`+blowup` on the LDE domain). Slot `t`'s next row sits in
-    /// the second leaf's slot `(t + (r + blowup) div (L/2^b)) mod 2^b`.
-    pub trace_openings: Vec<(MerklePath, MerklePath)>,
+    /// FRI proof of the composition polynomial. Each query's input, with
+    /// `r` its first-round FRI leaf's index, is trace leaf `r` and the
+    /// leaf `(r + blowup) mod (L/2^b)` of the *next* rows (`+blowup` on
+    /// the LDE domain). Slot `t`'s next row sits in the second leaf's
+    /// slot `(t + (r + blowup) div (L/2^b)) mod 2^b`.
+    pub fri_proof: FriProof<(MerklePath, MerklePath)>,
     /// Trace rows before extension.
     pub n: usize,
 }
@@ -171,6 +172,12 @@ fn composition_challenge(root: &Digest, boundaries: &[Boundary]) -> GoldilocksEx
     }
     let d = compress(root, &hash_elements(&flat));
     GoldilocksExt2::new(d.0[0], d.0[1])
+}
+
+/// `Z_T(x) = (xⁿ − 1)/(x − ω^{n−1})` at a point `x` off the trace domain,
+/// with `last = ω^{n−1}`: it vanishes on every trace row but the last.
+fn z_t_at(x: Goldilocks, n: usize, last: Goldilocks) -> Goldilocks {
+    (x.pow(n as u64) - Goldilocks::ONE) * (x - last).inverse().expect("coset avoids H")
 }
 
 /// Evaluates the composition polynomial at one LDE point from its row
@@ -235,20 +242,13 @@ pub fn prove_stark(
     let omega_small = Goldilocks::two_adic_generator(n.trailing_zeros());
     let last = omega_small.pow(n as u64 - 1);
 
-    // Z_T(x) = (xⁿ − 1)/(x − ω^{n−1}): vanishes on all rows except the
-    // last. Its coset inverses, batch-inverted.
+    // Z_T and the boundary denominators on the coset, batch-inverted.
     let mut x = shift;
     let mut z_t: Vec<GoldilocksExt2> = Vec::with_capacity(big_n);
     let mut boundary_denoms: Vec<Vec<GoldilocksExt2>> =
         vec![Vec::with_capacity(big_n); boundaries.len()];
     for _ in 0..big_n {
-        let vanishing = x.pow(n as u64) - Goldilocks::ONE;
-        let except_last = x - last;
-        // (xⁿ−1)/(x−ω^{n−1}) — invert the whole ratio at once below by
-        // storing numerator/denominator as a single value.
-        z_t.push(GoldilocksExt2::from_base(
-            vanishing * except_last.inverse().expect("coset avoids H"),
-        ));
+        z_t.push(GoldilocksExt2::from_base(z_t_at(x, n, last)));
         for (d, b) in boundary_denoms.iter_mut().zip(&boundaries) {
             d.push(GoldilocksExt2::from_base(x - omega_small.pow(b.row as u64)));
         }
@@ -277,26 +277,18 @@ pub fn prove_stark(
     let constraint_values = big_n * (air.transition_count() + boundaries.len());
     backend.charge_pointwise(constraint_values, 6 * constraint_values as u64);
 
-    // 3. FRI on the composition, seeded by the commitment transcript.
+    // 3. FRI on the composition, seeded by the commitment transcript,
+    //    opening per query the trace leaf holding its first FRI leaf's
+    //    positions and the leaf holding their next rows.
     let seed = compress(&trace_root, &hash_elements(&[alpha.a, alpha.b]));
     backend.charge_fri(config, big_n);
-    let fri_proof = fri::prove_seeded(config, composition, shift, &seed);
-
-    // 4. Per query, the trace leaf holding its first FRI leaf's
-    //    positions, and the leaf holding their next rows.
-    let trace_openings = fri_proof
-        .queries
-        .iter()
-        .map(|q| {
-            let r = q.rounds[0].index;
-            (committed.open(r), committed.open(r + blowup))
-        })
-        .collect();
+    let fri_proof = fri::prove_on(Executor::global(), config, composition, shift, &seed, |r| {
+        (committed.open(r), committed.open(r + blowup))
+    });
 
     StarkProof {
         trace_root,
         fri_proof,
-        trace_openings,
         n,
     }
 }
@@ -305,65 +297,39 @@ pub fn prove_stark(
 /// the public statement).
 pub fn verify_stark(air: &impl Air, proof: &StarkProof, config: &FriConfig) -> bool {
     let n = proof.n;
-    if !n.is_power_of_two() {
-        return false;
-    }
     let Some(big_n) = config.lde_len(n) else {
         return false;
     };
     let blowup = 1usize << config.log_blowup;
-    if proof.trace_openings.len() != proof.fri_proof.queries.len() {
-        return false;
-    }
 
     let boundaries = air.boundaries();
     let alpha = composition_challenge(&proof.trace_root, &boundaries);
     let seed = compress(&proof.trace_root, &hash_elements(&[alpha.a, alpha.b]));
     let shift = Goldilocks::GENERATOR;
-    if !fri::verify_seeded(config, &proof.fri_proof, big_n, shift, &seed) {
-        return false;
-    }
-
-    let omega_big = Goldilocks::two_adic_generator(big_n.trailing_zeros());
-    let omega_small = Goldilocks::two_adic_generator(n.trailing_zeros());
-    let last = omega_small.pow(n as u64 - 1);
-    let mut scratch: Vec<Goldilocks> = Vec::new();
-
     let (width, root) = (air.width(), &proof.trace_root);
-    let queries = proof.fri_proof.queries.iter();
-    queries
-        .zip(&proof.trace_openings)
-        .all(|(query, (cur_open, next_open))| {
-            let first = &query.rounds[0];
-            let (Some(mut current), Some(next)) = (
-                trace_leaf(config, big_n, width, root, first.index, cur_open),
-                trace_leaf(config, big_n, width, root, first.index + blowup, next_open),
-            ) else {
-                return false;
-            };
-            let next: Vec<_> = next.collect();
-            current.all(|(t, idx, cur_row)| {
+    let proof = &proof.fri_proof;
+    fri::verify_seeded(config, proof, big_n, shift, &seed, |r, (cur, next)| {
+        // FRI has checked that `big_n`, so `n`, is a power-of-two domain.
+        let omega_big = Goldilocks::two_adic_generator(big_n.trailing_zeros());
+        let omega_small = Goldilocks::two_adic_generator(n.trailing_zeros());
+        let last = omega_small.pow(n as u64 - 1);
+        let current = trace_leaf(config, big_n, width, root, r, cur)?;
+        let next: Vec<_> = trace_leaf(config, big_n, width, root, r + blowup, next)?.collect();
+        let mut scratch: Vec<Goldilocks> = Vec::new();
+        current
+            .map(|(idx, cur_row)| {
                 let next_idx = (idx + blowup) % big_n;
-                let Some(&(_, _, next_row)) = next.iter().find(|&&(_, pos, _)| pos == next_idx)
-                else {
-                    return false;
-                };
+                let &(_, next_row) = next.iter().find(|&&(pos, _)| pos == next_idx)?;
 
                 let x = shift * omega_big.pow(idx as u64);
-                let Some(z_t_inv) = ((x.pow(n as u64) - Goldilocks::ONE)
-                    * (x - last).inverse().expect("coset avoids H"))
-                .inverse() else {
-                    return false;
-                };
-                let mut denom_invs = Vec::with_capacity(boundaries.len());
-                for b in &boundaries {
-                    let Some(inv) = (x - omega_small.pow(b.row as u64)).inverse() else {
-                        return false;
-                    };
-                    denom_invs.push(GoldilocksExt2::from_base(inv));
-                }
+                let z_t_inv = z_t_at(x, n, last).inverse()?;
+                let denom_invs = boundaries
+                    .iter()
+                    .map(|b| (x - omega_small.pow(b.row as u64)).inverse())
+                    .map(|inv| inv.map(GoldilocksExt2::from_base))
+                    .collect::<Option<Vec<_>>>()?;
 
-                let expected = composition_at(
+                Some(composition_at(
                     air,
                     cur_row,
                     next_row,
@@ -371,10 +337,10 @@ pub fn verify_stark(air: &impl Air, proof: &StarkProof, config: &FriConfig) -> b
                     GoldilocksExt2::from_base(z_t_inv),
                     &denom_invs,
                     &mut scratch,
-                );
-                expected == fri::leaf_value(&first.row, t)
+                ))
             })
-        })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -421,8 +387,8 @@ mod tests {
                     let (big_n, blowup) = (n << config.log_blowup, 1 << config.log_blowup);
                     let leaves = big_n >> config.first_arity(big_n.trailing_zeros());
                     wide_leaves += usize::from(blowup >= leaves);
-                    let queries = proof.fri_proof.queries.iter().zip(&proof.trace_openings);
-                    for (query, (current, next)) in queries {
+                    for query in &proof.fri_proof.queries {
+                        let (current, next) = &query.input;
                         let r = query.rounds[0].index;
                         assert_eq!(current.index, r);
                         assert_eq!(next.index, (r + blowup) % leaves);
@@ -472,7 +438,7 @@ mod tests {
         assert!(!verify_stark(&air, &bad, &config));
 
         let mut bad = proof.clone();
-        bad.trace_openings[0].0.row[0] += Goldilocks::ONE;
+        bad.fri_proof.queries[0].input.0.row[0] += Goldilocks::ONE;
         assert!(!verify_stark(&air, &bad, &config));
 
         let mut bad = proof;
@@ -487,8 +453,7 @@ mod tests {
         let cpu = prove_stark(&air, &trace, &config, &mut LdeBackend::cpu());
         let mut sim = LdeBackend::simulated(presets::a100_nvlink(4));
         let simulated = prove_stark(&air, &trace, &config, &mut sim);
-        assert_eq!(cpu.trace_root, simulated.trace_root);
-        assert_eq!(cpu.fri_proof, simulated.fri_proof);
+        assert_eq!(cpu, simulated);
         assert!(verify_stark(&air, &simulated, &config));
         assert!(sim.sim_time() > unintt_gpu_sim::SimTime::ZERO);
     }

@@ -200,19 +200,31 @@ impl Blank for MerklePath {
     }
 }
 
-impl Tamper for FriQueryProof {
+/// A plain codeword proof's query input: nothing to mutate.
+impl Tamper for () {
+    fn mutants(&self, _: &mut dyn FnMut(String, Self)) {}
+}
+
+impl Blank for () {
+    fn blank() -> Self {}
+}
+
+impl<I: Tamper + PartialEq> Tamper for FriQueryProof<I> {
     fn mutants(&self, f: &mut dyn FnMut(String, Self)) {
-        field_mutants!(self, f, rounds);
+        field_mutants!(self, f, input, rounds);
     }
 }
 
-impl Blank for FriQueryProof {
+impl<I: Blank> Blank for FriQueryProof<I> {
     fn blank() -> Self {
-        FriQueryProof { rounds: Vec::new() }
+        FriQueryProof {
+            input: I::blank(),
+            rounds: Vec::new(),
+        }
     }
 }
 
-impl Tamper for FriProof {
+impl<I: Tamper + Blank + PartialEq> Tamper for FriProof<I> {
     fn mutants(&self, f: &mut dyn FnMut(String, Self)) {
         field_mutants!(self, f, layer_roots, final_codeword, queries);
     }
@@ -220,28 +232,19 @@ impl Tamper for FriProof {
 
 impl Tamper for TraceCommitment {
     fn mutants(&self, f: &mut dyn FnMut(String, Self)) {
-        field_mutants!(self, f, trace_root, fri_proof, trace_openings, n, width);
+        field_mutants!(self, f, trace_root, fri_proof, n, width);
     }
 }
 
 impl Tamper for DeepOpeningProof {
     fn mutants(&self, f: &mut dyn FnMut(String, Self)) {
-        field_mutants!(
-            self,
-            f,
-            trace_root,
-            evals,
-            fri_proof,
-            trace_openings,
-            n,
-            width
-        );
+        field_mutants!(self, f, trace_root, evals, fri_proof, n, width);
     }
 }
 
 impl Tamper for StarkProof {
     fn mutants(&self, f: &mut dyn FnMut(String, Self)) {
-        field_mutants!(self, f, trace_root, fri_proof, trace_openings, n);
+        field_mutants!(self, f, trace_root, fri_proof, n);
     }
 }
 

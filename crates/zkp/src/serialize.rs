@@ -289,6 +289,26 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_is_rejected() {
+        // Each of the encoding's 8·PROOF_BYTES bits, flipped alone: a
+        // typed decode error or a failed verification, never a panic.
+        let (proof, vk) = sample_proof();
+        let bytes = proof.to_bytes();
+        let mut decoded_flips = 0;
+        for bit in 0..8 * bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(decoded) = Proof::from_bytes(&flipped) {
+                assert!(!verify(&vk, &decoded, &[]), "bit {bit} verified");
+                decoded_flips += 1;
+            }
+        }
+        // Both outcomes occur, so the verifier is reached, not only the
+        // decoder.
+        assert!((1..8 * bytes.len()).contains(&decoded_flips));
+    }
+
+    #[test]
     fn tampered_bytes_decode_but_fail_verification() {
         let (proof, vk) = sample_proof();
         let mut bytes = proof.to_bytes();

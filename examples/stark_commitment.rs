@@ -72,19 +72,34 @@ fn main() {
     );
 
     // DEEP opening: prove the columns' values at a random out-of-domain
-    // extension point (the STARK consistency-check primitive).
+    // extension point (the STARK consistency-check primitive), on the
+    // CPU and on four simulated GPUs: the same proof.
     let zeta = GoldilocksExt2::random(&mut rng);
     let opening = open_trace(&trace, zeta, &config, &mut LdeBackend::cpu());
     assert!(verify_opening(&opening, zeta, &config));
+    let mut sim = LdeBackend::simulated(presets::a100_nvlink(4));
+    let sim_opening = open_trace(&trace, zeta, &config, &mut sim);
+    assert_eq!(sim_opening, opening, "simulated DEEP opening differs");
+    assert!(verify_opening(&sim_opening, zeta, &config));
     println!(
-        "DEEP opening at ζ ∈ F_p²: {} column evaluations proven and verified ✓",
-        opening.evals.len()
+        "DEEP opening at ζ ∈ F_p²: {} column evaluations proven and verified ✓ \
+         (4×A100 sim: same proof, {:.1} µs simulated)",
+        opening.evals.len(),
+        sim.sim_time().as_ns() / 1e3
     );
     // And the full STARK: prove a Fibonacci computation end to end.
     let (air, fib_trace) = FibonacciAir::generate(1 << 10);
     let stark = prove_stark(&air, &fib_trace, &config, &mut LdeBackend::cpu());
     assert!(verify_stark(&air, &stark, &config));
-    println!("full STARK: proved fib(2^10) = {} — verified ✓", air.result);
+    let mut sim = LdeBackend::simulated(presets::a100_nvlink(4));
+    let sim_stark = prove_stark(&air, &fib_trace, &config, &mut sim);
+    assert_eq!(sim_stark, stark, "simulated STARK proof differs");
+    assert!(verify_stark(&air, &sim_stark, &config));
+    println!(
+        "full STARK: proved fib(2^10) = {} — verified ✓ (4×A100 sim: same proof, {:.1} µs simulated)",
+        air.result,
+        sim.sim_time().as_ns() / 1e3
+    );
 
     println!("\n(production traces are 2^20+ rows; see `harness e11` for projections)");
 }
