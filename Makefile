@@ -86,11 +86,13 @@ trace-smoke:
 # register kernel directly, and the MSM's and the SRS's IFMA lanes against
 # their scalar paths, with their output shown, since they print which tiers ran and
 # which the CPU lacked; then a disassembly check that the AVX-512
-# Goldilocks and IFMA `Bn254Fr` stage drivers, both lane geometric-scaling
+# Goldilocks stage and column drivers, the IFMA `Bn254Fr` stage driver,
+# both lane geometric-scaling
 # kernels, the AVX-512 sponge kernels, the MSM's lane bucket pass and
 # running sum and the SRS's lane fixed-base multiply contain no widening
 # scalar multiply — LLVM has scalarised `gl_mul` once before.
 NO_SCALAR_MUL := unintt_ntt::vector::x86::gl_stages_avx512 \
+                 unintt_ntt::vector::x86::gl_columns_avx512 \
                  unintt_ntt::vector::x86::fr_stages_ifma \
                  unintt_ntt::six_step::x86::gl_scale_by_powers \
                  unintt_ntt::six_step::x86::fr_scale_by_powers \
@@ -102,7 +104,8 @@ kernel-smoke:
 	cargo test --release -p unintt-ntt --test shoup_properties
 	cargo test --release -p unintt-ntt --lib -- --nocapture portable_backend_matches_native \
 		goldilocks_native_tiers_match_oracle bn254_ifma_tier_matches_oracle \
-		register_kernels_match_bit_reversed
+		register_kernels_match_bit_reversed goldilocks_columns_match_radix2_oracle \
+		narrow_transpose_matches_naive
 	cargo test --release -p unintt-ff --lib -- --nocapture ifma_vs_scalar
 	cargo test --release -p unintt-msm --lib -- --nocapture lane_groups_of_every_width \
 		lanes_and_scalar_formulas_give_the_same_triples

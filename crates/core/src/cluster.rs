@@ -535,7 +535,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
                 let mut sharded = Sharded::distribute(&data[slot], gpus, ShardLayout::Cyclic);
                 let batch = std::slice::from_mut(&mut sharded);
                 forward(machine, &mut Plane::Elements(batch))?;
-                sharded.layout().assemble(sharded.shards(), &mut data[slot]);
+                data[slot] = sharded.collect();
                 scale_by_powers(&mut data[slot], F::ONE, self.omega.pow(slot as u64));
             }
             Plane::Unit(_) => forward(machine, &mut Plane::Unit(1))?,
@@ -639,9 +639,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     /// the node-level block-cyclic order is [`ShardLayout::BlockCyclic`]
     /// with nodes for GPUs.
     pub fn collect(&self, node_shards: &[Vec<F>]) -> Vec<F> {
-        let mut out = vec![F::ZERO; self.n()];
-        ShardLayout::BlockCyclic.assemble(node_shards, &mut out);
-        out
+        ShardLayout::BlockCyclic.assemble(node_shards)
     }
 
     /// Distributes a host vector into the node-cyclic input layout.

@@ -62,7 +62,7 @@ use unintt_gpu_sim::{
     DeviceCtx, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, OverlapCompute,
     SimTime, Stats,
 };
-use unintt_ntt::{scale_by_powers, Direction, Ntt};
+use unintt_ntt::{interleave, scale_by_powers, Direction, Ntt};
 use unintt_telemetry::SpanLevel;
 
 use crate::profiles;
@@ -104,16 +104,13 @@ fn per_device_shards<F: TwoAdicField>(batch: &mut [Sharded<F>]) -> Vec<Vec<&mut 
 }
 
 /// Regroups a shard by residue: the elements at `first, first + stride, …`
-/// for `first = 0, 1, …` in turn. With `stride = G` this is the four-step
+/// for `first = 0, 1, …` in turn — the narrow transpose of its rows of
+/// `stride` ([`interleave`]). With `stride = G` this is the four-step
 /// bucket pack (bucket `d` collects `j ≡ d (mod G)`, so the chunk
 /// transpose that follows delivers the cyclic shard); with
 /// `stride = M / G` it is the unpack that undoes it.
-fn regroup<F: Copy>(shard: &mut Vec<F>, stride: usize) {
-    let mut moved = Vec::with_capacity(shard.len());
-    for first in 0..stride {
-        moved.extend(shard.iter().skip(first).step_by(stride));
-    }
-    *shard = moved;
+fn regroup<F: Copy + 'static>(shard: &mut Vec<F>, stride: usize) {
+    *shard = interleave(&shard.chunks_exact(stride).collect::<Vec<_>>());
 }
 
 /// The UniNTT multi-GPU NTT engine.
@@ -752,7 +749,7 @@ impl<F: TwoAdicField> UniNttEngine<F> {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use unintt_ff::{Bn254Fr, Field, Goldilocks};
+    use unintt_ff::{BabyBear, Bn254Fr, Field, Goldilocks};
     use unintt_gpu_sim::presets;
 
     fn random_vec<F: Field>(n: usize, seed: u64) -> Vec<F> {
@@ -780,6 +777,34 @@ mod tests {
         let mut data = Sharded::distribute(input, gpus, ShardLayout::Cyclic);
         engine.forward(&mut machine, &mut data);
         (data.collect(), machine)
+    }
+
+    /// The four-step pack (`stride = G`) against its definition, then the
+    /// unpack (`stride = M/G`) back to the shard: `G` up to 16, 8-, 4- and
+    /// 32-byte fields.
+    #[test]
+    fn regroup_pack_then_unpack_round_trips() {
+        fn check<F: Field>() {
+            for (g, m) in [
+                (1usize, 8usize),
+                (2, 16),
+                (4, 64),
+                (8, 64),
+                (8, 4096),
+                (16, 256),
+            ] {
+                let shard = random_vec::<F>(m, m as u64);
+                let mut moved = shard.clone();
+                regroup(&mut moved, g);
+                let buckets = (0..g).flat_map(|d| shard.iter().skip(d).step_by(g).copied());
+                assert!(moved.iter().copied().eq(buckets), "pack g={g} m={m}");
+                regroup(&mut moved, m / g);
+                assert!(moved == shard, "unpack g={g} m={m}");
+            }
+        }
+        check::<Goldilocks>();
+        check::<BabyBear>();
+        check::<Bn254Fr>();
     }
 
     #[test]

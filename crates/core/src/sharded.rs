@@ -4,9 +4,16 @@
 //! Getting multi-GPU NTT orderings wrong is the classic source of silent
 //! corruption, so the layout travels with the data: every engine method
 //! checks the tag of its input and stamps the tag of its output.
+//!
+//! Moving a vector in and out of the cyclic layout is a transpose whose
+//! short side is the GPU count: [`Sharded::distribute`] and
+//! [`Sharded::collect`] run it as `unintt_ntt`'s register-tiled narrow
+//! transpose ([`unintt_ntt::deinterleave`] / [`unintt_ntt::interleave`]);
+//! the block layouts move whole runs. Neither zero-fills what it builds.
 
 use serde::{Deserialize, Serialize};
 use unintt_ff::Field;
+use unintt_ntt::{deinterleave, interleave};
 
 /// How the logical vector `x[0..n)` maps onto per-GPU shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -24,35 +31,24 @@ pub enum ShardLayout {
 }
 
 impl ShardLayout {
-    /// Writes `shards`, laid out as `self`, into `out` in logical order:
-    /// one pass, every element moved once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` does not hold exactly the shards' elements.
-    pub(crate) fn assemble<F: Copy>(self, shards: &[Vec<F>], out: &mut [F]) {
+    /// The logical vector of `shards` laid out as `self`: one pass, every
+    /// element moved once, into a vector that is never zero-filled. Cyclic
+    /// shards are the narrow transpose's rows ([`unintt_ntt::interleave`]);
+    /// the other layouts are whole runs, copied as such.
+    pub(crate) fn assemble<F: Copy + 'static>(self, shards: &[Vec<F>]) -> Vec<F> {
         let (g, m) = (shards.len(), shards[0].len());
-        assert_eq!(out.len(), g * m, "output does not match the shards");
         match self {
-            ShardLayout::Cyclic => {
-                for (j, round) in out.chunks_exact_mut(g).enumerate() {
-                    for (slot, shard) in round.iter_mut().zip(shards) {
-                        *slot = shard[j];
-                    }
-                }
-            }
-            ShardLayout::NaturalBlocks => {
-                for (block, shard) in out.chunks_exact_mut(m).zip(shards) {
-                    block.copy_from_slice(shard);
-                }
-            }
+            ShardLayout::Cyclic => interleave(shards),
+            ShardLayout::NaturalBlocks => shards.concat(),
             ShardLayout::BlockCyclic => {
                 let c = m / g;
-                for (dev, shard) in shards.iter().enumerate() {
-                    for (k1, piece) in shard.chunks_exact(c).enumerate() {
-                        out[k1 * m + dev * c..][..c].copy_from_slice(piece);
+                let mut out = Vec::with_capacity(g * m);
+                for k1 in 0..g {
+                    for shard in shards {
+                        out.extend_from_slice(&shard[k1 * c..][..c]);
                     }
                 }
+                out
             }
         }
     }
@@ -105,28 +101,21 @@ impl<F: Field> Sharded<F> {
         assert!(m.is_power_of_two(), "shard length must be a power of two");
 
         // One pass over the input: every element moves once.
-        let zeroed = || vec![vec![F::ZERO; m]; num_gpus];
         let shards = match layout {
-            ShardLayout::Cyclic => {
-                let mut shards = zeroed();
-                for (j, round) in input.chunks_exact(num_gpus).enumerate() {
-                    for (shard, &v) in shards.iter_mut().zip(round) {
-                        shard[j] = v;
-                    }
-                }
-                shards
-            }
+            ShardLayout::Cyclic => deinterleave(input, num_gpus),
             ShardLayout::NaturalBlocks => input.chunks_exact(m).map(<[F]>::to_vec).collect(),
             ShardLayout::BlockCyclic => {
                 assert!(m >= num_gpus, "shard too small for block-cyclic layout");
                 let c = m / num_gpus;
-                let mut shards = zeroed();
-                for (k1, block) in input.chunks_exact(m).enumerate() {
-                    for (shard, piece) in shards.iter_mut().zip(block.chunks_exact(c)) {
-                        shard[k1 * c..][..c].copy_from_slice(piece);
-                    }
-                }
-                shards
+                (0..num_gpus)
+                    .map(|dev| {
+                        let mut shard = Vec::with_capacity(m);
+                        for block in input.chunks_exact(m) {
+                            shard.extend_from_slice(&block[dev * c..][..c]);
+                        }
+                        shard
+                    })
+                    .collect()
             }
         };
         Self { shards, layout }
@@ -134,9 +123,7 @@ impl<F: Field> Sharded<F> {
 
     /// Collects the shards back into one host vector in logical order.
     pub fn collect(&self) -> Vec<F> {
-        let mut out = vec![F::ZERO; self.len()];
-        self.layout.assemble(&self.shards, &mut out);
-        out
+        self.layout.assemble(&self.shards)
     }
 
     /// The layout tag.
@@ -185,28 +172,35 @@ impl<F: Field> Sharded<F> {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use unintt_ff::{Goldilocks, PrimeField};
+    use unintt_ff::{BabyBear, Bn254Fr, Goldilocks, PrimeField};
 
-    fn input(n: usize) -> Vec<Goldilocks> {
+    fn input<F: Field>(n: usize) -> Vec<F> {
         let mut rng = StdRng::seed_from_u64(1);
-        (0..n).map(|_| Goldilocks::random(&mut rng)).collect()
+        (0..n).map(|_| F::random(&mut rng)).collect()
     }
 
+    /// Every layout there and back, up to 16 GPUs (the narrow transpose's
+    /// tiles from 8), over 8-, 4- and 32-byte fields.
     #[test]
     fn roundtrip_all_layouts() {
-        let x = input(64);
-        for layout in [
-            ShardLayout::Cyclic,
-            ShardLayout::NaturalBlocks,
-            ShardLayout::BlockCyclic,
-        ] {
-            for g in [1usize, 2, 4, 8] {
-                let s = Sharded::distribute(&x, g, layout);
-                assert_eq!(s.collect(), x, "{layout:?} g={g}");
-                assert_eq!(s.len(), 64);
-                assert_eq!(s.shard_len(), 64 / g);
+        fn roundtrip<F: PrimeField>() {
+            let x = input::<F>(256);
+            for layout in [
+                ShardLayout::Cyclic,
+                ShardLayout::NaturalBlocks,
+                ShardLayout::BlockCyclic,
+            ] {
+                for g in [1usize, 2, 4, 8, 16] {
+                    let s = Sharded::distribute(&x, g, layout);
+                    assert_eq!(s.collect(), x, "{} {layout:?} g={g}", F::NAME);
+                    assert_eq!(s.len(), 256);
+                    assert_eq!(s.shard_len(), 256 / g);
+                }
             }
         }
+        roundtrip::<Goldilocks>();
+        roundtrip::<BabyBear>();
+        roundtrip::<Bn254Fr>();
     }
 
     #[test]
@@ -240,7 +234,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_pow2_gpus_rejected() {
-        let x = input(12);
+        let x = input::<Goldilocks>(12);
         let _ = Sharded::distribute(&x, 3, ShardLayout::Cyclic);
     }
 

@@ -30,7 +30,9 @@
 //! split the composition).
 
 use unintt_exec::Executor;
-use unintt_ff::{batch_inverse, Field, Goldilocks, GoldilocksExt2, PrimeField, TwoAdicField};
+use unintt_ff::{
+    batch_inverse, powers, Field, Goldilocks, GoldilocksExt2, PrimeField, TwoAdicField,
+};
 
 use crate::fri::{self, FriConfig, FriProof};
 use crate::hash::{compress, hash_elements, Digest};
@@ -174,10 +176,11 @@ fn composition_challenge(root: &Digest, boundaries: &[Boundary]) -> GoldilocksEx
     GoldilocksExt2::new(d.0[0], d.0[1])
 }
 
-/// `Z_T(x) = (xⁿ − 1)/(x − ω^{n−1})` at a point `x` off the trace domain,
-/// with `last = ω^{n−1}`: it vanishes on every trace row but the last.
-fn z_t_at(x: Goldilocks, n: usize, last: Goldilocks) -> Goldilocks {
-    (x.pow(n as u64) - Goldilocks::ONE) * (x - last).inverse().expect("coset avoids H")
+/// `Z_T(x)⁻¹ = (x − ω^{n−1})·(xⁿ − 1)⁻¹` at a point `x` off the trace
+/// domain, with `last = ω^{n−1}` (`Z_T` vanishes on every trace row but
+/// the last), or `None` on the trace domain.
+fn z_t_inv_at(x: Goldilocks, n: usize, last: Goldilocks) -> Option<Goldilocks> {
+    Some((x - last) * (x.pow(n as u64) - Goldilocks::ONE).inverse()?)
 }
 
 /// Evaluates the composition polynomial at one LDE point from its row
@@ -188,8 +191,8 @@ fn composition_at<F>(
     current: &[F],
     next: &[F],
     alpha: GoldilocksExt2,
-    z_transition_inv: GoldilocksExt2,
-    boundary_denom_invs: &[GoldilocksExt2],
+    z_transition_inv: Goldilocks,
+    boundary_denom_invs: &[Goldilocks],
     scratch: &mut Vec<F>,
 ) -> GoldilocksExt2
 where
@@ -241,38 +244,48 @@ pub fn prove_stark(
     let omega_big = Goldilocks::two_adic_generator(big_n.trailing_zeros());
     let omega_small = Goldilocks::two_adic_generator(n.trailing_zeros());
     let last = omega_small.pow(n as u64 - 1);
+    let row_points: Vec<Goldilocks> = boundaries
+        .iter()
+        .map(|b| omega_small.pow(b.row as u64))
+        .collect();
 
-    // Z_T and the boundary denominators on the coset, batch-inverted.
+    // One batch inversion: on the coset `xⁿ = shiftⁿ·(ω_bigⁿ)ᵏ` repeats
+    // with period `blowup`, so one cycle of `xⁿ − 1` (for `Z_T⁻¹`), then
+    // every point's boundary denominators `x − ω^{row}`, point-major.
+    let (shift_n, omega_blowup) = (shift.pow(n as u64), omega_big.pow(n as u64));
+    let mut invs = Vec::with_capacity(blowup + big_n * boundaries.len());
+    invs.extend(
+        powers(omega_blowup, blowup)
+            .into_iter()
+            .map(|w| shift_n * w - Goldilocks::ONE),
+    );
     let mut x = shift;
-    let mut z_t: Vec<GoldilocksExt2> = Vec::with_capacity(big_n);
-    let mut boundary_denoms: Vec<Vec<GoldilocksExt2>> =
-        vec![Vec::with_capacity(big_n); boundaries.len()];
     for _ in 0..big_n {
-        z_t.push(GoldilocksExt2::from_base(z_t_at(x, n, last)));
-        for (d, b) in boundary_denoms.iter_mut().zip(&boundaries) {
-            d.push(GoldilocksExt2::from_base(x - omega_small.pow(b.row as u64)));
-        }
+        invs.extend(row_points.iter().map(|&p| x - p));
         x *= omega_big;
     }
-    batch_inverse(&mut z_t);
-    for d in boundary_denoms.iter_mut() {
-        batch_inverse(d);
-    }
+    batch_inverse(&mut invs);
+    let (vanishing_invs, denom_invs) = invs.split_at(blowup);
 
-    let mut scratch: Vec<Goldilocks> = Vec::new();
+    let mut scratch = Vec::new();
+    let mut current = vec![Goldilocks::ZERO; committed.ldes.len()];
+    let mut next = current.clone();
     let mut composition: Vec<GoldilocksExt2> = Vec::with_capacity(big_n);
-    let row = |k: usize| -> Vec<Goldilocks> { committed.ldes.iter().map(|lde| lde[k]).collect() };
+    let mut x = shift;
     for k in 0..big_n {
-        let denom_invs: Vec<GoldilocksExt2> = boundary_denoms.iter().map(|d| d[k]).collect();
+        for ((cur, nxt), lde) in current.iter_mut().zip(&mut next).zip(&committed.ldes) {
+            (*cur, *nxt) = (lde[k], lde[(k + blowup) % big_n]);
+        }
         composition.push(composition_at(
             air,
-            &row(k),
-            &row((k + blowup) % big_n),
+            &current,
+            &next,
             alpha,
-            z_t[k],
-            &denom_invs,
+            (x - last) * vanishing_invs[k % blowup],
+            &denom_invs[k * boundaries.len()..][..boundaries.len()],
             &mut scratch,
         ));
+        x *= omega_big;
     }
     let constraint_values = big_n * (air.transition_count() + boundaries.len());
     backend.charge_pointwise(constraint_values, 6 * constraint_values as u64);
@@ -322,11 +335,10 @@ pub fn verify_stark(air: &impl Air, proof: &StarkProof, config: &FriConfig) -> b
                 let &(_, next_row) = next.iter().find(|&&(pos, _)| pos == next_idx)?;
 
                 let x = shift * omega_big.pow(idx as u64);
-                let z_t_inv = z_t_at(x, n, last).inverse()?;
+                let z_t_inv = z_t_inv_at(x, n, last)?;
                 let denom_invs = boundaries
                     .iter()
                     .map(|b| (x - omega_small.pow(b.row as u64)).inverse())
-                    .map(|inv| inv.map(GoldilocksExt2::from_base))
                     .collect::<Option<Vec<_>>>()?;
 
                 Some(composition_at(
@@ -334,7 +346,7 @@ pub fn verify_stark(air: &impl Air, proof: &StarkProof, config: &FriConfig) -> b
                     cur_row,
                     next_row,
                     alpha,
-                    GoldilocksExt2::from_base(z_t_inv),
+                    z_t_inv,
                     &denom_invs,
                     &mut scratch,
                 ))

@@ -17,6 +17,17 @@
 //! AVX-512F and BabyBear words on AVX2 transpose tiles in registers; other
 //! types swap within the same two tiles.
 //! Sizes below one tile read a compile-time pair list.
+//!
+//! **The narrow transpose reuses the same register tiles.** [`interleave`]
+//! and [`deinterleave`] move a matrix one of whose sides is short (the GPU
+//! count of a sharded vector) between `g` rows of `m` elements and the
+//! row-major `m × g` interleaving, out of place, into vectors they
+//! allocate and fill without zeroing. Goldilocks and `u64` words on
+//! AVX-512F and BabyBear and `u32` words on AVX2 move by whole 8 × 8
+//! tiles; the rows or columns past the last whole tile, `g < 8`, and other
+//! element types copy element by element.
+
+use std::ops::Range;
 
 /// Reverses the low `bits` bits of `i`.
 ///
@@ -80,17 +91,37 @@ pub fn bit_reverse_permute<T: 'static>(values: &mut [T]) {
         if id == TypeId::of::<Goldilocks>() && std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: AVX-512F was detected; `T` is Goldilocks, a u64
             // (`repr(transparent)`); there are 2^bits of them, bits ≥ 6.
-            unsafe { x86::permute_u64(values, bits) };
+            unsafe { x86::permute_u64(as_words(values), bits) };
             return;
         }
         if id == TypeId::of::<BabyBear>() && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 was detected; `T` is BabyBear, a u32
             // (`repr(transparent)`); there are 2^bits of them, bits ≥ 6.
-            unsafe { x86::permute_u32(values, bits) };
+            unsafe { x86::permute_u32(as_words(values), bits) };
             return;
         }
     }
     exchange_tiles(values, bits);
+}
+
+/// `values` as the machine words its elements are, so that each register
+/// kernel has one body per word width whatever field calls it.
+///
+/// # Safety
+///
+/// `T` is `W` or `repr(transparent)` over one.
+#[cfg(target_arch = "x86_64")]
+unsafe fn as_words<T, W>(values: &mut [T]) -> &mut [W] {
+    debug_assert_eq!(size_of::<T>(), size_of::<W>());
+    std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), values.len())
+}
+
+/// Row pointers retyped to the machine word the rows hold.
+#[cfg(target_arch = "x86_64")]
+fn word_ptrs<T, W>(wide: &[*mut T]) -> &[*mut W] {
+    // SAFETY: `*mut T` and `*mut W` are thin pointers with one layout; the
+    // pointers are only reinterpreted, never dereferenced here.
+    unsafe { std::slice::from_raw_parts(wide.as_ptr().cast(), wide.len()) }
 }
 
 /// The generic tile exchange: every tile pair swapped element by element,
@@ -120,18 +151,155 @@ pub fn bit_reversed<T: Clone>(values: &[T]) -> Vec<T> {
         .collect()
 }
 
+/// The narrow transpose, wide to narrow: `out[j·g + d] = rows[d][j]` for
+/// the `g = rows.len()` rows of `m` elements each.
+///
+/// ```
+/// use unintt_ntt::interleave;
+/// assert_eq!(interleave(&[[1, 2, 3], [4, 5, 6]]), vec![1, 4, 2, 5, 3, 6]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if the rows differ in length.
+pub fn interleave<T: Copy + 'static, R: AsRef<[T]>>(rows: &[R]) -> Vec<T> {
+    let m = rows.first().map_or(0, |row| row.as_ref().len());
+    let wide: Vec<*mut T> = rows
+        .iter()
+        .map(|row| {
+            let row = row.as_ref();
+            assert_eq!(row.len(), m, "rows differ in length");
+            row.as_ptr().cast_mut()
+        })
+        .collect();
+    let len = wide.len() * m;
+    let mut out = Vec::with_capacity(len);
+    // SAFETY: each pointer in `wide` comes from a row whose length was
+    // checked to be `m`, and is only read (`to_narrow`); `out` has room for
+    // the `g·m` elements, and `narrow_transpose` writes every one of them
+    // before the length is set.
+    unsafe {
+        narrow_transpose(&wide, m, out.as_mut_ptr(), true);
+        out.set_len(len);
+    }
+    out
+}
+
+/// The narrow transpose, narrow to wide: row `d` of the result holds
+/// `narrow[j·g + d]` for `j < narrow.len() / g`.
+///
+/// ```
+/// use unintt_ntt::deinterleave;
+/// assert_eq!(deinterleave(&[1, 4, 2, 5, 3, 6], 2), vec![vec![1, 2, 3], vec![4, 5, 6]]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `g` is zero or does not divide `narrow.len()`.
+pub fn deinterleave<T: Copy + 'static>(narrow: &[T], g: usize) -> Vec<Vec<T>> {
+    assert!(
+        g > 0 && narrow.len().is_multiple_of(g),
+        "{} elements do not form rows of {g}",
+        narrow.len()
+    );
+    let m = narrow.len() / g;
+    let mut rows: Vec<Vec<T>> = (0..g).map(|_| Vec::with_capacity(m)).collect();
+    let wide: Vec<*mut T> = rows.iter_mut().map(Vec::as_mut_ptr).collect();
+    // SAFETY: `narrow` holds `g·m` readable elements and is only read
+    // (`!to_narrow`); every row has room for `m`, and `narrow_transpose`
+    // writes all of them before the lengths are set.
+    unsafe {
+        narrow_transpose(&wide, m, narrow.as_ptr().cast_mut(), false);
+        for row in &mut rows {
+            row.set_len(m);
+        }
+    }
+    rows
+}
+
+/// Copies between the `g = wide.len()` rows of `m` elements at `wide` and
+/// the row-major `m × g` matrix at `narrow`: into `narrow` with
+/// `to_narrow`, out of it without. Whole 8 × 8 tiles move in registers
+/// where the element type and the CPU allow; the rest element by element.
+///
+/// # Safety
+///
+/// The source side is valid for reads and the destination side for writes
+/// of its `g·m` elements, and the two do not overlap.
+unsafe fn narrow_transpose<T: Copy + 'static>(
+    wide: &[*mut T],
+    m: usize,
+    narrow: *mut T,
+    to_narrow: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if wide.len() >= 8 && m >= 8 {
+        use std::any::TypeId;
+        use unintt_ff::{BabyBear, Goldilocks};
+        let id = TypeId::of::<T>();
+        let is = |ids: [TypeId; 2]| ids.contains(&id);
+        if is([TypeId::of::<u64>(), TypeId::of::<Goldilocks>()])
+            && std::arch::is_x86_feature_detected!("avx512f")
+        {
+            // SAFETY: AVX-512F was detected; `T` is a `u64` or Goldilocks
+            // (`repr(transparent)` over one); the caller vouches for the
+            // pointers.
+            x86::narrow_u64(word_ptrs(wide), m, narrow.cast(), to_narrow);
+            return;
+        }
+        if is([TypeId::of::<u32>(), TypeId::of::<BabyBear>()])
+            && std::arch::is_x86_feature_detected!("avx2")
+        {
+            // SAFETY: AVX2 was detected; `T` is a `u32` or BabyBear
+            // (`repr(transparent)` over one); as above.
+            x86::narrow_u32(word_ptrs(wide), m, narrow.cast(), to_narrow);
+            return;
+        }
+    }
+    copy_elements(wide, 0..wide.len(), 0..m, narrow, to_narrow);
+}
+
+/// [`narrow_transpose`] element by element over rows `rows` and columns
+/// `cols` of the wide side.
+///
+/// # Safety
+///
+/// As for [`narrow_transpose`].
+unsafe fn copy_elements<T: Copy>(
+    wide: &[*mut T],
+    rows: Range<usize>,
+    cols: Range<usize>,
+    narrow: *mut T,
+    to_narrow: bool,
+) {
+    let g = wide.len();
+    for j in cols {
+        for d in rows.clone() {
+            let (w, n) = (wide[d].add(j), narrow.add(j * g + d));
+            if to_narrow {
+                n.write(w.read());
+            } else {
+                w.write(n.read());
+            }
+        }
+    }
+}
+
 /// The register tile kernels: one tile schedule (`x86::exchange`) over a
-/// per-width 8 × 8 register transpose. Pure data movement.
+/// per-width 8 × 8 register transpose, and the narrow transpose's tiles
+/// (`x86::narrow_tiles`) over the same transposes. Pure data movement.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{tile_pairs, REV3};
+    use super::{copy_elements, tile_pairs, REV3};
 
     /// A register holding one 8-element line of a tile.
-    trait Line: Sized {
-        /// Transposes the tile with row `k` = its line `REV3[k]`: line `l`
-        /// of the partner tile is transposed row `REV3[l]`.
+    trait Line: Copy {
+        /// Transposes the 8 × 8 tile whose row `k` is `rows[k]`, leaving
+        /// its column `REV3[l]` in register `l`. Loaded as lines `REV3[k]`
+        /// of a tile, line `l` of the partner tile is transposed row
+        /// `REV3[l]`.
         ///
         /// # Safety
         ///
@@ -143,10 +311,9 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512F; `W` is a `u64` or transparent over one;
-    /// `words.len() == 1 << bits`, `bits ≥ 6`.
+    /// Requires AVX-512F; `words.len() == 1 << bits`, `bits ≥ 6`.
     #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn permute_u64<W>(words: &mut [W], bits: u32) {
+    pub(crate) unsafe fn permute_u64(words: &mut [u64], bits: u32) {
         exchange::<_, __m512i>(words, bits);
     }
 
@@ -154,10 +321,9 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2; `W` is a `u32` or transparent over one;
-    /// `words.len() == 1 << bits`, `bits ≥ 6`.
+    /// Requires AVX2; `words.len() == 1 << bits`, `bits ≥ 6`.
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn permute_u32<W>(words: &mut [W], bits: u32) {
+    pub(crate) unsafe fn permute_u32(words: &mut [u32], bits: u32) {
         exchange::<_, __m256i>(words, bits);
     }
 
@@ -201,6 +367,72 @@ pub(crate) mod x86 {
         for (l, v) in lines.into_iter().enumerate() {
             p.add(l * stride).cast::<V>().write_unaligned(v);
         }
+    }
+
+    /// [`super::narrow_transpose`] over 8-byte words in zmm registers.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F; as for [`super::narrow_transpose`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn narrow_u64(
+        wide: &[*mut u64],
+        m: usize,
+        narrow: *mut u64,
+        to_narrow: bool,
+    ) {
+        narrow_tiles::<_, __m512i>(wide, m, narrow, to_narrow);
+    }
+
+    /// [`super::narrow_transpose`] over 4-byte words in ymm registers.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; as for [`super::narrow_transpose`].
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn narrow_u32(
+        wide: &[*mut u32],
+        m: usize,
+        narrow: *mut u32,
+        to_narrow: bool,
+    ) {
+        narrow_tiles::<_, __m256i>(wide, m, narrow, to_narrow);
+    }
+
+    /// The narrow transpose by 8 × 8 tiles: wide rows `d0..d0 + 8`,
+    /// columns `j0..j0 + 8` against narrow rows `j0..j0 + 8`, columns
+    /// `d0..d0 + 8`; the rows and columns past the last whole tile element
+    /// by element.
+    ///
+    /// # Safety
+    ///
+    /// As for [`narrow_u64`], with `V` eight `W` words wide.
+    #[inline(always)]
+    unsafe fn narrow_tiles<W: Copy, V: Line>(
+        wide: &[*mut W],
+        m: usize,
+        narrow: *mut W,
+        to_narrow: bool,
+    ) {
+        debug_assert_eq!(size_of::<V>(), 8 * size_of::<W>());
+        let g = wide.len();
+        let (g8, m8) = (g & !7, m & !7);
+        for d0 in (0..g8).step_by(8) {
+            let rows: [*mut W; 8] = std::array::from_fn(|c| wide[d0 + c]);
+            for j0 in (0..m8).step_by(8) {
+                let w = rows.map(|row| row.add(j0));
+                let n: [*mut W; 8] = std::array::from_fn(|k| narrow.add((j0 + k) * g + d0));
+                let (src, dst) = if to_narrow { (w, n) } else { (n, w) };
+                // Line `c` of the destination is column `c` of the source:
+                // `transpose` leaves column `REV3[l]` in register `l`.
+                let t = V::transpose(src.map(|p| p.cast::<V>().read_unaligned()));
+                for (c, p) in dst.into_iter().enumerate() {
+                    p.cast::<V>().write_unaligned(t[REV3[c]]);
+                }
+            }
+        }
+        copy_elements(wide, 0..g8, m8..m, narrow, to_narrow);
+        copy_elements(wide, g8..g, 0..m, narrow, to_narrow);
     }
 
     impl Line for __m512i {
@@ -385,6 +617,48 @@ mod tests {
                 assert!(got == bit_reversed(&input), "permute_u32 bits={bits}");
             }
         }
+    }
+
+    /// Both directions of the narrow transpose against the naive
+    /// [`crate::transpose`]: `g` up to 16 (tiled from 8), row lengths with
+    /// and without a remainder past the last tile, 4-, 8- and 32-byte
+    /// elements, and the two fields whose words move in registers.
+    #[test]
+    fn narrow_transpose_matches_naive() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug + 'static>(
+            label: &str,
+            make: impl Fn(u64) -> T,
+        ) {
+            for g in [1usize, 2, 4, 8, 16] {
+                for m in [1usize, 7, 8, 9, 64, 100] {
+                    let narrow: Vec<T> = (0..(g * m) as u64).map(&make).collect();
+                    let rows = deinterleave(&narrow, g);
+                    let wide = crate::transpose(&narrow, m, g);
+                    assert_eq!(rows.concat(), wide, "{label} deinterleave g={g} m={m}");
+                    assert_eq!(interleave(&rows), narrow, "{label} interleave g={g} m={m}");
+                    let slices: Vec<&[T]> = wide.chunks_exact(m).collect();
+                    assert_eq!(interleave(&slices), narrow, "{label} slices g={g} m={m}");
+                }
+            }
+        }
+        check("u32", |i| i as u32);
+        check("u64", |i| i);
+        check("goldilocks", Goldilocks::from_u64);
+        check("babybear", BabyBear::from_u64);
+        check("bn254", Bn254Fr::from_u64);
+        assert!(interleave::<u64, &[u64]>(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn ragged_rows_panic() {
+        let _ = interleave(&[vec![1u64, 2], vec![3]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not form rows")]
+    fn deinterleave_remainder_panics() {
+        let _ = deinterleave(&[1u64, 2, 3], 2);
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod twiddle;
 mod vector;
 
 pub use batch::{batch_transform, batch_transform_parallel};
-pub use bitrev::{bit_reverse_permute, bit_reversed, reverse_bits};
+pub use bitrev::{bit_reverse_permute, bit_reversed, deinterleave, interleave, reverse_bits};
 pub use cache::{cache_capacity, set_cache_capacity, shared_table, DEFAULT_CACHE_CAPACITY};
 pub use coset::{coset_intt, coset_ntt, low_degree_extension, standard_shift};
 pub use poly::{cyclic_convolution, poly_mul_naive, poly_mul_ntt};

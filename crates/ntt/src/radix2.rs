@@ -4,7 +4,9 @@
 //!
 //! * [`Ntt::forward`] / [`Ntt::inverse`] — natural-order in/out transforms;
 //! * [`Ntt::forward_columns`] / [`Ntt::inverse_columns`] — the same
-//!   transform down every column of a row-major matrix, as row stages;
+//!   transform down every column of a row-major matrix: Goldilocks
+//!   columns eight to an AVX-512 register (`vector::columns_native`),
+//!   the rest as radix-2 stages over whole rows ([`columns_radix2`]);
 //! * [`Ntt::dit_in_place`] / [`Ntt::dif_in_place`] — the raw radix-2
 //!   decimation-in-time (bit-reversed input) and decimation-in-frequency
 //!   (bit-reversed output) kernels, the oracle the vector kernels are
@@ -17,7 +19,7 @@ use unintt_exec::Executor;
 use unintt_ff::{Field, TwoAdicField};
 
 use crate::six_step::{row_butterfly, six_step};
-use crate::vector::{VectorPlan, VECTOR_DIRECT_MAX_LOG_N};
+use crate::vector::{columns_native, VectorPlan, VECTOR_DIRECT_MAX_LOG_N};
 use crate::{cache, reverse_bits, TwiddleTable};
 
 /// The counter every public transform call bumps once.
@@ -141,11 +143,15 @@ impl<F: TwoAdicField> Ntt<F> {
 
     /// Forward NTT down every column of the row-major `n × cols` matrix
     /// `values` (`cols = values.len() / n`): each column ends up holding
-    /// exactly what [`Self::forward`] makes of it. The transform runs as
-    /// `log n` radix-2 stages over whole rows — one twiddle per row pair,
-    /// contiguous lanes along the row — so many tiny transforms cost one
-    /// pass per stage instead of a gather, a call and a scatter each. One
-    /// public call, one `ntt_dispatch_vector` bump.
+    /// exactly what [`Self::forward`] makes of it, and many tiny transforms
+    /// cost one pass instead of a gather, a call and a scatter each.
+    /// Goldilocks columns run eight to an AVX-512 register, each strip of
+    /// eight in one memory pass (stages in registers, twiddles broadcast,
+    /// rows stored bit-reversed, the inverse's `1/n` folded into the
+    /// stores) where the CPU has AVX-512F/DQ and `n ≤ 16`; other fields,
+    /// other CPUs and the last `cols mod 8` columns run `log n` radix-2
+    /// stages over whole rows (one twiddle per row pair), then the row
+    /// bit-reversal. One public call, one `ntt_dispatch_vector` bump.
     ///
     /// # Panics
     ///
@@ -174,36 +180,13 @@ impl<F: TwoAdicField> Ntt<F> {
         );
         unintt_telemetry::counter_add(DISPATCH_COUNTER, 1);
         let cols = values.len() / n;
-        if cols == 0 {
-            return;
-        }
-        let twiddles = if inverse {
-            self.table.inverse()
+        let (twiddles, n_inv) = if inverse {
+            (self.table.inverse(), Some(self.table.n_inv()))
         } else {
-            self.table.forward()
+            (self.table.forward(), None)
         };
-        // DIF over rows: stage `s` pairs row `j` with row `j + 2^(s−1)` of
-        // each `2^s`-row block; rows leave in bit-reversed order.
-        for s in (1..=log_n).rev() {
-            let half = 1usize << (s - 1);
-            for block in values.chunks_exact_mut(2 * half * cols) {
-                let (lo, hi) = block.split_at_mut(half * cols);
-                let pairs = lo.chunks_exact_mut(cols).zip(hi.chunks_exact_mut(cols));
-                for (j, (u, v)) in pairs.enumerate() {
-                    row_butterfly(u, v, twiddles[j << (log_n - s)]);
-                }
-            }
-        }
-        for i in 0..n {
-            let j = reverse_bits(i, log_n);
-            if i < j {
-                let (head, tail) = values.split_at_mut(j * cols);
-                head[i * cols..][..cols].swap_with_slice(&mut tail[..cols]);
-            }
-        }
-        if inverse {
-            self.scale_by_n_inv(values);
-        }
+        let done = columns_native(values, cols, log_n, twiddles, n_inv);
+        columns_radix2(values, cols, done, log_n, twiddles, n_inv);
     }
 
     /// Decimation-in-time kernel: expects **bit-reversed** input, produces
@@ -270,6 +253,48 @@ impl<F: TwoAdicField> Ntt<F> {
         let n_inv = self.table.n_inv();
         for v in values.iter_mut() {
             *v *= n_inv;
+        }
+    }
+}
+
+/// The column transform on columns `first..cols` of the row-major
+/// `2^log_n × cols` matrix `values`: `log_n` radix-2 DIF stages over the
+/// rows' slices (`twiddles` the DIF twiddles `ω^k`), the row bit-reversal,
+/// then with `n_inv` the inverse's scale. The fallback behind the vector
+/// column kernel, and its oracle.
+pub(crate) fn columns_radix2<F: TwoAdicField>(
+    values: &mut [F],
+    cols: usize,
+    first: usize,
+    log_n: u32,
+    twiddles: &[F],
+    n_inv: Option<F>,
+) {
+    if first == cols {
+        return;
+    }
+    // DIF over rows: stage `s` pairs row `j` with row `j + 2^(s−1)` of
+    // each `2^s`-row block; rows leave in bit-reversed order.
+    for s in (1..=log_n).rev() {
+        let half = 1usize << (s - 1);
+        for block in values.chunks_exact_mut(2 * half * cols) {
+            let (lo, hi) = block.split_at_mut(half * cols);
+            let pairs = lo.chunks_exact_mut(cols).zip(hi.chunks_exact_mut(cols));
+            for (j, (u, v)) in pairs.enumerate() {
+                row_butterfly(&mut u[first..], &mut v[first..], twiddles[j << (log_n - s)]);
+            }
+        }
+    }
+    for i in 0..1usize << log_n {
+        let j = reverse_bits(i, log_n);
+        if i < j {
+            let (head, tail) = values.split_at_mut(j * cols);
+            head[i * cols + first..][..cols - first].swap_with_slice(&mut tail[first..cols]);
+        }
+    }
+    if let Some(n_inv) = n_inv {
+        for row in values.chunks_exact_mut(cols) {
+            row[first..].iter_mut().for_each(|v| *v *= n_inv);
         }
     }
 }
@@ -365,6 +390,55 @@ mod tests {
             }
             println!("outer phase 8 x 2^15: {best:.2} ms on {threads} thread(s)");
         }
+    }
+
+    /// The Goldilocks column kernel against the radix-2 column loop, bit
+    /// for bit, both directions, `n` from 2 to 2^8 (the kernel up to 16,
+    /// the radix-2 stages above) and column counts with and without a
+    /// tail past the last eight; each call bumps
+    /// `ntt_dispatch_vector` once. Prints whether the kernel ran.
+    #[test]
+    fn goldilocks_columns_match_radix2_oracle() {
+        let native = cfg!(target_arch = "x86_64")
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq");
+        let ran = ["SKIPPED (not on this CPU)", "ran"][usize::from(native)];
+        println!("goldilocks column kernel (avx512f+dq): {ran}");
+        let top = Goldilocks::from_u64(unintt_ff::GOLDILOCKS_MODULUS - 1);
+        let _session = unintt_telemetry::start_session();
+        let mut calls = 0u64;
+        for log_n in 1..=8u32 {
+            let ntt = Ntt::<Goldilocks>::new(log_n);
+            for cols in [1usize, 7, 8, 9, 64, 1000] {
+                let input: Vec<Goldilocks> = (0..(cols << log_n) as u64)
+                    .map(|i| match i % 5 {
+                        0 => top,
+                        1 => Goldilocks::ZERO,
+                        _ => Goldilocks::from_u64(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                    })
+                    .collect();
+                for inverse in [false, true] {
+                    let (twiddles, n_inv) = match inverse {
+                        false => (ntt.table().forward(), None),
+                        true => (ntt.table().inverse(), Some(ntt.table().n_inv())),
+                    };
+                    let mut expected = input.clone();
+                    columns_radix2(&mut expected, cols, 0, log_n, twiddles, n_inv);
+                    let mut actual = input.clone();
+                    match inverse {
+                        false => ntt.forward_columns(&mut actual),
+                        true => ntt.inverse_columns(&mut actual),
+                    }
+                    calls += 1;
+                    assert!(
+                        actual == expected,
+                        "log_n={log_n} cols={cols} inverse={inverse}"
+                    );
+                }
+            }
+        }
+        let counters = unintt_telemetry::registry_snapshot().counters;
+        assert_eq!(counters.get(DISPATCH_COUNTER), Some(&calls));
     }
 
     #[test]

@@ -356,6 +356,53 @@ fn cast_slice_mut<F: 'static, C: 'static>(values: &mut [F]) -> &mut [C] {
     unsafe { &mut *(values as *mut [F] as *mut [C]) }
 }
 
+/// Largest `log_n` of the Goldilocks column kernel: a strip of eight
+/// columns keeps its `2^4` rows and `2^3` twiddles in the 32 zmm
+/// registers. Wider outer transforms (more than 16 GPUs or FRI folds by
+/// more than 16) run the radix-2 row stages.
+const COLUMNS_MAX_LOG_N: u32 = 4;
+
+/// The Goldilocks column kernel's share of a column transform: every
+/// transform down columns `0..cols & !7` of the row-major `2^log_n × cols`
+/// matrix `values`, in AVX-512 lanes across eight columns, with the
+/// radix-2 DIF `twiddles` (`ω^k`, `k < 2^(log_n−1)`) broadcast, rows
+/// written to their bit-reversed positions and, with `n_inv`, every output
+/// multiplied by it. Returns how many leading columns it transformed: none
+/// for another field, a CPU without AVX-512F/DQ or `log_n` outside
+/// `1..=4`, and the caller transforms the rest
+/// (`crate::radix2::columns_radix2`).
+pub(crate) fn columns_native<F: TwoAdicField>(
+    values: &mut [F],
+    cols: usize,
+    log_n: u32,
+    twiddles: &[F],
+    n_inv: Option<F>,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if TypeId::of::<F>() == TypeId::of::<Goldilocks>()
+        && (1..=COLUMNS_MAX_LOG_N).contains(&log_n)
+        && cols >= 8
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+    {
+        let word = |x: &F| unintt_ff::packed::gl_word(*cast_ref::<F, Goldilocks>(x));
+        let mut tw = [0u64; 1 << (COLUMNS_MAX_LOG_N - 1)];
+        let half = 1usize << (log_n - 1);
+        for (t, w) in tw.iter_mut().zip(&twiddles[..half]) {
+            *t = word(w);
+        }
+        let words = unintt_ff::packed::gl_words_mut(cast_slice_mut::<F, Goldilocks>(values));
+        // SAFETY: AVX-512F/DQ were detected; `words` holds `2^log_n · cols`
+        // canonical words, `1 ≤ log_n ≤ 4`, and `tw` the stage twiddles.
+        unsafe {
+            x86::gl_columns_avx512(words, cols, &tw[..half], log_n, n_inv.as_ref().map(word))
+        };
+        return cols & !7;
+    }
+    let _ = (values, cols, log_n, twiddles, n_inv);
+    0
+}
+
 /// Monomorphizes the portable kernel on the field's preferred lane
 /// count. `F::LANES` cannot parameterize a const generic directly, so
 /// the supported widths are enumerated here.
@@ -801,6 +848,90 @@ mod x86 {
                 j += 8;
             }
         }
+    }
+
+    /// [`super::columns_native`] for Goldilocks: each strip of eight
+    /// columns in one memory pass ([`gl_columns`]), `2^log_n` rows per
+    /// strip.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F and AVX-512DQ; `1 ≤ log_n ≤ 4`; `words.len() ==
+    /// cols << log_n`, canonical; `tw` holding the `2^(log_n−1)` canonical
+    /// DIF twiddles `ω^k`; `n_inv` canonical.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn gl_columns_avx512(
+        words: &mut [u64],
+        cols: usize,
+        tw: &[u64],
+        log_n: u32,
+        n_inv: Option<u64>,
+    ) {
+        match log_n {
+            1 => gl_columns::<2>(words, cols, tw, n_inv),
+            2 => gl_columns::<4>(words, cols, tw, n_inv),
+            3 => gl_columns::<8>(words, cols, tw, n_inv),
+            4 => gl_columns::<16>(words, cols, tw, n_inv),
+            _ => unreachable!("column kernel sizes are 2^1..=2^4"),
+        }
+    }
+
+    /// Size-`N` transforms down eight columns at a time: the strip's `N`
+    /// rows are loaded into `N` vectors, run through every DIF stage there
+    /// with broadcast twiddles (the first pair of each block has twiddle
+    /// `ω⁰ = 1`, whose product is elided — canonical lanes make that
+    /// exact), and stored to their bit-reversed rows, scaled by `n_inv`
+    /// when given. All `N` rows are loaded before any is stored, so the
+    /// reversal needs no second pass.
+    #[inline(always)]
+    unsafe fn gl_columns<const N: usize>(
+        words: &mut [u64],
+        cols: usize,
+        tw: &[u64],
+        n_inv: Option<u64>,
+    ) {
+        let log_n = N.trailing_zeros();
+        debug_assert!(words.len() == N * cols && tw.len() == N / 2);
+        // Loops, not closures: a closure would not inherit the target
+        // features and could be left un-inlined.
+        let mut w = [_mm512_setzero_si512(); N];
+        for (k, &t) in tw.iter().enumerate() {
+            w[k] = _mm512_set1_epi64(t as i64);
+        }
+        let scale = n_inv.map(|c| _mm512_set1_epi64(c as i64));
+        let p = words.as_mut_ptr();
+        let mut c = 0;
+        while c + 8 <= cols {
+            let mut a = [_mm512_setzero_si512(); N];
+            for (r, v) in a.iter_mut().enumerate() {
+                *v = _mm512_loadu_si512(p.add(r * cols + c).cast());
+            }
+            for s in (1..=log_n).rev() {
+                let half = 1usize << (s - 1);
+                for b in (0..N).step_by(2 * half) {
+                    let (u, d) = gl_bf_unit(a[b], a[b + half]);
+                    (a[b], a[b + half]) = (u, d);
+                    for j in 1..half {
+                        let (u, d) = gl_bf(a[b + j], a[b + j + half], w[j << (log_n - s)]);
+                        (a[b + j], a[b + j + half]) = (u, d);
+                    }
+                }
+            }
+            for (r, &v) in a.iter().enumerate() {
+                let v = match scale {
+                    Some(k) => w8::gl_mul(v, k),
+                    None => v,
+                };
+                _mm512_storeu_si512(p.add(reverse_bits(r, log_n) * cols + c).cast(), v);
+            }
+            c += 8;
+        }
+    }
+
+    /// One 8-lane DIF butterfly with the unit twiddle: `(a + b, a − b)`.
+    #[inline(always)]
+    unsafe fn gl_bf_unit(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
+        (w8::gl_add(a, b), w8::gl_sub(a, b))
     }
 
     /// Fused radix-4 pair (stages `s`, `s−1`), 4-lane vectors, `q ≥ 4`.
