@@ -105,7 +105,8 @@ kernel-smoke:
 	cargo test --release -p unintt-ntt --lib -- --nocapture portable_backend_matches_native \
 		goldilocks_native_tiers_match_oracle bn254_ifma_tier_matches_oracle \
 		register_kernels_match_bit_reversed goldilocks_columns_match_radix2_oracle \
-		narrow_transpose_matches_naive
+		narrow_transpose_matches_naive transpose_blocked_matches_reference \
+		transpose_in_place_square_matches_reference
 	cargo test --release -p unintt-ff --lib -- --nocapture ifma_vs_scalar
 	cargo test --release -p unintt-msm --lib -- --nocapture lane_groups_of_every_width \
 		lanes_and_scalar_formulas_give_the_same_triples

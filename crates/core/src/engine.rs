@@ -62,7 +62,7 @@ use unintt_gpu_sim::{
     DeviceCtx, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, OverlapCompute,
     SimTime, Stats,
 };
-use unintt_ntt::{interleave, scale_by_powers, Direction, Ntt};
+use unintt_ntt::{scale_by_powers, transpose, Direction, Ntt};
 use unintt_telemetry::SpanLevel;
 
 use crate::profiles;
@@ -104,13 +104,14 @@ fn per_device_shards<F: TwoAdicField>(batch: &mut [Sharded<F>]) -> Vec<Vec<&mut 
 }
 
 /// Regroups a shard by residue: the elements at `first, first + stride, …`
-/// for `first = 0, 1, …` in turn — the narrow transpose of its rows of
-/// `stride` ([`interleave`]). With `stride = G` this is the four-step
+/// for `first = 0, 1, …` in turn — the transpose of its rows of `stride`
+/// ([`transpose`], by 8 × 8 register tiles in page-sized blocks, so both
+/// shapes store whole lines). With `stride = G` this is the four-step
 /// bucket pack (bucket `d` collects `j ≡ d (mod G)`, so the chunk
 /// transpose that follows delivers the cyclic shard); with
 /// `stride = M / G` it is the unpack that undoes it.
 fn regroup<F: Copy + 'static>(shard: &mut Vec<F>, stride: usize) {
-    *shard = interleave(&shard.chunks_exact(stride).collect::<Vec<_>>());
+    *shard = transpose(shard, shard.len() / stride, stride);
 }
 
 /// The UniNTT multi-GPU NTT engine.

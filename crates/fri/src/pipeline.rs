@@ -21,7 +21,9 @@
 use unintt_core::{RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
 use unintt_exec::Executor;
 use unintt_ff::{Field, Goldilocks, GoldilocksExt2, PrimeField};
-use unintt_gpu_sim::{FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, SimTime};
+use unintt_gpu_sim::{
+    telemetry, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig, SimTime,
+};
 use unintt_ntt::Ntt;
 
 use crate::fri::{self, FriConfig, FriProof};
@@ -116,7 +118,8 @@ impl LdeBackend {
 /// The host NTT stages' body: each column copied, zero-padded to the
 /// size of `ntt` and transformed in place by `f`, one task per column on
 /// `exec`. Each column is self-contained, so the output does not depend
-/// on the pool.
+/// on the pool; each task records telemetry as the calling thread would,
+/// so what a session counts does not either.
 pub(crate) fn per_column(
     exec: &Executor,
     columns: &[Vec<Goldilocks>],
@@ -124,6 +127,7 @@ pub(crate) fn per_column(
     f: impl Fn(&Ntt<Goldilocks>, &mut [Goldilocks]) + Sync,
 ) -> Vec<Vec<Goldilocks>> {
     let mut out: Vec<Vec<Goldilocks>> = vec![Vec::new(); columns.len()];
+    let member = telemetry::recording();
     exec.scope(|scope| {
         for (col, slot) in columns.iter().zip(out.iter_mut()) {
             let f = &f;
@@ -131,7 +135,7 @@ pub(crate) fn per_column(
                 slot.reserve_exact(ntt.n());
                 slot.extend_from_slice(col);
                 slot.resize(ntt.n(), Goldilocks::ZERO);
-                f(ntt, slot);
+                telemetry::adopt(member, || f(ntt, slot));
             });
         }
     });
@@ -525,6 +529,36 @@ mod tests {
                 assert_eq!(pooled.content_digest(), serial.content_digest());
                 assert_eq!(pooled, serial);
             }
+        }
+    }
+
+    /// The host NTT stages run one column per pool task, and each task
+    /// records as the committing thread would: a session counts the same
+    /// transform calls whatever thread ran each column.
+    #[test]
+    fn telemetry_counts_do_not_depend_on_the_pool() {
+        let trace = random_trace(256, 8, 11);
+        let config = FriConfig::standard();
+        let dispatches = |threads: usize| {
+            let _session = telemetry::start_session();
+            let mut state = CommitState::new(&trace, config);
+            state
+                .resume(
+                    &trace,
+                    &mut LdeBackend::cpu(),
+                    &Executor::new(threads),
+                    &RecoveryPolicy::none(),
+                )
+                .expect("the CPU backend has no fabric to fault");
+            telemetry::registry_snapshot()
+                .counters
+                .get("ntt_dispatch_vector")
+                .copied()
+        };
+        let serial = dispatches(1);
+        assert!(serial.is_some_and(|n| n >= 2 * 8), "{serial:?}");
+        for threads in [2, 8, 2, 8] {
+            assert_eq!(dispatches(threads), serial, "threads={threads}");
         }
     }
 

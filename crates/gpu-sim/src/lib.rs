@@ -67,4 +67,8 @@ pub use patterns::{
 pub use stream::{InFlight, InterferenceModel, ResourceClass, StreamSet};
 pub use timeline::{Timeline, TraceEvent, MAX_EVENTS};
 pub use trace::{Category, Level, Stats, TimeByCategory};
+/// The telemetry crate every simulated clock records into, for the
+/// crates above that fork instrumented host work over a pool and carry
+/// the session membership across ([`telemetry::adopt`]).
+pub use unintt_telemetry as telemetry;
 pub use unintt_telemetry::SimTime;

@@ -84,22 +84,12 @@ pub fn bit_reverse_permute<T: 'static>(values: &mut [T]) {
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::any::TypeId;
-        use unintt_ff::{BabyBear, Goldilocks};
-        let id = TypeId::of::<T>();
-        if id == TypeId::of::<Goldilocks>() && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F was detected; `T` is Goldilocks, a u64
-            // (`repr(transparent)`); there are 2^bits of them, bits ≥ 6.
-            unsafe { x86::permute_u64(as_words(values), bits) };
-            return;
-        }
-        if id == TypeId::of::<BabyBear>() && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected; `T` is BabyBear, a u32
-            // (`repr(transparent)`); there are 2^bits of them, bits ≥ 6.
-            unsafe { x86::permute_u32(as_words(values), bits) };
-            return;
-        }
+    match register_lines::<T>() {
+        // SAFETY (both arms): `register_lines` vouches for the CPU feature
+        // and the word `T` is; there are 2^bits of them, bits ≥ 6.
+        Some(Lines::Zmm) => return unsafe { x86::permute_u64(as_words(values), bits) },
+        Some(Lines::Ymm) => return unsafe { x86::permute_u32(as_words(values), bits) },
+        None => {}
     }
     exchange_tiles(values, bits);
 }
@@ -114,6 +104,32 @@ pub fn bit_reverse_permute<T: 'static>(values: &mut [T]) {
 unsafe fn as_words<T, W>(values: &mut [T]) -> &mut [W] {
     debug_assert_eq!(size_of::<T>(), size_of::<W>());
     std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), values.len())
+}
+
+/// The registers that move a type's 8 × 8 tiles ([`register_lines`]).
+#[cfg(target_arch = "x86_64")]
+pub(crate) enum Lines {
+    Zmm,
+    Ymm,
+}
+
+/// Which [`Lines`] move `T`'s tiles on this CPU: `u64` and Goldilocks in
+/// zmm (AVX-512F), `u32` and BabyBear in ymm (AVX2), `None` where elements
+/// move one by one. `Some` vouches for the feature and that `T` is the
+/// word or `repr(transparent)` over one.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn register_lines<T: 'static>() -> Option<Lines> {
+    use std::any::TypeId;
+    use std::arch::is_x86_feature_detected as has;
+    use unintt_ff::{BabyBear, Goldilocks};
+    let is = |a: TypeId, b: TypeId| [a, b].contains(&TypeId::of::<T>());
+    if is(TypeId::of::<u64>(), TypeId::of::<Goldilocks>()) && has!("avx512f") {
+        Some(Lines::Zmm)
+    } else if is(TypeId::of::<u32>(), TypeId::of::<BabyBear>()) && has!("avx2") {
+        Some(Lines::Ymm)
+    } else {
+        None
+    }
 }
 
 /// Row pointers retyped to the machine word the rows hold.
@@ -234,26 +250,16 @@ unsafe fn narrow_transpose<T: Copy + 'static>(
 ) {
     #[cfg(target_arch = "x86_64")]
     if wide.len() >= 8 && m >= 8 {
-        use std::any::TypeId;
-        use unintt_ff::{BabyBear, Goldilocks};
-        let id = TypeId::of::<T>();
-        let is = |ids: [TypeId; 2]| ids.contains(&id);
-        if is([TypeId::of::<u64>(), TypeId::of::<Goldilocks>()])
-            && std::arch::is_x86_feature_detected!("avx512f")
-        {
-            // SAFETY: AVX-512F was detected; `T` is a `u64` or Goldilocks
-            // (`repr(transparent)` over one); the caller vouches for the
-            // pointers.
-            x86::narrow_u64(word_ptrs(wide), m, narrow.cast(), to_narrow);
-            return;
-        }
-        if is([TypeId::of::<u32>(), TypeId::of::<BabyBear>()])
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
-            // SAFETY: AVX2 was detected; `T` is a `u32` or BabyBear
-            // (`repr(transparent)` over one); as above.
-            x86::narrow_u32(word_ptrs(wide), m, narrow.cast(), to_narrow);
-            return;
+        match register_lines::<T>() {
+            // SAFETY (both arms): `register_lines` vouches for the CPU
+            // feature and the word `T` is; the caller for the pointers.
+            Some(Lines::Zmm) => {
+                return x86::narrow_u64(word_ptrs(wide), m, narrow.cast(), to_narrow)
+            }
+            Some(Lines::Ymm) => {
+                return x86::narrow_u32(word_ptrs(wide), m, narrow.cast(), to_narrow)
+            }
+            None => {}
         }
     }
     copy_elements(wide, 0..wide.len(), 0..m, narrow, to_narrow);
@@ -295,7 +301,7 @@ pub(crate) mod x86 {
     use super::{copy_elements, tile_pairs, REV3};
 
     /// A register holding one 8-element line of a tile.
-    trait Line: Copy {
+    pub(crate) trait Line: Copy {
         /// Transposes the 8 × 8 tile whose row `k` is `rows[k]`, leaving
         /// its column `REV3[l]` in register `l`. Loaded as lines `REV3[k]`
         /// of a tile, line `l` of the partner tile is transposed row
@@ -357,13 +363,25 @@ pub(crate) mod x86 {
         REV3.map(|k| p.add(k * stride).cast::<V>().read_unaligned())
     }
 
+    /// The tile at `p` transposed: register `c` holds its column `c`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`load`] and [`Line::transpose`].
+    #[inline(always)]
+    pub(crate) unsafe fn load_transposed<W, V: Line>(p: *const W, stride: usize) -> [V; 8] {
+        let lines: [V; 8] = load(p, stride);
+        let t = V::transpose(REV3.map(|k| lines[k]));
+        REV3.map(|l| t[l])
+    }
+
     /// Stores `lines[l]` at `p + l·stride`.
     ///
     /// # Safety
     ///
     /// `p + l·stride` is valid for an unaligned `V` write, `l < 8`.
     #[inline(always)]
-    unsafe fn store<W, V>(p: *mut W, stride: usize, lines: [V; 8]) {
+    pub(crate) unsafe fn store<W, V>(p: *mut W, stride: usize, lines: [V; 8]) {
         for (l, v) in lines.into_iter().enumerate() {
             p.add(l * stride).cast::<V>().write_unaligned(v);
         }
@@ -619,9 +637,9 @@ mod tests {
         }
     }
 
-    /// Both directions of the narrow transpose against the naive
-    /// [`crate::transpose`]: `g` up to 16 (tiled from 8), row lengths with
-    /// and without a remainder past the last tile, 4-, 8- and 32-byte
+    /// Both directions of the narrow transpose against an element-by-
+    /// element one: `g` up to 16 (tiled from 8), row lengths with and
+    /// without a remainder past the last tile, 4-, 8- and 32-byte
     /// elements, and the two fields whose words move in registers.
     #[test]
     fn narrow_transpose_matches_naive() {
@@ -633,7 +651,9 @@ mod tests {
                 for m in [1usize, 7, 8, 9, 64, 100] {
                     let narrow: Vec<T> = (0..(g * m) as u64).map(&make).collect();
                     let rows = deinterleave(&narrow, g);
-                    let wide = crate::transpose(&narrow, m, g);
+                    let wide: Vec<T> = (0..g)
+                        .flat_map(|d| narrow.iter().skip(d).step_by(g).copied())
+                        .collect();
                     assert_eq!(rows.concat(), wide, "{label} deinterleave g={g} m={m}");
                     assert_eq!(interleave(&rows), narrow, "{label} interleave g={g} m={m}");
                     let slices: Vec<&[T]> = wide.chunks_exact(m).collect();

@@ -7,9 +7,9 @@
 //! on the vector kernels ([`crate::vector`]), and the step-② twiddle
 //! multiplication is fused right after the inner transforms while each row
 //! is still hot. The bit-reversal of a multi-MiB array — pure random
-//! access — never happens. Every phase (both row passes, the twiddles,
-//! every transpose) forks over [`unintt_exec::Executor`] in
-//! [`BAND_ROWS`]-row bands.
+//! access — never happens. The row passes fork over [`unintt_exec::Executor`]
+//! in [`BAND_ROWS`]-row bands, every transpose in page-sized block pairs
+//! of 8 × 8 register tiles ([`transpose_on`]).
 //!
 //! Splitting `N = N1·N2` and viewing the input as a row-major `N1×N2`
 //! matrix `x[i1·N2 + i2]`, the DFT factors as
@@ -22,6 +22,7 @@
 //! transposes UniNTT's fused addressing removes.
 
 use std::any::TypeId;
+use std::ops::Range;
 use std::sync::Arc;
 
 use unintt_exec::Executor;
@@ -29,153 +30,171 @@ use unintt_exec::Executor;
 use unintt_ff::Bn254Fr;
 use unintt_ff::{Goldilocks, TwoAdicField};
 
+#[cfg(target_arch = "x86_64")]
+use crate::bitrev::{register_lines, Lines};
 use crate::twiddle::TwiddleTable;
 use crate::{cache, vector};
 
-/// Transposes a row-major `rows×cols` matrix into a new `cols×rows` one.
+/// Transposes a row-major `rows×cols` matrix into a new `cols×rows` one:
+/// the tile kernel of six-step's rectangular transposes, its blocks run in
+/// turn on the calling thread.
 ///
 /// # Panics
 ///
 /// Panics if `data.len() != rows * cols`.
-pub fn transpose<T: Copy>(data: &[T], rows: usize, cols: usize) -> Vec<T> {
-    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
+pub fn transpose<T: Copy + 'static>(data: &[T], rows: usize, cols: usize) -> Vec<T> {
+    let len = rows.checked_mul(cols);
+    assert_eq!(len, Some(data.len()), "matrix shape mismatch");
     let mut out = Vec::with_capacity(data.len());
-    for c in 0..cols {
-        for r in 0..rows {
-            out.push(data[r * cols + c]);
-        }
+    let m = Move::new(data.as_ptr(), out.as_mut_ptr(), rows, cols, false);
+    // SAFETY: `data` is the `rows × cols` matrix (asserted) and `out` has
+    // room for its transpose; the blocks cover it, so every element is
+    // written before the length is set.
+    unsafe {
+        m.blocks().for_each(|(rs, cs)| move_block(&m, rs, cs));
+        out.set_len(data.len());
     }
     out
 }
 
-/// Transpose tile edge: 32×32 Goldilocks elements = 8 KiB, comfortably two
-/// L1-resident tiles (source and destination).
-const TILE: usize = 32;
+/// Rows per forked task in the row passes. A constant, not a knob: the
+/// split — and so which task writes which element — is the same for any
+/// pool size, and 64 rows (32 tasks per pass at `2^22`) is both coarse
+/// enough to amortize a spawn and fine enough for work stealing.
+const BAND_ROWS: usize = 64;
 
-/// Rows per forked task in every six-step phase. A constant, not a knob:
-/// the split — and so which task writes which element — is the same for
-/// any pool size, and 64 rows (32 tasks per pass at `2^22`) is both coarse
-/// enough to amortize a spawn and fine enough for work stealing to even
-/// out the triangular in-place transpose. A whole number of tiles, so no
-/// tile straddles two bands.
-const BAND_ROWS: usize = 2 * TILE;
+/// A transpose of the row-major `rows × cols` matrix at `src`: element
+/// `(r, c)`, `src[r·cols + c]`, goes to `dst[c·rows + r]`. With `swap` the
+/// two are one square matrix, and each element above the diagonal is
+/// exchanged with its mirror.
+struct Move<T> {
+    src: *const T,
+    dst: *mut T,
+    rows: usize,
+    cols: usize,
+    swap: bool,
+}
 
-/// Blocked out-of-place transpose: `dst[c·rows + r] = src[r·cols + c]`
-/// (same semantics as [`crate::transpose`], without the allocation),
-/// forked over bands of destination rows.
-fn transpose_blocked<F: Copy + Send + Sync>(
+// SAFETY: the block tasks share a `&Move`; the shape fields are plain
+// values, and only `move_block` dereferences the pointers, on blocks that
+// touch pairwise disjoint elements (see `transpose_on`) of matrices
+// borrowed until the scope joins. Tasks write some `T`s and read others,
+// hence `T: Send + Sync`.
+unsafe impl<T: Send + Sync> Sync for Move<T> {}
+
+impl<T> Move<T> {
+    fn new(src: *const T, dst: *mut T, rows: usize, cols: usize, swap: bool) -> Self {
+        Self {
+            src,
+            dst,
+            rows,
+            cols,
+            swap,
+        }
+    }
+
+    /// The task split: squares whose rows are each one 4 KiB page (512
+    /// elements of 8 bytes, 1024 of 4), so the pages a task moves between
+    /// stay in the TLB. With `swap`, only the blocks on and above the
+    /// diagonal, each standing for itself and its mirror.
+    fn blocks(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+        let (rows, cols, upper) = (self.rows, self.cols, self.swap);
+        let b = (4096 / size_of::<T>().max(1)).max(8);
+        (0..rows).step_by(b).flat_map(move |r| {
+            let first = if upper { r } else { 0 };
+            (first..cols)
+                .step_by(b)
+                .map(move |c| (r..(r + b).min(rows), c..(c + b).min(cols)))
+        })
+    }
+}
+
+/// Out-of-place transpose `dst[c·rows + r] = src[r·cols + c]`, the odd
+/// `log_n` kernel ([`crate::transpose`] without the allocation).
+fn transpose_blocked<F: Copy + Send + Sync + 'static>(
     exec: &Executor,
     src: &[F],
     dst: &mut [F],
     rows: usize,
     cols: usize,
 ) {
-    assert_eq!(src.len(), rows * cols);
-    assert_eq!(dst.len(), rows * cols);
-    exec.parallel_chunks_mut(dst, BAND_ROWS * rows, |band, out| {
-        let c0 = band * BAND_ROWS;
-        let c_max = c0 + out.len() / rows;
-        for rb in (0..rows).step_by(TILE) {
-            let r_end = (rb + TILE).min(rows);
-            for cb in (c0..c_max).step_by(TILE) {
-                let c_end = (cb + TILE).min(c_max);
-                for r in rb..r_end {
-                    for c in cb..c_end {
-                        out[(c - c0) * rows + r] = src[r * cols + c];
-                    }
-                }
-            }
-        }
-    });
+    // Memory safety of the block tasks rests on these lengths.
+    assert!(rows.checked_mul(cols) == Some(src.len()) && dst.len() == src.len());
+    let m = Move::new(src.as_ptr(), dst.as_mut_ptr(), rows, cols, false);
+    // SAFETY: the lengths are asserted above, the slices borrowed throughout.
+    unsafe { transpose_on(exec, m) };
 }
 
-/// A matrix base pointer the in-place transpose's band tasks share.
-struct TilePtr<T>(*mut T);
-
-impl<T> TilePtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
+/// In-place transpose of an `n × n` matrix, the even `log_n` kernel: no
+/// scratch buffer.
+fn transpose_in_place_square<F: Copy + Send + Sync + 'static>(
+    exec: &Executor,
+    a: &mut [F],
+    n: usize,
+) {
+    // Memory safety of the block tasks rests on this length.
+    assert_eq!(n.checked_mul(n), Some(a.len()));
+    let p = a.as_mut_ptr();
+    // SAFETY: the length is asserted above, the slice borrowed throughout.
+    unsafe { transpose_on(exec, Move::new(p, p, n, n, true)) };
 }
 
-// SAFETY: the pointer is only dereferenced inside
-// `transpose_in_place_square`, whose band tasks access pairwise disjoint
-// elements of a matrix the caller holds `&mut` for the whole scope; the
-// elements themselves are `Send`.
-unsafe impl<T: Send> Send for TilePtr<T> {}
-// SAFETY: as above — sharing the wrapper hands out no overlapping access.
-unsafe impl<T: Send> Sync for TilePtr<T> {}
-
-/// In-place blocked transpose of an `n × n` matrix: swaps each
-/// above-diagonal tile with its mirror and transposes diagonal tiles where
-/// they sit. Same tiling as [`transpose_blocked`] but no second buffer and
-/// half the memory passes of a transpose-then-copy sequence. 8-byte
-/// fields on AVX2 hardware run 4×4 register micro-tiles instead of
-/// element swaps (pure data movement, so the specialization is exact).
-///
-/// Forked over row bands. Tile row `rb` owns the tiles `(rb, cb ≥ rb)`
-/// and their mirrors `(cb, rb)`, and two tile rows `rb < rb'` share no
-/// tile: their own tiles differ in tile row, their mirrors in tile column,
-/// and an own tile of one equal to a mirror of the other would need
-/// `cb' = rb < rb' ≤ cb'`. Bands are unions of tile rows, so they touch
-/// pairwise disjoint elements — the contract the `unsafe` band kernels
-/// rely on.
-fn transpose_in_place_square<F: Copy + Send + 'static>(exec: &Executor, a: &mut [F], n: usize) {
-    // Memory safety of the band tasks rests on this length.
-    assert_eq!(a.len(), n * n);
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = TypeId::of::<F>() == TypeId::of::<Goldilocks>()
-        && n.is_multiple_of(4)
-        && n >= 4
-        && std::arch::is_x86_feature_detected!("avx2");
-    let base = TilePtr(a.as_mut_ptr());
-    exec.scope(|s| {
-        for r0 in (0..n).step_by(BAND_ROWS) {
-            let r1 = (r0 + BAND_ROWS).min(n);
-            let base = &base;
-            s.spawn(move || {
-                #[cfg(target_arch = "x86_64")]
-                if avx2 {
-                    // SAFETY: F is Goldilocks (checked above), a
-                    // transparent u64, AVX2 was detected and 4 divides n;
-                    // the pointer covers n·n elements that `a` borrows
-                    // mutably until the scope joins, `r0` is a multiple of
-                    // TILE, `r1 ≤ n`, and no other band touches this
-                    // band's tiles or mirrors.
-                    unsafe { x86::transpose_band_u64(base.get().cast::<u64>(), n, r0, r1) };
-                    return;
-                }
-                // SAFETY: the pointer covers n·n elements that `a` borrows
-                // mutably until the scope joins, `r0` is a multiple of
-                // TILE, `r1 ≤ n`, and no other band touches this band's
-                // tiles or mirrors.
-                unsafe { transpose_band(base.get(), n, r0, r1) };
-            });
-        }
-    });
-}
-
-/// Rows `[r0, r1)` of the in-place square transpose: every tile
-/// `(rb, cb ≥ rb)` of those rows is swapped with its mirror.
+/// One pool task per block pair of [`Move::blocks`], 10 for a `2^22`
+/// Goldilocks square on any pool, so every pool writes the same bits. Out
+/// of place, task `(R, C)` writes destination block `(C, R)` alone. In
+/// place, task `(R, C ≥ R)` swaps blocks `(R, C)` and `(C, R)` tile by
+/// tile; two tasks share a block only if `(R', C') = (C, R)`, which with
+/// `R' ≤ C'` needs `R = C`: the same task. So no task touches an element
+/// another writes, the contract of [`move_block`].
 ///
 /// # Safety
 ///
-/// `p` must be valid for reads and writes of `n·n` elements, `r0` a
-/// multiple of [`TILE`], `r1 ≤ n`, and nothing else may access those tiles
-/// or their mirrors while this runs.
-unsafe fn transpose_band<F>(p: *mut F, n: usize, r0: usize, r1: usize) {
-    for rb in (r0..r1).step_by(TILE) {
-        let r_end = (rb + TILE).min(r1);
-        for r in rb..r_end {
-            for c in (r + 1)..r_end {
-                core::ptr::swap_nonoverlapping(p.add(r * n + c), p.add(c * n + r), 1);
-            }
+/// The matrices of `m` hold `rows × cols` elements, borrowed for the call.
+unsafe fn transpose_on<F: Copy + Send + Sync + 'static>(exec: &Executor, m: Move<F>) {
+    exec.scope(|s| {
+        for (rs, cs) in m.blocks() {
+            let m = &m;
+            // SAFETY: the block lies inside the matrices (the caller's
+            // contract), and no other task touches it (see above).
+            s.spawn(move || unsafe { move_block(m, rs, cs) });
         }
-        for cb in ((rb + TILE)..n).step_by(TILE) {
-            let c_end = (cb + TILE).min(n);
-            for r in rb..r_end {
-                for c in cb..c_end {
-                    core::ptr::swap_nonoverlapping(p.add(r * n + c), p.add(c * n + r), 1);
+    });
+}
+
+/// Source rows `rs` × columns `cs` of `m`, by 8 × 8 register tiles where
+/// [`register_lines`] allows, element by element otherwise.
+///
+/// # Safety
+///
+/// The block lies inside the matrices (with `swap`, on or above the
+/// diagonal) and nothing else touches it or its mirror meanwhile.
+unsafe fn move_block<T: Copy + 'static>(m: &Move<T>, rs: Range<usize>, cs: Range<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    match register_lines::<T>() {
+        // SAFETY (both arms): `register_lines` vouches for the CPU feature
+        // and the word `T` is; the caller for the block.
+        Some(Lines::Zmm) => return x86::tiles_u64(m, rs, cs),
+        Some(Lines::Ymm) => return x86::tiles_u32(m, rs, cs),
+        None => {}
+    }
+    move_elements(m, rs, cs);
+}
+
+/// [`move_block`] element by element, eight rows at a time so that each
+/// destination row takes eight adjacent elements.
+///
+/// # Safety
+///
+/// As for [`move_block`].
+unsafe fn move_elements<T: Copy>(m: &Move<T>, rs: Range<usize>, cs: Range<usize>) {
+    for r0 in rs.clone().step_by(8) {
+        for c in cs.clone() {
+            for r in r0..(r0 + 8).min(rs.end) {
+                let (x, y) = (m.src.add(r * m.cols + c), m.dst.add(c * m.rows + r));
+                if !m.swap {
+                    y.write(x.read());
+                } else if r < c {
+                    core::ptr::swap_nonoverlapping(x.cast_mut(), y, 1);
                 }
             }
         }
@@ -301,79 +320,61 @@ pub(crate) fn row_butterfly<F: TwoAdicField>(u: &mut [F], v: &mut [F], w: F) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
+    use std::ops::Range;
+
+    use super::{move_elements, Move};
+    use crate::bitrev::x86::{load_transposed, store, Line};
 
     use unintt_ff::packed::avx512 as w8;
     use unintt_ff::packed::ifma::Fr8;
     use unintt_ff::Bn254Fr;
 
-    /// Loads a 4×4 `u64` tile at `p` (row stride `n`), transposed.
+    /// [`super::move_block`] over 8-byte words in zmm registers.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; `p` must be valid for the 4 stride-`n` rows.
-    #[inline(always)]
-    unsafe fn load_transposed(p: *const u64, n: usize) -> [__m256i; 4] {
-        let r0 = _mm256_loadu_si256(p.cast());
-        let r1 = _mm256_loadu_si256(p.add(n).cast());
-        let r2 = _mm256_loadu_si256(p.add(2 * n).cast());
-        let r3 = _mm256_loadu_si256(p.add(3 * n).cast());
-        let t0 = _mm256_unpacklo_epi64(r0, r1);
-        let t1 = _mm256_unpackhi_epi64(r0, r1);
-        let t2 = _mm256_unpacklo_epi64(r2, r3);
-        let t3 = _mm256_unpackhi_epi64(r2, r3);
-        [
-            _mm256_permute2x128_si256::<0x20>(t0, t2),
-            _mm256_permute2x128_si256::<0x20>(t1, t3),
-            _mm256_permute2x128_si256::<0x31>(t0, t2),
-            _mm256_permute2x128_si256::<0x31>(t1, t3),
-        ]
+    /// Requires AVX-512F; `T` is 8 bytes; as for [`super::move_block`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tiles_u64<T: Copy>(m: &Move<T>, rs: Range<usize>, cs: Range<usize>) {
+        tiles::<_, __m512i>(m, rs, cs);
     }
 
-    /// Stores four row registers at `p` (row stride `n`).
+    /// [`super::move_block`] over 4-byte words in ymm registers.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; `p` must be valid for the 4 stride-`n` rows.
-    #[inline(always)]
-    unsafe fn store_tile(p: *mut u64, n: usize, t: [__m256i; 4]) {
-        _mm256_storeu_si256(p.cast(), t[0]);
-        _mm256_storeu_si256(p.add(n).cast(), t[1]);
-        _mm256_storeu_si256(p.add(2 * n).cast(), t[2]);
-        _mm256_storeu_si256(p.add(3 * n).cast(), t[3]);
-    }
-
-    /// Rows `[r0, r1)` of the in-place transpose of an `n × n` row-major
-    /// `u64` matrix: the same macro-tiling as [`super::transpose_band`],
-    /// with 4×4 register micro-tiles (unpack + 128-bit permute) instead of
-    /// element swaps.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and `n % 4 == 0`, plus everything
-    /// [`super::transpose_band`] requires.
+    /// Requires AVX2; `T` is 4 bytes; as for [`super::move_block`].
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transpose_band_u64(p: *mut u64, n: usize, r0: usize, r1: usize) {
-        debug_assert!(n.is_multiple_of(4));
-        for rb in (r0..r1).step_by(super::TILE) {
-            let r_end = (rb + super::TILE).min(r1);
-            for cb in (rb..n).step_by(super::TILE) {
-                let c_end = (cb + super::TILE).min(n);
-                for r in (rb..r_end).step_by(4) {
-                    let c_start = if cb == rb { r } else { cb };
-                    for c in (c_start..c_end).step_by(4) {
-                        if r == c {
-                            let t = load_transposed(p.add(r * n + c), n);
-                            store_tile(p.add(r * n + c), n, t);
-                        } else {
-                            let upper = load_transposed(p.add(r * n + c), n);
-                            let lower = load_transposed(p.add(c * n + r), n);
-                            store_tile(p.add(c * n + r), n, upper);
-                            store_tile(p.add(r * n + c), n, lower);
-                        }
-                    }
+    pub(super) unsafe fn tiles_u32<T: Copy>(m: &Move<T>, rs: Range<usize>, cs: Range<usize>) {
+        tiles::<_, __m256i>(m, rs, cs);
+    }
+
+    /// The block's whole tiles in registers, each loaded transposed and
+    /// stored at its mirror (with `swap`, the mirror loaded first and
+    /// stored in its place); the rows and columns past them element by
+    /// element.
+    ///
+    /// # Safety
+    ///
+    /// As for [`tiles_u64`], with `V` eight `W` words wide.
+    #[inline(always)]
+    unsafe fn tiles<W: Copy, V: Line>(m: &Move<W>, rs: Range<usize>, cs: Range<usize>) {
+        debug_assert_eq!(size_of::<V>(), 8 * size_of::<W>());
+        let (r8, c8) = (rs.start + (rs.len() & !7), cs.start + (cs.len() & !7));
+        let diagonal = m.swap && rs == cs;
+        for r in (rs.start..r8).step_by(8) {
+            let first = if diagonal { r } else { cs.start };
+            for c in (first..c8).step_by(8) {
+                let (x, y) = (m.src.add(r * m.cols + c), m.dst.add(c * m.rows + r));
+                let tile = load_transposed::<W, V>(x, m.cols);
+                if m.swap && r != c {
+                    store(x.cast_mut(), m.cols, load_transposed::<W, V>(y, m.rows));
                 }
+                store(y, m.rows, tile);
             }
         }
+        move_elements(m, rs.clone(), c8..cs.end);
+        move_elements(m, r8..rs.end, cs.start..c8);
     }
 
     /// [`super::scale_by_powers`] over Goldilocks words: `row[j] *=
@@ -466,12 +467,12 @@ fn row_kernel<F: TwoAdicField>(exec: &Executor, row_log: u32, inverse: bool) -> 
 /// inverse retraces the same structure with inverse roots; the `1/N1` and
 /// `1/N2` scales inside the row inverses compose to the full `1/N`.
 ///
-/// Every phase forks over `exec` in [`BAND_ROWS`]-row bands. Bands write
-/// disjoint elements and the split never depends on the pool, so the
-/// output is the same bits on any `exec` (a zero-worker pool runs the
-/// bands inline, in order: the serial execution of this same code), and a
-/// call from inside another `exec` task composes through the caller-helps
-/// scope. Band tasks touch no telemetry and no cache.
+/// Row passes fork over `exec` in [`BAND_ROWS`]-row bands, transposes in
+/// block pairs. Tasks write disjoint elements and no split depends on the
+/// pool, so the output is the same bits on any `exec` (a zero-worker pool
+/// runs the tasks inline, in order: the serial execution of this code),
+/// and a call from inside another `exec` task composes through the
+/// caller-helps scope. The tasks touch no telemetry and no cache.
 pub(crate) fn six_step<F: TwoAdicField>(
     exec: &Executor,
     table: &Arc<TwiddleTable<F>>,
@@ -545,10 +546,7 @@ pub(crate) fn six_step<F: TwoAdicField>(
         inner_pass(values);
         transpose_blocked(exec, values, &mut scratch, n2, n1);
     }
-    let band_len = BAND_ROWS * n1;
-    exec.parallel_chunks_mut(values, band_len, |band, chunk| {
-        chunk.copy_from_slice(&scratch[band * band_len..][..chunk.len()]);
-    });
+    values.copy_from_slice(&scratch);
 }
 
 #[cfg(test)]
@@ -580,7 +578,7 @@ mod tests {
         for threads in [1, unintt_exec::default_threads()] {
             let exec = Executor::new(threads);
             let bands = n1.div_ceil(BAND_ROWS);
-            println!("-- {threads} thread(s), {bands} band tasks per phase");
+            println!("-- {threads} thread(s), {bands} band tasks per row pass");
 
             let t = Instant::now();
             six_step(&exec, &table, &mut values, false);
@@ -710,38 +708,114 @@ mod tests {
         check::<Bn254Fr>(&[0, 1, 7, 8, 9, 16, 63, 2048 + 5]);
     }
 
+    /// The oracle of the transpose tests: one element at a time.
+    fn naive_transpose<T: Copy>(data: &[T], rows: usize, cols: usize) -> Vec<T> {
+        (0..cols)
+            .flat_map(|c| (0..rows).map(move |r| data[r * cols + c]))
+            .collect()
+    }
+
+    /// One transpose kernel against the naive loop, bit for bit, on pools
+    /// of 1, 3 and 8, for every element type a transpose meets: `u32` and
+    /// `u64` words, the two fields made of them, and `Bn254Fr` (32 bytes,
+    /// element by element everywhere). Square: sides off the tile grid
+    /// (33, 100, 132), one and two blocks of 8-byte words (512, 520), and 1024
+    /// in both word widths (one block of 4-byte words, four of 8-byte
+    /// ones). Out of place (also through [`crate::transpose`]): a row and
+    /// a column of one, sides off the grid, and 512 × 1024; 1024 × 2048
+    /// in the word types. Prints which register tiles the words moved in,
+    /// so a log shows when a CPU without them skipped one.
+    fn transposes_match_naive(square: bool) {
+        fn check<T: Copy + PartialEq + Send + Sync + 'static>(
+            square: bool,
+            label: &str,
+            make: impl Fn(u64) -> T,
+            words: bool,
+        ) {
+            let mut shapes = if square {
+                [1, 8, 33, 64, 100, 132, 512, 520].map(|n| (n, n)).to_vec()
+            } else {
+                vec![(1, 64), (64, 1), (33, 70), (512, 1024)]
+            };
+            if words {
+                shapes.push(if square { (1024, 1024) } else { (1024, 2048) });
+            }
+            for (rows, cols) in shapes {
+                let src: Vec<T> = (0..(rows * cols) as u64).map(&make).collect();
+                let want = naive_transpose(&src, rows, cols);
+                if !square {
+                    assert!(
+                        crate::transpose(&src, rows, cols) == want,
+                        "{label} {rows}x{cols}"
+                    );
+                }
+                for threads in [1, 3, 8] {
+                    let exec = Executor::new(threads);
+                    let mut got = src.clone();
+                    if square {
+                        transpose_in_place_square(&exec, &mut got, rows);
+                    } else {
+                        transpose_blocked(&exec, &src, &mut got, rows, cols);
+                    }
+                    assert!(got == want, "{label} {rows}x{cols} threads={threads}");
+                }
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let ran = |has: bool| ["SKIPPED (not on this CPU)", "ran"][usize::from(has)];
+            println!(
+                "{} tiles: u64 / Goldilocks in zmm (avx512f) {}, u32 / BabyBear in ymm (avx2) {}",
+                ["transpose_blocked", "transpose_in_place_square"][usize::from(square)],
+                ran(is_x86_feature_detected!("avx512f")),
+                ran(is_x86_feature_detected!("avx2"))
+            );
+        }
+        check(square, "u32", |i| i as u32, true);
+        check(square, "u64", |i| i, true);
+        check(square, "goldilocks", Goldilocks::from_u64, true);
+        check(square, "babybear", BabyBear::from_u64, true);
+        check(square, "bn254", Bn254Fr::from_u64, false);
+    }
+
     #[test]
     fn transpose_blocked_matches_reference() {
-        for (rows, cols) in [
-            (1usize, 64usize),
-            (64, 1),
-            (8, 8),
-            (33, 70),
-            (128, 32),
-            (70, 200),
-        ] {
-            let src: Vec<u32> = (0..rows * cols).map(|x| x as u32).collect();
-            let mut dst = vec![0u32; rows * cols];
-            transpose_blocked(&Executor::new(3), &src, &mut dst, rows, cols);
-            assert_eq!(dst, crate::transpose(&src, rows, cols), "{rows}x{cols}");
-        }
+        transposes_match_naive(false);
     }
 
     #[test]
     fn transpose_in_place_square_matches_reference() {
-        for n in [1usize, 8, 32, 33, 64, 100, 200] {
-            let src: Vec<u32> = (0..n * n).map(|x| x as u32).collect();
-            let mut inplace = src.clone();
-            transpose_in_place_square(&Executor::new(3), &mut inplace, n);
-            assert_eq!(inplace, crate::transpose(&src, n, n), "n={n}");
+        transposes_match_naive(true);
+    }
+
+    /// Forward then inverse at 2^23 (rectangular: the out-of-place kernel
+    /// on 2048 × 4096 and back) on pools of 1, 2 and 8: the forward is the
+    /// same bits on every pool, and the inverse lands back on the input.
+    fn six_step_round_trip_on_every_pool<F: TwoAdicField>() {
+        let log_n = 23;
+        let table = cache::shared_table::<F>(log_n);
+        let input = || random_vec::<F>(log_n, 23);
+        let mut first: Option<Vec<F>> = None;
+        for threads in [1usize, 2, 8] {
+            let exec = Executor::new(threads);
+            let mut values = input();
+            six_step(&exec, &table, &mut values, false);
+            match &first {
+                Some(first) => assert!(values == *first, "forward threads={threads}"),
+                None => first = Some(values.clone()),
+            }
+            six_step(&exec, &table, &mut values, true);
+            assert!(values == input(), "inverse threads={threads}");
         }
-        // Goldilocks takes the register micro-tile kernel where AVX2 is
-        // present; 132 leaves a 4-row last band.
-        for n in [4usize, 64, 132, 256] {
-            let src: Vec<Goldilocks> = (0..n * n).map(|x| Goldilocks::from_u64(x as u64)).collect();
-            let mut inplace = src.clone();
-            transpose_in_place_square(&Executor::new(3), &mut inplace, n);
-            assert_eq!(inplace, crate::transpose(&src, n, n), "goldilocks n={n}");
-        }
+    }
+
+    #[test]
+    fn six_step_round_trip_2p23_goldilocks() {
+        six_step_round_trip_on_every_pool::<Goldilocks>();
+    }
+
+    #[test]
+    fn six_step_round_trip_2p23_babybear() {
+        six_step_round_trip_on_every_pool::<BabyBear>();
     }
 }
